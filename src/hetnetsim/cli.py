@@ -14,13 +14,12 @@ import argparse
 import sys
 from pathlib import Path
 
-import yaml
-
 from .config import (
     ConfigError,
     ParseError,
     apply_overrides,
     parse_scenario,
+    read_scenario_document,
 )
 from .engine import (
     build_geometry,
@@ -45,26 +44,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _load_raw_scenario(path: str) -> dict:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read scenario file {path}: {exc}") from exc
-    try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ParseError(f"malformed scenario document: {exc}") from exc
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise ParseError(
-            f"scenario document must be a mapping, got {type(data).__name__}"
-        )
-    return data
-
-
 def _scenario_from_args(args):
-    data = _load_raw_scenario(args.scenario)
+    data = read_scenario_document(args.scenario)
     data = apply_overrides(data, args.set or [])
     return parse_scenario(data)
 
@@ -106,7 +87,7 @@ def _sweep_values(start: float, stop: float, step: float) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
-    base = _load_raw_scenario(args.scenario)
+    base = read_scenario_document(args.scenario)
     base = apply_overrides(base, args.set or [])
     values = _sweep_values(args.sweep_from, args.sweep_to, args.step)
     rows = []

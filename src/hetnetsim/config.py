@@ -80,7 +80,6 @@ class Scenario:
     seed: int = 1
     slots: int = 1
     realizations: int = 1
-    slot_duration_s: float = 1.0
     boot_slots: int = 1
     layout: LayoutConfig = LayoutConfig()
     users: UsersConfig = UsersConfig()
@@ -175,8 +174,8 @@ _SECTION_PROTOS = {
 }
 
 
-def parse_scenario(source: str | dict) -> Scenario:
-    """Parse and fully validate a scenario document (YAML text or mapping)."""
+def _document(source: str | dict) -> dict:
+    """The raw mapping of a scenario document (YAML text or mapping)."""
     if isinstance(source, str):
         try:
             data = yaml.safe_load(source)
@@ -190,11 +189,24 @@ def parse_scenario(source: str | dict) -> Scenario:
         raise ParseError(
             f"scenario document must be a mapping, got {type(data).__name__}"
         )
+    return data
 
+
+def read_scenario_document(path: str | Path) -> dict:
+    """The raw mapping of a scenario file, before overrides and validation."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ParseError(f"cannot read scenario file {path}: {exc}") from exc
+    return _document(text)
+
+
+def parse_scenario(source: str | dict) -> Scenario:
+    """Parse and fully validate a scenario document (YAML text or mapping)."""
+    data = _document(source)
     known_top = {
-        "topology", "seed", "slots", "realizations", "slot_duration_s",
-        "boot_slots", "layout", "users", "work", "policy", "channel",
-        "power", "legacy",
+        "topology", "seed", "slots", "realizations", "boot_slots",
+        "layout", "users", "work", "policy", "channel", "power", "legacy",
     }
     for key in data:
         if key not in known_top:
@@ -202,8 +214,7 @@ def parse_scenario(source: str | dict) -> Scenario:
 
     proto = Scenario()
     kwargs: dict[str, Any] = {}
-    for key in ("topology", "seed", "slots", "realizations",
-                "slot_duration_s", "boot_slots"):
+    for key in ("topology", "seed", "slots", "realizations", "boot_slots"):
         if key in data:
             kwargs[key] = _coerce(data[key], getattr(proto, key), key)
     for key, section_proto in _SECTION_PROTOS.items():
@@ -246,8 +257,6 @@ def validate_scenario(s: Scenario) -> None:
     if s.slots > 1 and s.realizations > 1:
         err("realizations",
             "multi-slot runs use a single realization (slots > 1 requires realizations = 1)")
-    if s.slot_duration_s <= 0:
-        err("slot_duration_s", "must be positive")
     if s.boot_slots < 0:
         err("boot_slots", "must be >= 0")
 
@@ -315,7 +324,6 @@ def scenario_to_dict(s: Scenario) -> dict:
         "seed": s.seed,
         "slots": s.slots,
         "realizations": s.realizations,
-        "slot_duration_s": s.slot_duration_s,
         "boot_slots": s.boot_slots,
         "layout": dataclasses.asdict(s.layout),
         "users": dataclasses.asdict(s.users),
@@ -335,11 +343,7 @@ def serialize_scenario(s: Scenario) -> str:
 
 
 def load_scenario_file(path: str | Path) -> Scenario:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read scenario file {path}: {exc}") from exc
-    return parse_scenario(text)
+    return parse_scenario(read_scenario_document(path))
 
 
 def apply_overrides(data: dict, assignments: list[str]) -> dict:

@@ -12,16 +12,21 @@ A two-threshold policy with t_deactivate = t_activate - 1 is equivalent to
 the one-threshold rule for integer counts; distinct thresholds add
 hysteresis, which removes on/off flapping when the count sits near the
 activation point.
+
+The engine holds every pico's mode as an int code (SLEEP, BOOT, ACTIVE)
+and advances all of them at once with step_modes; step_state is the same
+table for one pico.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
+
+import numpy as np
 
 from .power import EnbMode
-from .topology import Cell, contains_point
 
 
 class InvalidPolicy(ValueError):
@@ -61,6 +66,42 @@ def two_threshold(t_activate: float, t_deactivate: float) -> ThresholdPolicy:
     return ThresholdPolicy(t_activate=t_activate, t_deactivate=t_deactivate)
 
 
+# int mode codes of the control arrays; MODES maps a code back to its enum
+SLEEP, BOOT, ACTIVE = 0, 1, 2
+MODES = (EnbMode.SLEEP, EnbMode.BOOT, EnbMode.ACTIVE)
+
+
+def step_modes(
+    mode: np.ndarray,
+    boot_remaining: np.ndarray,
+    counts: np.ndarray,
+    policy: ThresholdPolicy,
+    boot_slots: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance every pico's mode by one slot given this slot's user counts.
+
+    Returns new (mode, boot_remaining) arrays.  Boot always runs to
+    completion: the countdown ignores the count, so a station can never pay
+    the boot cost and then go back to sleep unserved within the same
+    transient.  boot_slots = 0 degenerates to an immediate Sleep -> Active
+    transition.
+    """
+    if boot_slots < 0:
+        raise ValueError(f"boot_slots must be >= 0, got {boot_slots}")
+    wake = (mode == SLEEP) & policy.should_wake(counts)
+    booting = mode == BOOT
+    sleep = (mode == ACTIVE) & policy.should_sleep(counts)
+    remaining = np.where(booting, boot_remaining - 1, boot_remaining)
+    booted = booting & (remaining <= 0)
+    new_mode = mode.copy()
+    new_mode[booted] = ACTIVE
+    new_mode[sleep] = SLEEP
+    new_mode[wake] = BOOT if boot_slots else ACTIVE
+    remaining[booted | sleep] = 0
+    remaining[wake] = boot_slots
+    return new_mode, remaining
+
+
 @dataclass(frozen=True)
 class PicoControlState:
     mode: EnbMode = EnbMode.SLEEP
@@ -73,38 +114,12 @@ def step_state(
     policy: ThresholdPolicy,
     boot_slots: int = 1,
 ) -> PicoControlState:
-    """Advance one pico's mode by one slot given this slot's user count.
-
-    Boot always runs to completion: the countdown ignores the count, so a
-    station can never pay the boot cost and then go back to sleep unserved
-    within the same transient.  boot_slots = 0 degenerates to an immediate
-    Sleep -> Active transition.
-    """
-    if boot_slots < 0:
-        raise ValueError(f"boot_slots must be >= 0, got {boot_slots}")
-    if state.mode is EnbMode.SLEEP:
-        if policy.should_wake(count):
-            if boot_slots == 0:
-                return PicoControlState(EnbMode.ACTIVE, 0)
-            return PicoControlState(EnbMode.BOOT, boot_slots)
-        return state
-    if state.mode is EnbMode.BOOT:
-        remaining = state.boot_remaining - 1
-        if remaining <= 0:
-            return PicoControlState(EnbMode.ACTIVE, 0)
-        return PicoControlState(EnbMode.BOOT, remaining)
-    # ACTIVE
-    if policy.should_sleep(count):
-        return PicoControlState(EnbMode.SLEEP, 0)
-    return state
-
-
-def count_active_in_range(pico: Cell, positions: Iterable[tuple[float, float]],
-                          active_flags: Iterable[bool]) -> int:
-    """Active users strictly inside the pico disc (reference implementation;
-    the engine computes all counts at once in kernels.count_in_discs)."""
-    n = 0
-    for (x, y), active in zip(positions, active_flags):
-        if active and contains_point(pico, x, y):
-            n += 1
-    return n
+    """One pico's step_modes, on a PicoControlState."""
+    mode, remaining = step_modes(
+        np.array([MODES.index(state.mode)]),
+        np.array([state.boot_remaining]),
+        np.array([count]),
+        policy,
+        boot_slots,
+    )
+    return PicoControlState(MODES[mode[0]], int(remaining[0]))

@@ -26,7 +26,7 @@ its macro-only twin) common-random-number experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -35,7 +35,7 @@ import numpy as np
 from . import kernels
 from .channel import noise_power_dbm, user_bandwidth
 from .config import Scenario
-from .control import PicoControlState, step_state
+from .control import ACTIVE, MODES, SLEEP, step_modes
 from .mobility import draw_activity_flags, init_population, step_population
 from .power import EnbMode, consumed_power_w
 from .topology import Topology, build_coe, build_monet, build_udc
@@ -46,9 +46,6 @@ TAG_WORLD = 1
 HIST_BIN_WIDTH = 1e4
 HIST_MAX = 1e6
 HIST_BINS = int(HIST_MAX / HIST_BIN_WIDTH)
-
-_MODE_CODE = {EnbMode.SLEEP: 0, EnbMode.BOOT: 1, EnbMode.ACTIVE: 2}
-
 
 class EngineError(Exception):
     pass
@@ -96,10 +93,39 @@ def build_geometry(scenario: Scenario) -> Topology:
     )
 
 
-class World:
-    """One population + pico control state evolving under a scenario."""
+@dataclass
+class UserTotals:
+    """Per-user sums over every slot a run evaluates, across realizations."""
 
-    def __init__(self, scenario: Scenario, topo: Topology, realization: int = 0):
+    cap_sum: np.ndarray
+    active_slots: np.ndarray
+    pico_slots: np.ndarray
+    pico_cap_sum: np.ndarray
+
+    @classmethod
+    def zeros(cls, n: int) -> "UserTotals":
+        return cls(np.zeros(n), np.zeros(n, dtype=np.int64),
+                   np.zeros(n, dtype=np.int64), np.zeros(n))
+
+    def add(self, cap: np.ndarray, active: np.ndarray,
+            pico_served: np.ndarray) -> None:
+        self.cap_sum += cap
+        self.active_slots += active
+        self.pico_slots += pico_served
+        self.pico_cap_sum += np.where(pico_served, cap, 0.0)
+
+
+class World:
+    """One population + pico control state evolving under a scenario.
+
+    Pico control lives in two (m,) int arrays: ``mode`` holds each pico's
+    code (control.SLEEP, BOOT, ACTIVE) and ``boot_remaining`` its boot
+    countdown.  Every slot adds into ``totals``, which worlds of one run may
+    share.
+    """
+
+    def __init__(self, scenario: Scenario, topo: Topology, realization: int = 0,
+                 totals: Optional[UserTotals] = None):
         self.s = scenario
         self.topo = topo
         self.rng = np.random.default_rng(
@@ -118,8 +144,8 @@ class World:
         )
         m = len(topo.picos)
         self.n_picos = m
-        self.states = [PicoControlState() for _ in range(m)]
-        self.mode_codes = np.zeros(m, dtype=np.int64)
+        self.mode = np.full(m, SLEEP, dtype=np.int64)
+        self.boot_remaining = np.zeros(m, dtype=np.int64)
         self.centers = topo.pico_centers()
         self.pico_r = topo.pico_radius()
 
@@ -129,12 +155,7 @@ class World:
         self.eirp_macro = C.macro_tx_dbm + C.macro_antenna_gain_dbi + C.ue_antenna_gain_dbi
         self.eirp_pico = C.pico_tx_dbm + C.pico_antenna_gain_dbi + C.ue_antenna_gain_dbi
 
-        n = scenario.users.total
-        self.cap_sum = np.zeros(n)
-        self.active_slots = np.zeros(n, dtype=np.int64)
-        self.pico_slots = np.zeros(n, dtype=np.int64)
-        self.pico_cap_sum = np.zeros(n)
-        self.slots_seen = 0
+        self.totals = UserTotals.zeros(scenario.users.total) if totals is None else totals
         # exposed after each slot, for traces and acceptance checks
         self.last_active: Optional[np.ndarray] = None
         self.last_serving: Optional[np.ndarray] = None  # -2 idle, -1 macro, j pico
@@ -158,6 +179,19 @@ class World:
             np.int64
         )
 
+    def _pico_power(self, counts: np.ndarray) -> float:
+        """Summed draw of every pico: load-dependent when Active, the sleep
+        floor in Sleep and Boot (power.consumed_power_w, per pico)."""
+        P = self.s.power_pico
+        load = np.minimum(counts, P.user_capacity) / P.user_capacity
+        draw = np.where(
+            self.mode == ACTIVE,
+            P.sectors * (P.p0_w + P.delta_p * P.p_max_w * load),
+            P.sectors * P.p_sleep_w,
+        )
+        # added in pico order: np.sum's pairwise order would change the bytes
+        return float(np.add.accumulate(draw)[-1]) if draw.size else 0.0
+
     def _evaluate(self, slot: int, active: np.ndarray, containing: np.ndarray,
                   counts: np.ndarray) -> SlotMetrics:
         """Association, link budgets, power, metrics for one slot."""
@@ -166,10 +200,7 @@ class World:
         n = pop.n
         if self.n_picos > 0:
             safe = np.where(containing >= 0, containing, 0)
-            if self.serving:
-                pico_served = active & (containing >= 0) & (self.mode_codes[safe] == 2)
-            else:
-                pico_served = np.zeros(n, dtype=bool)
+            pico_served = active & (containing >= 0) & (self.mode[safe] == ACTIVE)
             d_pico = np.hypot(
                 pop.px - self.centers[safe, 0], pop.py - self.centers[safe, 1]
             )
@@ -217,25 +248,15 @@ class World:
                 )
             else:
                 pico_power = 0.0
-            n_active_picos = self.n_picos if self.serving else 0
         else:
             macro_power = consumed_power_w(s.power_macro, EnbMode.ACTIVE, n_macro)
-            pico_power = 0.0
-            if self.serving:
-                for j, st in enumerate(self.states):
-                    served = int(counts[j]) if st.mode is EnbMode.ACTIVE else 0
-                    pico_power += consumed_power_w(s.power_pico, st.mode, served)
-            n_active_picos = int((self.mode_codes == 2).sum()) if self.serving else 0
+            pico_power = self._pico_power(counts) if self.serving else 0.0
 
         total_cap = float(cap.sum())
         total_power = macro_power + pico_power
         ee = total_cap / total_power if total_power > 0 else 0.0
 
-        self.cap_sum += cap
-        self.active_slots += active
-        self.pico_slots += pico_served
-        self.pico_cap_sum += np.where(pico_served, cap, 0.0)
-        self.slots_seen += 1
+        self.totals.add(cap, active, pico_served)
         self.last_active = active
         serving = np.full(n, -2, dtype=np.int64)
         serving[macro_served] = -1
@@ -246,7 +267,7 @@ class World:
 
         return SlotMetrics(
             slot=slot,
-            n_active_picos=n_active_picos,
+            n_active_picos=int((self.mode == ACTIVE).sum()),
             macro_active_users=n_macro,
             pico_active_users=n_pico,
             capacity_bps=total_cap,
@@ -256,35 +277,19 @@ class World:
             pico_power_w=pico_power,
         )
 
-    def run_snapshot(self) -> SlotMetrics:
-        """Single-slot stationary view: threshold applied directly, no boot."""
-        s = self.s
-        containing = self._containing()
-        active = draw_activity_flags(
-            self.pop, containing, self.rng,
-            s.users.activity_uniform, s.users.activity_hotspot,
-        )
-        counts = self._counts(containing, active)
-        if self.serving:
-            if s.legacy.enabled:
-                self.mode_codes[:] = 2
-                self.states = [
-                    PicoControlState(EnbMode.ACTIVE, 0) for _ in range(self.n_picos)
-                ]
-            else:
-                awake = counts >= s.policy.t_activate
-                self.mode_codes = np.where(awake, 2, 0).astype(np.int64)
-                self.states = [
-                    PicoControlState(EnbMode.ACTIVE if a else EnbMode.SLEEP, 0)
-                    for a in awake
-                ]
-        return self._evaluate(0, active, containing, counts)
-
     def run_slot(self, slot: int) -> SlotMetrics:
+        """Advance the world by one slot; ``slot`` labels the metrics row.
+
+        A snapshot world (slots = 1) does not move, and its picos are Active
+        wherever the activation threshold is met: the stationary view of the
+        control loop, with no boot transient.  Picos of a non-serving
+        layout stay asleep; in legacy accounting every serving pico is on.
+        """
         s = self.s
-        step_population(
-            self.pop, slot, self.topo, s.work, s.mobility_params(), self.rng
-        )
+        if not self.static:
+            step_population(
+                self.pop, slot, self.topo, s.work, s.mobility_params(), self.rng
+            )
         containing = self._containing()
         active = draw_activity_flags(
             self.pop, containing, self.rng,
@@ -293,17 +298,12 @@ class World:
         counts = self._counts(containing, active)
         if self.serving:
             if s.legacy.enabled:
-                self.mode_codes[:] = 2
-                self.states = [
-                    PicoControlState(EnbMode.ACTIVE, 0) for _ in range(self.n_picos)
-                ]
+                self.mode[:] = ACTIVE
+            elif self.static:
+                self.mode = np.where(s.policy.should_wake(counts), ACTIVE, SLEEP)
             else:
-                self.states = [
-                    step_state(st, int(counts[j]), s.policy, s.boot_slots)
-                    for j, st in enumerate(self.states)
-                ]
-                self.mode_codes = np.array(
-                    [_MODE_CODE[st.mode] for st in self.states], dtype=np.int64
+                self.mode, self.boot_remaining = step_modes(
+                    self.mode, self.boot_remaining, counts, s.policy, s.boot_slots
                 )
         return self._evaluate(slot, active, containing, counts)
 
@@ -356,19 +356,17 @@ def run_scenario(
 ) -> RunResult:
     topo = build_geometry(scenario)
     n = scenario.users.total
+    snapshot = scenario.slots == 1
+    totals = UserTotals.zeros(n)
     metrics: list[SlotMetrics] = []
     user_trace: Optional[list[tuple]] = [] if trace_users else None
     pico_trace: Optional[list[tuple]] = [] if trace_picos else None
-
-    cap_sum = np.zeros(n)
-    active_slots = np.zeros(n, dtype=np.int64)
-    pico_slots = np.zeros(n, dtype=np.int64)
-    pico_cap_sum = np.zeros(n)
-    total_slots = 0
-    is_hotspot = None
     hist_samples: list[np.ndarray] = []
 
-    def trace_world(world: World, slot: int) -> None:
+    def step(world: World, slot: int) -> None:
+        metrics.append(world.run_slot(slot))
+        if snapshot:
+            hist_samples.append(world.last_capacity[world.last_active])
         if user_trace is not None:
             for i in range(n):
                 user_trace.append(
@@ -380,48 +378,33 @@ def run_scenario(
                     )
                 )
         if pico_trace is not None:
-            for j, st in enumerate(world.states):
-                pico_trace.append((slot, j, st.mode.value))
+            for j, code in enumerate(world.mode):
+                pico_trace.append((slot, j, MODES[code].value))
 
-    if scenario.slots == 1:
+    if snapshot:
+        # one fresh world per realization; the row's slot column is r
         for r in range(scenario.realizations):
-            world = World(scenario, topo, realization=r)
-            sm = world.run_snapshot()
-            metrics.append(replace(sm, slot=r))
-            cap_sum += world.cap_sum
-            active_slots += world.active_slots
-            pico_slots += world.pico_slots
-            pico_cap_sum += world.pico_cap_sum
-            total_slots += 1
-            hist_samples.append(world.last_capacity[world.last_active])
-            if is_hotspot is None:
-                is_hotspot = world.pop.is_hotspot.copy()
-            trace_world(world, r)
-        hist_counts, hist_edges = rate_histogram(np.concatenate(hist_samples))
+            world = World(scenario, topo, realization=r, totals=totals)
+            step(world, r)
     else:
-        world = World(scenario, topo, realization=0)
+        world = World(scenario, topo, realization=0, totals=totals)
         for slot in range(scenario.slots):
-            metrics.append(world.run_slot(slot))
-            trace_world(world, slot)
-        cap_sum = world.cap_sum
-        active_slots = world.active_slots
-        pico_slots = world.pico_slots
-        pico_cap_sum = world.pico_cap_sum
-        total_slots = scenario.slots
-        is_hotspot = world.pop.is_hotspot.copy()
-        ever_active = active_slots > 0
-        means = np.divide(
-            cap_sum, active_slots, out=np.zeros(n), where=ever_active
-        )
-        hist_counts, hist_edges = rate_histogram(means[ever_active])
+            step(world, slot)
 
+    ever_active = totals.active_slots > 0
     mean_rate = np.divide(
-        cap_sum, active_slots, out=np.zeros(n), where=active_slots > 0
+        totals.cap_sum, totals.active_slots, out=np.zeros(n), where=ever_active
     )
     pico_mean_rate = np.divide(
-        pico_cap_sum, pico_slots, out=np.zeros(n), where=pico_slots > 0
+        totals.pico_cap_sum, totals.pico_slots, out=np.zeros(n),
+        where=totals.pico_slots > 0,
     )
-    frac_on_pico = pico_slots / max(total_slots, 1)
+    frac_on_pico = totals.pico_slots / len(metrics)
+    # snapshots bin every active user-realization, time series each
+    # ever-active user's mean rate
+    hist_counts, hist_edges = rate_histogram(
+        np.concatenate(hist_samples) if snapshot else mean_rate[ever_active]
+    )
 
     ees = np.array([m.ee_bits_per_joule for m in metrics])
     caps = np.array([m.capacity_bps for m in metrics])
@@ -436,12 +419,12 @@ def run_scenario(
         capacity_mean=float(caps.mean()),
         power_mean=float(pows.mean()),
         active_picos_mean=float(acts.mean()),
-        is_hotspot=is_hotspot,
+        is_hotspot=world.pop.is_hotspot,
         mean_rate_bps=mean_rate,
         frac_slots_on_pico=frac_on_pico,
         pico_mean_rate_bps=pico_mean_rate,
-        active_slot_count=active_slots,
-        pico_slot_count=pico_slots,
+        active_slot_count=totals.active_slots,
+        pico_slot_count=totals.pico_slots,
         hist_counts=hist_counts,
         hist_edges=hist_edges,
         user_trace=user_trace,

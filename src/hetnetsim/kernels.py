@@ -1,50 +1,18 @@
-"""Vectorized inner loops, compiled with numba when available.
+"""Vectorized inner loops of the slot pipeline, in plain numpy.
 
-Everything here exists twice: a ``*_np`` pure-numpy version (always built,
-reference semantics) and a jitted version compiled from equivalent source.
-Setting HETNETSIM_NO_NUMBA=1 in the environment — or not having numba
-installed — selects the numpy path.  `python -m hetnetsim.benchmark` times
-the two against each other.
-
-The public names (``containing_disc``, ``link_capacity``, ...) are bound to
-whichever variant is in use; ``USING_NUMBA`` records the outcome.
+Callers look these up as ``kernels.NAME`` at call time, so an
+instrumented run can wrap them here.  ``USING_NUMBA`` stays False: there
+is one backend, and tools that report the environment read the flag.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-_DISABLED = os.environ.get("HETNETSIM_NO_NUMBA", "").strip() not in ("", "0", "false")
-
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled via HETNETSIM_NO_NUMBA")
-    from numba import njit
-
-    USING_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag in tests
-
-    def njit(*args, **kwargs):
-        # no-op decorator so the same source serves both paths
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-    USING_NUMBA = False
+USING_NUMBA = False
 
 
-# --------------------------------------------------------------------------
-# pure-numpy reference implementations
-# --------------------------------------------------------------------------
-
-def containing_disc_np(px, py, cx, cy, radius):
+def containing_disc(px, py, cx, cy, radius):
     """Per point: index of the disc strictly containing it, -1 if none.
 
     Discs never overlap in our layouts; ties on shared boundary points go
@@ -63,7 +31,7 @@ def containing_disc_np(px, py, cx, cy, radius):
     return containing
 
 
-def link_capacity_np(
+def link_capacity(
     dist_m,
     shadow_db,
     pico_link,
@@ -87,7 +55,7 @@ def link_capacity_np(
     return bandwidth_hz * np.log2(1.0 + snr)
 
 
-def advance_positions_np(px, py, dx, dy, vx, vy, speed):
+def advance_positions(px, py, dx, dy, vx, vy, speed):
     """One movement step: pos += vel, then snap to the destination when the
     remaining gap is within one step.  Returns the arrival mask."""
     px += vx
@@ -100,96 +68,7 @@ def advance_positions_np(px, py, dx, dy, vx, vy, speed):
     return arrived
 
 
-def freespace_tx_power_np(dist_m, alpha, beta, g, k, p0_w, p_max_w):
+def freespace_tx_power(dist_m, alpha, beta, g, k, p0_w, p_max_w):
     """Per-link adaptive transmit power under the free-space model."""
     att = dist_m**alpha * (1.0 + dist_m / g) ** beta
     return np.minimum(p_max_w, p0_w * att / k)
-
-
-# --------------------------------------------------------------------------
-# jitted twins
-# --------------------------------------------------------------------------
-
-@njit(cache=True)
-def _containing_disc_jit(px, py, cx, cy, radius):  # pragma: no cover
-    n = px.shape[0]
-    m = cx.shape[0]
-    containing = np.full(n, -1, dtype=np.int64)
-    r2 = radius * radius
-    for i in range(n):
-        for j in range(m):
-            ddx = px[i] - cx[j]
-            ddy = py[i] - cy[j]
-            if ddx * ddx + ddy * ddy < r2:
-                containing[i] = j
-                break
-    return containing
-
-
-@njit(cache=True)
-def _link_capacity_jit(
-    dist_m,
-    shadow_db,
-    pico_link,
-    bandwidth_hz,
-    eirp_macro_dbm,
-    eirp_pico_dbm,
-    noise_dbm,
-    min_distance_m,
-):  # pragma: no cover
-    n = dist_m.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        d = dist_m[i]
-        if d < min_distance_m:
-            d = min_distance_m
-        log_d = math.log10(d / 1000.0)
-        if pico_link[i]:
-            pl = 128.1 + 37.6 * log_d
-            eirp = eirp_pico_dbm
-        else:
-            pl = 140.7 + 36.7 * log_d
-            eirp = eirp_macro_dbm
-        snr_db = eirp - pl + shadow_db[i] - noise_dbm
-        snr = 10.0 ** (snr_db / 10.0)
-        out[i] = bandwidth_hz * math.log2(1.0 + snr)
-    return out
-
-
-@njit(cache=True)
-def _advance_positions_jit(px, py, dx, dy, vx, vy, speed):  # pragma: no cover
-    n = px.shape[0]
-    arrived = np.zeros(n, dtype=np.bool_)
-    for i in range(n):
-        px[i] += vx[i]
-        py[i] += vy[i]
-        gx = dx[i] - px[i]
-        gy = dy[i] - py[i]
-        if gx * gx + gy * gy <= speed[i] * speed[i]:
-            px[i] = dx[i]
-            py[i] = dy[i]
-            arrived[i] = True
-    return arrived
-
-
-@njit(cache=True)
-def _freespace_tx_power_jit(dist_m, alpha, beta, g, k, p0_w, p_max_w):  # pragma: no cover
-    n = dist_m.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        att = dist_m[i] ** alpha * (1.0 + dist_m[i] / g) ** beta
-        p = p0_w * att / k
-        out[i] = p if p < p_max_w else p_max_w
-    return out
-
-
-if USING_NUMBA:
-    containing_disc = _containing_disc_jit
-    link_capacity = _link_capacity_jit
-    advance_positions = _advance_positions_jit
-    freespace_tx_power = _freespace_tx_power_jit
-else:
-    containing_disc = containing_disc_np
-    link_capacity = link_capacity_np
-    advance_positions = advance_positions_np
-    freespace_tx_power = freespace_tx_power_np

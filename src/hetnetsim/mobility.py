@@ -281,86 +281,3 @@ def draw_activity_flags(
     p = np.where(boosted, p_hotspot, p_uniform)
     return u < p
 
-
-# --- single-user views, used by tests and traces ---------------------------
-
-
-@dataclass
-class UserState:
-    """Scalar snapshot of one user; convertible to/from a 1-user population."""
-
-    x: float
-    y: float
-    dest_x: float
-    dest_y: float
-    speed: float
-    vx: float
-    vy: float
-    is_hotspot: bool
-    my_pico: int = -1
-    work_start: int = -1
-
-
-def _pop_of_one(u: UserState) -> UserPopulation:
-    return UserPopulation(
-        px=np.array([u.x]),
-        py=np.array([u.y]),
-        dest_x=np.array([u.dest_x]),
-        dest_y=np.array([u.dest_y]),
-        speed=np.array([u.speed]),
-        vx=np.array([u.vx]),
-        vy=np.array([u.vy]),
-        is_hotspot=np.array([u.is_hotspot]),
-        my_pico=np.array([u.my_pico], dtype=np.int64),
-        work_start=np.array([u.work_start], dtype=np.int64),
-    )
-
-
-def _user_of_pop(pop: UserPopulation, i: int = 0) -> UserState:
-    return UserState(
-        x=float(pop.px[i]),
-        y=float(pop.py[i]),
-        dest_x=float(pop.dest_x[i]),
-        dest_y=float(pop.dest_y[i]),
-        speed=float(pop.speed[i]),
-        vx=float(pop.vx[i]),
-        vy=float(pop.vy[i]),
-        is_hotspot=bool(pop.is_hotspot[i]),
-        my_pico=int(pop.my_pico[i]),
-        work_start=int(pop.work_start[i]),
-    )
-
-
-def init_user(
-    hotspot: bool,
-    topo: Topology,
-    schedule: WorkSchedule,
-    params: MobilityParams,
-    rng: np.random.Generator,
-) -> UserState:
-    pop = init_population(1, int(hotspot), topo, schedule, params, rng)
-    return _user_of_pop(pop)
-
-
-def step_user(
-    u: UserState,
-    slot: int,
-    topo: Topology,
-    schedule: WorkSchedule,
-    params: MobilityParams,
-    rng: np.random.Generator,
-) -> UserState:
-    pop = _pop_of_one(u)
-    step_population(pop, slot, topo, schedule, params, rng)
-    return _user_of_pop(pop)
-
-
-def draw_activity(
-    u: UserState,
-    inside_own_pico: bool,
-    rng: np.random.Generator,
-    p_uniform: float = 0.4,
-    p_hotspot: float = 0.8,
-) -> bool:
-    p = p_hotspot if (u.is_hotspot and inside_own_pico) else p_uniform
-    return bool(rng.random() < p)

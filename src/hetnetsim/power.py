@@ -52,6 +52,3 @@ def consumed_power_w(params: PowerParams, mode: EnbMode, n_served: int = 0) -> f
         return params.sectors * (params.p0_w + params.delta_p * params.p_max_w * load)
     return params.sectors * params.p_sleep_w
 
-
-def slot_energy_j(power_w: float, slot_duration_s: float = 1.0) -> float:
-    return power_w * slot_duration_s

@@ -10,13 +10,11 @@ from hetnetsim.control import (
     InvalidPolicy,
     PicoControlState,
     ThresholdPolicy,
-    count_active_in_range,
     one_threshold,
     step_state,
     two_threshold,
 )
 from hetnetsim.power import EnbMode
-from hetnetsim.topology import Cell, CellKind
 
 SLEEP = PicoControlState(EnbMode.SLEEP, 0)
 ACTIVE = PicoControlState(EnbMode.ACTIVE, 0)
@@ -161,10 +159,3 @@ def test_no_transitions_strictly_inside_the_band(t_act, t_deact, data):
         trail = run_sequence(policy, counts, state=start)
         assert all(s.mode is start.mode for s in trail)
 
-
-def test_count_active_in_range_reference():
-    pico = Cell(0, 100.0, 100.0, 50.0, CellKind.PICO)
-    positions = [(100.0, 100.0), (130.0, 100.0), (160.0, 100.0), (100.0, 149.0)]
-    flags = [True, False, True, True]
-    # user 1 is inside but idle; user 2 is active but outside
-    assert count_active_in_range(pico, positions, flags) == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hetnetsim.config import parse_scenario
-from hetnetsim.control import PicoControlState
+from hetnetsim.control import ACTIVE, BOOT, MODES, SLEEP, PicoControlState, step_state
 from hetnetsim.engine import (
     World,
     ZeroPower,
@@ -13,7 +13,7 @@ from hetnetsim.engine import (
     rate_histogram,
     run_scenario,
 )
-from hetnetsim.power import EnbMode
+from hetnetsim.power import EnbMode, consumed_power_w
 
 
 def scenario(**kw):
@@ -41,8 +41,7 @@ def test_single_active_pico_power_decomposition():
     s = scenario(users={"total": 1000})
     topo = build_geometry(s)
     w = World(s, topo)
-    w.states[0] = PicoControlState(EnbMode.ACTIVE, 0)
-    w.mode_codes[0] = 2
+    w.mode[0] = ACTIVE
     active = np.ones(1000, dtype=bool)
     containing = w._containing()
     counts = w._counts(containing, active)
@@ -54,6 +53,61 @@ def test_single_active_pico_power_decomposition():
     assert m.n_active_picos == 1
     assert m.pico_active_users == n0
     assert m.macro_active_users == 1000 - n0
+
+
+@pytest.mark.parametrize("boot_slots", [0, 1, 3])
+def test_engine_mode_trail_follows_the_state_table(boot_slots):
+    """Replaying each pico's per-slot counts through step_state gives back
+    the mode trail the engine produced for it."""
+    s = scenario(
+        slots=90, boot_slots=boot_slots,
+        layout={"n_picos": 8},
+        users={"total": 240, "hotspot": 180},
+        work={"start_slots": [0, 10], "duration": 45},
+        policy={"t_activate": 12, "t_deactivate": 8},
+    )
+    w = World(s, build_geometry(s))
+    counts, modes = [], []
+    for slot in range(s.slots):
+        w.run_slot(slot)
+        counts.append(w._counts(w._containing(), w.last_active))
+        modes.append(w.mode.copy())
+    modes = np.array(modes)
+    assert {SLEEP, ACTIVE} <= set(modes.ravel())
+    assert (BOOT in modes) == (boot_slots > 0)
+    for j in range(w.n_picos):
+        state = PicoControlState()
+        for t in range(s.slots):
+            state = step_state(state, int(counts[t][j]), s.policy, boot_slots)
+            assert state.mode is MODES[modes[t, j]], (j, t)
+
+
+@pytest.mark.parametrize("p_active", [0.1, 0.9])
+def test_bandwidth_is_split_over_all_configured_users(p_active):
+    """Each user's share is bandwidth / users.total, however many of them
+    are active in the slot."""
+    s = scenario(users={"total": 400, "activity_uniform": p_active},
+                 channel={"bandwidth_hz": 1e7})
+    w = World(s, build_geometry(s))
+    w.run_slot(0)
+    assert abs(int(w.last_active.sum()) - 400 * p_active) < 60
+    assert w.w_user == 1e7 / 400
+
+
+def test_pico_power_is_the_per_pico_loop_added_in_order():
+    """The vectorized pico draw equals consumed_power_w summed pico by
+    pico, bit for bit: the output bytes depend on the addition order."""
+    s = scenario(users={"total": 100})
+    w = World(s, build_geometry(s))
+    rng = np.random.default_rng(2)
+    w.mode = rng.integers(0, 3, w.n_picos)
+    counts = rng.integers(0, 80, w.n_picos)
+    want = 0.0
+    for code, c in zip(w.mode, counts):
+        mode = MODES[code]
+        served = int(c) if mode is EnbMode.ACTIVE else 0
+        want += consumed_power_w(s.power_pico, mode, served)
+    assert w._pico_power(counts) == want
 
 
 def test_snapshot_ensemble_indexes_rows_by_realization():

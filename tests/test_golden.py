@@ -1,0 +1,148 @@
+"""Golden outputs: the SHA-256 of every file a few short CLI runs write.
+
+A refactor that keeps the simulation's semantics must leave every byte of
+every result file unchanged, so these digests only change when the output
+is meant to change.  To re-record them on purpose, run
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and paste the printed mapping over GOLDEN.
+"""
+
+import contextlib
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from hetnetsim.cli import main
+
+HYSTERESIS_RUN = {
+    "topology": "udc",
+    "seed": 4,
+    "slots": 90,
+    "layout": {"n_picos": 8},
+    "users": {"total": 240, "hotspot": 180},
+    "work": {"start_slots": [0, 10], "duration": 45},
+    "policy": {"t_activate": 12.0, "t_deactivate": 8.0},
+}
+
+# name -> (CLI arguments after the scenario file, scenario document)
+CASES = {
+    "run_boot3": (
+        ["run", "--trace-users", "--trace-picos"],
+        {**HYSTERESIS_RUN, "boot_slots": 3},
+    ),
+    "run_boot0": (
+        ["run", "--trace-users", "--trace-picos"],
+        {**HYSTERESIS_RUN, "boot_slots": 0},
+    ),
+    "legacy_snapshot": (
+        ["run", "--trace-picos"],
+        {"topology": "udc", "seed": 2, "realizations": 6,
+         "users": {"total": 300, "activity_uniform": 1.0},
+         "policy": {"t_activate": 3.0, "t_deactivate": None},
+         "legacy": {"enabled": True}},
+    ),
+    "monet_udc_users": (
+        ["run", "--trace-picos"],
+        {"topology": "monet_udc_users", "seed": 3, "slots": 40,
+         "users": {"total": 200, "hotspot": 80}},
+    ),
+    "sweep": (
+        ["sweep", "--from", "0", "--to", "6", "--step", "2"],
+        {"topology": "udc", "seed": 5, "realizations": 4,
+         "users": {"total": 250, "activity_uniform": 1.0},
+         "policy": {"t_deactivate": None}},
+    ),
+}
+
+GOLDEN = {
+    "legacy_snapshot": {
+        "histogram.csv":
+            "cd4b0c7bd92fc2ff059917f30ffc0f48941540a12e1c37726e6cc26e665e65a4",
+        "pico_trace.csv":
+            "eddc642a596f19d01b8720302e93a0b9d1179350932feef177632bac0b7d14fe",
+        "slots.csv":
+            "9f8a01dce67a9e792458675257f065d040187b1074f4477e82b12c7475141e25",
+        "topology.json":
+            "1036fd9fc462a3e785e21e1e25e3937ba7c5f36f047b0382e0caad68f0c015e0",
+        "users.csv":
+            "ec5cc09d1ded55753b761255fe8797ee8ef752b7e62f20075ebbb014684b7c58",
+    },
+    "monet_udc_users": {
+        "histogram.csv":
+            "227087124a821c32b4d3aed563e16b885679b0c40825c53f257889e00eba3a19",
+        "pico_trace.csv":
+            "50cf0fdbe6a00ba85f427d219090c3f6f4e69a0acbc1fb3d1ca91b7fd402f79a",
+        "slots.csv":
+            "c38925bdc5cb505508b58f557985a07de344c984f77a1f7e26fe2185d86d2abf",
+        "topology.json":
+            "bf2739097ca4e7b7ffb994a1eb3409483747d4e7a21a34cb30c5ce43312f78f6",
+        "users.csv":
+            "feafdcbe806bedeceadb5e7eb8e488dfda664b73537efa5352f395339bb5a6d0",
+    },
+    "run_boot0": {
+        "histogram.csv":
+            "abd7e6ba7725b71dfc55c26cdebb9f1c406341fbe2d3bf45a84a936789dd62a5",
+        "pico_trace.csv":
+            "fc74d68e01c8c1f1ab97551fde331475d89ab439749d638603dce255619da602",
+        "slots.csv":
+            "7afb1ce165537f89e32ffde67180e31713d64862d7616df773abfba9b52f694e",
+        "topology.json":
+            "be8c90e797929723a9edf691870989ff4abfc98552d2451430a605294b775f13",
+        "user_trace.csv":
+            "190c5d254361470b16076f240232d6871110bd70ba1031fc8f750d0c07439514",
+        "users.csv":
+            "93b60f00d6cde6464685d712ca1bac034a7c3a92fc10ea41738de988e5aa6008",
+    },
+    "run_boot3": {
+        "histogram.csv":
+            "abd7e6ba7725b71dfc55c26cdebb9f1c406341fbe2d3bf45a84a936789dd62a5",
+        "pico_trace.csv":
+            "3be8c46b3bf4bafea0919bce6b87d026bdd79cd32475a21cdfe9e4bcf9e0e843",
+        "slots.csv":
+            "58bcc939b305baadc4ac9a2a18fcccb7308f2443192a898038d8787b00db5e67",
+        "topology.json":
+            "be8c90e797929723a9edf691870989ff4abfc98552d2451430a605294b775f13",
+        "user_trace.csv":
+            "54dc8c2823247b691f5a14b070f8a92dbcbb191ad774df4eb562ea4508bb1edf",
+        "users.csv":
+            "114e6fc2f849bac072e0f4787069011fe43d24c362c72205f664bab7b64067d2",
+    },
+    "sweep": {
+        "sweep.csv":
+            "1c7e221238f0893bad48cf4ab8a5c77b74adfc873eaa7a192e7ab8058476efb9",
+    },
+}
+
+
+def digests(case: str, workdir: Path) -> dict[str, str]:
+    """Run one case in workdir; SHA-256 of every file it wrote."""
+    args, doc = CASES[case]
+    scenario = workdir / "scenario.yaml"
+    scenario.write_text(json.dumps(doc))
+    out = workdir / "out"
+    assert main([*args, "--scenario", str(scenario), "--out", str(out)]) == 0
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.iterdir())
+    }
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_bytes_are_unchanged(case, tmp_path):
+    assert digests(case, tmp_path) == GOLDEN[case]
+
+
+if __name__ == "__main__":
+    recorded = {}
+    with contextlib.redirect_stdout(sys.stderr):
+        for name in sorted(CASES):
+            with tempfile.TemporaryDirectory() as tmp:
+                recorded[name] = digests(name, Path(tmp))
+    json.dump(recorded, sys.stdout, indent=4)
+    print()

@@ -1,13 +1,6 @@
-"""Accelerated kernels agree with their plain-numpy twins.
-
-When the JIT backend is unavailable (or switched off via HETNETSIM_NO_NUMBA)
-the public names alias the numpy versions and these comparisons become
-self-identities, which is fine: the numpy path is then the one under test.
-"""
-
-import os
-import subprocess
-import sys
+"""The numpy kernels agree with independent scalar references: loops
+written out here (containment, movement) or the scalar link and power
+formulas in ``channel``."""
 
 import numpy as np
 
@@ -24,29 +17,43 @@ def random_discs(m=28):
     return cx, cy, 50.0
 
 
+def brute_force_containing(px, py, cx, cy, r):
+    """First disc (lowest index) with d^2 < r^2 per point, else -1."""
+    out = []
+    for x, y in zip(px, py):
+        hit = -1
+        for j, (a, b) in enumerate(zip(cx, cy)):
+            if (x - a) ** 2 + (y - b) ** 2 < r * r:
+                hit = j
+                break
+        out.append(hit)
+    return np.array(out, dtype=np.int64)
+
+
 def test_backend_flag_is_exposed():
-    assert isinstance(kernels.USING_NUMBA, bool)
+    assert kernels.USING_NUMBA is False
 
 
 def test_containing_disc_matches_numpy():
     cx, cy, r = random_discs()
-    px = RNG.uniform(0, 1000, 5000)
-    py = RNG.uniform(0, 1000, 5000)
+    px = RNG.uniform(0, 1000, 2000)
+    py = RNG.uniform(0, 1000, 2000)
     got = kernels.containing_disc(px, py, cx, cy, r)
-    want = kernels.containing_disc_np(px, py, cx, cy, r)
-    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got, brute_force_containing(px, py, cx, cy, r))
     assert got.dtype == np.int64
     assert (got >= -1).all() and (got < 28).all()
+    assert (got >= 0).any() and (got == -1).any()
 
 
 def test_containing_disc_prefers_the_lowest_index():
-    # two coincident discs: index 0 must win on both backends
+    # two coincident discs: index 0 must win
     cx = np.array([500.0, 500.0])
     cy = np.array([500.0, 500.0])
-    px = np.array([510.0])
-    py = np.array([500.0])
-    assert kernels.containing_disc(px, py, cx, cy, 50.0)[0] == 0
-    assert kernels.containing_disc_np(px, py, cx, cy, 50.0)[0] == 0
+    px = np.array([510.0, 560.0])
+    py = np.array([500.0, 500.0])
+    got = kernels.containing_disc(px, py, cx, cy, 50.0)
+    np.testing.assert_array_equal(got, [0, -1])
+    np.testing.assert_array_equal(got, brute_force_containing(px, py, cx, cy, 50.0))
 
 
 def test_link_capacity_matches_numpy_and_the_scalar_path():
@@ -54,12 +61,10 @@ def test_link_capacity_matches_numpy_and_the_scalar_path():
     dist = RNG.uniform(0.2, 1500.0, n)  # includes sub-clamp distances
     shadow = RNG.normal(0, 9, n)
     pico = RNG.random(n) < 0.5
-    args = (dist, shadow, pico, 20e3, 60.0, 35.0, -130.9648872375883, 1.0)
-    got = kernels.link_capacity(*args)
-    want = kernels.link_capacity_np(*args)
-    np.testing.assert_allclose(got, want, rtol=1e-12)
-    # and a handful against the structured link evaluator
-    for i in range(0, n, 250):
+    got = kernels.link_capacity(
+        dist, shadow, pico, 20e3, 60.0, 35.0, -130.9648872375883, 1.0)
+    # the structured link evaluator is the scalar reference
+    for i in range(0, n, 50):
         lb = evaluate_link(CellKind.PICO if pico[i] else CellKind.MACRO, float(dist[i]),
                            20e3, shadow_db=float(shadow[i]))
         np.testing.assert_allclose(got[i], lb.capacity_bps, rtol=1e-9)
@@ -75,67 +80,31 @@ def test_advance_positions_matches_numpy_bitwise():
     gap = np.hypot(dx - px, dy - py)
     vx = np.where(gap > 0, speed * (dx - px) / gap, 0.0)
     vy = np.where(gap > 0, speed * (dy - py) / gap, 0.0)
+    # a few users already sit one step from their waypoint
+    vx[:50] = dx[:50] - px[:50]
+    vy[:50] = dy[:50] - py[:50]
 
     px1, py1 = px.copy(), py.copy()
-    arrived1 = np.asarray(kernels.advance_positions(px1, py1, dx, dy, vx, vy, speed))
-    px2, py2 = px.copy(), py.copy()
-    arrived2 = np.asarray(kernels.advance_positions_np(px2, py2, dx, dy, vx, vy, speed))
+    arrived = np.asarray(kernels.advance_positions(px1, py1, dx, dy, vx, vy, speed))
 
-    np.testing.assert_array_equal(arrived1, arrived2)
-    np.testing.assert_array_equal(px1, px2)
-    np.testing.assert_array_equal(py1, py2)
-    # every arrival snapped exactly onto its waypoint
-    assert (px1[arrived1] == dx[arrived1]).all()
-    assert (py1[arrived1] == dy[arrived1]).all()
-    # non-arrivals moved by exactly one slot of velocity
-    moved = ~arrived1
-    np.testing.assert_allclose(px1[moved], px[moved] + vx[moved], rtol=1e-15)
+    # per-user scalar reference: move, then snap when within one step
+    for i in range(n):
+        x, y = px[i] + vx[i], py[i] + vy[i]
+        gx, gy = dx[i] - x, dy[i] - y
+        hit = gx * gx + gy * gy <= speed[i] * speed[i]
+        if hit:
+            x, y = dx[i], dy[i]
+        assert arrived[i] == hit
+        assert (px1[i], py1[i]) == (x, y)
+    assert arrived.any() and not arrived.all()
 
 
 def test_freespace_tx_power_matches_numpy_and_scalar():
     d = RNG.uniform(0.5, 4000.0, 1000)
     p = channel.FREESPACE_MACRO
-    args = (d, p.alpha, p.beta, p.g, p.k, p.p0_w, p.p_max_w)
-    got = kernels.freespace_tx_power(*args)
-    want = kernels.freespace_tx_power_np(*args)
-    np.testing.assert_allclose(got, want, rtol=1e-12)
-    for i in range(0, 1000, 111):
+    got = kernels.freespace_tx_power(d, p.alpha, p.beta, p.g, p.k, p.p0_w, p.p_max_w)
+    for i in range(0, 1000, 37):
         np.testing.assert_allclose(
             got[i], channel.freespace_tx_power_w(float(d[i]), p), rtol=1e-12)
     assert (got <= p.p_max_w).all()
-
-
-def test_no_numba_env_flag_selects_the_numpy_path():
-    code = (
-        "import hetnetsim.kernels as k; "
-        "assert not k.USING_NUMBA; "
-        "assert k.containing_disc is k.containing_disc_np; "
-        "assert k.link_capacity is k.link_capacity_np; "
-        "print('numpy-path-ok')"
-    )
-    env = dict(os.environ, HETNETSIM_NO_NUMBA="1")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "numpy-path-ok" in proc.stdout
-
-
-def test_no_numba_engine_results_are_equivalent():
-    """A small end-to-end run must agree across backends to float tolerance."""
-    code = (
-        "from hetnetsim import parse_scenario, run_scenario; "
-        "r = run_scenario(parse_scenario({'topology': 'udc', 'seed': 5, "
-        "'slots': 20, 'users': {'total': 120, 'hotspot': 40}})); "
-        "print(repr(r.ee_mean), repr(r.capacity_mean))"
-    )
-    outs = []
-    for flag in ("0", "1"):
-        env = dict(os.environ, HETNETSIM_NO_NUMBA=flag)
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=240)
-        assert proc.returncode == 0, proc.stderr
-        outs.append(proc.stdout.split())
-    ee_a, cap_a = map(float, outs[0])
-    ee_b, cap_b = map(float, outs[1])
-    np.testing.assert_allclose(ee_a, ee_b, rtol=1e-9)
-    np.testing.assert_allclose(cap_a, cap_b, rtol=1e-9)
+    assert (got == p.p_max_w).any() and (got < p.p_max_w).any()

@@ -6,13 +6,11 @@ import pytest
 from hetnetsim.mobility import (
     MobilityParams,
     NoPicosForHotspot,
-    UserState,
+    UserPopulation,
     WorkSchedule,
     draw_activity_flags,
     init_population,
-    init_user,
     step_population,
-    step_user,
 )
 from hetnetsim.topology import build_monet, build_udc, containing_pico
 
@@ -129,24 +127,38 @@ def test_work_end_sends_workers_back_out():
     assert frac_in < 0.3
 
 
+def one_user(x, y, dest_x, dest_y, speed, vx, vy):
+    """A 1-user uniform population in the given motion state."""
+    def arr(v):
+        return np.array([v], dtype=float)
+    return UserPopulation(
+        px=arr(x), py=arr(y), dest_x=arr(dest_x), dest_y=arr(dest_y),
+        speed=arr(speed), vx=arr(vx), vy=arr(vy),
+        is_hotspot=np.array([False]),
+        my_pico=np.array([-1]), work_start=np.array([-1]),
+    )
+
+
 def test_arrival_snaps_exactly_onto_the_waypoint():
     topo = build_udc(np.random.default_rng(9))
     rng = np.random.default_rng(0)
-    u = UserState(x=500.0, y=500.0, dest_x=501.0, dest_y=500.0,
-                  speed=5.0, vx=5.0, vy=0.0, is_hotspot=False)
-    u = step_user(u, 0, topo, SCHEDULE, PARAMS, rng)
-    assert (u.x, u.y) == (501.0, 500.0)
-    assert 10.0 <= u.speed <= 20.0  # fresh leg drawn on arrival
-    assert np.hypot(u.dest_x - 500.0, u.dest_y - 500.0) <= 500.0 + 1e-9
+    pop = one_user(x=500.0, y=500.0, dest_x=501.0, dest_y=500.0,
+                   speed=5.0, vx=5.0, vy=0.0)
+    step_population(pop, 0, topo, SCHEDULE, PARAMS, rng)
+    assert (pop.px[0], pop.py[0]) == (501.0, 500.0)
+    assert 10.0 <= pop.speed[0] <= 20.0  # fresh leg drawn on arrival
+    assert np.hypot(pop.dest_x[0] - 500.0, pop.dest_y[0] - 500.0) <= 500.0 + 1e-9
 
 
 def test_single_user_api_matches_population_semantics():
+    """A population of one hotspot user gets a pico and moves."""
     topo = build_udc(np.random.default_rng(9))
-    u = init_user(True, topo, SCHEDULE, PARAMS, np.random.default_rng(3))
-    assert u.is_hotspot and 0 <= u.my_pico < 28
-    moved = step_user(u, 1_000_000, topo, SCHEDULE, PARAMS,
-                      np.random.default_rng(4))
-    assert (moved.x, moved.y) != (u.x, u.y)
+    pop = init_population(1, 1, topo, SCHEDULE, PARAMS, np.random.default_rng(3))
+    assert pop.is_hotspot[0] and 0 <= pop.my_pico[0] < 28
+    before = (pop.px[0], pop.py[0])
+    step_population(pop, 1_000_000, topo, SCHEDULE, PARAMS,
+                    np.random.default_rng(4))
+    assert (pop.px[0], pop.py[0]) != before
 
 
 def test_hotspot_requires_picos():

@@ -9,7 +9,6 @@ from hetnetsim.power import (
     PICO_POWER,
     EnbMode,
     consumed_power_w,
-    slot_energy_j,
 )
 
 
@@ -68,7 +67,3 @@ def test_sleep_never_beats_active(n):
         assert consumed_power_w(params, EnbMode.SLEEP) < \
             consumed_power_w(params, EnbMode.ACTIVE, n)
 
-
-def test_slot_energy_scales_with_duration():
-    assert slot_energy_j(14.6, 1.0) == 14.6
-    assert slot_energy_j(14.6, 0.5) == 7.3
