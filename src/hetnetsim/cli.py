@@ -24,6 +24,7 @@ from .config import (
 from .engine import (
     build_geometry,
     run_scenario,
+    run_scenarios,
     sweep_rows,
     write_histogram_csv,
     write_pico_trace_csv,
@@ -90,13 +91,11 @@ def _cmd_sweep(args) -> int:
     base = read_scenario_document(args.scenario)
     base = apply_overrides(base, args.set or [])
     values = _sweep_values(args.sweep_from, args.sweep_to, args.step)
-    rows = []
-    for v in values:
-        point = apply_overrides(base, [f"{args.param}={v!r}"])
-        scenario = parse_scenario(point)
-        result = run_scenario(scenario)
-        row = sweep_rows(result, v)
-        rows.append(row)
+    scenarios = [
+        parse_scenario(apply_overrides(base, [f"{args.param}={v!r}"]))
+        for v in values
+    ]
+    rows = [sweep_rows(r, v) for r, v in zip(run_scenarios(scenarios), values)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(rows, out / "sweep.csv")

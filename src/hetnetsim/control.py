@@ -14,8 +14,9 @@ hysteresis, which removes on/off flapping when the count sits near the
 activation point.
 
 The engine holds every pico's mode as an int code (SLEEP, BOOT, ACTIVE)
-and advances all of them at once with step_modes; step_state is the same
-table for one pico.
+and advances all of them at once with step_modes, for one scenario's
+(m,) picos or for K scenarios' (K, m) picos under PolicyRows; step_state
+is the same table for one pico.
 """
 
 from __future__ import annotations
@@ -66,6 +67,36 @@ def two_threshold(t_activate: float, t_deactivate: float) -> ThresholdPolicy:
     return ThresholdPolicy(t_activate=t_activate, t_deactivate=t_deactivate)
 
 
+@dataclass(frozen=True)
+class PolicyRows:
+    """K policies as (K, 1) threshold columns, one row per scenario.
+
+    Counts are integers, so a one-threshold row (sleep when count <
+    t_activate) is stored as the two-threshold row with t_deactivate =
+    ceil(t_activate) - 1.
+    """
+
+    t_activate: np.ndarray
+    t_deactivate: np.ndarray
+
+    @classmethod
+    def of(cls, policies: list[ThresholdPolicy]) -> "PolicyRows":
+        return cls(
+            np.array([[p.t_activate] for p in policies], dtype=float),
+            np.array(
+                [[np.ceil(p.t_activate) - 1.0 if p.t_deactivate is None
+                  else p.t_deactivate] for p in policies],
+                dtype=float,
+            ),
+        )
+
+    def should_wake(self, count: np.ndarray) -> np.ndarray:
+        return count >= self.t_activate
+
+    def should_sleep(self, count: np.ndarray) -> np.ndarray:
+        return count <= self.t_deactivate
+
+
 # int mode codes of the control arrays; MODES maps a code back to its enum
 SLEEP, BOOT, ACTIVE = 0, 1, 2
 MODES = (EnbMode.SLEEP, EnbMode.BOOT, EnbMode.ACTIVE)
@@ -75,30 +106,31 @@ def step_modes(
     mode: np.ndarray,
     boot_remaining: np.ndarray,
     counts: np.ndarray,
-    policy: ThresholdPolicy,
-    boot_slots: int,
+    policy: ThresholdPolicy | PolicyRows,
+    boot_slots: int | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance every pico's mode by one slot given this slot's user counts.
 
-    Returns new (mode, boot_remaining) arrays.  Boot always runs to
-    completion: the countdown ignores the count, so a station can never pay
-    the boot cost and then go back to sleep unserved within the same
-    transient.  boot_slots = 0 degenerates to an immediate Sleep -> Active
-    transition.
+    mode and boot_remaining are (m,) arrays under a ThresholdPolicy and an
+    int boot_slots, or (K, m) arrays under PolicyRows and a (K, 1)
+    boot_slots column; counts is (m,) either way.  Returns new
+    (mode, boot_remaining) arrays.  Boot always runs to completion: the
+    countdown ignores the count, so a station can never pay the boot cost
+    and then go back to sleep unserved within the same transient.
+    boot_slots = 0 degenerates to an immediate Sleep -> Active transition.
     """
-    if boot_slots < 0:
+    if np.any(boot_slots < 0):
         raise ValueError(f"boot_slots must be >= 0, got {boot_slots}")
     wake = (mode == SLEEP) & policy.should_wake(counts)
     booting = mode == BOOT
     sleep = (mode == ACTIVE) & policy.should_sleep(counts)
     remaining = np.where(booting, boot_remaining - 1, boot_remaining)
     booted = booting & (remaining <= 0)
-    new_mode = mode.copy()
-    new_mode[booted] = ACTIVE
-    new_mode[sleep] = SLEEP
-    new_mode[wake] = BOOT if boot_slots else ACTIVE
-    remaining[booted | sleep] = 0
-    remaining[wake] = boot_slots
+    new_mode = np.where(booted, ACTIVE, mode)
+    new_mode = np.where(sleep, SLEEP, new_mode)
+    new_mode = np.where(wake, np.where(boot_slots > 0, BOOT, ACTIVE), new_mode)
+    remaining = np.where(booted | sleep, 0, remaining)
+    remaining = np.where(wake, boot_slots, remaining)
     return new_mode, remaining
 
 

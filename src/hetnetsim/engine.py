@@ -22,20 +22,25 @@ shadowing normal per user — so runs that share a seed share users,
 trajectories, and fading regardless of topology kind, policy, or sleep
 parameters.  That makes paired comparisons (e.g. pico-serving topology vs.
 its macro-only twin) common-random-number experiments.
+
+run_scenarios makes that the code path: scenarios with the same
+process_key form a group whose user process (positions, containment,
+activity, fading and both tiers' link capacities) is simulated once, and
+each scenario is one row of the group's (K, m) pico control and power.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import kernels
 from .channel import noise_power_dbm, user_bandwidth
 from .config import Scenario
-from .control import ACTIVE, MODES, SLEEP, step_modes
+from .control import ACTIVE, MODES, SLEEP, PolicyRows, step_modes
 from .mobility import draw_activity_flags, init_population, step_population
 from .power import EnbMode, consumed_power_w
 from .topology import Topology, build_coe, build_monet, build_udc
@@ -93,9 +98,83 @@ def build_geometry(scenario: Scenario) -> Topology:
     )
 
 
+def process_key(s: Scenario) -> tuple:
+    """The fields that drive a scenario's user process: layout, users,
+    mobility, activity and fading.  Scenarios with equal keys see the same
+    users in every slot and differ only in how their picos respond."""
+    return (s.seed, s.slots, s.realizations, s.geometry_kind(), s.layout,
+            s.users, s.work, s.channel)
+
+
+class Response:
+    """The per-scenario half of a group: one row per scenario, holding its
+    pico control rule and pico power model as (K, 1) columns.
+
+    The layout kind and the accounting are folded into the thresholds: a
+    row whose layout does not serve (a monet_*_users twin) never wakes its
+    picos, and a serving row under legacy accounting starts with every pico
+    Active and never sleeps.
+    """
+
+    def __init__(self, scenarios: Sequence[Scenario]):
+        self.scenarios = list(scenarios)
+        self.serving = np.array([s.serves_from_picos() for s in scenarios])
+        self.always_on = self.serving & np.array(
+            [s.legacy.enabled for s in scenarios]
+        )
+        serving, always_on = self.serving[:, None], self.always_on[:, None]
+        policy = PolicyRows.of([s.policy for s in scenarios])
+        self.policy = PolicyRows(
+            np.where(serving, np.where(always_on, -np.inf, policy.t_activate), np.inf),
+            np.where(always_on, -np.inf, policy.t_deactivate),
+        )
+        self.boot_slots = np.array([[s.boot_slots] for s in scenarios])
+
+        def column(name: str) -> np.ndarray:
+            return np.array([[getattr(s.power_pico, name)] for s in scenarios])
+
+        self.sectors = column("sectors")
+        self.p0_w = column("p0_w")
+        self.delta_p = column("delta_p")
+        self.p_max_w = column("p_max_w")
+        self.p_sleep_w = column("p_sleep_w")
+        self.user_capacity = column("user_capacity")
+
+    def initial_modes(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """(K, m) mode and boot_remaining arrays before the first slot."""
+        mode = np.full((len(self.scenarios), m), SLEEP, dtype=np.int64)
+        mode[self.always_on] = ACTIVE
+        return mode, np.zeros_like(mode)
+
+    def step(self, mode: np.ndarray, boot_remaining: np.ndarray,
+             counts: np.ndarray, static: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's pico modes for a slot with these user counts.  A
+        snapshot wakes a pico wherever the activation threshold is met: the
+        stationary view of the control loop, with no boot transient."""
+        if static:
+            return np.where(self.policy.should_wake(counts), ACTIVE, SLEEP), boot_remaining
+        return step_modes(mode, boot_remaining, counts, self.policy, self.boot_slots)
+
+    def pico_power(self, mode: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """(K,) summed draw of each row's picos: load-dependent when Active,
+        the sleep floor in Sleep and Boot (power.consumed_power_w, per
+        pico); 0 W in a row whose layout does not serve."""
+        if mode.shape[1] == 0:
+            return np.zeros(mode.shape[0])
+        load = np.minimum(counts, self.user_capacity) / self.user_capacity
+        draw = np.where(
+            mode == ACTIVE,
+            self.sectors * (self.p0_w + self.delta_p * self.p_max_w * load),
+            self.sectors * self.p_sleep_w,
+        )
+        # added in pico order: np.sum's pairwise order would change the bytes
+        return np.where(self.serving, np.add.accumulate(draw, axis=1)[:, -1], 0.0)
+
+
 @dataclass
 class UserTotals:
-    """Per-user sums over every slot a run evaluates, across realizations."""
+    """Per-user sums over every slot a group evaluates, across realizations;
+    (K, n) per row except active_slots, which all rows share."""
 
     cap_sum: np.ndarray
     active_slots: np.ndarray
@@ -103,9 +182,9 @@ class UserTotals:
     pico_cap_sum: np.ndarray
 
     @classmethod
-    def zeros(cls, n: int) -> "UserTotals":
-        return cls(np.zeros(n), np.zeros(n, dtype=np.int64),
-                   np.zeros(n, dtype=np.int64), np.zeros(n))
+    def zeros(cls, k: int, n: int) -> "UserTotals":
+        return cls(np.zeros((k, n)), np.zeros(n, dtype=np.int64),
+                   np.zeros((k, n), dtype=np.int64), np.zeros((k, n)))
 
     def add(self, cap: np.ndarray, active: np.ndarray,
             pico_served: np.ndarray) -> None:
@@ -116,23 +195,26 @@ class UserTotals:
 
 
 class World:
-    """One population + pico control state evolving under a scenario.
+    """One realization of a group's user process, and the pico control of
+    every scenario (row) of the group.
 
-    Pico control lives in two (m,) int arrays: ``mode`` holds each pico's
-    code (control.SLEEP, BOOT, ACTIVE) and ``boot_remaining`` its boot
-    countdown.  Every slot adds into ``totals``, which worlds of one run may
-    share.
+    Positions, containment, activity and fading are drawn once per slot
+    for the whole group.  Pico control lives in two (K, m) int arrays:
+    ``mode[k]`` holds row k's pico codes (control.SLEEP, BOOT, ACTIVE) and
+    ``boot_remaining[k]`` their boot countdowns.  Every slot adds into
+    ``totals``, which the worlds of one group share.
     """
 
-    def __init__(self, scenario: Scenario, topo: Topology, realization: int = 0,
+    def __init__(self, response: Response, topo: Topology, realization: int = 0,
                  totals: Optional[UserTotals] = None):
+        scenario = response.scenarios[0]  # the user process is the group's
         self.s = scenario
+        self.response = response
         self.topo = topo
         self.rng = np.random.default_rng(
             np.random.SeedSequence([scenario.seed, TAG_WORLD, realization])
         )
         self.static = scenario.slots == 1
-        self.serving = scenario.serves_from_picos()
         self.pop = init_population(
             scenario.users.total,
             scenario.users.hotspot,
@@ -144,8 +226,7 @@ class World:
         )
         m = len(topo.picos)
         self.n_picos = m
-        self.mode = np.full(m, SLEEP, dtype=np.int64)
-        self.boot_remaining = np.zeros(m, dtype=np.int64)
+        self.mode, self.boot_remaining = response.initial_modes(m)
         self.centers = topo.pico_centers()
         self.pico_r = topo.pico_radius()
 
@@ -155,11 +236,13 @@ class World:
         self.eirp_macro = C.macro_tx_dbm + C.macro_antenna_gain_dbi + C.ue_antenna_gain_dbi
         self.eirp_pico = C.pico_tx_dbm + C.pico_antenna_gain_dbi + C.ue_antenna_gain_dbi
 
-        self.totals = UserTotals.zeros(scenario.users.total) if totals is None else totals
-        # exposed after each slot, for traces and acceptance checks
-        self.last_active: Optional[np.ndarray] = None
-        self.last_serving: Optional[np.ndarray] = None  # -2 idle, -1 macro, j pico
-        self.last_capacity: Optional[np.ndarray] = None
+        K = len(response.scenarios)
+        self.totals = UserTotals.zeros(K, scenario.users.total) if totals is None else totals
+        # exposed after each slot, for traces and histograms
+        self.last_active: Optional[np.ndarray] = None       # (n,)
+        self.last_containing: Optional[np.ndarray] = None   # (n,)
+        self.last_pico_served: Optional[np.ndarray] = None  # (K, n)
+        self.last_capacity: Optional[np.ndarray] = None     # (K, n)
 
     # -- slot phases --------------------------------------------------------
 
@@ -179,111 +262,102 @@ class World:
             np.int64
         )
 
-    def _pico_power(self, counts: np.ndarray) -> float:
-        """Summed draw of every pico: load-dependent when Active, the sleep
-        floor in Sleep and Boot (power.consumed_power_w, per pico)."""
-        P = self.s.power_pico
-        load = np.minimum(counts, P.user_capacity) / P.user_capacity
-        draw = np.where(
-            self.mode == ACTIVE,
-            P.sectors * (P.p0_w + P.delta_p * P.p_max_w * load),
-            P.sectors * P.p_sleep_w,
-        )
-        # added in pico order: np.sum's pairwise order would change the bytes
-        return float(np.add.accumulate(draw)[-1]) if draw.size else 0.0
+    def _tier_capacities(self, in_disc: np.ndarray, containing: np.ndarray):
+        """Both tiers' links for this slot's fading draw: (d_macro, cap_macro)
+        for every user and (d_pico, cap_pico) for the users in_disc marks,
+        the macro value standing in elsewhere."""
+        s = self.s
+        C = s.channel
+        pop = self.pop
+        z = self.rng.standard_normal(pop.n)
+
+        def link(dist, shadow_db, pico_link):
+            return np.asarray(
+                kernels.link_capacity(
+                    dist, shadow_db, pico_link, self.w_user,
+                    self.eirp_macro, self.eirp_pico, self.noise_dbm,
+                    C.min_distance_m,
+                )
+            )
+
+        d_macro = np.hypot(pop.px - self.topo.macro.x, pop.py - self.topo.macro.y)
+        cap_macro = link(d_macro, z * C.macro_shadow_sigma_db, False)
+        d_pico, cap_pico = d_macro.copy(), cap_macro.copy()
+        if in_disc.any():
+            j = containing[in_disc]
+            d_pico[in_disc] = np.hypot(
+                pop.px[in_disc] - self.centers[j, 0], pop.py[in_disc] - self.centers[j, 1]
+            )
+            cap_pico[in_disc] = link(
+                d_pico[in_disc], z[in_disc] * C.pico_shadow_sigma_db, True
+            )
+        return d_macro, cap_macro, d_pico, cap_pico
 
     def _evaluate(self, slot: int, active: np.ndarray, containing: np.ndarray,
-                  counts: np.ndarray) -> SlotMetrics:
-        """Association, link budgets, power, metrics for one slot."""
-        s = self.s
-        pop = self.pop
-        n = pop.n
-        if self.n_picos > 0:
+                  counts: np.ndarray) -> list[SlotMetrics]:
+        """Association, link budgets, power and metrics of one slot, one
+        SlotMetrics per row."""
+        # only an active user inside a disc can be pico-served
+        in_disc = active & (containing >= 0)
+        d_macro, cap_macro, d_pico, cap_pico = self._tier_capacities(in_disc, containing)
+        if self.n_picos:
+            # take() keeps the (K, n) arrays C-ordered (mode[:, safe] would
+            # not): a row sum over another layout adds in another order
             safe = np.where(containing >= 0, containing, 0)
-            pico_served = active & (containing >= 0) & (self.mode[safe] == ACTIVE)
-            d_pico = np.hypot(
-                pop.px - self.centers[safe, 0], pop.py - self.centers[safe, 1]
-            )
+            pico_served = (self.mode.take(safe, axis=1) == ACTIVE) & in_disc
         else:
-            pico_served = np.zeros(n, dtype=bool)
-            d_pico = None
-        macro_served = active & ~pico_served
-        d_macro = np.hypot(pop.px - self.topo.macro.x, pop.py - self.topo.macro.y)
-        dist = np.where(pico_served, d_pico, d_macro) if d_pico is not None else d_macro
+            pico_served = np.zeros(self.mode.shape[:1] + in_disc.shape, dtype=bool)
+        cap = np.where(pico_served, cap_pico, np.where(active, cap_macro, 0.0))
+        total_cap = cap.sum(axis=1)
+        n_pico = pico_served.sum(axis=1)
+        n_macro = int(active.sum()) - n_pico
+        n_on = (self.mode == ACTIVE).sum(axis=1)
+        pico_draw = self.response.pico_power(self.mode, counts)
 
-        z = self.rng.standard_normal(n)
-        sigma = np.where(
-            pico_served, s.channel.pico_shadow_sigma_db, s.channel.macro_shadow_sigma_db
-        )
-        cap = np.asarray(
-            kernels.link_capacity(
-                dist, z * sigma, pico_served, self.w_user,
-                self.eirp_macro, self.eirp_pico, self.noise_dbm,
-                s.channel.min_distance_m,
-            )
-        )
-        cap = np.where(active, cap, 0.0)
-
-        n_macro = int(macro_served.sum())
-        n_pico = int(pico_served.sum())
-        if s.legacy.enabled:
-            macro_power = float(
-                np.asarray(
-                    kernels.freespace_tx_power(
-                        d_macro[macro_served],
-                        s.legacy.macro.alpha, s.legacy.macro.beta, s.legacy.macro.g,
-                        s.legacy.macro.k, s.legacy.macro.p0_w, s.legacy.macro.p_max_w,
-                    )
-                ).sum()
-            )
-            if n_pico:
-                pico_power = float(
-                    np.asarray(
-                        kernels.freespace_tx_power(
-                            d_pico[pico_served],
-                            s.legacy.pico.alpha, s.legacy.pico.beta, s.legacy.pico.g,
-                            s.legacy.pico.k, s.legacy.pico.p0_w, s.legacy.pico.p_max_w,
-                        )
-                    ).sum()
-                )
+        metrics = []
+        for k, s in enumerate(self.response.scenarios):
+            served = pico_served[k]
+            if s.legacy.enabled:
+                L = s.legacy
+                macro_power = float(np.asarray(kernels.freespace_tx_power(
+                    d_macro[active & ~served], L.macro.alpha, L.macro.beta,
+                    L.macro.g, L.macro.k, L.macro.p0_w, L.macro.p_max_w,
+                )).sum())
+                pico_power = float(np.asarray(kernels.freespace_tx_power(
+                    d_pico[served], L.pico.alpha, L.pico.beta,
+                    L.pico.g, L.pico.k, L.pico.p0_w, L.pico.p_max_w,
+                )).sum()) if n_pico[k] else 0.0
             else:
-                pico_power = 0.0
-        else:
-            macro_power = consumed_power_w(s.power_macro, EnbMode.ACTIVE, n_macro)
-            pico_power = self._pico_power(counts) if self.serving else 0.0
-
-        total_cap = float(cap.sum())
-        total_power = macro_power + pico_power
-        ee = total_cap / total_power if total_power > 0 else 0.0
+                macro_power = consumed_power_w(
+                    s.power_macro, EnbMode.ACTIVE, int(n_macro[k])
+                )
+                pico_power = float(pico_draw[k])
+            capacity = float(total_cap[k])
+            total_power = macro_power + pico_power
+            metrics.append(SlotMetrics(
+                slot=slot,
+                n_active_picos=int(n_on[k]),
+                macro_active_users=int(n_macro[k]),
+                pico_active_users=int(n_pico[k]),
+                capacity_bps=capacity,
+                power_w=total_power,
+                ee_bits_per_joule=capacity / total_power if total_power > 0 else 0.0,
+                pico_capacity_bps=float(cap[k][served].sum()),
+                pico_power_w=pico_power,
+            ))
 
         self.totals.add(cap, active, pico_served)
         self.last_active = active
-        serving = np.full(n, -2, dtype=np.int64)
-        serving[macro_served] = -1
-        if self.n_picos > 0:
-            serving[pico_served] = containing[pico_served]
-        self.last_serving = serving
+        self.last_containing = containing
+        self.last_pico_served = pico_served
         self.last_capacity = cap
+        return metrics
 
-        return SlotMetrics(
-            slot=slot,
-            n_active_picos=int((self.mode == ACTIVE).sum()),
-            macro_active_users=n_macro,
-            pico_active_users=n_pico,
-            capacity_bps=total_cap,
-            power_w=total_power,
-            ee_bits_per_joule=ee,
-            pico_capacity_bps=float(cap[pico_served].sum()),
-            pico_power_w=pico_power,
-        )
+    def run_slot(self, slot: int) -> list[SlotMetrics]:
+        """Advance the world by one slot; ``slot`` labels the metrics rows.
 
-    def run_slot(self, slot: int) -> SlotMetrics:
-        """Advance the world by one slot; ``slot`` labels the metrics row.
-
-        A snapshot world (slots = 1) does not move, and its picos are Active
-        wherever the activation threshold is met: the stationary view of the
-        control loop, with no boot transient.  Picos of a non-serving
-        layout stay asleep; in legacy accounting every serving pico is on.
+        A snapshot world (slots = 1) does not move, and each row's picos
+        take the stationary modes of Response.step.
         """
         s = self.s
         if not self.static:
@@ -296,16 +370,18 @@ class World:
             s.users.activity_uniform, s.users.activity_hotspot,
         )
         counts = self._counts(containing, active)
-        if self.serving:
-            if s.legacy.enabled:
-                self.mode[:] = ACTIVE
-            elif self.static:
-                self.mode = np.where(s.policy.should_wake(counts), ACTIVE, SLEEP)
-            else:
-                self.mode, self.boot_remaining = step_modes(
-                    self.mode, self.boot_remaining, counts, s.policy, s.boot_slots
-                )
+        self.mode, self.boot_remaining = self.response.step(
+            self.mode, self.boot_remaining, counts, self.static
+        )
         return self._evaluate(slot, active, containing, counts)
+
+    def serving_codes(self, k: int) -> np.ndarray:
+        """Row k's serving cell per user in the last slot: -2 idle,
+        -1 macro, j pico."""
+        codes = np.where(self.last_active, -1, -2)
+        served = self.last_pico_served[k]
+        codes[served] = self.last_containing[served]
+        return codes
 
 
 @dataclass
@@ -330,6 +406,10 @@ class RunResult:
     pico_trace: Optional[list[tuple]] = None
 
 
+def _hist_index(samples: np.ndarray) -> np.ndarray:
+    return np.clip((samples // HIST_BIN_WIDTH).astype(np.int64), 0, HIST_BINS - 1)
+
+
 def rate_histogram(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-bin histogram: 100 bins of 1e4 b/s over [0, 1e6]; values at or
     beyond the top edge land in the last bin."""
@@ -337,8 +417,7 @@ def rate_histogram(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         return np.zeros(HIST_BINS, dtype=np.int64), edges
-    idx = np.clip((samples // HIST_BIN_WIDTH).astype(np.int64), 0, HIST_BINS - 1)
-    return np.bincount(idx, minlength=HIST_BINS).astype(np.int64), edges
+    return np.bincount(_hist_index(samples), minlength=HIST_BINS).astype(np.int64), edges
 
 
 def _serving_label(code: int) -> str:
@@ -349,87 +428,124 @@ def _serving_label(code: int) -> str:
     return f"pico:{code}"
 
 
+def run_scenarios(
+    scenarios: Sequence[Scenario],
+    trace_users: bool = False,
+    trace_picos: bool = False,
+) -> list[RunResult]:
+    """Run every scenario; results come back in input order.
+
+    Scenarios with the same process_key are one group: their user process
+    is simulated once and each scenario is a row of the group's response.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, s in enumerate(scenarios):
+        groups.setdefault(process_key(s), []).append(i)
+    results: list[Optional[RunResult]] = [None] * len(scenarios)
+    for members in groups.values():
+        rows = _run_group([scenarios[i] for i in members], trace_users, trace_picos)
+        for i, result in zip(members, rows):
+            results[i] = result
+    return results
+
+
 def run_scenario(
     scenario: Scenario,
     trace_users: bool = False,
     trace_picos: bool = False,
 ) -> RunResult:
-    topo = build_geometry(scenario)
-    n = scenario.users.total
-    snapshot = scenario.slots == 1
-    totals = UserTotals.zeros(n)
-    metrics: list[SlotMetrics] = []
-    user_trace: Optional[list[tuple]] = [] if trace_users else None
-    pico_trace: Optional[list[tuple]] = [] if trace_picos else None
-    hist_samples: list[np.ndarray] = []
+    return run_scenarios([scenario], trace_users, trace_picos)[0]
+
+
+def _run_group(scenarios: list[Scenario], trace_users: bool,
+               trace_picos: bool) -> list[RunResult]:
+    s0 = scenarios[0]
+    topo = build_geometry(s0)
+    response = Response(scenarios)
+    K, n = len(scenarios), s0.users.total
+    snapshot = s0.slots == 1
+    totals = UserTotals.zeros(K, n)
+    metrics: list[list[SlotMetrics]] = [[] for _ in range(K)]
+    user_traces = [[] for _ in range(K)] if trace_users else None
+    pico_traces = [[] for _ in range(K)] if trace_picos else None
+    # snapshots bin every active user-realization, counted as they come
+    hist = np.zeros((K, HIST_BINS), dtype=np.int64)
+    row_offset = HIST_BINS * np.arange(K)[:, None]
 
     def step(world: World, slot: int) -> None:
-        metrics.append(world.run_slot(slot))
+        for k, m in enumerate(world.run_slot(slot)):
+            metrics[k].append(m)
+        active = world.last_active
         if snapshot:
-            hist_samples.append(world.last_capacity[world.last_active])
-        if user_trace is not None:
-            for i in range(n):
-                user_trace.append(
-                    (
-                        slot, i,
-                        float(world.pop.px[i]), float(world.pop.py[i]),
-                        int(world.last_active[i]),
-                        _serving_label(int(world.last_serving[i])),
+            idx = _hist_index(world.last_capacity[:, active]) + row_offset
+            hist[:] += np.bincount(idx.ravel(), minlength=K * HIST_BINS).reshape(K, -1)
+        if user_traces is not None:
+            px, py = world.pop.px, world.pop.py
+            for k, trace in enumerate(user_traces):
+                serving = world.serving_codes(k)
+                for i in range(n):
+                    trace.append(
+                        (
+                            slot, i, float(px[i]), float(py[i]), int(active[i]),
+                            _serving_label(int(serving[i])),
+                        )
                     )
-                )
-        if pico_trace is not None:
-            for j, code in enumerate(world.mode):
-                pico_trace.append((slot, j, MODES[code].value))
+        if pico_traces is not None:
+            for k, trace in enumerate(pico_traces):
+                for j, code in enumerate(world.mode[k]):
+                    trace.append((slot, j, MODES[code].value))
 
     if snapshot:
         # one fresh world per realization; the row's slot column is r
-        for r in range(scenario.realizations):
-            world = World(scenario, topo, realization=r, totals=totals)
+        for r in range(s0.realizations):
+            world = World(response, topo, realization=r, totals=totals)
             step(world, r)
     else:
-        world = World(scenario, topo, realization=0, totals=totals)
-        for slot in range(scenario.slots):
+        world = World(response, topo, realization=0, totals=totals)
+        for slot in range(s0.slots):
             step(world, slot)
 
     ever_active = totals.active_slots > 0
     mean_rate = np.divide(
-        totals.cap_sum, totals.active_slots, out=np.zeros(n), where=ever_active
+        totals.cap_sum, totals.active_slots, out=np.zeros((K, n)), where=ever_active
     )
     pico_mean_rate = np.divide(
-        totals.pico_cap_sum, totals.pico_slots, out=np.zeros(n),
+        totals.pico_cap_sum, totals.pico_slots, out=np.zeros((K, n)),
         where=totals.pico_slots > 0,
     )
-    frac_on_pico = totals.pico_slots / len(metrics)
-    # snapshots bin every active user-realization, time series each
-    # ever-active user's mean rate
-    hist_counts, hist_edges = rate_histogram(
-        np.concatenate(hist_samples) if snapshot else mean_rate[ever_active]
-    )
-
-    ees = np.array([m.ee_bits_per_joule for m in metrics])
-    caps = np.array([m.capacity_bps for m in metrics])
-    pows = np.array([m.power_w for m in metrics])
-    acts = np.array([m.n_active_picos for m in metrics])
-    return RunResult(
-        scenario=scenario,
-        topology=topo,
-        slot_metrics=metrics,
-        ee_mean=float(ees.mean()),
-        ee_std=float(ees.std(ddof=1)) if len(ees) > 1 else 0.0,
-        capacity_mean=float(caps.mean()),
-        power_mean=float(pows.mean()),
-        active_picos_mean=float(acts.mean()),
-        is_hotspot=world.pop.is_hotspot,
-        mean_rate_bps=mean_rate,
-        frac_slots_on_pico=frac_on_pico,
-        pico_mean_rate_bps=pico_mean_rate,
-        active_slot_count=totals.active_slots,
-        pico_slot_count=totals.pico_slots,
-        hist_counts=hist_counts,
-        hist_edges=hist_edges,
-        user_trace=user_trace,
-        pico_trace=pico_trace,
-    )
+    frac_on_pico = totals.pico_slots / len(metrics[0])
+    edges = HIST_BIN_WIDTH * np.arange(HIST_BINS + 1)
+    results = []
+    for k, s in enumerate(scenarios):
+        # time series bin each ever-active user's mean rate
+        hist_counts = (
+            hist[k] if snapshot else rate_histogram(mean_rate[k][ever_active])[0]
+        )
+        ees = np.array([m.ee_bits_per_joule for m in metrics[k]])
+        caps = np.array([m.capacity_bps for m in metrics[k]])
+        pows = np.array([m.power_w for m in metrics[k]])
+        acts = np.array([m.n_active_picos for m in metrics[k]])
+        results.append(RunResult(
+            scenario=s,
+            topology=topo,
+            slot_metrics=metrics[k],
+            ee_mean=float(ees.mean()),
+            ee_std=float(ees.std(ddof=1)) if len(ees) > 1 else 0.0,
+            capacity_mean=float(caps.mean()),
+            power_mean=float(pows.mean()),
+            active_picos_mean=float(acts.mean()),
+            is_hotspot=world.pop.is_hotspot,
+            mean_rate_bps=mean_rate[k],
+            frac_slots_on_pico=frac_on_pico[k],
+            pico_mean_rate_bps=pico_mean_rate[k],
+            active_slot_count=totals.active_slots,
+            pico_slot_count=totals.pico_slots[k],
+            hist_counts=hist_counts,
+            hist_edges=edges,
+            user_trace=None if user_traces is None else user_traces[k],
+            pico_trace=None if pico_traces is None else pico_traces[k],
+        ))
+    return results
 
 
 # --- CSV emission ----------------------------------------------------------

@@ -1,9 +1,10 @@
 """Canned experiment families.
 
-Each preset expands to a grid of scenarios, runs them, and writes CSVs plus
-a manifest.json holding everything needed to reproduce the outputs
-byte-for-byte (preset name, seed, grid, package version).  All presets use
-the shared default seed unless overridden.
+Each preset expands to a grid of scenarios, runs them in one
+engine.run_scenarios call (points that share a user process simulate it
+once), and writes CSVs plus a manifest.json holding everything needed to
+reproduce the outputs byte-for-byte (preset name, seed, grid, package
+version).  All presets use the shared default seed unless overridden.
 
     capacity_table       EE / capacity / power at thresholds {0, 8, 13} for
                          the three serving layouts, full-activity snapshot.
@@ -31,8 +32,7 @@ from typing import Callable
 from . import __version__
 from .config import Scenario, parse_scenario
 from .engine import (
-    RunResult,
-    run_scenario,
+    run_scenarios,
     sweep_rows,
     write_histogram_csv,
     write_pico_view_csv,
@@ -85,11 +85,11 @@ def _snapshot_doc(topology: str, seed: int, threshold: float, *,
 def _capacity_table(outdir: Path, seed: int):
     thresholds = [0, 8, 13]
     topologies = ["monet", "coe", "udc"]
-    rows = []
-    for t in thresholds:
-        for topo in topologies:
-            res = run_scenario(_scenario(**_snapshot_doc(topo, seed, t)))
-            rows.append(sweep_rows(res, t))
+    points = [(t, topo) for t in thresholds for topo in topologies]
+    results = run_scenarios(
+        [_scenario(**_snapshot_doc(topo, seed, t)) for t, topo in points]
+    )
+    rows = [sweep_rows(res, t) for (t, _), res in zip(points, results)]
     write_sweep_csv(rows, outdir / "sweep.csv")
     grid = {"thresholds": thresholds, "topologies": topologies,
             "realizations": 100, "activity": 1.0, "p_sleep_w": 0.0}
@@ -99,44 +99,51 @@ def _capacity_table(outdir: Path, seed: int):
 def _threshold_sweep(outdir: Path, seed: int):
     thresholds = list(range(0, 31))
     topologies = ["monet", "coe", "udc"]
-    rows = []
-    count_rows = []
-    for topo in topologies:
-        for t in thresholds:
-            res = run_scenario(_scenario(**_snapshot_doc(topo, seed, t)))
-            rows.append(sweep_rows(res, t))
-            count_rows.append((t, topo, res.active_picos_mean))
-    write_sweep_csv(rows, outdir / "sweep.csv")
+    points = [(t, topo) for topo in topologies for t in thresholds]
+    results = run_scenarios(
+        [_scenario(**_snapshot_doc(topo, seed, t)) for t, topo in points]
+    )
+    write_sweep_csv(
+        [sweep_rows(res, t) for (t, _), res in zip(points, results)],
+        outdir / "sweep.csv",
+    )
     with open(outdir / "pico_count.csv", "w") as fh:
         fh.write("threshold,topology,active_picos_mean\n")
-        for t, topo, mean in count_rows:
-            fh.write(f"{t},{topo},{mean!r}\n")
+        for (t, topo), res in zip(points, results):
+            fh.write(f"{t},{topo},{res.active_picos_mean!r}\n")
     grid = {"thresholds": thresholds, "topologies": topologies,
             "realizations": 100, "activity": 1.0, "p_sleep_w": 0.0}
     return grid, ["sweep.csv", "pico_count.csv"]
+
+
+def _population_sweep(outdir: Path, seed: int,
+                      files: dict[tuple[float, int], str],
+                      thresholds: list[int], topologies: list[str]) -> list[str]:
+    """One sweep CSV per (sleep power, hotspot count) key of files: every
+    topology x threshold of the snapshot family at 40 % / 80 % activity."""
+    points = [(key, topo, t) for key in files for topo in topologies
+              for t in thresholds]
+    results = run_scenarios([
+        _scenario(**_snapshot_doc(topo, seed, t, hotspot=h, p_uniform=0.4,
+                                  p_hotspot=0.8, p_sleep=p))
+        for (p, h), topo, t in points
+    ])
+    rows: dict[tuple, list[dict]] = {key: [] for key in files}
+    for (key, _, t), res in zip(points, results):
+        rows[key].append(sweep_rows(res, t))
+    for key, name in files.items():
+        write_sweep_csv(rows[key], outdir / name)
+    return list(files.values())
 
 
 def _sleep_power_sweep(outdir: Path, seed: int):
     p_sleeps = [0.0, 2.0, 4.0, 6.0, 8.6]
     thresholds = list(range(0, 31))
     topologies = ["coe", "udc", "monet_coe_users", "monet_udc_users"]
-    files = []
-    for p in p_sleeps:
-        rows = []
-        for topo in topologies:
-            for t in thresholds:
-                res = run_scenario(
-                    _scenario(
-                        **_snapshot_doc(
-                            topo, seed, t, hotspot=500,
-                            p_uniform=0.4, p_hotspot=0.8, p_sleep=p,
-                        )
-                    )
-                )
-                rows.append(sweep_rows(res, t))
-        name = f"sweep_psleep{_ptag(p)}.csv"
-        write_sweep_csv(rows, outdir / name)
-        files.append(name)
+    files = _population_sweep(
+        outdir, seed, {(p, 500): f"sweep_psleep{_ptag(p)}.csv" for p in p_sleeps},
+        thresholds, topologies,
+    )
     grid = {"p_sleep_w": p_sleeps, "thresholds": thresholds,
             "topologies": topologies, "hotspot": 500, "realizations": 100}
     return grid, files
@@ -147,24 +154,12 @@ def _hotspot_sweep(outdir: Path, seed: int):
     hotspots = [0, 250, 500, 750]
     thresholds = list(range(0, 31))
     topologies = ["coe", "udc", "monet_coe_users", "monet_udc_users"]
-    files = []
-    for p in p_sleeps:
-        for h in hotspots:
-            rows = []
-            for topo in topologies:
-                for t in thresholds:
-                    res = run_scenario(
-                        _scenario(
-                            **_snapshot_doc(
-                                topo, seed, t, hotspot=h,
-                                p_uniform=0.4, p_hotspot=0.8, p_sleep=p,
-                            )
-                        )
-                    )
-                    rows.append(sweep_rows(res, t))
-            name = f"sweep_psleep{_ptag(p)}_hotspot{h}.csv"
-            write_sweep_csv(rows, outdir / name)
-            files.append(name)
+    files = _population_sweep(
+        outdir, seed,
+        {(p, h): f"sweep_psleep{_ptag(p)}_hotspot{h}.csv"
+         for p in p_sleeps for h in hotspots},
+        thresholds, topologies,
+    )
     grid = {"p_sleep_w": p_sleeps, "hotspot": hotspots,
             "thresholds": thresholds, "topologies": topologies,
             "realizations": 100}
@@ -188,33 +183,36 @@ def _timeseries_doc(topology: str, seed: int, *, policy: dict,
     }
 
 
-def _run_and_write(doc: dict, outdir: Path, base: str,
-                   pico_view: bool) -> list[str]:
-    res = run_scenario(_scenario(**doc))
-    files = [f"{base}.csv", f"{base}_users.csv", f"{base}_hist.csv"]
-    write_slot_csv(res, outdir / files[0])
-    write_users_csv(res, outdir / files[1])
-    write_histogram_csv(res, outdir / files[2])
-    if pico_view:
-        name = f"{base}_pico.csv"
-        write_pico_view_csv(res, outdir / name)
-        files.append(name)
+def _run_and_write(runs: list[tuple[dict, str, bool]],
+                   outdir: Path) -> list[str]:
+    """Run every (scenario document, file stem, pico view) in one call and
+    write each run's slot, user and histogram CSVs (plus the pico-layer
+    view where asked)."""
+    results = run_scenarios([_scenario(**doc) for doc, _, _ in runs])
+    files = []
+    for (_, base, pico_view), res in zip(runs, results):
+        names = [f"{base}.csv", f"{base}_users.csv", f"{base}_hist.csv"]
+        write_slot_csv(res, outdir / names[0])
+        write_users_csv(res, outdir / names[1])
+        write_histogram_csv(res, outdir / names[2])
+        if pico_view:
+            names.append(f"{base}_pico.csv")
+            write_pico_view_csv(res, outdir / names[3])
+        files += names
     return files
 
 
 def _ee_timeseries(outdir: Path, seed: int):
     topologies = ["udc", "coe", "monet_udc_users", "monet_coe_users"]
     p_sleeps = [0.0, 8.6]
-    files = []
-    for p in p_sleeps:
-        for topo in topologies:
-            doc = _timeseries_doc(
-                topo, seed, policy=_one_threshold_doc(5), p_sleep=p
-            )
-            files += _run_and_write(
-                doc, outdir, f"{topo}_psleep{_ptag(p)}",
-                pico_view=topo in ("udc", "coe"),
-            )
+    files = _run_and_write(
+        [
+            (_timeseries_doc(topo, seed, policy=_one_threshold_doc(5), p_sleep=p),
+             f"{topo}_psleep{_ptag(p)}", topo in ("udc", "coe"))
+            for p in p_sleeps for topo in topologies
+        ],
+        outdir,
+    )
     grid = {"topologies": topologies, "p_sleep_w": p_sleeps,
             "policy": {"t_activate": 5}, "hotspot": 500, "slots": 1000}
     return grid, files
@@ -222,12 +220,12 @@ def _ee_timeseries(outdir: Path, seed: int):
 
 def _occupancy_timeseries(outdir: Path, seed: int):
     topologies = ["udc", "coe"]
-    files = []
-    for topo in topologies:
-        doc = _timeseries_doc(
-            topo, seed, policy={"t_activate": 12.0, "t_deactivate": 8.0}
-        )
-        files += _run_and_write(doc, outdir, topo, pico_view=False)
+    policy = {"t_activate": 12.0, "t_deactivate": 8.0}
+    files = _run_and_write(
+        [(_timeseries_doc(topo, seed, policy=policy), topo, False)
+         for topo in topologies],
+        outdir,
+    )
     grid = {"topologies": topologies, "policy": {"t_activate": 12, "t_deactivate": 8},
             "p_sleep_w": 8.6, "hotspot": 500, "slots": 1000}
     return grid, files
@@ -242,15 +240,15 @@ def _policy_compare(outdir: Path, seed: int):
     }
     topologies = ["udc", "coe", "monet_udc_users", "monet_coe_users"]
     p_sleeps = [0.0, 8.6]
-    files = []
-    for ptag, policy in policies.items():
-        for p in p_sleeps:
-            for topo in topologies:
-                doc = _timeseries_doc(topo, seed, policy=policy, p_sleep=p)
-                files += _run_and_write(
-                    doc, outdir, f"{topo}_{ptag}_psleep{_ptag(p)}",
-                    pico_view=False,
-                )
+    files = _run_and_write(
+        [
+            (_timeseries_doc(topo, seed, policy=policy, p_sleep=p),
+             f"{topo}_{ptag}_psleep{_ptag(p)}", False)
+            for ptag, policy in policies.items() for p in p_sleeps
+            for topo in topologies
+        ],
+        outdir,
+    )
     grid = {"policies": {k: v for k, v in policies.items()},
             "topologies": topologies, "p_sleep_w": p_sleeps,
             "hotspot": 500, "slots": 1000}

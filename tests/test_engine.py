@@ -1,17 +1,25 @@
-"""Slot loop semantics: serving, accounting, determinism, histograms."""
+"""Slot loop semantics: serving, accounting, determinism, histograms,
+and grouped runs that share one user process."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hetnetsim import engine
 from hetnetsim.config import parse_scenario
 from hetnetsim.control import ACTIVE, BOOT, MODES, SLEEP, PicoControlState, step_state
 from hetnetsim.engine import (
+    Response,
     World,
     ZeroPower,
     build_geometry,
     compute_ee,
     rate_histogram,
     run_scenario,
+    run_scenarios,
 )
 from hetnetsim.power import EnbMode, consumed_power_w
 
@@ -40,12 +48,12 @@ def test_single_active_pico_power_decomposition():
     macro's load-dependent draw, that pico's draw, and 27 sleepers."""
     s = scenario(users={"total": 1000})
     topo = build_geometry(s)
-    w = World(s, topo)
-    w.mode[0] = ACTIVE
+    w = World(Response([s]), topo)
+    w.mode[0, 0] = ACTIVE
     active = np.ones(1000, dtype=bool)
     containing = w._containing()
     counts = w._counts(containing, active)
-    m = w._evaluate(0, active, containing, counts)
+    (m,) = w._evaluate(0, active, containing, counts)
     n0 = int((containing == 0).sum())
     assert n0 > 0  # layout seed gives the first pico some users
     expected = macro_power(1000 - n0) + (13.6 + 0.02 * min(n0, 50)) + 27 * 8.6
@@ -66,12 +74,12 @@ def test_engine_mode_trail_follows_the_state_table(boot_slots):
         work={"start_slots": [0, 10], "duration": 45},
         policy={"t_activate": 12, "t_deactivate": 8},
     )
-    w = World(s, build_geometry(s))
+    w = World(Response([s]), build_geometry(s))
     counts, modes = [], []
     for slot in range(s.slots):
         w.run_slot(slot)
         counts.append(w._counts(w._containing(), w.last_active))
-        modes.append(w.mode.copy())
+        modes.append(w.mode[0].copy())
     modes = np.array(modes)
     assert {SLEEP, ACTIVE} <= set(modes.ravel())
     assert (BOOT in modes) == (boot_slots > 0)
@@ -88,7 +96,7 @@ def test_bandwidth_is_split_over_all_configured_users(p_active):
     are active in the slot."""
     s = scenario(users={"total": 400, "activity_uniform": p_active},
                  channel={"bandwidth_hz": 1e7})
-    w = World(s, build_geometry(s))
+    w = World(Response([s]), build_geometry(s))
     w.run_slot(0)
     assert abs(int(w.last_active.sum()) - 400 * p_active) < 60
     assert w.w_user == 1e7 / 400
@@ -98,16 +106,16 @@ def test_pico_power_is_the_per_pico_loop_added_in_order():
     """The vectorized pico draw equals consumed_power_w summed pico by
     pico, bit for bit: the output bytes depend on the addition order."""
     s = scenario(users={"total": 100})
-    w = World(s, build_geometry(s))
+    response = Response([s])
     rng = np.random.default_rng(2)
-    w.mode = rng.integers(0, 3, w.n_picos)
-    counts = rng.integers(0, 80, w.n_picos)
+    mode = rng.integers(0, 3, (1, 28))
+    counts = rng.integers(0, 80, 28)
     want = 0.0
-    for code, c in zip(w.mode, counts):
-        mode = MODES[code]
-        served = int(c) if mode is EnbMode.ACTIVE else 0
-        want += consumed_power_w(s.power_pico, mode, served)
-    assert w._pico_power(counts) == want
+    for code, c in zip(mode[0], counts):
+        mode_j = MODES[code]
+        served = int(c) if mode_j is EnbMode.ACTIVE else 0
+        want += consumed_power_w(s.power_pico, mode_j, served)
+    assert response.pico_power(mode, counts)[0] == want
 
 
 def test_snapshot_ensemble_indexes_rows_by_realization():
@@ -296,3 +304,99 @@ def test_user_rate_summaries_are_consistent():
     # hotspot workers accumulate far more pico time than passers-by
     assert r.pico_slot_count[r.is_hotspot].mean() > \
         2 * max(r.pico_slot_count[~r.is_hotspot].mean(), 1e-9)
+
+
+# --- grouped runs: one user process, one response row per scenario -----------
+
+TWINS = {"coe": "monet_coe_users", "udc": "monet_udc_users"}
+
+SUMMARY_FIELDS = ("ee_mean", "ee_std", "capacity_mean", "power_mean",
+                  "active_picos_mean")
+PER_USER_FIELDS = ("is_hotspot", "mean_rate_bps", "frac_slots_on_pico",
+                   "pico_mean_rate_bps", "active_slot_count", "pico_slot_count",
+                   "hist_counts", "hist_edges")
+
+
+def assert_same_run(a, b):
+    assert a.scenario == b.scenario
+    assert a.slot_metrics == b.slot_metrics
+    for name in SUMMARY_FIELDS:
+        assert getattr(a, name) == getattr(b, name), name
+    for name in PER_USER_FIELDS:
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name),
+                                      err_msg=name)
+
+
+@st.composite
+def process_groups(draw):
+    """Scenario documents that share one user process (layout, users,
+    mobility, channel) and differ in how their picos respond."""
+    geometry = draw(st.sampled_from(["coe", "udc"]))
+    snapshot = draw(st.booleans())
+    total = draw(st.integers(20, 80))
+    base = {
+        "seed": draw(st.integers(0, 50)),
+        "slots": 1 if snapshot else draw(st.integers(2, 30)),
+        "realizations": draw(st.integers(1, 4)) if snapshot else 1,
+        "layout": {"n_picos": 6, "pico_radius_m": 120.0},
+        "users": {"total": total, "hotspot": draw(st.integers(0, total)),
+                  "activity_uniform": draw(st.sampled_from([0.4, 1.0]))},
+        "work": {"start_slots": [0, 5], "duration": 12},
+    }
+    docs = []
+    for _ in range(draw(st.integers(1, 5))):
+        t_on = draw(st.integers(0, 8))
+        t_off = draw(st.none() | st.integers(0, t_on - 1)) if t_on else None
+        docs.append({
+            **base,
+            "topology": draw(st.sampled_from([geometry, TWINS[geometry]])),
+            "boot_slots": draw(st.integers(0, 3)),
+            "policy": {"t_activate": float(t_on),
+                       "t_deactivate": None if t_off is None else float(t_off)},
+            "power": {"pico": {"p_sleep_w": draw(st.sampled_from([0.0, 4.0, 8.6]))}},
+            "legacy": {"enabled": draw(st.booleans())},
+        })
+    return docs
+
+
+@settings(max_examples=30, deadline=None)
+@given(docs=process_groups(), data=st.data())
+def test_grouped_runs_equal_solo_runs(docs, data):
+    """Every scenario of a grouped call gets, bit for bit, the result it
+    gets alone, in input order; a scenario with another seed, hotspot count
+    or channel is simulated as its own group."""
+    first = docs[0]
+    users = first["users"]
+    outsiders = [
+        {**first, "seed": first["seed"] + 1},
+        {**first, "users": {**users, "hotspot": (users["hotspot"] + 1) % (users["total"] + 1)}},
+        {**first, "channel": {"bandwidth_hz": 1e7}},
+    ]
+    scenarios = data.draw(
+        st.permutations([parse_scenario(d) for d in docs + outsiders])
+    )
+    with mock.patch.object(engine, "build_geometry",
+                           wraps=engine.build_geometry) as layouts:
+        grouped = run_scenarios(scenarios)
+    assert layouts.call_count == 1 + len(outsiders)  # one layout per group
+    for s, result in zip(scenarios, grouped):
+        assert_same_run(result, run_scenarios([s])[0])
+
+
+@pytest.mark.parametrize("shape", [{"slots": 40}, {"realizations": 3}])
+def test_macro_only_twin_shares_its_donors_user_process(shape):
+    """A monet_udc_users twin and its udc donor, each run alone, see the
+    same positions and activity in every slot (common random numbers), and
+    each slot's active users are split exactly between the two tiers."""
+    doc = {"seed": 9, **shape, "users": {"total": 150, "hotspot": 60},
+           "policy": {"t_activate": 2.0, "t_deactivate": None}}
+    donor = run_scenario(parse_scenario({**doc, "topology": "udc"}), trace_users=True)
+    twin = run_scenario(parse_scenario({**doc, "topology": "monet_udc_users"}),
+                        trace_users=True)
+    rows = np.array([r[:5] for r in donor.user_trace])
+    np.testing.assert_array_equal(rows, np.array([r[:5] for r in twin.user_trace]))
+    for result in (donor, twin):
+        active = np.bincount(rows[:, 0].astype(np.int64), weights=rows[:, 4])
+        for m in result.slot_metrics:
+            assert m.macro_active_users + m.pico_active_users == active[m.slot]
+    assert sum(m.pico_active_users for m in donor.slot_metrics) > 0

@@ -58,6 +58,24 @@ CASES = {
          "users": {"total": 250, "activity_uniform": 1.0},
          "policy": {"t_deactivate": None}},
     ),
+    # multi-slot points: each threshold steps its own picos through Boot
+    "sweep_timeseries": (
+        ["sweep", "--from", "4", "--to", "12", "--step", "4"],
+        {"topology": "udc", "seed": 6, "slots": 60, "boot_slots": 2,
+         "layout": {"n_picos": 8},
+         "users": {"total": 200, "hotspot": 120},
+         "work": {"start_slots": [0, 10], "duration": 30},
+         "policy": {"t_deactivate": None}},
+    ),
+    # sleep-power points at a threshold where most picos sleep, so the
+    # rows differ in power
+    "sweep_psleep": (
+        ["sweep", "--param", "power.pico.p_sleep_w",
+         "--from", "0", "--to", "8", "--step", "4"],
+        {"topology": "udc", "seed": 8, "realizations": 5,
+         "users": {"total": 300, "activity_uniform": 1.0},
+         "policy": {"t_activate": 4.0, "t_deactivate": None}},
+    ),
 }
 
 GOLDEN = {
@@ -116,6 +134,14 @@ GOLDEN = {
     "sweep": {
         "sweep.csv":
             "1c7e221238f0893bad48cf4ab8a5c77b74adfc873eaa7a192e7ab8058476efb9",
+    },
+    "sweep_psleep": {
+        "sweep.csv":
+            "d97054f64538dccb9d7340c4d4b13437978b6f48de8fcc22749e25ad302139ea",
+    },
+    "sweep_timeseries": {
+        "sweep.csv":
+            "1a9befcd7c087df55a6318f2b7283183d5757115cd71d5c5d99a105f35031926",
     },
 }
 
