@@ -247,13 +247,9 @@ class World:
     # -- slot phases --------------------------------------------------------
 
     def _containing(self) -> np.ndarray:
-        if self.n_picos == 0:
-            return np.full(self.pop.n, -1, dtype=np.int64)
-        return np.asarray(
-            kernels.containing_disc(
-                self.pop.px, self.pop.py,
-                self.centers[:, 0], self.centers[:, 1], self.pico_r,
-            )
+        return kernels.containing_disc(
+            self.pop.px, self.pop.py,
+            self.centers[:, 0], self.centers[:, 1], self.pico_r,
         )
 
     def _counts(self, containing: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -272,12 +268,10 @@ class World:
         z = self.rng.standard_normal(pop.n)
 
         def link(dist, shadow_db, pico_link):
-            return np.asarray(
-                kernels.link_capacity(
-                    dist, shadow_db, pico_link, self.w_user,
-                    self.eirp_macro, self.eirp_pico, self.noise_dbm,
-                    C.min_distance_m,
-                )
+            return kernels.link_capacity(
+                dist, shadow_db, pico_link, self.w_user,
+                self.eirp_macro, self.eirp_pico, self.noise_dbm,
+                C.min_distance_m,
             )
 
         d_macro = np.hypot(pop.px - self.topo.macro.x, pop.py - self.topo.macro.y)
@@ -319,14 +313,14 @@ class World:
             served = pico_served[k]
             if s.legacy.enabled:
                 L = s.legacy
-                macro_power = float(np.asarray(kernels.freespace_tx_power(
+                macro_power = float(kernels.freespace_tx_power(
                     d_macro[active & ~served], L.macro.alpha, L.macro.beta,
                     L.macro.g, L.macro.k, L.macro.p0_w, L.macro.p_max_w,
-                )).sum())
-                pico_power = float(np.asarray(kernels.freespace_tx_power(
+                ).sum())
+                pico_power = float(kernels.freespace_tx_power(
                     d_pico[served], L.pico.alpha, L.pico.beta,
                     L.pico.g, L.pico.k, L.pico.p0_w, L.pico.p_max_w,
-                )).sum()) if n_pico[k] else 0.0
+                ).sum()) if n_pico[k] else 0.0
             else:
                 macro_power = consumed_power_w(
                     s.power_macro, EnbMode.ACTIVE, int(n_macro[k])

@@ -247,7 +247,6 @@ def step_population(
     arrived = kernels.advance_positions(
         pop.px, pop.py, pop.dest_x, pop.dest_y, pop.vx, pop.vy, pop.speed
     )
-    arrived = np.asarray(arrived)
 
     in_work = hot & (pop.work_start <= slot) & (slot < pop.work_start + schedule.duration)
     wander = arrived & in_work

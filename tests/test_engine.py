@@ -215,6 +215,40 @@ class TestServingInvariants:
         assert "boot" in modes and "active" in modes and "sleep" in modes
 
 
+@settings(max_examples=25, deadline=None)
+@given(geometry=st.sampled_from(["coe", "udc"]), seed=st.integers(0, 10**6),
+       shape=st.sampled_from([{"slots": 1, "realizations": 3}, {"slots": 15}]),
+       t_on=st.integers(0, 6), gap=st.none() | st.integers(1, 6),
+       boot_slots=st.integers(0, 2))
+def test_pico_service_follows_containment_and_mode(geometry, seed, shape, t_on,
+                                                   gap, boot_slots):
+    """An active user is pico:j exactly when j is the lowest index whose
+    disc strictly contains its traced position, (x - cx)^2 + (y - cy)^2 <
+    r^2, and pico j is active in that slot; every other active user is
+    served by the macro."""
+    t_off = None if gap is None or gap > t_on else float(t_on - gap)
+    result = run_scenario(parse_scenario({
+        "topology": geometry, "seed": seed, **shape, "boot_slots": boot_slots,
+        "layout": {"n_picos": 6, "pico_radius_m": 120.0},
+        "users": {"total": 60, "hotspot": 30},
+        "work": {"start_slots": [0, 3], "duration": 8},
+        "policy": {"t_activate": float(t_on), "t_deactivate": t_off},
+    }), trace_users=True, trace_picos=True)
+    centres = result.topology.pico_centers()
+    r = result.topology.pico_radius()
+    awake = {(slot, j) for (slot, j, mode) in result.pico_trace if mode == "active"}
+    trace = [row for row in result.user_trace if row[4]]
+    x = np.array([row[2] for row in trace])
+    y = np.array([row[3] for row in trace])
+    dx = x[:, None] - centres[:, 0]
+    dy = y[:, None] - centres[:, 1]
+    inside = dx * dx + dy * dy < r * r
+    for (slot, _uid, _x, _y, _active, serving), hits in zip(trace, inside):
+        j = int(hits.argmax())
+        pico = hits[j] and (slot, j) in awake
+        assert serving == (f"pico:{j}" if pico else "macro")
+
+
 def test_unserved_layouts_shape_users_but_draw_no_pico_power():
     """Macro-only twins keep the pico geometry for population shaping; the
     per-slot power must be exactly the macro's load curve."""

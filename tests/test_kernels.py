@@ -2,11 +2,19 @@
 written out here (containment, movement) or the scalar link and power
 formulas in ``channel``."""
 
+import math
+import tracemalloc
+
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetnetsim import channel, kernels
 from hetnetsim.channel import evaluate_link
-from hetnetsim.topology import CellKind
+from hetnetsim.topology import CellKind, build_coe, build_udc
+
+MACRO_R = 500.0
 
 RNG = np.random.default_rng(1234)
 
@@ -54,6 +62,83 @@ def test_containing_disc_prefers_the_lowest_index():
     got = kernels.containing_disc(px, py, cx, cy, 50.0)
     np.testing.assert_array_equal(got, [0, -1])
     np.testing.assert_array_equal(got, brute_force_containing(px, py, cx, cy, 50.0))
+
+
+@st.composite
+def disc_sets(draw):
+    """(cx, cy, r) with r from 1e-3 m to the macro radius: either free
+    centres, overlapping at large r and with repeated (coincident) centres,
+    or the tangent ring of build_coe."""
+    r = 10.0 ** draw(st.floats(-3.0, math.log10(MACRO_R)))
+    if draw(st.booleans()):
+        coord = st.floats(0.0, 2 * MACRO_R)
+        centres = draw(st.lists(st.tuples(coord, coord), max_size=12))
+        if centres:
+            centres += draw(st.lists(st.sampled_from(centres), max_size=4))
+        centres = draw(st.permutations(centres))
+        cx = np.array([c[0] for c in centres], dtype=np.float64)
+        cy = np.array([c[1] for c in centres], dtype=np.float64)
+        return cx, cy, r
+    r = min(r, 240.0)  # the ring needs r < R - r
+    fit = int((2 * math.pi + 1e-12) // (2 * math.asin(r / (MACRO_R - r))))
+    topo = build_coe(MACRO_R, r, draw(st.integers(0, min(fit, 12))))
+    centres = topo.pico_centers()
+    return centres[:, 0].copy(), centres[:, 1].copy(), r
+
+
+@st.composite
+def probe_points(draw, cx, cy, r):
+    """Free points plus points at centres, on disc boundaries (along the
+    axes and at an angle) and at midpoints of neighbouring centres, which
+    are the tangent points of a ring."""
+    coord = st.floats(-0.1 * MACRO_R, 2.1 * MACRO_R)
+    pts = draw(st.lists(st.tuples(coord, coord), max_size=30))
+    m = cx.shape[0]
+    if m:
+        kinds = st.sampled_from(["centre", "east", "south", "angle", "midpoint"])
+        for j, kind, a in draw(st.lists(
+                st.tuples(st.integers(0, m - 1), kinds, st.floats(0, 2 * math.pi)),
+                max_size=30)):
+            x, y = cx[j], cy[j]
+            pts.append({
+                "centre": (x, y),
+                "east": (x + r, y),
+                "south": (x, y - r),
+                "angle": (x + r * math.cos(a), y + r * math.sin(a)),
+                "midpoint": ((x + cx[(j + 1) % m]) / 2, (y + cy[(j + 1) % m]) / 2),
+            }[kind])
+    px = np.array([p[0] for p in pts], dtype=np.float64)
+    py = np.array([p[1] for p in pts], dtype=np.float64)
+    return px, py
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_containing_disc_equals_the_scan_on_any_disc_set(data):
+    cx, cy, r = data.draw(disc_sets())
+    px, py = data.draw(probe_points(cx, cy, r))
+    got = kernels.containing_disc(px, py, cx, cy, r)
+    assert got.dtype == np.int64 and got.shape == px.shape
+    np.testing.assert_array_equal(got, brute_force_containing(px, py, cx, cy, r))
+
+
+@pytest.mark.parametrize("m", [20, 200])
+def test_containing_disc_memory_is_linear_in_users(m):
+    """One call at 20,000 users stays under a bound that does not grow
+    with the pico count; an n x m broadcast peaks near 120 MiB at m = 200."""
+    topo = build_udc(np.random.default_rng(m), MACRO_R, 20.0, m)
+    centres = topo.pico_centers()
+    cx, cy = centres[:, 0].copy(), centres[:, 1].copy()
+    rng = np.random.default_rng(7)
+    px = rng.uniform(0, 2 * MACRO_R, 20_000)
+    py = rng.uniform(0, 2 * MACRO_R, 20_000)
+    tracemalloc.start()
+    try:
+        kernels.containing_disc(px, py, cx, cy, 20.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 def test_link_capacity_matches_numpy_and_the_scalar_path():
