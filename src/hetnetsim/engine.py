@@ -32,6 +32,7 @@ each scenario is one row of the group's (K, m) pico control and power.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -369,13 +370,16 @@ class World:
         )
         return self._evaluate(slot, active, containing, counts)
 
-    def serving_codes(self, k: int) -> np.ndarray:
-        """Row k's serving cell per user in the last slot: -2 idle,
-        -1 macro, j pico."""
-        codes = np.where(self.last_active, -1, -2)
-        served = self.last_pico_served[k]
-        codes[served] = self.last_containing[served]
-        return codes
+
+@dataclass
+class UserTrace:
+    """Every user in every slot of a traced run, as (slots, n) columns;
+    row t is slot t, or realization t of a snapshot."""
+
+    x: np.ndarray
+    y: np.ndarray
+    active: np.ndarray
+    serving: np.ndarray  # -2 idle, -1 macro, j pico
 
 
 @dataclass
@@ -396,8 +400,8 @@ class RunResult:
     pico_slot_count: np.ndarray
     hist_counts: np.ndarray
     hist_edges: np.ndarray
-    user_trace: Optional[list[tuple]] = None
-    pico_trace: Optional[list[tuple]] = None
+    user_trace: Optional[UserTrace] = None
+    pico_trace: Optional[np.ndarray] = None  # (slots, m) mode codes
 
 
 def _hist_index(samples: np.ndarray) -> np.ndarray:
@@ -412,14 +416,6 @@ def rate_histogram(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if samples.size == 0:
         return np.zeros(HIST_BINS, dtype=np.int64), edges
     return np.bincount(_hist_index(samples), minlength=HIST_BINS).astype(np.int64), edges
-
-
-def _serving_label(code: int) -> str:
-    if code == -2:
-        return "none"
-    if code == -1:
-        return "macro"
-    return f"pico:{code}"
 
 
 def run_scenarios(
@@ -456,38 +452,35 @@ def _run_group(scenarios: list[Scenario], trace_users: bool,
     s0 = scenarios[0]
     topo = build_geometry(s0)
     response = Response(scenarios)
-    K, n = len(scenarios), s0.users.total
+    K, n, m = len(scenarios), s0.users.total, len(topo.picos)
     snapshot = s0.slots == 1
+    rows = s0.realizations if snapshot else s0.slots
     totals = UserTotals.zeros(K, n)
     metrics: list[list[SlotMetrics]] = [[] for _ in range(K)]
-    user_traces = [[] for _ in range(K)] if trace_users else None
-    pico_traces = [[] for _ in range(K)] if trace_picos else None
+    if trace_users:
+        xs, ys = np.empty((rows, n)), np.empty((rows, n))
+        actives = np.empty((rows, n), dtype=bool)
+        serving = np.empty((K, rows, n), dtype=np.int64)
+    modes = np.empty((K, rows, m), dtype=np.int64) if trace_picos else None
     # snapshots bin every active user-realization, counted as they come
     hist = np.zeros((K, HIST_BINS), dtype=np.int64)
     row_offset = HIST_BINS * np.arange(K)[:, None]
 
     def step(world: World, slot: int) -> None:
-        for k, m in enumerate(world.run_slot(slot)):
-            metrics[k].append(m)
+        for k, metric in enumerate(world.run_slot(slot)):
+            metrics[k].append(metric)
         active = world.last_active
         if snapshot:
             idx = _hist_index(world.last_capacity[:, active]) + row_offset
             hist[:] += np.bincount(idx.ravel(), minlength=K * HIST_BINS).reshape(K, -1)
-        if user_traces is not None:
-            px, py = world.pop.px, world.pop.py
-            for k, trace in enumerate(user_traces):
-                serving = world.serving_codes(k)
-                for i in range(n):
-                    trace.append(
-                        (
-                            slot, i, float(px[i]), float(py[i]), int(active[i]),
-                            _serving_label(int(serving[i])),
-                        )
-                    )
-        if pico_traces is not None:
-            for k, trace in enumerate(pico_traces):
-                for j, code in enumerate(world.mode[k]):
-                    trace.append((slot, j, MODES[code].value))
+        if trace_users:
+            xs[slot], ys[slot], actives[slot] = world.pop.px, world.pop.py, active
+            serving[:, slot] = np.where(
+                world.last_pico_served, world.last_containing,
+                np.where(active, -1, -2),
+            )
+        if trace_picos:
+            modes[:, slot] = world.mode
 
     if snapshot:
         # one fresh world per realization; the row's slot column is r
@@ -536,8 +529,8 @@ def _run_group(scenarios: list[Scenario], trace_users: bool,
             pico_slot_count=totals.pico_slots[k],
             hist_counts=hist_counts,
             hist_edges=edges,
-            user_trace=None if user_traces is None else user_traces[k],
-            pico_trace=None if pico_traces is None else pico_traces[k],
+            user_trace=UserTrace(xs, ys, actives, serving[k]) if trace_users else None,
+            pico_trace=None if modes is None else modes[k],
         ))
     return results
 
@@ -551,12 +544,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_rows(path: Path, header: list[str], rows) -> None:
+def _write_lines(path: Path, header: list[str], chunks) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(chunks)
+
+
+def _write_rows(path: Path, header: list[str], rows) -> None:
+    _write_lines(path, header, (",".join(_fmt(v) for v in row) + "\n" for row in rows))
 
 
 def write_slot_csv(result: RunResult, path: str | Path) -> None:
@@ -643,22 +639,44 @@ def write_sweep_csv(rows: list[dict], path: str | Path) -> None:
 
 
 def write_user_trace_csv(result: RunResult, path: str | Path) -> None:
-    if result.user_trace is None:
+    """One chunk of lines per slot, formatted from .tolist() columns: %r of
+    a Python float is its repr, as _fmt writes it."""
+    trace = result.user_trace
+    if trace is None:
         raise EngineError("run was executed without trace_users")
-    _write_rows(
+    # serving code c is labelled labels[c + 2]
+    labels = ["none", "macro", *(f"pico:{j}" for j in range(len(result.topology.picos)))]
+    users = range(trace.x.shape[1])
+    _write_lines(
         Path(path),
         ["slot", "user_id", "x", "y", "active", "serving_cell"],
-        result.user_trace,
+        (
+            "".join(map("%d,%d,%r,%r,%d,%s\n".__mod__, zip(
+                repeat(slot), users, trace.x[slot].tolist(), trace.y[slot].tolist(),
+                trace.active[slot].tolist(),
+                map(labels.__getitem__, (trace.serving[slot] + 2).tolist()),
+            )))
+            for slot in range(trace.x.shape[0])
+        ),
     )
 
 
 def write_pico_trace_csv(result: RunResult, path: str | Path) -> None:
-    if result.pico_trace is None:
+    """One chunk of lines per slot, as write_user_trace_csv writes."""
+    modes = result.pico_trace
+    if modes is None:
         raise EngineError("run was executed without trace_picos")
-    _write_rows(
+    labels = [mode.value for mode in MODES]
+    picos = range(modes.shape[1])
+    _write_lines(
         Path(path),
         ["slot", "pico_id", "mode"],
-        result.pico_trace,
+        (
+            "".join(map("%d,%d,%s\n".__mod__, zip(
+                repeat(slot), picos, map(labels.__getitem__, codes.tolist()),
+            )))
+            for slot, codes in enumerate(modes)
+        ),
     )
 
 

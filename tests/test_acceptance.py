@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hetnetsim import kernels
 from hetnetsim.config import parse_scenario
 from hetnetsim.control import (
     PicoControlState,
@@ -287,15 +288,23 @@ def test_criterion_8_oracle_equivalences():
             abs(lb.snr_db - snr_db),
             abs(lb.rx_power_dbm - (eirp - pl + shadow)),
         )
-    # (b) disc resolution vs exhaustive scan
+    # (b) disc resolution vs exhaustive scan, by the scalar lookup and by
+    # the containment kernel the engine uses
     topo = build_udc(np.random.default_rng(7))
     scan_disagreements = 0
+    points, scans = [], []
     for _ in range(1000):
         x = float(rng.uniform(0, 1000))
         y = float(rng.uniform(0, 1000))
         hits = [p.id for p in topo.picos if contains_point(p, x, y)]
         if containing_pico(topo, x, y) != (min(hits) if hits else None):
             scan_disagreements += 1
+        points.append((x, y))
+        scans.append(min(hits) if hits else -1)
+    px, py = np.array(points).T
+    centres = topo.pico_centers()
+    kernel_disagreements = int((kernels.containing_disc(
+        px, py, centres[:, 0], centres[:, 1], topo.pico_radius()) != scans).sum())
     # (c) adaptive-power round trip off the clamp
     worst_rel = 0.0
     for _ in range(1000):
@@ -304,10 +313,12 @@ def test_criterion_8_oracle_equivalences():
         if tx < FREESPACE_PICO.p_max_w:
             rx = freespace_rx_power_w(tx, r, FREESPACE_PICO)
             worst_rel = max(worst_rel, abs(rx / FREESPACE_PICO.p0_w - 1.0))
-    ok = worst_db <= 1e-9 and scan_disagreements == 0 and worst_rel <= 1e-12
+    ok = (worst_db <= 1e-9 and scan_disagreements == 0
+          and kernel_disagreements == 0 and worst_rel <= 1e-12)
     report(8, ok,
            f"link budget vs dB oracle max error {worst_db:.2e} dB (tol 1e-9), "
            f"disc-scan disagreements {scan_disagreements}/1000, "
+           f"kernel disc-scan disagreements {kernel_disagreements}/1000, "
            f"power round-trip max rel error {worst_rel:.2e} (tol 1e-12)")
 
 

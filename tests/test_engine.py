@@ -1,18 +1,24 @@
 """Slot loop semantics: serving, accounting, determinism, histograms,
 and grouped runs that share one user process."""
 
+import dataclasses
+import tempfile
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hetnetsim import engine
 from hetnetsim.config import parse_scenario
 from hetnetsim.control import ACTIVE, BOOT, MODES, SLEEP, PicoControlState, step_state
 from hetnetsim.engine import (
     Response,
+    UserTrace,
     World,
     ZeroPower,
     build_geometry,
@@ -20,6 +26,8 @@ from hetnetsim.engine import (
     rate_histogram,
     run_scenario,
     run_scenarios,
+    write_pico_trace_csv,
+    write_user_trace_csv,
 )
 from hetnetsim.power import EnbMode, consumed_power_w
 
@@ -193,26 +201,87 @@ def traced():
 
 class TestServingInvariants:
     def test_active_users_are_partitioned_between_tiers(self, traced):
-        per_slot = {m.slot: [0, 0] for m in traced.slot_metrics}
-        for (slot, _uid, _x, _y, active, serving) in traced.user_trace:
-            if active:
-                per_slot[slot][serving != "macro"] += 1
-            else:
-                assert serving == "none"
+        trace = traced.user_trace
+        assert (trace.serving[~trace.active] == -2).all()
         for m in traced.slot_metrics:
-            n_macro, n_pico = per_slot[m.slot]
-            assert n_macro == m.macro_active_users
-            assert n_pico == m.pico_active_users
+            serving = trace.serving[m.slot][trace.active[m.slot]]
+            assert (serving == -1).sum() == m.macro_active_users
+            assert (serving != -1).sum() == m.pico_active_users
 
     def test_only_awake_picos_serve(self, traced):
-        mode_at = {(s, p): m for (s, p, m) in traced.pico_trace}
-        for (slot, _uid, _x, _y, active, serving) in traced.user_trace:
-            if active and serving.startswith("pico:"):
-                assert mode_at[(slot, int(serving.split(":")[1]))] == "active"
+        trace = traced.user_trace
+        slot, user = np.nonzero(trace.active & (trace.serving >= 0))
+        assert (traced.pico_trace[slot, trace.serving[slot, user]] == ACTIVE).all()
 
     def test_boot_appears_in_the_mode_trace(self, traced):
-        modes = {m for (_s, _p, m) in traced.pico_trace}
-        assert "boot" in modes and "active" in modes and "sleep" in modes
+        modes = set(np.unique(traced.pico_trace).tolist())
+        assert BOOT in modes and ACTIVE in modes and SLEEP in modes
+
+
+def reference_csv(header, rows) -> bytes:
+    """Rows written one value at a time: repr for floats, str otherwise."""
+    lines = [header, *rows]
+    return "".join(
+        ",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in lines
+    ).encode()
+
+
+# floats whose shortest repr takes each of its forms: signed zero,
+# exponent notation at both ends, subnormal, and integral values
+COORDINATES = st.sampled_from([-0.0, 0.0, 1e-05, 5e-324, 1e16, 3.0, 1000.0]) | \
+    st.floats(-2000.0, 2000.0) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), slots=st.integers(1, 4), n=st.integers(0, 6))
+def test_trace_writers_match_a_row_by_row_reference(traced, data, slots, n):
+    """The per-slot chunked writers give the bytes of formatting every
+    trace row value by value, for any coordinates and every serving and
+    mode code."""
+    m = len(traced.topology.picos)
+    trace = UserTrace(
+        x=data.draw(hnp.arrays(np.float64, (slots, n), elements=COORDINATES)),
+        y=data.draw(hnp.arrays(np.float64, (slots, n), elements=COORDINATES)),
+        active=data.draw(hnp.arrays(bool, (slots, n))),
+        serving=data.draw(hnp.arrays(np.int64, (slots, n),
+                                     elements=st.integers(-2, m - 1))),
+    )
+    modes = data.draw(hnp.arrays(np.int64, (slots, m), elements=st.sampled_from(
+        [SLEEP, BOOT, ACTIVE])))
+    result = dataclasses.replace(traced, user_trace=trace, pico_trace=modes)
+
+    def label(code):
+        return {-2: "none", -1: "macro"}.get(code, f"pico:{code}")
+
+    users = [
+        (t, i, float(trace.x[t, i]), float(trace.y[t, i]), int(trace.active[t, i]),
+         label(int(trace.serving[t, i])))
+        for t in range(slots) for i in range(n)
+    ]
+    picos = [(t, j, MODES[modes[t, j]].value) for t in range(slots) for j in range(m)]
+    with tempfile.TemporaryDirectory() as tmp:
+        write_user_trace_csv(result, Path(tmp) / "user_trace.csv")
+        write_pico_trace_csv(result, Path(tmp) / "pico_trace.csv")
+        assert (Path(tmp) / "user_trace.csv").read_bytes() == reference_csv(
+            ["slot", "user_id", "x", "y", "active", "serving_cell"], users)
+        assert (Path(tmp) / "pico_trace.csv").read_bytes() == reference_csv(
+            ["slot", "pico_id", "mode"], picos)
+
+
+def test_user_trace_memory_is_compact():
+    """A traced run keeps its traces as (slots, n) columns, about 25 B per
+    user-slot; one Python tuple per user-slot took about 37 MiB for this
+    run."""
+    s = scenario(slots=200, users={"total": 1000, "hotspot": 500},
+                 policy={"t_activate": 12, "t_deactivate": 8})
+    tracemalloc.start()
+    try:
+        run_scenario(s, trace_users=True, trace_picos=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 @settings(max_examples=25, deadline=None)
@@ -236,17 +305,16 @@ def test_pico_service_follows_containment_and_mode(geometry, seed, shape, t_on,
     }), trace_users=True, trace_picos=True)
     centres = result.topology.pico_centers()
     r = result.topology.pico_radius()
-    awake = {(slot, j) for (slot, j, mode) in result.pico_trace if mode == "active"}
-    trace = [row for row in result.user_trace if row[4]]
-    x = np.array([row[2] for row in trace])
-    y = np.array([row[3] for row in trace])
-    dx = x[:, None] - centres[:, 0]
-    dy = y[:, None] - centres[:, 1]
+    awake = result.pico_trace == ACTIVE
+    trace = result.user_trace
+    slots, users = np.nonzero(trace.active)
+    dx = trace.x[slots, users][:, None] - centres[:, 0]
+    dy = trace.y[slots, users][:, None] - centres[:, 1]
     inside = dx * dx + dy * dy < r * r
-    for (slot, _uid, _x, _y, _active, serving), hits in zip(trace, inside):
+    for slot, serving, hits in zip(slots, trace.serving[slots, users], inside):
         j = int(hits.argmax())
-        pico = hits[j] and (slot, j) in awake
-        assert serving == (f"pico:{j}" if pico else "macro")
+        pico = hits[j] and awake[slot, j]
+        assert serving == (j if pico else -1)
 
 
 def test_unserved_layouts_shape_users_but_draw_no_pico_power():
@@ -427,10 +495,11 @@ def test_macro_only_twin_shares_its_donors_user_process(shape):
     donor = run_scenario(parse_scenario({**doc, "topology": "udc"}), trace_users=True)
     twin = run_scenario(parse_scenario({**doc, "topology": "monet_udc_users"}),
                         trace_users=True)
-    rows = np.array([r[:5] for r in donor.user_trace])
-    np.testing.assert_array_equal(rows, np.array([r[:5] for r in twin.user_trace]))
+    for column in ("x", "y", "active"):
+        np.testing.assert_array_equal(getattr(donor.user_trace, column),
+                                      getattr(twin.user_trace, column))
+    active = donor.user_trace.active.sum(axis=1)
     for result in (donor, twin):
-        active = np.bincount(rows[:, 0].astype(np.int64), weights=rows[:, 4])
         for m in result.slot_metrics:
             assert m.macro_active_users + m.pico_active_users == active[m.slot]
     assert sum(m.pico_active_users for m in donor.slot_metrics) > 0

@@ -47,6 +47,14 @@ CASES = {
          "policy": {"t_activate": 3.0, "t_deactivate": None},
          "legacy": {"enabled": True}},
     ),
+    # a traced snapshot: the slot column is the realization index and the
+    # hotspot users sit still inside their picos
+    "snapshot_traced": (
+        ["run", "--trace-users", "--trace-picos"],
+        {"topology": "udc", "seed": 12, "realizations": 5,
+         "users": {"total": 200, "hotspot": 80},
+         "policy": {"t_activate": 2.0, "t_deactivate": None}},
+    ),
     "monet_udc_users": (
         ["run", "--trace-picos"],
         {"topology": "monet_udc_users", "seed": 3, "slots": 40,
@@ -130,6 +138,20 @@ GOLDEN = {
             "54dc8c2823247b691f5a14b070f8a92dbcbb191ad774df4eb562ea4508bb1edf",
         "users.csv":
             "114e6fc2f849bac072e0f4787069011fe43d24c362c72205f664bab7b64067d2",
+    },
+    "snapshot_traced": {
+        "histogram.csv":
+            "f0020fec1f05540caabf9c8b9da462d7767b9bfeb386dda41ad4477eb40c66de",
+        "pico_trace.csv":
+            "8108055acfd87680073775620ea18e1c5bf1380bba67fe542781a1b3d2dba3e0",
+        "slots.csv":
+            "1b6c5113f545b06b4cf240c8a5609953bce38423d4280a8e3d05e2f739a6f188",
+        "topology.json":
+            "7f218e868ce17a2b216ec8168013f27d09bb62aa8dbfb81c7749a87c9ba5bfe1",
+        "user_trace.csv":
+            "9080ce253df56d8f38ca0cf7b6918376e642d9e05266282041ca51bdf3d4535e",
+        "users.csv":
+            "c7359996a84a48ede1bbebb4e3e06539c1405dcbab5c707a47a563e91ed4d96a",
     },
     "sweep": {
         "sweep.csv":

@@ -31,7 +31,8 @@ def brute_force_containing(px, py, cx, cy, r):
     for x, y in zip(px, py):
         hit = -1
         for j, (a, b) in enumerate(zip(cx, cy)):
-            if (x - a) ** 2 + (y - b) ** 2 < r * r:
+            dx, dy = x - a, y - b
+            if dx * dx + dy * dy < r * r:
                 hit = j
                 break
         out.append(hit)
