@@ -53,9 +53,12 @@ def _scenario_from_args(args):
 
 def _cmd_run(args) -> int:
     scenario = _scenario_from_args(args)
-    result = run_scenario(
-        scenario, trace_users=args.trace_users, trace_picos=args.trace_picos
-    )
+    outputs = {"per_user"}
+    if args.trace_users:
+        outputs.add("user_trace")
+    if args.trace_picos:
+        outputs.add("pico_trace")
+    result = run_scenario(scenario, outputs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_slot_csv(result, out / "slots.csv")

@@ -31,10 +31,10 @@ each scenario is one row of the group's (K, m) pico control and power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .channel import noise_power_dbm, user_bandwidth
 from .config import Scenario
 from .control import ACTIVE, MODES, SLEEP, PolicyRows, step_modes
 from .mobility import draw_activity_flags, init_population, step_population
-from .power import EnbMode, consumed_power_w
+from .power import PowerRows
 from .topology import Topology, build_coe, build_monet, build_udc
 
 TAG_TOPOLOGY = 0
@@ -53,33 +53,43 @@ HIST_BIN_WIDTH = 1e4
 HIST_MAX = 1e6
 HIST_BINS = int(HIST_MAX / HIST_BIN_WIDTH)
 
+# what run_scenarios can build beyond the slot columns and their means:
+# per_user is what run and the time-series presets write besides the slot
+# CSV (per-user totals, the rate histogram and the pico-layer capacity of
+# the pico view); the others are the user and pico traces
+OUTPUTS = frozenset({"per_user", "user_trace", "pico_trace"})
+
+
 class EngineError(Exception):
     pass
 
 
-class ZeroPower(EngineError):
-    pass
+def compute_ee(capacity_bps, power_w):
+    """Delivered bits per joule, elementwise (slot duration cancels out);
+    0 where the power is not positive.  A float for scalar arguments."""
+    power_w = np.asarray(power_w, dtype=np.float64)
+    shape = np.broadcast_shapes(np.shape(capacity_bps), power_w.shape)
+    ee = np.divide(capacity_bps, power_w, out=np.zeros(shape), where=power_w > 0)
+    return float(ee) if ee.ndim == 0 else ee
 
 
-def compute_ee(total_capacity_bps: float, total_power_w: float) -> float:
-    """Delivered bits per joule; slot duration cancels out."""
-    if total_power_w <= 0.0:
-        raise ZeroPower(f"total power must be positive, got {total_power_w}")
-    return total_capacity_bps / total_power_w
+@dataclass
+class SlotColumns:
+    """Per-slot metrics as columns: (K,) over a group's rows for one slot,
+    as World.run_slot returns them, or (slots,) for one row, as
+    RunResult.slot_metrics holds them; entry t is slot t, or realization t
+    of a snapshot."""
 
-
-@dataclass(frozen=True)
-class SlotMetrics:
-    slot: int
-    n_active_picos: int
-    macro_active_users: int
-    pico_active_users: int
-    capacity_bps: float
-    power_w: float
-    ee_bits_per_joule: float
-    # pico-only slice of the same slot, for the small-cell-view outputs
-    pico_capacity_bps: float = 0.0
-    pico_power_w: float = 0.0
+    n_active_picos: np.ndarray
+    macro_active_users: np.ndarray
+    pico_active_users: np.ndarray
+    capacity_bps: np.ndarray
+    power_w: np.ndarray
+    ee_bits_per_joule: np.ndarray
+    # pico-only slice of the same slots, for the small-cell-view outputs;
+    # the capacity only with the per_user output
+    pico_power_w: np.ndarray
+    pico_capacity_bps: Optional[np.ndarray] = None
 
 
 def build_geometry(scenario: Scenario) -> Topology:
@@ -130,16 +140,10 @@ class Response:
             np.where(always_on, -np.inf, policy.t_deactivate),
         )
         self.boot_slots = np.array([[s.boot_slots] for s in scenarios])
-
-        def column(name: str) -> np.ndarray:
-            return np.array([[getattr(s.power_pico, name)] for s in scenarios])
-
-        self.sectors = column("sectors")
-        self.p0_w = column("p0_w")
-        self.delta_p = column("delta_p")
-        self.p_max_w = column("p_max_w")
-        self.p_sleep_w = column("p_sleep_w")
-        self.user_capacity = column("user_capacity")
+        self.pico = PowerRows.of([s.power_pico for s in scenarios])
+        self.macro = PowerRows.of([s.power_macro for s in scenarios])
+        # rows whose power is the adaptive transmit power of their links
+        self.legacy_rows = np.flatnonzero([s.legacy.enabled for s in scenarios])
 
     def initial_modes(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """(K, m) mode and boot_remaining arrays before the first slot."""
@@ -162,14 +166,15 @@ class Response:
         pico); 0 W in a row whose layout does not serve."""
         if mode.shape[1] == 0:
             return np.zeros(mode.shape[0])
-        load = np.minimum(counts, self.user_capacity) / self.user_capacity
-        draw = np.where(
-            mode == ACTIVE,
-            self.sectors * (self.p0_w + self.delta_p * self.p_max_w * load),
-            self.sectors * self.p_sleep_w,
-        )
+        draw = np.where(mode == ACTIVE, self.pico.active_draw(counts),
+                        self.pico.sleep_draw())
         # added in pico order: np.sum's pairwise order would change the bytes
         return np.where(self.serving, np.add.accumulate(draw, axis=1)[:, -1], 0.0)
+
+    def macro_power(self, n_served: np.ndarray) -> np.ndarray:
+        """(K,) draw of each row's macro, which never sleeps, serving
+        n_served[k] users."""
+        return self.macro.active_draw(n_served[:, None])[:, 0]
 
 
 @dataclass
@@ -202,12 +207,12 @@ class World:
     Positions, containment, activity and fading are drawn once per slot
     for the whole group.  Pico control lives in two (K, m) int arrays:
     ``mode[k]`` holds row k's pico codes (control.SLEEP, BOOT, ACTIVE) and
-    ``boot_remaining[k]`` their boot countdowns.  Every slot adds into
-    ``totals``, which the worlds of one group share.
+    ``boot_remaining[k]`` their boot countdowns.  ``discs`` is the
+    kernels.disc_index of topo's picos, which the worlds of a group share.
     """
 
-    def __init__(self, response: Response, topo: Topology, realization: int = 0,
-                 totals: Optional[UserTotals] = None):
+    def __init__(self, response: Response, topo: Topology,
+                 discs: kernels.DiscIndex, realization: int = 0):
         scenario = response.scenarios[0]  # the user process is the group's
         self.s = scenario
         self.response = response
@@ -229,7 +234,7 @@ class World:
         self.n_picos = m
         self.mode, self.boot_remaining = response.initial_modes(m)
         self.centers = topo.pico_centers()
-        self.pico_r = topo.pico_radius()
+        self.discs = discs
 
         C = scenario.channel
         self.w_user = user_bandwidth(C.bandwidth_hz, scenario.users.total)
@@ -237,9 +242,7 @@ class World:
         self.eirp_macro = C.macro_tx_dbm + C.macro_antenna_gain_dbi + C.ue_antenna_gain_dbi
         self.eirp_pico = C.pico_tx_dbm + C.pico_antenna_gain_dbi + C.ue_antenna_gain_dbi
 
-        K = len(response.scenarios)
-        self.totals = UserTotals.zeros(K, scenario.users.total) if totals is None else totals
-        # exposed after each slot, for traces and histograms
+        # exposed after each slot, for totals, histograms and traces
         self.last_active: Optional[np.ndarray] = None       # (n,)
         self.last_containing: Optional[np.ndarray] = None   # (n,)
         self.last_pico_served: Optional[np.ndarray] = None  # (K, n)
@@ -248,10 +251,7 @@ class World:
     # -- slot phases --------------------------------------------------------
 
     def _containing(self) -> np.ndarray:
-        return kernels.containing_disc(
-            self.pop.px, self.pop.py,
-            self.centers[:, 0], self.centers[:, 1], self.pico_r,
-        )
+        return kernels.containing_disc(self.pop.px, self.pop.py, self.discs)
 
     def _counts(self, containing: np.ndarray, active: np.ndarray) -> np.ndarray:
         covered = active & (containing >= 0)
@@ -288,68 +288,58 @@ class World:
             )
         return d_macro, cap_macro, d_pico, cap_pico
 
-    def _evaluate(self, slot: int, active: np.ndarray, containing: np.ndarray,
-                  counts: np.ndarray) -> list[SlotMetrics]:
-        """Association, link budgets, power and metrics of one slot, one
-        SlotMetrics per row."""
+    def _evaluate(self, active: np.ndarray, containing: np.ndarray,
+                  counts: np.ndarray) -> SlotColumns:
+        """Association, link budgets, power and metrics of one slot, as
+        (K,) columns over the rows."""
         # only an active user inside a disc can be pico-served
         in_disc = active & (containing >= 0)
         d_macro, cap_macro, d_pico, cap_pico = self._tier_capacities(in_disc, containing)
+        awake = self.mode == ACTIVE
         if self.n_picos:
-            # take() keeps the (K, n) arrays C-ordered (mode[:, safe] would
+            # take() keeps the (K, n) arrays C-ordered (awake[:, safe] would
             # not): a row sum over another layout adds in another order
             safe = np.where(containing >= 0, containing, 0)
-            pico_served = (self.mode.take(safe, axis=1) == ACTIVE) & in_disc
+            pico_served = awake.take(safe, axis=1) & in_disc
         else:
             pico_served = np.zeros(self.mode.shape[:1] + in_disc.shape, dtype=bool)
         cap = np.where(pico_served, cap_pico, np.where(active, cap_macro, 0.0))
-        total_cap = cap.sum(axis=1)
+        capacity = cap.sum(axis=1)
         n_pico = pico_served.sum(axis=1)
         n_macro = int(active.sum()) - n_pico
-        n_on = (self.mode == ACTIVE).sum(axis=1)
-        pico_draw = self.response.pico_power(self.mode, counts)
-
-        metrics = []
-        for k, s in enumerate(self.response.scenarios):
+        R = self.response
+        macro_power = R.macro_power(n_macro)
+        pico_power = R.pico_power(self.mode, counts)
+        for k in R.legacy_rows:
             served = pico_served[k]
-            if s.legacy.enabled:
-                L = s.legacy
-                macro_power = float(kernels.freespace_tx_power(
-                    d_macro[active & ~served], L.macro.alpha, L.macro.beta,
-                    L.macro.g, L.macro.k, L.macro.p0_w, L.macro.p_max_w,
-                ).sum())
-                pico_power = float(kernels.freespace_tx_power(
-                    d_pico[served], L.pico.alpha, L.pico.beta,
-                    L.pico.g, L.pico.k, L.pico.p0_w, L.pico.p_max_w,
-                ).sum()) if n_pico[k] else 0.0
-            else:
-                macro_power = consumed_power_w(
-                    s.power_macro, EnbMode.ACTIVE, int(n_macro[k])
-                )
-                pico_power = float(pico_draw[k])
-            capacity = float(total_cap[k])
-            total_power = macro_power + pico_power
-            metrics.append(SlotMetrics(
-                slot=slot,
-                n_active_picos=int(n_on[k]),
-                macro_active_users=int(n_macro[k]),
-                pico_active_users=int(n_pico[k]),
-                capacity_bps=capacity,
-                power_w=total_power,
-                ee_bits_per_joule=capacity / total_power if total_power > 0 else 0.0,
-                pico_capacity_bps=float(cap[k][served].sum()),
-                pico_power_w=pico_power,
-            ))
+            L = R.scenarios[k].legacy
+            macro_power[k] = kernels.freespace_tx_power(
+                d_macro[active & ~served], L.macro.alpha, L.macro.beta,
+                L.macro.g, L.macro.k, L.macro.p0_w, L.macro.p_max_w,
+            ).sum()
+            pico_power[k] = kernels.freespace_tx_power(
+                d_pico[served], L.pico.alpha, L.pico.beta,
+                L.pico.g, L.pico.k, L.pico.p0_w, L.pico.p_max_w,
+            ).sum() if n_pico[k] else 0.0
+        power = macro_power + pico_power
 
-        self.totals.add(cap, active, pico_served)
         self.last_active = active
         self.last_containing = containing
         self.last_pico_served = pico_served
         self.last_capacity = cap
-        return metrics
+        return SlotColumns(
+            n_active_picos=awake.sum(axis=1),
+            macro_active_users=n_macro,
+            pico_active_users=n_pico,
+            capacity_bps=capacity,
+            power_w=power,
+            ee_bits_per_joule=compute_ee(capacity, power),
+            pico_power_w=pico_power,
+        )
 
-    def run_slot(self, slot: int) -> list[SlotMetrics]:
-        """Advance the world by one slot; ``slot`` labels the metrics rows.
+    def run_slot(self, slot: int) -> SlotColumns:
+        """Advance the world by one slot (``slot`` drives the work
+        schedule); returns the slot's (K,) metric columns.
 
         A snapshot world (slots = 1) does not move, and each row's picos
         take the stationary modes of Response.step.
@@ -368,7 +358,7 @@ class World:
         self.mode, self.boot_remaining = self.response.step(
             self.mode, self.boot_remaining, counts, self.static
         )
-        return self._evaluate(slot, active, containing, counts)
+        return self._evaluate(active, containing, counts)
 
 
 @dataclass
@@ -386,20 +376,21 @@ class UserTrace:
 class RunResult:
     scenario: Scenario
     topology: Topology
-    slot_metrics: list[SlotMetrics]
+    slot_metrics: SlotColumns
     ee_mean: float
     ee_std: float
     capacity_mean: float
     power_mean: float
     active_picos_mean: float
-    is_hotspot: np.ndarray
-    mean_rate_bps: np.ndarray         # per user, over its active slots
-    frac_slots_on_pico: np.ndarray
-    pico_mean_rate_bps: np.ndarray    # per user, over its pico-served slots
-    active_slot_count: np.ndarray
-    pico_slot_count: np.ndarray
-    hist_counts: np.ndarray
-    hist_edges: np.ndarray
+    # with the per_user output: per-user values, then the rate histogram
+    is_hotspot: Optional[np.ndarray] = None
+    mean_rate_bps: Optional[np.ndarray] = None       # over its active slots
+    frac_slots_on_pico: Optional[np.ndarray] = None
+    pico_mean_rate_bps: Optional[np.ndarray] = None  # over its pico-served slots
+    active_slot_count: Optional[np.ndarray] = None
+    pico_slot_count: Optional[np.ndarray] = None
+    hist_counts: Optional[np.ndarray] = None
+    hist_edges: Optional[np.ndarray] = None
     user_trace: Optional[UserTrace] = None
     pico_trace: Optional[np.ndarray] = None  # (slots, m) mode codes
 
@@ -420,77 +411,114 @@ def rate_histogram(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def run_scenarios(
     scenarios: Sequence[Scenario],
-    trace_users: bool = False,
-    trace_picos: bool = False,
+    outputs: Collection[str] = (),
 ) -> list[RunResult]:
     """Run every scenario; results come back in input order.
 
-    Scenarios with the same process_key are one group: their user process
-    is simulated once and each scenario is a row of the group's response.
+    Every result holds its slot columns and their means; ``outputs`` names
+    what else to build, from OUTPUTS.  Scenarios with the same process_key
+    are one group: their user process is simulated once and each scenario
+    is a row of the group's response.
     """
+    outputs = frozenset(outputs)
+    if outputs - OUTPUTS:
+        raise ValueError(f"unknown outputs {sorted(outputs - OUTPUTS)}; "
+                         f"expected some of {sorted(OUTPUTS)}")
     groups: dict[tuple, list[int]] = {}
     for i, s in enumerate(scenarios):
         groups.setdefault(process_key(s), []).append(i)
     results: list[Optional[RunResult]] = [None] * len(scenarios)
     for members in groups.values():
-        rows = _run_group([scenarios[i] for i in members], trace_users, trace_picos)
+        rows = _run_group([scenarios[i] for i in members], outputs)
         for i, result in zip(members, rows):
             results[i] = result
     return results
 
 
-def run_scenario(
-    scenario: Scenario,
-    trace_users: bool = False,
-    trace_picos: bool = False,
-) -> RunResult:
-    return run_scenarios([scenario], trace_users, trace_picos)[0]
+def run_scenario(scenario: Scenario, outputs: Collection[str] = ()) -> RunResult:
+    return run_scenarios([scenario], outputs)[0]
 
 
-def _run_group(scenarios: list[Scenario], trace_users: bool,
-               trace_picos: bool) -> list[RunResult]:
+def _run_group(scenarios: list[Scenario], outputs: frozenset) -> list[RunResult]:
     s0 = scenarios[0]
     topo = build_geometry(s0)
     response = Response(scenarios)
     K, n, m = len(scenarios), s0.users.total, len(topo.picos)
     snapshot = s0.slots == 1
     rows = s0.realizations if snapshot else s0.slots
-    totals = UserTotals.zeros(K, n)
-    metrics: list[list[SlotMetrics]] = [[] for _ in range(K)]
+    centres = topo.pico_centers()
+    discs = kernels.disc_index(centres[:, 0], centres[:, 1], topo.pico_radius())
+    columns: list[SlotColumns] = []
+    per_user = "per_user" in outputs
+    if per_user:
+        totals = UserTotals.zeros(K, n)
+    if per_user and snapshot:
+        # snapshots bin every active user-realization, counted as they come
+        hist = np.zeros((K, HIST_BINS), dtype=np.int64)
+        row_offset = HIST_BINS * np.arange(K)[:, None]
+    trace_users = "user_trace" in outputs
     if trace_users:
         xs, ys = np.empty((rows, n)), np.empty((rows, n))
         actives = np.empty((rows, n), dtype=bool)
         serving = np.empty((K, rows, n), dtype=np.int64)
-    modes = np.empty((K, rows, m), dtype=np.int64) if trace_picos else None
-    # snapshots bin every active user-realization, counted as they come
-    hist = np.zeros((K, HIST_BINS), dtype=np.int64)
-    row_offset = HIST_BINS * np.arange(K)[:, None]
+    modes = np.empty((K, rows, m), dtype=np.int64) if "pico_trace" in outputs else None
 
     def step(world: World, slot: int) -> None:
-        for k, metric in enumerate(world.run_slot(slot)):
-            metrics[k].append(metric)
-        active = world.last_active
-        if snapshot:
-            idx = _hist_index(world.last_capacity[:, active]) + row_offset
-            hist[:] += np.bincount(idx.ravel(), minlength=K * HIST_BINS).reshape(K, -1)
+        slot_columns = world.run_slot(slot)
+        columns.append(slot_columns)
+        active, cap = world.last_active, world.last_capacity
+        if per_user:
+            # a compacted sum: zeros in place of the macro-served users
+            # would change numpy's pairwise order
+            slot_columns.pico_capacity_bps = np.array(
+                [row[served].sum() for row, served in zip(cap, world.last_pico_served)]
+            )
+            totals.add(cap, active, world.last_pico_served)
+            if snapshot:
+                idx = _hist_index(cap[:, active]) + row_offset
+                hist[:] += np.bincount(idx.ravel(), minlength=K * HIST_BINS).reshape(K, -1)
         if trace_users:
             xs[slot], ys[slot], actives[slot] = world.pop.px, world.pop.py, active
             serving[:, slot] = np.where(
                 world.last_pico_served, world.last_containing,
                 np.where(active, -1, -2),
             )
-        if trace_picos:
+        if modes is not None:
             modes[:, slot] = world.mode
 
     if snapshot:
         # one fresh world per realization; the row's slot column is r
         for r in range(s0.realizations):
-            world = World(response, topo, realization=r, totals=totals)
+            world = World(response, topo, discs, realization=r)
             step(world, r)
     else:
-        world = World(response, topo, realization=0, totals=totals)
+        world = World(response, topo, discs)
         for slot in range(s0.slots):
             step(world, slot)
+
+    # (K, rows), C-ordered: row k of each is one contiguous (rows,) column
+    stacked = {
+        f.name: np.stack([getattr(c, f.name) for c in columns], axis=1)
+        for f in fields(SlotColumns) if getattr(columns[0], f.name) is not None
+    }
+    results = []
+    for k, s in enumerate(scenarios):
+        metrics = SlotColumns(**{name: col[k] for name, col in stacked.items()})
+        ees = metrics.ee_bits_per_joule
+        results.append(RunResult(
+            scenario=s,
+            topology=topo,
+            slot_metrics=metrics,
+            ee_mean=float(ees.mean()),
+            ee_std=float(ees.std(ddof=1)) if rows > 1 else 0.0,
+            capacity_mean=float(metrics.capacity_bps.mean()),
+            power_mean=float(metrics.power_w.mean()),
+            active_picos_mean=float(metrics.n_active_picos.mean()),
+            user_trace=UserTrace(xs, ys, actives, serving[k]) if trace_users else None,
+            pico_trace=None if modes is None else modes[k],
+        ))
+    if not per_user:
+        return results
 
     ever_active = totals.active_slots > 0
     mean_rate = np.divide(
@@ -500,48 +528,28 @@ def _run_group(scenarios: list[Scenario], trace_users: bool,
         totals.pico_cap_sum, totals.pico_slots, out=np.zeros((K, n)),
         where=totals.pico_slots > 0,
     )
-    frac_on_pico = totals.pico_slots / len(metrics[0])
+    frac_on_pico = totals.pico_slots / rows
     edges = HIST_BIN_WIDTH * np.arange(HIST_BINS + 1)
-    results = []
-    for k, s in enumerate(scenarios):
+    for k, result in enumerate(results):
+        result.is_hotspot = world.pop.is_hotspot
+        result.mean_rate_bps = mean_rate[k]
+        result.frac_slots_on_pico = frac_on_pico[k]
+        result.pico_mean_rate_bps = pico_mean_rate[k]
+        result.active_slot_count = totals.active_slots
+        result.pico_slot_count = totals.pico_slots[k]
         # time series bin each ever-active user's mean rate
-        hist_counts = (
+        result.hist_counts = (
             hist[k] if snapshot else rate_histogram(mean_rate[k][ever_active])[0]
         )
-        ees = np.array([m.ee_bits_per_joule for m in metrics[k]])
-        caps = np.array([m.capacity_bps for m in metrics[k]])
-        pows = np.array([m.power_w for m in metrics[k]])
-        acts = np.array([m.n_active_picos for m in metrics[k]])
-        results.append(RunResult(
-            scenario=s,
-            topology=topo,
-            slot_metrics=metrics[k],
-            ee_mean=float(ees.mean()),
-            ee_std=float(ees.std(ddof=1)) if len(ees) > 1 else 0.0,
-            capacity_mean=float(caps.mean()),
-            power_mean=float(pows.mean()),
-            active_picos_mean=float(acts.mean()),
-            is_hotspot=world.pop.is_hotspot,
-            mean_rate_bps=mean_rate[k],
-            frac_slots_on_pico=frac_on_pico[k],
-            pico_mean_rate_bps=pico_mean_rate[k],
-            active_slot_count=totals.active_slots,
-            pico_slot_count=totals.pico_slots[k],
-            hist_counts=hist_counts,
-            hist_edges=edges,
-            user_trace=UserTrace(xs, ys, actives, serving[k]) if trace_users else None,
-            pico_trace=None if modes is None else modes[k],
-        ))
+        result.hist_edges = edges
     return results
 
 
 # --- CSV emission ----------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+# lines formatted per chunk of rows by the column writers
+CHUNK_ROWS = 4096
 
 
 def _write_lines(path: Path, header: list[str], chunks) -> None:
@@ -551,84 +559,74 @@ def _write_lines(path: Path, header: list[str], chunks) -> None:
         fh.writelines(chunks)
 
 
-def _write_rows(path: Path, header: list[str], rows) -> None:
-    _write_lines(path, header, (",".join(_fmt(v) for v in row) + "\n" for row in rows))
+def _write_columns(path: Path, header: list[str], line: str, *columns) -> None:
+    """One line ``line % row`` per row of equal-length 1-D arrays, formatted
+    a chunk of rows at a time from .tolist(): %r of a Python float is its
+    repr, and %d or %s of a Python int its str."""
+    rows = columns[0].shape[0]
+    _write_lines(path, header, (
+        "".join(map(line.__mod__, zip(*(c[i:i + CHUNK_ROWS].tolist() for c in columns))))
+        for i in range(0, rows, CHUNK_ROWS)
+    ))
+
+
+def _write_slots(path: str | Path, m: SlotColumns, capacity, power) -> None:
+    _write_columns(
+        Path(path),
+        ["slot", "n_active_picos", "macro_active_users", "pico_active_users",
+         "capacity_bps", "power_w", "ee_bits_per_joule"],
+        "%d,%d,%d,%d,%r,%r,%r\n",
+        np.arange(power.shape[0]), m.n_active_picos, m.macro_active_users,
+        m.pico_active_users, capacity, power, compute_ee(capacity, power),
+    )
 
 
 def write_slot_csv(result: RunResult, path: str | Path) -> None:
     """Per-slot metrics; for snapshot ensembles the slot column carries the
     realization index."""
-    _write_rows(
-        Path(path),
-        ["slot", "n_active_picos", "macro_active_users", "pico_active_users",
-         "capacity_bps", "power_w", "ee_bits_per_joule"],
-        (
-            (m.slot, m.n_active_picos, m.macro_active_users, m.pico_active_users,
-             m.capacity_bps, m.power_w, m.ee_bits_per_joule)
-            for m in result.slot_metrics
-        ),
-    )
+    m = result.slot_metrics
+    _write_slots(path, m, m.capacity_bps, m.power_w)
 
 
 def write_pico_view_csv(result: RunResult, path: str | Path) -> None:
     """Same schema as the per-slot CSV but restricted to the pico layer:
     capacity/power/EE of the small cells alone."""
-    def rows():
-        for m in result.slot_metrics:
-            ee = (
-                m.pico_capacity_bps / m.pico_power_w if m.pico_power_w > 0 else 0.0
-            )
-            yield (
-                m.slot, m.n_active_picos, m.macro_active_users,
-                m.pico_active_users, m.pico_capacity_bps, m.pico_power_w, ee
-            )
-
-    _write_rows(
-        Path(path),
-        ["slot", "n_active_picos", "macro_active_users", "pico_active_users",
-         "capacity_bps", "power_w", "ee_bits_per_joule"],
-        rows(),
-    )
+    m = result.slot_metrics
+    if m.pico_capacity_bps is None:
+        raise EngineError("run was executed without the per_user output")
+    _write_slots(path, m, m.pico_capacity_bps, m.pico_power_w)
 
 
 def write_users_csv(result: RunResult, path: str | Path) -> None:
-    n = result.mean_rate_bps.shape[0]
-    _write_rows(
-        Path(path),
-        ["user_id", "kind", "mean_rate_bps", "frac_slots_on_pico"],
-        (
-            (
-                i,
-                "hotspot" if result.is_hotspot[i] else "uniform",
-                float(result.mean_rate_bps[i]),
-                float(result.frac_slots_on_pico[i]),
-            )
-            for i in range(n)
-        ),
+    if result.mean_rate_bps is None:
+        raise EngineError("run was executed without the per_user output")
+    _write_columns(
+        Path(path), ["user_id", "kind", "mean_rate_bps", "frac_slots_on_pico"],
+        "%d,%s,%r,%r\n",
+        np.arange(result.mean_rate_bps.shape[0]),
+        np.where(result.is_hotspot, "hotspot", "uniform"),
+        result.mean_rate_bps, result.frac_slots_on_pico,
     )
 
 
 def write_histogram_csv(result: RunResult, path: str | Path) -> None:
-    _write_rows(
-        Path(path),
-        ["bin_left_bps", "bin_right_bps", "count"],
-        (
-            (
-                float(result.hist_edges[i]),
-                float(result.hist_edges[i + 1]),
-                int(result.hist_counts[i]),
-            )
-            for i in range(len(result.hist_counts))
-        ),
+    if result.hist_counts is None:
+        raise EngineError("run was executed without the per_user output")
+    edges = result.hist_edges
+    _write_columns(
+        Path(path), ["bin_left_bps", "bin_right_bps", "count"], "%r,%r,%d\n",
+        edges[:-1], edges[1:], result.hist_counts,
     )
 
 
 def write_sweep_csv(rows: list[dict], path: str | Path) -> None:
-    _write_rows(
+    """One line per sweep_rows dict; %s of the threshold writes an int or
+    a float as str does."""
+    _write_lines(
         Path(path),
         ["threshold", "topology", "ee_mean", "ee_std", "capacity_mean", "power_mean"],
         (
-            (
+            "%s,%s,%r,%r,%r,%r\n" % (
                 row["threshold"], row["topology"], float(row["ee_mean"]),
                 float(row["ee_std"]), float(row["capacity_mean"]),
                 float(row["power_mean"]),
@@ -639,11 +637,11 @@ def write_sweep_csv(rows: list[dict], path: str | Path) -> None:
 
 
 def write_user_trace_csv(result: RunResult, path: str | Path) -> None:
-    """One chunk of lines per slot, formatted from .tolist() columns: %r of
-    a Python float is its repr, as _fmt writes it."""
+    """One chunk of lines per slot, formatted from .tolist() columns as
+    _write_columns formats them."""
     trace = result.user_trace
     if trace is None:
-        raise EngineError("run was executed without trace_users")
+        raise EngineError("run was executed without the user_trace output")
     # serving code c is labelled labels[c + 2]
     labels = ["none", "macro", *(f"pico:{j}" for j in range(len(result.topology.picos)))]
     users = range(trace.x.shape[1])
@@ -665,7 +663,7 @@ def write_pico_trace_csv(result: RunResult, path: str | Path) -> None:
     """One chunk of lines per slot, as write_user_trace_csv writes."""
     modes = result.pico_trace
     if modes is None:
-        raise EngineError("run was executed without trace_picos")
+        raise EngineError("run was executed without the pico_trace output")
     labels = [mode.value for mode in MODES]
     picos = range(modes.shape[1])
     _write_lines(

@@ -8,29 +8,49 @@ is one backend, and tools that report the environment read the flag.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 USING_NUMBA = False
 
 
-def containing_disc(px, py, cx, cy, radius):
-    """Per point: index of the disc of ``radius > 0`` that strictly contains
-    it (``dx*dx + dy*dy < radius*radius``, ``dx = px - cx``), -1 if none.
-    Where discs overlap, the lowest index wins.
+@dataclass(frozen=True)
+class DiscIndex:
+    """Disc centres bucketed into a uniform grid, built by disc_index.  An
+    index of no discs has no grid: containing_disc answers -1 without one."""
+
+    cx: np.ndarray       # (m + 1,) centres, then one at infinity
+    cy: np.ndarray
+    radius: float
+    x0: float = 0.0      # grid origin and cell side
+    y0: float = 0.0
+    w: float = 0.0
+    gx: int = 0          # cells per row and column, without the ring
+    gy: int = 0
+    table: Optional[np.ndarray] = None  # (cells, depth); m marks an empty slot
+    block: Optional[np.ndarray] = None  # (9,) cell offsets of a 3x3 block
+
+    @property
+    def m(self) -> int:
+        return self.cx.shape[0] - 1
+
+
+def disc_index(cx, cy, radius) -> DiscIndex:
+    """Bucket the centres of m discs of ``radius > 0`` for containing_disc.
 
     The centres go into a grid of square cells of side w > radius, so the
     centre of a containing disc lies in the 3x3 block of cells around the
-    point, and each point tests only those candidates.  w also grows with
-    the centres' spread, which keeps the grid near 4m cells for any radius.
-    Memory is O(n * depth + m), depth being the most centres in one cell:
-    1 or 2 in the coe and udc layouts, whose picos are 2r or more apart.
+    point.  w also grows with the centres' spread, which keeps the grid
+    near 4m cells for any radius.  The table takes O(m * depth), depth
+    being the most centres in one cell: 1 or 2 in the coe and udc layouts,
+    whose picos are 2r or more apart.
     """
-    n = px.shape[0]
     m = cx.shape[0]
-    containing = np.full(n, -1, dtype=np.int64)
+    inf = np.array([np.inf])
     if m == 0:
-        return containing
+        return DiscIndex(inf, inf, radius)
     x0, y0 = cx.min(), cy.min()
     span = max(cx.max() - x0, cy.max() - y0)
     # the margin above radius keeps rounding in the cell coordinates from
@@ -48,16 +68,33 @@ def containing_disc(px, py, cx, cy, radius):
     first = np.cumsum(per_cell) - per_cell
     table = np.full((per_cell.size, per_cell.max()), m, dtype=np.intp)
     table[by_cell, np.arange(m) - first[by_cell]] = order
+    block = (np.arange(-1, 2)[:, None] * stride + np.arange(-1, 2)).ravel()
+    return DiscIndex(np.append(cx, inf), np.append(cy, inf), radius,
+                     x0, y0, w, int(gx), int(gy), table, block)
+
+
+def containing_disc(px, py, index: DiscIndex):
+    """Per point: index of the disc of the index that strictly contains it
+    (``dx*dx + dy*dy < radius*radius``, ``dx = px - cx``), -1 if none.
+    Where discs overlap, the lowest index wins.
+
+    Each point tests only the centres in the 3x3 block of cells around it.
+    Memory is O(n * depth + m).
+    """
+    containing = np.full(px.shape[0], -1, dtype=np.int64)
+    m = index.m
+    if m == 0:
+        return containing
     # points off the grid take the nearest edge cell: its block still holds
     # every centre within one cell of them
-    ix = np.clip(np.floor((px - x0) / w), 0, gx - 1).astype(np.intp)
-    iy = np.clip(np.floor((py - y0) / w), 0, gy - 1).astype(np.intp)
-    block = (np.arange(-1, 2)[:, None] * stride + np.arange(-1, 2)).ravel()
-    cand = table[((iy + 1) * stride + ix + 1)[:, None] + block]   # (n, 9, depth)
-    # empty slots point at a centre at infinity, which contains nothing
-    dx = px[:, None, None] - np.append(cx, np.inf)[cand]
-    dy = py[:, None, None] - np.append(cy, np.inf)[cand]
-    inside = dx * dx + dy * dy < radius * radius
+    ix = np.clip(np.floor((px - index.x0) / index.w), 0, index.gx - 1).astype(np.intp)
+    iy = np.clip(np.floor((py - index.y0) / index.w), 0, index.gy - 1).astype(np.intp)
+    cand = index.table[((iy + 1) * (index.gx + 2) + ix + 1)[:, None] + index.block]
+    # (n, 9, depth); empty slots point at the centre at infinity, which
+    # contains nothing
+    dx = px[:, None, None] - index.cx[cand]
+    dy = py[:, None, None] - index.cy[cand]
+    inside = dx * dx + dy * dy < index.radius * index.radius
     first_hit = np.where(inside, cand, m).min(axis=(1, 2))
     hit = first_hit < m
     containing[hit] = first_hit[hit]

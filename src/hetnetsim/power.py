@@ -12,8 +12,11 @@ under the control policy (see control.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from typing import Sequence
+
+import numpy as np
 
 
 class EnbMode(Enum):
@@ -52,3 +55,29 @@ def consumed_power_w(params: PowerParams, mode: EnbMode, n_served: int = 0) -> f
         return params.sectors * (params.p0_w + params.delta_p * params.p_max_w * load)
     return params.sectors * params.p_sleep_w
 
+
+@dataclass(frozen=True)
+class PowerRows:
+    """The PowerParams of K rows as (K, 1) columns, so one expression
+    draws every row's stations at once."""
+
+    sectors: np.ndarray
+    p_max_w: np.ndarray
+    p0_w: np.ndarray
+    delta_p: np.ndarray
+    p_sleep_w: np.ndarray
+    user_capacity: np.ndarray
+
+    @classmethod
+    def of(cls, rows: Sequence[PowerParams]) -> "PowerRows":
+        return cls(*(np.array([[getattr(p, f.name)] for p in rows])
+                     for f in fields(PowerParams)))
+
+    def active_draw(self, n_served: np.ndarray) -> np.ndarray:
+        """consumed_power_w in Active mode, elementwise: the same steps in
+        the same order, so each value is the float it returns."""
+        load = np.minimum(n_served, self.user_capacity) / self.user_capacity
+        return self.sectors * (self.p0_w + self.delta_p * self.p_max_w * load)
+
+    def sleep_draw(self) -> np.ndarray:
+        return self.sectors * self.p_sleep_w

@@ -188,7 +188,7 @@ def _run_and_write(runs: list[tuple[dict, str, bool]],
     """Run every (scenario document, file stem, pico view) in one call and
     write each run's slot, user and histogram CSVs (plus the pico-layer
     view where asked)."""
-    results = run_scenarios([_scenario(**doc) for doc, _, _ in runs])
+    results = run_scenarios([_scenario(**doc) for doc, _, _ in runs], {"per_user"})
     files = []
     for (_, base, pico_view), res in zip(runs, results):
         names = [f"{base}.csv", f"{base}_users.csv", f"{base}_hist.csv"]

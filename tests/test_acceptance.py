@@ -81,14 +81,14 @@ def hotspot_runs():
     macro-only twins, wake threshold 5."""
     t0 = time.perf_counter()
     runs = {
-        topo: run_scenario(parse_scenario(timeseries_doc(topo)))
+        topo: run_scenario(parse_scenario(timeseries_doc(topo)), {"per_user"})
         for topo in ("udc", "coe", "monet_udc_users", "monet_coe_users")
     }
     return runs, time.perf_counter() - t0
 
 
 def ee_series(result):
-    return np.array([m.ee_bits_per_joule for m in result.slot_metrics])
+    return result.slot_metrics.ee_bits_per_joule
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +196,8 @@ def test_criterion_6_occupancy_trace_shape():
     doc = timeseries_doc("udc",
                          policy={"t_activate": 12.0, "t_deactivate": 8.0})
     r = run_scenario(parse_scenario(doc))
-    pico = np.array([m.pico_active_users for m in r.slot_metrics])
-    macro = np.array([m.macro_active_users for m in r.slot_metrics])
+    pico = r.slot_metrics.pico_active_users
+    macro = r.slot_metrics.macro_active_users
     start_quiet = pico[:5].mean()
     rise_hits = np.flatnonzero(pico >= 430)
     rise_slot = int(rise_hits[0]) if rise_hits.size else -1
@@ -303,8 +303,8 @@ def test_criterion_8_oracle_equivalences():
         scans.append(min(hits) if hits else -1)
     px, py = np.array(points).T
     centres = topo.pico_centers()
-    kernel_disagreements = int((kernels.containing_disc(
-        px, py, centres[:, 0], centres[:, 1], topo.pico_radius()) != scans).sum())
+    kernel_disagreements = int((kernels.containing_disc(px, py, kernels.disc_index(
+        centres[:, 0], centres[:, 1], topo.pico_radius())) != scans).sum())
     # (c) adaptive-power round trip off the clamp
     worst_rel = 0.0
     for _ in range(1000):

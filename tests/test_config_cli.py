@@ -212,6 +212,23 @@ def test_run_traces(scenario_file, tmp_path):
     assert {r[2] for r in pt[1:]} <= {"sleep", "boot", "active"}
 
 
+def test_run_without_power_writes_zero_efficiency(tmp_path, capsys):
+    """No draw at all (a macro with no fixed part and no users, picos that
+    sleep for free) is a valid run: EE is 0 b/J, not an error."""
+    doc = tmp_path / "unpowered.yaml"
+    doc.write_text(
+        "topology: udc\nslots: 4\n"
+        "users: {total: 50, activity_uniform: 0.0, activity_hotspot: 0.0}\n"
+        "power: {macro: {p0_w: 0}, pico: {p_sleep_w: 0}}\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(doc), "--out", str(out)]) == 0
+    rows = read_csv(out / "slots.csv")[1:]
+    assert len(rows) == 4
+    assert {(r[5], r[6]) for r in rows} == {("0.0", "0.0")}
+    assert "ee_mean=0.0 " in capsys.readouterr().out
+
+
 def test_validation_failures_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("topology: udc\nusers: {unknown_knob: 3}\n")

@@ -13,14 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hetnetsim import engine
+from hetnetsim import engine, kernels
 from hetnetsim.config import parse_scenario
 from hetnetsim.control import ACTIVE, BOOT, MODES, SLEEP, PicoControlState, step_state
 from hetnetsim.engine import (
+    OUTPUTS,
     Response,
     UserTrace,
     World,
-    ZeroPower,
     build_geometry,
     compute_ee,
     rate_histogram,
@@ -38,6 +38,14 @@ def scenario(**kw):
     return parse_scenario(doc)
 
 
+def world(s):
+    """The first World of s alone, as run_scenarios builds it."""
+    topo = build_geometry(s)
+    centres = topo.pico_centers()
+    discs = kernels.disc_index(centres[:, 0], centres[:, 1], topo.pico_radius())
+    return World(Response([s]), topo, discs)
+
+
 def macro_power(n_served):
     return 3 * (260.0 + 4.75 * 40.0 * min(n_served, 1000) / 1000)
 
@@ -46,29 +54,34 @@ def test_compute_ee_reference_value():
     assert compute_ee(4.5977e8, 1350.0) == pytest.approx(340570.3703703704, rel=1e-12)
 
 
-def test_compute_ee_rejects_nonpositive_power():
-    with pytest.raises(ZeroPower):
-        compute_ee(1e6, 0.0)
+def test_compute_ee_is_zero_where_power_is_not_positive():
+    """One rule for the slot columns and the pico view: 0 b/J without
+    power, as the CSVs write it."""
+    assert compute_ee(1e6, 0.0) == 0.0
+    assert type(compute_ee(1e6, 0.0)) is float
+    assert type(compute_ee(4.5977e8, 1350.0)) is float
+    np.testing.assert_array_equal(
+        compute_ee(np.array([1e6, 3e6, 0.0, 5.0]), np.array([0.0, 2.0, 0.0, -1.0])),
+        [0.0, 1.5e6, 0.0, 0.0])
 
 
 def test_single_active_pico_power_decomposition():
     """With exactly one pico awake, the slot power must split into the
     macro's load-dependent draw, that pico's draw, and 27 sleepers."""
-    s = scenario(users={"total": 1000})
-    topo = build_geometry(s)
-    w = World(Response([s]), topo)
+    w = world(scenario(users={"total": 1000}))
     w.mode[0, 0] = ACTIVE
     active = np.ones(1000, dtype=bool)
     containing = w._containing()
     counts = w._counts(containing, active)
-    (m,) = w._evaluate(0, active, containing, counts)
+    m = w._evaluate(active, containing, counts)
     n0 = int((containing == 0).sum())
     assert n0 > 0  # layout seed gives the first pico some users
     expected = macro_power(1000 - n0) + (13.6 + 0.02 * min(n0, 50)) + 27 * 8.6
-    assert m.power_w == pytest.approx(expected, abs=1e-9)
-    assert m.n_active_picos == 1
-    assert m.pico_active_users == n0
-    assert m.macro_active_users == 1000 - n0
+    assert m.power_w.shape == (1,)
+    assert m.power_w[0] == pytest.approx(expected, abs=1e-9)
+    assert m.n_active_picos[0] == 1
+    assert m.pico_active_users[0] == n0
+    assert m.macro_active_users[0] == 1000 - n0
 
 
 @pytest.mark.parametrize("boot_slots", [0, 1, 3])
@@ -82,7 +95,7 @@ def test_engine_mode_trail_follows_the_state_table(boot_slots):
         work={"start_slots": [0, 10], "duration": 45},
         policy={"t_activate": 12, "t_deactivate": 8},
     )
-    w = World(Response([s]), build_geometry(s))
+    w = world(s)
     counts, modes = [], []
     for slot in range(s.slots):
         w.run_slot(slot)
@@ -104,7 +117,7 @@ def test_bandwidth_is_split_over_all_configured_users(p_active):
     are active in the slot."""
     s = scenario(users={"total": 400, "activity_uniform": p_active},
                  channel={"bandwidth_hz": 1e7})
-    w = World(Response([s]), build_geometry(s))
+    w = world(s)
     w.run_slot(0)
     assert abs(int(w.last_active.sum()) - 400 * p_active) < 60
     assert w.w_user == 1e7 / 400
@@ -128,10 +141,10 @@ def test_pico_power_is_the_per_pico_loop_added_in_order():
 
 def test_snapshot_ensemble_indexes_rows_by_realization():
     r = run_scenario(scenario(realizations=5, users={"total": 200}))
-    assert [m.slot for m in r.slot_metrics] == [0, 1, 2, 3, 4]
+    assert r.slot_metrics.ee_bits_per_joule.shape == (5,)
     assert r.ee_std > 0.0
     assert r.ee_mean == pytest.approx(
-        np.mean([m.ee_bits_per_joule for m in r.slot_metrics]), rel=1e-12)
+        np.mean(r.slot_metrics.ee_bits_per_joule.tolist()), rel=1e-12)
 
 
 def test_single_realization_has_zero_spread():
@@ -141,18 +154,28 @@ def test_single_realization_has_zero_spread():
 
 def test_timeseries_covers_every_slot():
     r = run_scenario(scenario(slots=7, users={"total": 80, "hotspot": 20}))
-    assert [m.slot for m in r.slot_metrics] == list(range(7))
+    m = r.slot_metrics
+    assert all(getattr(m, f.name).shape == (7,)
+               for f in dataclasses.fields(m) if f.name != "pico_capacity_bps")
+    assert m.pico_capacity_bps is None  # built only with the per_user output
+
+
+def test_unknown_output_names_are_rejected():
+    with pytest.raises(ValueError, match="histogram"):
+        run_scenario(scenario(users={"total": 10}), {"per_user", "histogram"})
 
 
 def test_slot_metrics_are_internally_consistent():
-    r = run_scenario(scenario(slots=40, users={"total": 300, "hotspot": 120}))
-    for m in r.slot_metrics:
-        if m.capacity_bps > 0:
-            assert m.ee_bits_per_joule == pytest.approx(
-                m.capacity_bps / m.power_w, rel=1e-12)
-        assert 0.0 <= m.pico_capacity_bps <= m.capacity_bps + 1e-9
-        assert 0.0 < m.pico_power_w <= m.power_w
-        assert m.n_active_picos <= 28
+    r = run_scenario(scenario(slots=40, users={"total": 300, "hotspot": 120}),
+                     {"per_user"})
+    m = r.slot_metrics
+    on = m.capacity_bps > 0
+    np.testing.assert_allclose(m.ee_bits_per_joule[on],
+                               m.capacity_bps[on] / m.power_w[on], rtol=1e-12)
+    assert (0.0 <= m.pico_capacity_bps).all()
+    assert (m.pico_capacity_bps <= m.capacity_bps + 1e-9).all()
+    assert ((0.0 < m.pico_power_w) & (m.pico_power_w <= m.power_w)).all()
+    assert (m.n_active_picos <= 28).all()
 
 
 def test_idle_network_burns_idle_power_only():
@@ -160,12 +183,12 @@ def test_idle_network_burns_idle_power_only():
         slots=5,
         users={"total": 200, "activity_uniform": 0.0, "activity_hotspot": 0.0},
     ))
-    for m in r.slot_metrics:
-        assert m.capacity_bps == 0.0
-        assert m.ee_bits_per_joule == 0.0
-        assert m.macro_active_users == 0 and m.pico_active_users == 0
-        # idle macro plus 28 sleeping picos
-        assert m.power_w == pytest.approx(780.0 + 28 * 8.6, abs=1e-9)
+    m = r.slot_metrics
+    assert (m.capacity_bps == 0.0).all()
+    assert (m.ee_bits_per_joule == 0.0).all()
+    assert (m.macro_active_users == 0).all() and (m.pico_active_users == 0).all()
+    # idle macro plus 28 sleeping picos
+    np.testing.assert_allclose(m.power_w, 780.0 + 28 * 8.6, rtol=0, atol=1e-9)
 
 
 def test_static_hotspot_snapshot_serves_workers_from_their_picos():
@@ -174,17 +197,16 @@ def test_static_hotspot_snapshot_serves_workers_from_their_picos():
                "activity_uniform": 0.0, "activity_hotspot": 1.0},
         policy={"t_activate": 1, "t_deactivate": None},
     ))
-    (m,) = r.slot_metrics
-    assert m.pico_active_users == 60
-    assert m.macro_active_users == 0
+    m = r.slot_metrics
+    assert m.pico_active_users.tolist() == [60]
+    assert m.macro_active_users.tolist() == [0]
 
 
 def test_engine_reruns_bit_identically():
     s = scenario(slots=30, users={"total": 150, "hotspot": 50})
-    a = run_scenario(s)
-    b = run_scenario(s)
-    for ma, mb in zip(a.slot_metrics, b.slot_metrics):
-        assert ma == mb
+    a = run_scenario(s, OUTPUTS)
+    b = run_scenario(s, OUTPUTS)
+    assert_same_columns(a.slot_metrics, b.slot_metrics)
     np.testing.assert_array_equal(a.mean_rate_bps, b.mean_rate_bps)
     np.testing.assert_array_equal(a.hist_counts, b.hist_counts)
 
@@ -196,17 +218,18 @@ def traced():
         "users": {"total": 250, "hotspot": 100},
         "policy": {"t_activate": 3, "t_deactivate": 1},
     })
-    return run_scenario(s, trace_users=True, trace_picos=True)
+    return run_scenario(s, {"user_trace", "pico_trace"})
 
 
 class TestServingInvariants:
     def test_active_users_are_partitioned_between_tiers(self, traced):
         trace = traced.user_trace
+        m = traced.slot_metrics
         assert (trace.serving[~trace.active] == -2).all()
-        for m in traced.slot_metrics:
-            serving = trace.serving[m.slot][trace.active[m.slot]]
-            assert (serving == -1).sum() == m.macro_active_users
-            assert (serving != -1).sum() == m.pico_active_users
+        for slot in range(trace.x.shape[0]):
+            serving = trace.serving[slot][trace.active[slot]]
+            assert (serving == -1).sum() == m.macro_active_users[slot]
+            assert (serving != -1).sum() == m.pico_active_users[slot]
 
     def test_only_awake_picos_serve(self, traced):
         trace = traced.user_trace
@@ -277,7 +300,7 @@ def test_user_trace_memory_is_compact():
                  policy={"t_activate": 12, "t_deactivate": 8})
     tracemalloc.start()
     try:
-        run_scenario(s, trace_users=True, trace_picos=True)
+        run_scenario(s, {"user_trace", "pico_trace"})
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -302,7 +325,7 @@ def test_pico_service_follows_containment_and_mode(geometry, seed, shape, t_on,
         "users": {"total": 60, "hotspot": 30},
         "work": {"start_slots": [0, 3], "duration": 8},
         "policy": {"t_activate": float(t_on), "t_deactivate": t_off},
-    }), trace_users=True, trace_picos=True)
+    }), {"user_trace", "pico_trace"})
     centres = result.topology.pico_centers()
     r = result.topology.pico_radius()
     awake = result.pico_trace == ACTIVE
@@ -324,10 +347,11 @@ def test_unserved_layouts_shape_users_but_draw_no_pico_power():
         "topology": "monet_udc_users", "seed": 11, "slots": 50,
         "users": {"total": 400, "hotspot": 150},
     }))
-    for m in r.slot_metrics:
-        assert m.n_active_picos == 0
-        assert m.pico_active_users == 0
-        assert m.power_w == pytest.approx(macro_power(m.macro_active_users), abs=1e-9)
+    m = r.slot_metrics
+    assert (m.n_active_picos == 0).all()
+    assert (m.pico_active_users == 0).all()
+    for power, n_macro in zip(m.power_w, m.macro_active_users):
+        assert power == pytest.approx(macro_power(n_macro), abs=1e-9)
 
 
 def test_sleepy_pico_layout_degenerates_to_its_macro_twin():
@@ -340,12 +364,10 @@ def test_sleepy_pico_layout_degenerates_to_its_macro_twin():
                             "policy": {"t_activate": float("inf"),
                                        "t_deactivate": 4.0}})
     twin = parse_scenario({**base, "topology": "monet_udc_users"})
-    ra, rb = run_scenario(never), run_scenario(twin)
-    for ma, mb in zip(ra.slot_metrics, rb.slot_metrics):
-        assert ma.capacity_bps == mb.capacity_bps
-        assert ma.power_w == mb.power_w
-        assert ma.ee_bits_per_joule == mb.ee_bits_per_joule
-        assert ma.macro_active_users == mb.macro_active_users
+    ra, rb = run_scenario(never, OUTPUTS), run_scenario(twin, OUTPUTS)
+    for name in ("capacity_bps", "power_w", "ee_bits_per_joule", "macro_active_users"):
+        np.testing.assert_array_equal(getattr(ra.slot_metrics, name),
+                                      getattr(rb.slot_metrics, name), err_msg=name)
     np.testing.assert_array_equal(ra.hist_counts, rb.hist_counts)
     np.testing.assert_array_equal(ra.mean_rate_bps, rb.mean_rate_bps)
 
@@ -369,11 +391,10 @@ def test_legacy_accounting_changes_power_not_capacity():
             "policy": {"t_activate": 0, "t_deactivate": None}}
     plain = run_scenario(parse_scenario(base))
     legacy = run_scenario(parse_scenario({**base, "legacy": {"enabled": True}}))
-    for mp, ml in zip(plain.slot_metrics, legacy.slot_metrics):
-        assert ml.capacity_bps == mp.capacity_bps  # same links, same draws
-        assert ml.power_w != mp.power_w
-        assert ml.n_active_picos == 28
-        assert 0.0 < ml.power_w < mp.power_w  # adaptive tx sums stay small
+    mp, ml = plain.slot_metrics, legacy.slot_metrics
+    np.testing.assert_array_equal(ml.capacity_bps, mp.capacity_bps)  # same links, same draws
+    assert (ml.n_active_picos == 28).all()
+    assert ((0.0 < ml.power_w) & (ml.power_w < mp.power_w)).all()  # adaptive tx sums stay small
 
 
 class TestRateHistogram:
@@ -386,18 +407,19 @@ class TestRateHistogram:
 
     def test_snapshot_histogram_counts_user_realizations(self):
         r = run_scenario(scenario(
-            realizations=3, users={"total": 200, "activity_uniform": 1.0}))
+            realizations=3, users={"total": 200, "activity_uniform": 1.0}), {"per_user"})
         assert r.hist_counts.sum() == 3 * 200
 
     def test_timeseries_histogram_counts_ever_active_users(self):
-        r = run_scenario(scenario(slots=25, users={"total": 150, "hotspot": 40}))
+        r = run_scenario(scenario(slots=25, users={"total": 150, "hotspot": 40}),
+                         {"per_user"})
         assert r.hist_counts.sum() == int((r.active_slot_count > 0).sum())
 
 
 def test_user_rate_summaries_are_consistent():
     r = run_scenario(scenario(
         slots=150, users={"total": 200, "hotspot": 80},
-        policy={"t_activate": 1, "t_deactivate": 0}))
+        policy={"t_activate": 1, "t_deactivate": 0}), {"per_user"})
     on = r.active_slot_count > 0
     assert (r.mean_rate_bps[~on] == 0.0).all()
     assert (r.mean_rate_bps[on] > 0.0).all()
@@ -419,9 +441,15 @@ PER_USER_FIELDS = ("is_hotspot", "mean_rate_bps", "frac_slots_on_pico",
                    "hist_counts", "hist_edges")
 
 
+def assert_same_columns(a, b):
+    for f in dataclasses.fields(a):
+        np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name),
+                                      err_msg=f.name)
+
+
 def assert_same_run(a, b):
     assert a.scenario == b.scenario
-    assert a.slot_metrics == b.slot_metrics
+    assert_same_columns(a.slot_metrics, b.slot_metrics)
     for name in SUMMARY_FIELDS:
         assert getattr(a, name) == getattr(b, name), name
     for name in PER_USER_FIELDS:
@@ -440,7 +468,10 @@ def process_groups(draw):
         "seed": draw(st.integers(0, 50)),
         "slots": 1 if snapshot else draw(st.integers(2, 30)),
         "realizations": draw(st.integers(1, 4)) if snapshot else 1,
-        "layout": {"n_picos": 6, "pico_radius_m": 120.0},
+        # more than 8 picos, so a pairwise sum of their draws would add in
+        # another order than the engine's
+        "layout": draw(st.sampled_from([{"n_picos": 6, "pico_radius_m": 120.0},
+                                        {"n_picos": 20, "pico_radius_m": 60.0}])),
         "users": {"total": total, "hotspot": draw(st.integers(0, total)),
                   "activity_uniform": draw(st.sampled_from([0.4, 1.0]))},
         "work": {"start_slots": [0, 5], "duration": 12},
@@ -455,7 +486,8 @@ def process_groups(draw):
             "boot_slots": draw(st.integers(0, 3)),
             "policy": {"t_activate": float(t_on),
                        "t_deactivate": None if t_off is None else float(t_off)},
-            "power": {"pico": {"p_sleep_w": draw(st.sampled_from([0.0, 4.0, 8.6]))}},
+            "power": {"pico": {"p_sleep_w": draw(st.sampled_from([0.0, 4.0, 8.6]))},
+                      "macro": {"p0_w": draw(st.sampled_from([0.0, 260.0]))}},
             "legacy": {"enabled": draw(st.booleans())},
         })
     return docs
@@ -479,10 +511,154 @@ def test_grouped_runs_equal_solo_runs(docs, data):
     )
     with mock.patch.object(engine, "build_geometry",
                            wraps=engine.build_geometry) as layouts:
-        grouped = run_scenarios(scenarios)
+        grouped = run_scenarios(scenarios, OUTPUTS)
     assert layouts.call_count == 1 + len(outsiders)  # one layout per group
     for s, result in zip(scenarios, grouped):
-        assert_same_run(result, run_scenarios([s])[0])
+        assert_same_run(result, run_scenarios([s], OUTPUTS)[0])
+
+
+def reference_slot_columns(scenarios):
+    """Per row, the (slots, 8) slot metrics of the per-row scalar loop:
+    power from power.consumed_power_w, pico by pico in index order, or
+    from the legacy adaptive transmit power of the served links; capacity
+    as the row's sum and pico capacity as a sum over the pico-served users
+    alone.  Worlds are stepped as the engine steps them, and each slot's
+    users, links and modes are read off them."""
+    s0 = scenarios[0]
+    topo = build_geometry(s0)
+    response = Response(scenarios)
+    centres = topo.pico_centers()
+    discs = kernels.disc_index(centres[:, 0], centres[:, 1], topo.pico_radius())
+    if s0.slots == 1:
+        steps = [(World(response, topo, discs, r), r) for r in range(s0.realizations)]
+    else:
+        w = World(response, topo, discs)
+        steps = [(w, t) for t in range(s0.slots)]
+    rows = [[] for _ in scenarios]
+    for w, slot in steps:
+        w.run_slot(slot)
+        active, containing = w.last_active, w.last_containing
+        px, py = w.pop.px, w.pop.py
+        counts = np.bincount(containing[active & (containing >= 0)],
+                             minlength=len(centres))
+        d_macro = np.hypot(px - topo.macro.x, py - topo.macro.y)
+        j = np.maximum(containing, 0)
+        d_pico = np.hypot(px - centres[j, 0], py - centres[j, 1])
+        for k, s in enumerate(scenarios):
+            served, cap = w.last_pico_served[k], w.last_capacity[k]
+            modes = [MODES[code] for code in w.mode[k]]
+            n_pico = int(served.sum())
+            n_macro = int(active.sum()) - n_pico
+            if s.legacy.enabled:
+                L = s.legacy
+                macro_w = float(kernels.freespace_tx_power(
+                    d_macro[active & ~served], L.macro.alpha, L.macro.beta,
+                    L.macro.g, L.macro.k, L.macro.p0_w, L.macro.p_max_w).sum())
+                pico_w = float(kernels.freespace_tx_power(
+                    d_pico[served], L.pico.alpha, L.pico.beta,
+                    L.pico.g, L.pico.k, L.pico.p0_w, L.pico.p_max_w,
+                ).sum()) if n_pico else 0.0
+            else:
+                macro_w = consumed_power_w(s.power_macro, EnbMode.ACTIVE, n_macro)
+                pico_w = 0.0
+                if s.serves_from_picos():
+                    for mode, c in zip(modes, counts):
+                        served_here = int(c) if mode is EnbMode.ACTIVE else 0
+                        pico_w += consumed_power_w(s.power_pico, mode, served_here)
+            capacity = float(cap.sum())
+            power = macro_w + pico_w
+            rows[k].append((
+                modes.count(EnbMode.ACTIVE), n_macro, n_pico, capacity, power,
+                capacity / power if power > 0 else 0.0, pico_w,
+                float(cap[served].sum()),
+            ))
+    return [np.array(r) for r in rows]
+
+
+COLUMNS = ("n_active_picos", "macro_active_users", "pico_active_users",
+           "capacity_bps", "power_w", "ee_bits_per_joule", "pico_power_w",
+           "pico_capacity_bps")
+
+
+@settings(max_examples=30, deadline=None)
+@given(docs=process_groups())
+def test_slot_columns_equal_the_per_row_reference(docs):
+    """Every slot column of a grouped run equals, bit for bit, the per-row
+    scalar loop; a request with no outputs gets the same means as one for
+    every output, and builds none of them."""
+    scenarios = [parse_scenario(d) for d in docs]
+    full = run_scenarios(scenarios, OUTPUTS)
+    bare = run_scenarios(scenarios)
+    for result, want, plain in zip(full, reference_slot_columns(scenarios), bare):
+        for i, name in enumerate(COLUMNS):
+            np.testing.assert_array_equal(getattr(result.slot_metrics, name),
+                                          want[:, i], err_msg=name)
+        for name in SUMMARY_FIELDS:
+            assert getattr(plain, name) == getattr(result, name), name
+        assert plain.slot_metrics.pico_capacity_bps is None
+        for name in (*PER_USER_FIELDS, "user_trace", "pico_trace"):
+            assert getattr(plain, name) is None, name
+
+
+@settings(max_examples=30, deadline=None)
+@given(docs=process_groups())
+def test_slot_power_lies_between_its_floor_and_ceiling(docs):
+    """Outside legacy accounting, a slot draws at least the idle macro and
+    every serving pico's sleep floor, and at most every station at full
+    load."""
+    scenarios = [parse_scenario(d) for d in docs]
+    for s, result in zip(scenarios, run_scenarios(scenarios)):
+        if s.legacy.enabled:
+            continue
+        m = len(result.topology.picos) if s.serves_from_picos() else 0
+        P, M = s.power_pico, s.power_macro
+        floor = consumed_power_w(M, EnbMode.ACTIVE, 0) + \
+            m * consumed_power_w(P, EnbMode.SLEEP)
+        ceiling = consumed_power_w(M, EnbMode.ACTIVE, M.user_capacity) + \
+            m * consumed_power_w(P, EnbMode.ACTIVE, P.user_capacity)
+        power = result.slot_metrics.power_w
+        slack = 1e-12 * ceiling  # m draws summed one by one, or as m * draw
+        assert (power >= floor - slack).all() and (power <= ceiling + slack).all()
+
+
+@pytest.mark.parametrize("shape, slots", [({"slots": 12}, 12), ({"realizations": 4}, 4)])
+def test_a_group_builds_its_disc_index_once(shape, slots):
+    s = scenario(**shape, users={"total": 100})
+    with mock.patch.object(kernels, "disc_index", wraps=kernels.disc_index) as build, \
+            mock.patch.object(kernels, "containing_disc",
+                              wraps=kernels.containing_disc) as query:
+        run_scenarios([s, dataclasses.replace(s, boot_slots=0)])
+    assert build.call_count == 1
+    assert query.call_count == slots
+
+
+def test_means_only_sweep_holds_no_per_user_arrays():
+    """A hotspot_sweep-shaped group (124 rows, 1000 users, 20
+    realizations) run for its means keeps no (n,) array in its results
+    and peaks under 5 MiB of Python allocations; building per-user totals
+    and histograms for every row peaked at 8.5 MiB."""
+    def doc(topology, t, p_sleep):
+        return {"topology": topology, "seed": 1, "realizations": 20,
+                "users": {"total": 1000, "hotspot": 500,
+                          "activity_uniform": 0.4, "activity_hotspot": 0.8},
+                "policy": {"t_activate": float(t), "t_deactivate": None},
+                "power": {"pico": {"p_sleep_w": p_sleep}}}
+
+    scenarios = [parse_scenario(doc(topology, t, p)) for p in (0.0, 8.6)
+                 for topology in ("udc", "monet_udc_users") for t in range(31)]
+    tracemalloc.start()
+    try:
+        results = run_scenarios(scenarios)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    for result in results:
+        values = [getattr(result, f.name) for f in dataclasses.fields(result)]
+        values += [getattr(result.slot_metrics, f.name)
+                   for f in dataclasses.fields(result.slot_metrics)]
+        arrays = [v for v in values if isinstance(v, np.ndarray)]
+        assert arrays and all(a.shape == (20,) for a in arrays)
 
 
 @pytest.mark.parametrize("shape", [{"slots": 40}, {"realizations": 3}])
@@ -492,14 +668,14 @@ def test_macro_only_twin_shares_its_donors_user_process(shape):
     each slot's active users are split exactly between the two tiers."""
     doc = {"seed": 9, **shape, "users": {"total": 150, "hotspot": 60},
            "policy": {"t_activate": 2.0, "t_deactivate": None}}
-    donor = run_scenario(parse_scenario({**doc, "topology": "udc"}), trace_users=True)
+    donor = run_scenario(parse_scenario({**doc, "topology": "udc"}), {"user_trace"})
     twin = run_scenario(parse_scenario({**doc, "topology": "monet_udc_users"}),
-                        trace_users=True)
+                        {"user_trace"})
     for column in ("x", "y", "active"):
         np.testing.assert_array_equal(getattr(donor.user_trace, column),
                                       getattr(twin.user_trace, column))
     active = donor.user_trace.active.sum(axis=1)
     for result in (donor, twin):
-        for m in result.slot_metrics:
-            assert m.macro_active_users + m.pico_active_users == active[m.slot]
-    assert sum(m.pico_active_users for m in donor.slot_metrics) > 0
+        m = result.slot_metrics
+        np.testing.assert_array_equal(m.macro_active_users + m.pico_active_users, active)
+    assert donor.slot_metrics.pico_active_users.sum() > 0

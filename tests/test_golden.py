@@ -30,7 +30,8 @@ HYSTERESIS_RUN = {
     "policy": {"t_activate": 12.0, "t_deactivate": 8.0},
 }
 
-# name -> (CLI arguments after the scenario file, scenario document)
+# name -> (CLI arguments, scenario document or None for a command that
+# reads none)
 CASES = {
     "run_boot3": (
         ["run", "--trace-users", "--trace-picos"],
@@ -84,6 +85,22 @@ CASES = {
          "users": {"total": 300, "activity_uniform": 1.0},
          "policy": {"t_activate": 4.0, "t_deactivate": None}},
     ),
+    # 128 threshold rows of one multi-slot group; hotspot users reach
+    # their picos within a few slots of a small macro cell, so about half
+    # the rows differ
+    "sweep_k128": (
+        ["sweep", "--param", "policy.t_activate", "--from", "0", "--to", "127"],
+        {"topology": "udc", "seed": 13, "slots": 40, "boot_slots": 1,
+         "layout": {"n_picos": 3, "macro_radius_m": 150.0, "pico_radius_m": 30.0},
+         "users": {"total": 400, "hotspot": 380},
+         "work": {"start_slots": [0, 3], "duration": 25},
+         "policy": {"t_deactivate": None}},
+    ),
+    # the means-only snapshot path of the presets: 620 rows in two groups
+    "preset_sleep_power_sweep": (
+        ["preset", "sleep_power_sweep", "--seed", "1"],
+        None,
+    ),
 }
 
 GOLDEN = {
@@ -110,6 +127,18 @@ GOLDEN = {
             "bf2739097ca4e7b7ffb994a1eb3409483747d4e7a21a34cb30c5ce43312f78f6",
         "users.csv":
             "feafdcbe806bedeceadb5e7eb8e488dfda664b73537efa5352f395339bb5a6d0",
+    },
+    "preset_sleep_power_sweep": {
+        "sweep_psleep0p0.csv":
+            "76f9162a4d5431038dfeb3b02a6a68f83f42991d23f77c54cf1c8afbada15320",
+        "sweep_psleep2p0.csv":
+            "18b231188ba76ffe687a3b3393dc666a9a8c202dbc7c51ef4b74e1ff60a24a15",
+        "sweep_psleep4p0.csv":
+            "75b7f88bbf122ef45e430ab4a66de37bc986eb3e95e572c49d1f74b1d2f29b91",
+        "sweep_psleep6p0.csv":
+            "8aef2e9f489e47b5f8ca017e076d709592d6f674e201193424f5fe83970cc5c5",
+        "sweep_psleep8p6.csv":
+            "e54ba39fc1ed29540e912fcc4c584e41c7f94843d701dd8553f3a4a8bff8b98c",
     },
     "run_boot0": {
         "histogram.csv":
@@ -157,6 +186,10 @@ GOLDEN = {
         "sweep.csv":
             "1c7e221238f0893bad48cf4ab8a5c77b74adfc873eaa7a192e7ab8058476efb9",
     },
+    "sweep_k128": {
+        "sweep.csv":
+            "72e189e624be68546e040606ed039f733c616f91d53385789f09f745985083c8",
+    },
     "sweep_psleep": {
         "sweep.csv":
             "d97054f64538dccb9d7340c4d4b13437978b6f48de8fcc22749e25ad302139ea",
@@ -169,15 +202,18 @@ GOLDEN = {
 
 
 def digests(case: str, workdir: Path) -> dict[str, str]:
-    """Run one case in workdir; SHA-256 of every file it wrote."""
+    """Run one case in workdir; SHA-256 of every file it wrote except a
+    preset's manifest.json."""
     args, doc = CASES[case]
-    scenario = workdir / "scenario.yaml"
-    scenario.write_text(json.dumps(doc))
+    if doc is not None:
+        scenario = workdir / "scenario.yaml"
+        scenario.write_text(json.dumps(doc))
+        args = [*args, "--scenario", str(scenario)]
     out = workdir / "out"
-    assert main([*args, "--scenario", str(scenario), "--out", str(out)]) == 0
+    assert main([*args, "--out", str(out)]) == 0
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(out.iterdir())
+        for p in sorted(out.iterdir()) if p.name != "manifest.json"
     }
 
 

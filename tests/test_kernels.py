@@ -47,7 +47,7 @@ def test_containing_disc_matches_numpy():
     cx, cy, r = random_discs()
     px = RNG.uniform(0, 1000, 2000)
     py = RNG.uniform(0, 1000, 2000)
-    got = kernels.containing_disc(px, py, cx, cy, r)
+    got = kernels.containing_disc(px, py, kernels.disc_index(cx, cy, r))
     np.testing.assert_array_equal(got, brute_force_containing(px, py, cx, cy, r))
     assert got.dtype == np.int64
     assert (got >= -1).all() and (got < 28).all()
@@ -60,7 +60,7 @@ def test_containing_disc_prefers_the_lowest_index():
     cy = np.array([500.0, 500.0])
     px = np.array([510.0, 560.0])
     py = np.array([500.0, 500.0])
-    got = kernels.containing_disc(px, py, cx, cy, 50.0)
+    got = kernels.containing_disc(px, py, kernels.disc_index(cx, cy, 50.0))
     np.testing.assert_array_equal(got, [0, -1])
     np.testing.assert_array_equal(got, brute_force_containing(px, py, cx, cy, 50.0))
 
@@ -118,7 +118,7 @@ def probe_points(draw, cx, cy, r):
 def test_containing_disc_equals_the_scan_on_any_disc_set(data):
     cx, cy, r = data.draw(disc_sets())
     px, py = data.draw(probe_points(cx, cy, r))
-    got = kernels.containing_disc(px, py, cx, cy, r)
+    got = kernels.containing_disc(px, py, kernels.disc_index(cx, cy, r))
     assert got.dtype == np.int64 and got.shape == px.shape
     np.testing.assert_array_equal(got, brute_force_containing(px, py, cx, cy, r))
 
@@ -135,7 +135,7 @@ def test_containing_disc_memory_is_linear_in_users(m):
     py = rng.uniform(0, 2 * MACRO_R, 20_000)
     tracemalloc.start()
     try:
-        kernels.containing_disc(px, py, cx, cy, 20.0)
+        kernels.containing_disc(px, py, kernels.disc_index(cx, cy, 20.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
