@@ -1,12 +1,10 @@
-"""Radio link budget: distance-based path loss, log-normal shadowing,
-thermal noise, and Shannon capacity over the user's bandwidth share.
+"""Radio constants and the per-user share of the link budget.
 
-All dB path-loss math happens in scalar form here; the engine uses the
-vectorized twin in :mod:`hetnetsim.kernels`, which is tested for 1e-9 dB
-agreement against these functions.
-
-Also contains the older adaptive transmit-power model (free-space with
-obstacle attenuation), kept for power-accounting comparisons.
+ChannelParams holds each tier's transmit power, antenna gains and
+shadowing sigma; noise_power_dbm and user_bandwidth give the thermal noise
+and the equal bandwidth split that every user's link is evaluated over.
+The path loss, shadowing and Shannon capacity of the links themselves are
+computed for all users at once by kernels.link_capacity.
 """
 
 from __future__ import annotations
@@ -14,19 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .topology import CellKind
-
 BOLTZMANN = 1.380649e-23  # J/K
 
 
 class ChannelError(Exception):
     pass
-
-
-class NonPositiveDistance(ChannelError):
-    """Link evaluation needs a strictly positive geometric distance."""
 
 
 class ZeroUsers(ChannelError):
@@ -49,36 +39,6 @@ class ChannelParams:
     min_distance_m: float = 1.0
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    distance_m: float
-    bandwidth_hz: float
-    path_loss_db: float
-    shadow_db: float
-    rx_power_dbm: float
-    noise_power_dbm: float
-    snr_db: float
-    snr_linear: float
-    capacity_bps: float
-
-
-def path_loss_db(
-    kind: CellKind, distance_m: float, min_distance_m: float = 1.0
-) -> float:
-    """Distance-dependent loss in dB; distance clamped below at min_distance_m.
-
-    Macro tier: 140.7 + 36.7 log10(d_km); pico tier: 128.1 + 37.6 log10(d_km).
-    """
-    if distance_m <= 0.0:
-        raise NonPositiveDistance(f"distance must be > 0, got {distance_m}")
-    d_km = max(distance_m, min_distance_m) / 1000.0
-    if kind is CellKind.MACRO:
-        return 140.7 + 36.7 * math.log10(d_km)
-    if kind is CellKind.PICO:
-        return 128.1 + 37.6 * math.log10(d_km)
-    raise TypeError(f"kind must be a CellKind, got {kind!r}")
-
-
 def noise_power_dbm(bandwidth_hz: float, temperature_k: float = 290.0) -> float:
     """Thermal noise kTW expressed in dBm."""
     if bandwidth_hz <= 0.0:
@@ -91,88 +51,3 @@ def user_bandwidth(total_hz: float, n_users: int) -> float:
     if n_users < 1:
         raise ZeroUsers(f"need at least one user, got {n_users}")
     return total_hz / n_users
-
-
-def sample_shadow_db(
-    kind: CellKind, rng: np.random.Generator, params: ChannelParams = ChannelParams()
-) -> float:
-    if kind is CellKind.MACRO:
-        sigma = params.macro_shadow_sigma_db
-    elif kind is CellKind.PICO:
-        sigma = params.pico_shadow_sigma_db
-    else:
-        raise TypeError(f"kind must be a CellKind, got {kind!r}")
-    return float(rng.normal(0.0, sigma))
-
-
-def shannon_capacity_bps(bandwidth_hz: float, snr_linear: float) -> float:
-    return bandwidth_hz * math.log2(1.0 + snr_linear)
-
-
-def evaluate_link(
-    kind: CellKind,
-    distance_m: float,
-    bandwidth_hz: float,
-    shadow_db: float = 0.0,
-    params: ChannelParams = ChannelParams(),
-) -> LinkBudget:
-    """Full budget for one downlink: PL, shadowing, noise, SNR, capacity.
-
-    rx = tx + eNB gain + UE gain - path loss + shadow (all dB/dBm); shadowing
-    is passed in rather than drawn so callers control the random stream.
-    """
-    pl = path_loss_db(kind, distance_m, params.min_distance_m)
-    if kind is CellKind.MACRO:
-        tx, gain = params.macro_tx_dbm, params.macro_antenna_gain_dbi
-    else:
-        tx, gain = params.pico_tx_dbm, params.pico_antenna_gain_dbi
-    rx = tx + gain + params.ue_antenna_gain_dbi - pl + shadow_db
-    noise = noise_power_dbm(bandwidth_hz, params.temperature_k)
-    snr_db = rx - noise
-    snr = 10.0 ** (snr_db / 10.0)
-    return LinkBudget(
-        distance_m=distance_m,
-        bandwidth_hz=bandwidth_hz,
-        path_loss_db=pl,
-        shadow_db=shadow_db,
-        rx_power_dbm=rx,
-        noise_power_dbm=noise,
-        snr_db=snr_db,
-        snr_linear=snr,
-        capacity_bps=shannon_capacity_bps(bandwidth_hz, snr),
-    )
-
-
-# --- adaptive transmit-power model (free-space with obstacle term) ---------
-
-
-@dataclass(frozen=True)
-class FreeSpaceParams:
-    """Attenuation r^alpha * (1 + r/g)^beta scaled by gain constant K,
-    with a target receive power p0 and a transmit cap p_max (all in watts)."""
-
-    alpha: float
-    beta: float
-    g: float
-    k: float = 1.0
-    p0_w: float = 0.8e-6
-    p_max_w: float = 1.0
-
-
-FREESPACE_MACRO = FreeSpaceParams(alpha=2.0, beta=2.0, g=600.0)
-FREESPACE_PICO = FreeSpaceParams(alpha=1.8, beta=1.8, g=300.0)
-
-
-def freespace_attenuation(distance_m: float, p: FreeSpaceParams) -> float:
-    if distance_m <= 0.0:
-        raise NonPositiveDistance(f"distance must be > 0, got {distance_m}")
-    return distance_m**p.alpha * (1.0 + distance_m / p.g) ** p.beta
-
-
-def freespace_rx_power_w(tx_power_w: float, distance_m: float, p: FreeSpaceParams) -> float:
-    return tx_power_w * p.k / freespace_attenuation(distance_m, p)
-
-
-def freespace_tx_power_w(distance_m: float, p: FreeSpaceParams) -> float:
-    """Transmit power that delivers p0 at the receiver, capped at p_max."""
-    return min(p.p_max_w, p.p0_w * freespace_attenuation(distance_m, p) / p.k)

@@ -5,12 +5,14 @@
     hetnetsim preset NAME [--out DIR] [--seed N]   /   preset --list
     hetnetsim dump-topology --scenario F [--out FILE]
 
-Exit codes: 0 success, 1 configuration/validation problem, 2 runtime failure.
+Exit codes: 0 success, 1 configuration/validation problem (a layout that
+cannot be built included), 2 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -34,6 +36,7 @@ from .engine import (
     write_users_csv,
 )
 from .presets import DEFAULT_SEED, PRESETS, UnknownPreset, run_preset
+from .topology import TopologyError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,6 +81,8 @@ def _cmd_run(args) -> int:
 
 
 def _sweep_values(start: float, stop: float, step: float) -> list[float]:
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ParseError("--from, --to and --step must be finite")
     if step <= 0:
         raise ParseError("--step must be positive")
     if stop < start:
@@ -94,8 +99,11 @@ def _cmd_sweep(args) -> int:
     base = read_scenario_document(args.scenario)
     base = apply_overrides(base, args.set or [])
     values = _sweep_values(args.sweep_from, args.sweep_to, args.step)
+    # integral points go in as ints, so integer fields can be swept too;
+    # a float field reads 3 as 3.0, and sweep.csv still writes the floats
     scenarios = [
-        parse_scenario(apply_overrides(base, [f"{args.param}={v!r}"]))
+        parse_scenario(apply_overrides(
+            base, [f"{args.param}={int(v) if v.is_integer() else v!r}"]))
         for v in values
     ]
     rows = [sweep_rows(r, v) for r, v in zip(run_scenarios(scenarios), values)]
@@ -187,6 +195,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ConfigError, UnknownPreset) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except TopologyError as exc:
+        print(f"error: layout: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - runtime failures exit 2
         print(f"runtime error: {exc}", file=sys.stderr)

@@ -6,20 +6,22 @@ experiment: 1000 users, 28 picos of 50 m in a 500 m macro cell, 20 MHz,
 two-threshold control at 9/4).  Section values merge field-by-field onto
 the defaults, so `policy: {t_activate: 12}` keeps t_deactivate at 4; a
 one-threshold policy needs an explicit `t_deactivate: null`.  Unknown keys
-anywhere are hard errors, reported with their dotted path.  `.inf` is a
-valid t_activate (never wake).
+anywhere are hard errors, reported with their dotted path.  Numbers must
+be finite, save the two policy thresholds: `.inf` is a valid t_activate
+(never wake).  Integers must fit in 64 bits.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 import yaml
 
-from .channel import ChannelParams, FreeSpaceParams, FREESPACE_MACRO, FREESPACE_PICO
+from .channel import ChannelParams
 from .control import InvalidPolicy, ThresholdPolicy
 from .mobility import MobilityError, MobilityParams, WorkSchedule
 from .power import MACRO_POWER, PICO_POWER, PowerParams
@@ -40,6 +42,9 @@ class ValidationError(ConfigError):
 
 
 TOPOLOGY_KINDS = ("monet", "coe", "udc", "monet_coe_users", "monet_udc_users")
+
+# the only numbers that may be infinite: t_activate = .inf never wakes
+INFINITE_OK = ("policy.t_activate", "policy.t_deactivate")
 
 
 @dataclass(frozen=True)
@@ -62,15 +67,6 @@ class UsersConfig:
     work_speed_max: float = 2.0
 
 
-@dataclass(frozen=True)
-class LegacyConfig:
-    """Adaptive transmit-power accounting (older model); off by default."""
-
-    enabled: bool = False
-    macro: FreeSpaceParams = FREESPACE_MACRO
-    pico: FreeSpaceParams = FREESPACE_PICO
-
-
 DEFAULT_POLICY = ThresholdPolicy(t_activate=9.0, t_deactivate=4.0)
 
 
@@ -88,7 +84,6 @@ class Scenario:
     channel: ChannelParams = ChannelParams()
     power_macro: PowerParams = MACRO_POWER
     power_pico: PowerParams = PICO_POWER
-    legacy: LegacyConfig = LegacyConfig()
 
     def mobility_params(self) -> MobilityParams:
         return MobilityParams(
@@ -112,22 +107,27 @@ class Scenario:
 
 def _coerce(value: Any, target: Any, path: str) -> Any:
     """Check/convert a YAML scalar (or list) against the field's default."""
-    if isinstance(target, bool):
-        if not isinstance(value, bool):
-            raise ValidationError(path, f"expected boolean, got {value!r}")
-        return value
     if isinstance(target, int):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValidationError(path, f"expected integer, got {value!r}")
+        if not -2**63 <= value < 2**63:
+            raise ValidationError(path, f"must fit in 64 bits, got {value!r}")
         return value
     if isinstance(target, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValidationError(path, f"expected number, got {value!r}")
-        return float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond the float range
+            value = math.inf
+        if math.isnan(value) or (math.isinf(value) and path not in INFINITE_OK):
+            raise ValidationError(path, f"must be finite, got {value!r}")
+        return value
     if isinstance(target, tuple):
         if not isinstance(value, (list, tuple)):
             raise ValidationError(path, f"expected list, got {value!r}")
-        return tuple(value)
+        # items take the type of the default's first item
+        return tuple(_coerce(v, target[0], f"{path}[{i}]") for i, v in enumerate(value))
     if isinstance(target, str):
         if not isinstance(value, str):
             raise ValidationError(path, f"expected string, got {value!r}")
@@ -152,10 +152,6 @@ def _build(cls: type, data: Any, path: str, proto: Any) -> Any:
             kwargs[key] = _build(type(default_val), raw, keypath, default_val)
         elif raw is None and cls is ThresholdPolicy and key == "t_deactivate":
             kwargs[key] = None
-        elif default_val is None:  # Optional numeric slot (t_deactivate)
-            if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-                raise ValidationError(keypath, f"expected number, got {raw!r}")
-            kwargs[key] = float(raw)
         else:
             kwargs[key] = _coerce(raw, default_val, keypath)
     try:
@@ -170,7 +166,6 @@ _SECTION_PROTOS = {
     "work": WorkSchedule(),
     "policy": DEFAULT_POLICY,
     "channel": ChannelParams(),
-    "legacy": LegacyConfig(),
 }
 
 
@@ -206,7 +201,7 @@ def parse_scenario(source: str | dict) -> Scenario:
     data = _document(source)
     known_top = {
         "topology", "seed", "slots", "realizations", "boot_slots",
-        "layout", "users", "work", "policy", "channel", "power", "legacy",
+        "layout", "users", "work", "policy", "channel", "power",
     }
     for key in data:
         if key not in known_top:
@@ -309,14 +304,6 @@ def validate_scenario(s: Scenario) -> None:
         if P.user_capacity < 1:
             err(f"{path}.user_capacity", "must be >= 1")
 
-    for path, F in (("legacy.macro", s.legacy.macro), ("legacy.pico", s.legacy.pico)):
-        if F.alpha <= 0 or F.beta <= 0:
-            err(path, "alpha and beta must be positive")
-        if F.g <= 0 or F.k <= 0:
-            err(path, "g and k must be positive")
-        if F.p0_w <= 0 or F.p_max_w <= 0:
-            err(path, "p0_w and p_max_w must be positive")
-
 
 def scenario_to_dict(s: Scenario) -> dict:
     return {
@@ -334,7 +321,6 @@ def scenario_to_dict(s: Scenario) -> dict:
             "macro": dataclasses.asdict(s.power_macro),
             "pico": dataclasses.asdict(s.power_pico),
         },
-        "legacy": dataclasses.asdict(s.legacy),
     }
 
 
@@ -359,13 +345,13 @@ def apply_overrides(data: dict, assignments: list[str]) -> dict:
             raise ValidationError(item, "override must look like key.path=value")
         key, _, raw = item.partition("=")
         key = key.strip()
-        if not key:
-            raise ValidationError(item, "override has an empty key")
+        parts = key.split(".")
+        if not all(parts):
+            raise ValidationError(item, "override key has an empty part")
         try:
             value = yaml.safe_load(raw) if raw.strip() else None
         except yaml.YAMLError as exc:
-            raise ParseError(f"bad override value {raw!r}: {exc}") from exc
-        parts = key.split(".")
+            raise ValidationError(key, f"bad override value {raw!r}: {exc}") from exc
         node = out
         for part in parts[:-1]:
             nxt = node.get(part)

@@ -14,9 +14,8 @@ hysteresis, which removes on/off flapping when the count sits near the
 activation point.
 
 The engine holds every pico's mode as an int code (SLEEP, BOOT, ACTIVE)
-and advances all of them at once with step_modes, for one scenario's
-(m,) picos or for K scenarios' (K, m) picos under PolicyRows; step_state
-is the same table for one pico.
+and advances the (K, m) picos of K scenarios at once with step_modes,
+each row under its own policy: the PolicyRows row of its ThresholdPolicy.
 """
 
 from __future__ import annotations
@@ -49,22 +48,6 @@ class ThresholdPolicy:
                 "t_deactivate must be strictly below t_activate "
                 f"(got {self.t_deactivate} >= {self.t_activate})"
             )
-
-    def should_wake(self, count: int) -> bool:
-        return count >= self.t_activate
-
-    def should_sleep(self, count: int) -> bool:
-        if self.t_deactivate is None:
-            return count < self.t_activate
-        return count <= self.t_deactivate
-
-
-def one_threshold(t: float) -> ThresholdPolicy:
-    return ThresholdPolicy(t_activate=t, t_deactivate=None)
-
-
-def two_threshold(t_activate: float, t_deactivate: float) -> ThresholdPolicy:
-    return ThresholdPolicy(t_activate=t_activate, t_deactivate=t_deactivate)
 
 
 @dataclass(frozen=True)
@@ -106,18 +89,20 @@ def step_modes(
     mode: np.ndarray,
     boot_remaining: np.ndarray,
     counts: np.ndarray,
-    policy: ThresholdPolicy | PolicyRows,
-    boot_slots: int | np.ndarray,
+    policy: PolicyRows,
+    boot_slots: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance every pico's mode by one slot given this slot's user counts.
 
-    mode and boot_remaining are (m,) arrays under a ThresholdPolicy and an
-    int boot_slots, or (K, m) arrays under PolicyRows and a (K, 1)
-    boot_slots column; counts is (m,) either way.  Returns new
-    (mode, boot_remaining) arrays.  Boot always runs to completion: the
-    countdown ignores the count, so a station can never pay the boot cost
-    and then go back to sleep unserved within the same transient.
-    boot_slots = 0 degenerates to an immediate Sleep -> Active transition.
+    mode and boot_remaining are (K, m) arrays: row k holds the picos of
+    the scenario whose policy is row k of policy and whose boot length is
+    boot_slots[k], a (K, 1) column.  counts broadcasts against mode: the
+    engine passes one (m,) vector, as every row sees the same users.
+    Returns new (mode, boot_remaining) arrays.  Boot always runs to
+    completion: the countdown ignores the count, so a station can never pay
+    the boot cost and then go back to sleep unserved within the same
+    transient.  boot_slots = 0 degenerates to an immediate Sleep -> Active
+    transition.
     """
     if np.any(boot_slots < 0):
         raise ValueError(f"boot_slots must be >= 0, got {boot_slots}")
@@ -132,26 +117,3 @@ def step_modes(
     remaining = np.where(booted | sleep, 0, remaining)
     remaining = np.where(wake, boot_slots, remaining)
     return new_mode, remaining
-
-
-@dataclass(frozen=True)
-class PicoControlState:
-    mode: EnbMode = EnbMode.SLEEP
-    boot_remaining: int = 0
-
-
-def step_state(
-    state: PicoControlState,
-    count: int,
-    policy: ThresholdPolicy,
-    boot_slots: int = 1,
-) -> PicoControlState:
-    """One pico's step_modes, on a PicoControlState."""
-    mode, remaining = step_modes(
-        np.array([MODES.index(state.mode)]),
-        np.array([state.boot_remaining]),
-        np.array([count]),
-        policy,
-        boot_slots,
-    )
-    return PicoControlState(MODES[mode[0]], int(remaining[0]))

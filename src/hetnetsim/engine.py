@@ -121,35 +121,21 @@ class Response:
     """The per-scenario half of a group: one row per scenario, holding its
     pico control rule and pico power model as (K, 1) columns.
 
-    The layout kind and the accounting are folded into the thresholds: a
-    row whose layout does not serve (a monet_*_users twin) never wakes its
-    picos, and a serving row under legacy accounting starts with every pico
-    Active and never sleeps.
+    The layout kind is folded into the thresholds: a row whose layout does
+    not serve (a monet_*_users twin) never wakes its picos.
     """
 
     def __init__(self, scenarios: Sequence[Scenario]):
         self.scenarios = list(scenarios)
         self.serving = np.array([s.serves_from_picos() for s in scenarios])
-        self.always_on = self.serving & np.array(
-            [s.legacy.enabled for s in scenarios]
-        )
-        serving, always_on = self.serving[:, None], self.always_on[:, None]
         policy = PolicyRows.of([s.policy for s in scenarios])
         self.policy = PolicyRows(
-            np.where(serving, np.where(always_on, -np.inf, policy.t_activate), np.inf),
-            np.where(always_on, -np.inf, policy.t_deactivate),
+            np.where(self.serving[:, None], policy.t_activate, np.inf),
+            policy.t_deactivate,
         )
         self.boot_slots = np.array([[s.boot_slots] for s in scenarios])
         self.pico = PowerRows.of([s.power_pico for s in scenarios])
         self.macro = PowerRows.of([s.power_macro for s in scenarios])
-        # rows whose power is the adaptive transmit power of their links
-        self.legacy_rows = np.flatnonzero([s.legacy.enabled for s in scenarios])
-
-    def initial_modes(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """(K, m) mode and boot_remaining arrays before the first slot."""
-        mode = np.full((len(self.scenarios), m), SLEEP, dtype=np.int64)
-        mode[self.always_on] = ACTIVE
-        return mode, np.zeros_like(mode)
 
     def step(self, mode: np.ndarray, boot_remaining: np.ndarray,
              counts: np.ndarray, static: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -162,8 +148,8 @@ class Response:
 
     def pico_power(self, mode: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """(K,) summed draw of each row's picos: load-dependent when Active,
-        the sleep floor in Sleep and Boot (power.consumed_power_w, per
-        pico); 0 W in a row whose layout does not serve."""
+        the sleep floor in Sleep and Boot; 0 W in a row whose layout does
+        not serve."""
         if mode.shape[1] == 0:
             return np.zeros(mode.shape[0])
         draw = np.where(mode == ACTIVE, self.pico.active_draw(counts),
@@ -232,7 +218,8 @@ class World:
         )
         m = len(topo.picos)
         self.n_picos = m
-        self.mode, self.boot_remaining = response.initial_modes(m)
+        self.mode = np.full((len(response.scenarios), m), SLEEP, dtype=np.int64)
+        self.boot_remaining = np.zeros_like(self.mode)
         self.centers = topo.pico_centers()
         self.discs = discs
 
@@ -260,8 +247,8 @@ class World:
         )
 
     def _tier_capacities(self, in_disc: np.ndarray, containing: np.ndarray):
-        """Both tiers' links for this slot's fading draw: (d_macro, cap_macro)
-        for every user and (d_pico, cap_pico) for the users in_disc marks,
+        """Both tiers' link capacities for this slot's fading draw:
+        cap_macro for every user and cap_pico for the users in_disc marks,
         the macro value standing in elsewhere."""
         s = self.s
         C = s.channel
@@ -277,16 +264,14 @@ class World:
 
         d_macro = np.hypot(pop.px - self.topo.macro.x, pop.py - self.topo.macro.y)
         cap_macro = link(d_macro, z * C.macro_shadow_sigma_db, False)
-        d_pico, cap_pico = d_macro.copy(), cap_macro.copy()
+        cap_pico = cap_macro.copy()
         if in_disc.any():
             j = containing[in_disc]
-            d_pico[in_disc] = np.hypot(
+            d_pico = np.hypot(
                 pop.px[in_disc] - self.centers[j, 0], pop.py[in_disc] - self.centers[j, 1]
             )
-            cap_pico[in_disc] = link(
-                d_pico[in_disc], z[in_disc] * C.pico_shadow_sigma_db, True
-            )
-        return d_macro, cap_macro, d_pico, cap_pico
+            cap_pico[in_disc] = link(d_pico, z[in_disc] * C.pico_shadow_sigma_db, True)
+        return cap_macro, cap_pico
 
     def _evaluate(self, active: np.ndarray, containing: np.ndarray,
                   counts: np.ndarray) -> SlotColumns:
@@ -294,7 +279,7 @@ class World:
         (K,) columns over the rows."""
         # only an active user inside a disc can be pico-served
         in_disc = active & (containing >= 0)
-        d_macro, cap_macro, d_pico, cap_pico = self._tier_capacities(in_disc, containing)
+        cap_macro, cap_pico = self._tier_capacities(in_disc, containing)
         awake = self.mode == ACTIVE
         if self.n_picos:
             # take() keeps the (K, n) arrays C-ordered (awake[:, safe] would
@@ -307,21 +292,8 @@ class World:
         capacity = cap.sum(axis=1)
         n_pico = pico_served.sum(axis=1)
         n_macro = int(active.sum()) - n_pico
-        R = self.response
-        macro_power = R.macro_power(n_macro)
-        pico_power = R.pico_power(self.mode, counts)
-        for k in R.legacy_rows:
-            served = pico_served[k]
-            L = R.scenarios[k].legacy
-            macro_power[k] = kernels.freespace_tx_power(
-                d_macro[active & ~served], L.macro.alpha, L.macro.beta,
-                L.macro.g, L.macro.k, L.macro.p0_w, L.macro.p_max_w,
-            ).sum()
-            pico_power[k] = kernels.freespace_tx_power(
-                d_pico[served], L.pico.alpha, L.pico.beta,
-                L.pico.g, L.pico.k, L.pico.p0_w, L.pico.p_max_w,
-            ).sum() if n_pico[k] else 0.0
-        power = macro_power + pico_power
+        pico_power = self.response.pico_power(self.mode, counts)
+        power = self.response.macro_power(n_macro) + pico_power
 
         self.last_active = active
         self.last_containing = containing

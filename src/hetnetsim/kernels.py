@@ -136,9 +136,3 @@ def advance_positions(px, py, dx, dy, vx, vy, speed):
     px[arrived] = dx[arrived]
     py[arrived] = dy[arrived]
     return arrived
-
-
-def freespace_tx_power(dist_m, alpha, beta, g, k, p0_w, p_max_w):
-    """Per-link adaptive transmit power under the free-space model."""
-    att = dist_m**alpha * (1.0 + dist_m / g) ** beta
-    return np.minimum(p_max_w, p0_w * att / k)

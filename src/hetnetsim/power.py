@@ -46,16 +46,6 @@ PICO_POWER = PowerParams(
 )
 
 
-def consumed_power_w(params: PowerParams, mode: EnbMode, n_served: int = 0) -> float:
-    """Station draw in watts for one slot at the given mode and load."""
-    if n_served < 0:
-        raise ValueError(f"n_served must be non-negative, got {n_served}")
-    if mode is EnbMode.ACTIVE:
-        load = min(n_served, params.user_capacity) / params.user_capacity
-        return params.sectors * (params.p0_w + params.delta_p * params.p_max_w * load)
-    return params.sectors * params.p_sleep_w
-
-
 @dataclass(frozen=True)
 class PowerRows:
     """The PowerParams of K rows as (K, 1) columns, so one expression
@@ -74,10 +64,11 @@ class PowerRows:
                      for f in fields(PowerParams)))
 
     def active_draw(self, n_served: np.ndarray) -> np.ndarray:
-        """consumed_power_w in Active mode, elementwise: the same steps in
-        the same order, so each value is the float it returns."""
+        """Active draw of each row's stations serving n_served users,
+        elementwise: sectors * (p0 + delta_p * p_max * load)."""
         load = np.minimum(n_served, self.user_capacity) / self.user_capacity
         return self.sectors * (self.p0_w + self.delta_p * self.p_max_w * load)
 
     def sleep_draw(self) -> np.ndarray:
+        """(K, 1) draw of each row's stations in Sleep and Boot."""
         return self.sectors * self.p_sleep_w

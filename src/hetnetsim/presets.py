@@ -56,7 +56,7 @@ def _ptag(p_sleep: float) -> str:
     return str(p_sleep).replace(".", "p")
 
 
-def _one_threshold_doc(t: float) -> dict:
+def _single_threshold_doc(t: float) -> dict:
     return {"t_activate": float(t), "t_deactivate": None}
 
 
@@ -77,7 +77,7 @@ def _snapshot_doc(topology: str, seed: int, threshold: float, *,
             "activity_uniform": p_uniform,
             "activity_hotspot": p_hotspot,
         },
-        "policy": _one_threshold_doc(threshold),
+        "policy": _single_threshold_doc(threshold),
         "power": {"pico": {"p_sleep_w": p_sleep}},
     }
 
@@ -207,7 +207,7 @@ def _ee_timeseries(outdir: Path, seed: int):
     p_sleeps = [0.0, 8.6]
     files = _run_and_write(
         [
-            (_timeseries_doc(topo, seed, policy=_one_threshold_doc(5), p_sleep=p),
+            (_timeseries_doc(topo, seed, policy=_single_threshold_doc(5), p_sleep=p),
              f"{topo}_psleep{_ptag(p)}", topo in ("udc", "coe"))
             for p in p_sleeps for topo in topologies
         ],
@@ -233,10 +233,10 @@ def _occupancy_timeseries(outdir: Path, seed: int):
 
 def _policy_compare(outdir: Path, seed: int):
     policies = {
-        "one5": _one_threshold_doc(5),
+        "one5": _single_threshold_doc(5),
         "two9_4": {"t_activate": 9.0, "t_deactivate": 4.0},
-        "one9": _one_threshold_doc(9),
-        "one12": _one_threshold_doc(12),
+        "one9": _single_threshold_doc(9),
+        "one12": _single_threshold_doc(12),
     }
     topologies = ["udc", "coe", "monet_udc_users", "monet_coe_users"]
     p_sleeps = [0.0, 8.6]

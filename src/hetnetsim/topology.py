@@ -17,7 +17,6 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -46,9 +45,6 @@ class Cell:
     y: float
     radius: float
     kind: CellKind
-
-    def center(self) -> np.ndarray:
-        return np.array([self.x, self.y])
 
 
 @dataclass(frozen=True)
@@ -154,12 +150,18 @@ def build_udc(
     Candidate centers are drawn uniformly over the disc of radius R - r
     (so the pico fits inside the macro) and accepted if at least 2r away
     from every previously placed center.  Each pico gets its own attempt
-    budget; exhausting it raises PlacementFailure.
+    budget; exhausting it raises PlacementFailure, as does a count whose
+    discs together outcover the macro disc, which no packing can hold.
     """
     if n_picos < 0:
         raise TopologyError("n_picos must be non-negative")
     if pico_radius >= macro_radius:
         raise TopologyError("pico_radius must be smaller than macro_radius")
+    if n_picos * pico_radius * pico_radius > macro_radius * macro_radius:
+        raise PlacementFailure(
+            f"{n_picos} picos of radius {pico_radius} cover more area than "
+            f"the macro disc of radius {macro_radius}"
+        )
     macro = Cell(0, macro_radius, macro_radius, macro_radius, CellKind.MACRO)
     inner = macro_radius - pico_radius
     placed: list[tuple[float, float]] = []
@@ -187,19 +189,3 @@ def build_udc(
     topo = Topology("udc", macro, picos)
     validate_topology(topo)
     return topo
-
-
-def containing_pico(topo: Topology, x: float, y: float) -> Optional[int]:
-    """Id of the pico whose open disc contains (x, y), or None.
-
-    Non-overlap makes the containing pico unique; ties on a shared boundary
-    point resolve to the lowest id (scan order).
-    """
-    for p in topo.picos:
-        if _dist(x, y, p.x, p.y) < p.radius:
-            return p.id
-    return None
-
-
-def contains_point(cell: Cell, x: float, y: float) -> bool:
-    return _dist(x, y, cell.x, cell.y) < cell.radius

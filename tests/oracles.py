@@ -1,0 +1,197 @@
+"""Scalar reference implementations that the tests check the program
+against.  Each one is written out from the model's definition, one link,
+pico or station at a time; the program computes the same quantities for
+whole arrays at once.
+
+The control oracle (step_state) transcribes the state table in
+``hetnetsim.control``'s docstring, and consumed_power_w the station power
+formula in ``hetnetsim.power``'s; neither calls a hetnetsim function.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+from hetnetsim.channel import ChannelParams
+from hetnetsim.control import ThresholdPolicy
+from hetnetsim.power import EnbMode, PowerParams
+from hetnetsim.topology import Cell, CellKind, Topology
+
+BOLTZMANN = 1.380649e-23  # J/K
+
+# --- link budget -----------------------------------------------------------
+
+
+class NonPositiveDistance(ValueError):
+    """Link evaluation needs a strictly positive geometric distance."""
+
+
+@dataclass(frozen=True)
+class LinkBudget:
+    distance_m: float
+    bandwidth_hz: float
+    path_loss_db: float
+    shadow_db: float
+    rx_power_dbm: float
+    noise_power_dbm: float
+    snr_db: float
+    snr_linear: float
+    capacity_bps: float
+
+
+def path_loss_db(
+    kind: CellKind, distance_m: float, min_distance_m: float = 1.0
+) -> float:
+    """Distance-dependent loss in dB; distance clamped below at min_distance_m.
+
+    Macro tier: 140.7 + 36.7 log10(d_km); pico tier: 128.1 + 37.6 log10(d_km).
+    """
+    if distance_m <= 0.0:
+        raise NonPositiveDistance(f"distance must be > 0, got {distance_m}")
+    d_km = max(distance_m, min_distance_m) / 1000.0
+    if kind is CellKind.MACRO:
+        return 140.7 + 36.7 * math.log10(d_km)
+    if kind is CellKind.PICO:
+        return 128.1 + 37.6 * math.log10(d_km)
+    raise TypeError(f"kind must be a CellKind, got {kind!r}")
+
+
+def sample_shadow_db(
+    kind: CellKind, rng: np.random.Generator, params: ChannelParams = ChannelParams()
+) -> float:
+    if kind is CellKind.MACRO:
+        sigma = params.macro_shadow_sigma_db
+    elif kind is CellKind.PICO:
+        sigma = params.pico_shadow_sigma_db
+    else:
+        raise TypeError(f"kind must be a CellKind, got {kind!r}")
+    return float(rng.normal(0.0, sigma))
+
+
+def shannon_capacity_bps(bandwidth_hz: float, snr_linear: float) -> float:
+    return bandwidth_hz * math.log2(1.0 + snr_linear)
+
+
+def evaluate_link(
+    kind: CellKind,
+    distance_m: float,
+    bandwidth_hz: float,
+    shadow_db: float = 0.0,
+    params: ChannelParams = ChannelParams(),
+) -> LinkBudget:
+    """Full budget for one downlink: PL, shadowing, noise, SNR, capacity.
+
+    rx = tx + eNB gain + UE gain - path loss + shadow (all dB/dBm); noise
+    is kTW in dBm.  Shadowing is passed in rather than drawn so callers
+    control the random stream.
+    """
+    pl = path_loss_db(kind, distance_m, params.min_distance_m)
+    if kind is CellKind.MACRO:
+        tx, gain = params.macro_tx_dbm, params.macro_antenna_gain_dbi
+    else:
+        tx, gain = params.pico_tx_dbm, params.pico_antenna_gain_dbi
+    rx = tx + gain + params.ue_antenna_gain_dbi - pl + shadow_db
+    noise = 10.0 * math.log10(
+        BOLTZMANN * params.temperature_k * bandwidth_hz * 1000.0)
+    snr_db = rx - noise
+    snr = 10.0 ** (snr_db / 10.0)
+    return LinkBudget(
+        distance_m=distance_m,
+        bandwidth_hz=bandwidth_hz,
+        path_loss_db=pl,
+        shadow_db=shadow_db,
+        rx_power_dbm=rx,
+        noise_power_dbm=noise,
+        snr_db=snr_db,
+        snr_linear=snr,
+        capacity_bps=shannon_capacity_bps(bandwidth_hz, snr),
+    )
+
+
+# --- containment -----------------------------------------------------------
+
+
+def contains_point(cell: Cell, x: float, y: float) -> bool:
+    return math.hypot(x - cell.x, y - cell.y) < cell.radius
+
+
+def containing_pico(topo: Topology, x: float, y: float) -> Optional[int]:
+    """Id of the pico whose open disc contains (x, y), or None; where discs
+    overlap, the lowest id (scan order) wins."""
+    for p in topo.picos:
+        if contains_point(p, x, y):
+            return p.id
+    return None
+
+
+# --- station power ---------------------------------------------------------
+
+
+def consumed_power_w(params: PowerParams, mode: EnbMode, n_served: int = 0) -> float:
+    """Station draw in watts for one slot at the given mode and load:
+    sectors * (p0 + delta_p * p_max * min(n, cap) / cap) when Active,
+    sectors * p_sleep in Sleep and Boot."""
+    if n_served < 0:
+        raise ValueError(f"n_served must be non-negative, got {n_served}")
+    if mode is EnbMode.ACTIVE:
+        load = min(n_served, params.user_capacity) / params.user_capacity
+        return params.sectors * (params.p0_w + params.delta_p * params.p_max_w * load)
+    return params.sectors * params.p_sleep_w
+
+
+# --- pico control ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PicoControlState:
+    mode: EnbMode = EnbMode.SLEEP
+    boot_remaining: int = 0
+
+
+def one_threshold(t: float) -> ThresholdPolicy:
+    return ThresholdPolicy(t_activate=t, t_deactivate=None)
+
+
+def two_threshold(t_activate: float, t_deactivate: float) -> ThresholdPolicy:
+    return ThresholdPolicy(t_activate=t_activate, t_deactivate=t_deactivate)
+
+
+def step_state(
+    state: PicoControlState,
+    count: int,
+    policy,
+    boot_slots: int = 1,
+) -> PicoControlState:
+    """One pico's next state, from the table:
+
+    * Sleep  -> Boot    when count >= t_activate, for boot_slots slots
+                        (straight to Active when boot_slots = 0)
+    * Boot   -> Active  when the countdown reaches zero, whatever the count
+    * Active -> Sleep   when count <= t_deactivate, or, with no
+                        t_deactivate, when count < t_activate
+
+    Every other state stays as it is.  policy is anything with
+    t_activate and t_deactivate attributes.
+    """
+    if boot_slots < 0:
+        raise ValueError(f"boot_slots must be >= 0, got {boot_slots}")
+    if state.mode is EnbMode.SLEEP:
+        if count < policy.t_activate:
+            return state
+        if boot_slots == 0:
+            return PicoControlState(EnbMode.ACTIVE, 0)
+        return PicoControlState(EnbMode.BOOT, boot_slots)
+    if state.mode is EnbMode.BOOT:
+        remaining = state.boot_remaining - 1
+        if remaining <= 0:
+            return PicoControlState(EnbMode.ACTIVE, 0)
+        return PicoControlState(EnbMode.BOOT, remaining)
+    if policy.t_deactivate is None:
+        sleep = count < policy.t_activate
+    else:
+        sleep = count <= policy.t_deactivate
+    return PicoControlState(EnbMode.SLEEP, 0) if sleep else state

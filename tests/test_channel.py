@@ -1,31 +1,31 @@
 """Link budget arithmetic against independently derived values.
 
 The frozen constants below were computed with plain dB arithmetic
-(log-domain, no shared code with the module under test).
+(log-domain, no shared code with the module under test).  They pin the
+program's noise floor and bandwidth split, the capacity of
+kernels.link_capacity at two reference links, and the scalar link-budget
+oracle in tests/oracles.py, which the kernel tests compare against.
 """
-
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hetnetsim import kernels
 from hetnetsim.topology import CellKind
 from hetnetsim.channel import (
-    FREESPACE_MACRO,
-    FREESPACE_PICO,
     ChannelParams,
-    NonPositiveDistance,
     ZeroUsers,
-    evaluate_link,
-    freespace_rx_power_w,
-    freespace_tx_power_w,
     noise_power_dbm,
+    user_bandwidth,
+)
+from oracles import (
+    NonPositiveDistance,
+    evaluate_link,
     path_loss_db,
     sample_shadow_db,
     shannon_capacity_bps,
-    user_bandwidth,
 )
 
 NOISE_20KHZ_DBM = -130.9648872375883
@@ -101,6 +101,12 @@ class TestEvaluateLink:
         up = evaluate_link(CellKind.PICO, 40.0, 20e3, shadow_db=6.0)
         assert up.rx_power_dbm - base.rx_power_dbm == pytest.approx(6.0, abs=1e-12)
 
+    def test_kernel_gives_the_reference_capacities(self):
+        cap = kernels.link_capacity(
+            np.array([250.0, 25.0]), np.zeros(2), np.array([False, True]),
+            20e3, 60.0, 35.0, noise_power_dbm(20e3), 1.0)
+        np.testing.assert_allclose(cap, [CAP_MACRO_250M, CAP_PICO_25M], rtol=1e-12)
+
     @settings(max_examples=100, deadline=None)
     @given(st.floats(1.0, 2000.0), st.floats(1.0, 2000.0))
     def test_capacity_decays_with_distance(self, d1, d2):
@@ -118,34 +124,3 @@ def test_shadow_samples_follow_the_configured_sigma():
     assert abs(z_macro.mean()) < 0.5
     assert z_macro.std() == pytest.approx(8.0, rel=0.06)
     assert z_pico.std() == pytest.approx(10.0, rel=0.06)
-
-
-class TestFreeSpace:
-    def test_reference_attenuation(self):
-        # 1 W through 600 m with square-law decay both terms
-        assert freespace_rx_power_w(1.0, 600.0, FREESPACE_MACRO) == pytest.approx(
-            6.944444444444445e-07, rel=1e-12)
-
-    def test_tx_solve_at_the_pico_cell_edge(self):
-        assert freespace_tx_power_w(50.0, FREESPACE_PICO) == pytest.approx(
-            0.0012070915677580892, rel=1e-12)
-
-    def test_tx_clamps_at_the_power_ceiling(self):
-        assert freespace_tx_power_w(5000.0, FREESPACE_MACRO) == 1.0
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.floats(1.0, 800.0))
-    def test_round_trip_recovers_the_target_rx(self, r):
-        # off the clamp, solving for tx then propagating back is exact
-        p = FREESPACE_PICO
-        tx = freespace_tx_power_w(r, p)
-        if tx < p.p_max_w:
-            rx = freespace_rx_power_w(tx, r, p)
-            assert rx == pytest.approx(p.p0_w, rel=1e-12)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.floats(1.0, 4000.0), st.floats(1.0, 4000.0))
-    def test_tx_monotone_in_range(self, r1, r2):
-        lo, hi = sorted((r1, r2))
-        assert freespace_tx_power_w(lo, FREESPACE_MACRO) <= \
-            freespace_tx_power_w(hi, FREESPACE_MACRO) + 1e-18

@@ -1,10 +1,14 @@
 """Scenario documents and the command-line surface."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetnetsim.cli import main
 from hetnetsim.config import (
@@ -12,6 +16,7 @@ from hetnetsim.config import (
     ValidationError,
     apply_overrides,
     parse_scenario,
+    scenario_to_dict,
     serialize_scenario,
 )
 
@@ -70,6 +75,10 @@ class TestParsing:
         s = parse_scenario("topology: udc\npolicy: {t_activate: .inf}\n")
         assert math.isinf(s.policy.t_activate)
 
+    def test_legacy_section_is_unknown(self):
+        with pytest.raises(ValidationError, match="^legacy: unknown key"):
+            parse_scenario({"topology": "udc", "legacy": {"enabled": True}})
+
 
 class TestCrossFieldValidation:
     def test_hotspot_cannot_exceed_population(self):
@@ -103,7 +112,6 @@ class TestRoundTrip:
         {"topology": "monet_udc_users", "users": {"hotspot": 400},
          "policy": {"t_activate": 5, "t_deactivate": None},
          "power": {"pico": {"p_sleep_w": 0.0}}},
-        {"topology": "udc", "legacy": {"enabled": True}},
     ]
 
     @pytest.mark.parametrize("doc", CASES)
@@ -145,6 +153,12 @@ class TestOverrides:
         data = apply_overrides({"topology": "udc"}, ["polcy.t_activate=3"])
         with pytest.raises(ValidationError, match="polcy"):
             parse_scenario(data)
+
+    def test_bad_keys_and_values_name_the_override(self):
+        with pytest.raises(ValidationError, match=r"^users\.\.total=1: "):
+            apply_overrides({}, ["users..total=1"])
+        with pytest.raises(ValidationError, match=r"^users\.total: bad override value"):
+            apply_overrides({}, ["users.total=[unclosed"])
 
 
 # --------------------------------------------------------------------------
@@ -268,6 +282,8 @@ def test_sweep_emits_one_row_per_value(scenario_file, tmp_path):
 def test_sweep_rejects_bad_ranges(scenario_file, tmp_path):
     assert main(["sweep", "--scenario", str(scenario_file),
                  "--from", "5", "--to", "1", "--out", str(tmp_path / "x")]) == 1
+    assert main(["sweep", "--scenario", str(scenario_file),
+                 "--from", "nan", "--to", "1", "--out", str(tmp_path / "x")]) == 1
 
 
 def test_preset_list_and_unknown_name(tmp_path, capsys):
@@ -294,3 +310,107 @@ def test_dump_topology_donor_layouts_share_geometry(tmp_path, capsys):
     main(["dump-topology", "--scenario", str(b)])
     doc_b = capsys.readouterr().out
     assert json.loads(doc_a)["picos"] == json.loads(doc_b)["picos"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "dump-topology"])
+@pytest.mark.parametrize("layout, sets, reason", [
+    ("coe", ["layout.n_picos=40"], "do not fit on the ring"),
+    ("udc", ["layout.n_picos=200", "layout.max_place_attempts=5"],
+     "cover more area than the macro disc"),
+    ("udc", ["layout.n_picos=90", "layout.max_place_attempts=5"],
+     "after 5 attempts"),
+])
+def test_layouts_that_cannot_be_built_exit_1(tmp_path, capsys, command, layout,
+                                             sets, reason):
+    doc = tmp_path / "layout.yaml"
+    doc.write_text(f"topology: {layout}\nusers: {{total: 50}}\n")
+    args = [command, "--scenario", str(doc), "--out", str(tmp_path / "out")]
+    if command == "sweep":
+        args += ["--from", "9", "--to", "9"]
+    for item in sets:
+        args += ["--set", item]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: layout: ") and reason in err
+
+
+@pytest.mark.parametrize("doc, item", [
+    ("topology: udc\n", "channel.bandwidth_hz=.inf"),
+    ("topology: udc\n", "policy.t_deactivate=.nan"),
+    ("topology: udc\nslots: 3\nusers: {total: 50}\n", "users.speed_max=.inf"),
+])
+def test_non_finite_numbers_are_rejected_with_their_path(tmp_path, capsys, doc, item):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(doc)
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                 "--set", item]) == 1
+    key = item.partition("=")[0]
+    assert capsys.readouterr().err.startswith(f"error: {key}: must be finite")
+
+
+def test_sweep_takes_an_integer_field(scenario_file, tmp_path):
+    out = tmp_path / "sw"
+    assert main(["sweep", "--scenario", str(scenario_file), "--out", str(out),
+                 "--param", "users.hotspot", "--from", "0", "--to", "100",
+                 "--step", "50"]) == 0
+    rows = read_csv(out / "sweep.csv")
+    assert [r[0] for r in rows[1:]] == ["0.0", "50.0", "100.0"]
+    assert len({r[2] for r in rows[1:]}) == 3  # each point its own users
+
+
+# --------------------------------------------------------------------------
+# fuzzed overrides: any --set ends in exit 0, or in exit 1 naming a path
+
+
+def dotted_paths(doc, prefix=""):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from dotted_paths(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}"
+
+
+SCENARIO_PATHS = sorted(dotted_paths(scenario_to_dict(Scenario())))
+SECTIONS = ["layout", "users", "work", "policy", "channel", "power",
+            "power.macro", "power.pico"]
+UNKNOWN_PATHS = ["legacy", "legacy.enabled", "nosuch", "users.totl",
+                 "power.hub.sectors", "layout.n_picos.deeper"]
+# YAML texts: scalars, lists, mappings, null, booleans, non-finite floats,
+# negatives, and numbers past 64 bits and past the float range
+FUZZ_VALUES = ["0", "1", "3", "28", "-1", "-2.5", "0.5", "12.5", "udc", "coe",
+               "monet", "abc", "''", "null", "true", "false", "[]", "[1, 2]",
+               "[0, 42, 83]", "[.nan]", "{}", "{total: 5}", ".nan", ".inf",
+               "-.inf", "1.0e+300", "-1.0e+300", str(2**63 - 1), str(2**63),
+               str(-2**63 - 1), "1" + "0" * 400]
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "base.yaml"
+    path.write_text("topology: udc\n")
+    return path
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(SCENARIO_PATHS + SECTIONS + UNKNOWN_PATHS),
+                          st.sampled_from(FUZZ_VALUES)),
+                min_size=1, max_size=4))
+def test_fuzzed_overrides_exit_0_or_1_with_a_path(fuzz_base, assignments):
+    args = ["dump-topology", "--scenario", str(fuzz_base)]
+    for key, value in assignments:
+        args += ["--set", f"{key}={value}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(args)
+    err = err.getvalue()
+    assert rc in (0, 1), err
+    assert "Traceback" not in err and "runtime error" not in err
+    if rc == 1:
+        assert err.startswith("error: "), err
+        # a scenario path, or a dotted path on the way to or below a key
+        # that was set (a typo, or a mapping value's own keys)
+        path = err[len("error: "):].split(":")[0].split("[")[0]
+        assert path in SCENARIO_PATHS or path in SECTIONS or any(
+            f"{key}.".startswith(f"{path}.") or path.startswith(f"{key}.")
+            for key, _ in assignments
+        ), err

@@ -1,29 +1,47 @@
-"""Wake/sleep controller: policy validation, state table, hysteresis."""
+"""Wake/sleep controller: policy validation, state table, hysteresis.
+
+The tests step the program's step_modes; the last one checks it against
+the plain-Python transcription of the state table in tests/oracles.py.
+"""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hetnetsim.control import (
+    MODES,
     InvalidPolicy,
-    PicoControlState,
+    PolicyRows,
     ThresholdPolicy,
-    one_threshold,
-    step_state,
-    two_threshold,
+    step_modes,
 )
 from hetnetsim.power import EnbMode
+from oracles import PicoControlState, one_threshold, step_state, two_threshold
 
 SLEEP = PicoControlState(EnbMode.SLEEP, 0)
 ACTIVE = PicoControlState(EnbMode.ACTIVE, 0)
 
 
+def step(state, count, policy, boot_slots=1):
+    """step_modes on a single pico: one row of one column."""
+    mode, remaining = step_modes(
+        np.array([[MODES.index(state.mode)]]),
+        np.array([[state.boot_remaining]]),
+        np.array([count]),
+        PolicyRows.of([policy]),
+        np.array([[boot_slots]]),
+    )
+    return PicoControlState(MODES[mode[0, 0]], int(remaining[0, 0]))
+
+
 def run_sequence(policy, counts, state=SLEEP, boot_slots=1):
     trail = [state]
     for c in counts:
-        state = step_state(state, c, policy, boot_slots)
+        state = step(state, c, policy, boot_slots)
         trail.append(state)
     return trail
 
@@ -31,7 +49,7 @@ def run_sequence(policy, counts, state=SLEEP, boot_slots=1):
 class TestPolicyValidation:
     def test_equal_thresholds_rejected(self):
         with pytest.raises(InvalidPolicy):
-            two_threshold(5, 5)
+            ThresholdPolicy(t_activate=5, t_deactivate=5)
 
     def test_inverted_thresholds_rejected(self):
         with pytest.raises(InvalidPolicy):
@@ -39,14 +57,14 @@ class TestPolicyValidation:
 
     def test_negative_activate_rejected(self):
         with pytest.raises(InvalidPolicy):
-            one_threshold(-1)
+            ThresholdPolicy(t_activate=-1)
 
     def test_zero_and_infinite_activate_allowed(self):
-        one_threshold(0)
+        ThresholdPolicy(t_activate=0)
         ThresholdPolicy(t_activate=math.inf, t_deactivate=4)
 
     def test_single_threshold_has_no_deactivate(self):
-        assert one_threshold(9).t_deactivate is None
+        assert ThresholdPolicy(t_activate=9).t_deactivate is None
 
 
 class TestStateTable:
@@ -55,50 +73,50 @@ class TestStateTable:
     POLICY = two_threshold(9, 4)
 
     def test_sleep_wakes_at_the_activate_threshold(self):
-        assert step_state(SLEEP, 9, self.POLICY).mode is EnbMode.BOOT
+        assert step(SLEEP, 9, self.POLICY).mode is EnbMode.BOOT
 
     def test_sleep_holds_below_the_activate_threshold(self):
-        assert step_state(SLEEP, 8, self.POLICY) == SLEEP
+        assert step(SLEEP, 8, self.POLICY) == SLEEP
 
     def test_boot_finishes_regardless_of_count(self):
-        booting = step_state(SLEEP, 20, self.POLICY)
+        booting = step(SLEEP, 20, self.POLICY)
         assert booting.mode is EnbMode.BOOT
-        assert step_state(booting, 0, self.POLICY).mode is EnbMode.ACTIVE
+        assert step(booting, 0, self.POLICY).mode is EnbMode.ACTIVE
 
     def test_active_holds_inside_the_band(self):
-        assert step_state(ACTIVE, 5, self.POLICY) == ACTIVE
+        assert step(ACTIVE, 5, self.POLICY) == ACTIVE
 
     def test_active_sleeps_at_the_deactivate_threshold(self):
-        assert step_state(ACTIVE, 4, self.POLICY).mode is EnbMode.SLEEP
+        assert step(ACTIVE, 4, self.POLICY).mode is EnbMode.SLEEP
 
     def test_longer_boot_counts_down(self):
-        s = step_state(SLEEP, 9, self.POLICY, boot_slots=3)
+        s = step(SLEEP, 9, self.POLICY, boot_slots=3)
         assert (s.mode, s.boot_remaining) == (EnbMode.BOOT, 3)
-        s = step_state(s, 0, self.POLICY, boot_slots=3)
-        s = step_state(s, 0, self.POLICY, boot_slots=3)
+        s = step(s, 0, self.POLICY, boot_slots=3)
+        s = step(s, 0, self.POLICY, boot_slots=3)
         assert s.mode is EnbMode.BOOT
-        assert step_state(s, 0, self.POLICY, boot_slots=3).mode is EnbMode.ACTIVE
+        assert step(s, 0, self.POLICY, boot_slots=3).mode is EnbMode.ACTIVE
 
     def test_zero_boot_slots_wakes_immediately(self):
-        assert step_state(SLEEP, 9, self.POLICY, boot_slots=0).mode is EnbMode.ACTIVE
+        assert step(SLEEP, 9, self.POLICY, boot_slots=0).mode is EnbMode.ACTIVE
 
     def test_negative_boot_slots_rejected(self):
         with pytest.raises(ValueError):
-            step_state(SLEEP, 9, self.POLICY, boot_slots=-1)
+            step(SLEEP, 9, self.POLICY, boot_slots=-1)
 
 
 def test_single_threshold_sleeps_strictly_below_it():
     p = one_threshold(9)
-    assert step_state(ACTIVE, 8, p).mode is EnbMode.SLEEP
-    assert step_state(ACTIVE, 9, p) == ACTIVE
-    assert step_state(SLEEP, 9, p).mode is EnbMode.BOOT
+    assert step(ACTIVE, 8, p).mode is EnbMode.SLEEP
+    assert step(ACTIVE, 9, p) == ACTIVE
+    assert step(SLEEP, 9, p).mode is EnbMode.BOOT
 
 
 def test_degenerate_1_0_policy_never_wakes_on_empty_cells():
     p = two_threshold(1, 0)
     state = SLEEP
     for _ in range(50):
-        state = step_state(state, 0, p)
+        state = step(state, 0, p)
     assert state == SLEEP
 
 
@@ -135,7 +153,7 @@ def test_sleep_never_jumps_straight_to_active(t_act, gap, counts):
     policy = two_threshold(t_act, max(t_act - 1 - gap, 0)) if gap else one_threshold(t_act)
     prev = SLEEP
     for c in counts:
-        cur = step_state(prev, c, policy)
+        cur = step(prev, c, policy)
         if prev.mode is EnbMode.SLEEP:
             assert cur.mode is not EnbMode.ACTIVE
         prev = cur
@@ -159,3 +177,42 @@ def test_no_transitions_strictly_inside_the_band(t_act, t_deact, data):
         trail = run_sequence(policy, counts, state=start)
         assert all(s.mode is start.mode for s in trail)
 
+
+
+@st.composite
+def policy_rows(draw):
+    """K rows of (ThresholdPolicy, boot_slots): one- and two-threshold
+    rules, integral, fractional and infinite wake thresholds."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        t_act = draw(st.integers(0, 10).map(float) | st.floats(0.0, 10.0)
+                     | st.just(math.inf))
+        t_deact = draw(st.none() | st.integers(-1, 10).map(float)
+                       | st.floats(-1.0, 10.0) | st.just(-math.inf))
+        if t_deact is not None and t_deact >= t_act:
+            t_deact = None
+        rows.append((ThresholdPolicy(t_act, t_deact), draw(st.integers(0, 3))))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=policy_rows(), data=st.data())
+def test_step_modes_equals_the_state_table_oracle(rows, data):
+    """(K, m) picos in any mode and countdown, stepped through a run of
+    shared counts, match the oracle element by element after every slot."""
+    K = len(rows)
+    m = data.draw(st.integers(1, 8))
+    mode = data.draw(hnp.arrays(np.int64, (K, m), elements=st.integers(0, 2)))
+    remaining = data.draw(hnp.arrays(np.int64, (K, m), elements=st.integers(0, 3)))
+    policies = PolicyRows.of([p for p, _ in rows])
+    boot_slots = np.array([[b] for _, b in rows])
+    for counts in data.draw(st.lists(
+            hnp.arrays(np.int64, (m,), elements=st.integers(0, 12)),
+            min_size=1, max_size=8)):
+        want = [[step_state(PicoControlState(MODES[mode[k, j]], int(remaining[k, j])),
+                            int(counts[j]), rows[k][0], rows[k][1])
+                 for j in range(m)] for k in range(K)]
+        mode, remaining = step_modes(mode, remaining, counts, policies, boot_slots)
+        got = [[PicoControlState(MODES[mode[k, j]], int(remaining[k, j]))
+                for j in range(m)] for k in range(K)]
+        assert got == want

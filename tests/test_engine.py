@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from hetnetsim import engine, kernels
 from hetnetsim.config import parse_scenario
-from hetnetsim.control import ACTIVE, BOOT, MODES, SLEEP, PicoControlState, step_state
+from hetnetsim.control import ACTIVE, BOOT, MODES, SLEEP
 from hetnetsim.engine import (
     OUTPUTS,
     Response,
@@ -29,7 +29,8 @@ from hetnetsim.engine import (
     write_pico_trace_csv,
     write_user_trace_csv,
 )
-from hetnetsim.power import EnbMode, consumed_power_w
+from hetnetsim.power import EnbMode
+from oracles import PicoControlState, consumed_power_w, step_state
 
 
 def scenario(**kw):
@@ -86,8 +87,8 @@ def test_single_active_pico_power_decomposition():
 
 @pytest.mark.parametrize("boot_slots", [0, 1, 3])
 def test_engine_mode_trail_follows_the_state_table(boot_slots):
-    """Replaying each pico's per-slot counts through step_state gives back
-    the mode trail the engine produced for it."""
+    """Replaying each pico's per-slot counts through the state-table
+    oracle gives back the mode trail the engine produced for it."""
     s = scenario(
         slots=90, boot_slots=boot_slots,
         layout={"n_picos": 8},
@@ -385,18 +386,6 @@ def test_capacity_falls_as_the_wake_threshold_rises():
     assert caps[0] > caps[1]
 
 
-def test_legacy_accounting_changes_power_not_capacity():
-    base = {"topology": "udc", "seed": 11, "realizations": 3,
-            "users": {"total": 300, "activity_uniform": 1.0},
-            "policy": {"t_activate": 0, "t_deactivate": None}}
-    plain = run_scenario(parse_scenario(base))
-    legacy = run_scenario(parse_scenario({**base, "legacy": {"enabled": True}}))
-    mp, ml = plain.slot_metrics, legacy.slot_metrics
-    np.testing.assert_array_equal(ml.capacity_bps, mp.capacity_bps)  # same links, same draws
-    assert (ml.n_active_picos == 28).all()
-    assert ((0.0 < ml.power_w) & (ml.power_w < mp.power_w)).all()  # adaptive tx sums stay small
-
-
 class TestRateHistogram:
     def test_binning_and_overflow_clamp(self):
         counts, edges = rate_histogram(np.array([5e3, 1.5e4, 9.99e5, 2e6]))
@@ -488,7 +477,6 @@ def process_groups(draw):
                        "t_deactivate": None if t_off is None else float(t_off)},
             "power": {"pico": {"p_sleep_w": draw(st.sampled_from([0.0, 4.0, 8.6]))},
                       "macro": {"p0_w": draw(st.sampled_from([0.0, 260.0]))}},
-            "legacy": {"enabled": draw(st.booleans())},
         })
     return docs
 
@@ -519,10 +507,9 @@ def test_grouped_runs_equal_solo_runs(docs, data):
 
 def reference_slot_columns(scenarios):
     """Per row, the (slots, 8) slot metrics of the per-row scalar loop:
-    power from power.consumed_power_w, pico by pico in index order, or
-    from the legacy adaptive transmit power of the served links; capacity
-    as the row's sum and pico capacity as a sum over the pico-served users
-    alone.  Worlds are stepped as the engine steps them, and each slot's
+    power from the oracle's consumed_power_w, pico by pico in index
+    order; capacity as the row's sum and pico capacity as a sum over the
+    pico-served users alone.  Worlds are stepped as the engine steps them, and each slot's
     users, links and modes are read off them."""
     s0 = scenarios[0]
     topo = build_geometry(s0)
@@ -538,33 +525,19 @@ def reference_slot_columns(scenarios):
     for w, slot in steps:
         w.run_slot(slot)
         active, containing = w.last_active, w.last_containing
-        px, py = w.pop.px, w.pop.py
         counts = np.bincount(containing[active & (containing >= 0)],
                              minlength=len(centres))
-        d_macro = np.hypot(px - topo.macro.x, py - topo.macro.y)
-        j = np.maximum(containing, 0)
-        d_pico = np.hypot(px - centres[j, 0], py - centres[j, 1])
         for k, s in enumerate(scenarios):
             served, cap = w.last_pico_served[k], w.last_capacity[k]
             modes = [MODES[code] for code in w.mode[k]]
             n_pico = int(served.sum())
             n_macro = int(active.sum()) - n_pico
-            if s.legacy.enabled:
-                L = s.legacy
-                macro_w = float(kernels.freespace_tx_power(
-                    d_macro[active & ~served], L.macro.alpha, L.macro.beta,
-                    L.macro.g, L.macro.k, L.macro.p0_w, L.macro.p_max_w).sum())
-                pico_w = float(kernels.freespace_tx_power(
-                    d_pico[served], L.pico.alpha, L.pico.beta,
-                    L.pico.g, L.pico.k, L.pico.p0_w, L.pico.p_max_w,
-                ).sum()) if n_pico else 0.0
-            else:
-                macro_w = consumed_power_w(s.power_macro, EnbMode.ACTIVE, n_macro)
-                pico_w = 0.0
-                if s.serves_from_picos():
-                    for mode, c in zip(modes, counts):
-                        served_here = int(c) if mode is EnbMode.ACTIVE else 0
-                        pico_w += consumed_power_w(s.power_pico, mode, served_here)
+            macro_w = consumed_power_w(s.power_macro, EnbMode.ACTIVE, n_macro)
+            pico_w = 0.0
+            if s.serves_from_picos():
+                for mode, c in zip(modes, counts):
+                    served_here = int(c) if mode is EnbMode.ACTIVE else 0
+                    pico_w += consumed_power_w(s.power_pico, mode, served_here)
             capacity = float(cap.sum())
             power = macro_w + pico_w
             rows[k].append((
@@ -603,13 +576,10 @@ def test_slot_columns_equal_the_per_row_reference(docs):
 @settings(max_examples=30, deadline=None)
 @given(docs=process_groups())
 def test_slot_power_lies_between_its_floor_and_ceiling(docs):
-    """Outside legacy accounting, a slot draws at least the idle macro and
-    every serving pico's sleep floor, and at most every station at full
-    load."""
+    """A slot draws at least the idle macro and every serving pico's sleep
+    floor, and at most every station at full load."""
     scenarios = [parse_scenario(d) for d in docs]
     for s, result in zip(scenarios, run_scenarios(scenarios)):
-        if s.legacy.enabled:
-            continue
         m = len(result.topology.picos) if s.serves_from_picos() else 0
         P, M = s.power_pico, s.power_macro
         floor = consumed_power_w(M, EnbMode.ACTIVE, 0) + \

@@ -41,13 +41,6 @@ CASES = {
         ["run", "--trace-users", "--trace-picos"],
         {**HYSTERESIS_RUN, "boot_slots": 0},
     ),
-    "legacy_snapshot": (
-        ["run", "--trace-picos"],
-        {"topology": "udc", "seed": 2, "realizations": 6,
-         "users": {"total": 300, "activity_uniform": 1.0},
-         "policy": {"t_activate": 3.0, "t_deactivate": None},
-         "legacy": {"enabled": True}},
-    ),
     # a traced snapshot: the slot column is the realization index and the
     # hotspot users sit still inside their picos
     "snapshot_traced": (
@@ -104,18 +97,6 @@ CASES = {
 }
 
 GOLDEN = {
-    "legacy_snapshot": {
-        "histogram.csv":
-            "cd4b0c7bd92fc2ff059917f30ffc0f48941540a12e1c37726e6cc26e665e65a4",
-        "pico_trace.csv":
-            "eddc642a596f19d01b8720302e93a0b9d1179350932feef177632bac0b7d14fe",
-        "slots.csv":
-            "9f8a01dce67a9e792458675257f065d040187b1074f4477e82b12c7475141e25",
-        "topology.json":
-            "1036fd9fc462a3e785e21e1e25e3937ba7c5f36f047b0382e0caad68f0c015e0",
-        "users.csv":
-            "ec5cc09d1ded55753b761255fe8797ee8ef752b7e62f20075ebbb014684b7c58",
-    },
     "monet_udc_users": {
         "histogram.csv":
             "227087124a821c32b4d3aed563e16b885679b0c40825c53f257889e00eba3a19",

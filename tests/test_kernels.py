@@ -1,6 +1,6 @@
 """The numpy kernels agree with independent scalar references: loops
-written out here (containment, movement) or the scalar link and power
-formulas in ``channel``."""
+written out here (containment, movement) or the scalar link budget in
+tests/oracles.py."""
 
 import math
 import tracemalloc
@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetnetsim import channel, kernels
-from hetnetsim.channel import evaluate_link
+from hetnetsim import kernels
 from hetnetsim.topology import CellKind, build_coe, build_udc
+from oracles import evaluate_link
 
 MACRO_R = 500.0
 
@@ -183,14 +183,3 @@ def test_advance_positions_matches_numpy_bitwise():
         assert arrived[i] == hit
         assert (px1[i], py1[i]) == (x, y)
     assert arrived.any() and not arrived.all()
-
-
-def test_freespace_tx_power_matches_numpy_and_scalar():
-    d = RNG.uniform(0.5, 4000.0, 1000)
-    p = channel.FREESPACE_MACRO
-    got = kernels.freespace_tx_power(d, p.alpha, p.beta, p.g, p.k, p.p0_w, p.p_max_w)
-    for i in range(0, 1000, 37):
-        np.testing.assert_allclose(
-            got[i], channel.freespace_tx_power_w(float(d[i]), p), rtol=1e-12)
-    assert (got <= p.p_max_w).all()
-    assert (got == p.p_max_w).any() and (got < p.p_max_w).any()

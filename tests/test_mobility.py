@@ -12,7 +12,8 @@ from hetnetsim.mobility import (
     init_population,
     step_population,
 )
-from hetnetsim.topology import build_monet, build_udc, containing_pico
+from hetnetsim.topology import build_monet, build_udc
+from oracles import containing_pico
 
 PARAMS = MobilityParams()
 SCHEDULE = WorkSchedule()

@@ -1,5 +1,7 @@
-"""Consumption model: exact endpoint values and load behaviour."""
+"""Consumption model: exact endpoint values and load behaviour of
+power.PowerRows, the draw the engine computes."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +10,17 @@ from hetnetsim.power import (
     MACRO_POWER,
     PICO_POWER,
     EnbMode,
-    consumed_power_w,
+    PowerRows,
 )
+from oracles import consumed_power_w
+
+
+def draw(params, mode, n_served=0):
+    """One station's draw through PowerRows, as the engine computes it."""
+    rows = PowerRows.of([params])
+    if mode is EnbMode.ACTIVE:
+        return float(rows.active_draw(np.array([[n_served]]))[0, 0])
+    return float(rows.sleep_draw()[0, 0])
 
 
 @pytest.mark.parametrize(
@@ -26,29 +37,32 @@ from hetnetsim.power import (
     ],
 )
 def test_endpoint_values_exact(params, mode, n, expected):
+    assert draw(params, mode, n) == pytest.approx(expected, abs=1e-9)
     assert consumed_power_w(params, mode, n) == pytest.approx(expected, abs=1e-9)
 
 
 def test_macro_idle_sleep_level():
     # three sectors' worth of sleep draw; the engine never uses it but the
     # model is total
-    assert consumed_power_w(MACRO_POWER, EnbMode.SLEEP) == pytest.approx(450.0, abs=1e-9)
+    assert draw(MACRO_POWER, EnbMode.SLEEP) == pytest.approx(450.0, abs=1e-9)
 
 
 def test_load_saturates_at_user_capacity():
-    full = consumed_power_w(PICO_POWER, EnbMode.ACTIVE, 50)
-    assert consumed_power_w(PICO_POWER, EnbMode.ACTIVE, 80) == full
-    assert consumed_power_w(MACRO_POWER, EnbMode.ACTIVE, 2500) == 1350.0
+    full = draw(PICO_POWER, EnbMode.ACTIVE, 50)
+    assert draw(PICO_POWER, EnbMode.ACTIVE, 80) == full
+    assert draw(MACRO_POWER, EnbMode.ACTIVE, 2500) == 1350.0
 
 
 def test_negative_load_rejected():
+    # the scalar reference refuses a negative load; the engine's counts
+    # are bincounts and never negative
     with pytest.raises(ValueError):
         consumed_power_w(PICO_POWER, EnbMode.ACTIVE, -1)
 
 
 def test_pico_slope_is_20mw_per_user():
-    p0 = consumed_power_w(PICO_POWER, EnbMode.ACTIVE, 0)
-    p1 = consumed_power_w(PICO_POWER, EnbMode.ACTIVE, 1)
+    p0 = draw(PICO_POWER, EnbMode.ACTIVE, 0)
+    p1 = draw(PICO_POWER, EnbMode.ACTIVE, 1)
     assert p1 - p0 == pytest.approx(0.02, abs=1e-12)
 
 
@@ -56,14 +70,12 @@ def test_pico_slope_is_20mw_per_user():
 @given(st.integers(0, 3000), st.integers(0, 3000))
 def test_active_draw_monotone_in_load(n1, n2):
     lo, hi = sorted((n1, n2))
-    assert consumed_power_w(MACRO_POWER, EnbMode.ACTIVE, lo) <= \
-        consumed_power_w(MACRO_POWER, EnbMode.ACTIVE, hi) + 1e-12
+    assert draw(MACRO_POWER, EnbMode.ACTIVE, lo) <= \
+        draw(MACRO_POWER, EnbMode.ACTIVE, hi) + 1e-12
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 100))
 def test_sleep_never_beats_active(n):
     for params in (MACRO_POWER, PICO_POWER):
-        assert consumed_power_w(params, EnbMode.SLEEP) < \
-            consumed_power_w(params, EnbMode.ACTIVE, n)
-
+        assert draw(params, EnbMode.SLEEP) < draw(params, EnbMode.ACTIVE, n)
