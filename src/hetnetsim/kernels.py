@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -18,59 +17,66 @@ USING_NUMBA = False
 
 @dataclass(frozen=True)
 class DiscIndex:
-    """Disc centres bucketed into a uniform grid, built by disc_index.  An
-    index of no discs has no grid: containing_disc answers -1 without one."""
+    """Per grid cell, the discs whose box, padded to radius * (1 + 1e-9),
+    reaches it, for containing_disc; one empty cell if there are no discs."""
 
     cx: np.ndarray       # (m + 1,) centres, then one at infinity
     cy: np.ndarray
     radius: float
-    x0: float = 0.0      # grid origin and cell side
-    y0: float = 0.0
-    w: float = 0.0
-    gx: int = 0          # cells per row and column, without the ring
-    gy: int = 0
-    table: Optional[np.ndarray] = None  # (cells, depth); m marks an empty slot
-    block: Optional[np.ndarray] = None  # (9,) cell offsets of a 3x3 block
+    x0: float            # grid origin and cell side
+    y0: float
+    w: float
+    gx: int              # cells per row and column
+    gy: int
+    table: np.ndarray    # (gx * gy, depth); m marks an empty slot
 
     @property
     def m(self) -> int:
         return self.cx.shape[0] - 1
 
 
-def disc_index(cx, cy, radius) -> DiscIndex:
-    """Bucket the centres of m discs of ``radius > 0`` for containing_disc.
+def _cell(q, origin, w):
+    """Grid coordinate of q, unclipped; monotone in q, as each step is."""
+    return np.floor((q - origin) / w).astype(np.intp)
 
-    The centres go into a grid of square cells of side w > radius, so the
-    centre of a containing disc lies in the 3x3 block of cells around the
-    point.  w also grows with the centres' spread, which keeps the grid
-    near 4m cells for any radius.  The table takes O(m * depth), depth
-    being the most centres in one cell: 1 or 2 in the coe and udc layouts,
-    whose picos are 2r or more apart.
+
+def disc_index(cx, cy, radius) -> DiscIndex:
+    """List each of m discs of ``radius > 0`` in every grid cell that its
+    bounding box, padded to ``pad = radius * (1 + 1e-9)``, reaches.
+
+    A point the strict test puts in a disc has |px - cx| < radius: exactly,
+    or, where px - cx rounds (both within 2 radius of 0), up to a rounding
+    the padding covers.  So px lies between the rounded padded bounds,
+    and _cell, being monotone, puts it between their cells: its cell lists
+    every disc that can contain it.  The origin sits 2 radius below the
+    lowest centre, so no bound falls below cell 0.  The cell side w >=
+    radius grows with the centres' spread, keeping the grid near 4m cells;
+    depth, the most discs one cell lists, is a handful in the coe and udc
+    layouts, whose picos are 2 radius or more apart.
     """
     m = cx.shape[0]
-    inf = np.array([np.inf])
     if m == 0:
-        return DiscIndex(inf, inf, radius)
-    x0, y0 = cx.min(), cy.min()
-    span = max(cx.max() - x0, cy.max() - y0)
-    # the margin above radius keeps rounding in the cell coordinates from
-    # putting a containing centre two cells away
-    w = max(radius, span / math.ceil(math.sqrt(4 * m))) * (1.0 + 1e-9)
-    ccx = np.floor((cx - x0) / w).astype(np.intp)
-    ccy = np.floor((cy - y0) / w).astype(np.intp)
-    gx, gy = ccx.max() + 1, ccy.max() + 1
-    # a ring of empty cells around the grid holds every point's 3x3 block
-    stride = gx + 2
-    cell = (ccy + 1) * stride + ccx + 1
+        inf = np.array([np.inf])
+        return DiscIndex(inf, inf, radius, 0.0, 0.0, 1.0, 1, 1, np.zeros((1, 1), np.intp))
+    pad = radius * (1.0 + 1e-9)
+    x0, y0 = cx.min() - 2.0 * radius, cy.min() - 2.0 * radius
+    w = max(radius, max(cx.max() - x0, cy.max() - y0) / math.ceil(math.sqrt(4 * m)))
+    lo_x, hi_x = _cell(cx - pad, x0, w), _cell(cx + pad, x0, w)
+    lo_y, hi_y = _cell(cy - pad, y0, w), _cell(cy + pad, y0, w)
+    gx, gy = int(hi_x.max()) + 1, int(hi_y.max()) + 1
+    # (m, k, k) cells of each box, masked past its extent
+    k = np.arange(max((hi_x - lo_x).max(), (hi_y - lo_y).max()) + 1)
+    ix, iy = lo_x[:, None, None] + k, lo_y[:, None, None] + k[:, None]
+    in_box = (ix <= hi_x[:, None, None]) & (iy <= hi_y[:, None, None])
+    disc = np.nonzero(in_box)[0]
+    cell = (iy * gx + ix)[in_box]
     order = np.argsort(cell, kind="stable")
-    by_cell = cell[order]
-    per_cell = np.bincount(cell, minlength=(gy + 2) * stride)
-    first = np.cumsum(per_cell) - per_cell
-    table = np.full((per_cell.size, per_cell.max()), m, dtype=np.intp)
-    table[by_cell, np.arange(m) - first[by_cell]] = order
-    block = (np.arange(-1, 2)[:, None] * stride + np.arange(-1, 2)).ravel()
-    return DiscIndex(np.append(cx, inf), np.append(cy, inf), radius,
-                     x0, y0, w, int(gx), int(gy), table, block)
+    per_cell = np.bincount(cell, minlength=gx * gy)
+    first = (np.cumsum(per_cell) - per_cell)[cell[order]]
+    table = np.full((gx * gy, per_cell.max()), m, dtype=np.intp)
+    table[cell[order], np.arange(cell.size) - first] = disc[order]
+    return DiscIndex(np.append(cx, np.inf), np.append(cy, np.inf), radius,
+                     x0, y0, w, gx, gy, table)
 
 
 def containing_disc(px, py, index: DiscIndex):
@@ -78,27 +84,21 @@ def containing_disc(px, py, index: DiscIndex):
     (``dx*dx + dy*dy < radius*radius``, ``dx = px - cx``), -1 if none.
     Where discs overlap, the lowest index wins.
 
-    Each point tests only the centres in the 3x3 block of cells around it.
+    Each point tests only the discs its own cell lists; as the floor of a
+    padded bound is monotone, any that contains it is there (disc_index).
     Memory is O(n * depth + m).
     """
-    containing = np.full(px.shape[0], -1, dtype=np.int64)
-    m = index.m
-    if m == 0:
-        return containing
-    # points off the grid take the nearest edge cell: its block still holds
-    # every centre within one cell of them
-    ix = np.clip(np.floor((px - index.x0) / index.w), 0, index.gx - 1).astype(np.intp)
-    iy = np.clip(np.floor((py - index.y0) / index.w), 0, index.gy - 1).astype(np.intp)
-    cand = index.table[((iy + 1) * (index.gx + 2) + ix + 1)[:, None] + index.block]
-    # (n, 9, depth); empty slots point at the centre at infinity, which
-    # contains nothing
-    dx = px[:, None, None] - index.cx[cand]
-    dy = py[:, None, None] - index.cy[cand]
-    inside = dx * dx + dy * dy < index.radius * index.radius
-    first_hit = np.where(inside, cand, m).min(axis=(1, 2))
-    hit = first_hit < m
-    containing[hit] = first_hit[hit]
-    return containing
+    # off the grid, a point lies past every box: its edge cell lists no hit
+    ix = np.clip(_cell(px, index.x0, index.w), 0, index.gx - 1)
+    iy = np.clip(_cell(py, index.y0, index.w), 0, index.gy - 1)
+    cand = index.table[iy * index.gx + ix]
+    # (n, depth); empty slots point at the centre at infinity
+    dx = px[:, None] - index.cx[cand]
+    dy = py[:, None] - index.cy[cand]
+    dx *= dx
+    dx += np.square(dy, out=dy)
+    first_hit = np.where(dx < index.radius * index.radius, cand, index.m).min(axis=1)
+    return np.where(first_hit < index.m, first_hit, -1).astype(np.int64, copy=False)
 
 
 def link_capacity(

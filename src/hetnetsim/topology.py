@@ -77,20 +77,27 @@ class Topology:
         return json.dumps(doc, indent=2)
 
 
-def _dist(ax: float, ay: float, bx: float, by: float) -> float:
-    return math.hypot(ax - bx, ay - by)
+# |z - w| over complex arrays screens out the pairs far from a threshold;
+# it differs from math.hypot, which decides the rest, by far less than this.
+SCREEN = 1e-9
 
 
 def validate_topology(topo: Topology) -> None:
-    """Assert containment and pairwise non-overlap; raises TopologyError."""
-    R = topo.macro.radius
-    for p in topo.picos:
-        d = _dist(p.x, p.y, topo.macro.x, topo.macro.y)
-        if d + p.radius > R + 1e-9:
+    """Assert containment, then pairwise non-overlap: the first offending
+    pico, then pair (i, j), in scan order raises TopologyError."""
+    R, M, picos, m = topo.macro.radius, topo.macro, topo.picos, len(topo.picos)
+    z, r = np.array([complex(p.x, p.y) for p in picos]), np.array([p.radius for p in picos])
+    for p in (picos[i] for i in np.flatnonzero(
+            abs(z - complex(M.x, M.y)) + r > (R + 1e-9) * (1 - SCREEN))):
+        if math.hypot(p.x - M.x, p.y - M.y) + p.radius > R + 1e-9:
             raise TopologyError(f"pico {p.id} extends outside the macro disc")
-    for i, a in enumerate(topo.picos):
-        for b in topo.picos[i + 1 :]:
-            if _dist(a.x, a.y, b.x, b.y) < a.radius + b.radius - 1e-9:
+    block = max(1, 2**18 // max(m, 1))  # rows i of pairs (i, j > i) screened at once
+    for lo in range(0, m, block):
+        i = np.arange(lo, min(lo + block, m))[:, None]
+        gap = r[i] + r[lo:] - 1e-9
+        near = (abs(z[i] - z[lo:]) < gap * (1 + SCREEN)) & (np.arange(lo, m) > i)
+        for a, b in ((picos[lo + u], picos[lo + v]) for u, v in zip(*near.nonzero())):
+            if math.hypot(a.x - b.x, a.y - b.y) < a.radius + b.radius - 1e-9:
                 raise TopologyError(f"picos {a.id} and {b.id} overlap")
 
 
@@ -121,19 +128,12 @@ def build_coe(
             f"(need {n_picos * step:.4f} rad, have {2 * math.pi:.4f})"
         )
     macro = Cell(0, macro_radius, macro_radius, macro_radius, CellKind.MACRO)
-    picos = []
-    for i in range(n_picos):
-        ang = i * step
-        picos.append(
-            Cell(
-                i,
-                macro_radius + ring * math.cos(ang),
-                macro_radius + ring * math.sin(ang),
-                pico_radius,
-                CellKind.PICO,
-            )
-        )
-    topo = Topology("coe", macro, tuple(picos))
+    picos = tuple(
+        Cell(i, macro_radius + ring * math.cos(i * step),
+             macro_radius + ring * math.sin(i * step), pico_radius, CellKind.PICO)
+        for i in range(n_picos)
+    )
+    topo = Topology("coe", macro, picos)
     validate_topology(topo)
     return topo
 
@@ -164,7 +164,8 @@ def build_udc(
         )
     macro = Cell(0, macro_radius, macro_radius, macro_radius, CellKind.MACRO)
     inner = macro_radius - pico_radius
-    placed: list[tuple[float, float]] = []
+    too_close = 2.0 * pico_radius * (1 + SCREEN)
+    z = np.empty(n_picos, dtype=complex)
     for i in range(n_picos):
         for _ in range(max_attempts):
             # Uniform over the inner disc via rejection from the square.
@@ -174,18 +175,17 @@ def build_udc(
                 continue
             cx = macro_radius + ox * inner
             cy = macro_radius + oy * inner
-            if all(
-                _dist(cx, cy, px, py) >= 2.0 * pico_radius for px, py in placed
-            ):
-                placed.append((cx, cy))
+            near = (abs(z[:i] - complex(cx, cy)) < too_close).nonzero()[0]
+            if all(math.hypot(cx - z[j].real, cy - z[j].imag) >= 2.0 * pico_radius
+                   for j in near):
+                z[i] = complex(cx, cy)
                 break
         else:
             raise PlacementFailure(
                 f"could not place pico {i} after {max_attempts} attempts"
             )
-    picos = tuple(
-        Cell(i, x, y, pico_radius, CellKind.PICO) for i, (x, y) in enumerate(placed)
-    )
+    picos = tuple(Cell(i, x, y, pico_radius, CellKind.PICO)
+                  for i, (x, y) in enumerate(zip(z.real.tolist(), z.imag.tolist())))
     topo = Topology("udc", macro, picos)
     validate_topology(topo)
     return topo

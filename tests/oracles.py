@@ -19,7 +19,13 @@ import numpy as np
 from hetnetsim.channel import ChannelParams
 from hetnetsim.control import ThresholdPolicy
 from hetnetsim.power import EnbMode, PowerParams
-from hetnetsim.topology import Cell, CellKind, Topology
+from hetnetsim.topology import (
+    Cell,
+    CellKind,
+    PlacementFailure,
+    Topology,
+    TopologyError,
+)
 
 BOLTZMANN = 1.380649e-23  # J/K
 
@@ -126,6 +132,61 @@ def containing_pico(topo: Topology, x: float, y: float) -> Optional[int]:
         if contains_point(p, x, y):
             return p.id
     return None
+
+
+# --- layouts ---------------------------------------------------------------
+
+
+def _dist(ax: float, ay: float, bx: float, by: float) -> float:
+    return math.hypot(ax - bx, ay - by)
+
+
+def validate_topology(topo: Topology) -> None:
+    """Every pico inside the macro disc (1e-9 m slack), then every pair
+    (i, j), i < j, at least the sum of their radii apart (1e-9 m slack);
+    the first failure in that order raises TopologyError."""
+    R = topo.macro.radius
+    for p in topo.picos:
+        d = _dist(p.x, p.y, topo.macro.x, topo.macro.y)
+        if d + p.radius > R + 1e-9:
+            raise TopologyError(f"pico {p.id} extends outside the macro disc")
+    for i, a in enumerate(topo.picos):
+        for b in topo.picos[i + 1 :]:
+            if _dist(a.x, a.y, b.x, b.y) < a.radius + b.radius - 1e-9:
+                raise TopologyError(f"picos {a.id} and {b.id} overlap")
+
+
+def udc_centres(
+    rng: np.random.Generator,
+    macro_radius: float,
+    pico_radius: float,
+    n_picos: int,
+    max_attempts: int,
+) -> list[tuple[float, float]]:
+    """The udc placement scan: per pico, draw candidate offsets (one
+    uniform pair per attempt, rejected outside the unit disc) until one is
+    at least 2r from every centre placed so far; PlacementFailure when a
+    pico's attempts run out.  No area or radius checks."""
+    inner = macro_radius - pico_radius
+    placed: list[tuple[float, float]] = []
+    for i in range(n_picos):
+        for _ in range(max_attempts):
+            ox = rng.uniform(-1.0, 1.0)
+            oy = rng.uniform(-1.0, 1.0)
+            if ox * ox + oy * oy > 1.0:
+                continue
+            cx = macro_radius + ox * inner
+            cy = macro_radius + oy * inner
+            if all(
+                _dist(cx, cy, px, py) >= 2.0 * pico_radius for px, py in placed
+            ):
+                placed.append((cx, cy))
+                break
+        else:
+            raise PlacementFailure(
+                f"could not place pico {i} after {max_attempts} attempts"
+            )
+    return placed
 
 
 # --- station power ---------------------------------------------------------

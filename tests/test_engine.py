@@ -505,6 +505,23 @@ def test_grouped_runs_equal_solo_runs(docs, data):
         assert_same_run(result, run_scenarios([s], OUTPUTS)[0])
 
 
+@settings(max_examples=30, deadline=None)
+@given(docs=process_groups())
+def test_user_process_does_not_depend_on_the_policy_row(docs):
+    """The user process (positions and activity of the user trace) is the
+    same in every row of a group, whatever each row's policy, boot time or
+    power, and each row run alone sees it too."""
+    scenarios = [parse_scenario(d) for d in docs]
+    grouped = run_scenarios(scenarios, {"user_trace"})
+    first = grouped[0].user_trace
+    for s, result in zip(scenarios, grouped):
+        solo = run_scenarios([s], {"user_trace"})[0].user_trace
+        for trace in (result.user_trace, solo):
+            for column in ("x", "y", "active"):
+                np.testing.assert_array_equal(getattr(trace, column),
+                                              getattr(first, column), err_msg=column)
+
+
 def reference_slot_columns(scenarios):
     """Per row, the (slots, 8) slot metrics of the per-row scalar loop:
     power from the oracle's consumed_power_w, pico by pico in index

@@ -89,6 +89,17 @@ CASES = {
          "work": {"start_slots": [0, 3], "duration": 25},
          "policy": {"t_deactivate": None}},
     ),
+    # stress shape: 200 small picos, so one grid cell of the containment
+    # index lists several discs, and 4,000 users, half of them hotspot
+    # users; the low thresholds wake most picos, so the user trace's
+    # serving cell follows containment
+    "run_stress": (
+        ["run", "--trace-users"],
+        {"topology": "udc", "seed": 14, "slots": 3, "boot_slots": 0,
+         "layout": {"n_picos": 200, "pico_radius_m": 20.0},
+         "users": {"total": 4000, "hotspot": 2000},
+         "policy": {"t_activate": 2.0, "t_deactivate": 1.0}},
+    ),
     # the means-only snapshot path of the presets: 620 rows in two groups
     "preset_sleep_power_sweep": (
         ["preset", "sleep_power_sweep", "--seed", "1"],
@@ -148,6 +159,18 @@ GOLDEN = {
             "54dc8c2823247b691f5a14b070f8a92dbcbb191ad774df4eb562ea4508bb1edf",
         "users.csv":
             "114e6fc2f849bac072e0f4787069011fe43d24c362c72205f664bab7b64067d2",
+    },
+    "run_stress": {
+        "histogram.csv":
+            "3d9ab2b89670e6e8cefe7b7a9b6900887bd18bdd38034a30add3803ad73202b7",
+        "slots.csv":
+            "830ebecd94cd7bd90c0dbacf63e5bc0fae07f9360c9ce151cf4e7c077e15eba8",
+        "topology.json":
+            "c823cb01375e71246f31f8b3befdb5de718e4782cd1f691d11d0eabef8022017",
+        "user_trace.csv":
+            "f3be57f72c636eeb46f4a70728e97728d99f8f8e1176c7d59b07c8e96fb40310",
+        "users.csv":
+            "4fcf3f0c78704d565c7ca69315434bceab449b637d9286611b989bc8f9374c7c",
     },
     "snapshot_traced": {
         "histogram.csv":

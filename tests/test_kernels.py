@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetnetsim import kernels
+from hetnetsim.config import parse_scenario
+from hetnetsim.engine import build_geometry
 from hetnetsim.topology import CellKind, build_coe, build_udc
 from oracles import evaluate_link
 
@@ -67,11 +69,19 @@ def test_containing_disc_prefers_the_lowest_index():
 
 @st.composite
 def disc_sets(draw):
-    """(cx, cy, r) with r from 1e-3 m to the macro radius: either free
-    centres, overlapping at large r and with repeated (coincident) centres,
-    or the tangent ring of build_coe."""
+    """(cx, cy, r): free centres with r from 1e-3 m to the macro radius,
+    overlapping at large r and with repeated (coincident) centres; the
+    tangent ring of build_coe; or up to 200 small picos packed by
+    build_udc, several of which share a cell of the containment index."""
+    kind = draw(st.sampled_from(["free", "ring", "packed"]))
+    if kind == "packed":
+        r = draw(st.floats(2.0, 20.0))
+        topo = build_udc(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                         MACRO_R, r, draw(st.integers(0, 200)))
+        centres = topo.pico_centers()
+        return centres[:, 0].copy(), centres[:, 1].copy(), r
     r = 10.0 ** draw(st.floats(-3.0, math.log10(MACRO_R)))
-    if draw(st.booleans()):
+    if kind == "free":
         coord = st.floats(0.0, 2 * MACRO_R)
         centres = draw(st.lists(st.tuples(coord, coord), max_size=12))
         if centres:
@@ -90,24 +100,42 @@ def disc_sets(draw):
 @st.composite
 def probe_points(draw, cx, cy, r):
     """Free points plus points at centres, on disc boundaries (along the
-    axes and at an angle) and at midpoints of neighbouring centres, which
-    are the tangent points of a ring."""
+    axes and at an angle), at midpoints of neighbouring centres, which are
+    the tangent points of a ring, and on the edges and corners of the
+    index's cells (x0 + k*w, y0 + k*w).  Each boundary or edge point may
+    move one ulp either way in each coordinate."""
     coord = st.floats(-0.1 * MACRO_R, 2.1 * MACRO_R)
     pts = draw(st.lists(st.tuples(coord, coord), max_size=30))
     m = cx.shape[0]
+    ulps = st.sampled_from([-np.inf, None, np.inf])
+
+    def nudge(p):
+        return tuple(v if to is None else float(np.nextafter(v, to))
+                     for v, to in zip(p, draw(st.tuples(ulps, ulps))))
+
     if m:
-        kinds = st.sampled_from(["centre", "east", "south", "angle", "midpoint"])
+        kinds = st.sampled_from(["centre", "east", "west", "north", "south",
+                                 "angle", "midpoint"])
         for j, kind, a in draw(st.lists(
                 st.tuples(st.integers(0, m - 1), kinds, st.floats(0, 2 * math.pi)),
                 max_size=30)):
             x, y = cx[j], cy[j]
-            pts.append({
+            pts.append(nudge({
                 "centre": (x, y),
                 "east": (x + r, y),
+                "west": (x - r, y),
+                "north": (x, y + r),
                 "south": (x, y - r),
                 "angle": (x + r * math.cos(a), y + r * math.sin(a)),
                 "midpoint": ((x + cx[(j + 1) % m]) / 2, (y + cy[(j + 1) % m]) / 2),
-            }[kind])
+            }[kind]))
+        index = kernels.disc_index(cx, cy, r)
+        # one row or column past the grid on each side
+        kx, ky = st.integers(-1, index.gx + 1), st.integers(-1, index.gy + 1)
+        for i, k, along in draw(st.lists(st.tuples(kx, ky, coord), max_size=20)):
+            edge_x, edge_y = index.x0 + i * index.w, index.y0 + k * index.w
+            pts.append(nudge(draw(st.sampled_from(
+                [(edge_x, along), (along, edge_y), (edge_x, edge_y)]))))
     px = np.array([p[0] for p in pts], dtype=np.float64)
     py = np.array([p[1] for p in pts], dtype=np.float64)
     return px, py
@@ -121,6 +149,49 @@ def test_containing_disc_equals_the_scan_on_any_disc_set(data):
     got = kernels.containing_disc(px, py, kernels.disc_index(cx, cy, r))
     assert got.dtype == np.int64 and got.shape == px.shape
     np.testing.assert_array_equal(got, brute_force_containing(px, py, cx, cy, r))
+
+
+# the layouts the presets and the run workloads build at their default seed
+# 1, and at a second seed: coe and udc at 28 picos of 50 m (presets,
+# ts_paper), udc at 200 picos of 20 m (ts_stress)
+LAYOUTS = [
+    {"topology": "coe", "seed": 1},
+    *({"topology": "udc", "seed": seed} for seed in (1, 7)),
+    *({"topology": "udc", "seed": seed,
+       "layout": {"n_picos": 200, "pico_radius_m": 20.0}} for seed in (1, 7)),
+]
+
+
+@pytest.mark.parametrize("doc", LAYOUTS)
+def test_disc_index_size_is_linear_in_picos(doc):
+    """The table has O(m) cells of a small depth, for m picos of radius r.
+
+    Cells: the grid covers the padded boxes, x0 up to max(cx) + pad, with
+    side w >= span / c, c = ceil(sqrt(4m)), span being the larger extent
+    of the centres above the origin, and w >= r.  So there are at most
+    span/w + pad/w + 1 <= c + 2 cells a row and a column, (c + 2)^2 in all.
+
+    Depth: a cell lists only the discs whose centre lies within pad of it
+    on both axes, in a square of side w + 2 pad.  Picos of coe and udc are
+    2r or more apart, so their discs are disjoint and lie inside that
+    square grown by r: depth * pi r^2 <= (w + 4 pad)^2.
+    """
+    topo = build_geometry(parse_scenario(doc))
+    centres = topo.pico_centers()
+    r = topo.pico_radius()
+    index = kernels.disc_index(centres[:, 0], centres[:, 1], r)
+    m = index.m
+    cells, depth = index.table.shape
+    c = math.ceil(math.sqrt(4 * m))
+    assert cells == index.gx * index.gy
+    assert max(index.gx, index.gy) <= c + 2
+    assert depth <= (index.w + 4 * r * (1 + 1e-9)) ** 2 / (math.pi * r * r)
+    # what these layouts reach: the bound above is 10 or 11 here
+    assert 2 <= depth <= 4
+    # each disc is listed once per cell its box reaches: 3 x 3 at most
+    # here, where w > pad makes the box side 2 pad shorter than 2w
+    assert index.w > r * (1 + 1e-9)
+    assert m <= (index.table < m).sum() <= 9 * m
 
 
 @pytest.mark.parametrize("m", [20, 200])

@@ -1,5 +1,6 @@
 """Layout construction: ring geometry, random placement, containment."""
 
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from hetnetsim import kernels
 from hetnetsim.topology import (
     Cell,
@@ -15,6 +17,7 @@ from hetnetsim.topology import (
     PlacementFailure,
     RingOverflow,
     Topology,
+    TopologyError,
     build_coe,
     build_monet,
     build_udc,
@@ -93,6 +96,97 @@ class TestUdc:
         with pytest.raises(PlacementFailure):
             build_udc(np.random.default_rng(0), macro_radius=150.0,
                       n_picos=5, max_attempts=2000)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), macro_r=st.sampled_from([150.0, 500.0]),
+       r=st.floats(2.0, 120.0), fill=st.floats(0.0, 1.0),
+       attempts=st.sampled_from([1, 30, 10_000]))
+def test_udc_placement_equals_the_scan(seed, macro_r, r, fill, attempts):
+    """build_udc places the centres the plain scan places, from the same
+    draws, or fails on the same pico; counts up to the area limit, so a
+    small budget or a dense count jams."""
+    r = min(r, macro_r / 3)
+    n = min(300, int(fill * (macro_r / r) ** 2))
+    rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        got = [(p.x, p.y) for p in build_udc(rngs[0], macro_r, r, n, attempts).picos]
+    except PlacementFailure as exc:
+        got = str(exc)
+    try:
+        want = oracles.udc_centres(rngs[1], macro_r, r, n, attempts)
+    except PlacementFailure as exc:
+        want = str(exc)
+    assert got == want
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def test_udc_placement_fails_on_the_scans_pico():
+    """60 picos of 50 m jam a 500 m cell; with 200 attempts each, both
+    give up on the same pico."""
+    with pytest.raises(PlacementFailure) as exc:
+        build_udc(np.random.default_rng(3), 500.0, 50.0, 60, 200)
+    with pytest.raises(PlacementFailure) as want:
+        oracles.udc_centres(np.random.default_rng(3), 500.0, 50.0, 60, 200)
+    assert str(exc.value) == str(want.value)
+    assert str(exc.value) == "could not place pico 44 after 200 attempts"
+
+
+def validation_error(validate, topo):
+    try:
+        validate(topo)
+    except TopologyError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def near_valid_layouts(draw):
+    """A coe ring (neighbours tangent, every pico tangent to the macro
+    edge) or a udc packing, with some centres and radii moved by a few ulps
+    or by up to a metre, so some picos escape or overlap by a hair."""
+    macro_r = 500.0
+    if draw(st.booleans()):
+        topo = build_coe(macro_r, 50.0, draw(st.integers(0, 28)))
+    else:
+        topo = build_udc(np.random.default_rng(draw(st.integers(0, 99))),
+                         macro_r, 20.0, draw(st.integers(0, 150)))
+    picos = list(topo.picos)
+    if picos:
+        moves = st.tuples(st.integers(0, len(picos) - 1),
+                          st.sampled_from(["x", "y", "radius"]),
+                          st.integers(-4, 4) | st.floats(-1.0, 1.0))
+        for i, field, by in draw(st.lists(moves, max_size=6)):
+            v = getattr(picos[i], field)
+            if isinstance(by, int):
+                for _ in range(abs(by)):
+                    v = float(np.nextafter(v, np.inf if by > 0 else -np.inf))
+            else:
+                v += by
+            picos[i] = dataclasses.replace(picos[i], **{field: v})
+    return Topology(topo.kind, topo.macro, tuple(picos))
+
+
+@settings(max_examples=200, deadline=None)
+@given(topo=near_valid_layouts())
+def test_validation_equals_the_pairwise_scan(topo):
+    """validate_topology raises what the plain scan raises, for the first
+    escaping pico, then the first overlapping pair, or nothing."""
+    assert (validation_error(validate_topology, topo)
+            == validation_error(oracles.validate_topology, topo))
+
+
+@pytest.mark.parametrize("moves", [(), ((650, 600),), ((690, 10), (620, 600))])
+def test_validation_of_many_picos_equals_the_pairwise_scan(moves):
+    """700 picos, so the overlap screen runs in more than one block of
+    rows; each move puts a pico 3 m from another (5 m picos overlap)."""
+    picos = list(build_udc(np.random.default_rng(5), 500.0, 5.0, 700).picos)
+    for i, onto in moves:
+        picos[i] = dataclasses.replace(picos[i], x=picos[onto].x + 3.0, y=picos[onto].y)
+    topo = Topology("udc", build_monet().macro, tuple(picos))
+    error = validation_error(validate_topology, topo)
+    assert error == validation_error(oracles.validate_topology, topo)
+    assert (error is None) == (not moves)
 
 
 def containing_pico(topo, x, y):
