@@ -67,7 +67,9 @@ def _cmd_run(args) -> int:
     write_slot_csv(result, out / "slots.csv")
     write_users_csv(result, out / "users.csv")
     write_histogram_csv(result, out / "histogram.csv")
-    (out / "topology.json").write_text(result.topology.to_json() + "\n")
+    (out / "topology.json").write_text(
+        result.topology.to_json() + "\n", encoding="utf-8", newline="\n"
+    )
     if args.trace_users:
         write_user_trace_csv(result, out / "user_trace.csv")
     if args.trace_picos:
@@ -134,7 +136,7 @@ def _cmd_dump_topology(args) -> int:
     if args.out == "-":
         print(doc)
     else:
-        Path(args.out).write_text(doc + "\n")
+        Path(args.out).write_text(doc + "\n", encoding="utf-8", newline="\n")
         print(f"wrote {args.out}")
     return 0
 

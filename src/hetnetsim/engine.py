@@ -32,7 +32,7 @@ each scenario is one row of the group's (K, m) pico control and power.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Collection, Optional, Sequence
 
@@ -526,7 +526,7 @@ CHUNK_ROWS = 4096
 
 def _write_lines(path: Path, header: list[str], chunks) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(chunks)
 
@@ -608,46 +608,50 @@ def write_sweep_csv(rows: list[dict], path: str | Path) -> None:
     )
 
 
+def _write_slot_lines(path: Path, header: list[str], slots: int, ids: int,
+                      fields) -> None:
+    """One chunk of lines per slot, joined from parallel string streams:
+    the slot number, formatted once, then ",{i}," for id i, then the
+    streams fields(slot) returns, one string per line from each."""
+    id_text = [f",{i}," for i in range(ids)]
+    _write_lines(path, header, (
+        "".join(chain.from_iterable(zip(repeat(str(slot)), id_text, *fields(slot))))
+        for slot in range(slots)
+    ))
+
+
 def write_user_trace_csv(result: RunResult, path: str | Path) -> None:
-    """One chunk of lines per slot, formatted from .tolist() columns as
-    _write_columns formats them."""
+    """Only x and y are formatted per line (repr of the .tolist() floats);
+    the active flag and serving label come from a table of line tails."""
     trace = result.user_trace
     if trace is None:
         raise EngineError("run was executed without the user_trace output")
-    # serving code c is labelled labels[c + 2]
+    # serving code c of a user with flag a ends in tails[c + 2 + width * a]
     labels = ["none", "macro", *(f"pico:{j}" for j in range(len(result.topology.picos)))]
-    users = range(trace.x.shape[1])
-    _write_lines(
-        Path(path),
-        ["slot", "user_id", "x", "y", "active", "serving_cell"],
-        (
-            "".join(map("%d,%d,%r,%r,%d,%s\n".__mod__, zip(
-                repeat(slot), users, trace.x[slot].tolist(), trace.y[slot].tolist(),
-                trace.active[slot].tolist(),
-                map(labels.__getitem__, (trace.serving[slot] + 2).tolist()),
-            )))
-            for slot in range(trace.x.shape[0])
-        ),
-    )
+    width = len(labels)
+    tails = [f",{a},{label}\n" for a in (0, 1) for label in labels]
+
+    def fields(slot):
+        codes = trace.serving[slot] + 2 + width * trace.active[slot]
+        return (map(repr, trace.x[slot].tolist()), repeat(","),
+                map(repr, trace.y[slot].tolist()),
+                map(tails.__getitem__, codes.tolist()))
+
+    slots, n = trace.x.shape
+    _write_slot_lines(Path(path), ["slot", "user_id", "x", "y", "active", "serving_cell"],
+                      slots, n, fields)
 
 
 def write_pico_trace_csv(result: RunResult, path: str | Path) -> None:
-    """One chunk of lines per slot, as write_user_trace_csv writes."""
+    """One chunk of lines per slot, as write_user_trace_csv writes; the
+    mode label comes from a table of line tails."""
     modes = result.pico_trace
     if modes is None:
         raise EngineError("run was executed without the pico_trace output")
-    labels = [mode.value for mode in MODES]
-    picos = range(modes.shape[1])
-    _write_lines(
-        Path(path),
-        ["slot", "pico_id", "mode"],
-        (
-            "".join(map("%d,%d,%s\n".__mod__, zip(
-                repeat(slot), picos, map(labels.__getitem__, codes.tolist()),
-            )))
-            for slot, codes in enumerate(modes)
-        ),
-    )
+    tails = [f"{mode.value}\n" for mode in MODES]
+    slots, m = modes.shape
+    _write_slot_lines(Path(path), ["slot", "pico_id", "mode"], slots, m,
+                      lambda slot: (map(tails.__getitem__, modes[slot].tolist()),))
 
 
 def sweep_rows(result: RunResult, threshold) -> dict:

@@ -107,7 +107,7 @@ def _threshold_sweep(outdir: Path, seed: int):
         [sweep_rows(res, t) for (t, _), res in zip(points, results)],
         outdir / "sweep.csv",
     )
-    with open(outdir / "pico_count.csv", "w") as fh:
+    with open(outdir / "pico_count.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("threshold,topology,active_picos_mean\n")
         for (t, topo), res in zip(points, results):
             fh.write(f"{t},{topo},{res.active_picos_mean!r}\n")
@@ -305,7 +305,7 @@ def run_preset(name: str, outdir: str | Path, seed: int = DEFAULT_SEED) -> Path:
         "files": sorted(files),
     }
     manifest_path = outdir / "manifest.json"
-    with open(manifest_path, "w") as fh:
+    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest_path

@@ -19,6 +19,7 @@ from hetnetsim.control import ACTIVE, BOOT, MODES, SLEEP
 from hetnetsim.engine import (
     OUTPUTS,
     Response,
+    SlotColumns,
     UserTrace,
     World,
     build_geometry,
@@ -26,8 +27,12 @@ from hetnetsim.engine import (
     rate_histogram,
     run_scenario,
     run_scenarios,
+    write_histogram_csv,
     write_pico_trace_csv,
+    write_pico_view_csv,
+    write_slot_csv,
     write_user_trace_csv,
+    write_users_csv,
 )
 from hetnetsim.power import EnbMode
 from oracles import PicoControlState, consumed_power_w, step_state
@@ -257,13 +262,25 @@ COORDINATES = st.sampled_from([-0.0, 0.0, 1e-05, 5e-324, 1e16, 3.0, 1000.0]) | \
     st.floats(-2000.0, 2000.0) | st.floats(allow_nan=False, allow_infinity=False)
 
 
+@pytest.fixture(scope="module")
+def traced_monet():
+    """A traced run without picos: the pico trace has no rows."""
+    s = parse_scenario({"topology": "monet", "seed": 3, "slots": 2,
+                        "users": {"total": 5}})
+    return run_scenario(s, {"user_trace", "pico_trace"})
+
+
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), slots=st.integers(1, 4), n=st.integers(0, 6))
-def test_trace_writers_match_a_row_by_row_reference(traced, data, slots, n):
+@given(data=st.data(), slots=st.integers(1, 12), n=st.integers(0, 12),
+       pico_less=st.booleans())
+def test_trace_writers_match_a_row_by_row_reference(traced, traced_monet, data,
+                                                    slots, n, pico_less):
     """The per-slot chunked writers give the bytes of formatting every
     trace row value by value, for any coordinates and every serving and
-    mode code."""
-    m = len(traced.topology.picos)
+    mode code, with one- and two-digit slot, user and pico ids, and with
+    no picos at all."""
+    base = traced_monet if pico_less else traced
+    m = len(base.topology.picos)
     trace = UserTrace(
         x=data.draw(hnp.arrays(np.float64, (slots, n), elements=COORDINATES)),
         y=data.draw(hnp.arrays(np.float64, (slots, n), elements=COORDINATES)),
@@ -273,7 +290,7 @@ def test_trace_writers_match_a_row_by_row_reference(traced, data, slots, n):
     )
     modes = data.draw(hnp.arrays(np.int64, (slots, m), elements=st.sampled_from(
         [SLEEP, BOOT, ACTIVE])))
-    result = dataclasses.replace(traced, user_trace=trace, pico_trace=modes)
+    result = dataclasses.replace(base, user_trace=trace, pico_trace=modes)
 
     def label(code):
         return {-2: "none", -1: "macro"}.get(code, f"pico:{code}")
@@ -291,6 +308,90 @@ def test_trace_writers_match_a_row_by_row_reference(traced, data, slots, n):
             ["slot", "user_id", "x", "y", "active", "serving_cell"], users)
         assert (Path(tmp) / "pico_trace.csv").read_bytes() == reference_csv(
             ["slot", "pico_id", "mode"], picos)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 12))
+def test_column_writers_match_a_row_by_row_reference(traced, data, rows):
+    """The chunked column writers give the bytes of formatting every row
+    value by value, for any float values; EE is capacity over power, and
+    0 where the power is not positive."""
+    def floats(size):
+        return data.draw(hnp.arrays(np.float64, size, elements=COORDINATES))
+
+    def counts(size):
+        return data.draw(hnp.arrays(np.int64, size, elements=st.integers(0, 10**6)))
+
+    metrics = SlotColumns(
+        n_active_picos=counts(rows), macro_active_users=counts(rows),
+        pico_active_users=counts(rows), capacity_bps=floats(rows),
+        power_w=floats(rows), ee_bits_per_joule=floats(rows),
+        pico_power_w=floats(rows), pico_capacity_bps=floats(rows),
+    )
+    n, bins = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 12))
+    result = dataclasses.replace(
+        traced, slot_metrics=metrics,
+        is_hotspot=data.draw(hnp.arrays(bool, n)),
+        mean_rate_bps=floats(n), frac_slots_on_pico=floats(n),
+        hist_counts=counts(bins), hist_edges=floats(bins + 1),
+    )
+
+    def slot_rows(capacity, power):
+        m = metrics
+        return [
+            (t, int(m.n_active_picos[t]), int(m.macro_active_users[t]),
+             int(m.pico_active_users[t]), c, p, c / p if p > 0 else 0.0)
+            for t, c, p in zip(range(rows), capacity.tolist(), power.tolist())
+        ]
+
+    slot_header = ["slot", "n_active_picos", "macro_active_users",
+                   "pico_active_users", "capacity_bps", "power_w", "ee_bits_per_joule"]
+    users = [
+        (i, "hotspot" if result.is_hotspot[i] else "uniform",
+         float(result.mean_rate_bps[i]), float(result.frac_slots_on_pico[i]))
+        for i in range(n)
+    ]
+    edges = result.hist_edges.tolist()
+    histogram = [(edges[b], edges[b + 1], int(result.hist_counts[b])) for b in range(bins)]
+    expected = {
+        "slots.csv": (write_slot_csv, reference_csv(
+            slot_header, slot_rows(metrics.capacity_bps, metrics.power_w))),
+        "pico_view.csv": (write_pico_view_csv, reference_csv(
+            slot_header, slot_rows(metrics.pico_capacity_bps, metrics.pico_power_w))),
+        "users.csv": (write_users_csv, reference_csv(
+            ["user_id", "kind", "mean_rate_bps", "frac_slots_on_pico"], users)),
+        "histogram.csv": (write_histogram_csv, reference_csv(
+            ["bin_left_bps", "bin_right_bps", "count"], histogram)),
+    }
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(over="ignore"):
+        for name, (write, reference) in expected.items():
+            write(result, Path(tmp) / name)
+            assert (Path(tmp) / name).read_bytes() == reference, name
+
+
+def test_user_trace_writer_holds_a_few_slots_at_a_time():
+    """Writing a 200-slot x 1000-user trace allocates a few slot chunks
+    (~52 KiB of text each) beyond the trace itself; the serving codes of
+    all slots at once, as one (slots, n) int64 array, would take 1.5 MiB."""
+    rng = np.random.default_rng(5)
+    slots, n = 200, 1000
+    active = rng.random((slots, n)) < 0.5
+    trace = UserTrace(
+        x=rng.uniform(-500.0, 500.0, (slots, n)),
+        y=rng.uniform(-500.0, 500.0, (slots, n)),
+        active=active,
+        serving=np.where(active, rng.integers(-1, 28, (slots, n)), -2),
+    )
+    result = dataclasses.replace(
+        run_scenario(scenario(slots=2, users={"total": 5})), user_trace=trace)
+    with tempfile.TemporaryDirectory() as tmp:
+        tracemalloc.start()
+        try:
+            write_user_trace_csv(result, Path(tmp) / "user_trace.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_user_trace_memory_is_compact():
