@@ -1,7 +1,8 @@
 """Scenario configuration: YAML parsing, strict validation, serialization.
 
-A scenario document is a nested mapping whose keys mirror the dataclass
-fields below; every omitted key falls back to the defaults (the standard
+A scenario document is the Scenario dataclass tree below written as a
+nested mapping: each key is a field, each section a nested dataclass, and
+every omitted key falls back to the defaults (the standard
 experiment: 1000 users, 28 picos of 50 m in a 500 m macro cell, 20 MHz,
 two-threshold control at 9/4).  Section values merge field-by-field onto
 the defaults, so `policy: {t_activate: 12}` keeps t_deactivate at 4; a
@@ -23,8 +24,8 @@ import yaml
 
 from .channel import ChannelParams
 from .control import InvalidPolicy, ThresholdPolicy
-from .mobility import MobilityError, MobilityParams, WorkSchedule
-from .power import MACRO_POWER, PICO_POWER, PowerParams
+from .mobility import MobilityError, WorkSchedule
+from .power import MACRO_POWER, PICO_POWER, PicoPowerParams, PowerParams
 
 
 class ConfigError(Exception):
@@ -67,6 +68,14 @@ class UsersConfig:
     work_speed_max: float = 2.0
 
 
+@dataclass(frozen=True)
+class PowerConfig:
+    """The macro never sleeps; only the pico has a sleep floor."""
+
+    macro: PowerParams = MACRO_POWER
+    pico: PicoPowerParams = PICO_POWER
+
+
 DEFAULT_POLICY = ThresholdPolicy(t_activate=9.0, t_deactivate=4.0)
 
 
@@ -82,16 +91,7 @@ class Scenario:
     work: WorkSchedule = WorkSchedule()
     policy: ThresholdPolicy = DEFAULT_POLICY
     channel: ChannelParams = ChannelParams()
-    power_macro: PowerParams = MACRO_POWER
-    power_pico: PowerParams = PICO_POWER
-
-    def mobility_params(self) -> MobilityParams:
-        return MobilityParams(
-            speed_min=self.users.speed_min,
-            speed_max=self.users.speed_max,
-            work_speed_min=self.users.work_speed_min,
-            work_speed_max=self.users.work_speed_max,
-        )
+    power: PowerConfig = PowerConfig()
 
     def serves_from_picos(self) -> bool:
         """Whether picos actually serve users (vs. only shaping them)."""
@@ -136,7 +136,8 @@ def _coerce(value: Any, target: Any, path: str) -> Any:
 
 
 def _build(cls: type, data: Any, path: str, proto: Any) -> Any:
-    """Instantiate a frozen config dataclass, merging onto proto, strictly."""
+    """Instantiate a frozen config dataclass, merging onto proto, strictly;
+    path is the dotted path of data, "" for the whole document."""
     if data is None:
         data = {}
     if not isinstance(data, dict):
@@ -144,9 +145,9 @@ def _build(cls: type, data: Any, path: str, proto: Any) -> Any:
     field_names = {f.name for f in dataclasses.fields(cls)}
     kwargs = {name: getattr(proto, name) for name in field_names}
     for key, raw in data.items():
+        keypath = f"{path}.{key}" if path else str(key)
         if key not in field_names:
-            raise ValidationError(f"{path}.{key}", "unknown key")
-        keypath = f"{path}.{key}"
+            raise ValidationError(keypath, "unknown key")
         default_val = kwargs[key]
         if dataclasses.is_dataclass(default_val):
             kwargs[key] = _build(type(default_val), raw, keypath, default_val)
@@ -158,15 +159,6 @@ def _build(cls: type, data: Any, path: str, proto: Any) -> Any:
         return cls(**kwargs)
     except (InvalidPolicy, MobilityError, ValueError, TypeError) as exc:
         raise ValidationError(path, str(exc)) from exc
-
-
-_SECTION_PROTOS = {
-    "layout": LayoutConfig(),
-    "users": UsersConfig(),
-    "work": WorkSchedule(),
-    "policy": DEFAULT_POLICY,
-    "channel": ChannelParams(),
-}
 
 
 def _document(source: str | dict) -> dict:
@@ -198,41 +190,7 @@ def read_scenario_document(path: str | Path) -> dict:
 
 def parse_scenario(source: str | dict) -> Scenario:
     """Parse and fully validate a scenario document (YAML text or mapping)."""
-    data = _document(source)
-    known_top = {
-        "topology", "seed", "slots", "realizations", "boot_slots",
-        "layout", "users", "work", "policy", "channel", "power",
-    }
-    for key in data:
-        if key not in known_top:
-            raise ValidationError(key, "unknown key")
-
-    proto = Scenario()
-    kwargs: dict[str, Any] = {}
-    for key in ("topology", "seed", "slots", "realizations", "boot_slots"):
-        if key in data:
-            kwargs[key] = _coerce(data[key], getattr(proto, key), key)
-    for key, section_proto in _SECTION_PROTOS.items():
-        if key in data:
-            kwargs[key] = _build(type(section_proto), data[key], key, section_proto)
-    if "power" in data:
-        pdata = data["power"]
-        if pdata is None:
-            pdata = {}
-        if not isinstance(pdata, dict):
-            raise ValidationError("power", f"expected mapping, got {pdata!r}")
-        for key in pdata:
-            if key not in ("macro", "pico"):
-                raise ValidationError(f"power.{key}", "unknown key")
-        if "macro" in pdata:
-            kwargs["power_macro"] = _build(
-                PowerParams, pdata["macro"], "power.macro", MACRO_POWER
-            )
-        if "pico" in pdata:
-            kwargs["power_pico"] = _build(
-                PowerParams, pdata["pico"], "power.pico", PICO_POWER
-            )
-    scenario = Scenario(**kwargs)
+    scenario = _build(Scenario, _document(source), "", Scenario())
     validate_scenario(scenario)
     return scenario
 
@@ -256,8 +214,10 @@ def validate_scenario(s: Scenario) -> None:
         err("boot_slots", "must be >= 0")
 
     L = s.layout
-    if L.macro_radius_m <= 0 or L.pico_radius_m <= 0:
-        err("layout", "radii must be positive")
+    if L.macro_radius_m <= 0:
+        err("layout.macro_radius_m", "must be positive")
+    if L.pico_radius_m <= 0:
+        err("layout.pico_radius_m", "must be positive")
     if L.pico_radius_m >= L.macro_radius_m:
         err("layout.pico_radius_m", "must be smaller than macro_radius_m")
     if L.n_picos < 0:
@@ -291,37 +251,28 @@ def validate_scenario(s: Scenario) -> None:
         err("channel.temperature_k", "must be positive")
     if C.min_distance_m <= 0:
         err("channel.min_distance_m", "must be positive")
-    if C.macro_shadow_sigma_db < 0 or C.pico_shadow_sigma_db < 0:
-        err("channel", "shadow sigmas must be >= 0")
+    if C.macro_shadow_sigma_db < 0:
+        err("channel.macro_shadow_sigma_db", "must be >= 0")
+    if C.pico_shadow_sigma_db < 0:
+        err("channel.pico_shadow_sigma_db", "must be >= 0")
 
-    for path, P in (("power.macro", s.power_macro), ("power.pico", s.power_pico)):
+    for path, P in (("power.macro", s.power.macro), ("power.pico", s.power.pico)):
         if P.sectors < 1:
             err(f"{path}.sectors", "must be >= 1")
         if P.p_max_w <= 0:
             err(f"{path}.p_max_w", "must be positive")
-        if P.p0_w < 0 or P.p_sleep_w < 0:
-            err(path, "p0_w and p_sleep_w must be >= 0")
+        if P.p0_w < 0:
+            err(f"{path}.p0_w", "must be >= 0")
         if P.user_capacity < 1:
             err(f"{path}.user_capacity", "must be >= 1")
+    if s.power.pico.p_sleep_w < 0:
+        err("power.pico.p_sleep_w", "must be >= 0")
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    return {
-        "topology": s.topology,
-        "seed": s.seed,
-        "slots": s.slots,
-        "realizations": s.realizations,
-        "boot_slots": s.boot_slots,
-        "layout": dataclasses.asdict(s.layout),
-        "users": dataclasses.asdict(s.users),
-        "work": {"start_slots": list(s.work.start_slots), "duration": s.work.duration},
-        "policy": dataclasses.asdict(s.policy),
-        "channel": dataclasses.asdict(s.channel),
-        "power": {
-            "macro": dataclasses.asdict(s.power_macro),
-            "pico": dataclasses.asdict(s.power_pico),
-        },
-    }
+    doc = dataclasses.asdict(s)
+    doc["work"]["start_slots"] = list(s.work.start_slots)
+    return doc
 
 
 def serialize_scenario(s: Scenario) -> str:

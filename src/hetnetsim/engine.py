@@ -43,7 +43,7 @@ from .channel import noise_power_dbm, user_bandwidth
 from .config import Scenario
 from .control import ACTIVE, MODES, SLEEP, PolicyRows, step_modes
 from .mobility import draw_activity_flags, init_population, step_population
-from .power import PowerRows
+from .power import PicoPowerRows, PowerRows
 from .topology import Topology, build_coe, build_monet, build_udc
 
 TAG_TOPOLOGY = 0
@@ -64,13 +64,11 @@ class EngineError(Exception):
     pass
 
 
-def compute_ee(capacity_bps, power_w):
-    """Delivered bits per joule, elementwise (slot duration cancels out);
-    0 where the power is not positive.  A float for scalar arguments."""
-    power_w = np.asarray(power_w, dtype=np.float64)
-    shape = np.broadcast_shapes(np.shape(capacity_bps), power_w.shape)
-    ee = np.divide(capacity_bps, power_w, out=np.zeros(shape), where=power_w > 0)
-    return float(ee) if ee.ndim == 0 else ee
+def compute_ee(capacity_bps: np.ndarray, power_w: np.ndarray) -> np.ndarray:
+    """Delivered bits per joule of equal-shaped arrays, elementwise (slot
+    duration cancels out); 0 where the power is not positive."""
+    return np.divide(capacity_bps, power_w, out=np.zeros(power_w.shape),
+                     where=power_w > 0)
 
 
 @dataclass
@@ -134,8 +132,8 @@ class Response:
             policy.t_deactivate,
         )
         self.boot_slots = np.array([[s.boot_slots] for s in scenarios])
-        self.pico = PowerRows.of([s.power_pico for s in scenarios])
-        self.macro = PowerRows.of([s.power_macro for s in scenarios])
+        self.pico = PicoPowerRows.of([s.power.pico for s in scenarios])
+        self.macro = PowerRows.of([s.power.macro for s in scenarios])
 
     def step(self, mode: np.ndarray, boot_remaining: np.ndarray,
              counts: np.ndarray, static: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -161,29 +159,6 @@ class Response:
         """(K,) draw of each row's macro, which never sleeps, serving
         n_served[k] users."""
         return self.macro.active_draw(n_served[:, None])[:, 0]
-
-
-@dataclass
-class UserTotals:
-    """Per-user sums over every slot a group evaluates, across realizations;
-    (K, n) per row except active_slots, which all rows share."""
-
-    cap_sum: np.ndarray
-    active_slots: np.ndarray
-    pico_slots: np.ndarray
-    pico_cap_sum: np.ndarray
-
-    @classmethod
-    def zeros(cls, k: int, n: int) -> "UserTotals":
-        return cls(np.zeros((k, n)), np.zeros(n, dtype=np.int64),
-                   np.zeros((k, n), dtype=np.int64), np.zeros((k, n)))
-
-    def add(self, cap: np.ndarray, active: np.ndarray,
-            pico_served: np.ndarray) -> None:
-        self.cap_sum += cap
-        self.active_slots += active
-        self.pico_slots += pico_served
-        self.pico_cap_sum += np.where(pico_served, cap, 0.0)
 
 
 class World:
@@ -212,7 +187,7 @@ class World:
             scenario.users.hotspot,
             topo,
             scenario.work,
-            scenario.mobility_params(),
+            scenario.users,
             self.rng,
             static_hotspot_in_cell=self.static,
         )
@@ -319,7 +294,7 @@ class World:
         s = self.s
         if not self.static:
             step_population(
-                self.pop, slot, self.topo, s.work, s.mobility_params(), self.rng
+                self.pop, slot, self.topo, s.work, s.users, self.rng
             )
         containing = self._containing()
         active = draw_activity_flags(
@@ -358,9 +333,6 @@ class RunResult:
     is_hotspot: Optional[np.ndarray] = None
     mean_rate_bps: Optional[np.ndarray] = None       # over its active slots
     frac_slots_on_pico: Optional[np.ndarray] = None
-    pico_mean_rate_bps: Optional[np.ndarray] = None  # over its pico-served slots
-    active_slot_count: Optional[np.ndarray] = None
-    pico_slot_count: Optional[np.ndarray] = None
     hist_counts: Optional[np.ndarray] = None
     hist_edges: Optional[np.ndarray] = None
     user_trace: Optional[UserTrace] = None
@@ -423,7 +395,10 @@ def _run_group(scenarios: list[Scenario], outputs: frozenset) -> list[RunResult]
     columns: list[SlotColumns] = []
     per_user = "per_user" in outputs
     if per_user:
-        totals = UserTotals.zeros(K, n)
+        # per-user sums over every slot and realization
+        cap_sum = np.zeros((K, n))
+        active_slots = np.zeros(n, dtype=np.int64)
+        pico_slots = np.zeros((K, n), dtype=np.int64)
     if per_user and snapshot:
         # snapshots bin every active user-realization, counted as they come
         hist = np.zeros((K, HIST_BINS), dtype=np.int64)
@@ -445,7 +420,9 @@ def _run_group(scenarios: list[Scenario], outputs: frozenset) -> list[RunResult]
             slot_columns.pico_capacity_bps = np.array(
                 [row[served].sum() for row, served in zip(cap, world.last_pico_served)]
             )
-            totals.add(cap, active, world.last_pico_served)
+            cap_sum[:] += cap
+            active_slots[:] += active
+            pico_slots[:] += world.last_pico_served
             if snapshot:
                 idx = _hist_index(cap[:, active]) + row_offset
                 hist[:] += np.bincount(idx.ravel(), minlength=K * HIST_BINS).reshape(K, -1)
@@ -492,23 +469,14 @@ def _run_group(scenarios: list[Scenario], outputs: frozenset) -> list[RunResult]
     if not per_user:
         return results
 
-    ever_active = totals.active_slots > 0
-    mean_rate = np.divide(
-        totals.cap_sum, totals.active_slots, out=np.zeros((K, n)), where=ever_active
-    )
-    pico_mean_rate = np.divide(
-        totals.pico_cap_sum, totals.pico_slots, out=np.zeros((K, n)),
-        where=totals.pico_slots > 0,
-    )
-    frac_on_pico = totals.pico_slots / rows
+    ever_active = active_slots > 0
+    mean_rate = np.divide(cap_sum, active_slots, out=np.zeros((K, n)), where=ever_active)
+    frac_on_pico = pico_slots / rows
     edges = HIST_BIN_WIDTH * np.arange(HIST_BINS + 1)
     for k, result in enumerate(results):
         result.is_hotspot = world.pop.is_hotspot
         result.mean_rate_bps = mean_rate[k]
         result.frac_slots_on_pico = frac_on_pico[k]
-        result.pico_mean_rate_bps = pico_mean_rate[k]
-        result.active_slot_count = totals.active_slots
-        result.pico_slot_count = totals.pico_slots[k]
         # time series bin each ever-active user's mean rate
         result.hist_counts = (
             hist[k] if snapshot else rate_histogram(mean_rate[k][ever_active])[0]

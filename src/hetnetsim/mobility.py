@@ -25,11 +25,15 @@ so the number of draws consumed never depends on cell positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import kernels
 from .topology import Topology
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import UsersConfig
 
 
 class MobilityError(Exception):
@@ -54,14 +58,6 @@ class WorkSchedule:
             raise MobilityError("work start slots must be strictly increasing")
         if self.duration < 1:
             raise MobilityError("work duration must be at least 1 slot")
-
-
-@dataclass(frozen=True)
-class MobilityParams:
-    speed_min: float = 10.0       # m/slot while travelling
-    speed_max: float = 20.0
-    work_speed_min: float = 0.0   # m/slot while at work inside the pico
-    work_speed_max: float = 2.0
 
 
 @dataclass
@@ -145,7 +141,7 @@ def init_population(
     n_hotspot: int,
     topo: Topology,
     schedule: WorkSchedule,
-    params: MobilityParams,
+    users: UsersConfig,
     rng: np.random.Generator,
     static_hotspot_in_cell: bool = False,
 ) -> UserPopulation:
@@ -153,7 +149,8 @@ def init_population(
 
     Everyone starts at a uniform point in the macro disc with a waypoint
     there too, except that single-snapshot runs place hotspot users
-    directly inside their assigned pico (static_hotspot_in_cell).
+    directly inside their assigned pico (static_hotspot_in_cell).  Speeds
+    are read from users.
     """
     if not 0 <= n_hotspot <= n_users:
         raise MobilityError("n_hotspot must lie in [0, n_users]")
@@ -202,7 +199,7 @@ def init_population(
         all_mask = np.ones(n, dtype=bool)
         _retarget(
             pop, all_mask, np.full(n, mx), np.full(n, my), np.full(n, R),
-            params.speed_min, params.speed_max, rng,
+            users.speed_min, users.speed_max, rng,
         )
     return pop
 
@@ -228,7 +225,7 @@ def step_population(
     slot: int,
     topo: Topology,
     schedule: WorkSchedule,
-    params: MobilityParams,
+    users: UsersConfig,
     rng: np.random.Generator,
 ) -> None:
     """Advance every user by one slot (events, move, arrival retargets)."""
@@ -237,12 +234,12 @@ def step_population(
     ws = hot & (pop.work_start == slot)
     if ws.any():
         cx, cy, r = _pico_disc(pop, ws, topo)
-        _retarget(pop, ws, cx, cy, r, params.speed_min, params.speed_max, rng)
+        _retarget(pop, ws, cx, cy, r, users.speed_min, users.speed_max, rng)
     # work-end event: head back into the macro disc
     we = hot & (pop.work_start + schedule.duration == slot)
     if we.any():
         cx, cy, r = _macro_disc(pop, we, topo)
-        _retarget(pop, we, cx, cy, r, params.speed_min, params.speed_max, rng)
+        _retarget(pop, we, cx, cy, r, users.speed_min, users.speed_max, rng)
 
     arrived = kernels.advance_positions(
         pop.px, pop.py, pop.dest_x, pop.dest_y, pop.vx, pop.vy, pop.speed
@@ -253,12 +250,12 @@ def step_population(
     if wander.any():
         cx, cy, r = _pico_disc(pop, wander, topo)
         _retarget(
-            pop, wander, cx, cy, r, params.work_speed_min, params.work_speed_max, rng
+            pop, wander, cx, cy, r, users.work_speed_min, users.work_speed_max, rng
         )
     roam = arrived & ~in_work
     if roam.any():
         cx, cy, r = _macro_disc(pop, roam, topo)
-        _retarget(pop, roam, cx, cy, r, params.speed_min, params.speed_max, rng)
+        _retarget(pop, roam, cx, cy, r, users.speed_min, users.speed_max, rng)
 
 
 def draw_activity_flags(

@@ -5,9 +5,10 @@ An active station burns a fixed part plus a load-proportional part:
     P_active(n) = n_sectors * (p0 + delta_p * p_max * min(n, cap) / cap)
 
 where n is the number of served users and cap the nominal user capacity.
-Sleeping and booting stations burn the sleep floor p_sleep per sector.
-Macro stations never sleep; picos move between Sleep, Boot and Active
-under the control policy (see control.py).
+Macro stations never sleep, so their model is the active draw alone
+(PowerParams).  Picos move between Sleep, Boot and Active under the
+control policy (see control.py); sleeping and booting picos burn the
+sleep floor p_sleep per sector (PicoPowerParams).
 """
 
 from __future__ import annotations
@@ -27,22 +28,29 @@ class EnbMode(Enum):
 
 @dataclass(frozen=True)
 class PowerParams:
+    """The active draw of a station that never sleeps: the macro."""
+
     sectors: int
     p_max_w: float       # max transmit power per sector
     p0_w: float          # fixed per-sector draw while active
     delta_p: float       # slope of the load-dependent part
-    p_sleep_w: float     # per-sector draw in Sleep and Boot
     user_capacity: int   # load saturates here
 
 
+@dataclass(frozen=True)
+class PicoPowerParams(PowerParams):
+    """A station that also sleeps: the pico."""
+
+    p_sleep_w: float     # per-sector draw in Sleep and Boot
+
+
 MACRO_POWER = PowerParams(
-    sectors=3, p_max_w=40.0, p0_w=260.0, delta_p=4.75, p_sleep_w=150.0,
-    user_capacity=1000,
+    sectors=3, p_max_w=40.0, p0_w=260.0, delta_p=4.75, user_capacity=1000,
 )
 
-PICO_POWER = PowerParams(
-    sectors=1, p_max_w=0.25, p0_w=13.6, delta_p=4.0, p_sleep_w=8.6,
-    user_capacity=50,
+PICO_POWER = PicoPowerParams(
+    sectors=1, p_max_w=0.25, p0_w=13.6, delta_p=4.0, user_capacity=50,
+    p_sleep_w=8.6,
 )
 
 
@@ -55,19 +63,25 @@ class PowerRows:
     p_max_w: np.ndarray
     p0_w: np.ndarray
     delta_p: np.ndarray
-    p_sleep_w: np.ndarray
     user_capacity: np.ndarray
 
     @classmethod
     def of(cls, rows: Sequence[PowerParams]) -> "PowerRows":
         return cls(*(np.array([[getattr(p, f.name)] for p in rows])
-                     for f in fields(PowerParams)))
+                     for f in fields(cls)))
 
     def active_draw(self, n_served: np.ndarray) -> np.ndarray:
         """Active draw of each row's stations serving n_served users,
         elementwise: sectors * (p0 + delta_p * p_max * load)."""
         load = np.minimum(n_served, self.user_capacity) / self.user_capacity
         return self.sectors * (self.p0_w + self.delta_p * self.p_max_w * load)
+
+
+@dataclass(frozen=True)
+class PicoPowerRows(PowerRows):
+    """The PicoPowerParams of K rows, with their sleep floor."""
+
+    p_sleep_w: np.ndarray
 
     def sleep_draw(self) -> np.ndarray:
         """(K, 1) draw of each row's stations in Sleep and Boot."""

@@ -195,7 +195,7 @@ def udc_centres(
 def consumed_power_w(params: PowerParams, mode: EnbMode, n_served: int = 0) -> float:
     """Station draw in watts for one slot at the given mode and load:
     sectors * (p0 + delta_p * p_max * min(n, cap) / cap) when Active,
-    sectors * p_sleep in Sleep and Boot."""
+    sectors * p_sleep in Sleep and Boot, which only a pico has."""
     if n_served < 0:
         raise ValueError(f"n_served must be non-negative, got {n_served}")
     if mode is EnbMode.ACTIVE:

@@ -17,7 +17,7 @@ from hetnetsim import kernels
 from hetnetsim.config import parse_scenario
 from hetnetsim.control import ACTIVE, BOOT, SLEEP, PolicyRows, ThresholdPolicy, step_modes
 from hetnetsim.engine import run_scenario, run_scenarios
-from hetnetsim.power import MACRO_POWER, PICO_POWER, EnbMode, PowerRows
+from hetnetsim.power import MACRO_POWER, PICO_POWER, EnbMode, PicoPowerRows, PowerRows
 from hetnetsim.presets import run_preset
 from hetnetsim.topology import CellKind, build_udc
 from oracles import consumed_power_w, containing_pico, contains_point, evaluate_link
@@ -74,7 +74,7 @@ def ee_series(result):
 
 
 def test_criterion_1_power_model_exactness():
-    macro, pico = PowerRows.of([MACRO_POWER]), PowerRows.of([PICO_POWER])
+    macro, pico = PowerRows.of([MACRO_POWER]), PicoPowerRows.of([PICO_POWER])
     checks = {
         "macro full load": (consumed_power_w(MACRO_POWER, EnbMode.ACTIVE, 1000), 1350.0),
         "pico idle": (consumed_power_w(PICO_POWER, EnbMode.ACTIVE, 0), 13.6),

@@ -5,8 +5,11 @@ import csv
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +23,37 @@ from hetnetsim.config import (
     serialize_scenario,
 )
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def dotted_paths(doc, prefix=""):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from dotted_paths(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}"
+
+
+SCENARIO_PATHS = sorted(dotted_paths(scenario_to_dict(Scenario())))
+SECTIONS = ["layout", "users", "work", "policy", "channel", "power",
+            "power.macro", "power.pico"]
+UNKNOWN_PATHS = ["legacy", "legacy.enabled", "nosuch", "users.totl",
+                 "power.hub.sectors", "layout.n_picos.deeper",
+                 "power.macro.p_sleep_w"]
+# YAML texts: scalars, lists, mappings, null, booleans, non-finite floats,
+# negatives, and numbers past 64 bits and past the float range
+FUZZ_VALUES = ["0", "1", "3", "28", "-1", "-2.5", "0.5", "12.5", "udc", "coe",
+               "monet", "abc", "''", "null", "true", "false", "[]", "[1, 2]",
+               "[0, 42, 83]", "[.nan]", "{}", "{total: 5}", ".nan", ".inf",
+               "-.inf", "1.0e+300", "-1.0e+300", str(2**63 - 1), str(2**63),
+               str(-2**63 - 1), "1" + "0" * 400]
+
+
+def fuzzed_overrides(paths):
+    """Lists of one to four `--set` assignments of FUZZ_VALUES to paths."""
+    return st.lists(st.tuples(st.sampled_from(paths), st.sampled_from(FUZZ_VALUES)),
+                    min_size=1, max_size=4)
+
 
 class TestParsing:
     def test_minimal_document_gets_all_defaults(self):
@@ -27,8 +61,8 @@ class TestParsing:
         assert s.users.total == 1000
         assert s.layout.n_picos == 28
         assert s.channel.bandwidth_hz == 20e6
-        assert s.power_pico.p_sleep_w == 8.6
-        assert s.power_macro.p_max_w == 40.0
+        assert s.power.pico.p_sleep_w == 8.6
+        assert s.power.macro.p_max_w == 40.0
         assert (s.policy.t_activate, s.policy.t_deactivate) == (9.0, 4.0)
         assert s.slots == 1 and s.realizations == 1
 
@@ -79,6 +113,25 @@ class TestParsing:
         with pytest.raises(ValidationError, match="^legacy: unknown key"):
             parse_scenario({"topology": "udc", "legacy": {"enabled": True}})
 
+    def test_macro_sleep_power_is_unknown(self, tmp_path, capsys):
+        """The macro never sleeps, so it has no sleep draw to set."""
+        with pytest.raises(ValidationError,
+                           match=r"^power\.macro\.p_sleep_w: unknown key$"):
+            parse_scenario({"topology": "udc", "power": {"macro": {"p_sleep_w": 150.0}}})
+        doc = tmp_path / "scenario.yaml"
+        doc.write_text("topology: udc\npower: {macro: {p_sleep_w: 150.0}}\n")
+        assert main(["dump-topology", "--scenario", str(doc)]) == 1
+        assert capsys.readouterr().err == "error: power.macro.p_sleep_w: unknown key\n"
+
+    def test_readme_reference_is_the_default_scenario(self):
+        """The README's scenario reference parses to Scenario() and names
+        every key of the schema."""
+        block = re.search(r"## Scenario reference.*?```yaml\n(.*?)```",
+                          README.read_text(), re.S).group(1)
+        assert parse_scenario(block) == Scenario()
+        documented = set(dotted_paths(yaml.safe_load(block)))
+        assert documented == set(SCENARIO_PATHS)
+
 
 class TestCrossFieldValidation:
     def test_hotspot_cannot_exceed_population(self):
@@ -104,6 +157,19 @@ class TestCrossFieldValidation:
             parse_scenario({"topology": "udc",
                             "users": {"speed_min": 25.0, "speed_max": 20.0}})
 
+    @pytest.mark.parametrize("doc, path", [
+        ({"layout": {"macro_radius_m": 0.0}}, "layout.macro_radius_m"),
+        ({"layout": {"pico_radius_m": -1.0}}, "layout.pico_radius_m"),
+        ({"channel": {"macro_shadow_sigma_db": -0.5}}, "channel.macro_shadow_sigma_db"),
+        ({"channel": {"pico_shadow_sigma_db": -0.5}}, "channel.pico_shadow_sigma_db"),
+        ({"power": {"macro": {"p0_w": -1.0}}}, "power.macro.p0_w"),
+        ({"power": {"pico": {"p0_w": -1.0}}}, "power.pico.p0_w"),
+        ({"power": {"pico": {"p_sleep_w": -1.0}}}, "power.pico.p_sleep_w"),
+    ])
+    def test_range_checks_name_the_key(self, doc, path):
+        with pytest.raises(ValidationError, match=f"^{re.escape(path)}: must be "):
+            parse_scenario({"topology": "udc", **doc})
+
 
 class TestRoundTrip:
     CASES = [
@@ -121,6 +187,17 @@ class TestRoundTrip:
         assert s1 == s2
         assert isinstance(s2, Scenario)
 
+    @settings(max_examples=1000, deadline=None)
+    @given(fuzzed_overrides(SCENARIO_PATHS))
+    def test_every_accepted_override_set_round_trips(self, assignments):
+        doc = apply_overrides({"topology": "udc"},
+                              [f"{key}={value}" for key, value in assignments])
+        try:
+            s = parse_scenario(doc)
+        except ValidationError:
+            return
+        assert parse_scenario(serialize_scenario(s)) == s
+
 
 class TestOverrides:
     def test_dotted_paths_descend(self):
@@ -131,7 +208,7 @@ class TestOverrides:
         s = parse_scenario(data)
         assert s.policy.t_activate == 12.0
         assert s.users.hotspot == 500
-        assert s.power_pico.p_sleep_w == 0.0
+        assert s.power.pico.p_sleep_w == 0.0
 
     def test_values_are_yaml_typed(self):
         data = apply_overrides({"topology": "udc"},
@@ -362,28 +439,6 @@ def test_sweep_takes_an_integer_field(scenario_file, tmp_path):
 # fuzzed overrides: any --set ends in exit 0, or in exit 1 naming a path
 
 
-def dotted_paths(doc, prefix=""):
-    for key, value in doc.items():
-        if isinstance(value, dict):
-            yield from dotted_paths(value, f"{prefix}{key}.")
-        else:
-            yield f"{prefix}{key}"
-
-
-SCENARIO_PATHS = sorted(dotted_paths(scenario_to_dict(Scenario())))
-SECTIONS = ["layout", "users", "work", "policy", "channel", "power",
-            "power.macro", "power.pico"]
-UNKNOWN_PATHS = ["legacy", "legacy.enabled", "nosuch", "users.totl",
-                 "power.hub.sectors", "layout.n_picos.deeper"]
-# YAML texts: scalars, lists, mappings, null, booleans, non-finite floats,
-# negatives, and numbers past 64 bits and past the float range
-FUZZ_VALUES = ["0", "1", "3", "28", "-1", "-2.5", "0.5", "12.5", "udc", "coe",
-               "monet", "abc", "''", "null", "true", "false", "[]", "[1, 2]",
-               "[0, 42, 83]", "[.nan]", "{}", "{total: 5}", ".nan", ".inf",
-               "-.inf", "1.0e+300", "-1.0e+300", str(2**63 - 1), str(2**63),
-               str(-2**63 - 1), "1" + "0" * 400]
-
-
 @pytest.fixture(scope="module")
 def fuzz_base(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "base.yaml"
@@ -392,9 +447,7 @@ def fuzz_base(tmp_path_factory):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(SCENARIO_PATHS + SECTIONS + UNKNOWN_PATHS),
-                          st.sampled_from(FUZZ_VALUES)),
-                min_size=1, max_size=4))
+@given(fuzzed_overrides(SCENARIO_PATHS + SECTIONS + UNKNOWN_PATHS))
 def test_fuzzed_overrides_exit_0_or_1_with_a_path(fuzz_base, assignments):
     args = ["dump-topology", "--scenario", str(fuzz_base)]
     for key, value in assignments:

@@ -57,15 +57,13 @@ def macro_power(n_served):
 
 
 def test_compute_ee_reference_value():
-    assert compute_ee(4.5977e8, 1350.0) == pytest.approx(340570.3703703704, rel=1e-12)
+    ee = compute_ee(np.array([4.5977e8]), np.array([1350.0]))
+    assert ee[0] == pytest.approx(340570.3703703704, rel=1e-12)
 
 
 def test_compute_ee_is_zero_where_power_is_not_positive():
     """One rule for the slot columns and the pico view: 0 b/J without
     power, as the CSVs write it."""
-    assert compute_ee(1e6, 0.0) == 0.0
-    assert type(compute_ee(1e6, 0.0)) is float
-    assert type(compute_ee(4.5977e8, 1350.0)) is float
     np.testing.assert_array_equal(
         compute_ee(np.array([1e6, 3e6, 0.0, 5.0]), np.array([0.0, 2.0, 0.0, -1.0])),
         [0.0, 1.5e6, 0.0, 0.0])
@@ -141,7 +139,7 @@ def test_pico_power_is_the_per_pico_loop_added_in_order():
     for code, c in zip(mode[0], counts):
         mode_j = MODES[code]
         served = int(c) if mode_j is EnbMode.ACTIVE else 0
-        want += consumed_power_w(s.power_pico, mode_j, served)
+        want += consumed_power_w(s.power.pico, mode_j, served)
     assert response.pico_power(mode, counts)[0] == want
 
 
@@ -502,22 +500,24 @@ class TestRateHistogram:
 
     def test_timeseries_histogram_counts_ever_active_users(self):
         r = run_scenario(scenario(slots=25, users={"total": 150, "hotspot": 40}),
-                         {"per_user"})
-        assert r.hist_counts.sum() == int((r.active_slot_count > 0).sum())
+                         {"per_user", "user_trace"})
+        assert r.hist_counts.sum() == int(r.user_trace.active.any(axis=0).sum())
 
 
 def test_user_rate_summaries_are_consistent():
     r = run_scenario(scenario(
         slots=150, users={"total": 200, "hotspot": 80},
-        policy={"t_activate": 1, "t_deactivate": 0}), {"per_user"})
-    on = r.active_slot_count > 0
+        policy={"t_activate": 1, "t_deactivate": 0}), {"per_user", "user_trace"})
+    active_slots = r.user_trace.active.sum(axis=0)
+    pico_slots = (r.user_trace.serving >= 0).sum(axis=0)
+    on = active_slots > 0
     assert (r.mean_rate_bps[~on] == 0.0).all()
     assert (r.mean_rate_bps[on] > 0.0).all()
-    assert (r.pico_slot_count <= r.active_slot_count).all()
-    assert (r.frac_slots_on_pico >= 0.0).all() and (r.frac_slots_on_pico <= 1.0).all()
+    assert (pico_slots <= active_slots).all()
+    np.testing.assert_array_equal(r.frac_slots_on_pico, pico_slots / r.scenario.slots)
     # hotspot workers accumulate far more pico time than passers-by
-    assert r.pico_slot_count[r.is_hotspot].mean() > \
-        2 * max(r.pico_slot_count[~r.is_hotspot].mean(), 1e-9)
+    assert r.frac_slots_on_pico[r.is_hotspot].mean() > \
+        2 * max(r.frac_slots_on_pico[~r.is_hotspot].mean(), 1e-9)
 
 
 # --- grouped runs: one user process, one response row per scenario -----------
@@ -527,7 +527,6 @@ TWINS = {"coe": "monet_coe_users", "udc": "monet_udc_users"}
 SUMMARY_FIELDS = ("ee_mean", "ee_std", "capacity_mean", "power_mean",
                   "active_picos_mean")
 PER_USER_FIELDS = ("is_hotspot", "mean_rate_bps", "frac_slots_on_pico",
-                   "pico_mean_rate_bps", "active_slot_count", "pico_slot_count",
                    "hist_counts", "hist_edges")
 
 
@@ -650,12 +649,12 @@ def reference_slot_columns(scenarios):
             modes = [MODES[code] for code in w.mode[k]]
             n_pico = int(served.sum())
             n_macro = int(active.sum()) - n_pico
-            macro_w = consumed_power_w(s.power_macro, EnbMode.ACTIVE, n_macro)
+            macro_w = consumed_power_w(s.power.macro, EnbMode.ACTIVE, n_macro)
             pico_w = 0.0
             if s.serves_from_picos():
                 for mode, c in zip(modes, counts):
                     served_here = int(c) if mode is EnbMode.ACTIVE else 0
-                    pico_w += consumed_power_w(s.power_pico, mode, served_here)
+                    pico_w += consumed_power_w(s.power.pico, mode, served_here)
             capacity = float(cap.sum())
             power = macro_w + pico_w
             rows[k].append((
@@ -699,7 +698,7 @@ def test_slot_power_lies_between_its_floor_and_ceiling(docs):
     scenarios = [parse_scenario(d) for d in docs]
     for s, result in zip(scenarios, run_scenarios(scenarios)):
         m = len(result.topology.picos) if s.serves_from_picos() else 0
-        P, M = s.power_pico, s.power_macro
+        P, M = s.power.pico, s.power.macro
         floor = consumed_power_w(M, EnbMode.ACTIVE, 0) + \
             m * consumed_power_w(P, EnbMode.SLEEP)
         ceiling = consumed_power_w(M, EnbMode.ACTIVE, M.user_capacity) + \

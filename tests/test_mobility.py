@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from hetnetsim.config import UsersConfig
 from hetnetsim.mobility import (
-    MobilityParams,
     NoPicosForHotspot,
     UserPopulation,
     WorkSchedule,
@@ -15,7 +15,7 @@ from hetnetsim.mobility import (
 from hetnetsim.topology import build_monet, build_udc
 from oracles import containing_pico
 
-PARAMS = MobilityParams()
+PARAMS = UsersConfig()  # the travel and work speeds
 SCHEDULE = WorkSchedule()
 
 

@@ -1,5 +1,5 @@
 """Consumption model: exact endpoint values and load behaviour of
-power.PowerRows, the draw the engine computes."""
+power.PowerRows and PicoPowerRows, the draws the engine computes."""
 
 import numpy as np
 import pytest
@@ -10,17 +10,19 @@ from hetnetsim.power import (
     MACRO_POWER,
     PICO_POWER,
     EnbMode,
+    PicoPowerRows,
     PowerRows,
 )
 from oracles import consumed_power_w
 
 
 def draw(params, mode, n_served=0):
-    """One station's draw through PowerRows, as the engine computes it."""
-    rows = PowerRows.of([params])
+    """One station's draw through PowerRows, or a pico's sleep draw
+    through PicoPowerRows, as the engine computes it."""
     if mode is EnbMode.ACTIVE:
+        rows = PowerRows.of([params])
         return float(rows.active_draw(np.array([[n_served]]))[0, 0])
-    return float(rows.sleep_draw()[0, 0])
+    return float(PicoPowerRows.of([params]).sleep_draw()[0, 0])
 
 
 @pytest.mark.parametrize(
@@ -39,12 +41,6 @@ def draw(params, mode, n_served=0):
 def test_endpoint_values_exact(params, mode, n, expected):
     assert draw(params, mode, n) == pytest.approx(expected, abs=1e-9)
     assert consumed_power_w(params, mode, n) == pytest.approx(expected, abs=1e-9)
-
-
-def test_macro_idle_sleep_level():
-    # three sectors' worth of sleep draw; the engine never uses it but the
-    # model is total
-    assert draw(MACRO_POWER, EnbMode.SLEEP) == pytest.approx(450.0, abs=1e-9)
 
 
 def test_load_saturates_at_user_capacity():
@@ -77,5 +73,5 @@ def test_active_draw_monotone_in_load(n1, n2):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 100))
 def test_sleep_never_beats_active(n):
-    for params in (MACRO_POWER, PICO_POWER):
-        assert draw(params, EnbMode.SLEEP) < draw(params, EnbMode.ACTIVE, n)
+    # only the pico sleeps; the macro has no sleep draw
+    assert draw(PICO_POWER, EnbMode.SLEEP) < draw(PICO_POWER, EnbMode.ACTIVE, n)
