@@ -3,6 +3,6 @@ with threshold-driven pico-cell sleep control."""
 
 __version__ = "0.1.0"
 
-from .config import Scenario, parse_scenario, load_scenario_file  # noqa: F401
+from .config import Scenario, parse_scenario  # noqa: F401
 from .engine import run_scenario, build_geometry, compute_ee  # noqa: F401
 from .topology import Topology, build_monet, build_coe, build_udc  # noqa: F401

@@ -15,14 +15,6 @@ from dataclasses import dataclass
 BOLTZMANN = 1.380649e-23  # J/K
 
 
-class ChannelError(Exception):
-    pass
-
-
-class ZeroUsers(ChannelError):
-    """Bandwidth cannot be shared among zero users."""
-
-
 @dataclass(frozen=True)
 class ChannelParams:
     """Per-tier radio constants plus system-wide bandwidth and temperature."""
@@ -41,13 +33,9 @@ class ChannelParams:
 
 def noise_power_dbm(bandwidth_hz: float, temperature_k: float = 290.0) -> float:
     """Thermal noise kTW expressed in dBm."""
-    if bandwidth_hz <= 0.0:
-        raise ChannelError("bandwidth must be positive")
     return 10.0 * math.log10(BOLTZMANN * temperature_k * bandwidth_hz * 1000.0)
 
 
 def user_bandwidth(total_hz: float, n_users: int) -> float:
     """Equal split of the system bandwidth among the configured users."""
-    if n_users < 1:
-        raise ZeroUsers(f"need at least one user, got {n_users}")
     return total_hz / n_users

@@ -27,7 +27,6 @@ from .engine import (
     build_geometry,
     run_scenario,
     run_scenarios,
-    sweep_rows,
     write_histogram_csv,
     write_pico_trace_csv,
     write_slot_csv,
@@ -48,14 +47,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _scenario_from_args(args):
-    data = read_scenario_document(args.scenario)
-    data = apply_overrides(data, args.set or [])
-    return parse_scenario(data)
+def _document_from_args(args) -> dict:
+    """The scenario file of args with its --set overrides applied."""
+    return apply_overrides(read_scenario_document(args.scenario), args.set or [])
 
 
 def _cmd_run(args) -> int:
-    scenario = _scenario_from_args(args)
+    scenario = parse_scenario(_document_from_args(args))
     outputs = {"per_user"}
     if args.trace_users:
         outputs.add("user_trace")
@@ -98,8 +96,7 @@ def _sweep_values(start: float, stop: float, step: float) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
-    base = read_scenario_document(args.scenario)
-    base = apply_overrides(base, args.set or [])
+    base = _document_from_args(args)
     values = _sweep_values(args.sweep_from, args.sweep_to, args.step)
     # integral points go in as ints, so integer fields can be swept too;
     # a float field reads 3 as 3.0, and sweep.csv still writes the floats
@@ -108,11 +105,11 @@ def _cmd_sweep(args) -> int:
             base, [f"{args.param}={int(v) if v.is_integer() else v!r}"]))
         for v in values
     ]
-    rows = [sweep_rows(r, v) for r, v in zip(run_scenarios(scenarios), values)]
+    results = run_scenarios(scenarios)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_sweep_csv(rows, out / "sweep.csv")
-    print(f"wrote {out / 'sweep.csv'} ({len(rows)} points)")
+    write_sweep_csv(zip(values, results), out / "sweep.csv")
+    print(f"wrote {out / 'sweep.csv'} ({len(values)} points)")
     return 0
 
 
@@ -131,7 +128,7 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_dump_topology(args) -> int:
-    scenario = _scenario_from_args(args)
+    scenario = parse_scenario(_document_from_args(args))
     doc = build_geometry(scenario).to_json()
     if args.out == "-":
         print(doc)

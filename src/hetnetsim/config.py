@@ -47,6 +47,10 @@ TOPOLOGY_KINDS = ("monet", "coe", "udc", "monet_coe_users", "monet_udc_users")
 # the only numbers that may be infinite: t_activate = .inf never wakes
 INFINITE_OK = ("policy.t_activate", "policy.t_deactivate")
 
+# the largest layout.n_picos: layout checks grow as the square of the
+# count, and build_udc places 10,000 picos in about 1 s
+MAX_PICOS = 10_000
+
 
 @dataclass(frozen=True)
 class LayoutConfig:
@@ -220,8 +224,8 @@ def validate_scenario(s: Scenario) -> None:
         err("layout.pico_radius_m", "must be positive")
     if L.pico_radius_m >= L.macro_radius_m:
         err("layout.pico_radius_m", "must be smaller than macro_radius_m")
-    if L.n_picos < 0:
-        err("layout.n_picos", "must be >= 0")
+    if not 0 <= L.n_picos <= MAX_PICOS:
+        err("layout.n_picos", f"must lie in [0, {MAX_PICOS}]")
     if L.max_place_attempts < 1:
         err("layout.max_place_attempts", "must be >= 1")
 
@@ -261,8 +265,9 @@ def validate_scenario(s: Scenario) -> None:
             err(f"{path}.sectors", "must be >= 1")
         if P.p_max_w <= 0:
             err(f"{path}.p_max_w", "must be positive")
-        if P.p0_w < 0:
-            err(f"{path}.p0_w", "must be >= 0")
+        for name in ("p0_w", "delta_p"):
+            if getattr(P, name) < 0:
+                err(f"{path}.{name}", "must be >= 0")
         if P.user_capacity < 1:
             err(f"{path}.user_capacity", "must be >= 1")
     if s.power.pico.p_sleep_w < 0:
@@ -277,10 +282,6 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 def serialize_scenario(s: Scenario) -> str:
     return yaml.safe_dump(scenario_to_dict(s), sort_keys=False)
-
-
-def load_scenario_file(path: str | Path) -> Scenario:
-    return parse_scenario(read_scenario_document(path))
 
 
 def apply_overrides(data: dict, assignments: list[str]) -> dict:

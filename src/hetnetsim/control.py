@@ -96,16 +96,14 @@ def step_modes(
 
     mode and boot_remaining are (K, m) arrays: row k holds the picos of
     the scenario whose policy is row k of policy and whose boot length is
-    boot_slots[k], a (K, 1) column.  counts broadcasts against mode: the
-    engine passes one (m,) vector, as every row sees the same users.
+    boot_slots[k] >= 0, a (K, 1) column.  counts broadcasts against mode:
+    the engine passes one (m,) vector, as every row sees the same users.
     Returns new (mode, boot_remaining) arrays.  Boot always runs to
     completion: the countdown ignores the count, so a station can never pay
     the boot cost and then go back to sleep unserved within the same
     transient.  boot_slots = 0 degenerates to an immediate Sleep -> Active
     transition.
     """
-    if np.any(boot_slots < 0):
-        raise ValueError(f"boot_slots must be >= 0, got {boot_slots}")
     wake = (mode == SLEEP) & policy.should_wake(counts)
     booting = mode == BOOT
     sleep = (mode == ACTIVE) & policy.should_sleep(counts)

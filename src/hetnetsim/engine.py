@@ -32,9 +32,10 @@ each scenario is one row of the group's (K, m) pico control and power.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Collection, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -334,23 +335,19 @@ class RunResult:
     mean_rate_bps: Optional[np.ndarray] = None       # over its active slots
     frac_slots_on_pico: Optional[np.ndarray] = None
     hist_counts: Optional[np.ndarray] = None
-    hist_edges: Optional[np.ndarray] = None
     user_trace: Optional[UserTrace] = None
     pico_trace: Optional[np.ndarray] = None  # (slots, m) mode codes
 
 
-def _hist_index(samples: np.ndarray) -> np.ndarray:
-    return np.clip((samples // HIST_BIN_WIDTH).astype(np.int64), 0, HIST_BINS - 1)
-
-
-def rate_histogram(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-bin histogram: 100 bins of 1e4 b/s over [0, 1e6]; values at or
-    beyond the top edge land in the last bin."""
-    edges = HIST_BIN_WIDTH * np.arange(HIST_BINS + 1)
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.size == 0:
-        return np.zeros(HIST_BINS, dtype=np.int64), edges
-    return np.bincount(_hist_index(samples), minlength=HIST_BINS).astype(np.int64), edges
+def hist_counts(rates: np.ndarray) -> np.ndarray:
+    """(K, HIST_BINS) histogram of each row of a (K, x) rate array: 100
+    bins of 1e4 b/s over [0, 1e6]; rates at or beyond the top edge land in
+    the last bin.  Row k's bins are offset by k * HIST_BINS, so one
+    bincount fills every row."""
+    K = rates.shape[0]
+    idx = np.clip((rates // HIST_BIN_WIDTH).astype(np.int64), 0, HIST_BINS - 1)
+    idx += HIST_BINS * np.arange(K)[:, None]
+    return np.bincount(idx.ravel(), minlength=K * HIST_BINS).reshape(K, HIST_BINS)
 
 
 def run_scenarios(
@@ -395,14 +392,12 @@ def _run_group(scenarios: list[Scenario], outputs: frozenset) -> list[RunResult]
     columns: list[SlotColumns] = []
     per_user = "per_user" in outputs
     if per_user:
-        # per-user sums over every slot and realization
+        # per-user sums over every slot and realization; snapshots bin
+        # every active user-realization as they come
         cap_sum = np.zeros((K, n))
         active_slots = np.zeros(n, dtype=np.int64)
         pico_slots = np.zeros((K, n), dtype=np.int64)
-    if per_user and snapshot:
-        # snapshots bin every active user-realization, counted as they come
         hist = np.zeros((K, HIST_BINS), dtype=np.int64)
-        row_offset = HIST_BINS * np.arange(K)[:, None]
     trace_users = "user_trace" in outputs
     if trace_users:
         xs, ys = np.empty((rows, n)), np.empty((rows, n))
@@ -410,7 +405,13 @@ def _run_group(scenarios: list[Scenario], outputs: frozenset) -> list[RunResult]
         serving = np.empty((K, rows, n), dtype=np.int64)
     modes = np.empty((K, rows, m), dtype=np.int64) if "pico_trace" in outputs else None
 
-    def step(world: World, slot: int) -> None:
+    # one fresh world per realization of a snapshot, whose row's slot
+    # column is r; one world stepped through every slot of a time series
+    if snapshot:
+        worlds = map(partial(World, response, topo, discs), range(rows))
+    else:
+        worlds = repeat(World(response, topo, discs), rows)
+    for slot, world in enumerate(worlds):
         slot_columns = world.run_slot(slot)
         columns.append(slot_columns)
         active, cap = world.last_active, world.last_capacity
@@ -420,12 +421,11 @@ def _run_group(scenarios: list[Scenario], outputs: frozenset) -> list[RunResult]
             slot_columns.pico_capacity_bps = np.array(
                 [row[served].sum() for row, served in zip(cap, world.last_pico_served)]
             )
-            cap_sum[:] += cap
-            active_slots[:] += active
-            pico_slots[:] += world.last_pico_served
+            cap_sum += cap
+            active_slots += active
+            pico_slots += world.last_pico_served
             if snapshot:
-                idx = _hist_index(cap[:, active]) + row_offset
-                hist[:] += np.bincount(idx.ravel(), minlength=K * HIST_BINS).reshape(K, -1)
+                hist += hist_counts(cap[:, active])
         if trace_users:
             xs[slot], ys[slot], actives[slot] = world.pop.px, world.pop.py, active
             serving[:, slot] = np.where(
@@ -434,16 +434,6 @@ def _run_group(scenarios: list[Scenario], outputs: frozenset) -> list[RunResult]
             )
         if modes is not None:
             modes[:, slot] = world.mode
-
-    if snapshot:
-        # one fresh world per realization; the row's slot column is r
-        for r in range(s0.realizations):
-            world = World(response, topo, discs, realization=r)
-            step(world, r)
-    else:
-        world = World(response, topo, discs)
-        for slot in range(s0.slots):
-            step(world, slot)
 
     # (K, rows), C-ordered: row k of each is one contiguous (rows,) column
     stacked = {
@@ -472,16 +462,14 @@ def _run_group(scenarios: list[Scenario], outputs: frozenset) -> list[RunResult]
     ever_active = active_slots > 0
     mean_rate = np.divide(cap_sum, active_slots, out=np.zeros((K, n)), where=ever_active)
     frac_on_pico = pico_slots / rows
-    edges = HIST_BIN_WIDTH * np.arange(HIST_BINS + 1)
+    if not snapshot:
+        # time series bin each ever-active user's mean rate
+        hist = hist_counts(mean_rate[:, ever_active])
     for k, result in enumerate(results):
         result.is_hotspot = world.pop.is_hotspot
         result.mean_rate_bps = mean_rate[k]
         result.frac_slots_on_pico = frac_on_pico[k]
-        # time series bin each ever-active user's mean rate
-        result.hist_counts = (
-            hist[k] if snapshot else rate_histogram(mean_rate[k][ever_active])[0]
-        )
-        result.hist_edges = edges
+        result.hist_counts = hist[k]
     return results
 
 
@@ -552,26 +540,24 @@ def write_users_csv(result: RunResult, path: str | Path) -> None:
 def write_histogram_csv(result: RunResult, path: str | Path) -> None:
     if result.hist_counts is None:
         raise EngineError("run was executed without the per_user output")
-    edges = result.hist_edges
+    edges = HIST_BIN_WIDTH * np.arange(HIST_BINS + 1)
     _write_columns(
         Path(path), ["bin_left_bps", "bin_right_bps", "count"], "%r,%r,%d\n",
         edges[:-1], edges[1:], result.hist_counts,
     )
 
 
-def write_sweep_csv(rows: list[dict], path: str | Path) -> None:
-    """One line per sweep_rows dict; %s of the threshold writes an int or
-    a float as str does."""
+def write_sweep_csv(points: Iterable[tuple[float, RunResult]],
+                    path: str | Path) -> None:
+    """One line per (threshold, result) pair; %s of the threshold writes an
+    int or a float as str does."""
     _write_lines(
         Path(path),
         ["threshold", "topology", "ee_mean", "ee_std", "capacity_mean", "power_mean"],
         (
-            "%s,%s,%r,%r,%r,%r\n" % (
-                row["threshold"], row["topology"], float(row["ee_mean"]),
-                float(row["ee_std"]), float(row["capacity_mean"]),
-                float(row["power_mean"]),
-            )
-            for row in rows
+            "%s,%s,%r,%r,%r,%r\n" % (t, r.scenario.topology, r.ee_mean, r.ee_std,
+                                      r.capacity_mean, r.power_mean)
+            for t, r in points
         ),
     )
 
@@ -620,15 +606,3 @@ def write_pico_trace_csv(result: RunResult, path: str | Path) -> None:
     slots, m = modes.shape
     _write_slot_lines(Path(path), ["slot", "pico_id", "mode"], slots, m,
                       lambda slot: (map(tails.__getitem__, modes[slot].tolist()),))
-
-
-def sweep_rows(result: RunResult, threshold) -> dict:
-    """One sweep-CSV row from an aggregated run."""
-    return {
-        "threshold": threshold,
-        "topology": result.scenario.topology,
-        "ee_mean": result.ee_mean,
-        "ee_std": result.ee_std,
-        "capacity_mean": result.capacity_mean,
-        "power_mean": result.power_mean,
-    }

@@ -40,10 +40,6 @@ class MobilityError(Exception):
     pass
 
 
-class NoPicosForHotspot(MobilityError):
-    """Hotspot users need at least one pico to be assigned to."""
-
-
 @dataclass(frozen=True)
 class WorkSchedule:
     start_slots: tuple[int, ...] = (0, 42, 83)
@@ -150,15 +146,10 @@ def init_population(
     Everyone starts at a uniform point in the macro disc with a waypoint
     there too, except that single-snapshot runs place hotspot users
     directly inside their assigned pico (static_hotspot_in_cell).  Speeds
-    are read from users.
+    are read from users.  config.validate_scenario guarantees 0 <= n_hotspot
+    <= n_users, and a pico to assign hotspot users to.
     """
-    if not 0 <= n_hotspot <= n_users:
-        raise MobilityError("n_hotspot must lie in [0, n_users]")
     n_picos = len(topo.picos)
-    if n_hotspot > 0 and n_picos == 0:
-        raise NoPicosForHotspot(
-            f"{n_hotspot} hotspot users requested on a layout with no picos"
-        )
     n = n_users
     hot = np.zeros(n, dtype=bool)
     hot[n - n_hotspot :] = n_hotspot > 0

@@ -30,10 +30,9 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .config import Scenario, parse_scenario
+from .config import parse_scenario
 from .engine import (
     run_scenarios,
-    sweep_rows,
     write_histogram_csv,
     write_pico_view_csv,
     write_slot_csv,
@@ -46,10 +45,6 @@ DEFAULT_SEED = 1
 
 class UnknownPreset(Exception):
     pass
-
-
-def _scenario(**doc) -> Scenario:
-    return parse_scenario(doc)
 
 
 def _ptag(p_sleep: float) -> str:
@@ -87,10 +82,10 @@ def _capacity_table(outdir: Path, seed: int):
     topologies = ["monet", "coe", "udc"]
     points = [(t, topo) for t in thresholds for topo in topologies]
     results = run_scenarios(
-        [_scenario(**_snapshot_doc(topo, seed, t)) for t, topo in points]
+        [parse_scenario(_snapshot_doc(topo, seed, t)) for t, topo in points]
     )
-    rows = [sweep_rows(res, t) for (t, _), res in zip(points, results)]
-    write_sweep_csv(rows, outdir / "sweep.csv")
+    write_sweep_csv([(t, res) for (t, _), res in zip(points, results)],
+                    outdir / "sweep.csv")
     grid = {"thresholds": thresholds, "topologies": topologies,
             "realizations": 100, "activity": 1.0, "p_sleep_w": 0.0}
     return grid, ["sweep.csv"]
@@ -101,12 +96,10 @@ def _threshold_sweep(outdir: Path, seed: int):
     topologies = ["monet", "coe", "udc"]
     points = [(t, topo) for topo in topologies for t in thresholds]
     results = run_scenarios(
-        [_scenario(**_snapshot_doc(topo, seed, t)) for t, topo in points]
+        [parse_scenario(_snapshot_doc(topo, seed, t)) for t, topo in points]
     )
-    write_sweep_csv(
-        [sweep_rows(res, t) for (t, _), res in zip(points, results)],
-        outdir / "sweep.csv",
-    )
+    write_sweep_csv([(t, res) for (t, _), res in zip(points, results)],
+                    outdir / "sweep.csv")
     with open(outdir / "pico_count.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("threshold,topology,active_picos_mean\n")
         for (t, topo), res in zip(points, results):
@@ -124,15 +117,13 @@ def _population_sweep(outdir: Path, seed: int,
     points = [(key, topo, t) for key in files for topo in topologies
               for t in thresholds]
     results = run_scenarios([
-        _scenario(**_snapshot_doc(topo, seed, t, hotspot=h, p_uniform=0.4,
-                                  p_hotspot=0.8, p_sleep=p))
+        parse_scenario(_snapshot_doc(topo, seed, t, hotspot=h, p_uniform=0.4,
+                                     p_hotspot=0.8, p_sleep=p))
         for (p, h), topo, t in points
     ])
-    rows: dict[tuple, list[dict]] = {key: [] for key in files}
-    for (key, _, t), res in zip(points, results):
-        rows[key].append(sweep_rows(res, t))
     for key, name in files.items():
-        write_sweep_csv(rows[key], outdir / name)
+        write_sweep_csv([(t, res) for (k, _, t), res in zip(points, results)
+                         if k == key], outdir / name)
     return list(files.values())
 
 
@@ -188,7 +179,7 @@ def _run_and_write(runs: list[tuple[dict, str, bool]],
     """Run every (scenario document, file stem, pico view) in one call and
     write each run's slot, user and histogram CSVs (plus the pico-layer
     view where asked)."""
-    results = run_scenarios([_scenario(**doc) for doc, _, _ in runs], {"per_user"})
+    results = run_scenarios([parse_scenario(doc) for doc, _, _ in runs], {"per_user"})
     files = []
     for (_, base, pico_view), res in zip(runs, results):
         names = [f"{base}.csv", f"{base}_users.csv", f"{base}_hist.csv"]

@@ -4,8 +4,9 @@ pico or station at a time; the program computes the same quantities for
 whole arrays at once.
 
 The control oracle (step_state) transcribes the state table in
-``hetnetsim.control``'s docstring, and consumed_power_w the station power
-formula in ``hetnetsim.power``'s; neither calls a hetnetsim function.
+``hetnetsim.control``'s docstring, consumed_power_w the station power
+formula in ``hetnetsim.power``'s, and rate_histogram the binning of
+``histogram.csv``; none calls a hetnetsim function.
 """
 
 from __future__ import annotations
@@ -187,6 +188,18 @@ def udc_centres(
                 f"could not place pico {i} after {max_attempts} attempts"
             )
     return placed
+
+
+# --- rate histogram --------------------------------------------------------
+
+
+def rate_histogram(rates) -> tuple[np.ndarray, np.ndarray]:
+    """Counts and edges of 100 bins of 1e4 b/s over [0, 1e6], one rate at
+    a time; a rate at or beyond the top edge counts in the last bin."""
+    counts = np.zeros(100, dtype=np.int64)
+    for rate in np.asarray(rates, dtype=np.float64).tolist():
+        counts[min(int(rate // 1e4), 99)] += 1
+    return counts, 1e4 * np.arange(101)
 
 
 # --- station power ---------------------------------------------------------

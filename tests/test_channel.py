@@ -16,7 +16,6 @@ from hetnetsim import kernels
 from hetnetsim.topology import CellKind
 from hetnetsim.channel import (
     ChannelParams,
-    ZeroUsers,
     noise_power_dbm,
     user_bandwidth,
 )
@@ -70,8 +69,6 @@ def test_noise_scales_10db_per_decade():
 
 def test_bandwidth_split():
     assert user_bandwidth(20e6, 1000) == 20000.0
-    with pytest.raises(ZeroUsers):
-        user_bandwidth(20e6, 0)
 
 
 def test_shannon_zero_snr_is_zero_rate():

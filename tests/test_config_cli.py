@@ -165,6 +165,8 @@ class TestCrossFieldValidation:
         ({"power": {"macro": {"p0_w": -1.0}}}, "power.macro.p0_w"),
         ({"power": {"pico": {"p0_w": -1.0}}}, "power.pico.p0_w"),
         ({"power": {"pico": {"p_sleep_w": -1.0}}}, "power.pico.p_sleep_w"),
+        ({"power": {"macro": {"delta_p": -10.0}}}, "power.macro.delta_p"),
+        ({"power": {"pico": {"delta_p": -1.0}}}, "power.pico.delta_p"),
     ])
     def test_range_checks_name_the_key(self, doc, path):
         with pytest.raises(ValidationError, match=f"^{re.escape(path)}: must be "):
@@ -423,6 +425,29 @@ def test_non_finite_numbers_are_rejected_with_their_path(tmp_path, capsys, doc, 
                  "--set", item]) == 1
     key = item.partition("=")[0]
     assert capsys.readouterr().err.startswith(f"error: {key}: must be finite")
+
+
+@pytest.mark.parametrize("doc, path", [
+    ("topology: udc\nboot_slots: -1\n", "boot_slots"),
+    ("topology: udc\nusers: {total: 0}\n", "users.total"),
+    ("topology: udc\nusers: {total: 10, hotspot: 11}\n", "users.hotspot"),
+    ("topology: monet\nusers: {hotspot: 5}\n", "users.hotspot"),
+    ("topology: udc\nlayout: {n_picos: 0}\nusers: {hotspot: 5}\n", "users.hotspot"),
+    ("topology: udc\nlayout: {n_picos: 100000}\n", "layout.n_picos"),
+    ("topology: udc\nlayout: {n_picos: 4611686018427387904, pico_radius_m: 1.0e-7}\n",
+     "layout.n_picos"),
+], ids=["boot_slots", "zero_users", "hotspot_over_total", "hotspot_on_monet",
+        "hotspot_without_picos", "n_picos_1e5", "n_picos_2e62"])
+def test_rejected_documents_exit_1_with_their_path(tmp_path, capsys, doc, path):
+    """Documents that validation rejects exit 1 before anything runs, and
+    the message names the offending key: engine code relies on these rules
+    (one user at least, a pico for every hotspot user, boot_slots >= 0),
+    and layouts past MAX_PICOS would not finish."""
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(doc)
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_takes_an_integer_field(scenario_file, tmp_path):

@@ -100,10 +100,6 @@ class TestStateTable:
     def test_zero_boot_slots_wakes_immediately(self):
         assert step(SLEEP, 9, self.POLICY, boot_slots=0).mode is EnbMode.ACTIVE
 
-    def test_negative_boot_slots_rejected(self):
-        with pytest.raises(ValueError):
-            step(SLEEP, 9, self.POLICY, boot_slots=-1)
-
 
 def test_single_threshold_sleeps_strictly_below_it():
     p = one_threshold(9)

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -17,6 +17,7 @@ from hetnetsim import engine, kernels
 from hetnetsim.config import parse_scenario
 from hetnetsim.control import ACTIVE, BOOT, MODES, SLEEP
 from hetnetsim.engine import (
+    HIST_BINS,
     OUTPUTS,
     Response,
     SlotColumns,
@@ -24,7 +25,7 @@ from hetnetsim.engine import (
     World,
     build_geometry,
     compute_ee,
-    rate_histogram,
+    hist_counts,
     run_scenario,
     run_scenarios,
     write_histogram_csv,
@@ -35,7 +36,7 @@ from hetnetsim.engine import (
     write_users_csv,
 )
 from hetnetsim.power import EnbMode
-from oracles import PicoControlState, consumed_power_w, step_state
+from oracles import PicoControlState, consumed_power_w, rate_histogram, step_state
 
 
 def scenario(**kw):
@@ -326,12 +327,12 @@ def test_column_writers_match_a_row_by_row_reference(traced, data, rows):
         power_w=floats(rows), ee_bits_per_joule=floats(rows),
         pico_power_w=floats(rows), pico_capacity_bps=floats(rows),
     )
-    n, bins = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 12))
+    n = data.draw(st.integers(0, 12))
     result = dataclasses.replace(
         traced, slot_metrics=metrics,
         is_hotspot=data.draw(hnp.arrays(bool, n)),
         mean_rate_bps=floats(n), frac_slots_on_pico=floats(n),
-        hist_counts=counts(bins), hist_edges=floats(bins + 1),
+        hist_counts=counts(HIST_BINS),
     )
 
     def slot_rows(capacity, power):
@@ -349,8 +350,9 @@ def test_column_writers_match_a_row_by_row_reference(traced, data, rows):
          float(result.mean_rate_bps[i]), float(result.frac_slots_on_pico[i]))
         for i in range(n)
     ]
-    edges = result.hist_edges.tolist()
-    histogram = [(edges[b], edges[b + 1], int(result.hist_counts[b])) for b in range(bins)]
+    edges = rate_histogram(())[1].tolist()
+    histogram = [(edges[b], edges[b + 1], int(result.hist_counts[b]))
+                 for b in range(HIST_BINS)]
     expected = {
         "slots.csv": (write_slot_csv, reference_csv(
             slot_header, slot_rows(metrics.capacity_bps, metrics.power_w))),
@@ -485,13 +487,29 @@ def test_capacity_falls_as_the_wake_threshold_rises():
     assert caps[0] > caps[1]
 
 
+RATES = st.floats(0.0, 2e6) | st.sampled_from(
+    [0.0, 9999.999, 1e4, 999999.999, 1e6, 1e6 + 1e-9, 1.5e6, 1e12])
+
+
 class TestRateHistogram:
     def test_binning_and_overflow_clamp(self):
-        counts, edges = rate_histogram(np.array([5e3, 1.5e4, 9.99e5, 2e6]))
-        assert counts[0] == 1 and counts[1] == 1 and counts[99] == 2
-        assert counts.sum() == 4
-        assert len(edges) == 101
-        assert edges[0] == 0.0 and edges[-1] == 1e6
+        counts = hist_counts(np.array([[5e3, 1.5e4, 9.99e5, 1e6, 2e6]]))
+        assert counts.shape == (1, HIST_BINS)
+        assert counts[0, 0] == 1 and counts[0, 1] == 1 and counts[0, 99] == 3
+        assert counts.sum() == 5
+
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(0, 30)),
+                      elements=RATES))
+    @example(np.zeros((3, 0)))
+    @example(np.array([[1e6, 1e6, 3e6], [0.0, 1e6 - 1e-9, 1e12]]))
+    def test_rows_match_the_reference(self, rates):
+        """Row k of hist_counts is the reference histogram of row k's rates,
+        for no rates at all, rates at the top edge and rates past it."""
+        counts = hist_counts(rates)
+        assert counts.shape == (rates.shape[0], HIST_BINS)
+        for got, row in zip(counts, rates):
+            np.testing.assert_array_equal(got, rate_histogram(row)[0])
 
     def test_snapshot_histogram_counts_user_realizations(self):
         r = run_scenario(scenario(
@@ -527,7 +545,7 @@ TWINS = {"coe": "monet_coe_users", "udc": "monet_udc_users"}
 SUMMARY_FIELDS = ("ee_mean", "ee_std", "capacity_mean", "power_mean",
                   "active_picos_mean")
 PER_USER_FIELDS = ("is_hotspot", "mean_rate_bps", "frac_slots_on_pico",
-                   "hist_counts", "hist_edges")
+                   "hist_counts")
 
 
 def assert_same_columns(a, b):
@@ -575,8 +593,11 @@ def process_groups(draw):
             "boot_slots": draw(st.integers(0, 3)),
             "policy": {"t_activate": float(t_on),
                        "t_deactivate": None if t_off is None else float(t_off)},
-            "power": {"pico": {"p_sleep_w": draw(st.sampled_from([0.0, 4.0, 8.6]))},
-                      "macro": {"p0_w": draw(st.sampled_from([0.0, 260.0]))}},
+            # validation keeps every load slope >= 0
+            "power": {"pico": {"p_sleep_w": draw(st.sampled_from([0.0, 4.0, 8.6])),
+                               "delta_p": draw(st.sampled_from([0.0, 4.0, 13.0]))},
+                      "macro": {"p0_w": draw(st.sampled_from([0.0, 260.0])),
+                                "delta_p": draw(st.sampled_from([0.0, 4.75, 13.0]))}},
         })
     return docs
 

@@ -5,14 +5,13 @@ import pytest
 
 from hetnetsim.config import UsersConfig
 from hetnetsim.mobility import (
-    NoPicosForHotspot,
     UserPopulation,
     WorkSchedule,
     draw_activity_flags,
     init_population,
     step_population,
 )
-from hetnetsim.topology import build_monet, build_udc
+from hetnetsim.topology import build_udc
 from oracles import containing_pico
 
 PARAMS = UsersConfig()  # the travel and work speeds
@@ -160,18 +159,6 @@ def test_single_user_api_matches_population_semantics():
     step_population(pop, 1_000_000, topo, SCHEDULE, PARAMS,
                     np.random.default_rng(4))
     assert (pop.px[0], pop.py[0]) != before
-
-
-def test_hotspot_requires_picos():
-    with pytest.raises(NoPicosForHotspot):
-        init_population(10, 5, build_monet(), SCHEDULE, PARAMS,
-                        np.random.default_rng(0))
-
-
-def test_bad_hotspot_count_rejected():
-    topo = build_udc(np.random.default_rng(9))
-    with pytest.raises(Exception):
-        init_population(10, 11, topo, SCHEDULE, PARAMS, np.random.default_rng(0))
 
 
 class TestActivityDraws:

@@ -1,0 +1,74 @@
+"""Every module-level name in src/hetnetsim is used by the program.
+
+A function, class or constant that only the tests reach belongs in the
+tests (tests/oracles.py holds the reference implementations).  The check
+parses each module with ast and looks for a use of each module-level name
+anywhere in the package outside that name's own definition: a bare name,
+or an attribute of a package module (``kernels.containing_disc``).
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hetnetsim"
+
+# names used from outside src/hetnetsim only, by design
+ALLOWED = {
+    # the package's public exports (__init__.py)
+    ("config", "Scenario"), ("config", "parse_scenario"),
+    ("engine", "run_scenario"), ("engine", "build_geometry"),
+    ("engine", "compute_ee"), ("topology", "Topology"),
+    ("topology", "build_monet"), ("topology", "build_coe"),
+    ("topology", "build_udc"),
+    ("cli", "main"),                        # the console entry point
+    ("kernels", "USING_NUMBA"),             # read by perfbench/sample.py
+    ("config", "serialize_scenario"),       # kept for the run manifest
+}
+
+
+def module_names(tree: ast.Module) -> list[str]:
+    """Every module-level def, class and assignment target of tree."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        elif isinstance(node, ast.Assign):
+            out += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            out.append(node.target.id)
+    return out
+
+
+def uses(node: ast.AST, modules: set[str]):
+    """Names read in node: bare names, and attributes of package modules."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            yield sub.id
+        elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+              and sub.value.id in modules):
+            yield sub.attr
+
+
+def unused_names(package: Path) -> list[tuple[str, str]]:
+    """(module, name) of each module-level name of package that no code
+    of package uses, a def's or class's uses of itself aside."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in tree.body:
+            own = getattr(node, "name", None)
+            used.update(name for name in uses(node, set(trees)) if name != own)
+    return [(module, name) for module, tree in trees.items()
+            for name in module_names(tree)
+            if name not in used and not name.startswith("__")]
+
+
+def test_every_module_level_name_is_used_in_the_package():
+    unused = [(m, n) for m, n in unused_names(PACKAGE) if (m, n) not in ALLOWED]
+    assert not unused, f"names no code in src/ uses: {unused}"
+
+
+def test_allowlist_names_exist():
+    for module, name in ALLOWED:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        assert name in module_names(tree), (module, name)
