@@ -4,7 +4,7 @@ ChannelParams holds each tier's transmit power, antenna gains and
 shadowing sigma; noise_power_dbm and user_bandwidth give the thermal noise
 and the equal bandwidth split that every user's link is evaluated over.
 The path loss, shadowing and Shannon capacity of the links themselves are
-computed for all users at once by kernels.link_capacity.
+computed by kernels.link_capacity, one tier's links of a slot per call.
 """
 
 from __future__ import annotations

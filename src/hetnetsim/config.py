@@ -9,7 +9,9 @@ the defaults, so `policy: {t_activate: 12}` keeps t_deactivate at 4; a
 one-threshold policy needs an explicit `t_deactivate: null`.  Unknown keys
 anywhere are hard errors, reported with their dotted path.  Numbers must
 be finite, save the two policy thresholds: `.inf` is a valid t_activate
-(never wake).  Integers must fit in 64 bits.
+(never wake) and `-.inf` a valid t_deactivate (never sleep).  Integers
+must fit in 64 bits.  The link-budget keys lie in physical ranges
+(CHANNEL_RANGES, MAX_MACRO_RADIUS_M).
 """
 
 from __future__ import annotations
@@ -44,12 +46,30 @@ class ValidationError(ConfigError):
 
 TOPOLOGY_KINDS = ("monet", "coe", "udc", "monet_coe_users", "monet_udc_users")
 
-# the only numbers that may be infinite: t_activate = .inf never wakes
+# the only numbers that may be infinite: t_activate = .inf never wakes,
+# t_deactivate = -.inf never sleeps (ThresholdPolicy rejects the others)
 INFINITE_OK = ("policy.t_activate", "policy.t_deactivate")
 
 # the largest layout.n_picos: layout checks grow as the square of the
 # count, and build_udc places 10,000 picos in about 1 s
 MAX_PICOS = 10_000
+
+# physical ranges, inclusive, of the keys that enter the link budget; far
+# past them a link's capacity overflows to inf or rounds to 0 b/s.  The
+# pico radius lies below the macro radius.
+MAX_MACRO_RADIUS_M = 1e5
+CHANNEL_RANGES = {
+    "bandwidth_hz": (1e3, 1e11, "Hz"),
+    "temperature_k": (1.0, 1e5, "K"),
+    "macro_tx_dbm": (-100.0, 100.0, "dBm"),
+    "macro_antenna_gain_dbi": (-50.0, 50.0, "dBi"),
+    "macro_shadow_sigma_db": (0.0, 50.0, "dB"),
+    "pico_tx_dbm": (-100.0, 100.0, "dBm"),
+    "pico_antenna_gain_dbi": (-50.0, 50.0, "dBi"),
+    "pico_shadow_sigma_db": (0.0, 50.0, "dB"),
+    "ue_antenna_gain_dbi": (-50.0, 50.0, "dBi"),
+    "min_distance_m": (1e-3, 1e3, "m"),
+}
 
 
 @dataclass(frozen=True)
@@ -161,7 +181,9 @@ def _build(cls: type, data: Any, path: str, proto: Any) -> Any:
             kwargs[key] = _coerce(raw, default_val, keypath)
     try:
         return cls(**kwargs)
-    except (InvalidPolicy, MobilityError, ValueError, TypeError) as exc:
+    except InvalidPolicy as exc:
+        raise ValidationError(f"{path}.{exc.key}", exc.message) from exc
+    except (MobilityError, ValueError, TypeError) as exc:
         raise ValidationError(path, str(exc)) from exc
 
 
@@ -218,8 +240,9 @@ def validate_scenario(s: Scenario) -> None:
         err("boot_slots", "must be >= 0")
 
     L = s.layout
-    if L.macro_radius_m <= 0:
-        err("layout.macro_radius_m", "must be positive")
+    if not 0 < L.macro_radius_m <= MAX_MACRO_RADIUS_M:
+        err("layout.macro_radius_m",
+            f"must be in (0, {MAX_MACRO_RADIUS_M:g}] m, got {L.macro_radius_m!r}")
     if L.pico_radius_m <= 0:
         err("layout.pico_radius_m", "must be positive")
     if L.pico_radius_m >= L.macro_radius_m:
@@ -248,17 +271,10 @@ def validate_scenario(s: Scenario) -> None:
         if L.n_picos < 1:
             err("users.hotspot", "need n_picos >= 1 for hotspot users")
 
-    C = s.channel
-    if C.bandwidth_hz <= 0:
-        err("channel.bandwidth_hz", "must be positive")
-    if C.temperature_k <= 0:
-        err("channel.temperature_k", "must be positive")
-    if C.min_distance_m <= 0:
-        err("channel.min_distance_m", "must be positive")
-    if C.macro_shadow_sigma_db < 0:
-        err("channel.macro_shadow_sigma_db", "must be >= 0")
-    if C.pico_shadow_sigma_db < 0:
-        err("channel.pico_shadow_sigma_db", "must be >= 0")
+    for name, (low, high, unit) in CHANNEL_RANGES.items():
+        value = getattr(s.channel, name)
+        if not low <= value <= high:
+            err(f"channel.{name}", f"must be in [{low:g}, {high:g}] {unit}, got {value!r}")
 
     for path, P in (("power.macro", s.power.macro), ("power.pico", s.power.pico)):
         if P.sectors < 1:

@@ -20,7 +20,6 @@ each row under its own policy: the PolicyRows row of its ThresholdPolicy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,7 +29,12 @@ from .power import EnbMode
 
 
 class InvalidPolicy(ValueError):
-    pass
+    """A threshold out of range; key names the ThresholdPolicy field."""
+
+    def __init__(self, key: str, message: str):
+        self.key = key
+        self.message = message
+        super().__init__(f"{key} {message}")
 
 
 @dataclass(frozen=True)
@@ -41,11 +45,12 @@ class ThresholdPolicy:
     t_deactivate: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not (self.t_activate >= 0.0) and not math.isinf(self.t_activate):
-            raise InvalidPolicy(f"t_activate must be >= 0, got {self.t_activate}")
+        # .inf (never wake) passes; -.inf and NaN do not
+        if not self.t_activate >= 0.0:
+            raise InvalidPolicy("t_activate", f"must be >= 0, got {self.t_activate}")
         if self.t_deactivate is not None and self.t_deactivate >= self.t_activate:
             raise InvalidPolicy(
-                "t_deactivate must be strictly below t_activate "
+                "t_deactivate", "must be strictly below t_activate "
                 f"(got {self.t_deactivate} >= {self.t_activate})"
             )
 

@@ -196,7 +196,6 @@ class World:
         self.n_picos = m
         self.mode = np.full((len(response.scenarios), m), SLEEP, dtype=np.int64)
         self.boot_remaining = np.zeros_like(self.mode)
-        self.centers = topo.pico_centers()
         self.discs = discs
 
         C = scenario.channel
@@ -222,31 +221,34 @@ class World:
             np.int64
         )
 
-    def _tier_capacities(self, in_disc: np.ndarray, containing: np.ndarray):
-        """Both tiers' link capacities for this slot's fading draw:
-        cap_macro for every user and cap_pico for the users in_disc marks,
-        the macro value standing in elsewhere."""
-        s = self.s
-        C = s.channel
-        pop = self.pop
+    def _tier_capacities(self, active: np.ndarray, in_disc: np.ndarray,
+                         containing: np.ndarray):
+        """Both tiers' link capacities for this slot's fading draw: cap_macro
+        for the active users and cap_pico for the users in_disc marks, the
+        macro value standing in elsewhere.  An idle user's capacity is 0 in
+        both: no link is evaluated for it, though it still draws its fading
+        normal."""
+        C = self.s.channel
+        pop, discs, macro = self.pop, self.discs, self.topo.macro
         z = self.rng.standard_normal(pop.n)
 
-        def link(dist, shadow_db, pico_link):
+        def link(users, dx, dy, sigma_db, pico_link):
             return kernels.link_capacity(
-                dist, shadow_db, pico_link, self.w_user,
-                self.eirp_macro, self.eirp_pico, self.noise_dbm,
-                C.min_distance_m,
+                np.hypot(dx, dy), z.take(users) * sigma_db, pico_link, self.w_user,
+                self.eirp_macro, self.eirp_pico, self.noise_dbm, C.min_distance_m,
             )
 
-        d_macro = np.hypot(pop.px - self.topo.macro.x, pop.py - self.topo.macro.y)
-        cap_macro = link(d_macro, z * C.macro_shadow_sigma_db, False)
+        # index gathers: a boolean mask gathers several times slower
+        on = np.flatnonzero(active)
+        cap_macro = np.zeros(pop.n)
+        cap_macro[on] = link(on, pop.px.take(on) - macro.x, pop.py.take(on) - macro.y,
+                             C.macro_shadow_sigma_db, False)
+        near = np.flatnonzero(in_disc)
+        j = containing.take(near)
         cap_pico = cap_macro.copy()
-        if in_disc.any():
-            j = containing[in_disc]
-            d_pico = np.hypot(
-                pop.px[in_disc] - self.centers[j, 0], pop.py[in_disc] - self.centers[j, 1]
-            )
-            cap_pico[in_disc] = link(d_pico, z[in_disc] * C.pico_shadow_sigma_db, True)
+        cap_pico[near] = link(near, pop.px.take(near) - discs.cx.take(j),
+                              pop.py.take(near) - discs.cy.take(j),
+                              C.pico_shadow_sigma_db, True)
         return cap_macro, cap_pico
 
     def _evaluate(self, active: np.ndarray, containing: np.ndarray,
@@ -255,7 +257,7 @@ class World:
         (K,) columns over the rows."""
         # only an active user inside a disc can be pico-served
         in_disc = active & (containing >= 0)
-        cap_macro, cap_pico = self._tier_capacities(in_disc, containing)
+        cap_macro, cap_pico = self._tier_capacities(active, in_disc, containing)
         awake = self.mode == ACTIVE
         if self.n_picos:
             # take() keeps the (K, n) arrays C-ordered (awake[:, safe] would
@@ -264,7 +266,7 @@ class World:
             pico_served = awake.take(safe, axis=1) & in_disc
         else:
             pico_served = np.zeros(self.mode.shape[:1] + in_disc.shape, dtype=bool)
-        cap = np.where(pico_served, cap_pico, np.where(active, cap_macro, 0.0))
+        cap = np.where(pico_served, cap_pico, cap_macro)
         capacity = cap.sum(axis=1)
         n_pico = pico_served.sum(axis=1)
         n_macro = int(active.sum()) - n_pico

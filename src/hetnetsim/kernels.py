@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -18,7 +19,9 @@ USING_NUMBA = False
 @dataclass(frozen=True)
 class DiscIndex:
     """Per grid cell, the discs whose box, padded to radius * (1 + 1e-9),
-    reaches it, for containing_disc; one empty cell if there are no discs."""
+    reaches it; one empty cell if there are no discs.  containing_disc
+    reads the table one depth column at a time, so a query of n points
+    takes O(n + cells * depth) memory."""
 
     cx: np.ndarray       # (m + 1,) centres, then one at infinity
     cy: np.ndarray
@@ -86,40 +89,51 @@ def containing_disc(px, py, index: DiscIndex):
 
     Each point tests only the discs its own cell lists; as the floor of a
     padded bound is monotone, any that contains it is there (disc_index).
-    Memory is O(n * depth + m).
+    The table is read one depth column at a time: each column gives every
+    point one candidate, and a running minimum keeps the lowest hit, so
+    memory is O(n + cells * depth).
     """
     # off the grid, a point lies past every box: its edge cell lists no hit
     ix = np.clip(_cell(px, index.x0, index.w), 0, index.gx - 1)
     iy = np.clip(_cell(py, index.y0, index.w), 0, index.gy - 1)
-    cand = index.table[iy * index.gx + ix]
-    # (n, depth); empty slots point at the centre at infinity
-    dx = px[:, None] - index.cx[cand]
-    dy = py[:, None] - index.cy[cand]
-    dx *= dx
-    dx += np.square(dy, out=dy)
-    first_hit = np.where(dx < index.radius * index.radius, cand, index.m).min(axis=1)
+    cell = iy * index.gx + ix
+    r2 = index.radius * index.radius
+
+    def hits(column):
+        # one candidate per point; empty slots point at the centre at infinity
+        cand = column.take(cell)
+        dx = px - index.cx.take(cand)
+        dy = py - index.cy.take(cand)
+        dx *= dx
+        dx += np.square(dy, out=dy)
+        return np.where(dx < r2, cand, index.m)
+
+    first_hit = reduce(np.minimum, map(hits, index.table.T))
     return np.where(first_hit < index.m, first_hit, -1).astype(np.int64, copy=False)
 
 
 def link_capacity(
     dist_m,
     shadow_db,
-    pico_link,
+    pico_link: bool,
     bandwidth_hz,
     eirp_macro_dbm,
     eirp_pico_dbm,
     noise_dbm,
     min_distance_m,
 ):
-    """Shannon capacity per link, macro/pico path-loss law chosen per entry.
+    """Shannon capacity of links of one tier: the pico path-loss law and
+    EIRP if pico_link, else the macro ones.
 
     eirp_* = tx power + antenna gains in dBm; shadow_db is already scaled
     by the serving tier's sigma.
     """
     d = np.maximum(dist_m, min_distance_m) / 1000.0
     log_d = np.log10(d)
-    pl = np.where(pico_link, 128.1 + 37.6 * log_d, 140.7 + 36.7 * log_d)
-    eirp = np.where(pico_link, eirp_pico_dbm, eirp_macro_dbm)
+    if pico_link:
+        pl, eirp = 128.1 + 37.6 * log_d, eirp_pico_dbm
+    else:
+        pl, eirp = 140.7 + 36.7 * log_d, eirp_macro_dbm
     snr_db = eirp - pl + shadow_db - noise_dbm
     snr = 10.0 ** (snr_db / 10.0)
     return bandwidth_hz * np.log2(1.0 + snr)

@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 import numpy as np
 
@@ -138,6 +139,19 @@ def build_coe(
     return topo
 
 
+# udc candidate offsets are drawn this many pairs at a time
+DRAW_BLOCK = 256
+
+
+def _offsets(rng: np.random.Generator):
+    """Endless (ox, oy) candidate offsets: the doubles that scalar
+    rng.uniform(-1.0, 1.0) calls would return, in their order, drawn
+    DRAW_BLOCK pairs at a time."""
+    while True:
+        block = iter(rng.uniform(-1.0, 1.0, 2 * DRAW_BLOCK).tolist())
+        yield from zip(block, block)
+
+
 def build_udc(
     rng: np.random.Generator,
     macro_radius: float = 500.0,
@@ -152,6 +166,8 @@ def build_udc(
     from every previously placed center.  Each pico gets its own attempt
     budget; exhausting it raises PlacementFailure, as does a count whose
     discs together outcover the macro disc, which no packing can hold.
+    Candidates come from rng in blocks, so rng is left further along than
+    the attempts made.
     """
     if n_picos < 0:
         raise TopologyError("n_picos must be non-negative")
@@ -166,11 +182,10 @@ def build_udc(
     inner = macro_radius - pico_radius
     too_close = 2.0 * pico_radius * (1 + SCREEN)
     z = np.empty(n_picos, dtype=complex)
+    offsets = _offsets(rng)
     for i in range(n_picos):
-        for _ in range(max_attempts):
+        for ox, oy in islice(offsets, max_attempts):
             # Uniform over the inner disc via rejection from the square.
-            ox = rng.uniform(-1.0, 1.0)
-            oy = rng.uniform(-1.0, 1.0)
             if ox * ox + oy * oy > 1.0:
                 continue
             cx = macro_radius + ox * inner

@@ -99,10 +99,11 @@ class TestEvaluateLink:
         assert up.rx_power_dbm - base.rx_power_dbm == pytest.approx(6.0, abs=1e-12)
 
     def test_kernel_gives_the_reference_capacities(self):
-        cap = kernels.link_capacity(
-            np.array([250.0, 25.0]), np.zeros(2), np.array([False, True]),
-            20e3, 60.0, 35.0, noise_power_dbm(20e3), 1.0)
-        np.testing.assert_allclose(cap, [CAP_MACRO_250M, CAP_PICO_25M], rtol=1e-12)
+        def cap(dist, pico_link):
+            return kernels.link_capacity(np.array([dist]), np.zeros(1), pico_link,
+                                         20e3, 60.0, 35.0, noise_power_dbm(20e3), 1.0)
+        np.testing.assert_allclose(cap(250.0, False), [CAP_MACRO_250M], rtol=1e-12)
+        np.testing.assert_allclose(cap(25.0, True), [CAP_PICO_25M], rtol=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(1.0, 2000.0), st.floats(1.0, 2000.0))

@@ -8,6 +8,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 
 from hetnetsim.cli import main
 from hetnetsim.config import (
+    CHANNEL_RANGES,
+    MAX_MACRO_RADIUS_M,
     Scenario,
     ValidationError,
     apply_overrides,
@@ -22,6 +25,7 @@ from hetnetsim.config import (
     scenario_to_dict,
     serialize_scenario,
 )
+from hetnetsim.engine import run_scenario
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -436,8 +440,13 @@ def test_non_finite_numbers_are_rejected_with_their_path(tmp_path, capsys, doc, 
     ("topology: udc\nlayout: {n_picos: 100000}\n", "layout.n_picos"),
     ("topology: udc\nlayout: {n_picos: 4611686018427387904, pico_radius_m: 1.0e-7}\n",
      "layout.n_picos"),
+    ("topology: udc\npolicy: {t_activate: -.inf, t_deactivate: null}\n",
+     "policy.t_activate"),
+    ("topology: udc\npolicy: {t_activate: -1, t_deactivate: null}\n",
+     "policy.t_activate"),
 ], ids=["boot_slots", "zero_users", "hotspot_over_total", "hotspot_on_monet",
-        "hotspot_without_picos", "n_picos_1e5", "n_picos_2e62"])
+        "hotspot_without_picos", "n_picos_1e5", "n_picos_2e62",
+        "t_activate_minus_inf", "t_activate_negative"])
 def test_rejected_documents_exit_1_with_their_path(tmp_path, capsys, doc, path):
     """Documents that validation rejects exit 1 before anything runs, and
     the message names the offending key: engine code relies on these rules
@@ -448,6 +457,49 @@ def test_rejected_documents_exit_1_with_their_path(tmp_path, capsys, doc, path):
     assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
     assert not (tmp_path / "out").exists()
+
+
+EXTREME_LINK_BUDGETS = [
+    # capacity and EE would be inf
+    ("channel.bandwidth_hz", "1.0e-300"),
+    ("channel.temperature_k", "1.0e-300"),
+    ("channel.macro_tx_dbm", "1.0e+300"),
+    ("channel.pico_tx_dbm", "1.0e+300"),
+    ("channel.macro_antenna_gain_dbi", "1.0e+300"),
+    ("channel.macro_shadow_sigma_db", "1.0e+300"),
+    # capacity would be 0
+    ("layout.macro_radius_m", "1.0e+300"),
+    ("channel.macro_tx_dbm", "-1.0e+300"),
+    ("channel.pico_tx_dbm", "-1.0e+300"),
+    ("channel.min_distance_m", "1.0e+300"),
+]
+
+
+@pytest.mark.parametrize("key, value", EXTREME_LINK_BUDGETS)
+def test_extreme_link_budget_values_exit_1_with_their_path(tmp_path, capsys, key, value):
+    """Finite values far past a physical range would run and write inf or
+    0 b/s; validation stops them with the key's path."""
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text("topology: udc\nslots: 3\nusers: {total: 50}\n")
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out"),
+                 "--set", f"{key}={value}"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}: must be in ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    *((f"channel.{name}", bound) for name, (low, high, _) in CHANNEL_RANGES.items()
+      for bound in (low, high)),
+    ("layout.macro_radius_m", MAX_MACRO_RADIUS_M),
+])
+def test_range_edges_give_finite_positive_capacity(key, value):
+    """A key at either end of its range, the others at their defaults,
+    still gives every slot a finite, positive capacity and EE."""
+    section, name = key.split(".")
+    result = run_scenario(parse_scenario(
+        {"topology": "udc", "slots": 3, "users": {"total": 50}, section: {name: value}}))
+    for column in (result.slot_metrics.capacity_bps, result.slot_metrics.ee_bits_per_joule):
+        assert np.isfinite(column).all() and (column > 0).all()
 
 
 def test_sweep_takes_an_integer_field(scenario_file, tmp_path):

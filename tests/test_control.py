@@ -63,6 +63,14 @@ class TestPolicyValidation:
         ThresholdPolicy(t_activate=0)
         ThresholdPolicy(t_activate=math.inf, t_deactivate=4)
 
+    @pytest.mark.parametrize("t", [-math.inf, math.nan])
+    def test_minus_infinite_and_nan_activate_rejected(self, t):
+        with pytest.raises(InvalidPolicy, match="^t_activate must be >= 0"):
+            ThresholdPolicy(t_activate=t, t_deactivate=None)
+
+    def test_minus_infinite_deactivate_allowed(self):
+        ThresholdPolicy(t_activate=5, t_deactivate=-math.inf)
+
     def test_single_threshold_has_no_deactivate(self):
         assert ThresholdPolicy(t_activate=9).t_deactivate is None
 

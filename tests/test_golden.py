@@ -100,6 +100,17 @@ CASES = {
          "users": {"total": 4000, "hotspot": 2000},
          "policy": {"t_activate": 2.0, "t_deactivate": 1.0}},
     ),
+    # a ring of 300 tangent 2 m picos: one grid cell of the containment
+    # index lists up to six discs, and hotspot users walking inside discs
+    # of 2 m cross their edges often
+    "run_dense_ring": (
+        ["run", "--trace-users", "--trace-picos"],
+        {"topology": "coe", "seed": 15, "slots": 30, "boot_slots": 1,
+         "layout": {"n_picos": 300, "macro_radius_m": 200.0, "pico_radius_m": 2.0},
+         "users": {"total": 2000, "hotspot": 1500},
+         "work": {"start_slots": [0, 5]},
+         "policy": {"t_activate": 2.0, "t_deactivate": 1.0}},
+    ),
     # the means-only snapshot path of the presets: 620 rows in two groups
     "preset_sleep_power_sweep": (
         ["preset", "sleep_power_sweep", "--seed", "1"],
@@ -159,6 +170,20 @@ GOLDEN = {
             "54dc8c2823247b691f5a14b070f8a92dbcbb191ad774df4eb562ea4508bb1edf",
         "users.csv":
             "114e6fc2f849bac072e0f4787069011fe43d24c362c72205f664bab7b64067d2",
+    },
+    "run_dense_ring": {
+        "histogram.csv":
+            "503395bf4c7d7eab369cb1c05b52682025110f0e2f8faecee4fb577f1d7d9044",
+        "pico_trace.csv":
+            "bbf0670a5a6f2a076ceeaf2ea2ee033eb99bedb46e34ba32e4234eb196572b53",
+        "slots.csv":
+            "a1dcdb9892fc06f0c2e66a34e056fa61f57a8306276712cc0d68790f8aade7c6",
+        "topology.json":
+            "0a88c10d3faa3d4e3ac7fb86e98fec626dab81a079ae92a3559e18013399207b",
+        "user_trace.csv":
+            "8a09f4842d9bf64e0b3048a0ca43584bac69cc58a4e09be781ee147f90dbf204",
+        "users.csv":
+            "4b57d9d10a6ba9a5c8d113fea39f3d2057058515d8370d780c73eeb07c83c8b4",
     },
     "run_stress": {
         "histogram.csv":

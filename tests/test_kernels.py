@@ -217,14 +217,14 @@ def test_link_capacity_matches_numpy_and_the_scalar_path():
     n = 2000
     dist = RNG.uniform(0.2, 1500.0, n)  # includes sub-clamp distances
     shadow = RNG.normal(0, 9, n)
-    pico = RNG.random(n) < 0.5
-    got = kernels.link_capacity(
-        dist, shadow, pico, 20e3, 60.0, 35.0, -130.9648872375883, 1.0)
-    # the structured link evaluator is the scalar reference
-    for i in range(0, n, 50):
-        lb = evaluate_link(CellKind.PICO if pico[i] else CellKind.MACRO, float(dist[i]),
-                           20e3, shadow_db=float(shadow[i]))
-        np.testing.assert_allclose(got[i], lb.capacity_bps, rtol=1e-9)
+    # one call per tier, each against the structured link evaluator, the
+    # scalar reference
+    for kind in (CellKind.MACRO, CellKind.PICO):
+        got = kernels.link_capacity(dist, shadow, kind is CellKind.PICO,
+                                    20e3, 60.0, 35.0, -130.9648872375883, 1.0)
+        for i in range(0, n, 50):
+            lb = evaluate_link(kind, float(dist[i]), 20e3, shadow_db=float(shadow[i]))
+            np.testing.assert_allclose(got[i], lb.capacity_bps, rtol=1e-9)
 
 
 def test_advance_positions_matches_numpy_bitwise():

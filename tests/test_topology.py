@@ -104,8 +104,9 @@ class TestUdc:
        attempts=st.sampled_from([1, 30, 10_000]))
 def test_udc_placement_equals_the_scan(seed, macro_r, r, fill, attempts):
     """build_udc places the centres the plain scan places, from the same
-    draws, or fails on the same pico; counts up to the area limit, so a
-    small budget or a dense count jams."""
+    sequence of draws, or fails on the same pico; counts up to the area
+    limit, so a small budget or a dense count jams.  build_udc draws in
+    blocks, so its generator ends further along than the scan's."""
     r = min(r, macro_r / 3)
     n = min(300, int(fill * (macro_r / r) ** 2))
     rngs = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -118,7 +119,17 @@ def test_udc_placement_equals_the_scan(seed, macro_r, r, fill, attempts):
     except PlacementFailure as exc:
         want = str(exc)
     assert got == want
-    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("macro_r, r, n", [(500.0, 50.0, 28), (500.0, 20.0, 200),
+                                           (150.0, 30.0, 3)])
+def test_udc_centres_equal_the_scalar_draw_scan(seed, macro_r, r, n):
+    """The paper layout, the stress layout (many blocks of draws) and a
+    small cell give the centres of the scan's one-uniform-per-call draws."""
+    got = build_udc(np.random.default_rng(seed), macro_r, r, n).pico_centers()
+    want = oracles.udc_centres(np.random.default_rng(seed), macro_r, r, n, 10_000)
+    assert got.tolist() == [list(c) for c in want]
 
 
 def test_udc_placement_fails_on_the_scans_pico():
