@@ -25,8 +25,6 @@ from typing import Optional
 
 import numpy as np
 
-from .power import EnbMode
-
 
 class InvalidPolicy(ValueError):
     """A threshold out of range; key names the ThresholdPolicy field."""
@@ -85,9 +83,9 @@ class PolicyRows:
         return count <= self.t_deactivate
 
 
-# int mode codes of the control arrays; MODES maps a code back to its enum
+# int mode codes of the control arrays; MODES[code] is the mode's trace label
 SLEEP, BOOT, ACTIVE = 0, 1, 2
-MODES = (EnbMode.SLEEP, EnbMode.BOOT, EnbMode.ACTIVE)
+MODES = ("sleep", "boot", "active")
 
 
 def step_modes(

@@ -192,7 +192,7 @@ class World:
             self.rng,
             static_hotspot_in_cell=self.static,
         )
-        m = len(topo.picos)
+        m = topo.cx.size
         self.n_picos = m
         self.mode = np.full((len(response.scenarios), m), SLEEP, dtype=np.int64)
         self.boot_remaining = np.zeros_like(self.mode)
@@ -229,7 +229,7 @@ class World:
         both: no link is evaluated for it, though it still draws its fading
         normal."""
         C = self.s.channel
-        pop, discs, macro = self.pop, self.discs, self.topo.macro
+        pop, discs, R = self.pop, self.discs, self.topo.macro_radius
         z = self.rng.standard_normal(pop.n)
 
         def link(users, dx, dy, sigma_db, pico_link):
@@ -241,7 +241,7 @@ class World:
         # index gathers: a boolean mask gathers several times slower
         on = np.flatnonzero(active)
         cap_macro = np.zeros(pop.n)
-        cap_macro[on] = link(on, pop.px.take(on) - macro.x, pop.py.take(on) - macro.y,
+        cap_macro[on] = link(on, pop.px.take(on) - R, pop.py.take(on) - R,
                              C.macro_shadow_sigma_db, False)
         near = np.flatnonzero(in_disc)
         j = containing.take(near)
@@ -386,11 +386,10 @@ def _run_group(scenarios: list[Scenario], outputs: frozenset) -> list[RunResult]
     s0 = scenarios[0]
     topo = build_geometry(s0)
     response = Response(scenarios)
-    K, n, m = len(scenarios), s0.users.total, len(topo.picos)
+    K, n, m = len(scenarios), s0.users.total, topo.cx.size
     snapshot = s0.slots == 1
     rows = s0.realizations if snapshot else s0.slots
-    centres = topo.pico_centers()
-    discs = kernels.disc_index(centres[:, 0], centres[:, 1], topo.pico_radius())
+    discs = kernels.disc_index(topo.cx, topo.cy, topo.pico_radius)
     columns: list[SlotColumns] = []
     per_user = "per_user" in outputs
     if per_user:
@@ -583,7 +582,7 @@ def write_user_trace_csv(result: RunResult, path: str | Path) -> None:
     if trace is None:
         raise EngineError("run was executed without the user_trace output")
     # serving code c of a user with flag a ends in tails[c + 2 + width * a]
-    labels = ["none", "macro", *(f"pico:{j}" for j in range(len(result.topology.picos)))]
+    labels = ["none", "macro", *(f"pico:{j}" for j in range(result.topology.cx.size))]
     width = len(labels)
     tails = [f",{a},{label}\n" for a in (0, 1) for label in labels]
 
@@ -604,7 +603,7 @@ def write_pico_trace_csv(result: RunResult, path: str | Path) -> None:
     modes = result.pico_trace
     if modes is None:
         raise EngineError("run was executed without the pico_trace output")
-    tails = [f"{mode.value}\n" for mode in MODES]
+    tails = [f"{mode}\n" for mode in MODES]
     slots, m = modes.shape
     _write_slot_lines(Path(path), ["slot", "pico_id", "mode"], slots, m,
                       lambda slot: (map(tails.__getitem__, modes[slot].tolist()),))

@@ -114,17 +114,17 @@ def _set_velocity(pop: UserPopulation, mask: np.ndarray) -> None:
 def _retarget(
     pop: UserPopulation,
     mask: np.ndarray,
-    center_x: np.ndarray,
-    center_y: np.ndarray,
-    radius: np.ndarray,
+    center_x,
+    center_y,
+    radius: float,
     speed_lo: float,
     speed_hi: float,
     rng: np.random.Generator,
 ) -> None:
-    """New uniform destination in the per-user disc plus a fresh speed."""
+    """New uniform destination, in the disc of the given radius around
+    each masked user's centre (arrays or one scalar), plus a fresh speed;
+    mask selects at least one user."""
     k = int(mask.sum())
-    if k == 0:
-        return
     ox, oy = _unit_disc(rng, k)
     pop.dest_x[mask] = center_x + ox * radius
     pop.dest_y[mask] = center_y + oy * radius
@@ -149,27 +149,24 @@ def init_population(
     are read from users.  config.validate_scenario guarantees 0 <= n_hotspot
     <= n_users, and a pico to assign hotspot users to.
     """
-    n_picos = len(topo.picos)
     n = n_users
     hot = np.zeros(n, dtype=bool)
     hot[n - n_hotspot :] = n_hotspot > 0
     my_pico = np.full(n, -1, dtype=np.int64)
     work_start = np.full(n, -1, dtype=np.int64)
     if n_hotspot > 0:
-        my_pico[hot] = rng.integers(0, n_picos, n_hotspot)
+        my_pico[hot] = rng.integers(0, topo.cx.size, n_hotspot)
         starts = np.asarray(schedule.start_slots, dtype=np.int64)
         work_start[hot] = starts[rng.integers(0, starts.size, n_hotspot)]
 
-    mx, my = topo.macro.x, topo.macro.y
-    R = topo.macro.radius
-    center_x = np.full(n, mx)
-    center_y = np.full(n, my)
+    R = topo.macro_radius
+    center_x = np.full(n, R)
+    center_y = np.full(n, R)
     radius = np.full(n, R)
     if static_hotspot_in_cell and n_hotspot > 0:
-        centers = topo.pico_centers()
-        center_x[hot] = centers[my_pico[hot], 0]
-        center_y[hot] = centers[my_pico[hot], 1]
-        radius[hot] = topo.pico_radius()
+        center_x[hot] = topo.cx[my_pico[hot]]
+        center_y[hot] = topo.cy[my_pico[hot]]
+        radius[hot] = topo.pico_radius
     ox, oy = _unit_disc(rng, n)
     px = center_x + ox * radius
     py = center_y + oy * radius
@@ -187,28 +184,9 @@ def init_population(
         work_start=work_start,
     )
     if not static_hotspot_in_cell:
-        all_mask = np.ones(n, dtype=bool)
-        _retarget(
-            pop, all_mask, np.full(n, mx), np.full(n, my), np.full(n, R),
-            users.speed_min, users.speed_max, rng,
-        )
+        _retarget(pop, np.ones(n, dtype=bool), R, R, R,
+                  users.speed_min, users.speed_max, rng)
     return pop
-
-
-def _pico_disc(pop: UserPopulation, mask: np.ndarray, topo: Topology):
-    centers = topo.pico_centers()
-    ids = pop.my_pico[mask]
-    r = np.full(int(mask.sum()), topo.pico_radius())
-    return centers[ids, 0], centers[ids, 1], r
-
-
-def _macro_disc(pop: UserPopulation, mask: np.ndarray, topo: Topology):
-    k = int(mask.sum())
-    return (
-        np.full(k, topo.macro.x),
-        np.full(k, topo.macro.y),
-        np.full(k, topo.macro.radius),
-    )
 
 
 def step_population(
@@ -220,17 +198,17 @@ def step_population(
     rng: np.random.Generator,
 ) -> None:
     """Advance every user by one slot (events, move, arrival retargets)."""
-    hot = pop.is_hotspot
+    hot, R, r = pop.is_hotspot, topo.macro_radius, topo.pico_radius
     # work-start event: head for the assigned pico at travel speed
     ws = hot & (pop.work_start == slot)
     if ws.any():
-        cx, cy, r = _pico_disc(pop, ws, topo)
-        _retarget(pop, ws, cx, cy, r, users.speed_min, users.speed_max, rng)
+        mine = pop.my_pico[ws]
+        _retarget(pop, ws, topo.cx[mine], topo.cy[mine], r,
+                  users.speed_min, users.speed_max, rng)
     # work-end event: head back into the macro disc
     we = hot & (pop.work_start + schedule.duration == slot)
     if we.any():
-        cx, cy, r = _macro_disc(pop, we, topo)
-        _retarget(pop, we, cx, cy, r, users.speed_min, users.speed_max, rng)
+        _retarget(pop, we, R, R, R, users.speed_min, users.speed_max, rng)
 
     arrived = kernels.advance_positions(
         pop.px, pop.py, pop.dest_x, pop.dest_y, pop.vx, pop.vy, pop.speed
@@ -239,14 +217,12 @@ def step_population(
     in_work = hot & (pop.work_start <= slot) & (slot < pop.work_start + schedule.duration)
     wander = arrived & in_work
     if wander.any():
-        cx, cy, r = _pico_disc(pop, wander, topo)
-        _retarget(
-            pop, wander, cx, cy, r, users.work_speed_min, users.work_speed_max, rng
-        )
+        mine = pop.my_pico[wander]
+        _retarget(pop, wander, topo.cx[mine], topo.cy[mine], r,
+                  users.work_speed_min, users.work_speed_max, rng)
     roam = arrived & ~in_work
     if roam.any():
-        cx, cy, r = _macro_disc(pop, roam, topo)
-        _retarget(pop, roam, cx, cy, r, users.speed_min, users.speed_max, rng)
+        _retarget(pop, roam, R, R, R, users.speed_min, users.speed_max, rng)
 
 
 def draw_activity_flags(

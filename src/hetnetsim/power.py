@@ -14,16 +14,9 @@ sleep floor p_sleep per sector (PicoPowerParams).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
-
-
-class EnbMode(Enum):
-    ACTIVE = "active"
-    SLEEP = "sleep"
-    BOOT = "boot"
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Cell layouts for the two-tier network.
+"""Layouts for the two-tier network.
 
 One macro cell of radius R centered at (R, R) — tangent to both coordinate
 axes — optionally overlaid with small pico cells that must lie entirely
@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 from itertools import islice
 
 import numpy as np
@@ -34,77 +33,61 @@ class PlacementFailure(TopologyError):
     """Random placement could not fit all picos within the attempt budget."""
 
 
-class CellKind(Enum):
-    MACRO = "macro"
-    PICO = "pico"
-
-
-@dataclass(frozen=True)
-class Cell:
-    id: int
-    x: float
-    y: float
-    radius: float
-    kind: CellKind
-
-
 @dataclass(frozen=True)
 class Topology:
-    """Immutable layout: one macro cell plus zero or more picos."""
+    """Immutable layout: the macro disc of radius macro_radius centred at
+    (macro_radius, macro_radius), and picos of one radius, pico_radius,
+    centred at the read-only (m,) columns (cx[j], cy[j]); pico j has id j."""
 
     kind: str
-    macro: Cell
-    picos: tuple[Cell, ...]
+    macro_radius: float
+    cx: np.ndarray
+    cy: np.ndarray
+    pico_radius: float
 
-    def pico_centers(self) -> np.ndarray:
-        """(m, 2) array of pico centers; shape (0, 2) when there are none."""
-        if not self.picos:
-            return np.empty((0, 2))
-        return np.array([[p.x, p.y] for p in self.picos])
-
-    def pico_radius(self) -> float:
-        if not self.picos:
-            return 0.0
-        return self.picos[0].radius
+    def __post_init__(self) -> None:
+        self.cx.setflags(write=False)
+        self.cy.setflags(write=False)
 
     def to_json(self) -> str:
+        R, r = self.macro_radius, self.pico_radius
         doc = {
             "kind": self.kind,
-            "macro": {"x": self.macro.x, "y": self.macro.y, "r": self.macro.radius},
-            "picos": [
-                {"id": p.id, "x": p.x, "y": p.y, "r": p.radius} for p in self.picos
-            ],
+            "macro": {"x": R, "y": R, "r": R},
+            "picos": [{"id": j, "x": x, "y": y, "r": r}
+                      for j, (x, y) in enumerate(zip(self.cx.tolist(), self.cy.tolist()))],
         }
         return json.dumps(doc, indent=2)
 
 
+# validation slack, relative to the radii: a pico escapes when it reaches
+# past R·(1 + SLACK), two picos overlap when nearer than 2r·(1 - SLACK)
+SLACK = 1e-9
 # |z - w| over complex arrays screens out the pairs far from a threshold;
 # it differs from math.hypot, which decides the rest, by far less than this.
 SCREEN = 1e-9
 
 
 def validate_topology(topo: Topology) -> None:
-    """Assert containment, then pairwise non-overlap: the first offending
-    pico, then pair (i, j), in scan order raises TopologyError."""
-    R, M, picos, m = topo.macro.radius, topo.macro, topo.picos, len(topo.picos)
-    z, r = np.array([complex(p.x, p.y) for p in picos]), np.array([p.radius for p in picos])
-    for p in (picos[i] for i in np.flatnonzero(
-            abs(z - complex(M.x, M.y)) + r > (R + 1e-9) * (1 - SCREEN))):
-        if math.hypot(p.x - M.x, p.y - M.y) + p.radius > R + 1e-9:
-            raise TopologyError(f"pico {p.id} extends outside the macro disc")
+    """Assert containment, then pairwise non-overlap, each with a SLACK
+    relative to the radii: the first offending pico, then pair (i, j), in
+    scan order raises TopologyError."""
+    R, r, cx, cy = topo.macro_radius, topo.pico_radius, topo.cx, topo.cy
+    z, m, reach, gap = cx + 1j * cy, cx.size, R * (1 + SLACK), 2 * r * (1 - SLACK)
+    for j in np.flatnonzero(abs(z - complex(R, R)) + r > reach * (1 - SCREEN)).tolist():
+        if math.hypot(cx[j] - R, cy[j] - R) + r > reach:
+            raise TopologyError(f"pico {j} extends outside the macro disc")
     block = max(1, 2**18 // max(m, 1))  # rows i of pairs (i, j > i) screened at once
     for lo in range(0, m, block):
         i = np.arange(lo, min(lo + block, m))[:, None]
-        gap = r[i] + r[lo:] - 1e-9
         near = (abs(z[i] - z[lo:]) < gap * (1 + SCREEN)) & (np.arange(lo, m) > i)
-        for a, b in ((picos[lo + u], picos[lo + v]) for u, v in zip(*near.nonzero())):
-            if math.hypot(a.x - b.x, a.y - b.y) < a.radius + b.radius - 1e-9:
-                raise TopologyError(f"picos {a.id} and {b.id} overlap")
+        for a, b in (lo + np.argwhere(near)).tolist():
+            if math.hypot(cx[a] - cx[b], cy[a] - cy[b]) < gap:
+                raise TopologyError(f"picos {a} and {b} overlap")
 
 
 def build_monet(macro_radius: float = 500.0) -> Topology:
-    macro = Cell(0, macro_radius, macro_radius, macro_radius, CellKind.MACRO)
-    return Topology("monet", macro, ())
+    return Topology("monet", macro_radius, np.empty(0), np.empty(0), 0.0)
 
 
 def build_coe(
@@ -128,13 +111,10 @@ def build_coe(
             f"{n_picos} picos of radius {pico_radius} do not fit on the ring "
             f"(need {n_picos * step:.4f} rad, have {2 * math.pi:.4f})"
         )
-    macro = Cell(0, macro_radius, macro_radius, macro_radius, CellKind.MACRO)
-    picos = tuple(
-        Cell(i, macro_radius + ring * math.cos(i * step),
-             macro_radius + ring * math.sin(i * step), pico_radius, CellKind.PICO)
-        for i in range(n_picos)
-    )
-    topo = Topology("coe", macro, picos)
+    # math.cos and math.sin, as numpy's may differ in the last bit
+    cx = np.array([macro_radius + ring * math.cos(i * step) for i in range(n_picos)])
+    cy = np.array([macro_radius + ring * math.sin(i * step) for i in range(n_picos)])
+    topo = Topology("coe", macro_radius, cx, cy, pico_radius)
     validate_topology(topo)
     return topo
 
@@ -178,7 +158,6 @@ def build_udc(
             f"{n_picos} picos of radius {pico_radius} cover more area than "
             f"the macro disc of radius {macro_radius}"
         )
-    macro = Cell(0, macro_radius, macro_radius, macro_radius, CellKind.MACRO)
     inner = macro_radius - pico_radius
     too_close = 2.0 * pico_radius * (1 + SCREEN)
     z = np.empty(n_picos, dtype=complex)
@@ -199,8 +178,6 @@ def build_udc(
             raise PlacementFailure(
                 f"could not place pico {i} after {max_attempts} attempts"
             )
-    picos = tuple(Cell(i, x, y, pico_radius, CellKind.PICO)
-                  for i, (x, y) in enumerate(zip(z.real.tolist(), z.imag.tolist())))
-    topo = Topology("udc", macro, picos)
+    topo = Topology("udc", macro_radius, z.real, z.imag, pico_radius)
     validate_topology(topo)
     return topo

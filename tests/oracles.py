@@ -6,27 +6,23 @@ whole arrays at once.
 The control oracle (step_state) transcribes the state table in
 ``hetnetsim.control``'s docstring, consumed_power_w the station power
 formula in ``hetnetsim.power``'s, and rate_histogram the binning of
-``histogram.csv``; none calls a hetnetsim function.
+``histogram.csv``; none calls a hetnetsim function.  The link-budget
+oracles pick the tier with a ``pico`` bool, as kernels.link_capacity does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from typing import Optional
 
 import numpy as np
 
 from hetnetsim.channel import ChannelParams
 from hetnetsim.control import ThresholdPolicy
-from hetnetsim.power import EnbMode, PowerParams
-from hetnetsim.topology import (
-    Cell,
-    CellKind,
-    PlacementFailure,
-    Topology,
-    TopologyError,
-)
+from hetnetsim.power import PowerParams
+from hetnetsim.topology import PlacementFailure, Topology, TopologyError
 
 BOLTZMANN = 1.380649e-23  # J/K
 
@@ -51,7 +47,7 @@ class LinkBudget:
 
 
 def path_loss_db(
-    kind: CellKind, distance_m: float, min_distance_m: float = 1.0
+    pico: bool, distance_m: float, min_distance_m: float = 1.0
 ) -> float:
     """Distance-dependent loss in dB; distance clamped below at min_distance_m.
 
@@ -60,22 +56,15 @@ def path_loss_db(
     if distance_m <= 0.0:
         raise NonPositiveDistance(f"distance must be > 0, got {distance_m}")
     d_km = max(distance_m, min_distance_m) / 1000.0
-    if kind is CellKind.MACRO:
-        return 140.7 + 36.7 * math.log10(d_km)
-    if kind is CellKind.PICO:
+    if pico:
         return 128.1 + 37.6 * math.log10(d_km)
-    raise TypeError(f"kind must be a CellKind, got {kind!r}")
+    return 140.7 + 36.7 * math.log10(d_km)
 
 
 def sample_shadow_db(
-    kind: CellKind, rng: np.random.Generator, params: ChannelParams = ChannelParams()
+    pico: bool, rng: np.random.Generator, params: ChannelParams = ChannelParams()
 ) -> float:
-    if kind is CellKind.MACRO:
-        sigma = params.macro_shadow_sigma_db
-    elif kind is CellKind.PICO:
-        sigma = params.pico_shadow_sigma_db
-    else:
-        raise TypeError(f"kind must be a CellKind, got {kind!r}")
+    sigma = params.pico_shadow_sigma_db if pico else params.macro_shadow_sigma_db
     return float(rng.normal(0.0, sigma))
 
 
@@ -84,7 +73,7 @@ def shannon_capacity_bps(bandwidth_hz: float, snr_linear: float) -> float:
 
 
 def evaluate_link(
-    kind: CellKind,
+    pico: bool,
     distance_m: float,
     bandwidth_hz: float,
     shadow_db: float = 0.0,
@@ -96,11 +85,11 @@ def evaluate_link(
     is kTW in dBm.  Shadowing is passed in rather than drawn so callers
     control the random stream.
     """
-    pl = path_loss_db(kind, distance_m, params.min_distance_m)
-    if kind is CellKind.MACRO:
-        tx, gain = params.macro_tx_dbm, params.macro_antenna_gain_dbi
-    else:
+    pl = path_loss_db(pico, distance_m, params.min_distance_m)
+    if pico:
         tx, gain = params.pico_tx_dbm, params.pico_antenna_gain_dbi
+    else:
+        tx, gain = params.macro_tx_dbm, params.macro_antenna_gain_dbi
     rx = tx + gain + params.ue_antenna_gain_dbi - pl + shadow_db
     noise = 10.0 * math.log10(
         BOLTZMANN * params.temperature_k * bandwidth_hz * 1000.0)
@@ -122,16 +111,17 @@ def evaluate_link(
 # --- containment -----------------------------------------------------------
 
 
-def contains_point(cell: Cell, x: float, y: float) -> bool:
-    return math.hypot(x - cell.x, y - cell.y) < cell.radius
+def contains_point(topo: Topology, j: int, x: float, y: float) -> bool:
+    """Whether the open disc of pico j contains (x, y)."""
+    return math.hypot(x - topo.cx[j], y - topo.cy[j]) < topo.pico_radius
 
 
 def containing_pico(topo: Topology, x: float, y: float) -> Optional[int]:
     """Id of the pico whose open disc contains (x, y), or None; where discs
     overlap, the lowest id (scan order) wins."""
-    for p in topo.picos:
-        if contains_point(p, x, y):
-            return p.id
+    for j in range(topo.cx.size):
+        if contains_point(topo, j, x, y):
+            return j
     return None
 
 
@@ -143,18 +133,19 @@ def _dist(ax: float, ay: float, bx: float, by: float) -> float:
 
 
 def validate_topology(topo: Topology) -> None:
-    """Every pico inside the macro disc (1e-9 m slack), then every pair
-    (i, j), i < j, at least the sum of their radii apart (1e-9 m slack);
-    the first failure in that order raises TopologyError."""
-    R = topo.macro.radius
-    for p in topo.picos:
-        d = _dist(p.x, p.y, topo.macro.x, topo.macro.y)
-        if d + p.radius > R + 1e-9:
-            raise TopologyError(f"pico {p.id} extends outside the macro disc")
-    for i, a in enumerate(topo.picos):
-        for b in topo.picos[i + 1 :]:
-            if _dist(a.x, a.y, b.x, b.y) < a.radius + b.radius - 1e-9:
-                raise TopologyError(f"picos {a.id} and {b.id} overlap")
+    """Every pico within the macro disc of radius R centred at (R, R),
+    less a slack of 1e-9 R, then every pair (i, j), i < j, at least two
+    radii r apart, less a slack of 1e-9 (2r); the first failure in that
+    order raises TopologyError."""
+    R, r = topo.macro_radius, topo.pico_radius
+    centres = list(zip(topo.cx.tolist(), topo.cy.tolist()))
+    for j, (x, y) in enumerate(centres):
+        if _dist(x, y, R, R) + r > R * (1 + 1e-9):
+            raise TopologyError(f"pico {j} extends outside the macro disc")
+    for i, (ax, ay) in enumerate(centres):
+        for j in range(i + 1, len(centres)):
+            if _dist(ax, ay, *centres[j]) < 2 * r * (1 - 1e-9):
+                raise TopologyError(f"picos {i} and {j} overlap")
 
 
 def udc_centres(
@@ -218,6 +209,16 @@ def consumed_power_w(params: PowerParams, mode: EnbMode, n_served: int = 0) -> f
 
 
 # --- pico control ----------------------------------------------------------
+
+
+class EnbMode(Enum):
+    ACTIVE = "active"
+    SLEEP = "sleep"
+    BOOT = "boot"
+
+
+# the EnbMode of each hetnetsim.control mode code (SLEEP, BOOT, ACTIVE)
+MODE_OF_CODE = (EnbMode.SLEEP, EnbMode.BOOT, EnbMode.ACTIVE)
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,10 @@ from hetnetsim import kernels
 from hetnetsim.config import parse_scenario
 from hetnetsim.control import ACTIVE, BOOT, SLEEP, PolicyRows, ThresholdPolicy, step_modes
 from hetnetsim.engine import run_scenario, run_scenarios
-from hetnetsim.power import MACRO_POWER, PICO_POWER, EnbMode, PicoPowerRows, PowerRows
+from hetnetsim.power import MACRO_POWER, PICO_POWER, PicoPowerRows, PowerRows
 from hetnetsim.presets import run_preset
-from hetnetsim.topology import CellKind, build_udc
-from oracles import consumed_power_w, containing_pico, contains_point, evaluate_link
+from hetnetsim.topology import build_udc
+from oracles import EnbMode, consumed_power_w, containing_pico, contains_point, evaluate_link
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -278,8 +278,7 @@ def test_criterion_8_oracle_equivalences():
         pl = a + b * math.log10(max(d, 1.0) / 1000.0)
         noise = 10 * math.log10(1.380649e-23 * 290.0 * w * 1000.0)
         snr_db = eirp - pl + shadow - noise
-        lb = evaluate_link(CellKind.PICO if pico else CellKind.MACRO, d, w,
-                           shadow_db=shadow)
+        lb = evaluate_link(pico, d, w, shadow_db=shadow)
         worst_db = max(
             worst_db,
             abs(lb.path_loss_db - pl),
@@ -294,15 +293,14 @@ def test_criterion_8_oracle_equivalences():
     for _ in range(1000):
         x = float(rng.uniform(0, 1000))
         y = float(rng.uniform(0, 1000))
-        hits = [p.id for p in topo.picos if contains_point(p, x, y)]
+        hits = [j for j in range(topo.cx.size) if contains_point(topo, j, x, y)]
         if containing_pico(topo, x, y) != (min(hits) if hits else None):
             scan_disagreements += 1
         points.append((x, y))
         scans.append(min(hits) if hits else -1)
     px, py = np.array(points).T
-    centres = topo.pico_centers()
     kernel_disagreements = int((kernels.containing_disc(px, py, kernels.disc_index(
-        centres[:, 0], centres[:, 1], topo.pico_radius())) != scans).sum())
+        topo.cx, topo.cy, topo.pico_radius)) != scans).sum())
     ok = (worst_db <= 1e-9 and scan_disagreements == 0
           and kernel_disagreements == 0)
     report(8, ok,

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetnetsim import kernels
-from hetnetsim.topology import CellKind
 from hetnetsim.channel import (
     ChannelParams,
     noise_power_dbm,
@@ -33,30 +32,33 @@ PL_PICO_25M = 67.86254432606862
 CAP_MACRO_250M = 480752.6838773229
 CAP_PICO_25M = 651777.8581885692
 
+# the tier flag of the link-budget oracles
+MACRO, PICO = False, True
+
 
 class TestPathLoss:
     def test_macro_at_250m(self):
-        assert path_loss_db(CellKind.MACRO, 250.0) == pytest.approx(PL_MACRO_250M, abs=1e-9)
+        assert path_loss_db(MACRO, 250.0) == pytest.approx(PL_MACRO_250M, abs=1e-9)
 
     def test_macro_at_1km_is_the_bare_intercept(self):
-        assert path_loss_db(CellKind.MACRO, 1000.0) == pytest.approx(140.7, abs=1e-12)
+        assert path_loss_db(MACRO, 1000.0) == pytest.approx(140.7, abs=1e-12)
 
     def test_pico_at_25m(self):
-        assert path_loss_db(CellKind.PICO, 25.0) == pytest.approx(PL_PICO_25M, abs=1e-9)
+        assert path_loss_db(PICO, 25.0) == pytest.approx(PL_PICO_25M, abs=1e-9)
 
     def test_sub_metre_distances_clamp_to_one_metre(self):
-        assert path_loss_db(CellKind.MACRO, 0.37) == path_loss_db(CellKind.MACRO, 1.0)
+        assert path_loss_db(MACRO, 0.37) == path_loss_db(MACRO, 1.0)
 
     @pytest.mark.parametrize("d", [0.0, -3.0])
     def test_nonpositive_distance_rejected(self, d):
         with pytest.raises(NonPositiveDistance):
-            path_loss_db(CellKind.PICO, d)
+            path_loss_db(PICO, d)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(1.0, 5000.0), st.floats(1.0, 5000.0))
     def test_monotone_in_distance(self, d1, d2):
         lo, hi = sorted((d1, d2))
-        assert path_loss_db(CellKind.MACRO, lo) <= path_loss_db(CellKind.MACRO, hi) + 1e-12
+        assert path_loss_db(MACRO, lo) <= path_loss_db(MACRO, hi) + 1e-12
 
 
 def test_noise_floor_at_20khz():
@@ -82,20 +84,20 @@ def test_shannon_linear_in_bandwidth():
 
 class TestEvaluateLink:
     def test_macro_reference_link(self):
-        lb = evaluate_link(CellKind.MACRO, 250.0, 20e3)
+        lb = evaluate_link(MACRO, 250.0, 20e3)
         assert lb.path_loss_db == pytest.approx(PL_MACRO_250M, abs=1e-9)
         assert lb.rx_power_dbm == pytest.approx(60.0 - PL_MACRO_250M, abs=1e-9)
         assert lb.snr_db == pytest.approx(lb.rx_power_dbm - NOISE_20KHZ_DBM, abs=1e-9)
         assert lb.capacity_bps == pytest.approx(CAP_MACRO_250M, rel=1e-12)
 
     def test_pico_reference_link(self):
-        lb = evaluate_link(CellKind.PICO, 25.0, 20e3)
+        lb = evaluate_link(PICO, 25.0, 20e3)
         assert lb.rx_power_dbm == pytest.approx(35.0 - PL_PICO_25M, abs=1e-9)
         assert lb.capacity_bps == pytest.approx(CAP_PICO_25M, rel=1e-12)
 
     def test_shadow_term_shifts_rx_one_for_one(self):
-        base = evaluate_link(CellKind.PICO, 40.0, 20e3)
-        up = evaluate_link(CellKind.PICO, 40.0, 20e3, shadow_db=6.0)
+        base = evaluate_link(PICO, 40.0, 20e3)
+        up = evaluate_link(PICO, 40.0, 20e3, shadow_db=6.0)
         assert up.rx_power_dbm - base.rx_power_dbm == pytest.approx(6.0, abs=1e-12)
 
     def test_kernel_gives_the_reference_capacities(self):
@@ -109,16 +111,16 @@ class TestEvaluateLink:
     @given(st.floats(1.0, 2000.0), st.floats(1.0, 2000.0))
     def test_capacity_decays_with_distance(self, d1, d2):
         lo, hi = sorted((d1, d2))
-        c_lo = evaluate_link(CellKind.MACRO, lo, 20e3).capacity_bps
-        c_hi = evaluate_link(CellKind.MACRO, hi, 20e3).capacity_bps
+        c_lo = evaluate_link(MACRO, lo, 20e3).capacity_bps
+        c_hi = evaluate_link(MACRO, hi, 20e3).capacity_bps
         assert c_lo >= c_hi - 1e-9
 
 
 def test_shadow_samples_follow_the_configured_sigma():
     rng = np.random.default_rng(0)
     params = ChannelParams()
-    z_macro = np.array([sample_shadow_db(CellKind.MACRO, rng, params) for _ in range(4000)])
-    z_pico = np.array([sample_shadow_db(CellKind.PICO, rng, params) for _ in range(4000)])
+    z_macro = np.array([sample_shadow_db(MACRO, rng, params) for _ in range(4000)])
+    z_pico = np.array([sample_shadow_db(PICO, rng, params) for _ in range(4000)])
     assert abs(z_macro.mean()) < 0.5
     assert z_macro.std() == pytest.approx(8.0, rel=0.06)
     assert z_pico.std() == pytest.approx(10.0, rel=0.06)

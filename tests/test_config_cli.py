@@ -18,6 +18,7 @@ from hetnetsim.cli import main
 from hetnetsim.config import (
     CHANNEL_RANGES,
     MAX_MACRO_RADIUS_M,
+    ConfigError,
     Scenario,
     ValidationError,
     apply_overrides,
@@ -51,6 +52,54 @@ FUZZ_VALUES = ["0", "1", "3", "28", "-1", "-2.5", "0.5", "12.5", "udc", "coe",
                "[0, 42, 83]", "[.nan]", "{}", "{total: 5}", ".nan", ".inf",
                "-.inf", "1.0e+300", "-1.0e+300", str(2**63 - 1), str(2**63),
                str(-2**63 - 1), "1" + "0" * 400]
+
+
+SCHEMA_PATHS = set(SCENARIO_PATHS) | set(SECTIONS)
+KEYS = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+ANY_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**70, 2**70)
+    | st.floats() | st.text(max_size=6) | st.dates(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(KEYS | st.integers(), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def mutated_documents(draw):
+    """(doc, touched): scenario_to_dict(Scenario()) after one to five
+    mutations, each of which drops a key or list item, replaces its value
+    with ANY_VALUE, or adds an unknown key to a mapping; touched lists the
+    dotted paths of the replaced and added keys."""
+    doc = scenario_to_dict(Scenario())
+    touched = []
+    for _ in range(draw(st.integers(1, 5))):
+        # (container, key, dotted path) of every key and list item
+        slots, stack = [], [(doc, "")]
+        while stack:
+            node, prefix = stack.pop()
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for key, value in items:
+                path = (f"{prefix}[{key}]" if isinstance(node, list)
+                        else f"{prefix}.{key}" if prefix else str(key))
+                slots.append((node, key, path))
+                if isinstance(value, (dict, list)):
+                    stack.append((value, path))
+        op = draw(st.sampled_from(["drop", "replace", "add"]))
+        if op == "add" or not slots:
+            mappings = [(doc, "")] + [(node[key], path) for node, key, path in slots
+                                      if isinstance(node[key], dict)]
+            node, prefix = draw(st.sampled_from(mappings))
+            key = draw(KEYS | st.integers())
+            node[key] = draw(ANY_VALUE)
+            touched.append(f"{prefix}.{key}" if prefix else str(key))
+            continue
+        node, key, path = draw(st.sampled_from(slots))
+        if op == "drop":
+            del node[key]
+        else:
+            node[key] = draw(ANY_VALUE)
+            touched.append(path)
+    return doc, touched
 
 
 def fuzzed_overrides(paths):
@@ -192,6 +241,25 @@ class TestRoundTrip:
         s2 = parse_scenario(serialize_scenario(s1))
         assert s1 == s2
         assert isinstance(s2, Scenario)
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_documents())
+    def test_any_mutated_document_parses_or_names_a_key(self, mutated):
+        """The default document with keys dropped, values replaced by any
+        scalar, list or mapping, and unknown keys added either parses or
+        raises a ConfigError that starts with a dotted path: a key of the
+        schema, a list item, or a path at or under a replaced or added key."""
+        doc, touched = mutated
+        try:
+            s = parse_scenario(doc)
+        except ConfigError as exc:
+            path, sep, _ = str(exc).partition(": ")
+            assert sep, str(exc)
+            assert (path in SCHEMA_PATHS or re.fullmatch(r"work\.start_slots\[\d+\]", path)
+                    or any(path == t or path.startswith((f"{t}.", f"{t}["))
+                           for t in touched)), str(exc)
+        else:
+            assert isinstance(s, Scenario)
 
     @settings(max_examples=1000, deadline=None)
     @given(fuzzed_overrides(SCENARIO_PATHS))
@@ -444,9 +512,13 @@ def test_non_finite_numbers_are_rejected_with_their_path(tmp_path, capsys, doc, 
      "policy.t_activate"),
     ("topology: udc\npolicy: {t_activate: -1, t_deactivate: null}\n",
      "policy.t_activate"),
+    # ring picos so small that their centres round onto each other
+    ("topology: coe\nlayout: {pico_radius_m: 1.0e-300}\n", "layout"),
+    ("topology: coe\nlayout: {pico_radius_m: 1.0e-10}\n", "layout"),
 ], ids=["boot_slots", "zero_users", "hotspot_over_total", "hotspot_on_monet",
         "hotspot_without_picos", "n_picos_1e5", "n_picos_2e62",
-        "t_activate_minus_inf", "t_activate_negative"])
+        "t_activate_minus_inf", "t_activate_negative", "pico_radius_1e-300",
+        "pico_radius_1e-10"])
 def test_rejected_documents_exit_1_with_their_path(tmp_path, capsys, doc, path):
     """Documents that validation rejects exit 1 before anything runs, and
     the message names the offending key: engine code relies on these rules

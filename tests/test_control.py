@@ -13,14 +13,23 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hetnetsim.control import (
+    ACTIVE as ACTIVE_CODE,
+    BOOT as BOOT_CODE,
     MODES,
+    SLEEP as SLEEP_CODE,
     InvalidPolicy,
     PolicyRows,
     ThresholdPolicy,
     step_modes,
 )
-from hetnetsim.power import EnbMode
-from oracles import PicoControlState, one_threshold, step_state, two_threshold
+from oracles import (
+    MODE_OF_CODE,
+    EnbMode,
+    PicoControlState,
+    one_threshold,
+    step_state,
+    two_threshold,
+)
 
 SLEEP = PicoControlState(EnbMode.SLEEP, 0)
 ACTIVE = PicoControlState(EnbMode.ACTIVE, 0)
@@ -29,13 +38,22 @@ ACTIVE = PicoControlState(EnbMode.ACTIVE, 0)
 def step(state, count, policy, boot_slots=1):
     """step_modes on a single pico: one row of one column."""
     mode, remaining = step_modes(
-        np.array([[MODES.index(state.mode)]]),
+        np.array([[MODE_OF_CODE.index(state.mode)]]),
         np.array([[state.boot_remaining]]),
         np.array([count]),
         PolicyRows.of([policy]),
         np.array([[boot_slots]]),
     )
-    return PicoControlState(MODES[mode[0, 0]], int(remaining[0, 0]))
+    return PicoControlState(MODE_OF_CODE[mode[0, 0]], int(remaining[0, 0]))
+
+
+def test_mode_labels_follow_the_codes():
+    """MODES[code], the pico-trace label, is the value of the oracle's
+    EnbMode for that code."""
+    assert MODES[SLEEP_CODE] == EnbMode.SLEEP.value == "sleep"
+    assert MODES[BOOT_CODE] == EnbMode.BOOT.value == "boot"
+    assert MODES[ACTIVE_CODE] == EnbMode.ACTIVE.value == "active"
+    assert MODES == tuple(mode.value for mode in MODE_OF_CODE)
 
 
 def run_sequence(policy, counts, state=SLEEP, boot_slots=1):
@@ -213,10 +231,10 @@ def test_step_modes_equals_the_state_table_oracle(rows, data):
     for counts in data.draw(st.lists(
             hnp.arrays(np.int64, (m,), elements=st.integers(0, 12)),
             min_size=1, max_size=8)):
-        want = [[step_state(PicoControlState(MODES[mode[k, j]], int(remaining[k, j])),
+        want = [[step_state(PicoControlState(MODE_OF_CODE[mode[k, j]], int(remaining[k, j])),
                             int(counts[j]), rows[k][0], rows[k][1])
                  for j in range(m)] for k in range(K)]
         mode, remaining = step_modes(mode, remaining, counts, policies, boot_slots)
-        got = [[PicoControlState(MODES[mode[k, j]], int(remaining[k, j]))
+        got = [[PicoControlState(MODE_OF_CODE[mode[k, j]], int(remaining[k, j]))
                 for j in range(m)] for k in range(K)]
         assert got == want

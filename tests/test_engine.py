@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from hetnetsim import engine, kernels
 from hetnetsim.config import parse_scenario
-from hetnetsim.control import ACTIVE, BOOT, MODES, SLEEP
+from hetnetsim.control import ACTIVE, BOOT, SLEEP
 from hetnetsim.engine import (
     HIST_BINS,
     OUTPUTS,
@@ -35,8 +35,14 @@ from hetnetsim.engine import (
     write_user_trace_csv,
     write_users_csv,
 )
-from hetnetsim.power import EnbMode
-from oracles import PicoControlState, consumed_power_w, rate_histogram, step_state
+from oracles import (
+    MODE_OF_CODE,
+    EnbMode,
+    PicoControlState,
+    consumed_power_w,
+    rate_histogram,
+    step_state,
+)
 
 
 def scenario(**kw):
@@ -48,8 +54,7 @@ def scenario(**kw):
 def world(s):
     """The first World of s alone, as run_scenarios builds it."""
     topo = build_geometry(s)
-    centres = topo.pico_centers()
-    discs = kernels.disc_index(centres[:, 0], centres[:, 1], topo.pico_radius())
+    discs = kernels.disc_index(topo.cx, topo.cy, topo.pico_radius)
     return World(Response([s]), topo, discs)
 
 
@@ -113,7 +118,7 @@ def test_engine_mode_trail_follows_the_state_table(boot_slots):
         state = PicoControlState()
         for t in range(s.slots):
             state = step_state(state, int(counts[t][j]), s.policy, boot_slots)
-            assert state.mode is MODES[modes[t, j]], (j, t)
+            assert state.mode is MODE_OF_CODE[modes[t, j]], (j, t)
 
 
 @pytest.mark.parametrize("p_active", [0.1, 0.9])
@@ -138,7 +143,7 @@ def test_pico_power_is_the_per_pico_loop_added_in_order():
     counts = rng.integers(0, 80, 28)
     want = 0.0
     for code, c in zip(mode[0], counts):
-        mode_j = MODES[code]
+        mode_j = MODE_OF_CODE[code]
         served = int(c) if mode_j is EnbMode.ACTIVE else 0
         want += consumed_power_w(s.power.pico, mode_j, served)
     assert response.pico_power(mode, counts)[0] == want
@@ -279,7 +284,7 @@ def test_trace_writers_match_a_row_by_row_reference(traced, traced_monet, data,
     mode code, with one- and two-digit slot, user and pico ids, and with
     no picos at all."""
     base = traced_monet if pico_less else traced
-    m = len(base.topology.picos)
+    m = base.topology.cx.size
     trace = UserTrace(
         x=data.draw(hnp.arrays(np.float64, (slots, n), elements=COORDINATES)),
         y=data.draw(hnp.arrays(np.float64, (slots, n), elements=COORDINATES)),
@@ -299,7 +304,7 @@ def test_trace_writers_match_a_row_by_row_reference(traced, traced_monet, data,
          label(int(trace.serving[t, i])))
         for t in range(slots) for i in range(n)
     ]
-    picos = [(t, j, MODES[modes[t, j]].value) for t in range(slots) for j in range(m)]
+    picos = [(t, j, MODE_OF_CODE[modes[t, j]].value) for t in range(slots) for j in range(m)]
     with tempfile.TemporaryDirectory() as tmp:
         write_user_trace_csv(result, Path(tmp) / "user_trace.csv")
         write_pico_trace_csv(result, Path(tmp) / "pico_trace.csv")
@@ -428,13 +433,12 @@ def test_pico_service_follows_containment_and_mode(geometry, seed, shape, t_on,
         "work": {"start_slots": [0, 3], "duration": 8},
         "policy": {"t_activate": float(t_on), "t_deactivate": t_off},
     }), {"user_trace", "pico_trace"})
-    centres = result.topology.pico_centers()
-    r = result.topology.pico_radius()
+    cx, cy, r = result.topology.cx, result.topology.cy, result.topology.pico_radius
     awake = result.pico_trace == ACTIVE
     trace = result.user_trace
     slots, users = np.nonzero(trace.active)
-    dx = trace.x[slots, users][:, None] - centres[:, 0]
-    dy = trace.y[slots, users][:, None] - centres[:, 1]
+    dx = trace.x[slots, users][:, None] - cx
+    dy = trace.y[slots, users][:, None] - cy
     inside = dx * dx + dy * dy < r * r
     for slot, serving, hits in zip(slots, trace.serving[slots, users], inside):
         j = int(hits.argmax())
@@ -652,8 +656,7 @@ def reference_slot_columns(scenarios):
     s0 = scenarios[0]
     topo = build_geometry(s0)
     response = Response(scenarios)
-    centres = topo.pico_centers()
-    discs = kernels.disc_index(centres[:, 0], centres[:, 1], topo.pico_radius())
+    discs = kernels.disc_index(topo.cx, topo.cy, topo.pico_radius)
     if s0.slots == 1:
         steps = [(World(response, topo, discs, r), r) for r in range(s0.realizations)]
     else:
@@ -664,10 +667,10 @@ def reference_slot_columns(scenarios):
         w.run_slot(slot)
         active, containing = w.last_active, w.last_containing
         counts = np.bincount(containing[active & (containing >= 0)],
-                             minlength=len(centres))
+                             minlength=topo.cx.size)
         for k, s in enumerate(scenarios):
             served, cap = w.last_pico_served[k], w.last_capacity[k]
-            modes = [MODES[code] for code in w.mode[k]]
+            modes = [MODE_OF_CODE[code] for code in w.mode[k]]
             n_pico = int(served.sum())
             n_macro = int(active.sum()) - n_pico
             macro_w = consumed_power_w(s.power.macro, EnbMode.ACTIVE, n_macro)
@@ -718,7 +721,7 @@ def test_slot_power_lies_between_its_floor_and_ceiling(docs):
     floor, and at most every station at full load."""
     scenarios = [parse_scenario(d) for d in docs]
     for s, result in zip(scenarios, run_scenarios(scenarios)):
-        m = len(result.topology.picos) if s.serves_from_picos() else 0
+        m = result.topology.cx.size if s.serves_from_picos() else 0
         P, M = s.power.pico, s.power.macro
         floor = consumed_power_w(M, EnbMode.ACTIVE, 0) + \
             m * consumed_power_w(P, EnbMode.SLEEP)

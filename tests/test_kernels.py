@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hetnetsim import kernels
 from hetnetsim.config import parse_scenario
 from hetnetsim.engine import build_geometry
-from hetnetsim.topology import CellKind, build_coe, build_udc
+from hetnetsim.topology import build_coe, build_udc
 from oracles import evaluate_link
 
 MACRO_R = 500.0
@@ -78,8 +78,7 @@ def disc_sets(draw):
         r = draw(st.floats(2.0, 20.0))
         topo = build_udc(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
                          MACRO_R, r, draw(st.integers(0, 200)))
-        centres = topo.pico_centers()
-        return centres[:, 0].copy(), centres[:, 1].copy(), r
+        return topo.cx.copy(), topo.cy.copy(), r
     r = 10.0 ** draw(st.floats(-3.0, math.log10(MACRO_R)))
     if kind == "free":
         coord = st.floats(0.0, 2 * MACRO_R)
@@ -93,8 +92,7 @@ def disc_sets(draw):
     r = min(r, 240.0)  # the ring needs r < R - r
     fit = int((2 * math.pi + 1e-12) // (2 * math.asin(r / (MACRO_R - r))))
     topo = build_coe(MACRO_R, r, draw(st.integers(0, min(fit, 12))))
-    centres = topo.pico_centers()
-    return centres[:, 0].copy(), centres[:, 1].copy(), r
+    return topo.cx.copy(), topo.cy.copy(), r
 
 
 @st.composite
@@ -177,9 +175,8 @@ def test_disc_index_size_is_linear_in_picos(doc):
     square grown by r: depth * pi r^2 <= (w + 4 pad)^2.
     """
     topo = build_geometry(parse_scenario(doc))
-    centres = topo.pico_centers()
-    r = topo.pico_radius()
-    index = kernels.disc_index(centres[:, 0], centres[:, 1], r)
+    r = topo.pico_radius
+    index = kernels.disc_index(topo.cx, topo.cy, r)
     m = index.m
     cells, depth = index.table.shape
     c = math.ceil(math.sqrt(4 * m))
@@ -199,8 +196,7 @@ def test_containing_disc_memory_is_linear_in_users(m):
     """One call at 20,000 users stays under a bound that does not grow
     with the pico count; an n x m broadcast peaks near 120 MiB at m = 200."""
     topo = build_udc(np.random.default_rng(m), MACRO_R, 20.0, m)
-    centres = topo.pico_centers()
-    cx, cy = centres[:, 0].copy(), centres[:, 1].copy()
+    cx, cy = topo.cx.copy(), topo.cy.copy()
     rng = np.random.default_rng(7)
     px = rng.uniform(0, 2 * MACRO_R, 20_000)
     py = rng.uniform(0, 2 * MACRO_R, 20_000)
@@ -219,11 +215,11 @@ def test_link_capacity_matches_numpy_and_the_scalar_path():
     shadow = RNG.normal(0, 9, n)
     # one call per tier, each against the structured link evaluator, the
     # scalar reference
-    for kind in (CellKind.MACRO, CellKind.PICO):
-        got = kernels.link_capacity(dist, shadow, kind is CellKind.PICO,
+    for pico in (False, True):
+        got = kernels.link_capacity(dist, shadow, pico,
                                     20e3, 60.0, 35.0, -130.9648872375883, 1.0)
         for i in range(0, n, 50):
-            lb = evaluate_link(kind, float(dist[i]), 20e3, shadow_db=float(shadow[i]))
+            lb = evaluate_link(pico, float(dist[i]), 20e3, shadow_db=float(shadow[i]))
             np.testing.assert_allclose(got[i], lb.capacity_bps, rtol=1e-9)
 
 

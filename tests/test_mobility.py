@@ -26,9 +26,8 @@ def make_world(n=200, hot=80, seed=5, topo_seed=9):
 
 
 def dist_to_own_pico(pop, topo):
-    centers = topo.pico_centers()
-    cx = centers[pop.my_pico.clip(min=0), 0]
-    cy = centers[pop.my_pico.clip(min=0), 1]
+    cx = topo.cx[pop.my_pico.clip(min=0)]
+    cy = topo.cy[pop.my_pico.clip(min=0)]
     return np.hypot(pop.px - cx, pop.py - cy)
 
 

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from hetnetsim.power import (
     MACRO_POWER,
     PICO_POWER,
-    EnbMode,
     PicoPowerRows,
     PowerRows,
 )
-from oracles import consumed_power_w
+from oracles import EnbMode, consumed_power_w
 
 
 def draw(params, mode, n_served=0):
