@@ -259,12 +259,21 @@ def test_validate_rejects_escaping_pico():
         validate_topology(layout([990.0], [500.0]))
 
 
-@pytest.mark.parametrize("r", [50.0, 1e-3, 1e-10, 1e-300])
-def test_validate_rejects_overlap(r):
-    """Centres 1.6 r apart, or, for the tiny radii, rounded onto one
-    point: the overlap slack is 1e-9 of the diameter, not a fixed length."""
+def _assert_overlap_rejected(r):
     with pytest.raises(TopologyError, match="^picos 0 and 1 overlap$"):
         validate_topology(layout([500.0 - 0.8 * r, 500.0 + 0.8 * r], [500.0, 500.0], r))
+
+
+def test_validate_rejects_overlap():
+    """Two 50 m picos with centres 80 m apart."""
+    _assert_overlap_rejected(50.0)
+
+
+@pytest.mark.parametrize("r", [1e-3, 1e-10, 1e-300])
+def test_validate_rejects_overlap_of_tiny_picos(r):
+    """Centres 1.6 r apart, or rounded onto one point: the overlap slack
+    is 1e-9 of the diameter, not a fixed length."""
+    _assert_overlap_rejected(r)
 
 
 def test_json_round_trip_structure():
