@@ -54,6 +54,11 @@ INFINITE_OK = ("policy.t_activate", "policy.t_deactivate")
 # count, and build_udc places 10,000 picos in about 1 s
 MAX_PICOS = 10_000
 
+# the largest users.total: per-user arrays grow with it in every slot,
+# and a 3-slot udc run of 10^6 users peaks at about 210 MiB, while 10^12
+# users would ask for terabytes before the first slot
+MAX_USERS = 1_000_000
+
 # physical ranges, inclusive, of the keys that enter the link budget; far
 # past them a link's capacity overflows to inf or rounds to 0 b/s.  The
 # pico radius lies below the macro radius.
@@ -253,8 +258,8 @@ def validate_scenario(s: Scenario) -> None:
         err("layout.max_place_attempts", "must be >= 1")
 
     U = s.users
-    if U.total < 1:
-        err("users.total", "must be >= 1")
+    if not 1 <= U.total <= MAX_USERS:
+        err("users.total", f"must lie in [1, {MAX_USERS}]")
     if not 0 <= U.hotspot <= U.total:
         err("users.hotspot", f"must lie in [0, {U.total}]")
     for name in ("activity_uniform", "activity_hotspot"):

@@ -9,7 +9,8 @@ Boot and Sleep picos serve nobody, idle users are served by nobody.
 Two run shapes share this machinery:
 
 * slots = 1, realizations = R: R independent snapshot worlds.  Users are
-  dropped statically (hotspot users inside their assigned pico), picos are
+  dropped statically (hotspot users inside their assigned pico) and every
+  world takes one control step from all-Sleep with no boot, so picos are
   Active wherever the activation threshold is met — the stationary view of
   the control loop, with no boot transient.
 * slots = S > 1: one world evolved through S slots with the full Sleep /
@@ -31,7 +32,7 @@ each scenario is one row of the group's (K, m) pico control and power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
@@ -74,10 +75,10 @@ def compute_ee(capacity_bps: np.ndarray, power_w: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SlotColumns:
-    """Per-slot metrics as columns: (K,) over a group's rows for one slot,
-    as World.run_slot returns them, or (slots,) for one row, as
-    RunResult.slot_metrics holds them; entry t is slot t, or realization t
-    of a snapshot."""
+    """Per-slot metrics as columns: (K, slots) over a group's rows, as
+    World.run_slot fills them one slot column at a time, or the (slots,)
+    view of one row, as RunResult.slot_metrics holds them; entry t is slot
+    t, or realization t of a snapshot."""
 
     n_active_picos: np.ndarray
     macro_active_users: np.ndarray
@@ -89,6 +90,19 @@ class SlotColumns:
     # the capacity only with the per_user output
     pico_power_w: np.ndarray
     pico_capacity_bps: Optional[np.ndarray] = None
+
+    @classmethod
+    def empty(cls, K: int, slots: int, pico_capacity: bool) -> "SlotColumns":
+        """Unfilled (K, slots) columns: int64 counts, float64 the rest;
+        pico_capacity_bps only if pico_capacity."""
+        counts = (np.empty((K, slots), dtype=np.int64) for _ in range(3))
+        floats = (np.empty((K, slots)) for _ in range(4))
+        return cls(*counts, *floats, np.empty((K, slots)) if pico_capacity else None)
+
+    def row(self, k: int) -> "SlotColumns":
+        """Row k's (slots,) columns, as views."""
+        return SlotColumns(**{name: None if col is None else col[k]
+                              for name, col in vars(self).items()})
 
 
 def build_geometry(scenario: Scenario) -> Topology:
@@ -121,7 +135,9 @@ class Response:
     pico control rule and pico power model as (K, 1) columns.
 
     The layout kind is folded into the thresholds: a row whose layout does
-    not serve (a monet_*_users twin) never wakes its picos.
+    not serve (a monet_*_users twin) never wakes its picos.  A snapshot
+    row boots in 0 slots, so the one control step of a fresh world (every
+    pico asleep) wakes exactly the picos whose count meets t_activate.
     """
 
     def __init__(self, scenarios: Sequence[Scenario]):
@@ -132,28 +148,21 @@ class Response:
             np.where(self.serving[:, None], policy.t_activate, np.inf),
             policy.t_deactivate,
         )
-        self.boot_slots = np.array([[s.boot_slots] for s in scenarios])
+        self.boot_slots = np.array([[0 if s.slots == 1 else s.boot_slots]
+                                    for s in scenarios])
         self.pico = PicoPowerRows.of([s.power.pico for s in scenarios])
         self.macro = PowerRows.of([s.power.macro for s in scenarios])
-
-    def step(self, mode: np.ndarray, boot_remaining: np.ndarray,
-             counts: np.ndarray, static: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Every row's pico modes for a slot with these user counts.  A
-        snapshot wakes a pico wherever the activation threshold is met: the
-        stationary view of the control loop, with no boot transient."""
-        if static:
-            return np.where(self.policy.should_wake(counts), ACTIVE, SLEEP), boot_remaining
-        return step_modes(mode, boot_remaining, counts, self.policy, self.boot_slots)
 
     def pico_power(self, mode: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """(K,) summed draw of each row's picos: load-dependent when Active,
         the sleep floor in Sleep and Boot; 0 W in a row whose layout does
         not serve."""
-        if mode.shape[1] == 0:
-            return np.zeros(mode.shape[0])
         draw = np.where(mode == ACTIVE, self.pico.active_draw(counts),
                         self.pico.sleep_draw())
-        # added in pico order: np.sum's pairwise order would change the bytes
+        # added in pico order after a 0.0 column, which is the sum without
+        # picos: np.sum's pairwise order would change the bytes, and the
+        # draws are >= 0, so starting from 0.0 is exact
+        draw = np.concatenate((np.zeros((mode.shape[0], 1)), draw), axis=1)
         return np.where(self.serving, np.add.accumulate(draw, axis=1)[:, -1], 0.0)
 
     def macro_power(self, n_served: np.ndarray) -> np.ndarray:
@@ -182,19 +191,13 @@ class World:
         self.rng = np.random.default_rng(
             np.random.SeedSequence([scenario.seed, TAG_WORLD, realization])
         )
+        # a snapshot world drops hotspot users inside their picos and does
+        # not move
         self.static = scenario.slots == 1
-        self.pop = init_population(
-            scenario.users.total,
-            scenario.users.hotspot,
-            topo,
-            scenario.work,
-            scenario.users,
-            self.rng,
-            static_hotspot_in_cell=self.static,
-        )
-        m = topo.cx.size
-        self.n_picos = m
-        self.mode = np.full((len(response.scenarios), m), SLEEP, dtype=np.int64)
+        self.pop = init_population(topo, scenario.work, scenario.users, self.rng,
+                                   static_hotspot_in_cell=self.static)
+        self.mode = np.full((len(response.scenarios), topo.cx.size), SLEEP,
+                            dtype=np.int64)
         self.boot_remaining = np.zeros_like(self.mode)
         self.discs = discs
 
@@ -203,23 +206,6 @@ class World:
         self.noise_dbm = noise_power_dbm(self.w_user, C.temperature_k)
         self.eirp_macro = C.macro_tx_dbm + C.macro_antenna_gain_dbi + C.ue_antenna_gain_dbi
         self.eirp_pico = C.pico_tx_dbm + C.pico_antenna_gain_dbi + C.ue_antenna_gain_dbi
-
-        # exposed after each slot, for totals, histograms and traces
-        self.last_active: Optional[np.ndarray] = None       # (n,)
-        self.last_containing: Optional[np.ndarray] = None   # (n,)
-        self.last_pico_served: Optional[np.ndarray] = None  # (K, n)
-        self.last_capacity: Optional[np.ndarray] = None     # (K, n)
-
-    # -- slot phases --------------------------------------------------------
-
-    def _containing(self) -> np.ndarray:
-        return kernels.containing_disc(self.pop.px, self.pop.py, self.discs)
-
-    def _counts(self, containing: np.ndarray, active: np.ndarray) -> np.ndarray:
-        covered = active & (containing >= 0)
-        return np.bincount(containing[covered], minlength=self.n_picos).astype(
-            np.int64
-        )
 
     def _tier_capacities(self, active: np.ndarray, in_disc: np.ndarray,
                          containing: np.ndarray):
@@ -251,64 +237,52 @@ class World:
                               C.pico_shadow_sigma_db, True)
         return cap_macro, cap_pico
 
-    def _evaluate(self, active: np.ndarray, containing: np.ndarray,
-                  counts: np.ndarray) -> SlotColumns:
-        """Association, link budgets, power and metrics of one slot, as
-        (K,) columns over the rows."""
-        # only an active user inside a disc can be pico-served
-        in_disc = active & (containing >= 0)
-        cap_macro, cap_pico = self._tier_capacities(active, in_disc, containing)
-        awake = self.mode == ACTIVE
-        if self.n_picos:
-            # take() keeps the (K, n) arrays C-ordered (awake[:, safe] would
-            # not): a row sum over another layout adds in another order
-            safe = np.where(containing >= 0, containing, 0)
-            pico_served = awake.take(safe, axis=1) & in_disc
-        else:
-            pico_served = np.zeros(self.mode.shape[:1] + in_disc.shape, dtype=bool)
-        cap = np.where(pico_served, cap_pico, cap_macro)
-        capacity = cap.sum(axis=1)
-        n_pico = pico_served.sum(axis=1)
-        n_macro = int(active.sum()) - n_pico
-        pico_power = self.response.pico_power(self.mode, counts)
-        power = self.response.macro_power(n_macro) + pico_power
+    def run_slot(self, slot: int, out: SlotColumns):
+        """Advance the world by one slot (``slot`` drives the work schedule)
+        and write the slot's metrics into column ``slot`` of out's (K, slots)
+        columns; ee_bits_per_joule is left to the caller.
 
-        self.last_active = active
-        self.last_containing = containing
-        self.last_pico_served = pico_served
-        self.last_capacity = cap
-        return SlotColumns(
-            n_active_picos=awake.sum(axis=1),
-            macro_active_users=n_macro,
-            pico_active_users=n_pico,
-            capacity_bps=capacity,
-            power_w=power,
-            ee_bits_per_joule=compute_ee(capacity, power),
-            pico_power_w=pico_power,
-        )
-
-    def run_slot(self, slot: int) -> SlotColumns:
-        """Advance the world by one slot (``slot`` drives the work
-        schedule); returns the slot's (K,) metric columns.
-
-        A snapshot world (slots = 1) does not move, and each row's picos
-        take the stationary modes of Response.step.
+        Returns the slot's users: (n,) ``active`` flags and ``containing``
+        pico ids (-1 outside every disc), and the (K, n) ``served`` mask of
+        the pico-served users and ``cap`` capacities of each row.
         """
         s = self.s
         if not self.static:
-            step_population(
-                self.pop, slot, self.topo, s.work, s.users, self.rng
-            )
-        containing = self._containing()
+            step_population(self.pop, slot, self.topo, s.work, s.users, self.rng)
+        containing = kernels.containing_disc(self.pop.px, self.pop.py, self.discs)
         active = draw_activity_flags(
             self.pop, containing, self.rng,
             s.users.activity_uniform, s.users.activity_hotspot,
         )
-        counts = self._counts(containing, active)
-        self.mode, self.boot_remaining = self.response.step(
-            self.mode, self.boot_remaining, counts, self.static
+        # only an active user inside a disc counts, and can be pico-served
+        in_disc = active & (containing >= 0)
+        counts = np.bincount(containing[in_disc], minlength=self.mode.shape[1])
+        self.mode, self.boot_remaining = step_modes(
+            self.mode, self.boot_remaining, counts,
+            self.response.policy, self.response.boot_slots,
         )
-        return self._evaluate(active, containing, counts)
+        cap_macro, cap_pico = self._tier_capacities(active, in_disc, containing)
+        awake = self.mode == ACTIVE
+        # containing = -1 takes the appended asleep column; take() keeps the
+        # (K, n) arrays C-ordered (awake[:, containing] would not): a row sum
+        # over another layout adds in another order
+        asleep = np.zeros((awake.shape[0], 1), dtype=bool)
+        served = np.concatenate((awake, asleep), axis=1).take(containing, axis=1) & active
+        cap = np.where(served, cap_pico, cap_macro)
+        n_pico = served.sum(axis=1)
+        n_macro = int(active.sum()) - n_pico
+        pico_power = self.response.pico_power(self.mode, counts)
+        out.n_active_picos[:, slot] = awake.sum(axis=1)
+        out.macro_active_users[:, slot] = n_macro
+        out.pico_active_users[:, slot] = n_pico
+        out.capacity_bps[:, slot] = cap.sum(axis=1)
+        out.power_w[:, slot] = self.response.macro_power(n_macro) + pico_power
+        out.pico_power_w[:, slot] = pico_power
+        if out.pico_capacity_bps is not None:
+            # a compacted sum: zeros in place of the macro-served users
+            # would change numpy's pairwise order
+            out.pico_capacity_bps[:, slot] = [row[sv].sum() for row, sv in zip(cap, served)]
+        return active, containing, served, cap
 
 
 @dataclass
@@ -390,8 +364,8 @@ def _run_group(scenarios: list[Scenario], outputs: frozenset) -> list[RunResult]
     snapshot = s0.slots == 1
     rows = s0.realizations if snapshot else s0.slots
     discs = kernels.disc_index(topo.cx, topo.cy, topo.pico_radius)
-    columns: list[SlotColumns] = []
     per_user = "per_user" in outputs
+    columns = SlotColumns.empty(K, rows, pico_capacity=per_user)
     if per_user:
         # per-user sums over every slot and realization; snapshots bin
         # every active user-realization as they come
@@ -413,37 +387,23 @@ def _run_group(scenarios: list[Scenario], outputs: frozenset) -> list[RunResult]
     else:
         worlds = repeat(World(response, topo, discs), rows)
     for slot, world in enumerate(worlds):
-        slot_columns = world.run_slot(slot)
-        columns.append(slot_columns)
-        active, cap = world.last_active, world.last_capacity
+        active, containing, served, cap = world.run_slot(slot, columns)
         if per_user:
-            # a compacted sum: zeros in place of the macro-served users
-            # would change numpy's pairwise order
-            slot_columns.pico_capacity_bps = np.array(
-                [row[served].sum() for row, served in zip(cap, world.last_pico_served)]
-            )
             cap_sum += cap
             active_slots += active
-            pico_slots += world.last_pico_served
+            pico_slots += served
             if snapshot:
                 hist += hist_counts(cap[:, active])
         if trace_users:
             xs[slot], ys[slot], actives[slot] = world.pop.px, world.pop.py, active
-            serving[:, slot] = np.where(
-                world.last_pico_served, world.last_containing,
-                np.where(active, -1, -2),
-            )
+            serving[:, slot] = np.where(served, containing, np.where(active, -1, -2))
         if modes is not None:
             modes[:, slot] = world.mode
+    columns.ee_bits_per_joule = compute_ee(columns.capacity_bps, columns.power_w)
 
-    # (K, rows), C-ordered: row k of each is one contiguous (rows,) column
-    stacked = {
-        f.name: np.stack([getattr(c, f.name) for c in columns], axis=1)
-        for f in fields(SlotColumns) if getattr(columns[0], f.name) is not None
-    }
     results = []
     for k, s in enumerate(scenarios):
-        metrics = SlotColumns(**{name: col[k] for name, col in stacked.items()})
+        metrics = columns.row(k)
         ees = metrics.ee_bits_per_joule
         results.append(RunResult(
             scenario=s,

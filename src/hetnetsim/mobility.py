@@ -133,23 +133,22 @@ def _retarget(
 
 
 def init_population(
-    n_users: int,
-    n_hotspot: int,
     topo: Topology,
     schedule: WorkSchedule,
     users: UsersConfig,
     rng: np.random.Generator,
     static_hotspot_in_cell: bool = False,
 ) -> UserPopulation:
-    """Fresh population: uniform users first, then n_hotspot hotspot users.
+    """Fresh population of users.total users: uniform users first, then
+    users.hotspot hotspot users.
 
     Everyone starts at a uniform point in the macro disc with a waypoint
     there too, except that single-snapshot runs place hotspot users
     directly inside their assigned pico (static_hotspot_in_cell).  Speeds
-    are read from users.  config.validate_scenario guarantees 0 <= n_hotspot
-    <= n_users, and a pico to assign hotspot users to.
+    are read from users.  config.validate_scenario guarantees 0 <= hotspot
+    <= total, and a pico to assign hotspot users to.
     """
-    n = n_users
+    n, n_hotspot = users.total, users.hotspot
     hot = np.zeros(n, dtype=bool)
     hot[n - n_hotspot :] = n_hotspot > 0
     my_pico = np.full(n, -1, dtype=np.int64)

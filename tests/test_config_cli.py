@@ -502,6 +502,7 @@ def test_non_finite_numbers_are_rejected_with_their_path(tmp_path, capsys, doc, 
 @pytest.mark.parametrize("doc, path", [
     ("topology: udc\nboot_slots: -1\n", "boot_slots"),
     ("topology: udc\nusers: {total: 0}\n", "users.total"),
+    ("topology: udc\nusers: {total: 1000000000000}\n", "users.total"),
     ("topology: udc\nusers: {total: 10, hotspot: 11}\n", "users.hotspot"),
     ("topology: monet\nusers: {hotspot: 5}\n", "users.hotspot"),
     ("topology: udc\nlayout: {n_picos: 0}\nusers: {hotspot: 5}\n", "users.hotspot"),
@@ -515,15 +516,16 @@ def test_non_finite_numbers_are_rejected_with_their_path(tmp_path, capsys, doc, 
     # ring picos so small that their centres round onto each other
     ("topology: coe\nlayout: {pico_radius_m: 1.0e-300}\n", "layout"),
     ("topology: coe\nlayout: {pico_radius_m: 1.0e-10}\n", "layout"),
-], ids=["boot_slots", "zero_users", "hotspot_over_total", "hotspot_on_monet",
-        "hotspot_without_picos", "n_picos_1e5", "n_picos_2e62",
+], ids=["boot_slots", "zero_users", "users_1e12", "hotspot_over_total",
+        "hotspot_on_monet", "hotspot_without_picos", "n_picos_1e5", "n_picos_2e62",
         "t_activate_minus_inf", "t_activate_negative", "pico_radius_1e-300",
         "pico_radius_1e-10"])
 def test_rejected_documents_exit_1_with_their_path(tmp_path, capsys, doc, path):
     """Documents that validation rejects exit 1 before anything runs, and
     the message names the offending key: engine code relies on these rules
     (one user at least, a pico for every hotspot user, boot_slots >= 0),
-    and layouts past MAX_PICOS would not finish."""
+    layouts past MAX_PICOS would not finish, and populations past
+    MAX_USERS would not fit in memory."""
     scenario = tmp_path / "scenario.yaml"
     scenario.write_text(doc)
     assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1

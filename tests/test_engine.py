@@ -58,6 +58,12 @@ def world(s):
     return World(Response([s]), topo, discs)
 
 
+def slot_counts(w, active, containing):
+    """Each pico's active users, as the slot's control step saw them."""
+    covered = active & (containing >= 0)
+    return np.bincount(containing[covered], minlength=w.mode.shape[1])
+
+
 def macro_power(n_served):
     return 3 * (260.0 + 4.75 * 40.0 * min(n_served, 1000) / 1000)
 
@@ -77,13 +83,17 @@ def test_compute_ee_is_zero_where_power_is_not_positive():
 
 def test_single_active_pico_power_decomposition():
     """With exactly one pico awake, the slot power must split into the
-    macro's load-dependent draw, that pico's draw, and 27 sleepers."""
-    w = world(scenario(users={"total": 1000}))
+    macro's load-dependent draw, that pico's draw, and 27 sleepers.  The
+    thresholds keep the hand-set modes through the slot's control step,
+    and every user is active."""
+    w = world(scenario(users={"total": 1000, "activity_uniform": 1.0},
+                       policy={"t_activate": float("inf"),
+                               "t_deactivate": float("-inf")}))
     w.mode[0, 0] = ACTIVE
-    active = np.ones(1000, dtype=bool)
-    containing = w._containing()
-    counts = w._counts(containing, active)
-    m = w._evaluate(active, containing, counts)
+    out = SlotColumns.empty(1, 1, pico_capacity=False)
+    active, containing, _, _ = w.run_slot(0, out)
+    m = out.row(0)
+    assert active.all()
     n0 = int((containing == 0).sum())
     assert n0 > 0  # layout seed gives the first pico some users
     expected = macro_power(1000 - n0) + (13.6 + 0.02 * min(n0, 50)) + 27 * 8.6
@@ -106,15 +116,16 @@ def test_engine_mode_trail_follows_the_state_table(boot_slots):
         policy={"t_activate": 12, "t_deactivate": 8},
     )
     w = world(s)
+    out = SlotColumns.empty(1, s.slots, pico_capacity=False)
     counts, modes = [], []
     for slot in range(s.slots):
-        w.run_slot(slot)
-        counts.append(w._counts(w._containing(), w.last_active))
+        active, containing, _, _ = w.run_slot(slot, out)
+        counts.append(slot_counts(w, active, containing))
         modes.append(w.mode[0].copy())
     modes = np.array(modes)
     assert {SLEEP, ACTIVE} <= set(modes.ravel())
     assert (BOOT in modes) == (boot_slots > 0)
-    for j in range(w.n_picos):
+    for j in range(modes.shape[1]):
         state = PicoControlState()
         for t in range(s.slots):
             state = step_state(state, int(counts[t][j]), s.policy, boot_slots)
@@ -128,8 +139,8 @@ def test_bandwidth_is_split_over_all_configured_users(p_active):
     s = scenario(users={"total": 400, "activity_uniform": p_active},
                  channel={"bandwidth_hz": 1e7})
     w = world(s)
-    w.run_slot(0)
-    assert abs(int(w.last_active.sum()) - 400 * p_active) < 60
+    active, *_ = w.run_slot(0, SlotColumns.empty(1, 1, pico_capacity=False))
+    assert abs(int(active.sum()) - 400 * p_active) < 60
     assert w.w_user == 1e7 / 400
 
 
@@ -210,6 +221,23 @@ def test_static_hotspot_snapshot_serves_workers_from_their_picos():
     m = r.slot_metrics
     assert m.pico_active_users.tolist() == [60]
     assert m.macro_active_users.tolist() == [0]
+
+
+def test_snapshot_results_do_not_depend_on_boot_slots():
+    """A snapshot is one control step from all-Sleep with no boot, so its
+    rows give the same slot columns and pico modes at any boot_slots,
+    in one group or run alone."""
+    docs = [dict(realizations=6, boot_slots=b,
+                 users={"total": 300, "hotspot": 150},
+                 policy={"t_activate": 3, "t_deactivate": None}) for b in (0, 3)]
+    scenarios = [scenario(**d) for d in docs]
+    grouped = run_scenarios(scenarios, OUTPUTS)
+    alone = [run_scenario(s, OUTPUTS) for s in scenarios]
+    assert grouped[0].slot_metrics.n_active_picos.min() > 0
+    for r in (*grouped, *alone):
+        assert_same_columns(r.slot_metrics, grouped[0].slot_metrics)
+        np.testing.assert_array_equal(r.pico_trace, grouped[0].pico_trace)
+        assert BOOT not in r.pico_trace
 
 
 def test_engine_reruns_bit_identically():
@@ -662,14 +690,13 @@ def reference_slot_columns(scenarios):
     else:
         w = World(response, topo, discs)
         steps = [(w, t) for t in range(s0.slots)]
+    out = SlotColumns.empty(len(scenarios), len(steps), pico_capacity=True)
     rows = [[] for _ in scenarios]
     for w, slot in steps:
-        w.run_slot(slot)
-        active, containing = w.last_active, w.last_containing
-        counts = np.bincount(containing[active & (containing >= 0)],
-                             minlength=topo.cx.size)
+        active, containing, served_rows, cap_rows = w.run_slot(slot, out)
+        counts = slot_counts(w, active, containing)
         for k, s in enumerate(scenarios):
-            served, cap = w.last_pico_served[k], w.last_capacity[k]
+            served, cap = served_rows[k], cap_rows[k]
             modes = [MODE_OF_CODE[code] for code in w.mode[k]]
             n_pico = int(served.sum())
             n_macro = int(active.sum()) - n_pico

@@ -21,7 +21,7 @@ SCHEDULE = WorkSchedule()
 def make_world(n=200, hot=80, seed=5, topo_seed=9):
     topo = build_udc(np.random.default_rng(topo_seed))
     rng = np.random.default_rng(seed)
-    pop = init_population(n, hot, topo, SCHEDULE, PARAMS, rng)
+    pop = init_population(topo, SCHEDULE, UsersConfig(total=n, hotspot=hot), rng)
     return topo, rng, pop
 
 
@@ -63,7 +63,7 @@ def test_same_seed_same_trajectory():
     pops = []
     for _ in range(2):
         rng = np.random.default_rng(5)
-        pop = init_population(100, 40, topo, SCHEDULE, PARAMS, rng)
+        pop = init_population(topo, SCHEDULE, UsersConfig(total=100, hotspot=40), rng)
         for slot in range(40):
             step_population(pop, slot, topo, SCHEDULE, PARAMS, rng)
         pops.append(pop)
@@ -83,8 +83,8 @@ def test_users_never_leave_the_macro_disc():
 def test_static_drop_puts_hotspot_users_in_their_own_pico():
     topo = build_udc(np.random.default_rng(9))
     rng = np.random.default_rng(5)
-    pop = init_population(200, 80, topo, SCHEDULE, PARAMS, rng,
-                          static_hotspot_in_cell=True)
+    pop = init_population(topo, SCHEDULE, UsersConfig(total=200, hotspot=80),
+                          rng, static_hotspot_in_cell=True)
     d = dist_to_own_pico(pop, topo)
     assert (d[pop.is_hotspot] < 50.0).all()
     for i in np.flatnonzero(pop.is_hotspot)[:10]:
@@ -97,7 +97,7 @@ def test_workers_reach_their_pico_and_wander_slowly():
     topo = build_udc(np.random.default_rng(9))
     rng = np.random.default_rng(5)
     sched = WorkSchedule(start_slots=(0,), duration=375)
-    pop = init_population(300, 120, topo, sched, PARAMS, rng)
+    pop = init_population(topo, sched, UsersConfig(total=300, hotspot=120), rng)
     for slot in range(130):
         step_population(pop, slot, topo, sched, PARAMS, rng)
     hot = pop.is_hotspot
@@ -114,7 +114,7 @@ def test_work_end_sends_workers_back_out():
     topo = build_udc(np.random.default_rng(9))
     rng = np.random.default_rng(5)
     sched = WorkSchedule(start_slots=(0,), duration=60)
-    pop = init_population(200, 80, topo, sched, PARAMS, rng)
+    pop = init_population(topo, sched, UsersConfig(total=200, hotspot=80), rng)
     for slot in range(62):
         step_population(pop, slot, topo, sched, PARAMS, rng)
     hot = pop.is_hotspot
@@ -152,7 +152,8 @@ def test_arrival_snaps_exactly_onto_the_waypoint():
 def test_single_user_api_matches_population_semantics():
     """A population of one hotspot user gets a pico and moves."""
     topo = build_udc(np.random.default_rng(9))
-    pop = init_population(1, 1, topo, SCHEDULE, PARAMS, np.random.default_rng(3))
+    pop = init_population(topo, SCHEDULE, UsersConfig(total=1, hotspot=1),
+                          np.random.default_rng(3))
     assert pop.is_hotspot[0] and 0 <= pop.my_pico[0] < 28
     before = (pop.px[0], pop.py[0])
     step_population(pop, 1_000_000, topo, SCHEDULE, PARAMS,
@@ -164,8 +165,8 @@ class TestActivityDraws:
     def test_degenerate_probabilities_isolate_the_boost_rule(self):
         topo = build_udc(np.random.default_rng(9))
         rng = np.random.default_rng(5)
-        pop = init_population(400, 150, topo, SCHEDULE, PARAMS, rng,
-                              static_hotspot_in_cell=True)
+        pop = init_population(topo, SCHEDULE, UsersConfig(total=400, hotspot=150),
+                              rng, static_hotspot_in_cell=True)
         containing = np.array([
             c if (c := containing_pico(topo, x, y)) is not None else -1
             for x, y in zip(pop.px, pop.py)
@@ -180,7 +181,7 @@ class TestActivityDraws:
     def test_base_rate_matches_the_probability(self):
         topo = build_udc(np.random.default_rng(9))
         rng = np.random.default_rng(5)
-        pop = init_population(4000, 0, topo, SCHEDULE, PARAMS, rng)
+        pop = init_population(topo, SCHEDULE, UsersConfig(total=4000, hotspot=0), rng)
         containing = np.full(4000, -1)
         hits = sum(
             draw_activity_flags(pop, containing, rng).sum() for _ in range(10)
@@ -190,7 +191,7 @@ class TestActivityDraws:
     def test_visiting_someone_elses_pico_earns_no_boost(self):
         topo = build_udc(np.random.default_rng(9))
         rng = np.random.default_rng(5)
-        pop = init_population(50, 50, topo, SCHEDULE, PARAMS, rng)
+        pop = init_population(topo, SCHEDULE, UsersConfig(total=50, hotspot=50), rng)
         other = (pop.my_pico + 1) % 28
         flags_mean = np.mean([
             draw_activity_flags(pop, other, rng, 0.0, 1.0).any()
