@@ -3,7 +3,7 @@
     hetnetsim run --scenario F [--set k=v]... [--out DIR] [--trace-users] [--trace-picos]
     hetnetsim sweep --scenario F [--param policy.t_activate] --from A --to B [--step S]
     hetnetsim preset NAME [--out DIR] [--seed N]   /   preset --list
-    hetnetsim dump-topology --scenario F [--out FILE]
+    hetnetsim dump-topology --scenario F [--set k=v]... [--out FILE]
 
 Exit codes: 0 success, 1 configuration/validation problem (a layout that
 cannot be built included), 2 runtime failure.
@@ -26,15 +26,13 @@ from .config import (
 from .engine import (
     build_geometry,
     run_scenario,
-    run_scenarios,
     write_histogram_csv,
     write_pico_trace_csv,
     write_slot_csv,
-    write_sweep_csv,
     write_user_trace_csv,
     write_users_csv,
 )
-from .presets import DEFAULT_SEED, PRESETS, UnknownPreset, run_preset
+from .presets import DEFAULT_SEED, PRESETS, UnknownPreset, run_preset, run_sweeps
 from .topology import TopologyError
 
 
@@ -100,16 +98,11 @@ def _cmd_sweep(args) -> int:
     values = _sweep_values(args.sweep_from, args.sweep_to, args.step)
     # integral points go in as ints, so integer fields can be swept too;
     # a float field reads 3 as 3.0, and sweep.csv still writes the floats
-    scenarios = [
-        parse_scenario(apply_overrides(
-            base, [f"{args.param}={int(v) if v.is_integer() else v!r}"]))
+    run_sweeps(args.out, {"sweep.csv": [
+        (v, apply_overrides(base, [f"{args.param}={int(v) if v.is_integer() else v!r}"]))
         for v in values
-    ]
-    results = run_scenarios(scenarios)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_sweep_csv(zip(values, results), out / "sweep.csv")
-    print(f"wrote {out / 'sweep.csv'} ({len(values)} points)")
+    ]})
+    print(f"wrote {Path(args.out) / 'sweep.csv'} ({len(values)} points)")
     return 0
 
 
@@ -177,7 +170,8 @@ def _build_parser() -> _Parser:
     p_dump = sub.add_parser("dump-topology", help="emit the layout as JSON")
     p_dump.add_argument("--scenario", required=True)
     p_dump.add_argument(
-        "--set", action="append", metavar="KEY=VALUE", help=argparse.SUPPRESS
+        "--set", action="append", metavar="KEY=VALUE",
+        help="override a scenario key (repeatable)",
     )
     p_dump.add_argument("--out", default="-", help="output file, - for stdout")
     p_dump.set_defaults(fn=_cmd_dump_topology)

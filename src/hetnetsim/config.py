@@ -186,10 +186,8 @@ def _build(cls: type, data: Any, path: str, proto: Any) -> Any:
             kwargs[key] = _coerce(raw, default_val, keypath)
     try:
         return cls(**kwargs)
-    except InvalidPolicy as exc:
+    except (InvalidPolicy, MobilityError) as exc:
         raise ValidationError(f"{path}.{exc.key}", exc.message) from exc
-    except (MobilityError, ValueError, TypeError) as exc:
-        raise ValidationError(path, str(exc)) from exc
 
 
 def _document(source: str | dict) -> dict:

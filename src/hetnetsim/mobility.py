@@ -37,7 +37,12 @@ if TYPE_CHECKING:  # config imports this module
 
 
 class MobilityError(Exception):
-    pass
+    """A bad work schedule; key names the WorkSchedule field."""
+
+    def __init__(self, key: str, message: str):
+        self.key = key
+        self.message = message
+        super().__init__(f"{key} {message}")
 
 
 @dataclass(frozen=True)
@@ -47,13 +52,13 @@ class WorkSchedule:
 
     def __post_init__(self) -> None:
         if not self.start_slots:
-            raise MobilityError("at least one work start slot is required")
+            raise MobilityError("start_slots", "must hold at least one slot")
         if any(s < 0 for s in self.start_slots):
-            raise MobilityError("work start slots must be non-negative")
+            raise MobilityError("start_slots", "must be non-negative")
         if list(self.start_slots) != sorted(set(self.start_slots)):
-            raise MobilityError("work start slots must be strictly increasing")
+            raise MobilityError("start_slots", "must be strictly increasing")
         if self.duration < 1:
-            raise MobilityError("work duration must be at least 1 slot")
+            raise MobilityError("duration", "must be at least 1 slot")
 
 
 @dataclass

@@ -516,10 +516,15 @@ def test_non_finite_numbers_are_rejected_with_their_path(tmp_path, capsys, doc, 
     # ring picos so small that their centres round onto each other
     ("topology: coe\nlayout: {pico_radius_m: 1.0e-300}\n", "layout"),
     ("topology: coe\nlayout: {pico_radius_m: 1.0e-10}\n", "layout"),
+    ("topology: udc\nwork: {duration: 0}\n", "work.duration"),
+    ("topology: udc\nwork: {start_slots: []}\n", "work.start_slots"),
+    ("topology: udc\nwork: {start_slots: [-1, 5]}\n", "work.start_slots"),
+    ("topology: udc\nwork: {start_slots: [5, 5]}\n", "work.start_slots"),
 ], ids=["boot_slots", "zero_users", "users_1e12", "hotspot_over_total",
         "hotspot_on_monet", "hotspot_without_picos", "n_picos_1e5", "n_picos_2e62",
         "t_activate_minus_inf", "t_activate_negative", "pico_radius_1e-300",
-        "pico_radius_1e-10"])
+        "pico_radius_1e-10", "work_duration_0", "work_no_start_slots",
+        "work_negative_start_slot", "work_repeated_start_slot"])
 def test_rejected_documents_exit_1_with_their_path(tmp_path, capsys, doc, path):
     """Documents that validation rejects exit 1 before anything runs, and
     the message names the offending key: engine code relies on these rules
