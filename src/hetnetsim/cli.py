@@ -85,6 +85,10 @@ def _sweep_values(start: float, stop: float, step: float) -> list[float]:
         raise ParseError("--step must be positive")
     if stop < start:
         raise ParseError("--to must be >= --from")
+    # a float's spacing grows with its size: a step lost to rounding at
+    # either end would stall the loop below
+    if start + step == start or stop + step == stop:
+        raise ParseError(f"--step {step!r} is too small to advance from --from or --to")
     values = []
     v = start
     while v <= stop + 1e-9:

@@ -15,7 +15,7 @@ activation point.
 
 The engine holds every pico's mode as an int code (SLEEP, BOOT, ACTIVE)
 and advances the (K, m) picos of K scenarios at once with step_modes,
-each row under its own policy: the PolicyRows row of its ThresholdPolicy.
+each row under its own policy's (K, 1) threshold columns.
 """
 
 from __future__ import annotations
@@ -52,35 +52,14 @@ class ThresholdPolicy:
                 f"(got {self.t_deactivate} >= {self.t_activate})"
             )
 
-
-@dataclass(frozen=True)
-class PolicyRows:
-    """K policies as (K, 1) threshold columns, one row per scenario.
-
-    Counts are integers, so a one-threshold row (sleep when count <
-    t_activate) is stored as the two-threshold row with t_deactivate =
-    ceil(t_activate) - 1.
-    """
-
-    t_activate: np.ndarray
-    t_deactivate: np.ndarray
-
-    @classmethod
-    def of(cls, policies: list[ThresholdPolicy]) -> "PolicyRows":
-        return cls(
-            np.array([[p.t_activate] for p in policies], dtype=float),
-            np.array(
-                [[np.ceil(p.t_activate) - 1.0 if p.t_deactivate is None
-                  else p.t_deactivate] for p in policies],
-                dtype=float,
-            ),
-        )
-
-    def should_wake(self, count: np.ndarray) -> np.ndarray:
-        return count >= self.t_activate
-
-    def should_sleep(self, count: np.ndarray) -> np.ndarray:
-        return count <= self.t_deactivate
+    @property
+    def t_sleep(self) -> float:
+        """The count at or below which an Active pico sleeps.  Counts are
+        integers, so the one-threshold rule (sleep when count < t_activate)
+        is count <= ceil(t_activate) - 1; np.ceil, as math.ceil(inf) raises."""
+        if self.t_deactivate is None:
+            return np.ceil(self.t_activate) - 1.0
+        return self.t_deactivate
 
 
 # int mode codes of the control arrays; MODES[code] is the mode's trace label
@@ -92,24 +71,27 @@ def step_modes(
     mode: np.ndarray,
     boot_remaining: np.ndarray,
     counts: np.ndarray,
-    policy: PolicyRows,
+    t_activate: np.ndarray,
+    t_sleep: np.ndarray,
     boot_slots: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance every pico's mode by one slot given this slot's user counts.
 
-    mode and boot_remaining are (K, m) arrays: row k holds the picos of
-    the scenario whose policy is row k of policy and whose boot length is
-    boot_slots[k] >= 0, a (K, 1) column.  counts broadcasts against mode:
-    the engine passes one (m,) vector, as every row sees the same users.
+    mode and boot_remaining are (K, m) arrays: row k holds the picos of a
+    scenario that wakes a pico at count >= t_activate[k], sleeps it at
+    count <= t_sleep[k] (its ThresholdPolicy.t_sleep) and boots it in
+    boot_slots[k] >= 0 slots; all three are (K, 1) columns.  counts
+    broadcasts against mode: the engine passes one (m,) vector, as every
+    row sees the same users.
     Returns new (mode, boot_remaining) arrays.  Boot always runs to
     completion: the countdown ignores the count, so a station can never pay
     the boot cost and then go back to sleep unserved within the same
     transient.  boot_slots = 0 degenerates to an immediate Sleep -> Active
     transition.
     """
-    wake = (mode == SLEEP) & policy.should_wake(counts)
+    wake = (mode == SLEEP) & (counts >= t_activate)
     booting = mode == BOOT
-    sleep = (mode == ACTIVE) & policy.should_sleep(counts)
+    sleep = (mode == ACTIVE) & (counts <= t_sleep)
     remaining = np.where(booting, boot_remaining - 1, boot_remaining)
     booted = booting & (remaining <= 0)
     new_mode = np.where(booted, ACTIVE, mode)

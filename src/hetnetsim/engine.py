@@ -32,7 +32,7 @@ each scenario is one row of the group's (K, m) pico control and power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
@@ -43,9 +43,9 @@ import numpy as np
 from . import kernels
 from .channel import noise_power_dbm, user_bandwidth
 from .config import Scenario
-from .control import ACTIVE, MODES, SLEEP, PolicyRows, step_modes
+from .control import ACTIVE, MODES, SLEEP, step_modes
 from .mobility import draw_activity_flags, init_population, step_population
-from .power import PicoPowerRows, PowerRows
+from .power import PowerParams
 from .topology import Topology, build_coe, build_monet, build_udc
 
 TAG_TOPOLOGY = 0
@@ -131,8 +131,9 @@ def process_key(s: Scenario) -> tuple:
 
 
 class Response:
-    """The per-scenario half of a group: one row per scenario, holding its
-    pico control rule and pico power model as (K, 1) columns.
+    """The per-scenario half of a group, and the one place where its
+    scenarios become (K, 1) row columns: each row's wake and sleep
+    thresholds, boot length, and pico and macro power parameters.
 
     The layout kind is folded into the thresholds: a row whose layout does
     not serve (a monet_*_users twin) never wakes its picos.  A snapshot
@@ -143,22 +144,27 @@ class Response:
     def __init__(self, scenarios: Sequence[Scenario]):
         self.scenarios = list(scenarios)
         self.serving = np.array([s.serves_from_picos() for s in scenarios])
-        policy = PolicyRows.of([s.policy for s in scenarios])
-        self.policy = PolicyRows(
-            np.where(self.serving[:, None], policy.t_activate, np.inf),
-            policy.t_deactivate,
-        )
+        self.t_activate = np.where(self.serving[:, None],
+                                   [[s.policy.t_activate] for s in scenarios], np.inf)
+        self.t_sleep = np.array([[s.policy.t_sleep] for s in scenarios], dtype=float)
         self.boot_slots = np.array([[0 if s.slots == 1 else s.boot_slots]
                                     for s in scenarios])
-        self.pico = PicoPowerRows.of([s.power.pico for s in scenarios])
-        self.macro = PowerRows.of([s.power.macro for s in scenarios])
+        self.pico = self._power_columns([s.power.pico for s in scenarios])
+        self.macro = self._power_columns([s.power.macro for s in scenarios])
+
+    @staticmethod
+    def _power_columns(params: Sequence[PowerParams]) -> PowerParams:
+        """K rows' PowerParams (or PicoPowerParams) as one of their class
+        whose fields are (K, 1) columns, so one active_draw draws every row."""
+        return type(params[0])(*(np.array([[getattr(p, f.name)] for p in params])
+                                 for f in fields(params[0])))
 
     def pico_power(self, mode: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """(K,) summed draw of each row's picos: load-dependent when Active,
         the sleep floor in Sleep and Boot; 0 W in a row whose layout does
         not serve."""
         draw = np.where(mode == ACTIVE, self.pico.active_draw(counts),
-                        self.pico.sleep_draw())
+                        self.pico.sectors * self.pico.p_sleep_w)
         # added in pico order after a 0.0 column, which is the sum without
         # picos: np.sum's pairwise order would change the bytes, and the
         # draws are >= 0, so starting from 0.0 is exact
@@ -258,8 +264,8 @@ class World:
         in_disc = active & (containing >= 0)
         counts = np.bincount(containing[in_disc], minlength=self.mode.shape[1])
         self.mode, self.boot_remaining = step_modes(
-            self.mode, self.boot_remaining, counts,
-            self.response.policy, self.response.boot_slots,
+            self.mode, self.boot_remaining, counts, self.response.t_activate,
+            self.response.t_sleep, self.response.boot_slots,
         )
         cap_macro, cap_pico = self._tier_capacities(active, in_disc, containing)
         awake = self.mode == ACTIVE

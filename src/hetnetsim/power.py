@@ -13,8 +13,7 @@ sleep floor p_sleep per sector (PicoPowerParams).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +27,13 @@ class PowerParams:
     p0_w: float          # fixed per-sector draw while active
     delta_p: float       # slope of the load-dependent part
     user_capacity: int   # load saturates here
+
+    def active_draw(self, n_served):
+        """Draw of the station serving n_served users, elementwise when
+        the fields are (K, 1) columns of K rows (engine.Response):
+        sectors * (p0 + delta_p * p_max * load)."""
+        load = np.minimum(n_served, self.user_capacity) / self.user_capacity
+        return self.sectors * (self.p0_w + self.delta_p * self.p_max_w * load)
 
 
 @dataclass(frozen=True)
@@ -45,37 +51,3 @@ PICO_POWER = PicoPowerParams(
     sectors=1, p_max_w=0.25, p0_w=13.6, delta_p=4.0, user_capacity=50,
     p_sleep_w=8.6,
 )
-
-
-@dataclass(frozen=True)
-class PowerRows:
-    """The PowerParams of K rows as (K, 1) columns, so one expression
-    draws every row's stations at once."""
-
-    sectors: np.ndarray
-    p_max_w: np.ndarray
-    p0_w: np.ndarray
-    delta_p: np.ndarray
-    user_capacity: np.ndarray
-
-    @classmethod
-    def of(cls, rows: Sequence[PowerParams]) -> "PowerRows":
-        return cls(*(np.array([[getattr(p, f.name)] for p in rows])
-                     for f in fields(cls)))
-
-    def active_draw(self, n_served: np.ndarray) -> np.ndarray:
-        """Active draw of each row's stations serving n_served users,
-        elementwise: sectors * (p0 + delta_p * p_max * load)."""
-        load = np.minimum(n_served, self.user_capacity) / self.user_capacity
-        return self.sectors * (self.p0_w + self.delta_p * self.p_max_w * load)
-
-
-@dataclass(frozen=True)
-class PicoPowerRows(PowerRows):
-    """The PicoPowerParams of K rows, with their sleep floor."""
-
-    p_sleep_w: np.ndarray
-
-    def sleep_draw(self) -> np.ndarray:
-        """(K, 1) draw of each row's stations in Sleep and Boot."""
-        return self.sectors * self.p_sleep_w

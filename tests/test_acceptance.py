@@ -15,9 +15,9 @@ import pytest
 
 from hetnetsim import kernels
 from hetnetsim.config import parse_scenario
-from hetnetsim.control import ACTIVE, BOOT, SLEEP, PolicyRows, ThresholdPolicy, step_modes
-from hetnetsim.engine import run_scenario, run_scenarios
-from hetnetsim.power import MACRO_POWER, PICO_POWER, PicoPowerRows, PowerRows
+from hetnetsim.control import ACTIVE, BOOT, SLEEP, ThresholdPolicy, step_modes
+from hetnetsim.engine import Response, run_scenario, run_scenarios
+from hetnetsim.power import MACRO_POWER, PICO_POWER
 from hetnetsim.presets import run_preset
 from hetnetsim.topology import build_udc
 from oracles import EnbMode, consumed_power_w, containing_pico, contains_point, evaluate_link
@@ -73,26 +73,38 @@ def ee_series(result):
 # ---------------------------------------------------------------------------
 
 
+def thresholds(policies):
+    """The (K, 1) t_activate and t_sleep columns of K policies, as
+    engine.Response builds them for rows whose picos serve."""
+    return (np.array([[p.t_activate] for p in policies], dtype=float),
+            np.array([[p.t_sleep] for p in policies], dtype=float))
+
+
 def test_criterion_1_power_model_exactness():
-    macro, pico = PowerRows.of([MACRO_POWER]), PicoPowerRows.of([PICO_POWER])
     checks = {
         "macro full load": (consumed_power_w(MACRO_POWER, EnbMode.ACTIVE, 1000), 1350.0),
         "pico idle": (consumed_power_w(PICO_POWER, EnbMode.ACTIVE, 0), 13.6),
         "pico full load": (consumed_power_w(PICO_POWER, EnbMode.ACTIVE, 50), 14.6),
         "pico sleep": (consumed_power_w(PICO_POWER, EnbMode.SLEEP), 8.6),
     }
-    # the same endpoints drawn as the engine draws them
+    # the same endpoints drawn as the engine draws them, in a row with the
+    # default power models and one pico
+    response = Response([parse_scenario({"topology": "udc"})])
+
+    def pico(mode, n):
+        return response.pico_power(np.array([[mode]]), np.array([n]))[0]
+
     engine_checks = {
-        "macro full load": (macro.active_draw(np.array([[1000]]))[0, 0], 1350.0),
-        "pico idle": (pico.active_draw(np.array([[0]]))[0, 0], 13.6),
-        "pico full load": (pico.active_draw(np.array([[50]]))[0, 0], 14.6),
-        "pico sleep": (pico.sleep_draw()[0, 0], 8.6),
+        "macro full load": (response.macro_power(np.array([1000]))[0], 1350.0),
+        "pico idle": (pico(ACTIVE, 0), 13.6),
+        "pico full load": (pico(ACTIVE, 50), 14.6),
+        "pico sleep": (pico(SLEEP, 0), 8.6),
     }
     worst = max(abs(got - want) for got, want in checks.values())
     worst_rows = max(abs(got - want) for got, want in engine_checks.values())
     report(1, worst <= 1e-9 and worst_rows <= 1e-9,
            f"power endpoints {[round(g, 6) for g, _ in checks.values()]}, "
-           f"max abs error {worst:.2e} scalar / {worst_rows:.2e} PowerRows "
+           f"max abs error {worst:.2e} scalar / {worst_rows:.2e} engine "
            f"(tol 1e-9)")
 
 
@@ -224,13 +236,13 @@ def test_criterion_7_hysteresis_properties():
         policies.append(ThresholdPolicy(t_act, t_deact))
         sequences.append(rng.integers(lo, hi + 1, size=10))
     # each sequence twice: from SLEEP, then from ACTIVE
-    rows = PolicyRows.of(policies + policies)
+    rows = thresholds(policies + policies)
     counts = np.tile(np.array(sequences), (2, 1))
     start = np.repeat([SLEEP, ACTIVE], len(sequences))[:, None]
     mode, remaining = start, np.zeros_like(start)
     flips = 0
     for t in range(counts.shape[1]):
-        mode, remaining = step_modes(mode, remaining, counts[:, t:t + 1], rows,
+        mode, remaining = step_modes(mode, remaining, counts[:, t:t + 1], *rows,
                                      np.ones_like(start))
         flips += int((mode != start).sum())
     # (b) waking always routes through the boot state
@@ -242,16 +254,16 @@ def test_criterion_7_hysteresis_properties():
     t_acts, wake_counts, boot_slots = np.array(draws).T
     mode, _ = step_modes(
         np.full((len(draws), 1), SLEEP), np.zeros((len(draws), 1), dtype=np.int64),
-        wake_counts[:, None], PolicyRows.of([ThresholdPolicy(t) for t in t_acts]),
+        wake_counts[:, None], *thresholds([ThresholdPolicy(t) for t in t_acts]),
         boot_slots[:, None])
     direct_wakes = int((mode == ACTIVE).sum())
     # (c) a single-threshold policy flaps on counts alternating t, t-1
-    row = PolicyRows.of([ThresholdPolicy(9)])
+    row = thresholds([ThresholdPolicy(9)])
     mode, remaining = np.array([[SLEEP]]), np.array([[0]])
     trail = []
     for i in range(30):
         mode, remaining = step_modes(mode, remaining, np.array([9 if i % 3 == 0 else 8]),
-                                     row, np.array([[1]]))
+                                     *row, np.array([[1]]))
         trail.append(int(mode[0, 0]))
     cycles = sum(
         1 for a, b, c in zip(trail, trail[1:], trail[2:])

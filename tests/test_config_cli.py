@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -430,11 +431,18 @@ def test_sweep_emits_one_row_per_value(scenario_file, tmp_path):
     assert all(r[1] == "udc" for r in rows[1:])
 
 
-def test_sweep_rejects_bad_ranges(scenario_file, tmp_path):
+def test_sweep_rejects_bad_ranges(scenario_file, tmp_path, capsys):
     assert main(["sweep", "--scenario", str(scenario_file),
                  "--from", "5", "--to", "1", "--out", str(tmp_path / "x")]) == 1
     assert main(["sweep", "--scenario", str(scenario_file),
                  "--from", "nan", "--to", "1", "--out", str(tmp_path / "x")]) == 1
+    # above 2**53 a step of 1 is lost to rounding, so the range never ends
+    for start, stop in (("9007199254740992", "9007199254740994"), ("0", "1e17")):
+        t0 = time.perf_counter()
+        assert main(["sweep", "--scenario", str(scenario_file), "--param", "seed",
+                     "--from", start, "--to", stop, "--out", str(tmp_path / "x")]) == 1
+        assert time.perf_counter() - t0 < 1.0
+        assert "--step" in capsys.readouterr().err
 
 
 def test_preset_list_and_unknown_name(tmp_path, capsys):

@@ -18,7 +18,6 @@ from hetnetsim.control import (
     MODES,
     SLEEP as SLEEP_CODE,
     InvalidPolicy,
-    PolicyRows,
     ThresholdPolicy,
     step_modes,
 )
@@ -35,13 +34,20 @@ SLEEP = PicoControlState(EnbMode.SLEEP, 0)
 ACTIVE = PicoControlState(EnbMode.ACTIVE, 0)
 
 
+def thresholds(policies):
+    """The (K, 1) t_activate and t_sleep columns of K policies, as
+    engine.Response builds them for rows whose picos serve."""
+    return (np.array([[p.t_activate] for p in policies], dtype=float),
+            np.array([[p.t_sleep] for p in policies], dtype=float))
+
+
 def step(state, count, policy, boot_slots=1):
     """step_modes on a single pico: one row of one column."""
     mode, remaining = step_modes(
         np.array([[MODE_OF_CODE.index(state.mode)]]),
         np.array([[state.boot_remaining]]),
         np.array([count]),
-        PolicyRows.of([policy]),
+        *thresholds([policy]),
         np.array([[boot_slots]]),
     )
     return PicoControlState(MODE_OF_CODE[mode[0, 0]], int(remaining[0, 0]))
@@ -226,7 +232,7 @@ def test_step_modes_equals_the_state_table_oracle(rows, data):
     m = data.draw(st.integers(1, 8))
     mode = data.draw(hnp.arrays(np.int64, (K, m), elements=st.integers(0, 2)))
     remaining = data.draw(hnp.arrays(np.int64, (K, m), elements=st.integers(0, 3)))
-    policies = PolicyRows.of([p for p, _ in rows])
+    t_activate, t_sleep = thresholds([p for p, _ in rows])
     boot_slots = np.array([[b] for _, b in rows])
     for counts in data.draw(st.lists(
             hnp.arrays(np.int64, (m,), elements=st.integers(0, 12)),
@@ -234,7 +240,8 @@ def test_step_modes_equals_the_state_table_oracle(rows, data):
         want = [[step_state(PicoControlState(MODE_OF_CODE[mode[k, j]], int(remaining[k, j])),
                             int(counts[j]), rows[k][0], rows[k][1])
                  for j in range(m)] for k in range(K)]
-        mode, remaining = step_modes(mode, remaining, counts, policies, boot_slots)
+        mode, remaining = step_modes(mode, remaining, counts, t_activate, t_sleep,
+                                     boot_slots)
         got = [[PicoControlState(MODE_OF_CODE[mode[k, j]], int(remaining[k, j]))
                 for j in range(m)] for k in range(K)]
         assert got == want

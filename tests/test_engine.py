@@ -144,20 +144,48 @@ def test_bandwidth_is_split_over_all_configured_users(p_active):
     assert w.w_user == 1e7 / 400
 
 
-def test_pico_power_is_the_per_pico_loop_added_in_order():
-    """The vectorized pico draw equals consumed_power_w summed pico by
-    pico, bit for bit: the output bytes depend on the addition order."""
-    s = scenario(users={"total": 100})
-    response = Response([s])
-    rng = np.random.default_rng(2)
-    mode = rng.integers(0, 3, (1, 28))
-    counts = rng.integers(0, 80, 28)
-    want = 0.0
-    for code, c in zip(mode[0], counts):
-        mode_j = MODE_OF_CODE[code]
-        served = int(c) if mode_j is EnbMode.ACTIVE else 0
-        want += consumed_power_w(s.power.pico, mode_j, served)
-    assert response.pico_power(mode, counts)[0] == want
+def power_params(sleeps):
+    """A power document for power.macro (sleeps False) or power.pico."""
+    doc = st.fixed_dictionaries({
+        "sectors": st.integers(1, 6),
+        "p_max_w": st.floats(0.01, 100.0),
+        "p0_w": st.floats(0.0, 500.0),
+        "delta_p": st.floats(0.0, 10.0),
+        "user_capacity": st.integers(1, 2000),
+    })
+    if sleeps:
+        doc = st.builds(lambda d, p: {**d, "p_sleep_w": p}, doc, st.floats(0.0, 100.0))
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.fixed_dictionaries({
+           "topology": st.sampled_from(["udc", "monet_udc_users"]),
+           "power": st.fixed_dictionaries({"macro": power_params(False),
+                                           "pico": power_params(True)}),
+       }), min_size=1, max_size=5),
+       data=st.data())
+def test_pico_power_is_the_per_pico_loop_added_in_order(rows, data):
+    """Each row's vectorized pico draw equals consumed_power_w summed pico
+    by pico, bit for bit (the output bytes depend on the addition order),
+    and is 0.0 in a row whose layout does not serve; each row's macro
+    draw equals consumed_power_w of its own parameters."""
+    scenarios = [parse_scenario(doc) for doc in rows]
+    response = Response(scenarios)
+    K, m = len(scenarios), data.draw(st.integers(1, 30))
+    mode = data.draw(hnp.arrays(np.int64, (K, m), elements=st.integers(0, 2)))
+    counts = data.draw(hnp.arrays(np.int64, (m,), elements=st.integers(0, 2500)))
+    n_macro = data.draw(hnp.arrays(np.int64, (K,), elements=st.integers(0, 3000)))
+    pico = response.pico_power(mode, counts)
+    macro = response.macro_power(n_macro)
+    for k, s in enumerate(scenarios):
+        want = 0.0
+        for code, c in zip(mode[k], counts):
+            mode_j = MODE_OF_CODE[code]
+            served = int(c) if mode_j is EnbMode.ACTIVE else 0
+            want += consumed_power_w(s.power.pico, mode_j, served)
+        assert pico[k] == (want if s.serves_from_picos() else 0.0)
+        assert macro[k] == consumed_power_w(s.power.macro, EnbMode.ACTIVE, int(n_macro[k]))
 
 
 def test_snapshot_ensemble_indexes_rows_by_realization():

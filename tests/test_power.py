@@ -1,27 +1,27 @@
-"""Consumption model: exact endpoint values and load behaviour of
-power.PowerRows and PicoPowerRows, the draws the engine computes."""
+"""Consumption model: exact endpoint values and load behaviour of the
+draws engine.Response computes from power.PowerParams and PicoPowerParams."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetnetsim.power import (
-    MACRO_POWER,
-    PICO_POWER,
-    PicoPowerRows,
-    PowerRows,
-)
-from oracles import EnbMode, consumed_power_w
+from hetnetsim.config import parse_scenario
+from hetnetsim.engine import Response
+from hetnetsim.power import MACRO_POWER, PICO_POWER
+from oracles import MODE_OF_CODE, EnbMode, consumed_power_w
+
+# one row with the default power models, MACRO_POWER and PICO_POWER
+RESPONSE = Response([parse_scenario({"topology": "udc"})])
 
 
 def draw(params, mode, n_served=0):
-    """One station's draw through PowerRows, or a pico's sleep draw
-    through PicoPowerRows, as the engine computes it."""
-    if mode is EnbMode.ACTIVE:
-        rows = PowerRows.of([params])
-        return float(rows.active_draw(np.array([[n_served]]))[0, 0])
-    return float(PicoPowerRows.of([params]).sleep_draw()[0, 0])
+    """One station's draw as engine.Response computes it: the macro's, or
+    that of the one pico of a row."""
+    if params is MACRO_POWER:
+        return float(RESPONSE.macro_power(np.array([n_served]))[0])
+    return float(RESPONSE.pico_power(np.array([[MODE_OF_CODE.index(mode)]]),
+                                     np.array([n_served]))[0])
 
 
 @pytest.mark.parametrize(

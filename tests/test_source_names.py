@@ -22,7 +22,9 @@ ALLOWED = {
     ("topology", "build_udc"),
     ("cli", "main"),                        # the console entry point
     ("kernels", "USING_NUMBA"),             # read by perfbench/sample.py
-    ("config", "serialize_scenario"),       # kept for the run manifest
+    # called only by the round-trip tests of test_config_cli.py; the run
+    # and sweep manifests that ROADMAP item 9 plans would write it
+    ("config", "serialize_scenario"),
 }
 
 
