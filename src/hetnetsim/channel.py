@@ -31,7 +31,7 @@ class ChannelParams:
     min_distance_m: float = 1.0
 
 
-def noise_power_dbm(bandwidth_hz: float, temperature_k: float = 290.0) -> float:
+def noise_power_dbm(bandwidth_hz: float, temperature_k: float) -> float:
     """Thermal noise kTW expressed in dBm."""
     return 10.0 * math.log10(BOLTZMANN * temperature_k * bandwidth_hz * 1000.0)
 

@@ -32,7 +32,7 @@ from .engine import (
     write_user_trace_csv,
     write_users_csv,
 )
-from .presets import DEFAULT_SEED, PRESETS, UnknownPreset, run_preset, run_sweeps
+from .presets import DEFAULT_SEED, PRESETS, run_preset, run_sweeps
 from .topology import TopologyError
 
 
@@ -190,7 +190,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ConfigError, UnknownPreset) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TopologyError as exc:

@@ -25,8 +25,8 @@ from typing import Any
 import yaml
 
 from .channel import ChannelParams
-from .control import InvalidPolicy, ThresholdPolicy
-from .mobility import MobilityError, WorkSchedule
+from .control import ThresholdPolicy
+from .mobility import WorkSchedule
 from .power import MACRO_POWER, PICO_POWER, PicoPowerParams, PowerParams
 
 
@@ -47,7 +47,8 @@ class ValidationError(ConfigError):
 TOPOLOGY_KINDS = ("monet", "coe", "udc", "monet_coe_users", "monet_udc_users")
 
 # the only numbers that may be infinite: t_activate = .inf never wakes,
-# t_deactivate = -.inf never sleeps (ThresholdPolicy rejects the others)
+# t_deactivate = -.inf never sleeps (validate_scenario rejects the other
+# two: -.inf t_activate is below 0, .inf t_deactivate is not below it)
 INFINITE_OK = ("policy.t_activate", "policy.t_deactivate")
 
 # the largest layout.n_picos: layout checks grow as the square of the
@@ -184,10 +185,7 @@ def _build(cls: type, data: Any, path: str, proto: Any) -> Any:
             kwargs[key] = None
         else:
             kwargs[key] = _coerce(raw, default_val, keypath)
-    try:
-        return cls(**kwargs)
-    except (InvalidPolicy, MobilityError) as exc:
-        raise ValidationError(f"{path}.{exc.key}", exc.message) from exc
+    return cls(**kwargs)
 
 
 def _document(source: str | dict) -> dict:
@@ -225,8 +223,31 @@ def parse_scenario(source: str | dict) -> Scenario:
 
 
 def validate_scenario(s: Scenario) -> None:
+    """Every rule on a scenario's values; the first one broken raises."""
     def err(path: str, msg: str):
         raise ValidationError(path, msg)
+
+    W = s.work
+    if not W.start_slots:
+        err("work.start_slots", "must hold at least one slot")
+    if min(W.start_slots) < 0:
+        err("work.start_slots", "must be non-negative")
+    if list(W.start_slots) != sorted(set(W.start_slots)):
+        err("work.start_slots", "must be strictly increasing")
+    if W.duration < 1:
+        err("work.duration", "must be at least 1 slot")
+    # mobility adds duration to the int64 start slots, so the sum must fit
+    if W.start_slots[-1] + W.duration >= 2**63:
+        err("work.duration", "must keep the last work end slot below 2**63, "
+            f"got {W.start_slots[-1]} + {W.duration}")
+
+    P = s.policy
+    # .inf (never wake) passes; -.inf does not
+    if not P.t_activate >= 0.0:
+        err("policy.t_activate", f"must be >= 0, got {P.t_activate}")
+    if P.t_deactivate is not None and P.t_deactivate >= P.t_activate:
+        err("policy.t_deactivate", "must be strictly below t_activate "
+            f"(got {P.t_deactivate} >= {P.t_activate})")
 
     if s.topology not in TOPOLOGY_KINDS:
         err("topology", f"must be one of {TOPOLOGY_KINDS}, got {s.topology!r}")

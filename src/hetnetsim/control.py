@@ -26,31 +26,13 @@ from typing import Optional
 import numpy as np
 
 
-class InvalidPolicy(ValueError):
-    """A threshold out of range; key names the ThresholdPolicy field."""
-
-    def __init__(self, key: str, message: str):
-        self.key = key
-        self.message = message
-        super().__init__(f"{key} {message}")
-
-
 @dataclass(frozen=True)
 class ThresholdPolicy:
-    """t_deactivate = None selects the one-threshold rule."""
+    """t_deactivate = None selects the one-threshold rule; the thresholds'
+    ranges are checked by config.validate_scenario."""
 
     t_activate: float
     t_deactivate: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        # .inf (never wake) passes; -.inf and NaN do not
-        if not self.t_activate >= 0.0:
-            raise InvalidPolicy("t_activate", f"must be >= 0, got {self.t_activate}")
-        if self.t_deactivate is not None and self.t_deactivate >= self.t_activate:
-            raise InvalidPolicy(
-                "t_deactivate", "must be strictly below t_activate "
-                f"(got {self.t_deactivate} >= {self.t_activate})"
-            )
 
     @property
     def t_sleep(self) -> float:

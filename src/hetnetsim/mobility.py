@@ -36,29 +36,13 @@ if TYPE_CHECKING:  # config imports this module
     from .config import UsersConfig
 
 
-class MobilityError(Exception):
-    """A bad work schedule; key names the WorkSchedule field."""
-
-    def __init__(self, key: str, message: str):
-        self.key = key
-        self.message = message
-        super().__init__(f"{key} {message}")
-
-
 @dataclass(frozen=True)
 class WorkSchedule:
+    """Work starts, in slots, and the slots each work interval lasts;
+    config.validate_scenario checks them."""
+
     start_slots: tuple[int, ...] = (0, 42, 83)
     duration: int = 375
-
-    def __post_init__(self) -> None:
-        if not self.start_slots:
-            raise MobilityError("start_slots", "must hold at least one slot")
-        if any(s < 0 for s in self.start_slots):
-            raise MobilityError("start_slots", "must be non-negative")
-        if list(self.start_slots) != sorted(set(self.start_slots)):
-            raise MobilityError("start_slots", "must be strictly increasing")
-        if self.duration < 1:
-            raise MobilityError("duration", "must be at least 1 slot")
 
 
 @dataclass
@@ -233,8 +217,8 @@ def draw_activity_flags(
     pop: UserPopulation,
     containing: np.ndarray,
     rng: np.random.Generator,
-    p_uniform: float = 0.4,
-    p_hotspot: float = 0.8,
+    p_uniform: float,
+    p_hotspot: float,
 ) -> np.ndarray:
     """Per-slot Bernoulli activity for the whole population.
 

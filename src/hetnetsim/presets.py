@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .config import parse_scenario
+from .config import ConfigError, parse_scenario
 from .engine import (
     RunResult,
     run_scenarios,
@@ -40,10 +40,6 @@ P_SLEEPS = [0.0, 8.6]
 REALIZATIONS = 100
 HOTSPOT = 500
 SLOTS = 1000
-
-
-class UnknownPreset(Exception):
-    pass
 
 
 def _ptag(p_sleep: float) -> str:
@@ -230,7 +226,7 @@ PRESETS: dict[str, tuple[str, Callable]] = {
 def run_preset(name: str, outdir: str | Path, seed: int = DEFAULT_SEED) -> Path:
     """Run a named preset into outdir; returns the manifest path."""
     if name not in PRESETS:
-        raise UnknownPreset(
+        raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         )
     outdir = Path(outdir)

@@ -22,15 +22,8 @@ import numpy as np
 
 
 class TopologyError(Exception):
-    """Base class for layout construction failures."""
-
-
-class RingOverflow(TopologyError):
-    """Requested more ring picos than fit edge-to-edge on the ring."""
-
-
-class PlacementFailure(TopologyError):
-    """Random placement could not fit all picos within the attempt budget."""
+    """A layout that cannot be built: too many ring picos, a random
+    placement out of attempts, or picos that escape or overlap."""
 
 
 @dataclass(frozen=True)
@@ -107,7 +100,7 @@ def build_coe(
         raise TopologyError("pico_radius must be smaller than macro_radius")
     step = 2.0 * math.asin(pico_radius / ring)
     if n_picos * step > 2.0 * math.pi + 1e-12:
-        raise RingOverflow(
+        raise TopologyError(
             f"{n_picos} picos of radius {pico_radius} do not fit on the ring "
             f"(need {n_picos * step:.4f} rad, have {2 * math.pi:.4f})"
         )
@@ -144,7 +137,7 @@ def build_udc(
     Candidate centers are drawn uniformly over the disc of radius R - r
     (so the pico fits inside the macro) and accepted if at least 2r away
     from every previously placed center.  Each pico gets its own attempt
-    budget; exhausting it raises PlacementFailure, as does a count whose
+    budget; exhausting it raises TopologyError, as does a count whose
     discs together outcover the macro disc, which no packing can hold.
     Candidates come from rng in blocks, so rng is left further along than
     the attempts made.
@@ -154,7 +147,7 @@ def build_udc(
     if pico_radius >= macro_radius:
         raise TopologyError("pico_radius must be smaller than macro_radius")
     if n_picos * pico_radius * pico_radius > macro_radius * macro_radius:
-        raise PlacementFailure(
+        raise TopologyError(
             f"{n_picos} picos of radius {pico_radius} cover more area than "
             f"the macro disc of radius {macro_radius}"
         )
@@ -175,7 +168,7 @@ def build_udc(
                 z[i] = complex(cx, cy)
                 break
         else:
-            raise PlacementFailure(
+            raise TopologyError(
                 f"could not place pico {i} after {max_attempts} attempts"
             )
     topo = Topology("udc", macro_radius, z.real, z.imag, pico_radius)

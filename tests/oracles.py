@@ -22,7 +22,7 @@ import numpy as np
 from hetnetsim.channel import ChannelParams
 from hetnetsim.control import ThresholdPolicy
 from hetnetsim.power import PowerParams
-from hetnetsim.topology import PlacementFailure, Topology, TopologyError
+from hetnetsim.topology import Topology, TopologyError
 
 BOLTZMANN = 1.380649e-23  # J/K
 
@@ -157,7 +157,7 @@ def udc_centres(
 ) -> list[tuple[float, float]]:
     """The udc placement scan: per pico, draw candidate offsets (one
     uniform pair per attempt, rejected outside the unit disc) until one is
-    at least 2r from every centre placed so far; PlacementFailure when a
+    at least 2r from every centre placed so far; TopologyError when a
     pico's attempts run out.  No area or radius checks."""
     inner = macro_radius - pico_radius
     placed: list[tuple[float, float]] = []
@@ -175,7 +175,7 @@ def udc_centres(
                 placed.append((cx, cy))
                 break
         else:
-            raise PlacementFailure(
+            raise TopologyError(
                 f"could not place pico {i} after {max_attempts} attempts"
             )
     return placed

@@ -26,7 +26,7 @@ from oracles import (
     shannon_capacity_bps,
 )
 
-NOISE_20KHZ_DBM = -130.9648872375883
+NOISE_20KHZ_DBM = -130.9648872375883  # at 290 K
 PL_MACRO_250M = 118.60439831826376
 PL_PICO_25M = 67.86254432606862
 CAP_MACRO_250M = 480752.6838773229
@@ -62,11 +62,12 @@ class TestPathLoss:
 
 
 def test_noise_floor_at_20khz():
-    assert noise_power_dbm(20e3) == pytest.approx(NOISE_20KHZ_DBM, abs=1e-9)
+    assert noise_power_dbm(20e3, 290.0) == pytest.approx(NOISE_20KHZ_DBM, abs=1e-9)
 
 
 def test_noise_scales_10db_per_decade():
-    assert noise_power_dbm(2e6) - noise_power_dbm(2e5) == pytest.approx(10.0, abs=1e-9)
+    assert (noise_power_dbm(2e6, 290.0) - noise_power_dbm(2e5, 290.0)
+            == pytest.approx(10.0, abs=1e-9))
 
 
 def test_bandwidth_split():
@@ -103,7 +104,7 @@ class TestEvaluateLink:
     def test_kernel_gives_the_reference_capacities(self):
         def cap(dist, pico_link):
             return kernels.link_capacity(np.array([dist]), np.zeros(1), pico_link,
-                                         20e3, 60.0, 35.0, noise_power_dbm(20e3), 1.0)
+                                         20e3, 60.0, 35.0, noise_power_dbm(20e3, 290.0), 1.0)
         np.testing.assert_allclose(cap(250.0, False), [CAP_MACRO_250M], rtol=1e-12)
         np.testing.assert_allclose(cap(25.0, True), [CAP_PICO_25M], rtol=1e-12)
 

@@ -525,14 +525,16 @@ def test_non_finite_numbers_are_rejected_with_their_path(tmp_path, capsys, doc, 
     ("topology: coe\nlayout: {pico_radius_m: 1.0e-300}\n", "layout"),
     ("topology: coe\nlayout: {pico_radius_m: 1.0e-10}\n", "layout"),
     ("topology: udc\nwork: {duration: 0}\n", "work.duration"),
+    ("topology: udc\nwork: {start_slots: [0, 5], duration: 9223372036854775803}\n",
+     "work.duration"),
     ("topology: udc\nwork: {start_slots: []}\n", "work.start_slots"),
     ("topology: udc\nwork: {start_slots: [-1, 5]}\n", "work.start_slots"),
     ("topology: udc\nwork: {start_slots: [5, 5]}\n", "work.start_slots"),
 ], ids=["boot_slots", "zero_users", "users_1e12", "hotspot_over_total",
         "hotspot_on_monet", "hotspot_without_picos", "n_picos_1e5", "n_picos_2e62",
         "t_activate_minus_inf", "t_activate_negative", "pico_radius_1e-300",
-        "pico_radius_1e-10", "work_duration_0", "work_no_start_slots",
-        "work_negative_start_slot", "work_repeated_start_slot"])
+        "pico_radius_1e-10", "work_duration_0", "work_end_past_int64",
+        "work_no_start_slots", "work_negative_start_slot", "work_repeated_start_slot"])
 def test_rejected_documents_exit_1_with_their_path(tmp_path, capsys, doc, path):
     """Documents that validation rejects exit 1 before anything runs, and
     the message names the offending key: engine code relies on these rules
@@ -544,6 +546,22 @@ def test_rejected_documents_exit_1_with_their_path(tmp_path, capsys, doc, path):
     assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_largest_work_duration_keeps_every_wave_at_work(tmp_path):
+    """The largest duration validation accepts, 2**63 - 1 minus the last
+    start slot, keeps both waves of hotspot users at work through the run,
+    as a duration of 10**6 slots does."""
+    doc = tmp_path / "scenario.yaml"
+    doc.write_text("topology: udc\nslots: 60\nusers: {total: 200, hotspot: 100}\n"
+                   "work: {start_slots: [0, 5]}\n")
+    slots = []
+    for duration in (2**63 - 1 - 5, 10**6):
+        out = tmp_path / str(duration)
+        assert main(["run", "--scenario", str(doc), "--out", str(out),
+                     "--set", f"work.duration={duration}"]) == 0
+        slots.append((out / "slots.csv").read_bytes())
+    assert slots[0] == slots[1]
 
 
 EXTREME_LINK_BUDGETS = [

@@ -12,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from hetnetsim.config import ValidationError, parse_scenario
 from hetnetsim.control import (
     ACTIVE as ACTIVE_CODE,
     BOOT as BOOT_CODE,
     MODES,
     SLEEP as SLEEP_CODE,
-    InvalidPolicy,
     ThresholdPolicy,
     step_modes,
 )
@@ -70,30 +70,47 @@ def run_sequence(policy, counts, state=SLEEP, boot_slots=1):
     return trail
 
 
+def policy(**fields):
+    """The parsed policy of a udc document with these policy fields."""
+    return parse_scenario({"topology": "udc", "policy": fields}).policy
+
+
+def rejected(message, **fields):
+    with pytest.raises(ValidationError) as exc:
+        policy(**fields)
+    assert str(exc.value) == message
+
+
 class TestPolicyValidation:
+    """Policies go through parse_scenario: config.validate_scenario is
+    the one check of their thresholds."""
+
     def test_equal_thresholds_rejected(self):
-        with pytest.raises(InvalidPolicy):
-            ThresholdPolicy(t_activate=5, t_deactivate=5)
+        rejected("policy.t_deactivate: must be strictly below t_activate "
+                 "(got 5.0 >= 5.0)", t_activate=5, t_deactivate=5)
 
     def test_inverted_thresholds_rejected(self):
-        with pytest.raises(InvalidPolicy):
-            ThresholdPolicy(t_activate=5, t_deactivate=6)
+        rejected("policy.t_deactivate: must be strictly below t_activate "
+                 "(got 6.0 >= 5.0)", t_activate=5, t_deactivate=6)
 
     def test_negative_activate_rejected(self):
-        with pytest.raises(InvalidPolicy):
-            ThresholdPolicy(t_activate=-1)
+        rejected("policy.t_activate: must be >= 0, got -1.0",
+                 t_activate=-1, t_deactivate=None)
 
     def test_zero_and_infinite_activate_allowed(self):
-        ThresholdPolicy(t_activate=0)
-        ThresholdPolicy(t_activate=math.inf, t_deactivate=4)
+        assert policy(t_activate=0, t_deactivate=None) == ThresholdPolicy(0.0)
+        assert (policy(t_activate=math.inf, t_deactivate=4)
+                == ThresholdPolicy(math.inf, 4.0))
 
-    @pytest.mark.parametrize("t", [-math.inf, math.nan])
-    def test_minus_infinite_and_nan_activate_rejected(self, t):
-        with pytest.raises(InvalidPolicy, match="^t_activate must be >= 0"):
-            ThresholdPolicy(t_activate=t, t_deactivate=None)
+    @pytest.mark.parametrize("t, message", [
+        (-math.inf, "policy.t_activate: must be >= 0, got -inf"),
+        (math.nan, "policy.t_activate: must be finite, got nan"),
+    ], ids=["-inf", "nan"])
+    def test_minus_infinite_and_nan_activate_rejected(self, t, message):
+        rejected(message, t_activate=t, t_deactivate=None)
 
     def test_minus_infinite_deactivate_allowed(self):
-        ThresholdPolicy(t_activate=5, t_deactivate=-math.inf)
+        assert policy(t_activate=5, t_deactivate=-math.inf).t_deactivate == -math.inf
 
     def test_single_threshold_has_no_deactivate(self):
         assert ThresholdPolicy(t_activate=9).t_deactivate is None

@@ -19,6 +19,7 @@ from hetnetsim.control import ACTIVE, BOOT, SLEEP
 from hetnetsim.engine import (
     HIST_BINS,
     OUTPUTS,
+    EngineError,
     Response,
     SlotColumns,
     UserTrace,
@@ -212,6 +213,23 @@ def test_timeseries_covers_every_slot():
 def test_unknown_output_names_are_rejected():
     with pytest.raises(ValueError, match="histogram"):
         run_scenario(scenario(users={"total": 10}), {"per_user", "histogram"})
+
+
+@pytest.mark.parametrize("writer, output", [
+    (write_users_csv, "per_user"),
+    (write_histogram_csv, "per_user"),
+    (write_pico_view_csv, "per_user"),
+    (write_user_trace_csv, "user_trace"),
+    (write_pico_trace_csv, "pico_trace"),
+])
+def test_writers_need_their_output(tmp_path, writer, output):
+    """A writer whose output was not requested raises EngineError and
+    writes nothing, whatever else was requested."""
+    result = run_scenario(scenario(slots=3, users={"total": 20}), OUTPUTS - {output})
+    path = tmp_path / "out.csv"
+    with pytest.raises(EngineError, match=f"without the {output} output"):
+        writer(result, path)
+    assert not path.exists()
 
 
 def test_slot_metrics_are_internally_consistent():

@@ -184,7 +184,9 @@ class TestActivityDraws:
         pop = init_population(topo, SCHEDULE, UsersConfig(total=4000, hotspot=0), rng)
         containing = np.full(4000, -1)
         hits = sum(
-            draw_activity_flags(pop, containing, rng).sum() for _ in range(10)
+            draw_activity_flags(pop, containing, rng, PARAMS.activity_uniform,
+                                PARAMS.activity_hotspot).sum()
+            for _ in range(10)
         )
         assert hits / 40000 == pytest.approx(0.4, abs=0.02)
 
@@ -199,9 +201,3 @@ class TestActivityDraws:
         ])
         assert flags_mean == 0.0
 
-
-def test_work_schedule_validation():
-    with pytest.raises(Exception):
-        WorkSchedule(start_slots=(), duration=100)
-    with pytest.raises(Exception):
-        WorkSchedule(start_slots=(0,), duration=0)
