@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .config import (
     ConfigError,
-    ParseError,
     apply_overrides,
     parse_scenario,
     read_scenario_document,
@@ -80,15 +79,15 @@ def _cmd_run(args) -> int:
 
 def _sweep_values(start: float, stop: float, step: float) -> list[float]:
     if not all(map(math.isfinite, (start, stop, step))):
-        raise ParseError("--from, --to and --step must be finite")
+        raise ConfigError("--from, --to and --step must be finite")
     if step <= 0:
-        raise ParseError("--step must be positive")
+        raise ConfigError("--step must be positive")
     if stop < start:
-        raise ParseError("--to must be >= --from")
+        raise ConfigError("--to must be >= --from")
     # a float's spacing grows with its size: a step lost to rounding at
     # either end would stall the loop below
     if start + step == start or stop + step == stop:
-        raise ParseError(f"--step {step!r} is too small to advance from --from or --to")
+        raise ConfigError(f"--step {step!r} is too small to advance from --from or --to")
     values = []
     v = start
     while v <= stop + 1e-9:

@@ -1,8 +1,10 @@
-"""Scenario configuration: YAML parsing, strict validation, serialization.
+"""Scenario configuration: the schema, YAML parsing, strict validation,
+serialization.
 
-A scenario document is the Scenario dataclass tree below written as a
-nested mapping: each key is a field, each section a nested dataclass, and
-every omitted key falls back to the defaults (the standard
+This module defines every section of a scenario and imports nothing from
+the package.  A scenario document is the Scenario dataclass tree below
+written as a nested mapping: each key is a field, each section a nested
+dataclass, and every omitted key falls back to the defaults (the standard
 experiment: 1000 users, 28 picos of 50 m in a 500 m macro cell, 20 MHz,
 two-threshold control at 9/4).  Section values merge field-by-field onto
 the defaults, so `policy: {t_activate: 12}` keeps t_deactivate at 4; a
@@ -11,7 +13,8 @@ anywhere are hard errors, reported with their dotted path.  Numbers must
 be finite, save the two policy thresholds: `.inf` is a valid t_activate
 (never wake) and `-.inf` a valid t_deactivate (never sleep).  Integers
 must fit in 64 bits.  The link-budget keys lie in physical ranges
-(CHANNEL_RANGES, MAX_MACRO_RADIUS_M).
+(CHANNEL_RANGES, MAX_MACRO_RADIUS_M).  validate_scenario holds every rule,
+and a Scenario runs it when it is built, parsed or not.
 """
 
 from __future__ import annotations
@@ -20,21 +23,13 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Optional
 
+import numpy as np
 import yaml
-
-from .channel import ChannelParams
-from .control import ThresholdPolicy
-from .mobility import WorkSchedule
-from .power import MACRO_POWER, PICO_POWER, PicoPowerParams, PowerParams
 
 
 class ConfigError(Exception):
-    pass
-
-
-class ParseError(ConfigError):
     pass
 
 
@@ -59,6 +54,10 @@ MAX_PICOS = 10_000
 # and a 3-slot udc run of 10^6 users peaks at about 210 MiB, while 10^12
 # users would ask for terabytes before the first slot
 MAX_USERS = 1_000_000
+
+# the largest slots and realizations: the engine preallocates a slot column
+# entry for each, and at ~0.6 s per 1000 paper-scale slots 10^6 take ~10 min
+MAX_SLOTS = 1_000_000
 
 # physical ranges, inclusive, of the keys that enter the link budget; far
 # past them a link's capacity overflows to inf or rounds to 0 b/s.  The
@@ -99,6 +98,72 @@ class UsersConfig:
 
 
 @dataclass(frozen=True)
+class WorkSchedule:
+    """Work starts, in slots, and the slots each work interval lasts."""
+
+    start_slots: tuple[int, ...] = (0, 42, 83)
+    duration: int = 375
+
+
+@dataclass(frozen=True)
+class ThresholdPolicy:
+    """t_deactivate = None selects the one-threshold rule."""
+
+    t_activate: float
+    t_deactivate: Optional[float] = None
+
+    @property
+    def t_sleep(self) -> float:
+        """The count at or below which an Active pico sleeps.  Counts are
+        integers, so the one-threshold rule (sleep when count < t_activate)
+        is count <= ceil(t_activate) - 1; np.ceil, as math.ceil(inf) raises."""
+        if self.t_deactivate is None:
+            return np.ceil(self.t_activate) - 1.0
+        return self.t_deactivate
+
+
+@dataclass(frozen=True)
+class ChannelParams:
+    """Per-tier radio constants plus system-wide bandwidth and temperature."""
+
+    bandwidth_hz: float = 20e6
+    temperature_k: float = 290.0
+    macro_tx_dbm: float = 46.0
+    macro_antenna_gain_dbi: float = 14.0
+    macro_shadow_sigma_db: float = 8.0
+    pico_tx_dbm: float = 30.0
+    pico_antenna_gain_dbi: float = 5.0
+    pico_shadow_sigma_db: float = 10.0
+    ue_antenna_gain_dbi: float = 0.0
+    min_distance_m: float = 1.0
+
+
+@dataclass(frozen=True)
+class PowerParams:
+    """An active station draws sectors * (p0 + delta_p * p_max * min(n, cap)
+    / cap) serving n users (engine.active_draw); the macro is never asleep."""
+
+    sectors: int
+    p_max_w: float       # max transmit power per sector
+    p0_w: float          # fixed per-sector draw while active
+    delta_p: float       # slope of the load-dependent part
+    user_capacity: int   # load saturates here
+
+
+@dataclass(frozen=True)
+class PicoPowerParams(PowerParams):
+    """A station that also sleeps, the pico."""
+
+    p_sleep_w: float     # per-sector draw in Sleep and Boot
+
+
+MACRO_POWER = PowerParams(sectors=3, p_max_w=40.0, p0_w=260.0, delta_p=4.75,
+                          user_capacity=1000)
+PICO_POWER = PicoPowerParams(sectors=1, p_max_w=0.25, p0_w=13.6, delta_p=4.0,
+                             user_capacity=50, p_sleep_w=8.6)
+
+
+@dataclass(frozen=True)
 class PowerConfig:
     """The macro never sleeps; only the pico has a sleep floor."""
 
@@ -111,6 +176,9 @@ DEFAULT_POLICY = ThresholdPolicy(t_activate=9.0, t_deactivate=4.0)
 
 @dataclass(frozen=True)
 class Scenario:
+    """A whole scenario; building one runs validate_scenario, so every
+    Scenario holds valid values."""
+
     topology: str = "monet"
     seed: int = 1
     slots: int = 1
@@ -122,6 +190,9 @@ class Scenario:
     policy: ThresholdPolicy = DEFAULT_POLICY
     channel: ChannelParams = ChannelParams()
     power: PowerConfig = PowerConfig()
+
+    def __post_init__(self):
+        validate_scenario(self)
 
     def serves_from_picos(self) -> bool:
         """Whether picos actually serve users (vs. only shaping them)."""
@@ -194,13 +265,13 @@ def _document(source: str | dict) -> dict:
         try:
             data = yaml.safe_load(source)
         except yaml.YAMLError as exc:
-            raise ParseError(f"malformed scenario document: {exc}") from exc
+            raise ConfigError(f"malformed scenario document: {exc}") from exc
     else:
         data = source
     if data is None:
         data = {}
     if not isinstance(data, dict):
-        raise ParseError(
+        raise ConfigError(
             f"scenario document must be a mapping, got {type(data).__name__}"
         )
     return data
@@ -211,15 +282,13 @@ def read_scenario_document(path: str | Path) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ParseError(f"cannot read scenario file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
     return _document(text)
 
 
 def parse_scenario(source: str | dict) -> Scenario:
     """Parse and fully validate a scenario document (YAML text or mapping)."""
-    scenario = _build(Scenario, _document(source), "", Scenario())
-    validate_scenario(scenario)
-    return scenario
+    return _build(Scenario, _document(source), "", Scenario())
 
 
 def validate_scenario(s: Scenario) -> None:
@@ -253,10 +322,10 @@ def validate_scenario(s: Scenario) -> None:
         err("topology", f"must be one of {TOPOLOGY_KINDS}, got {s.topology!r}")
     if s.seed < 0:
         err("seed", "must be a non-negative integer")
-    if s.slots < 1:
-        err("slots", "must be >= 1")
-    if s.realizations < 1:
-        err("realizations", "must be >= 1")
+    if not 1 <= s.slots <= MAX_SLOTS:
+        err("slots", f"must lie in [1, {MAX_SLOTS}]")
+    if not 1 <= s.realizations <= MAX_SLOTS:
+        err("realizations", f"must lie in [1, {MAX_SLOTS}]")
     if s.slots > 1 and s.realizations > 1:
         err("realizations",
             "multi-slot runs use a single realization (slots > 1 requires realizations = 1)")

@@ -15,34 +15,13 @@ activation point.
 
 The engine holds every pico's mode as an int code (SLEEP, BOOT, ACTIVE)
 and advances the (K, m) picos of K scenarios at once with step_modes,
-each row under its own policy's (K, 1) threshold columns.
+each row under its own policy's (K, 1) threshold columns.  The policy
+itself is a config.ThresholdPolicy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ThresholdPolicy:
-    """t_deactivate = None selects the one-threshold rule; the thresholds'
-    ranges are checked by config.validate_scenario."""
-
-    t_activate: float
-    t_deactivate: Optional[float] = None
-
-    @property
-    def t_sleep(self) -> float:
-        """The count at or below which an Active pico sleeps.  Counts are
-        integers, so the one-threshold rule (sleep when count < t_activate)
-        is count <= ceil(t_activate) - 1; np.ceil, as math.ceil(inf) raises."""
-        if self.t_deactivate is None:
-            return np.ceil(self.t_activate) - 1.0
-        return self.t_deactivate
-
 
 # int mode codes of the control arrays; MODES[code] is the mode's trace label
 SLEEP, BOOT, ACTIVE = 0, 1, 2
@@ -61,7 +40,7 @@ def step_modes(
 
     mode and boot_remaining are (K, m) arrays: row k holds the picos of a
     scenario that wakes a pico at count >= t_activate[k], sleeps it at
-    count <= t_sleep[k] (its ThresholdPolicy.t_sleep) and boots it in
+    count <= t_sleep[k] (its config.ThresholdPolicy.t_sleep) and boots it in
     boot_slots[k] >= 0 slots; all three are (K, 1) columns.  counts
     broadcasts against mode: the engine passes one (m,) vector, as every
     row sees the same users.

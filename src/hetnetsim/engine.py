@@ -32,6 +32,7 @@ each scenario is one row of the group's (K, m) pico control and power.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import chain, repeat
@@ -41,15 +42,15 @@ from typing import Collection, Iterable, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .channel import noise_power_dbm, user_bandwidth
-from .config import Scenario
+from .config import PowerParams, Scenario
 from .control import ACTIVE, MODES, SLEEP, step_modes
 from .mobility import draw_activity_flags, init_population, step_population
-from .power import PowerParams
 from .topology import Topology, build_coe, build_monet, build_udc
 
 TAG_TOPOLOGY = 0
 TAG_WORLD = 1
+
+BOLTZMANN = 1.380649e-23  # J/K
 
 HIST_BIN_WIDTH = 1e4
 HIST_MAX = 1e6
@@ -64,6 +65,19 @@ OUTPUTS = frozenset({"per_user", "user_trace", "pico_trace"})
 
 class EngineError(Exception):
     pass
+
+
+def noise_power_dbm(bandwidth_hz: float, temperature_k: float) -> float:
+    """Thermal noise kTW expressed in dBm."""
+    return 10.0 * math.log10(BOLTZMANN * temperature_k * bandwidth_hz * 1000.0)
+
+
+def active_draw(P: PowerParams, n_served):
+    """Draw of a station serving n_served users, elementwise when P's
+    fields are (K, 1) columns of K rows (Response):
+    sectors * (p0 + delta_p * p_max * load)."""
+    load = np.minimum(n_served, P.user_capacity) / P.user_capacity
+    return P.sectors * (P.p0_w + P.delta_p * P.p_max_w * load)
 
 
 def compute_ee(capacity_bps: np.ndarray, power_w: np.ndarray) -> np.ndarray:
@@ -163,7 +177,7 @@ class Response:
         """(K,) summed draw of each row's picos: load-dependent when Active,
         the sleep floor in Sleep and Boot; 0 W in a row whose layout does
         not serve."""
-        draw = np.where(mode == ACTIVE, self.pico.active_draw(counts),
+        draw = np.where(mode == ACTIVE, active_draw(self.pico, counts),
                         self.pico.sectors * self.pico.p_sleep_w)
         # added in pico order after a 0.0 column, which is the sum without
         # picos: np.sum's pairwise order would change the bytes, and the
@@ -174,7 +188,7 @@ class Response:
     def macro_power(self, n_served: np.ndarray) -> np.ndarray:
         """(K,) draw of each row's macro, which never sleeps, serving
         n_served[k] users."""
-        return self.macro.active_draw(n_served[:, None])[:, 0]
+        return active_draw(self.macro, n_served[:, None])[:, 0]
 
 
 class World:
@@ -208,7 +222,8 @@ class World:
         self.discs = discs
 
         C = scenario.channel
-        self.w_user = user_bandwidth(C.bandwidth_hz, scenario.users.total)
+        # every configured user gets an equal share, active or not
+        self.w_user = C.bandwidth_hz / scenario.users.total
         self.noise_dbm = noise_power_dbm(self.w_user, C.temperature_k)
         self.eirp_macro = C.macro_tx_dbm + C.macro_antenna_gain_dbi + C.ue_antenna_gain_dbi
         self.eirp_pico = C.pico_tx_dbm + C.pico_antenna_gain_dbi + C.ue_antenna_gain_dbi

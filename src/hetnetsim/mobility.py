@@ -25,24 +25,12 @@ so the number of draws consumed never depends on cell positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import kernels
+from .config import UsersConfig, WorkSchedule
 from .topology import Topology
-
-if TYPE_CHECKING:  # config imports this module
-    from .config import UsersConfig
-
-
-@dataclass(frozen=True)
-class WorkSchedule:
-    """Work starts, in slots, and the slots each work interval lasts;
-    config.validate_scenario checks them."""
-
-    start_slots: tuple[int, ...] = (0, 42, 83)
-    duration: int = 375
 
 
 @dataclass

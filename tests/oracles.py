@@ -5,7 +5,7 @@ whole arrays at once.
 
 The control oracle (step_state) transcribes the state table in
 ``hetnetsim.control``'s docstring, consumed_power_w the station power
-formula in ``hetnetsim.power``'s, and rate_histogram the binning of
+formula in ``hetnetsim.config.PowerParams``'s, and rate_histogram the binning of
 ``histogram.csv``; none calls a hetnetsim function.  The link-budget
 oracles pick the tier with a ``pico`` bool, as kernels.link_capacity does.
 """
@@ -19,9 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from hetnetsim.channel import ChannelParams
-from hetnetsim.control import ThresholdPolicy
-from hetnetsim.power import PowerParams
+from hetnetsim.config import ChannelParams, PowerParams, ThresholdPolicy
 from hetnetsim.topology import Topology, TopologyError
 
 BOLTZMANN = 1.380649e-23  # J/K

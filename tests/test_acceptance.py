@@ -14,10 +14,9 @@ import numpy as np
 import pytest
 
 from hetnetsim import kernels
-from hetnetsim.config import parse_scenario
-from hetnetsim.control import ACTIVE, BOOT, SLEEP, ThresholdPolicy, step_modes
+from hetnetsim.config import MACRO_POWER, PICO_POWER, ThresholdPolicy, parse_scenario
+from hetnetsim.control import ACTIVE, BOOT, SLEEP, step_modes
 from hetnetsim.engine import Response, run_scenario, run_scenarios
-from hetnetsim.power import MACRO_POWER, PICO_POWER
 from hetnetsim.presets import run_preset
 from hetnetsim.topology import build_udc
 from oracles import EnbMode, consumed_power_w, containing_pico, contains_point, evaluate_link

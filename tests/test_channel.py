@@ -2,7 +2,7 @@
 
 The frozen constants below were computed with plain dB arithmetic
 (log-domain, no shared code with the module under test).  They pin the
-program's noise floor and bandwidth split, the capacity of
+program's noise floor, the capacity of
 kernels.link_capacity at two reference links, and the scalar link-budget
 oracle in tests/oracles.py, which the kernel tests compare against.
 """
@@ -13,11 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetnetsim import kernels
-from hetnetsim.channel import (
-    ChannelParams,
-    noise_power_dbm,
-    user_bandwidth,
-)
+from hetnetsim.config import ChannelParams
+from hetnetsim.engine import noise_power_dbm
 from oracles import (
     NonPositiveDistance,
     evaluate_link,
@@ -68,10 +65,6 @@ def test_noise_floor_at_20khz():
 def test_noise_scales_10db_per_decade():
     assert (noise_power_dbm(2e6, 290.0) - noise_power_dbm(2e5, 290.0)
             == pytest.approx(10.0, abs=1e-9))
-
-
-def test_bandwidth_split():
-    assert user_bandwidth(20e6, 1000) == 20000.0
 
 
 def test_shannon_zero_snr_is_zero_rate():

@@ -21,7 +21,9 @@ from hetnetsim.config import (
     MAX_MACRO_RADIUS_M,
     ConfigError,
     Scenario,
+    UsersConfig,
     ValidationError,
+    WorkSchedule,
     apply_overrides,
     parse_scenario,
     scenario_to_dict,
@@ -509,6 +511,8 @@ def test_non_finite_numbers_are_rejected_with_their_path(tmp_path, capsys, doc, 
 
 @pytest.mark.parametrize("doc, path", [
     ("topology: udc\nboot_slots: -1\n", "boot_slots"),
+    ("topology: udc\nslots: 1000000000000\n", "slots"),
+    ("topology: udc\nrealizations: 1000000000000\n", "realizations"),
     ("topology: udc\nusers: {total: 0}\n", "users.total"),
     ("topology: udc\nusers: {total: 1000000000000}\n", "users.total"),
     ("topology: udc\nusers: {total: 10, hotspot: 11}\n", "users.hotspot"),
@@ -530,7 +534,7 @@ def test_non_finite_numbers_are_rejected_with_their_path(tmp_path, capsys, doc, 
     ("topology: udc\nwork: {start_slots: []}\n", "work.start_slots"),
     ("topology: udc\nwork: {start_slots: [-1, 5]}\n", "work.start_slots"),
     ("topology: udc\nwork: {start_slots: [5, 5]}\n", "work.start_slots"),
-], ids=["boot_slots", "zero_users", "users_1e12", "hotspot_over_total",
+], ids=["boot_slots", "slots_1e12", "realizations_1e12", "zero_users", "users_1e12", "hotspot_over_total",
         "hotspot_on_monet", "hotspot_without_picos", "n_picos_1e5", "n_picos_2e62",
         "t_activate_minus_inf", "t_activate_negative", "pico_radius_1e-300",
         "pico_radius_1e-10", "work_duration_0", "work_end_past_int64",
@@ -540,12 +544,24 @@ def test_rejected_documents_exit_1_with_their_path(tmp_path, capsys, doc, path):
     the message names the offending key: engine code relies on these rules
     (one user at least, a pico for every hotspot user, boot_slots >= 0),
     layouts past MAX_PICOS would not finish, and populations past
-    MAX_USERS would not fit in memory."""
+    MAX_USERS, or slot columns past MAX_SLOTS, would not fit in memory."""
     scenario = tmp_path / "scenario.yaml"
     scenario.write_text(doc)
     assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sections, path", [
+    ({"users": UsersConfig(total=0)}, "users.total"),
+    ({"users": UsersConfig(hotspot=5), "work": WorkSchedule(start_slots=())},
+     "work.start_slots"),
+])
+def test_scenario_built_in_python_is_checked(sections, path):
+    """A Scenario built without parse_scenario is checked as it is built,
+    so run_scenario never sees a value validation rejects."""
+    with pytest.raises(ValidationError, match=f"^{re.escape(path)}: "):
+        run_scenario(Scenario(topology="udc", slots=3, **sections))
 
 
 def test_largest_work_duration_keeps_every_wave_at_work(tmp_path):

@@ -12,13 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hetnetsim.config import ValidationError, parse_scenario
+from hetnetsim.config import ThresholdPolicy, ValidationError, parse_scenario
 from hetnetsim.control import (
     ACTIVE as ACTIVE_CODE,
     BOOT as BOOT_CODE,
     MODES,
     SLEEP as SLEEP_CODE,
-    ThresholdPolicy,
     step_modes,
 )
 from oracles import (

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from hetnetsim.config import UsersConfig
+from hetnetsim.config import UsersConfig, WorkSchedule
 from hetnetsim.mobility import (
     UserPopulation,
-    WorkSchedule,
     draw_activity_flags,
     init_population,
     step_population,

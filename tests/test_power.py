@@ -1,14 +1,13 @@
 """Consumption model: exact endpoint values and load behaviour of the
-draws engine.Response computes from power.PowerParams and PicoPowerParams."""
+draws engine.Response computes from config.PowerParams and PicoPowerParams."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetnetsim.config import parse_scenario
+from hetnetsim.config import MACRO_POWER, PICO_POWER, parse_scenario
 from hetnetsim.engine import Response
-from hetnetsim.power import MACRO_POWER, PICO_POWER
 from oracles import MODE_OF_CODE, EnbMode, consumed_power_w
 
 # one row with the default power models, MACRO_POWER and PICO_POWER

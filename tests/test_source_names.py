@@ -5,6 +5,10 @@ tests (tests/oracles.py holds the reference implementations).  The check
 parses each module with ast and looks for a use of each module-level name
 anywhere in the package outside that name's own definition: a bare name,
 or an attribute of a package module (``kernels.containing_disc``).
+
+The layering checks keep config, the scenario schema, below every other
+module: it imports nothing from the package, so no module needs a
+``TYPE_CHECKING`` import to break a cycle.
 """
 
 import ast
@@ -74,3 +78,21 @@ def test_allowlist_names_exist():
     for module, name in ALLOWED:
         tree = ast.parse((PACKAGE / f"{module}.py").read_text())
         assert name in module_names(tree), (module, name)
+
+
+def test_config_imports_nothing_from_the_package():
+    for node in ast.walk(ast.parse((PACKAGE / "config.py").read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = ([node.module or ""] if isinstance(node, ast.ImportFrom)
+                       else [alias.name for alias in node.names])
+            assert getattr(node, "level", 0) == 0, ast.unparse(node)
+            assert not any(m.split(".")[0] == "hetnetsim" for m in modules), ast.unparse(node)
+
+
+def test_no_module_uses_type_checking():
+    for path in sorted(PACKAGE.glob("*.py")):
+        # a bare name, an attribute (typing.TYPE_CHECKING) or an imported name
+        names = {getattr(node, "id", None) or getattr(node, "attr", None)
+                 or getattr(node, "name", None)
+                 for node in ast.walk(ast.parse(path.read_text()))}
+        assert "TYPE_CHECKING" not in names, path.name
