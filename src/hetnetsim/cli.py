@@ -77,6 +77,10 @@ def _cmd_run(args) -> int:
     return 0
 
 
+# the most points a sweep runs: each is a document and a result in memory
+MAX_SWEEP_POINTS = 10_000
+
+
 def _sweep_values(start: float, stop: float, step: float) -> list[float]:
     if not all(map(math.isfinite, (start, stop, step))):
         raise ConfigError("--from, --to and --step must be finite")
@@ -91,6 +95,8 @@ def _sweep_values(start: float, stop: float, step: float) -> list[float]:
     values = []
     v = start
     while v <= stop + 1e-9:
+        if len(values) == MAX_SWEEP_POINTS:
+            raise ConfigError(f"--step {step!r} gives more than {MAX_SWEEP_POINTS} points")
         values.append(round(v, 10))
         v += step
     return values

@@ -59,6 +59,9 @@ MAX_USERS = 1_000_000
 # entry for each, and at ~0.6 s per 1000 paper-scale slots 10^6 take ~10 min
 MAX_SLOTS = 1_000_000
 
+# the largest layout.max_place_attempts: an unplaceable udc layout spends it all
+MAX_PLACE_ATTEMPTS = 1_000_000
+
 # physical ranges, inclusive, of the keys that enter the link budget; far
 # past them a link's capacity overflows to inf or rounds to 0 b/s.  The
 # pico radius lies below the macro radius.
@@ -342,8 +345,8 @@ def validate_scenario(s: Scenario) -> None:
         err("layout.pico_radius_m", "must be smaller than macro_radius_m")
     if not 0 <= L.n_picos <= MAX_PICOS:
         err("layout.n_picos", f"must lie in [0, {MAX_PICOS}]")
-    if L.max_place_attempts < 1:
-        err("layout.max_place_attempts", "must be >= 1")
+    if not 1 <= L.max_place_attempts <= MAX_PLACE_ATTEMPTS:
+        err("layout.max_place_attempts", f"must lie in [1, {MAX_PLACE_ATTEMPTS}]")
 
     U = s.users
     if not 1 <= U.total <= MAX_USERS:

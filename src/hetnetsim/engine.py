@@ -6,20 +6,20 @@ accounting, metric aggregation.  An active user is served by the pico
 whose disc contains it when that pico is Active, otherwise by the macro;
 Boot and Sleep picos serve nobody, idle users are served by nobody.
 
-Two run shapes share this machinery:
+Two run shapes share this machinery, and one World per group runs both:
 
-* slots = 1, realizations = R: R independent snapshot worlds.  Users are
-  dropped statically (hotspot users inside their assigned pico) and every
-  world takes one control step from all-Sleep with no boot, so picos are
-  Active wherever the activation threshold is met — the stationary view of
-  the control loop, with no boot transient.
-* slots = S > 1: one world evolved through S slots with the full Sleep /
-  Boot / Active machinery.
+* slots = 1, realizations = R: R independent snapshot drops.  Slot r drops
+  realization r's users statically (hotspot users inside their assigned
+  pico) and takes one control step from all-Sleep with no boot, so picos
+  are Active wherever the activation threshold is met — the stationary
+  view of the control loop, with no boot transient.
+* slots = S > 1: realization 0 evolved through S slots with the full
+  Sleep / Boot / Active machinery.
 
 Randomness: a scenario owns one seed.  Layout generation uses the stream
-(seed, 0); world r uses (seed, 1, r).  Within a world every slot draws, in
-a fixed order, the mobility draws, one activity uniform per user, and one
-shadowing normal per user — so runs that share a seed share users,
+(seed, 0); realization r uses (seed, 1, r).  Within a realization every
+slot draws, in a fixed order, the mobility draws, one activity uniform per
+user, and one shadowing normal per user — so runs that share a seed share users,
 trajectories, and fading regardless of topology kind, policy, or sleep
 parameters.  That makes paired comparisons (e.g. pico-serving topology vs.
 its macro-only twin) common-random-number experiments.
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Collection, Iterable, Optional, Sequence
@@ -150,19 +149,15 @@ class Response:
     thresholds, boot length, and pico and macro power parameters.
 
     The layout kind is folded into the thresholds: a row whose layout does
-    not serve (a monet_*_users twin) never wakes its picos.  A snapshot
-    row boots in 0 slots, so the one control step of a fresh world (every
-    pico asleep) wakes exactly the picos whose count meets t_activate.
+    not serve (a monet_*_users twin) never wakes its picos.
     """
 
     def __init__(self, scenarios: Sequence[Scenario]):
-        self.scenarios = list(scenarios)
         self.serving = np.array([s.serves_from_picos() for s in scenarios])
         self.t_activate = np.where(self.serving[:, None],
                                    [[s.policy.t_activate] for s in scenarios], np.inf)
         self.t_sleep = np.array([[s.policy.t_sleep] for s in scenarios], dtype=float)
-        self.boot_slots = np.array([[0 if s.slots == 1 else s.boot_slots]
-                                    for s in scenarios])
+        self.boot_slots = np.array([[s.boot_slots] for s in scenarios])
         self.pico = self._power_columns([s.power.pico for s in scenarios])
         self.macro = self._power_columns([s.power.macro for s in scenarios])
 
@@ -192,41 +187,43 @@ class Response:
 
 
 class World:
-    """One realization of a group's user process, and the pico control of
-    every scenario (row) of the group.
+    """A group's user process, drawn once per slot for all its rows, and
+    the pico control of every scenario (row) of the group.
 
-    Positions, containment, activity and fading are drawn once per slot
-    for the whole group.  Pico control lives in two (K, m) int arrays:
-    ``mode[k]`` holds row k's pico codes (control.SLEEP, BOOT, ACTIVE) and
-    ``boot_remaining[k]`` their boot countdowns.  ``discs`` is the
-    kernels.disc_index of topo's picos, which the worlds of a group share.
+    The constructor builds what the group shares: layout ``topo``, its
+    kernels.disc_index ``discs``, the Response and the link constants.
+    A realization is a drop: ``drop(r)`` sets its generator, users and
+    all-Sleep picos.  A time series steps realization 0 through its slots;
+    snapshot slot r drops realization r and steps once.  ``mode[k]`` holds
+    row k's (m,) pico codes (control.SLEEP, BOOT, ACTIVE) and
+    ``boot_remaining[k]`` their boot countdowns.
     """
 
-    def __init__(self, response: Response, topo: Topology,
-                 discs: kernels.DiscIndex, realization: int = 0):
-        scenario = response.scenarios[0]  # the user process is the group's
-        self.s = scenario
-        self.response = response
-        self.topo = topo
-        self.rng = np.random.default_rng(
-            np.random.SeedSequence([scenario.seed, TAG_WORLD, realization])
-        )
-        # a snapshot world drops hotspot users inside their picos and does
-        # not move
-        self.static = scenario.slots == 1
-        self.pop = init_population(topo, scenario.work, scenario.users, self.rng,
-                                   static_hotspot_in_cell=self.static)
-        self.mode = np.full((len(response.scenarios), topo.cx.size), SLEEP,
-                            dtype=np.int64)
-        self.boot_remaining = np.zeros_like(self.mode)
-        self.discs = discs
-
-        C = scenario.channel
+    def __init__(self, scenarios: Sequence[Scenario]):
+        s = scenarios[0]  # the user process is the group's
+        self.s = s
+        self.topo = build_geometry(s)  # first: set-up is timed up to here
+        self.response = Response(scenarios)
+        self.discs = kernels.disc_index(self.topo.cx, self.topo.cy, self.topo.pico_radius)
+        C = s.channel
         # every configured user gets an equal share, active or not
-        self.w_user = C.bandwidth_hz / scenario.users.total
+        self.w_user = C.bandwidth_hz / s.users.total
         self.noise_dbm = noise_power_dbm(self.w_user, C.temperature_k)
         self.eirp_macro = C.macro_tx_dbm + C.macro_antenna_gain_dbi + C.ue_antenna_gain_dbi
         self.eirp_pico = C.pico_tx_dbm + C.pico_antenna_gain_dbi + C.ue_antenna_gain_dbi
+        # a snapshot drops hotspot users in their picos, never moves or boots
+        self.snapshot = s.slots == 1
+        self.drop(0)
+
+    def drop(self, r: int) -> None:
+        """Start realization r: its generator, its users, every pico asleep."""
+        s = self.s
+        self.rng = np.random.default_rng(np.random.SeedSequence([s.seed, TAG_WORLD, r]))
+        self.pop = init_population(self.topo, s.work, s.users, self.rng,
+                                   static_hotspot_in_cell=self.snapshot)
+        self.mode = np.full((self.response.serving.size, self.topo.cx.size), SLEEP,
+                            dtype=np.int64)
+        self.boot_remaining = np.zeros_like(self.mode)
 
     def _tier_capacities(self, active: np.ndarray, in_disc: np.ndarray,
                          containing: np.ndarray):
@@ -259,17 +256,20 @@ class World:
         return cap_macro, cap_pico
 
     def run_slot(self, slot: int, out: SlotColumns):
-        """Advance the world by one slot (``slot`` drives the work schedule)
-        and write the slot's metrics into column ``slot`` of out's (K, slots)
-        columns; ee_bits_per_joule is left to the caller.
+        """Advance the world by one slot (``slot`` drives the work schedule;
+        snapshot slot r > 0 drops realization r) and write the slot's
+        metrics into column ``slot`` of out's (K, slots) columns;
+        ee_bits_per_joule is left to the caller.
 
         Returns the slot's users: (n,) ``active`` flags and ``containing``
         pico ids (-1 outside every disc), and the (K, n) ``served`` mask of
         the pico-served users and ``cap`` capacities of each row.
         """
         s = self.s
-        if not self.static:
+        if not self.snapshot:
             step_population(self.pop, slot, self.topo, s.work, s.users, self.rng)
+        elif slot:
+            self.drop(slot)
         containing = kernels.containing_disc(self.pop.px, self.pop.py, self.discs)
         active = draw_activity_flags(
             self.pop, containing, self.rng,
@@ -280,7 +280,7 @@ class World:
         counts = np.bincount(containing[in_disc], minlength=self.mode.shape[1])
         self.mode, self.boot_remaining = step_modes(
             self.mode, self.boot_remaining, counts, self.response.t_activate,
-            self.response.t_sleep, self.response.boot_slots,
+            self.response.t_sleep, 0 if self.snapshot else self.response.boot_slots,
         )
         cap_macro, cap_pico = self._tier_capacities(active, in_disc, containing)
         awake = self.mode == ACTIVE
@@ -378,13 +378,9 @@ def run_scenario(scenario: Scenario, outputs: Collection[str] = ()) -> RunResult
 
 
 def _run_group(scenarios: list[Scenario], outputs: frozenset) -> list[RunResult]:
-    s0 = scenarios[0]
-    topo = build_geometry(s0)
-    response = Response(scenarios)
-    K, n, m = len(scenarios), s0.users.total, topo.cx.size
-    snapshot = s0.slots == 1
-    rows = s0.realizations if snapshot else s0.slots
-    discs = kernels.disc_index(topo.cx, topo.cy, topo.pico_radius)
+    world = World(scenarios)
+    K, n, m = len(scenarios), world.pop.n, world.topo.cx.size
+    rows = world.s.realizations if world.snapshot else world.s.slots
     per_user = "per_user" in outputs
     columns = SlotColumns.empty(K, rows, pico_capacity=per_user)
     if per_user:
@@ -401,19 +397,14 @@ def _run_group(scenarios: list[Scenario], outputs: frozenset) -> list[RunResult]
         serving = np.empty((K, rows, n), dtype=np.int64)
     modes = np.empty((K, rows, m), dtype=np.int64) if "pico_trace" in outputs else None
 
-    # one fresh world per realization of a snapshot, whose row's slot
-    # column is r; one world stepped through every slot of a time series
-    if snapshot:
-        worlds = map(partial(World, response, topo, discs), range(rows))
-    else:
-        worlds = repeat(World(response, topo, discs), rows)
-    for slot, world in enumerate(worlds):
+    # a snapshot's slot column r is its realization r
+    for slot in range(rows):
         active, containing, served, cap = world.run_slot(slot, columns)
         if per_user:
             cap_sum += cap
             active_slots += active
             pico_slots += served
-            if snapshot:
+            if world.snapshot:
                 hist += hist_counts(cap[:, active])
         if trace_users:
             xs[slot], ys[slot], actives[slot] = world.pop.px, world.pop.py, active
@@ -428,7 +419,7 @@ def _run_group(scenarios: list[Scenario], outputs: frozenset) -> list[RunResult]
         ees = metrics.ee_bits_per_joule
         results.append(RunResult(
             scenario=s,
-            topology=topo,
+            topology=world.topo,
             slot_metrics=metrics,
             ee_mean=float(ees.mean()),
             ee_std=float(ees.std(ddof=1)) if rows > 1 else 0.0,
@@ -444,7 +435,7 @@ def _run_group(scenarios: list[Scenario], outputs: frozenset) -> list[RunResult]
     ever_active = active_slots > 0
     mean_rate = np.divide(cap_sum, active_slots, out=np.zeros((K, n)), where=ever_active)
     frac_on_pico = pico_slots / rows
-    if not snapshot:
+    if not world.snapshot:
         # time series bin each ever-active user's mean rate
         hist = hist_counts(mean_rate[:, ever_active])
     for k, result in enumerate(results):

@@ -438,13 +438,18 @@ def test_sweep_rejects_bad_ranges(scenario_file, tmp_path, capsys):
                  "--from", "5", "--to", "1", "--out", str(tmp_path / "x")]) == 1
     assert main(["sweep", "--scenario", str(scenario_file),
                  "--from", "nan", "--to", "1", "--out", str(tmp_path / "x")]) == 1
-    # above 2**53 a step of 1 is lost to rounding, so the range never ends
-    for start, stop in (("9007199254740992", "9007199254740994"), ("0", "1e17")):
+    # above 2**53 a step of 1 is lost to rounding, so the range never ends;
+    # past MAX_SWEEP_POINTS a range would build more documents than fit
+    for args in (["--param", "seed", "--from", "9007199254740992", "--to", "9007199254740994"],
+                 ["--param", "seed", "--from", "0", "--to", "1e17"],
+                 ["--param", "seed", "--from", "0", "--to", "1e15"],
+                 ["--from", "0", "--to", "1", "--step", "1e-9"]):
         t0 = time.perf_counter()
-        assert main(["sweep", "--scenario", str(scenario_file), "--param", "seed",
-                     "--from", start, "--to", stop, "--out", str(tmp_path / "x")]) == 1
+        assert main(["sweep", "--scenario", str(scenario_file), *args,
+                     "--out", str(tmp_path / "x")]) == 1
         assert time.perf_counter() - t0 < 1.0
         assert "--step" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_preset_list_and_unknown_name(tmp_path, capsys):
@@ -521,6 +526,8 @@ def test_non_finite_numbers_are_rejected_with_their_path(tmp_path, capsys, doc, 
     ("topology: udc\nlayout: {n_picos: 100000}\n", "layout.n_picos"),
     ("topology: udc\nlayout: {n_picos: 4611686018427387904, pico_radius_m: 1.0e-7}\n",
      "layout.n_picos"),
+    ("topology: udc\nlayout: {max_place_attempts: 1000000000000}\n",
+     "layout.max_place_attempts"),
     ("topology: udc\npolicy: {t_activate: -.inf, t_deactivate: null}\n",
      "policy.t_activate"),
     ("topology: udc\npolicy: {t_activate: -1, t_deactivate: null}\n",
@@ -536,6 +543,7 @@ def test_non_finite_numbers_are_rejected_with_their_path(tmp_path, capsys, doc, 
     ("topology: udc\nwork: {start_slots: [5, 5]}\n", "work.start_slots"),
 ], ids=["boot_slots", "slots_1e12", "realizations_1e12", "zero_users", "users_1e12", "hotspot_over_total",
         "hotspot_on_monet", "hotspot_without_picos", "n_picos_1e5", "n_picos_2e62",
+        "max_place_attempts_1e12",
         "t_activate_minus_inf", "t_activate_negative", "pico_radius_1e-300",
         "pico_radius_1e-10", "work_duration_0", "work_end_past_int64",
         "work_no_start_slots", "work_negative_start_slot", "work_repeated_start_slot"])
@@ -543,7 +551,8 @@ def test_rejected_documents_exit_1_with_their_path(tmp_path, capsys, doc, path):
     """Documents that validation rejects exit 1 before anything runs, and
     the message names the offending key: engine code relies on these rules
     (one user at least, a pico for every hotspot user, boot_slots >= 0),
-    layouts past MAX_PICOS would not finish, and populations past
+    layouts past MAX_PICOS or MAX_PLACE_ATTEMPTS would not finish in
+    reasonable time, and populations past
     MAX_USERS, or slot columns past MAX_SLOTS, would not fit in memory."""
     scenario = tmp_path / "scenario.yaml"
     scenario.write_text(doc)

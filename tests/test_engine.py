@@ -24,7 +24,6 @@ from hetnetsim.engine import (
     SlotColumns,
     UserTrace,
     World,
-    build_geometry,
     compute_ee,
     hist_counts,
     run_scenario,
@@ -50,13 +49,6 @@ def scenario(**kw):
     doc = {"topology": "udc", "seed": 11}
     doc.update(kw)
     return parse_scenario(doc)
-
-
-def world(s):
-    """The first World of s alone, as run_scenarios builds it."""
-    topo = build_geometry(s)
-    discs = kernels.disc_index(topo.cx, topo.cy, topo.pico_radius)
-    return World(Response([s]), topo, discs)
 
 
 def slot_counts(w, active, containing):
@@ -87,9 +79,9 @@ def test_single_active_pico_power_decomposition():
     macro's load-dependent draw, that pico's draw, and 27 sleepers.  The
     thresholds keep the hand-set modes through the slot's control step,
     and every user is active."""
-    w = world(scenario(users={"total": 1000, "activity_uniform": 1.0},
-                       policy={"t_activate": float("inf"),
-                               "t_deactivate": float("-inf")}))
+    w = World([scenario(users={"total": 1000, "activity_uniform": 1.0},
+                        policy={"t_activate": float("inf"),
+                                "t_deactivate": float("-inf")})])
     w.mode[0, 0] = ACTIVE
     out = SlotColumns.empty(1, 1, pico_capacity=False)
     active, containing, _, _ = w.run_slot(0, out)
@@ -116,7 +108,7 @@ def test_engine_mode_trail_follows_the_state_table(boot_slots):
         work={"start_slots": [0, 10], "duration": 45},
         policy={"t_activate": 12, "t_deactivate": 8},
     )
-    w = world(s)
+    w = World([s])
     out = SlotColumns.empty(1, s.slots, pico_capacity=False)
     counts, modes = [], []
     for slot in range(s.slots):
@@ -139,7 +131,7 @@ def test_bandwidth_is_split_over_all_configured_users(p_active):
     are active in the slot."""
     s = scenario(users={"total": 400, "activity_uniform": p_active},
                  channel={"bandwidth_hz": 1e7})
-    w = world(s)
+    w = World([s])
     active, *_ = w.run_slot(0, SlotColumns.empty(1, 1, pico_capacity=False))
     assert abs(int(active.sum()) - 400 * p_active) < 60
     assert w.w_user == 1e7 / 400
@@ -725,20 +717,13 @@ def reference_slot_columns(scenarios):
     """Per row, the (slots, 8) slot metrics of the per-row scalar loop:
     power from the oracle's consumed_power_w, pico by pico in index
     order; capacity as the row's sum and pico capacity as a sum over the
-    pico-served users alone.  Worlds are stepped as the engine steps them, and each slot's
-    users, links and modes are read off them."""
-    s0 = scenarios[0]
-    topo = build_geometry(s0)
-    response = Response(scenarios)
-    discs = kernels.disc_index(topo.cx, topo.cy, topo.pico_radius)
-    if s0.slots == 1:
-        steps = [(World(response, topo, discs, r), r) for r in range(s0.realizations)]
-    else:
-        w = World(response, topo, discs)
-        steps = [(w, t) for t in range(s0.slots)]
-    out = SlotColumns.empty(len(scenarios), len(steps), pico_capacity=True)
+    pico-served users alone.  The group's World is stepped as the engine
+    steps it, and each slot's users, links and modes are read off it."""
+    w = World(scenarios)
+    slots = max(w.s.slots, w.s.realizations)  # one of the two is 1
+    out = SlotColumns.empty(len(scenarios), slots, pico_capacity=True)
     rows = [[] for _ in scenarios]
-    for w, slot in steps:
+    for slot in range(slots):
         active, containing, served_rows, cap_rows = w.run_slot(slot, out)
         counts = slot_counts(w, active, containing)
         for k, s in enumerate(scenarios):
@@ -807,13 +792,24 @@ def test_slot_power_lies_between_its_floor_and_ceiling(docs):
 
 @pytest.mark.parametrize("shape, slots", [({"slots": 12}, 12), ({"realizations": 4}, 4)])
 def test_a_group_builds_its_disc_index_once(shape, slots):
+    """One layout, built before the Response, and one disc index per group;
+    one user drop per realization, so one for a whole time series."""
     s = scenario(**shape, users={"total": 100})
-    with mock.patch.object(kernels, "disc_index", wraps=kernels.disc_index) as build, \
+    calls = mock.Mock()
+    with mock.patch.object(engine, "build_geometry", wraps=engine.build_geometry) as layouts, \
+            mock.patch.object(engine, "Response", wraps=engine.Response) as responses, \
+            mock.patch.object(kernels, "disc_index", wraps=kernels.disc_index) as build, \
             mock.patch.object(kernels, "containing_disc",
-                              wraps=kernels.containing_disc) as query:
+                              wraps=kernels.containing_disc) as query, \
+            mock.patch.object(engine, "init_population",
+                              wraps=engine.init_population) as drops:
+        calls.attach_mock(layouts, "build_geometry")
+        calls.attach_mock(responses, "Response")
         run_scenarios([s, dataclasses.replace(s, boot_slots=0)])
+    assert [c[0] for c in calls.mock_calls] == ["build_geometry", "Response"]
     assert build.call_count == 1
     assert query.call_count == slots
+    assert drops.call_count == (slots if "realizations" in shape else 1)
 
 
 def test_means_only_sweep_holds_no_per_user_arrays():

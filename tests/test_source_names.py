@@ -5,6 +5,8 @@ tests (tests/oracles.py holds the reference implementations).  The check
 parses each module with ast and looks for a use of each module-level name
 anywhere in the package outside that name's own definition: a bare name,
 or an attribute of a package module (``kernels.containing_disc``).
+Likewise every name a module imports is read in that module, save the
+package's re-exports in __init__.py and ``from __future__ import``.
 
 The layering checks keep config, the scenario schema, below every other
 module: it imports nothing from the package, so no module needs a
@@ -72,6 +74,26 @@ def unused_names(package: Path) -> list[tuple[str, str]]:
 def test_every_module_level_name_is_used_in_the_package():
     unused = [(m, n) for m, n in unused_names(PACKAGE) if (m, n) not in ALLOWED]
     assert not unused, f"names no code in src/ uses: {unused}"
+
+
+def imported_names(tree: ast.Module) -> set[str]:
+    """Every name the imports of tree bind, ``from __future__`` aside."""
+    return {alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names}
+
+
+def test_every_imported_name_is_used_in_its_module():
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # its imports are the package's exports
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        unused = sorted(imported_names(tree) - read)
+        assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
 def test_allowlist_names_exist():
