@@ -144,13 +144,13 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="hetnetsim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, traces=False):
+    def add_common(p, traces=False, out="out", out_help="output directory"):
         p.add_argument("--scenario", required=True, help="scenario YAML file")
         p.add_argument(
             "--set", action="append", metavar="KEY=VALUE",
             help="override a scenario key (repeatable)",
         )
-        p.add_argument("--out", default="out", help="output directory")
+        p.add_argument("--out", default=out, help=out_help)
         if traces:
             p.add_argument("--trace-users", action="store_true")
             p.add_argument("--trace-picos", action="store_true")
@@ -177,12 +177,7 @@ def _build_parser() -> _Parser:
     p_preset.set_defaults(fn=_cmd_preset)
 
     p_dump = sub.add_parser("dump-topology", help="emit the layout as JSON")
-    p_dump.add_argument("--scenario", required=True)
-    p_dump.add_argument(
-        "--set", action="append", metavar="KEY=VALUE",
-        help="override a scenario key (repeatable)",
-    )
-    p_dump.add_argument("--out", default="-", help="output file, - for stdout")
+    add_common(p_dump, out="-", out_help="output file, - for stdout")
     p_dump.set_defaults(fn=_cmd_dump_topology)
     return parser
 

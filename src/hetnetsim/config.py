@@ -8,19 +8,22 @@ dataclass, and every omitted key falls back to the defaults (the standard
 experiment: 1000 users, 28 picos of 50 m in a 500 m macro cell, 20 MHz,
 two-threshold control at 9/4).  Section values merge field-by-field onto
 the defaults, so `policy: {t_activate: 12}` keeps t_deactivate at 4; a
-one-threshold policy needs an explicit `t_deactivate: null`.  Unknown keys
-anywhere are hard errors, reported with their dotted path.  Numbers must
-be finite, save the two policy thresholds: `.inf` is a valid t_activate
-(never wake) and `-.inf` a valid t_deactivate (never sleep).  Integers
-must fit in 64 bits.  The link-budget keys lie in physical ranges
-(CHANNEL_RANGES, MAX_MACRO_RADIUS_M).  validate_scenario holds every rule,
-and a Scenario runs it when it is built, parsed or not.
+one-threshold policy needs an explicit `t_deactivate: null`.  Parsing only
+converts YAML (an int in a float field becomes a float, a list a tuple)
+and reports the document's structure: malformed YAML, a section that is
+not a mapping, an unknown key, each with its dotted path.  Every value is
+judged by validate_scenario, which a Scenario runs when it is built,
+parsed or not: each field's type is read off its default, integers must
+fit in 64 bits, numbers must be finite save the two policy thresholds
+(INFINITE_OK), single keys lie in BOUNDS, and then the rules that span
+several keys hold.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
@@ -62,22 +65,49 @@ MAX_SLOTS = 1_000_000
 # the largest layout.max_place_attempts: an unplaceable udc layout spends it all
 MAX_PLACE_ATTEMPTS = 1_000_000
 
-# physical ranges, inclusive, of the keys that enter the link budget; far
-# past them a link's capacity overflows to inf or rounds to 0 b/s.  The
-# pico radius lies below the macro radius.
-MAX_MACRO_RADIUS_M = 1e5
-CHANNEL_RANGES = {
-    "bandwidth_hz": (1e3, 1e11, "Hz"),
-    "temperature_k": (1.0, 1e5, "K"),
-    "macro_tx_dbm": (-100.0, 100.0, "dBm"),
-    "macro_antenna_gain_dbi": (-50.0, 50.0, "dBi"),
-    "macro_shadow_sigma_db": (0.0, 50.0, "dB"),
-    "pico_tx_dbm": (-100.0, 100.0, "dBm"),
-    "pico_antenna_gain_dbi": (-50.0, 50.0, "dBi"),
-    "pico_shadow_sigma_db": (0.0, 50.0, "dB"),
-    "ue_antenna_gain_dbi": (-50.0, 50.0, "dBi"),
-    "min_distance_m": (1e-3, 1e3, "m"),
+# every bound on a single key, by dotted path: (low, high, unit), ends
+# included save in ABOVE_ZERO; high None sets no upper bound.  The keys of
+# the link budget lie in physical ranges: far past them a link's capacity
+# overflows to inf or rounds to 0 b/s.
+BOUNDS = {
+    "seed": (0, None, ""),
+    "slots": (1, MAX_SLOTS, ""),
+    "realizations": (1, MAX_SLOTS, ""),
+    "boot_slots": (0, None, ""),
+    "layout.macro_radius_m": (0.0, 1e5, "m"),
+    "layout.pico_radius_m": (0.0, 1e5, "m"),
+    "layout.n_picos": (0, MAX_PICOS, ""),
+    "layout.max_place_attempts": (1, MAX_PLACE_ATTEMPTS, ""),
+    "users.total": (1, MAX_USERS, ""),
+    "users.activity_uniform": (0.0, 1.0, ""),
+    "users.activity_hotspot": (0.0, 1.0, ""),
+    "work.duration": (1, None, ""),
+    "policy.t_activate": (0, None, ""),
+    "channel.bandwidth_hz": (1e3, 1e11, "Hz"),
+    "channel.temperature_k": (1.0, 1e5, "K"),
+    "channel.macro_tx_dbm": (-100.0, 100.0, "dBm"),
+    "channel.macro_antenna_gain_dbi": (-50.0, 50.0, "dBi"),
+    "channel.macro_shadow_sigma_db": (0.0, 50.0, "dB"),
+    "channel.pico_tx_dbm": (-100.0, 100.0, "dBm"),
+    "channel.pico_antenna_gain_dbi": (-50.0, 50.0, "dBi"),
+    "channel.pico_shadow_sigma_db": (0.0, 50.0, "dB"),
+    "channel.ue_antenna_gain_dbi": (-50.0, 50.0, "dBi"),
+    "channel.min_distance_m": (1e-3, 1e3, "m"),
+    "power.macro.sectors": (1, None, ""),
+    "power.macro.p_max_w": (0.0, None, "W"),
+    "power.macro.p0_w": (0.0, None, "W"),
+    "power.macro.delta_p": (0.0, None, ""),
+    "power.macro.user_capacity": (1, None, ""),
+    "power.pico.sectors": (1, None, ""),
+    "power.pico.p_max_w": (0.0, None, "W"),
+    "power.pico.p0_w": (0.0, None, "W"),
+    "power.pico.delta_p": (0.0, None, ""),
+    "power.pico.user_capacity": (1, None, ""),
+    "power.pico.p_sleep_w": (0.0, None, "W"),
 }
+# the keys that must lie above their low end: a radius or transmit power of 0
+ABOVE_ZERO = ("layout.macro_radius_m", "layout.pico_radius_m",
+              "power.macro.p_max_w", "power.pico.p_max_w")
 
 
 @dataclass(frozen=True)
@@ -209,56 +239,27 @@ class Scenario:
         return "udc"
 
 
-def _coerce(value: Any, target: Any, path: str) -> Any:
-    """Check/convert a YAML scalar (or list) against the field's default."""
-    if isinstance(target, int):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(path, f"expected integer, got {value!r}")
-        if not -2**63 <= value < 2**63:
-            raise ValidationError(path, f"must fit in 64 bits, got {value!r}")
-        return value
-    if isinstance(target, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(path, f"expected number, got {value!r}")
-        try:
-            value = float(value)
-        except OverflowError:  # an int beyond the float range
-            value = math.inf
-        if math.isnan(value) or (math.isinf(value) and path not in INFINITE_OK):
-            raise ValidationError(path, f"must be finite, got {value!r}")
-        return value
-    if isinstance(target, tuple):
-        if not isinstance(value, (list, tuple)):
-            raise ValidationError(path, f"expected list, got {value!r}")
-        # items take the type of the default's first item
-        return tuple(_coerce(v, target[0], f"{path}[{i}]") for i, v in enumerate(value))
-    if isinstance(target, str):
-        if not isinstance(value, str):
-            raise ValidationError(path, f"expected string, got {value!r}")
-        return value
-    return value
-
-
 def _build(cls: type, data: Any, path: str, proto: Any) -> Any:
-    """Instantiate a frozen config dataclass, merging onto proto, strictly;
-    path is the dotted path of data, "" for the whole document."""
+    """Instantiate a frozen config dataclass, merging the mapping data onto
+    proto; path is the dotted path of data, "" for the whole document.  It
+    only converts YAML values: validate_scenario judges them."""
     if data is None:
         data = {}
     if not isinstance(data, dict):
         raise ValidationError(path, f"expected mapping, got {data!r}")
-    field_names = {f.name for f in dataclasses.fields(cls)}
-    kwargs = {name: getattr(proto, name) for name in field_names}
+    kwargs = {f.name: getattr(proto, f.name) for f in dataclasses.fields(cls)}
     for key, raw in data.items():
         keypath = f"{path}.{key}" if path else str(key)
-        if key not in field_names:
+        if key not in kwargs:
             raise ValidationError(keypath, "unknown key")
-        default_val = kwargs[key]
-        if dataclasses.is_dataclass(default_val):
-            kwargs[key] = _build(type(default_val), raw, keypath, default_val)
-        elif raw is None and cls is ThresholdPolicy and key == "t_deactivate":
-            kwargs[key] = None
-        else:
-            kwargs[key] = _coerce(raw, default_val, keypath)
+        default = kwargs[key]
+        if dataclasses.is_dataclass(default):
+            raw = _build(type(default), raw, keypath, default)
+        elif isinstance(default, float) and type(raw) is int and abs(raw) <= sys.float_info.max:
+            raw = float(raw)  # an int past the float range is left for the check
+        elif isinstance(default, tuple) and isinstance(raw, list):
+            raw = tuple(raw)
+        kwargs[key] = raw
     return cls(**kwargs)
 
 
@@ -274,116 +275,118 @@ def _document(source: str | dict) -> dict:
     if data is None:
         data = {}
     if not isinstance(data, dict):
-        raise ConfigError(
-            f"scenario document must be a mapping, got {type(data).__name__}"
-        )
+        raise ConfigError(f"scenario document must be a mapping, got {type(data).__name__}")
     return data
 
 
 def read_scenario_document(path: str | Path) -> dict:
     """The raw mapping of a scenario file, before overrides and validation."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
     return _document(text)
 
 
 def parse_scenario(source: str | dict) -> Scenario:
     """Parse and fully validate a scenario document (YAML text or mapping)."""
-    return _build(Scenario, _document(source), "", Scenario())
+    return _build(Scenario, _document(source), "", DEFAULT_SCENARIO)
+
+
+def _number(x: int | float) -> str:
+    return f"{x:g}" if isinstance(x, float) else str(x)
+
+
+# by the type of a field's default: its name in messages and the Python
+# types its values take (a bool is never a number here)
+_KINDS = {str: ("string", str), tuple: ("tuple", tuple), int: ("integer", int),
+          float: ("number", (int, float))}
+
+
+def _check_field(value: Any, default: Any, path: str) -> None:
+    """Check value against the type of default, a field's default, and
+    against BOUNDS[path]; a section is checked field by field, unless it
+    is the default object itself (defaults are frozen constants)."""
+    kind = _KINDS.get(type(default))
+    if kind is None:  # a section
+        if value is default:
+            return
+        if not isinstance(value, type(default)):
+            raise ValidationError(path, f"expected {type(default).__name__}, got {value!r}")
+        for f in dataclasses.fields(default):
+            _check_field(getattr(value, f.name), getattr(default, f.name), f"{path}.{f.name}")
+        return
+    if value is None and path == "policy.t_deactivate":
+        return
+    name, types = kind
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValidationError(path, f"expected {name}, got {value!r}")
+    if isinstance(default, tuple):
+        # items take the type of the default's first item
+        for i, item in enumerate(value):
+            _check_field(item, default[0], f"{path}[{i}]")
+    elif isinstance(default, int) and not -2**63 <= value < 2**63:
+        raise ValidationError(path, f"must fit in 64 bits, got {value!r}")
+    elif isinstance(default, float) and not (
+            abs(value) <= sys.float_info.max or path in INFINITE_OK and abs(value) == math.inf):
+        # nan, and an int past the float range, fail both comparisons
+        raise ValidationError(path, f"must be finite, got {value!r}")
+    if path in BOUNDS:
+        low, high, unit = BOUNDS[path]
+        above = path in ABOVE_ZERO
+        if value < low or (above and value == low) or (high is not None and value > high):
+            text = (f"in {'(' if above else '['}{_number(low)}, {_number(high)}]"
+                    if high is not None else f"{'>' if above else '>='} {_number(low)}")
+            raise ValidationError(path, f"must be {text}{' ' * bool(unit)}{unit}, got {value!r}")
 
 
 def validate_scenario(s: Scenario) -> None:
-    """Every rule on a scenario's values; the first one broken raises."""
-    def err(path: str, msg: str):
-        raise ValidationError(path, msg)
+    """Every rule on a scenario's values; the first one broken raises.
+    Each field is checked on its own first, in schema order, then the
+    rules that span several keys."""
+    for f in dataclasses.fields(Scenario):
+        _check_field(getattr(s, f.name), f.default, f.name)
 
     W = s.work
     if not W.start_slots:
-        err("work.start_slots", "must hold at least one slot")
+        raise ValidationError("work.start_slots", "must hold at least one slot")
     if min(W.start_slots) < 0:
-        err("work.start_slots", "must be non-negative")
+        raise ValidationError("work.start_slots", "must be non-negative")
     if list(W.start_slots) != sorted(set(W.start_slots)):
-        err("work.start_slots", "must be strictly increasing")
-    if W.duration < 1:
-        err("work.duration", "must be at least 1 slot")
+        raise ValidationError("work.start_slots", "must be strictly increasing")
     # mobility adds duration to the int64 start slots, so the sum must fit
     if W.start_slots[-1] + W.duration >= 2**63:
-        err("work.duration", "must keep the last work end slot below 2**63, "
-            f"got {W.start_slots[-1]} + {W.duration}")
+        raise ValidationError("work.duration", "must keep the last work end slot below "
+                              f"2**63, got {W.start_slots[-1]} + {W.duration}")
 
     P = s.policy
-    # .inf (never wake) passes; -.inf does not
-    if not P.t_activate >= 0.0:
-        err("policy.t_activate", f"must be >= 0, got {P.t_activate}")
     if P.t_deactivate is not None and P.t_deactivate >= P.t_activate:
-        err("policy.t_deactivate", "must be strictly below t_activate "
-            f"(got {P.t_deactivate} >= {P.t_activate})")
+        raise ValidationError("policy.t_deactivate", "must be strictly below t_activate "
+                              f"(got {P.t_deactivate} >= {P.t_activate})")
 
     if s.topology not in TOPOLOGY_KINDS:
-        err("topology", f"must be one of {TOPOLOGY_KINDS}, got {s.topology!r}")
-    if s.seed < 0:
-        err("seed", "must be a non-negative integer")
-    if not 1 <= s.slots <= MAX_SLOTS:
-        err("slots", f"must lie in [1, {MAX_SLOTS}]")
-    if not 1 <= s.realizations <= MAX_SLOTS:
-        err("realizations", f"must lie in [1, {MAX_SLOTS}]")
+        raise ValidationError("topology", f"must be one of {TOPOLOGY_KINDS}, got {s.topology!r}")
     if s.slots > 1 and s.realizations > 1:
-        err("realizations",
-            "multi-slot runs use a single realization (slots > 1 requires realizations = 1)")
-    if s.boot_slots < 0:
-        err("boot_slots", "must be >= 0")
+        raise ValidationError("realizations", "multi-slot runs use a single realization "
+                              "(slots > 1 requires realizations = 1)")
 
-    L = s.layout
-    if not 0 < L.macro_radius_m <= MAX_MACRO_RADIUS_M:
-        err("layout.macro_radius_m",
-            f"must be in (0, {MAX_MACRO_RADIUS_M:g}] m, got {L.macro_radius_m!r}")
-    if L.pico_radius_m <= 0:
-        err("layout.pico_radius_m", "must be positive")
+    L, U = s.layout, s.users
     if L.pico_radius_m >= L.macro_radius_m:
-        err("layout.pico_radius_m", "must be smaller than macro_radius_m")
-    if not 0 <= L.n_picos <= MAX_PICOS:
-        err("layout.n_picos", f"must lie in [0, {MAX_PICOS}]")
-    if not 1 <= L.max_place_attempts <= MAX_PLACE_ATTEMPTS:
-        err("layout.max_place_attempts", f"must lie in [1, {MAX_PLACE_ATTEMPTS}]")
-
-    U = s.users
-    if not 1 <= U.total <= MAX_USERS:
-        err("users.total", f"must lie in [1, {MAX_USERS}]")
+        raise ValidationError("layout.pico_radius_m", "must be smaller than macro_radius_m")
     if not 0 <= U.hotspot <= U.total:
-        err("users.hotspot", f"must lie in [0, {U.total}]")
-    for name in ("activity_uniform", "activity_hotspot"):
-        p = getattr(U, name)
-        if not 0.0 <= p <= 1.0:
-            err(f"users.{name}", "must be a probability in [0, 1]")
+        raise ValidationError("users.hotspot", f"must be in [0, {U.total}], got {U.hotspot}")
     if not 0.0 <= U.speed_min <= U.speed_max:
-        err("users.speed_min", "need 0 <= speed_min <= speed_max")
+        raise ValidationError("users.speed_min", "need 0 <= speed_min <= speed_max")
     if not 0.0 <= U.work_speed_min <= U.work_speed_max:
-        err("users.work_speed_min", "need 0 <= work_speed_min <= work_speed_max")
+        raise ValidationError("users.work_speed_min", "need 0 <= work_speed_min <= work_speed_max")
     if U.hotspot > 0:
         if s.topology == "monet":
-            err("users.hotspot", "monet has no picos to assign hotspot users to")
+            raise ValidationError("users.hotspot", "monet has no picos to assign hotspot users to")
         if L.n_picos < 1:
-            err("users.hotspot", "need n_picos >= 1 for hotspot users")
+            raise ValidationError("users.hotspot", "need n_picos >= 1 for hotspot users")
 
-    for name, (low, high, unit) in CHANNEL_RANGES.items():
-        value = getattr(s.channel, name)
-        if not low <= value <= high:
-            err(f"channel.{name}", f"must be in [{low:g}, {high:g}] {unit}, got {value!r}")
 
-    for path, P in (("power.macro", s.power.macro), ("power.pico", s.power.pico)):
-        if P.sectors < 1:
-            err(f"{path}.sectors", "must be >= 1")
-        if P.p_max_w <= 0:
-            err(f"{path}.p_max_w", "must be positive")
-        for name in ("p0_w", "delta_p"):
-            if getattr(P, name) < 0:
-                err(f"{path}.{name}", "must be >= 0")
-        if P.user_capacity < 1:
-            err(f"{path}.user_capacity", "must be >= 1")
-    if s.power.pico.p_sleep_w < 0:
-        err("power.pico.p_sleep_w", "must be >= 0")
+DEFAULT_SCENARIO = Scenario()
 
 
 def scenario_to_dict(s: Scenario) -> dict:

@@ -2,6 +2,8 @@
 
 import contextlib
 import csv
+import dataclasses
+import functools
 import io
 import json
 import math
@@ -17,10 +19,13 @@ from hypothesis import strategies as st
 
 from hetnetsim.cli import main
 from hetnetsim.config import (
-    CHANNEL_RANGES,
-    MAX_MACRO_RADIUS_M,
+    BOUNDS,
+    PICO_POWER,
     ConfigError,
+    LayoutConfig,
+    PowerConfig,
     Scenario,
+    ThresholdPolicy,
     UsersConfig,
     ValidationError,
     WorkSchedule,
@@ -187,6 +192,14 @@ class TestParsing:
         assert parse_scenario(block) == Scenario()
         documented = set(dotted_paths(yaml.safe_load(block)))
         assert documented == set(SCENARIO_PATHS)
+
+    def test_readme_bounds_table_is_the_bounds(self):
+        """The README's bounds table names every key of config.BOUNDS and
+        no other."""
+        table = re.search(r"\n\| key \| bounds \|.*?\n\n", README.read_text(), re.S).group(0)
+        rows = table.strip().splitlines()[2:]
+        documented = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+        assert sorted(documented) == sorted(BOUNDS)
 
 
 class TestCrossFieldValidation:
@@ -408,6 +421,13 @@ def test_missing_file_exits_1(tmp_path):
     assert main(["run", "--scenario", str(tmp_path / "nope.yaml")]) == 1
 
 
+def test_file_that_is_not_utf8_exits_1(tmp_path, capsys):
+    doc = tmp_path / "latin.yaml"
+    doc.write_bytes(b"topology: udc\nusers: {\xff: 1}\n")
+    assert main(["run", "--scenario", str(doc)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read scenario file {doc}: ")
+
+
 def test_malformed_yaml_exits_1(tmp_path):
     doc = tmp_path / "mangled.yaml"
     doc.write_text("topology: [unclosed\n")
@@ -565,12 +585,76 @@ def test_rejected_documents_exit_1_with_their_path(tmp_path, capsys, doc, path):
     ({"users": UsersConfig(total=0)}, "users.total"),
     ({"users": UsersConfig(hotspot=5), "work": WorkSchedule(start_slots=())},
      "work.start_slots"),
+    ({"power": PowerConfig(pico=dataclasses.replace(PICO_POWER, p_sleep_w=math.inf))},
+     "power.pico.p_sleep_w"),
+    ({"boot_slots": 2**70}, "boot_slots"),
+    ({"users": UsersConfig(activity_uniform=True)}, "users.activity_uniform"),
+    ({"work": WorkSchedule(start_slots=(0.5,))}, "work.start_slots[0]"),
+    ({"layout": LayoutConfig(pico_radius_m=math.nan)}, "layout.pico_radius_m"),
+    ({"policy": ThresholdPolicy(9.0, math.nan)}, "policy.t_deactivate"),
+    ({"users": UsersConfig(speed_max=math.inf)}, "users.speed_max"),
 ])
 def test_scenario_built_in_python_is_checked(sections, path):
     """A Scenario built without parse_scenario is checked as it is built,
-    so run_scenario never sees a value validation rejects."""
+    types, widths and finiteness included, so run_scenario never sees a
+    value validation rejects."""
     with pytest.raises(ValidationError, match=f"^{re.escape(path)}: "):
         run_scenario(Scenario(topology="udc", slots=3, **sections))
+
+
+# every FUZZ_VALUES text as YAML reads it, and an int past the float range
+LEAF_VALUES = [yaml.safe_load(text) for text in FUZZ_VALUES] + [10**400]
+
+
+def with_leaf(node, names, value):
+    """node, a config dataclass, with the field at the path names set to
+    value; each dataclass on the way is rebuilt, a Scenario checked."""
+    first, *rest = names
+    field = with_leaf(getattr(node, first), rest, value) if rest else value
+    return dataclasses.replace(node, **{first: field})
+
+
+def built_or_path(build):
+    """What build() returns, or the path of the ValidationError it raises."""
+    try:
+        return build()
+    except ValidationError as exc:
+        return exc.path
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(SCENARIO_PATHS), st.sampled_from(LEAF_VALUES))
+def test_python_built_and_parsed_scenarios_agree(path, value):
+    """One leaf set in Python and the same leaf in a document either both
+    raise ValidationError at the same path or both give equal Scenarios:
+    the parser only turns a list into a tuple and an int of a float field
+    into the nearest float."""
+    names = path.split(".")
+    doc = value
+    for name in reversed(names):
+        doc = {name: doc}
+    python_value = tuple(value) if isinstance(value, list) else value
+    built = built_or_path(lambda: with_leaf(Scenario(), names, python_value))
+    parsed = built_or_path(lambda: parse_scenario(doc))
+    if isinstance(built, Scenario) and isinstance(parsed, Scenario):
+        if type(value) is int and isinstance(functools.reduce(getattr, names, Scenario()), float):
+            built = with_leaf(Scenario(), names, float(value))
+        assert parsed == built
+    else:
+        assert built == parsed
+
+
+def test_fresh_default_sections_pass_the_check():
+    """Copies of every default section, which the check cannot skip as
+    the default objects, pass it: every default lies within its bounds."""
+    default = Scenario()
+    sections = {f.name: dataclasses.replace(getattr(default, f.name))
+                for f in dataclasses.fields(Scenario)
+                if dataclasses.is_dataclass(getattr(default, f.name))}
+    sections["power"] = PowerConfig(dataclasses.replace(default.power.macro),
+                                    dataclasses.replace(default.power.pico))
+    assert not any(section is getattr(default, name) for name, section in sections.items())
+    assert Scenario(**sections) == default
 
 
 def test_largest_work_duration_keeps_every_wave_at_work(tmp_path):
@@ -618,9 +702,9 @@ def test_extreme_link_budget_values_exit_1_with_their_path(tmp_path, capsys, key
 
 
 @pytest.mark.parametrize("key, value", [
-    *((f"channel.{name}", bound) for name, (low, high, _) in CHANNEL_RANGES.items()
+    *((key, bound) for key, (low, high, _) in BOUNDS.items() if key.startswith("channel.")
       for bound in (low, high)),
-    ("layout.macro_radius_m", MAX_MACRO_RADIUS_M),
+    ("layout.macro_radius_m", BOUNDS["layout.macro_radius_m"][1]),
 ])
 def test_range_edges_give_finite_positive_capacity(key, value):
     """A key at either end of its range, the others at their defaults,
