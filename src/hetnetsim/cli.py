@@ -21,6 +21,7 @@ from .config import (
     apply_overrides,
     parse_scenario,
     read_scenario_document,
+    set_path,
 )
 from .engine import (
     build_geometry,
@@ -105,10 +106,11 @@ def _sweep_values(start: float, stop: float, step: float) -> list[float]:
 def _cmd_sweep(args) -> int:
     base = _document_from_args(args)
     values = _sweep_values(args.sweep_from, args.sweep_to, args.step)
+    # each point's number is set as a number, not parsed back from text;
     # integral points go in as ints, so integer fields can be swept too;
     # a float field reads 3 as 3.0, and sweep.csv still writes the floats
     run_sweeps(args.out, {"sweep.csv": [
-        (v, apply_overrides(base, [f"{args.param}={int(v) if v.is_integer() else v!r}"]))
+        (v, set_path(base, args.param, int(v) if v.is_integer() else v))
         for v in values
     ]})
     print(f"wrote {Path(args.out) / 'sweep.csv'} ({len(values)} points)")

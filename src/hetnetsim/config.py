@@ -268,7 +268,8 @@ def _document(source: str | dict) -> dict:
     if isinstance(source, str):
         try:
             data = yaml.safe_load(source)
-        except yaml.YAMLError as exc:
+        # ValueError: an int past Python's limit on digits in a string
+        except (yaml.YAMLError, ValueError) as exc:
             raise ConfigError(f"malformed scenario document: {exc}") from exc
     else:
         data = source
@@ -399,6 +400,26 @@ def serialize_scenario(s: Scenario) -> str:
     return yaml.safe_dump(scenario_to_dict(s), sort_keys=False)
 
 
+def set_path(data: dict, key: str, value: Any) -> dict:
+    """A copy of the raw scenario dict data with the dotted key set to
+    value; the mappings on the key's path are copied, so data is not
+    changed.  Validation happens afterwards, in parse_scenario."""
+    parts = key.split(".")
+    out = node = dict(data)
+    for part in parts[:-1]:
+        nxt = node.get(part)
+        if nxt is None:
+            nxt = {}
+        elif isinstance(nxt, dict):
+            nxt = dict(nxt)
+        else:
+            raise ValidationError(key, f"cannot descend into non-mapping {part!r}")
+        node[part] = nxt
+        node = nxt
+    node[parts[-1]] = value
+    return out
+
+
 def apply_overrides(data: dict, assignments: list[str]) -> dict:
     """Apply `--set dotted.path=value` assignments onto a raw scenario dict.
 
@@ -406,29 +427,17 @@ def apply_overrides(data: dict, assignments: list[str]) -> dict:
     `--set policy.t_activate=.inf` work).  Validation happens afterwards,
     when the merged dict goes through parse_scenario.
     """
-    out = dict(data)
     for item in assignments:
         if "=" not in item:
             raise ValidationError(item, "override must look like key.path=value")
         key, _, raw = item.partition("=")
         key = key.strip()
-        parts = key.split(".")
-        if not all(parts):
+        if not all(key.split(".")):
             raise ValidationError(item, "override key has an empty part")
         try:
             value = yaml.safe_load(raw) if raw.strip() else None
-        except yaml.YAMLError as exc:
+        # ValueError: an int past Python's limit on digits in a string
+        except (yaml.YAMLError, ValueError) as exc:
             raise ValidationError(key, f"bad override value {raw!r}: {exc}") from exc
-        node = out
-        for part in parts[:-1]:
-            nxt = node.get(part)
-            if nxt is None:
-                nxt = {}
-            elif isinstance(nxt, dict):
-                nxt = dict(nxt)
-            else:
-                raise ValidationError(key, f"cannot descend into non-mapping {part!r}")
-            node[part] = nxt
-            node = nxt
-        node[parts[-1]] = value
-    return out
+        data = set_path(data, key, value)
+    return data

@@ -14,8 +14,8 @@ hysteresis, which removes on/off flapping when the count sits near the
 activation point.
 
 The engine holds every pico's mode as an int code (SLEEP, BOOT, ACTIVE)
-and advances the (K, m) picos of K scenarios at once with step_modes,
-each row under its own policy's (K, 1) threshold columns.  The policy
+and advances the (K, B, m) picos of K scenarios in B drops at once with
+step_modes, each row under its own policy's (K, 1, 1) threshold columns.  The policy
 itself is a config.ThresholdPolicy.
 """
 
@@ -38,12 +38,13 @@ def step_modes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance every pico's mode by one slot given this slot's user counts.
 
-    mode and boot_remaining are (K, m) arrays: row k holds the picos of a
-    scenario that wakes a pico at count >= t_activate[k], sleeps it at
-    count <= t_sleep[k] (its config.ThresholdPolicy.t_sleep) and boots it in
-    boot_slots[k] >= 0 slots; all three are (K, 1) columns.  counts
-    broadcasts against mode: the engine passes one (m,) vector, as every
-    row sees the same users.
+    mode and boot_remaining are (K, B, m) arrays: row k holds the picos,
+    in each of B drops, of a scenario that wakes a pico at count >=
+    t_activate[k], sleeps it at count <= t_sleep[k] (its
+    config.ThresholdPolicy.t_sleep) and boots it in boot_slots[k] >= 0
+    slots; all three are (K, 1, 1) columns.  counts broadcasts against
+    mode: the engine passes one (B, m) array, as every row sees the same
+    users.
     Returns new (mode, boot_remaining) arrays.  Boot always runs to
     completion: the countdown ignores the count, so a station can never pay
     the boot cost and then go back to sleep unserved within the same

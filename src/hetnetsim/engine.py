@@ -6,28 +6,31 @@ accounting, metric aggregation.  An active user is served by the pico
 whose disc contains it when that pico is Active, otherwise by the macro;
 Boot and Sleep picos serve nobody, idle users are served by nobody.
 
-Two run shapes share this machinery, and one World per group runs both:
+Two run shapes share this machinery, and one World per group runs both
+through one slot path over a batch of B user populations:
 
-* slots = 1, realizations = R: R independent snapshot drops.  Slot r drops
-  realization r's users statically (hotspot users inside their assigned
-  pico) and takes one control step from all-Sleep with no boot, so picos
-  are Active wherever the activation threshold is met — the stationary
-  view of the control loop, with no boot transient.
-* slots = S > 1: realization 0 evolved through S slots with the full
-  Sleep / Boot / Active machinery.
+* slots = 1, realizations = R: R independent snapshot drops, stepped in
+  chunks of up to B fresh drops.  Each drop places realization r's users
+  statically (hotspot users inside their assigned pico) and takes one
+  control step from all-Sleep with no boot, so picos are Active wherever
+  the activation threshold is met — the stationary view of the control
+  loop, with no boot transient.
+* slots = S > 1: a batch of one, realization 0, carried from slot to slot
+  through S slots with the full Sleep / Boot / Active machinery.
 
 Randomness: a scenario owns one seed.  Layout generation uses the stream
 (seed, 0); realization r uses (seed, 1, r).  Within a realization every
-slot draws, in a fixed order, the mobility draws, one activity uniform per
-user, and one shadowing normal per user — so runs that share a seed share users,
-trajectories, and fading regardless of topology kind, policy, or sleep
-parameters.  That makes paired comparisons (e.g. pico-serving topology vs.
-its macro-only twin) common-random-number experiments.
+slot draws, in a fixed order, the mobility draws (or, in a snapshot, the
+drop), one activity uniform per user, and one shadowing normal per user —
+so runs that share a seed share users, trajectories, and fading regardless
+of topology kind, policy, sleep parameters or how drops are chunked.  That
+makes paired comparisons (e.g. pico-serving topology vs. its macro-only
+twin) common-random-number experiments.
 
 run_scenarios makes that the code path: scenarios with the same
 process_key form a group whose user process (positions, containment,
 activity, fading and both tiers' link capacities) is simulated once, and
-each scenario is one row of the group's (K, m) pico control and power.
+each scenario is one row of the group's (K, B, m) pico control and power.
 """
 
 from __future__ import annotations
@@ -89,9 +92,9 @@ def compute_ee(capacity_bps: np.ndarray, power_w: np.ndarray) -> np.ndarray:
 @dataclass
 class SlotColumns:
     """Per-slot metrics as columns: (K, slots) over a group's rows, as
-    World.run_slot fills them one slot column at a time, or the (slots,)
-    view of one row, as RunResult.slot_metrics holds them; entry t is slot
-    t, or realization t of a snapshot."""
+    World.run_slot fills them a batch of slot columns at a time, or the
+    (slots,) view of one row, as RunResult.slot_metrics holds them; entry
+    t is slot t, or realization t of a snapshot."""
 
     n_active_picos: np.ndarray
     macro_active_users: np.ndarray
@@ -145,8 +148,10 @@ def process_key(s: Scenario) -> tuple:
 
 class Response:
     """The per-scenario half of a group, and the one place where its
-    scenarios become (K, 1) row columns: each row's wake and sleep
-    thresholds, boot length, and pico and macro power parameters.
+    scenarios become row columns: each row's wake and sleep thresholds,
+    boot length and pico power parameters as (K, 1, 1) columns, which
+    broadcast over a batch's (K, B, m) picos, and its macro power
+    parameters as (K, 1) columns, over the batch's (K, B) macros.
 
     The layout kind is folded into the thresholds: a row whose layout does
     not serve (a monet_*_users twin) never wakes its picos.
@@ -154,22 +159,24 @@ class Response:
 
     def __init__(self, scenarios: Sequence[Scenario]):
         self.serving = np.array([s.serves_from_picos() for s in scenarios])
-        self.t_activate = np.where(self.serving[:, None],
-                                   [[s.policy.t_activate] for s in scenarios], np.inf)
-        self.t_sleep = np.array([[s.policy.t_sleep] for s in scenarios], dtype=float)
-        self.boot_slots = np.array([[s.boot_slots] for s in scenarios])
-        self.pico = self._power_columns([s.power.pico for s in scenarios])
-        self.macro = self._power_columns([s.power.macro for s in scenarios])
+        self.t_activate = np.where(self.serving[:, None, None],
+                                   [[[s.policy.t_activate]] for s in scenarios], np.inf)
+        self.t_sleep = np.array([[[s.policy.t_sleep]] for s in scenarios], dtype=float)
+        self.boot_slots = np.array([[[s.boot_slots]] for s in scenarios])
+        self.pico = self._power_columns([s.power.pico for s in scenarios], (-1, 1, 1))
+        self.macro = self._power_columns([s.power.macro for s in scenarios], (-1, 1))
 
     @staticmethod
-    def _power_columns(params: Sequence[PowerParams]) -> PowerParams:
+    def _power_columns(params: Sequence[PowerParams], shape: tuple) -> PowerParams:
         """K rows' PowerParams (or PicoPowerParams) as one of their class
-        whose fields are (K, 1) columns, so one active_draw draws every row."""
-        return type(params[0])(*(np.array([[getattr(p, f.name)] for p in params])
+        whose fields are columns of the given shape, so one active_draw
+        draws every row."""
+        return type(params[0])(*(np.reshape([getattr(p, f.name) for p in params], shape)
                                  for f in fields(params[0])))
 
     def pico_power(self, mode: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """(K,) summed draw of each row's picos: load-dependent when Active,
+        """(K, B) summed draw of each row's picos in each of B drops, from
+        their (K, B, m) modes and (B, m) counts: load-dependent when Active,
         the sleep floor in Sleep and Boot; 0 W in a row whose layout does
         not serve."""
         draw = np.where(mode == ACTIVE, active_draw(self.pico, counts),
@@ -177,13 +184,25 @@ class Response:
         # added in pico order after a 0.0 column, which is the sum without
         # picos: np.sum's pairwise order would change the bytes, and the
         # draws are >= 0, so starting from 0.0 is exact
-        draw = np.concatenate((np.zeros((mode.shape[0], 1)), draw), axis=1)
-        return np.where(self.serving, np.add.accumulate(draw, axis=1)[:, -1], 0.0)
+        draw = np.concatenate((np.zeros(mode.shape[:2] + (1,)), draw), axis=2)
+        return np.where(self.serving[:, None], np.add.accumulate(draw, axis=2)[..., -1], 0.0)
 
     def macro_power(self, n_served: np.ndarray) -> np.ndarray:
-        """(K,) draw of each row's macro, which never sleeps, serving
-        n_served[k] users."""
-        return active_draw(self.macro, n_served[:, None])[:, 0]
+        """(K, B) draw of each row's macro, which never sleeps, serving
+        n_served[k, b] users in drop b."""
+        return active_draw(self.macro, n_served)
+
+
+# the most (row, user) pairs a snapshot chunk steps at once: a chunk of B
+# drops of n users holds (K, B * n) served masks and capacities, so B is
+# the most drops with K * B * n within this bound, and 1 past it
+CHUNK_ROW_USERS = 49_152
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """The batch's per-drop arrays end to end; a batch of one is its own
+    array, so a time series steps its population in place."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 class World:
@@ -191,12 +210,17 @@ class World:
     the pico control of every scenario (row) of the group.
 
     The constructor builds what the group shares: layout ``topo``, its
-    kernels.disc_index ``discs``, the Response and the link constants.
-    A realization is a drop: ``drop(r)`` sets its generator, users and
-    all-Sleep picos.  A time series steps realization 0 through its slots;
-    snapshot slot r drops realization r and steps once.  ``mode[k]`` holds
-    row k's (m,) pico codes (control.SLEEP, BOOT, ACTIVE) and
-    ``boot_remaining[k]`` their boot countdowns.
+    kernels.disc_index ``discs``, the Response and the link constants;
+    then it drops the first batch.  A batch is B user populations, one
+    per drop, stacked drop by drop into (B * n) user arrays: ``drop(r0)``
+    starts realizations r0 .. r0 + B - 1, each with its own generator and
+    users, and every pico asleep.  A time series is a batch of one,
+    realization 0, carried through its slots; a snapshot steps its
+    realizations in chunks of ``batch`` fresh drops (the last chunk may be
+    smaller), and run_slot(r0) drops chunk r0 .. r0 + B - 1 and steps it
+    once.  ``mode[k, b]`` holds row k's (m,) pico codes in drop b
+    (control.SLEEP, BOOT, ACTIVE) and ``boot_remaining[k, b]`` their boot
+    countdowns.
     """
 
     def __init__(self, scenarios: Sequence[Scenario]):
@@ -213,16 +237,32 @@ class World:
         self.eirp_pico = C.pico_tx_dbm + C.pico_antenna_gain_dbi + C.ue_antenna_gain_dbi
         # a snapshot drops hotspot users in their picos, never moves or boots
         self.snapshot = s.slots == 1
+        # a time series has one realization, so its batch is one drop
+        self.batch = min(s.realizations,
+                         max(1, CHUNK_ROW_USERS // (len(scenarios) * s.users.total)))
         self.drop(0)
 
-    def drop(self, r: int) -> None:
-        """Start realization r: its generator, its users, every pico asleep."""
-        s = self.s
-        self.rng = np.random.default_rng(np.random.SeedSequence([s.seed, TAG_WORLD, r]))
-        self.pop = init_population(self.topo, s.work, s.users, self.rng,
-                                   static_hotspot_in_cell=self.snapshot)
-        self.mode = np.full((self.response.serving.size, self.topo.cx.size), SLEEP,
-                            dtype=np.int64)
+    def drop(self, r0: int) -> None:
+        """Start realizations r0 .. r0 + B - 1, B = batch or what is left:
+        per drop its generator and users, then every pico asleep."""
+        s, n, m = self.s, self.s.users.total, self.topo.cx.size
+        B = min(self.batch, s.realizations - r0)
+        self.rngs = [np.random.default_rng(np.random.SeedSequence([s.seed, TAG_WORLD, r]))
+                     for r in range(r0, r0 + B)]
+        pops = [init_population(self.topo, s.work, s.users, rng,
+                                static_hotspot_in_cell=self.snapshot)
+                for rng in self.rngs]
+        # a time series moves its one population; is_hotspot is every drop's
+        self.pop = pops[0]
+        self.px = _stack([pop.px for pop in pops])
+        self.py = _stack([pop.py for pop in pops])
+        self.my_pico = _stack([pop.my_pico for pop in pops])
+        # each slot's activity uniforms and shadowing normals, a row per drop
+        self.uniforms, self.normals = np.empty((2, B, n))
+        # drop b's pico j is column 1 + j of its block of m + 1 columns, whose
+        # column 0 stands for "outside every disc": column = containing + offset
+        self.offset = np.repeat(1 + (m + 1) * np.arange(B), n)
+        self.mode = np.full((self.response.serving.size, B, m), SLEEP, dtype=np.int64)
         self.boot_remaining = np.zeros_like(self.mode)
 
     def _tier_capacities(self, active: np.ndarray, in_disc: np.ndarray,
@@ -233,8 +273,8 @@ class World:
         both: no link is evaluated for it, though it still draws its fading
         normal."""
         C = self.s.channel
-        pop, discs, R = self.pop, self.discs, self.topo.macro_radius
-        z = self.rng.standard_normal(pop.n)
+        discs, R = self.discs, self.topo.macro_radius
+        z = self.normals.reshape(-1)
 
         def link(users, dx, dy, sigma_db, pico_link):
             return kernels.link_capacity(
@@ -244,65 +284,81 @@ class World:
 
         # index gathers: a boolean mask gathers several times slower
         on = np.flatnonzero(active)
-        cap_macro = np.zeros(pop.n)
-        cap_macro[on] = link(on, pop.px.take(on) - R, pop.py.take(on) - R,
+        cap_macro = np.zeros(active.size)
+        cap_macro[on] = link(on, self.px.take(on) - R, self.py.take(on) - R,
                              C.macro_shadow_sigma_db, False)
         near = np.flatnonzero(in_disc)
         j = containing.take(near)
         cap_pico = cap_macro.copy()
-        cap_pico[near] = link(near, pop.px.take(near) - discs.cx.take(j),
-                              pop.py.take(near) - discs.cy.take(j),
+        cap_pico[near] = link(near, self.px.take(near) - discs.cx.take(j),
+                              self.py.take(near) - discs.cy.take(j),
                               C.pico_shadow_sigma_db, True)
         return cap_macro, cap_pico
 
     def run_slot(self, slot: int, out: SlotColumns):
-        """Advance the world by one slot (``slot`` drives the work schedule;
-        snapshot slot r > 0 drops realization r) and write the slot's
-        metrics into column ``slot`` of out's (K, slots) columns;
-        ee_bits_per_joule is left to the caller.
+        """Advance the world by one slot and write the batch's metrics into
+        columns slot .. slot + B - 1 of out's (K, slots) columns, drop b
+        into column slot + b; ee_bits_per_joule is left to the caller.  A
+        time series moves its users (``slot`` drives the work schedule); a
+        snapshot's slot r0 > 0 drops the chunk of realizations from r0.
 
-        Returns the slot's users: (n,) ``active`` flags and ``containing``
-        pico ids (-1 outside every disc), and the (K, n) ``served`` mask of
-        the pico-served users and ``cap`` capacities of each row.
+        Each drop draws from its own generator, in the draw schedule's
+        order; then containment, activity, control, links and power are
+        evaluated once over the stacked (B * n) users.  Returns them, drop
+        by drop: (B * n,) ``active`` flags and ``containing`` pico ids (-1
+        outside every disc), and the (K, B * n) ``served`` mask of the
+        pico-served users and ``cap`` capacities of each row.
         """
-        s = self.s
+        s, response = self.s, self.response
         if not self.snapshot:
-            step_population(self.pop, slot, self.topo, s.work, s.users, self.rng)
+            step_population(self.pop, slot, self.topo, s.work, s.users, self.rngs[0])
         elif slot:
             self.drop(slot)
-        containing = kernels.containing_disc(self.pop.px, self.pop.py, self.discs)
+        for rng, uniforms, normals in zip(self.rngs, self.uniforms, self.normals):
+            rng.random(out=uniforms)
+            rng.standard_normal(out=normals)
+        K, B, m = self.mode.shape
+        containing = kernels.containing_disc(self.px, self.py, self.discs)
         active = draw_activity_flags(
-            self.pop, containing, self.rng,
+            self.uniforms.reshape(-1), containing, self.my_pico,
             s.users.activity_uniform, s.users.activity_hotspot,
         )
         # only an active user inside a disc counts, and can be pico-served
         in_disc = active & (containing >= 0)
-        counts = np.bincount(containing[in_disc], minlength=self.mode.shape[1])
+        column = containing + self.offset
+        counts = np.bincount(column[in_disc], minlength=B * (m + 1)).reshape(B, m + 1)[:, 1:]
         self.mode, self.boot_remaining = step_modes(
-            self.mode, self.boot_remaining, counts, self.response.t_activate,
-            self.response.t_sleep, 0 if self.snapshot else self.response.boot_slots,
+            self.mode, self.boot_remaining, counts, response.t_activate,
+            response.t_sleep, 0 if self.snapshot else response.boot_slots,
         )
         cap_macro, cap_pico = self._tier_capacities(active, in_disc, containing)
         awake = self.mode == ACTIVE
-        # containing = -1 takes the appended asleep column; take() keeps the
-        # (K, n) arrays C-ordered (awake[:, containing] would not): a row sum
-        # over another layout adds in another order
-        asleep = np.zeros((awake.shape[0], 1), dtype=bool)
-        served = np.concatenate((awake, asleep), axis=1).take(containing, axis=1) & active
+        # column 0 of each drop's block, outside every disc, is asleep; take()
+        # keeps the (K, B * n) arrays C-ordered (fancy indexing would not): a
+        # row sum over another layout adds in another order
+        asleep = np.zeros((K, B, 1), dtype=bool)
+        served = np.concatenate((asleep, awake), axis=2).reshape(K, -1).take(column, axis=1)
+        served &= active
         cap = np.where(served, cap_pico, cap_macro)
-        n_pico = served.sum(axis=1)
-        n_macro = int(active.sum()) - n_pico
-        pico_power = self.response.pico_power(self.mode, counts)
-        out.n_active_picos[:, slot] = awake.sum(axis=1)
-        out.macro_active_users[:, slot] = n_macro
-        out.pico_active_users[:, slot] = n_pico
-        out.capacity_bps[:, slot] = cap.sum(axis=1)
-        out.power_w[:, slot] = self.response.macro_power(n_macro) + pico_power
-        out.pico_power_w[:, slot] = pico_power
+        n_pico = served.reshape(K, B, -1).sum(axis=2)
+        n_macro = active.reshape(B, -1).sum(axis=1) - n_pico
+        pico_power = response.pico_power(self.mode, counts)
+        cols = slice(slot, slot + B)
+        out.n_active_picos[:, cols] = awake.sum(axis=2)
+        out.macro_active_users[:, cols] = n_macro
+        out.pico_active_users[:, cols] = n_pico
+        # each (row, drop) sums its own contiguous n users, as numpy sums a
+        # row alone
+        out.capacity_bps[:, cols] = cap.reshape(K, B, -1).sum(axis=2)
+        out.power_w[:, cols] = response.macro_power(n_macro) + pico_power
+        out.pico_power_w[:, cols] = pico_power
         if out.pico_capacity_bps is not None:
             # a compacted sum: zeros in place of the macro-served users
             # would change numpy's pairwise order
-            out.pico_capacity_bps[:, slot] = [row[sv].sum() for row, sv in zip(cap, served)]
+            n = s.users.total
+            out.pico_capacity_bps[:, cols] = np.reshape(
+                [row[sv].sum() for row, sv in zip(cap.reshape(-1, n), served.reshape(-1, n))],
+                (K, B))
         return active, containing, served, cap
 
 
@@ -379,7 +435,7 @@ def run_scenario(scenario: Scenario, outputs: Collection[str] = ()) -> RunResult
 
 def _run_group(scenarios: list[Scenario], outputs: frozenset) -> list[RunResult]:
     world = World(scenarios)
-    K, n, m = len(scenarios), world.pop.n, world.topo.cx.size
+    K, n, m = len(scenarios), world.s.users.total, world.topo.cx.size
     rows = world.s.realizations if world.snapshot else world.s.slots
     per_user = "per_user" in outputs
     columns = SlotColumns.empty(K, rows, pico_capacity=per_user)
@@ -397,20 +453,29 @@ def _run_group(scenarios: list[Scenario], outputs: frozenset) -> list[RunResult]
         serving = np.empty((K, rows, n), dtype=np.int64)
     modes = np.empty((K, rows, m), dtype=np.int64) if "pico_trace" in outputs else None
 
-    # a snapshot's slot column r is its realization r
-    for slot in range(rows):
+    # a snapshot's slot column r is its realization r; each run_slot steps
+    # a batch of B drops, one in a time series
+    for slot in range(0, rows, world.batch):
         active, containing, served, cap = world.run_slot(slot, columns)
+        B = world.mode.shape[1]
+        span = slice(slot, slot + B)
         if per_user:
-            cap_sum += cap
-            active_slots += active
-            pico_slots += served
+            # realization by realization, so the float sums add in order
+            for b, drop_active in enumerate(active.reshape(B, n)):
+                cap_sum += cap[:, b * n:(b + 1) * n]
+                active_slots += drop_active
+                pico_slots += served[:, b * n:(b + 1) * n]
             if world.snapshot:
                 hist += hist_counts(cap[:, active])
         if trace_users:
-            xs[slot], ys[slot], actives[slot] = world.pop.px, world.pop.py, active
-            serving[:, slot] = np.where(served, containing, np.where(active, -1, -2))
+            xs[span], ys[span], actives[span] = (a.reshape(B, n) for a in
+                                                 (world.px, world.py, active))
+            serving[:, span] = np.where(served, containing,
+                                        np.where(active, -1, -2)).reshape(K, B, n)
         if modes is not None:
-            modes[:, slot] = world.mode
+            modes[:, span] = world.mode
+        # free this batch's (K, B * n) arrays before the next batch builds its own
+        del served, cap
     columns.ee_bits_per_joule = compute_ee(columns.capacity_bps, columns.power_w)
 
     results = []

@@ -1,4 +1,4 @@
-"""Waypoint mobility with hotspot work schedules, plus per-slot activity draws.
+"""Waypoint mobility with hotspot work schedules, plus per-slot activity flags.
 
 Users bounce between uniformly drawn waypoints inside the macro disc at
 10–20 m/slot.  Hotspot users additionally carry an assigned pico and a work
@@ -52,10 +52,6 @@ class UserPopulation:
     my_pico: np.ndarray
     work_start: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.px.shape[0]
-
 
 def _unit_disc(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n points uniform in the closed unit disc, by rejection from the square.
@@ -67,8 +63,8 @@ def _unit_disc(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray
     oy = np.empty(n)
     pending = np.arange(n)
     while pending.size:
-        cx = rng.uniform(-1.0, 1.0, pending.size)
-        cy = rng.uniform(-1.0, 1.0, pending.size)
+        # one call per round: the first p draws are cx, the next p cy
+        cx, cy = rng.uniform(-1.0, 1.0, (2, pending.size))
         ok = cx * cx + cy * cy <= 1.0
         idx = pending[ok]
         ox[idx] = cx[ok]
@@ -202,21 +198,21 @@ def step_population(
 
 
 def draw_activity_flags(
-    pop: UserPopulation,
+    uniforms: np.ndarray,
     containing: np.ndarray,
-    rng: np.random.Generator,
+    my_pico: np.ndarray,
     p_uniform: float,
     p_hotspot: float,
 ) -> np.ndarray:
-    """Per-slot Bernoulli activity for the whole population.
+    """Per-slot Bernoulli activity of users, from one uniform per user.
 
     The boosted probability applies only to a hotspot user currently inside
     the disc of its *own* pico (containing = per-user containing-pico id,
-    -1 when uncovered); everyone else draws at the base probability.
-    Consumes exactly n uniforms per call.
+    -1 when uncovered); everyone else draws at the base probability.  The
+    caller draws the uniforms, n per population and slot, so the arrays
+    may hold several populations end to end.
     """
-    u = rng.random(pop.n)
-    boosted = pop.is_hotspot & (containing >= 0) & (containing == pop.my_pico)
+    # my_pico is -1 for uniform users, so only hotspot users can match
+    boosted = (containing >= 0) & (containing == my_pico)
     p = np.where(boosted, p_hotspot, p_uniform)
-    return u < p
-
+    return uniforms < p

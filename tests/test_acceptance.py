@@ -91,10 +91,10 @@ def test_criterion_1_power_model_exactness():
     response = Response([parse_scenario({"topology": "udc"})])
 
     def pico(mode, n):
-        return response.pico_power(np.array([[mode]]), np.array([n]))[0]
+        return response.pico_power(np.array([[[mode]]]), np.array([[n]]))[0, 0]
 
     engine_checks = {
-        "macro full load": (response.macro_power(np.array([1000]))[0], 1350.0),
+        "macro full load": (response.macro_power(np.array([[1000]]))[0, 0], 1350.0),
         "pico idle": (pico(ACTIVE, 0), 13.6),
         "pico full load": (pico(ACTIVE, 50), 14.6),
         "pico sleep": (pico(SLEEP, 0), 8.6),

@@ -716,6 +716,33 @@ def test_range_edges_give_finite_positive_capacity(key, value):
         assert np.isfinite(column).all() and (column > 0).all()
 
 
+def test_sweep_reaches_small_floats(scenario_file, tmp_path):
+    """Points too small for YAML 1.1 to read back as numbers from their
+    repr (1e-05 is a string there) are set as numbers."""
+    out = tmp_path / "sw"
+    assert main(["sweep", "--scenario", str(scenario_file), "--out", str(out),
+                 "--param", "power.pico.p_sleep_w", "--from", "0.00001",
+                 "--to", "0.00002", "--step", "0.00001"]) == 0
+    rows = read_csv(out / "sweep.csv")
+    assert [r[0] for r in rows[1:]] == ["1e-05", "2e-05"]
+    assert rows[1][5] != rows[2][5]  # each point its own sleep power
+
+
+def test_integers_past_the_digit_limit_exit_1(tmp_path, capsys):
+    """An integer of more than 4,300 digits, which PyYAML cannot convert
+    under CPython's limit on integer strings, exits 1: in a scenario file
+    as a malformed document, in a --set value with its key."""
+    huge = "1" + "0" * 5000
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(f"topology: udc\nseed: {huge}\n")
+    assert main(["dump-topology", "--scenario", str(scenario)]) == 1
+    assert capsys.readouterr().err.startswith("error: malformed scenario document: ")
+    scenario.write_text("topology: udc\n")
+    assert main(["dump-topology", "--scenario", str(scenario),
+                 "--set", f"seed={huge}"]) == 1
+    assert capsys.readouterr().err.startswith("error: seed: bad override value ")
+
+
 def test_sweep_takes_an_integer_field(scenario_file, tmp_path):
     out = tmp_path / "sw"
     assert main(["sweep", "--scenario", str(scenario_file), "--out", str(out),

@@ -54,7 +54,7 @@ def scenario(**kw):
 def slot_counts(w, active, containing):
     """Each pico's active users, as the slot's control step saw them."""
     covered = active & (containing >= 0)
-    return np.bincount(containing[covered], minlength=w.mode.shape[1])
+    return np.bincount(containing[covered], minlength=w.mode.shape[-1])
 
 
 def macro_power(n_served):
@@ -82,7 +82,7 @@ def test_single_active_pico_power_decomposition():
     w = World([scenario(users={"total": 1000, "activity_uniform": 1.0},
                         policy={"t_activate": float("inf"),
                                 "t_deactivate": float("-inf")})])
-    w.mode[0, 0] = ACTIVE
+    w.mode[0, 0, 0] = ACTIVE
     out = SlotColumns.empty(1, 1, pico_capacity=False)
     active, containing, _, _ = w.run_slot(0, out)
     m = out.row(0)
@@ -114,7 +114,7 @@ def test_engine_mode_trail_follows_the_state_table(boot_slots):
     for slot in range(s.slots):
         active, containing, _, _ = w.run_slot(slot, out)
         counts.append(slot_counts(w, active, containing))
-        modes.append(w.mode[0].copy())
+        modes.append(w.mode[0, 0].copy())
     modes = np.array(modes)
     assert {SLEEP, ACTIVE} <= set(modes.ravel())
     assert (BOOT in modes) == (boot_slots > 0)
@@ -159,26 +159,30 @@ def power_params(sleeps):
        }), min_size=1, max_size=5),
        data=st.data())
 def test_pico_power_is_the_per_pico_loop_added_in_order(rows, data):
-    """Each row's vectorized pico draw equals consumed_power_w summed pico
-    by pico, bit for bit (the output bytes depend on the addition order),
-    and is 0.0 in a row whose layout does not serve; each row's macro
-    draw equals consumed_power_w of its own parameters."""
+    """Each row's vectorized pico draw in each of B drops equals
+    consumed_power_w summed pico by pico, bit for bit (the output bytes
+    depend on the addition order), and is 0.0 in a row whose layout does
+    not serve; each row's macro draw equals consumed_power_w of its own
+    parameters."""
     scenarios = [parse_scenario(doc) for doc in rows]
     response = Response(scenarios)
-    K, m = len(scenarios), data.draw(st.integers(1, 30))
-    mode = data.draw(hnp.arrays(np.int64, (K, m), elements=st.integers(0, 2)))
-    counts = data.draw(hnp.arrays(np.int64, (m,), elements=st.integers(0, 2500)))
-    n_macro = data.draw(hnp.arrays(np.int64, (K,), elements=st.integers(0, 3000)))
+    K, B, m = len(scenarios), data.draw(st.integers(1, 3)), data.draw(st.integers(1, 30))
+    mode = data.draw(hnp.arrays(np.int64, (K, B, m), elements=st.integers(0, 2)))
+    counts = data.draw(hnp.arrays(np.int64, (B, m), elements=st.integers(0, 2500)))
+    n_macro = data.draw(hnp.arrays(np.int64, (K, B), elements=st.integers(0, 3000)))
     pico = response.pico_power(mode, counts)
     macro = response.macro_power(n_macro)
+    assert pico.shape == macro.shape == (K, B)
     for k, s in enumerate(scenarios):
-        want = 0.0
-        for code, c in zip(mode[k], counts):
-            mode_j = MODE_OF_CODE[code]
-            served = int(c) if mode_j is EnbMode.ACTIVE else 0
-            want += consumed_power_w(s.power.pico, mode_j, served)
-        assert pico[k] == (want if s.serves_from_picos() else 0.0)
-        assert macro[k] == consumed_power_w(s.power.macro, EnbMode.ACTIVE, int(n_macro[k]))
+        for b in range(B):
+            want = 0.0
+            for code, c in zip(mode[k, b], counts[b]):
+                mode_j = MODE_OF_CODE[code]
+                served = int(c) if mode_j is EnbMode.ACTIVE else 0
+                want += consumed_power_w(s.power.pico, mode_j, served)
+            assert pico[k, b] == (want if s.serves_from_picos() else 0.0)
+            assert macro[k, b] == consumed_power_w(s.power.macro, EnbMode.ACTIVE,
+                                                   int(n_macro[k, b]))
 
 
 def test_snapshot_ensemble_indexes_rows_by_realization():
@@ -717,9 +721,12 @@ def reference_slot_columns(scenarios):
     """Per row, the (slots, 8) slot metrics of the per-row scalar loop:
     power from the oracle's consumed_power_w, pico by pico in index
     order; capacity as the row's sum and pico capacity as a sum over the
-    pico-served users alone.  The group's World is stepped as the engine
-    steps it, and each slot's users, links and modes are read off it."""
-    w = World(scenarios)
+    pico-served users alone.  The group's World is stepped one drop at a
+    time (a chunk bound of 0 gives batches of one), and each slot's users,
+    links and modes are read off it."""
+    with mock.patch.object(engine, "CHUNK_ROW_USERS", 0):
+        w = World(scenarios)
+    assert w.batch == 1
     slots = max(w.s.slots, w.s.realizations)  # one of the two is 1
     out = SlotColumns.empty(len(scenarios), slots, pico_capacity=True)
     rows = [[] for _ in scenarios]
@@ -728,7 +735,7 @@ def reference_slot_columns(scenarios):
         counts = slot_counts(w, active, containing)
         for k, s in enumerate(scenarios):
             served, cap = served_rows[k], cap_rows[k]
-            modes = [MODE_OF_CODE[code] for code in w.mode[k]]
+            modes = [MODE_OF_CODE[code] for code in w.mode[k, 0]]
             n_pico = int(served.sum())
             n_macro = int(active.sum()) - n_pico
             macro_w = consumed_power_w(s.power.macro, EnbMode.ACTIVE, n_macro)
@@ -772,6 +779,84 @@ def test_slot_columns_equal_the_per_row_reference(docs):
             assert getattr(plain, name) is None, name
 
 
+def assert_same_traces(a, b):
+    for column in ("x", "y", "active", "serving"):
+        np.testing.assert_array_equal(getattr(a.user_trace, column),
+                                      getattr(b.user_trace, column), err_msg=column)
+    np.testing.assert_array_equal(a.pico_trace, b.pico_trace)
+
+
+def one_drop_at_a_time(scenarios):
+    """run_scenarios with every output, its snapshots stepped in batches of
+    one drop (a chunk bound of 0)."""
+    with mock.patch.object(engine, "CHUNK_ROW_USERS", 0):
+        return run_scenarios(scenarios, OUTPUTS)
+
+
+@settings(max_examples=30, deadline=None)
+@given(docs=process_groups(), realizations=st.integers(2, 9), batch=st.integers(2, 4))
+def test_chunked_drops_equal_drops_stepped_one_at_a_time(docs, realizations, batch):
+    """A snapshot group stepped in chunks of up to `batch` drops, R a
+    multiple of it or not, gives bit for bit every slot column, per-user
+    value, histogram and trace of the group stepped one drop at a time."""
+    scenarios = [parse_scenario({**d, "slots": 1, "realizations": realizations})
+                 for d in docs]
+    bound = batch * len(scenarios) * scenarios[0].users.total
+    with mock.patch.object(engine, "CHUNK_ROW_USERS", bound):
+        assert World(scenarios).batch == min(batch, realizations)
+        chunked = run_scenarios(scenarios, OUTPUTS)
+    for a, b in zip(chunked, one_drop_at_a_time(scenarios)):
+        assert_same_run(a, b)
+        assert_same_traces(a, b)
+
+
+@pytest.mark.parametrize("batch, realizations", [(3, 7), (1, 3)])
+def test_snapshot_chunks_follow_the_bound(batch, realizations):
+    """Under the module's own bound, a group of K rows and n users steps
+    CHUNK_ROW_USERS // (K * n) drops at a time, and one drop when K * n
+    exceeds the bound; either way it gives the results of one drop at a
+    time, and the slot columns of the per-row reference."""
+    K = 3
+    n = engine.CHUNK_ROW_USERS // (K * batch) + (batch == 1)
+    scenarios = [scenario(realizations=realizations, topology=topology,
+                          users={"total": n, "hotspot": n // 3},
+                          policy={"t_activate": t, "t_deactivate": None})
+                 for topology, t in (("udc", 4.0), ("udc", 40.0), ("monet_udc_users", 4.0))]
+    assert World(scenarios).batch == batch
+    chunked = run_scenarios(scenarios, OUTPUTS)
+    for a, b, want in zip(chunked, one_drop_at_a_time(scenarios),
+                          reference_slot_columns(scenarios)):
+        assert_same_run(a, b)
+        assert_same_traces(a, b)
+        for i, name in enumerate(COLUMNS):
+            np.testing.assert_array_equal(getattr(a.slot_metrics, name), want[:, i],
+                                          err_msg=name)
+
+
+def test_snapshot_memory_does_not_grow_with_realizations():
+    """A K = 16, n = 1000 snapshot group, sweep_udc's shape, peaks at 400
+    realizations within 16 KiB of its peak at 100, beside the (K, R)
+    slot columns of the added realizations: a chunk bounds what one step
+    holds.  Stepping every drop at once held (K, R * n) arrays, 92 MiB
+    more."""
+    def peak(realizations):
+        scenarios = [parse_scenario({
+            "topology": "udc", "seed": 1, "realizations": realizations,
+            "users": {"total": 1000, "activity_uniform": 1.0},
+            "policy": {"t_activate": float(t), "t_deactivate": None},
+        }) for t in range(16)]
+        tracemalloc.start()
+        try:
+            run_scenarios(scenarios)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # numpy's first-call allocations
+    added_columns = 7 * 16 * 300 * 8  # seven float64 or int64 (K, R) columns
+    assert peak(400) - peak(100) < added_columns + 2**14
+
+
 @settings(max_examples=30, deadline=None)
 @given(docs=process_groups())
 def test_slot_power_lies_between_its_floor_and_ceiling(docs):
@@ -793,7 +878,9 @@ def test_slot_power_lies_between_its_floor_and_ceiling(docs):
 @pytest.mark.parametrize("shape, slots", [({"slots": 12}, 12), ({"realizations": 4}, 4)])
 def test_a_group_builds_its_disc_index_once(shape, slots):
     """One layout, built before the Response, and one disc index per group;
-    one user drop per realization, so one for a whole time series."""
+    one user drop per realization, so one for a whole time series; one
+    containment query per slot, or per chunk of drops (the 4 drops of 100
+    users fit one chunk)."""
     s = scenario(**shape, users={"total": 100})
     calls = mock.Mock()
     with mock.patch.object(engine, "build_geometry", wraps=engine.build_geometry) as layouts, \
@@ -808,7 +895,7 @@ def test_a_group_builds_its_disc_index_once(shape, slots):
         run_scenarios([s, dataclasses.replace(s, boot_slots=0)])
     assert [c[0] for c in calls.mock_calls] == ["build_geometry", "Response"]
     assert build.call_count == 1
-    assert query.call_count == slots
+    assert query.call_count == (1 if "realizations" in shape else slots)
     assert drops.call_count == (slots if "realizations" in shape else 1)
 
 

@@ -35,7 +35,7 @@ def test_initial_drop_fills_the_macro_disc():
     d = np.hypot(pop.px - 500.0, pop.py - 500.0)
     assert d.max() <= 500.0 + 1e-9
     assert d.min() < 450.0  # not all piled on the rim
-    assert pop.n == 200
+    assert pop.px.size == 200
 
 
 def test_population_layout_uniform_then_hotspot():
@@ -170,12 +170,14 @@ class TestActivityDraws:
             c if (c := containing_pico(topo, x, y)) is not None else -1
             for x, y in zip(pop.px, pop.py)
         ])
-        flags = draw_activity_flags(pop, containing, rng,
+        flags = draw_activity_flags(rng.random(pop.px.size), containing, pop.my_pico,
                                     p_uniform=0.0, p_hotspot=1.0)
         boosted = pop.is_hotspot & (containing == pop.my_pico)
         np.testing.assert_array_equal(flags, boosted)
-        assert draw_activity_flags(pop, containing, rng, 1.0, 1.0).all()
-        assert not draw_activity_flags(pop, containing, rng, 0.0, 0.0).any()
+        assert draw_activity_flags(rng.random(pop.px.size), containing, pop.my_pico,
+                                   1.0, 1.0).all()
+        assert not draw_activity_flags(rng.random(pop.px.size), containing, pop.my_pico,
+                                       0.0, 0.0).any()
 
     def test_base_rate_matches_the_probability(self):
         topo = build_udc(np.random.default_rng(9))
@@ -183,8 +185,8 @@ class TestActivityDraws:
         pop = init_population(topo, SCHEDULE, UsersConfig(total=4000, hotspot=0), rng)
         containing = np.full(4000, -1)
         hits = sum(
-            draw_activity_flags(pop, containing, rng, PARAMS.activity_uniform,
-                                PARAMS.activity_hotspot).sum()
+            draw_activity_flags(rng.random(pop.px.size), containing, pop.my_pico,
+                                PARAMS.activity_uniform, PARAMS.activity_hotspot).sum()
             for _ in range(10)
         )
         assert hits / 40000 == pytest.approx(0.4, abs=0.02)
@@ -195,7 +197,7 @@ class TestActivityDraws:
         pop = init_population(topo, SCHEDULE, UsersConfig(total=50, hotspot=50), rng)
         other = (pop.my_pico + 1) % 28
         flags_mean = np.mean([
-            draw_activity_flags(pop, other, rng, 0.0, 1.0).any()
+            draw_activity_flags(rng.random(pop.px.size), other, pop.my_pico, 0.0, 1.0).any()
             for _ in range(20)
         ])
         assert flags_mean == 0.0

@@ -18,9 +18,9 @@ def draw(params, mode, n_served=0):
     """One station's draw as engine.Response computes it: the macro's, or
     that of the one pico of a row."""
     if params is MACRO_POWER:
-        return float(RESPONSE.macro_power(np.array([n_served]))[0])
-    return float(RESPONSE.pico_power(np.array([[MODE_OF_CODE.index(mode)]]),
-                                     np.array([n_served]))[0])
+        return float(RESPONSE.macro_power(np.array([[n_served]]))[0, 0])
+    return float(RESPONSE.pico_power(np.array([[[MODE_OF_CODE.index(mode)]]]),
+                                     np.array([[n_served]]))[0, 0])
 
 
 @pytest.mark.parametrize(
