@@ -82,7 +82,15 @@ def _cmd_run(args) -> int:
 MAX_SWEEP_POINTS = 10_000
 
 
+def _decimals(x: float) -> int:
+    """Decimal places of repr(x): 2 for 0.25, 12 for 1e-12, -16 for 1e+16."""
+    mantissa, _, exponent = repr(x).partition("e")
+    return len(mantissa.partition(".")[2]) - int(exponent or 0)
+
+
 def _sweep_values(start: float, stop: float, step: float) -> list[float]:
+    """The points start + i * step up to stop, rounded to the finer decimal
+    precision of start and step (0.3, not 0.30000000000000004)."""
     if not all(map(math.isfinite, (start, stop, step))):
         raise ConfigError("--from, --to and --step must be finite")
     if step <= 0:
@@ -90,17 +98,16 @@ def _sweep_values(start: float, stop: float, step: float) -> list[float]:
     if stop < start:
         raise ConfigError("--to must be >= --from")
     # a float's spacing grows with its size: a step lost to rounding at
-    # either end would stall the loop below
+    # either end would give the same point over and over
     if start + step == start or stop + step == stop:
         raise ConfigError(f"--step {step!r} is too small to advance from --from or --to")
-    values = []
-    v = start
-    while v <= stop + 1e-9:
-        if len(values) == MAX_SWEEP_POINTS:
-            raise ConfigError(f"--step {step!r} gives more than {MAX_SWEEP_POINTS} points")
-        values.append(round(v, 10))
-        v += step
-    return values
+    # a point within a billionth of a step past --to still counts; the
+    # span may overflow to inf, which fails the comparison
+    steps = (stop - start) / step + 1e-9
+    if not steps < MAX_SWEEP_POINTS:
+        raise ConfigError(f"--step {step!r} gives more than {MAX_SWEEP_POINTS} points")
+    digits = max(_decimals(start), _decimals(step))
+    return [round(start + i * step, digits) for i in range(math.floor(steps) + 1)]
 
 
 def _cmd_sweep(args) -> int:

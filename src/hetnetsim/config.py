@@ -33,7 +33,18 @@ import yaml
 
 
 class ConfigError(Exception):
-    pass
+    """A scenario or command line that cannot run.  A message line keeps
+    at most ECHO_CHARS characters from either end: the dotted path in
+    front and the reason behind a huge echoed value stay."""
+
+    ECHO_CHARS = 100
+
+    def __init__(self, message: str):
+        n = self.ECHO_CHARS
+        super().__init__("\n".join(
+            line if len(line) <= 2 * n else
+            f"{line[:n]} ... ({len(line) - 2 * n} characters cut) ... {line[-n:]}"
+            for line in message.split("\n")))
 
 
 class ValidationError(ConfigError):

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import kernels
 from .config import PowerParams, Scenario
-from .control import ACTIVE, MODES, SLEEP, step_modes
+from .control import ACTIVE, MODES, SLEEP, mode_index, step_modes
 from .mobility import draw_activity_flags, init_population, step_population
 from .topology import Topology, build_coe, build_monet, build_udc
 
@@ -174,17 +174,17 @@ class Response:
         return type(params[0])(*(np.reshape([getattr(p, f.name) for p in params], shape)
                                  for f in fields(params[0])))
 
-    def pico_power(self, mode: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    def pico_power(self, state: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """(K, B) summed draw of each row's picos in each of B drops, from
-        their (K, B, m) modes and (B, m) counts: load-dependent when Active,
-        the sleep floor in Sleep and Boot; 0 W in a row whose layout does
-        not serve."""
-        draw = np.where(mode == ACTIVE, active_draw(self.pico, counts),
+        their (K, B, m) control states and (B, m) counts: load-dependent
+        when Active, the sleep floor in Sleep and Boot; 0 W in a row whose
+        layout does not serve."""
+        draw = np.where(state == ACTIVE, active_draw(self.pico, counts),
                         self.pico.sectors * self.pico.p_sleep_w)
         # added in pico order after a 0.0 column, which is the sum without
         # picos: np.sum's pairwise order would change the bytes, and the
         # draws are >= 0, so starting from 0.0 is exact
-        draw = np.concatenate((np.zeros(mode.shape[:2] + (1,)), draw), axis=2)
+        draw = np.concatenate((np.zeros(state.shape[:2] + (1,)), draw), axis=2)
         return np.where(self.serving[:, None], np.add.accumulate(draw, axis=2)[..., -1], 0.0)
 
     def macro_power(self, n_served: np.ndarray) -> np.ndarray:
@@ -199,28 +199,22 @@ class Response:
 CHUNK_ROW_USERS = 49_152
 
 
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """The batch's per-drop arrays end to end; a batch of one is its own
-    array, so a time series steps its population in place."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
 class World:
     """A group's user process, drawn once per slot for all its rows, and
     the pico control of every scenario (row) of the group.
 
     The constructor builds what the group shares: layout ``topo``, its
     kernels.disc_index ``discs``, the Response and the link constants;
-    then it drops the first batch.  A batch is B user populations, one
-    per drop, stacked drop by drop into (B * n) user arrays: ``drop(r0)``
-    starts realizations r0 .. r0 + B - 1, each with its own generator and
-    users, and every pico asleep.  A time series is a batch of one,
-    realization 0, carried through its slots; a snapshot steps its
-    realizations in chunks of ``batch`` fresh drops (the last chunk may be
-    smaller), and run_slot(r0) drops chunk r0 .. r0 + B - 1 and steps it
-    once.  ``mode[k, b]`` holds row k's (m,) pico codes in drop b
-    (control.SLEEP, BOOT, ACTIVE) and ``boot_remaining[k, b]`` their boot
-    countdowns.
+    then it drops the first batch.  A batch is B drops, and ``pop`` is
+    their users as one mobility.UserPopulation of (B * n) users, stacked
+    drop by drop: ``drop(r0)`` starts realizations r0 .. r0 + B - 1, each
+    with its own generator and users, and every pico asleep.  A time
+    series is a batch of one, realization 0, whose ``pop`` moves in place
+    through its slots; a snapshot steps its realizations in chunks of
+    ``batch`` fresh drops (the last chunk may be smaller), and run_slot(r0)
+    drops chunk r0 .. r0 + B - 1 and steps it once.  ``state[k, b]`` holds
+    row k's (m,) pico control states in drop b (control.SLEEP, ACTIVE, or
+    the boot slots left).
     """
 
     def __init__(self, scenarios: Sequence[Scenario]):
@@ -249,21 +243,14 @@ class World:
         B = min(self.batch, s.realizations - r0)
         self.rngs = [np.random.default_rng(np.random.SeedSequence([s.seed, TAG_WORLD, r]))
                      for r in range(r0, r0 + B)]
-        pops = [init_population(self.topo, s.work, s.users, rng,
-                                static_hotspot_in_cell=self.snapshot)
-                for rng in self.rngs]
-        # a time series moves its one population; is_hotspot is every drop's
-        self.pop = pops[0]
-        self.px = _stack([pop.px for pop in pops])
-        self.py = _stack([pop.py for pop in pops])
-        self.my_pico = _stack([pop.my_pico for pop in pops])
+        self.pop = init_population(self.topo, s.work, s.users, self.rngs,
+                                   static_hotspot_in_cell=self.snapshot)
         # each slot's activity uniforms and shadowing normals, a row per drop
         self.uniforms, self.normals = np.empty((2, B, n))
         # drop b's pico j is column 1 + j of its block of m + 1 columns, whose
         # column 0 stands for "outside every disc": column = containing + offset
         self.offset = np.repeat(1 + (m + 1) * np.arange(B), n)
-        self.mode = np.full((self.response.serving.size, B, m), SLEEP, dtype=np.int64)
-        self.boot_remaining = np.zeros_like(self.mode)
+        self.state = np.full((self.response.serving.size, B, m), SLEEP, dtype=np.int64)
 
     def _tier_capacities(self, active: np.ndarray, in_disc: np.ndarray,
                          containing: np.ndarray):
@@ -273,7 +260,7 @@ class World:
         both: no link is evaluated for it, though it still draws its fading
         normal."""
         C = self.s.channel
-        discs, R = self.discs, self.topo.macro_radius
+        discs, R, pop = self.discs, self.topo.macro_radius, self.pop
         z = self.normals.reshape(-1)
 
         def link(users, dx, dy, sigma_db, pico_link):
@@ -285,13 +272,13 @@ class World:
         # index gathers: a boolean mask gathers several times slower
         on = np.flatnonzero(active)
         cap_macro = np.zeros(active.size)
-        cap_macro[on] = link(on, self.px.take(on) - R, self.py.take(on) - R,
+        cap_macro[on] = link(on, pop.px.take(on) - R, pop.py.take(on) - R,
                              C.macro_shadow_sigma_db, False)
         near = np.flatnonzero(in_disc)
         j = containing.take(near)
         cap_pico = cap_macro.copy()
-        cap_pico[near] = link(near, self.px.take(near) - discs.cx.take(j),
-                              self.py.take(near) - discs.cy.take(j),
+        cap_pico[near] = link(near, pop.px.take(near) - discs.cx.take(j),
+                              pop.py.take(near) - discs.cy.take(j),
                               C.pico_shadow_sigma_db, True)
         return cap_macro, cap_pico
 
@@ -317,22 +304,20 @@ class World:
         for rng, uniforms, normals in zip(self.rngs, self.uniforms, self.normals):
             rng.random(out=uniforms)
             rng.standard_normal(out=normals)
-        K, B, m = self.mode.shape
-        containing = kernels.containing_disc(self.px, self.py, self.discs)
+        K, B, m = self.state.shape
+        containing = kernels.containing_disc(self.pop.px, self.pop.py, self.discs)
         active = draw_activity_flags(
-            self.uniforms.reshape(-1), containing, self.my_pico,
+            self.uniforms.reshape(-1), containing, self.pop.my_pico,
             s.users.activity_uniform, s.users.activity_hotspot,
         )
         # only an active user inside a disc counts, and can be pico-served
         in_disc = active & (containing >= 0)
         column = containing + self.offset
         counts = np.bincount(column[in_disc], minlength=B * (m + 1)).reshape(B, m + 1)[:, 1:]
-        self.mode, self.boot_remaining = step_modes(
-            self.mode, self.boot_remaining, counts, response.t_activate,
-            response.t_sleep, 0 if self.snapshot else response.boot_slots,
-        )
+        self.state = step_modes(self.state, counts, response.t_activate, response.t_sleep,
+                                0 if self.snapshot else response.boot_slots)
         cap_macro, cap_pico = self._tier_capacities(active, in_disc, containing)
-        awake = self.mode == ACTIVE
+        awake = self.state == ACTIVE
         # column 0 of each drop's block, outside every disc, is asleep; take()
         # keeps the (K, B * n) arrays C-ordered (fancy indexing would not): a
         # row sum over another layout adds in another order
@@ -342,7 +327,7 @@ class World:
         cap = np.where(served, cap_pico, cap_macro)
         n_pico = served.reshape(K, B, -1).sum(axis=2)
         n_macro = active.reshape(B, -1).sum(axis=1) - n_pico
-        pico_power = response.pico_power(self.mode, counts)
+        pico_power = response.pico_power(self.state, counts)
         cols = slice(slot, slot + B)
         out.n_active_picos[:, cols] = awake.sum(axis=2)
         out.macro_active_users[:, cols] = n_macro
@@ -389,7 +374,7 @@ class RunResult:
     frac_slots_on_pico: Optional[np.ndarray] = None
     hist_counts: Optional[np.ndarray] = None
     user_trace: Optional[UserTrace] = None
-    pico_trace: Optional[np.ndarray] = None  # (slots, m) mode codes
+    pico_trace: Optional[np.ndarray] = None  # (slots, m) control states
 
 
 def hist_counts(rates: np.ndarray) -> np.ndarray:
@@ -451,13 +436,13 @@ def _run_group(scenarios: list[Scenario], outputs: frozenset) -> list[RunResult]
         xs, ys = np.empty((rows, n)), np.empty((rows, n))
         actives = np.empty((rows, n), dtype=bool)
         serving = np.empty((K, rows, n), dtype=np.int64)
-    modes = np.empty((K, rows, m), dtype=np.int64) if "pico_trace" in outputs else None
+    states = np.empty((K, rows, m), dtype=np.int64) if "pico_trace" in outputs else None
 
     # a snapshot's slot column r is its realization r; each run_slot steps
     # a batch of B drops, one in a time series
     for slot in range(0, rows, world.batch):
         active, containing, served, cap = world.run_slot(slot, columns)
-        B = world.mode.shape[1]
+        B = world.state.shape[1]
         span = slice(slot, slot + B)
         if per_user:
             # realization by realization, so the float sums add in order
@@ -469,11 +454,11 @@ def _run_group(scenarios: list[Scenario], outputs: frozenset) -> list[RunResult]
                 hist += hist_counts(cap[:, active])
         if trace_users:
             xs[span], ys[span], actives[span] = (a.reshape(B, n) for a in
-                                                 (world.px, world.py, active))
+                                                 (world.pop.px, world.pop.py, active))
             serving[:, span] = np.where(served, containing,
                                         np.where(active, -1, -2)).reshape(K, B, n)
-        if modes is not None:
-            modes[:, span] = world.mode
+        if states is not None:
+            states[:, span] = world.state
         # free this batch's (K, B * n) arrays before the next batch builds its own
         del served, cap
     columns.ee_bits_per_joule = compute_ee(columns.capacity_bps, columns.power_w)
@@ -492,7 +477,7 @@ def _run_group(scenarios: list[Scenario], outputs: frozenset) -> list[RunResult]
             power_mean=float(metrics.power_w.mean()),
             active_picos_mean=float(metrics.n_active_picos.mean()),
             user_trace=UserTrace(xs, ys, actives, serving[k]) if trace_users else None,
-            pico_trace=None if modes is None else modes[k],
+            pico_trace=None if states is None else states[k],
         ))
     if not per_user:
         return results
@@ -504,7 +489,7 @@ def _run_group(scenarios: list[Scenario], outputs: frozenset) -> list[RunResult]
         # time series bin each ever-active user's mean rate
         hist = hist_counts(mean_rate[:, ever_active])
     for k, result in enumerate(results):
-        result.is_hotspot = world.pop.is_hotspot
+        result.is_hotspot = world.pop.my_pico[:n] >= 0  # the same in every drop
         result.mean_rate_bps = mean_rate[k]
         result.frac_slots_on_pico = frac_on_pico[k]
         result.hist_counts = hist[k]
@@ -635,12 +620,12 @@ def write_user_trace_csv(result: RunResult, path: str | Path) -> None:
 
 
 def write_pico_trace_csv(result: RunResult, path: str | Path) -> None:
-    """One chunk of lines per slot, as write_user_trace_csv writes; the
-    mode label comes from a table of line tails."""
-    modes = result.pico_trace
-    if modes is None:
+    """One chunk of lines per slot, as write_user_trace_csv writes; each
+    state's mode label comes from a table of line tails."""
+    if result.pico_trace is None:
         raise EngineError("run was executed without the pico_trace output")
+    codes = mode_index(result.pico_trace)
     tails = [f"{mode}\n" for mode in MODES]
-    slots, m = modes.shape
+    slots, m = codes.shape
     _write_slot_lines(Path(path), ["slot", "pico_id", "mode"], slots, m,
-                      lambda slot: (map(tails.__getitem__, modes[slot].tolist()),))
+                      lambda slot: (map(tails.__getitem__, codes[slot].tolist()),))

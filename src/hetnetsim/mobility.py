@@ -10,9 +10,10 @@ back to a random point in the macro disc.
 The whole population advances through vectorized phases.  Draw schedule
 (the determinism contract — identical layouts consume identical draws):
 
-  init:    hotspot pico ids, hotspot work starts, position offsets (one
-           rejection-sampled unit-disc batch for all users), then for
-           moving populations destination offsets and speeds.
+  init:    per drop, from its own generator: hotspot pico ids, hotspot
+           work starts, position offsets (one rejection-sampled
+           unit-disc batch for all its users), then for moving
+           populations destination offsets and speeds.
   step t:  work-start retargets (dest offsets, speeds), work-end retargets
            (dest offsets, speeds), movement, arrival retargets in-work
            (dest offsets, speeds), arrival retargets out-of-work (dest
@@ -25,6 +26,7 @@ so the number of draws consumed never depends on cell positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -35,10 +37,12 @@ from .topology import Topology
 
 @dataclass
 class UserPopulation:
-    """Struct-of-arrays state for n users; index = user id.
+    """Struct-of-arrays state of the users of one or more drops, end to
+    end; within a drop, index = user id.
 
-    my_pico / work_start are -1 for uniform users.  Hotspot users occupy
-    the tail of the index range (ids n_uniform .. n-1).
+    my_pico / work_start are -1 for uniform users, so a user is a hotspot
+    user exactly when my_pico >= 0.  Hotspot users occupy the tail of each
+    drop's index range (ids n_uniform .. n-1).
     """
 
     px: np.ndarray
@@ -48,7 +52,6 @@ class UserPopulation:
     speed: np.ndarray
     vx: np.ndarray
     vy: np.ndarray
-    is_hotspot: np.ndarray
     my_pico: np.ndarray
     work_start: np.ndarray
 
@@ -109,11 +112,13 @@ def init_population(
     topo: Topology,
     schedule: WorkSchedule,
     users: UsersConfig,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     static_hotspot_in_cell: bool = False,
 ) -> UserPopulation:
-    """Fresh population of users.total users: uniform users first, then
-    users.hotspot hotspot users.
+    """Fresh users of B = len(rngs) drops, stacked drop by drop into one
+    population: drop b is users b * n .. (b + 1) * n - 1, n = users.total,
+    uniform users first, then users.hotspot hotspot users, all drawn from
+    rngs[b] alone.
 
     Everyone starts at a uniform point in the macro disc with a waypoint
     there too, except that single-snapshot runs place hotspot users
@@ -121,43 +126,39 @@ def init_population(
     are read from users.  config.validate_scenario guarantees 0 <= hotspot
     <= total, and a pico to assign hotspot users to.
     """
-    n, n_hotspot = users.total, users.hotspot
-    hot = np.zeros(n, dtype=bool)
-    hot[n - n_hotspot :] = n_hotspot > 0
-    my_pico = np.full(n, -1, dtype=np.int64)
-    work_start = np.full(n, -1, dtype=np.int64)
+    n, n_hotspot, R = users.total, users.hotspot, topo.macro_radius
+    starts = np.asarray(schedule.start_slots, dtype=np.int64)
+    picos, begins, offsets, targets, speeds = [], [], [], [], []
+    for rng in rngs:
+        if n_hotspot > 0:
+            picos.append(rng.integers(0, topo.cx.size, n_hotspot))
+            begins.append(starts[rng.integers(0, starts.size, n_hotspot)])
+        offsets.append(_unit_disc(rng, n))
+        if not static_hotspot_in_cell:
+            targets.append(_unit_disc(rng, n))
+            speeds.append(rng.uniform(users.speed_min, users.speed_max, n))
+
+    hot = np.tile(np.arange(n) >= n - n_hotspot, len(rngs))
+    my_pico = np.full(hot.size, -1, dtype=np.int64)
+    work_start = np.full(hot.size, -1, dtype=np.int64)
+    ox, oy = np.concatenate(offsets, axis=1)
+    px, py = R + ox * R, R + oy * R
     if n_hotspot > 0:
-        my_pico[hot] = rng.integers(0, topo.cx.size, n_hotspot)
-        starts = np.asarray(schedule.start_slots, dtype=np.int64)
-        work_start[hot] = starts[rng.integers(0, starts.size, n_hotspot)]
-
-    R = topo.macro_radius
-    center_x = np.full(n, R)
-    center_y = np.full(n, R)
-    radius = np.full(n, R)
-    if static_hotspot_in_cell and n_hotspot > 0:
-        center_x[hot] = topo.cx[my_pico[hot]]
-        center_y[hot] = topo.cy[my_pico[hot]]
-        radius[hot] = topo.pico_radius
-    ox, oy = _unit_disc(rng, n)
-    px = center_x + ox * radius
-    py = center_y + oy * radius
-
-    pop = UserPopulation(
-        px=px,
-        py=py,
-        dest_x=px.copy(),
-        dest_y=py.copy(),
-        speed=np.zeros(n),
-        vx=np.zeros(n),
-        vy=np.zeros(n),
-        is_hotspot=hot,
-        my_pico=my_pico,
-        work_start=work_start,
-    )
+        my_pico[hot] = np.concatenate(picos)
+        work_start[hot] = np.concatenate(begins)
+        if static_hotspot_in_cell:
+            mine = my_pico[hot]
+            px[hot] = topo.cx[mine] + ox[hot] * topo.pico_radius
+            py[hot] = topo.cy[mine] + oy[hot] * topo.pico_radius
+    if static_hotspot_in_cell:
+        dest_x, dest_y, speed = px.copy(), py.copy(), np.zeros(hot.size)
+    else:
+        ox, oy = np.concatenate(targets, axis=1)
+        dest_x, dest_y, speed = R + ox * R, R + oy * R, np.concatenate(speeds)
+    pop = UserPopulation(px, py, dest_x, dest_y, speed, np.zeros(hot.size),
+                         np.zeros(hot.size), my_pico, work_start)
     if not static_hotspot_in_cell:
-        _retarget(pop, np.ones(n, dtype=bool), R, R, R,
-                  users.speed_min, users.speed_max, rng)
+        _set_velocity(pop, np.ones(hot.size, dtype=bool))
     return pop
 
 
@@ -169,8 +170,9 @@ def step_population(
     users: UsersConfig,
     rng: np.random.Generator,
 ) -> None:
-    """Advance every user by one slot (events, move, arrival retargets)."""
-    hot, R, r = pop.is_hotspot, topo.macro_radius, topo.pico_radius
+    """Advance every user of a one-drop population by one slot (events,
+    move, arrival retargets)."""
+    hot, R, r = pop.my_pico >= 0, topo.macro_radius, topo.pico_radius
     # work-start event: head for the assigned pico at travel speed
     ws = hot & (pop.work_start == slot)
     if ws.any():

@@ -215,14 +215,29 @@ class EnbMode(Enum):
     BOOT = "boot"
 
 
-# the EnbMode of each hetnetsim.control mode code (SLEEP, BOOT, ACTIVE)
-MODE_OF_CODE = (EnbMode.SLEEP, EnbMode.BOOT, EnbMode.ACTIVE)
-
-
 @dataclass(frozen=True)
 class PicoControlState:
     mode: EnbMode = EnbMode.SLEEP
     boot_remaining: int = 0
+
+
+def oracle_state(state: int) -> PicoControlState:
+    """The PicoControlState of a hetnetsim.control state: -1 is Sleep, 0
+    Active, and k > 0 Boot with k slots left."""
+    if state < 0:
+        return PicoControlState(EnbMode.SLEEP)
+    if state == 0:
+        return PicoControlState(EnbMode.ACTIVE)
+    return PicoControlState(EnbMode.BOOT, state)
+
+
+def engine_state(state: PicoControlState) -> int:
+    """The hetnetsim.control state of a PicoControlState, the inverse of
+    oracle_state; a Boot state must have slots left."""
+    if state.mode is EnbMode.BOOT:
+        assert state.boot_remaining > 0, state
+        return state.boot_remaining
+    return -1 if state.mode is EnbMode.SLEEP else 0
 
 
 def one_threshold(t: float) -> ThresholdPolicy:

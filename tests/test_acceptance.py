@@ -15,7 +15,7 @@ import pytest
 
 from hetnetsim import kernels
 from hetnetsim.config import MACRO_POWER, PICO_POWER, ThresholdPolicy, parse_scenario
-from hetnetsim.control import ACTIVE, BOOT, SLEEP, step_modes
+from hetnetsim.control import ACTIVE, SLEEP, step_modes
 from hetnetsim.engine import Response, run_scenario, run_scenarios
 from hetnetsim.presets import run_preset
 from hetnetsim.topology import build_udc
@@ -238,12 +238,11 @@ def test_criterion_7_hysteresis_properties():
     rows = thresholds(policies + policies)
     counts = np.tile(np.array(sequences), (2, 1))
     start = np.repeat([SLEEP, ACTIVE], len(sequences))[:, None]
-    mode, remaining = start, np.zeros_like(start)
+    state = start
     flips = 0
     for t in range(counts.shape[1]):
-        mode, remaining = step_modes(mode, remaining, counts[:, t:t + 1], *rows,
-                                     np.ones_like(start))
-        flips += int((mode != start).sum())
+        state = step_modes(state, counts[:, t:t + 1], *rows, np.ones_like(start))
+        flips += int((state != start).sum())
     # (b) waking always routes through the boot state
     draws = []
     for _ in range(10_000):
@@ -251,22 +250,22 @@ def test_criterion_7_hysteresis_properties():
         count = int(rng.integers(0, 40))
         draws.append((t_act, count, int(rng.integers(1, 4))))
     t_acts, wake_counts, boot_slots = np.array(draws).T
-    mode, _ = step_modes(
-        np.full((len(draws), 1), SLEEP), np.zeros((len(draws), 1), dtype=np.int64),
+    state = step_modes(
+        np.full((len(draws), 1), SLEEP),
         wake_counts[:, None], *thresholds([ThresholdPolicy(t) for t in t_acts]),
         boot_slots[:, None])
-    direct_wakes = int((mode == ACTIVE).sum())
+    direct_wakes = int((state == ACTIVE).sum())
     # (c) a single-threshold policy flaps on counts alternating t, t-1
     row = thresholds([ThresholdPolicy(9)])
-    mode, remaining = np.array([[SLEEP]]), np.array([[0]])
+    state = np.array([[SLEEP]])
     trail = []
     for i in range(30):
-        mode, remaining = step_modes(mode, remaining, np.array([9 if i % 3 == 0 else 8]),
-                                     *row, np.array([[1]]))
-        trail.append(int(mode[0, 0]))
+        state = step_modes(state, np.array([9 if i % 3 == 0 else 8]), *row, np.array([[1]]))
+        trail.append(int(state[0, 0]))
+    # a one-slot boot is state 1
     cycles = sum(
         1 for a, b, c in zip(trail, trail[1:], trail[2:])
-        if (a, b, c) == (BOOT, ACTIVE, SLEEP)
+        if (a, b, c) == (1, ACTIVE, SLEEP)
     )
     ok = flips == 0 and direct_wakes == 0 and cycles >= 5
     report(7, ok,

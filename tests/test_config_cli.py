@@ -35,6 +35,7 @@ from hetnetsim.config import (
     serialize_scenario,
 )
 from hetnetsim.engine import run_scenario
+from hetnetsim.presets import PRESETS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -200,6 +201,16 @@ class TestParsing:
         rows = table.strip().splitlines()[2:]
         documented = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
         assert sorted(documented) == sorted(BOUNDS)
+
+    def test_readme_preset_table_is_the_presets(self):
+        """The README's preset table names every key of presets.PRESETS
+        and no other."""
+        table = re.search(r"\n\| name +\| what it produces \|.*?\n\n",
+                          README.read_text(), re.S).group(0)
+        rows = table.strip().splitlines()[2:]
+        documented = [re.fullmatch(r"`([^`]+)`", row.split("|")[1].strip()).group(1)
+                      for row in rows]
+        assert sorted(documented) == sorted(PRESETS)
 
 
 class TestCrossFieldValidation:
@@ -726,6 +737,40 @@ def test_sweep_reaches_small_floats(scenario_file, tmp_path):
     rows = read_csv(out / "sweep.csv")
     assert [r[0] for r in rows[1:]] == ["1e-05", "2e-05"]
     assert rows[1][5] != rows[2][5]  # each point its own sleep power
+
+
+@pytest.mark.parametrize("start, stop, step, labels", [
+    ("1e-12", "3e-12", "1e-12", ["1e-12", "2e-12", "3e-12"]),
+    ("0", "1", "0.1", [f"{i / 10}" for i in range(11)]),
+], ids=["picowatts", "tenths"])
+def test_sweep_points_follow_the_step(scenario_file, tmp_path, start, stop, step, labels):
+    """Point i is --from + i * --step, up to --to, labelled at the step's
+    precision however small the step: a sweep of 1e-12 steps once ran
+    1,002 points with 11 distinct labels."""
+    out = tmp_path / "sw"
+    assert main(["sweep", "--scenario", str(scenario_file), "--out", str(out),
+                 "--param", "power.pico.p_sleep_w", "--from", start, "--to", stop,
+                 "--step", step]) == 0
+    assert [r[0] for r in read_csv(out / "sweep.csv")[1:]] == labels
+
+
+@pytest.mark.parametrize("path, override, document", [
+    ("seed", "seed=1" + "0" * 5000, None),
+    ("seed", None, "topology: udc\nseed: 1" + "0" * 4000 + "\n"),
+    ("topology", "topology=" + "x" * 5000, None),
+], ids=["set-digits", "file-digits", "set-topology"])
+def test_echoed_values_are_shortened(tmp_path, capsys, path, override, document):
+    """An error message line keeps config.ConfigError.ECHO_CHARS characters from
+    either end, however long the value it echoes, and still names its
+    dotted path; each of these printed 4 to 5 KB."""
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(document or "topology: udc\n")
+    args = ["dump-topology", "--scenario", str(scenario)]
+    if override:
+        args += ["--set", override]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and len(err.encode()) < 300, err
 
 
 def test_integers_past_the_digit_limit_exit_1(tmp_path, capsys):

@@ -14,17 +14,18 @@ from hypothesis.extra import numpy as hnp
 
 from hetnetsim.config import ThresholdPolicy, ValidationError, parse_scenario
 from hetnetsim.control import (
-    ACTIVE as ACTIVE_CODE,
-    BOOT as BOOT_CODE,
+    ACTIVE as ACTIVE_STATE,
     MODES,
-    SLEEP as SLEEP_CODE,
+    SLEEP as SLEEP_STATE,
+    mode_index,
     step_modes,
 )
 from oracles import (
-    MODE_OF_CODE,
     EnbMode,
     PicoControlState,
+    engine_state,
     one_threshold,
+    oracle_state,
     step_state,
     two_threshold,
 )
@@ -42,23 +43,23 @@ def thresholds(policies):
 
 def step(state, count, policy, boot_slots=1):
     """step_modes on a single pico: one row of one column."""
-    mode, remaining = step_modes(
-        np.array([[MODE_OF_CODE.index(state.mode)]]),
-        np.array([[state.boot_remaining]]),
+    nxt = step_modes(
+        np.array([[engine_state(state)]]),
         np.array([count]),
         *thresholds([policy]),
         np.array([[boot_slots]]),
     )
-    return PicoControlState(MODE_OF_CODE[mode[0, 0]], int(remaining[0, 0]))
+    return oracle_state(int(nxt[0, 0]))
 
 
 def test_mode_labels_follow_the_codes():
-    """MODES[code], the pico-trace label, is the value of the oracle's
-    EnbMode for that code."""
-    assert MODES[SLEEP_CODE] == EnbMode.SLEEP.value == "sleep"
-    assert MODES[BOOT_CODE] == EnbMode.BOOT.value == "boot"
-    assert MODES[ACTIVE_CODE] == EnbMode.ACTIVE.value == "active"
-    assert MODES == tuple(mode.value for mode in MODE_OF_CODE)
+    """MODES[mode_index(state)], the pico-trace label, is the value of the
+    oracle's EnbMode for that state, whatever the boot slots left."""
+    assert (SLEEP_STATE, ACTIVE_STATE) == (-1, 0)
+    states = np.arange(-1, 6)
+    labels = [MODES[i] for i in mode_index(states).tolist()]
+    assert labels == [oracle_state(k).mode.value for k in states.tolist()]
+    assert labels[:3] == ["sleep", "active", "boot"]
 
 
 def run_sequence(policy, counts, state=SLEEP, boot_slots=1):
@@ -242,22 +243,20 @@ def policy_rows(draw):
 @settings(max_examples=200, deadline=None)
 @given(rows=policy_rows(), data=st.data())
 def test_step_modes_equals_the_state_table_oracle(rows, data):
-    """(K, m) picos in any mode and countdown, stepped through a run of
-    shared counts, match the oracle element by element after every slot."""
+    """(K, m) picos in any reachable state (Sleep, Active, or Boot with 1
+    to 3 slots left, as boot_slots <= 3), stepped through a run of shared
+    counts, match the oracle element by element after every slot."""
     K = len(rows)
     m = data.draw(st.integers(1, 8))
-    mode = data.draw(hnp.arrays(np.int64, (K, m), elements=st.integers(0, 2)))
-    remaining = data.draw(hnp.arrays(np.int64, (K, m), elements=st.integers(0, 3)))
+    state = data.draw(hnp.arrays(np.int64, (K, m), elements=st.integers(-1, 3)))
     t_activate, t_sleep = thresholds([p for p, _ in rows])
     boot_slots = np.array([[b] for _, b in rows])
     for counts in data.draw(st.lists(
             hnp.arrays(np.int64, (m,), elements=st.integers(0, 12)),
             min_size=1, max_size=8)):
-        want = [[step_state(PicoControlState(MODE_OF_CODE[mode[k, j]], int(remaining[k, j])),
-                            int(counts[j]), rows[k][0], rows[k][1])
+        want = [[step_state(oracle_state(int(state[k, j])), int(counts[j]),
+                            rows[k][0], rows[k][1])
                  for j in range(m)] for k in range(K)]
-        mode, remaining = step_modes(mode, remaining, counts, t_activate, t_sleep,
-                                     boot_slots)
-        got = [[PicoControlState(MODE_OF_CODE[mode[k, j]], int(remaining[k, j]))
-                for j in range(m)] for k in range(K)]
+        state = step_modes(state, counts, t_activate, t_sleep, boot_slots)
+        got = [[oracle_state(int(state[k, j])) for j in range(m)] for k in range(K)]
         assert got == want

@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from hetnetsim import engine, kernels
 from hetnetsim.config import parse_scenario
-from hetnetsim.control import ACTIVE, BOOT, SLEEP
+from hetnetsim.control import ACTIVE, SLEEP
 from hetnetsim.engine import (
     HIST_BINS,
     OUTPUTS,
@@ -36,10 +36,10 @@ from hetnetsim.engine import (
     write_users_csv,
 )
 from oracles import (
-    MODE_OF_CODE,
     EnbMode,
     PicoControlState,
     consumed_power_w,
+    oracle_state,
     rate_histogram,
     step_state,
 )
@@ -54,7 +54,7 @@ def scenario(**kw):
 def slot_counts(w, active, containing):
     """Each pico's active users, as the slot's control step saw them."""
     covered = active & (containing >= 0)
-    return np.bincount(containing[covered], minlength=w.mode.shape[-1])
+    return np.bincount(containing[covered], minlength=w.state.shape[-1])
 
 
 def macro_power(n_served):
@@ -82,7 +82,7 @@ def test_single_active_pico_power_decomposition():
     w = World([scenario(users={"total": 1000, "activity_uniform": 1.0},
                         policy={"t_activate": float("inf"),
                                 "t_deactivate": float("-inf")})])
-    w.mode[0, 0, 0] = ACTIVE
+    w.state[0, 0, 0] = ACTIVE
     out = SlotColumns.empty(1, 1, pico_capacity=False)
     active, containing, _, _ = w.run_slot(0, out)
     m = out.row(0)
@@ -100,7 +100,8 @@ def test_single_active_pico_power_decomposition():
 @pytest.mark.parametrize("boot_slots", [0, 1, 3])
 def test_engine_mode_trail_follows_the_state_table(boot_slots):
     """Replaying each pico's per-slot counts through the state-table
-    oracle gives back the mode trail the engine produced for it."""
+    oracle gives back the state trail, boot countdowns included, that the
+    engine produced for it."""
     s = scenario(
         slots=90, boot_slots=boot_slots,
         layout={"n_picos": 8},
@@ -110,19 +111,19 @@ def test_engine_mode_trail_follows_the_state_table(boot_slots):
     )
     w = World([s])
     out = SlotColumns.empty(1, s.slots, pico_capacity=False)
-    counts, modes = [], []
+    counts, states = [], []
     for slot in range(s.slots):
         active, containing, _, _ = w.run_slot(slot, out)
         counts.append(slot_counts(w, active, containing))
-        modes.append(w.mode[0, 0].copy())
-    modes = np.array(modes)
-    assert {SLEEP, ACTIVE} <= set(modes.ravel())
-    assert (BOOT in modes) == (boot_slots > 0)
-    for j in range(modes.shape[1]):
+        states.append(w.state[0, 0].copy())
+    states = np.array(states)
+    assert {SLEEP, ACTIVE} <= set(states.ravel())
+    assert (states > 0).any() == (boot_slots > 0)
+    for j in range(states.shape[1]):
         state = PicoControlState()
         for t in range(s.slots):
             state = step_state(state, int(counts[t][j]), s.policy, boot_slots)
-            assert state.mode is MODE_OF_CODE[modes[t, j]], (j, t)
+            assert state == oracle_state(int(states[t, j])), (j, t)
 
 
 @pytest.mark.parametrize("p_active", [0.1, 0.9])
@@ -167,17 +168,17 @@ def test_pico_power_is_the_per_pico_loop_added_in_order(rows, data):
     scenarios = [parse_scenario(doc) for doc in rows]
     response = Response(scenarios)
     K, B, m = len(scenarios), data.draw(st.integers(1, 3)), data.draw(st.integers(1, 30))
-    mode = data.draw(hnp.arrays(np.int64, (K, B, m), elements=st.integers(0, 2)))
+    state = data.draw(hnp.arrays(np.int64, (K, B, m), elements=st.integers(-1, 3)))
     counts = data.draw(hnp.arrays(np.int64, (B, m), elements=st.integers(0, 2500)))
     n_macro = data.draw(hnp.arrays(np.int64, (K, B), elements=st.integers(0, 3000)))
-    pico = response.pico_power(mode, counts)
+    pico = response.pico_power(state, counts)
     macro = response.macro_power(n_macro)
     assert pico.shape == macro.shape == (K, B)
     for k, s in enumerate(scenarios):
         for b in range(B):
             want = 0.0
-            for code, c in zip(mode[k, b], counts[b]):
-                mode_j = MODE_OF_CODE[code]
+            for state_j, c in zip(state[k, b].tolist(), counts[b]):
+                mode_j = oracle_state(state_j).mode
                 served = int(c) if mode_j is EnbMode.ACTIVE else 0
                 want += consumed_power_w(s.power.pico, mode_j, served)
             assert pico[k, b] == (want if s.serves_from_picos() else 0.0)
@@ -279,7 +280,7 @@ def test_snapshot_results_do_not_depend_on_boot_slots():
     for r in (*grouped, *alone):
         assert_same_columns(r.slot_metrics, grouped[0].slot_metrics)
         np.testing.assert_array_equal(r.pico_trace, grouped[0].pico_trace)
-        assert BOOT not in r.pico_trace
+        assert (r.pico_trace <= ACTIVE).all()  # no pico boots
 
 
 def test_engine_reruns_bit_identically():
@@ -317,8 +318,8 @@ class TestServingInvariants:
         assert (traced.pico_trace[slot, trace.serving[slot, user]] == ACTIVE).all()
 
     def test_boot_appears_in_the_mode_trace(self, traced):
-        modes = set(np.unique(traced.pico_trace).tolist())
-        assert BOOT in modes and ACTIVE in modes and SLEEP in modes
+        states = traced.pico_trace
+        assert (states > 0).any() and (states == ACTIVE).any() and (states == SLEEP).any()
 
 
 def reference_csv(header, rows) -> bytes:
@@ -352,7 +353,8 @@ def test_trace_writers_match_a_row_by_row_reference(traced, traced_monet, data,
     """The per-slot chunked writers give the bytes of formatting every
     trace row value by value, for any coordinates and every serving and
     mode code, with one- and two-digit slot, user and pico ids, and with
-    no picos at all."""
+    no picos at all; a pico's state is Sleep, Active or 1 to 3 boot
+    slots left."""
     base = traced_monet if pico_less else traced
     m = base.topology.cx.size
     trace = UserTrace(
@@ -362,9 +364,8 @@ def test_trace_writers_match_a_row_by_row_reference(traced, traced_monet, data,
         serving=data.draw(hnp.arrays(np.int64, (slots, n),
                                      elements=st.integers(-2, m - 1))),
     )
-    modes = data.draw(hnp.arrays(np.int64, (slots, m), elements=st.sampled_from(
-        [SLEEP, BOOT, ACTIVE])))
-    result = dataclasses.replace(base, user_trace=trace, pico_trace=modes)
+    states = data.draw(hnp.arrays(np.int64, (slots, m), elements=st.integers(-1, 3)))
+    result = dataclasses.replace(base, user_trace=trace, pico_trace=states)
 
     def label(code):
         return {-2: "none", -1: "macro"}.get(code, f"pico:{code}")
@@ -374,7 +375,8 @@ def test_trace_writers_match_a_row_by_row_reference(traced, traced_monet, data,
          label(int(trace.serving[t, i])))
         for t in range(slots) for i in range(n)
     ]
-    picos = [(t, j, MODE_OF_CODE[modes[t, j]].value) for t in range(slots) for j in range(m)]
+    picos = [(t, j, oracle_state(int(states[t, j])).mode.value)
+             for t in range(slots) for j in range(m)]
     with tempfile.TemporaryDirectory() as tmp:
         write_user_trace_csv(result, Path(tmp) / "user_trace.csv")
         write_pico_trace_csv(result, Path(tmp) / "pico_trace.csv")
@@ -735,7 +737,7 @@ def reference_slot_columns(scenarios):
         counts = slot_counts(w, active, containing)
         for k, s in enumerate(scenarios):
             served, cap = served_rows[k], cap_rows[k]
-            modes = [MODE_OF_CODE[code] for code in w.mode[k, 0]]
+            modes = [oracle_state(state).mode for state in w.state[k, 0].tolist()]
             n_pico = int(served.sum())
             n_macro = int(active.sum()) - n_pico
             macro_w = consumed_power_w(s.power.macro, EnbMode.ACTIVE, n_macro)
@@ -878,12 +880,14 @@ def test_slot_power_lies_between_its_floor_and_ceiling(docs):
 @pytest.mark.parametrize("shape, slots", [({"slots": 12}, 12), ({"realizations": 4}, 4)])
 def test_a_group_builds_its_disc_index_once(shape, slots):
     """One layout, built before the Response, and one disc index per group;
-    one user drop per realization, so one for a whole time series; one
-    containment query per slot, or per chunk of drops (the 4 drops of 100
-    users fit one chunk)."""
+    one population per chunk of drops (here chunks of 3, so 3 + 1 for 4
+    realizations), so one for a whole time series, with each realization's
+    generator, in order, given to one of them exactly once; one
+    containment query per slot, or per chunk."""
     s = scenario(**shape, users={"total": 100})
     calls = mock.Mock()
-    with mock.patch.object(engine, "build_geometry", wraps=engine.build_geometry) as layouts, \
+    with mock.patch.object(engine, "CHUNK_ROW_USERS", 3 * 2 * 100), \
+            mock.patch.object(engine, "build_geometry", wraps=engine.build_geometry) as layouts, \
             mock.patch.object(engine, "Response", wraps=engine.Response) as responses, \
             mock.patch.object(kernels, "disc_index", wraps=kernels.disc_index) as build, \
             mock.patch.object(kernels, "containing_disc",
@@ -895,8 +899,12 @@ def test_a_group_builds_its_disc_index_once(shape, slots):
         run_scenarios([s, dataclasses.replace(s, boot_slots=0)])
     assert [c[0] for c in calls.mock_calls] == ["build_geometry", "Response"]
     assert build.call_count == 1
-    assert query.call_count == (1 if "realizations" in shape else slots)
-    assert drops.call_count == (slots if "realizations" in shape else 1)
+    chunks = 2 if "realizations" in shape else 1
+    assert query.call_count == (chunks if "realizations" in shape else slots)
+    assert drops.call_count == chunks
+    rngs = [rng for call in drops.call_args_list for rng in call.args[3]]
+    assert [rng.bit_generator.seed_seq.entropy for rng in rngs] == \
+        [[s.seed, engine.TAG_WORLD, r] for r in range(s.realizations)]
 
 
 def test_means_only_sweep_holds_no_per_user_arrays():

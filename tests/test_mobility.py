@@ -1,5 +1,7 @@
 """Waypoint mobility: drops, commuting, wander, activity draws."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ SCHEDULE = WorkSchedule()
 def make_world(n=200, hot=80, seed=5, topo_seed=9):
     topo = build_udc(np.random.default_rng(topo_seed))
     rng = np.random.default_rng(seed)
-    pop = init_population(topo, SCHEDULE, UsersConfig(total=n, hotspot=hot), rng)
+    pop = init_population(topo, SCHEDULE, UsersConfig(total=n, hotspot=hot), [rng])
     return topo, rng, pop
 
 
@@ -40,8 +42,6 @@ def test_initial_drop_fills_the_macro_disc():
 
 def test_population_layout_uniform_then_hotspot():
     _, _, pop = make_world(n=50, hot=20)
-    assert not pop.is_hotspot[:30].any()
-    assert pop.is_hotspot[30:].all()
     assert (pop.my_pico[:30] == -1).all()
     assert ((0 <= pop.my_pico[30:]) & (pop.my_pico[30:] < 28)).all()
     assert (pop.work_start[:30] == -1).all()
@@ -62,7 +62,7 @@ def test_same_seed_same_trajectory():
     pops = []
     for _ in range(2):
         rng = np.random.default_rng(5)
-        pop = init_population(topo, SCHEDULE, UsersConfig(total=100, hotspot=40), rng)
+        pop = init_population(topo, SCHEDULE, UsersConfig(total=100, hotspot=40), [rng])
         for slot in range(40):
             step_population(pop, slot, topo, SCHEDULE, PARAMS, rng)
         pops.append(pop)
@@ -83,10 +83,11 @@ def test_static_drop_puts_hotspot_users_in_their_own_pico():
     topo = build_udc(np.random.default_rng(9))
     rng = np.random.default_rng(5)
     pop = init_population(topo, SCHEDULE, UsersConfig(total=200, hotspot=80),
-                          rng, static_hotspot_in_cell=True)
+                          [rng], static_hotspot_in_cell=True)
+    hot = pop.my_pico >= 0
     d = dist_to_own_pico(pop, topo)
-    assert (d[pop.is_hotspot] < 50.0).all()
-    for i in np.flatnonzero(pop.is_hotspot)[:10]:
+    assert (d[hot] < 50.0).all()
+    for i in np.flatnonzero(hot)[:10]:
         assert containing_pico(topo, pop.px[i], pop.py[i]) == pop.my_pico[i]
 
 
@@ -96,10 +97,10 @@ def test_workers_reach_their_pico_and_wander_slowly():
     topo = build_udc(np.random.default_rng(9))
     rng = np.random.default_rng(5)
     sched = WorkSchedule(start_slots=(0,), duration=375)
-    pop = init_population(topo, sched, UsersConfig(total=300, hotspot=120), rng)
+    pop = init_population(topo, sched, UsersConfig(total=300, hotspot=120), [rng])
     for slot in range(130):
         step_population(pop, slot, topo, sched, PARAMS, rng)
-    hot = pop.is_hotspot
+    hot = pop.my_pico >= 0
     d = dist_to_own_pico(pop, topo)
     assert (d[hot] < 50.0).all()
     assert (pop.speed[hot] <= 2.0).all()  # wander pace, not travel pace
@@ -113,16 +114,39 @@ def test_work_end_sends_workers_back_out():
     topo = build_udc(np.random.default_rng(9))
     rng = np.random.default_rng(5)
     sched = WorkSchedule(start_slots=(0,), duration=60)
-    pop = init_population(topo, sched, UsersConfig(total=200, hotspot=80), rng)
+    pop = init_population(topo, sched, UsersConfig(total=200, hotspot=80), [rng])
     for slot in range(62):
         step_population(pop, slot, topo, sched, PARAMS, rng)
-    hot = pop.is_hotspot
+    hot = pop.my_pico >= 0
     assert (pop.speed[hot] >= 10.0).all()  # back to travel pace
     # eventually the cohort disperses: far fewer than all of them in-cell
     for slot in range(62, 240):
         step_population(pop, slot, topo, sched, PARAMS, rng)
     frac_in = (dist_to_own_pico(pop, topo)[hot] < 50.0).mean()
     assert frac_in < 0.3
+
+
+@pytest.mark.parametrize("static", [False, True], ids=["moving", "static"])
+@pytest.mark.parametrize("hot", [0, 7])
+def test_drops_stack_end_to_end(static, hot):
+    """The population of three generators is, field by field, the three
+    one-generator populations end to end, and leaves each generator where
+    drawing its own drop alone leaves it."""
+    topo = build_udc(np.random.default_rng(9))
+    users = UsersConfig(total=20, hotspot=hot)
+
+    def rngs():
+        return [np.random.default_rng(seed) for seed in (4, 5, 6)]
+
+    stacked_rngs, alone_rngs = rngs(), rngs()
+    stacked = init_population(topo, SCHEDULE, users, stacked_rngs, static)
+    alone = [init_population(topo, SCHEDULE, users, [rng], static) for rng in alone_rngs]
+    for field in dataclasses.fields(UserPopulation):
+        np.testing.assert_array_equal(
+            getattr(stacked, field.name),
+            np.concatenate([getattr(pop, field.name) for pop in alone]), err_msg=field.name)
+    for a, b in zip(stacked_rngs, alone_rngs):
+        assert a.random() == b.random()
 
 
 def one_user(x, y, dest_x, dest_y, speed, vx, vy):
@@ -132,7 +156,6 @@ def one_user(x, y, dest_x, dest_y, speed, vx, vy):
     return UserPopulation(
         px=arr(x), py=arr(y), dest_x=arr(dest_x), dest_y=arr(dest_y),
         speed=arr(speed), vx=arr(vx), vy=arr(vy),
-        is_hotspot=np.array([False]),
         my_pico=np.array([-1]), work_start=np.array([-1]),
     )
 
@@ -152,8 +175,8 @@ def test_single_user_api_matches_population_semantics():
     """A population of one hotspot user gets a pico and moves."""
     topo = build_udc(np.random.default_rng(9))
     pop = init_population(topo, SCHEDULE, UsersConfig(total=1, hotspot=1),
-                          np.random.default_rng(3))
-    assert pop.is_hotspot[0] and 0 <= pop.my_pico[0] < 28
+                          [np.random.default_rng(3)])
+    assert 0 <= pop.my_pico[0] < 28
     before = (pop.px[0], pop.py[0])
     step_population(pop, 1_000_000, topo, SCHEDULE, PARAMS,
                     np.random.default_rng(4))
@@ -165,14 +188,14 @@ class TestActivityDraws:
         topo = build_udc(np.random.default_rng(9))
         rng = np.random.default_rng(5)
         pop = init_population(topo, SCHEDULE, UsersConfig(total=400, hotspot=150),
-                              rng, static_hotspot_in_cell=True)
+                              [rng], static_hotspot_in_cell=True)
         containing = np.array([
             c if (c := containing_pico(topo, x, y)) is not None else -1
             for x, y in zip(pop.px, pop.py)
         ])
         flags = draw_activity_flags(rng.random(pop.px.size), containing, pop.my_pico,
                                     p_uniform=0.0, p_hotspot=1.0)
-        boosted = pop.is_hotspot & (containing == pop.my_pico)
+        boosted = (pop.my_pico >= 0) & (containing == pop.my_pico)
         np.testing.assert_array_equal(flags, boosted)
         assert draw_activity_flags(rng.random(pop.px.size), containing, pop.my_pico,
                                    1.0, 1.0).all()
@@ -182,7 +205,7 @@ class TestActivityDraws:
     def test_base_rate_matches_the_probability(self):
         topo = build_udc(np.random.default_rng(9))
         rng = np.random.default_rng(5)
-        pop = init_population(topo, SCHEDULE, UsersConfig(total=4000, hotspot=0), rng)
+        pop = init_population(topo, SCHEDULE, UsersConfig(total=4000, hotspot=0), [rng])
         containing = np.full(4000, -1)
         hits = sum(
             draw_activity_flags(rng.random(pop.px.size), containing, pop.my_pico,
@@ -194,7 +217,7 @@ class TestActivityDraws:
     def test_visiting_someone_elses_pico_earns_no_boost(self):
         topo = build_udc(np.random.default_rng(9))
         rng = np.random.default_rng(5)
-        pop = init_population(topo, SCHEDULE, UsersConfig(total=50, hotspot=50), rng)
+        pop = init_population(topo, SCHEDULE, UsersConfig(total=50, hotspot=50), [rng])
         other = (pop.my_pico + 1) % 28
         flags_mean = np.mean([
             draw_activity_flags(rng.random(pop.px.size), other, pop.my_pico, 0.0, 1.0).any()

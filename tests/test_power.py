@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hetnetsim.config import MACRO_POWER, PICO_POWER, parse_scenario
 from hetnetsim.engine import Response
-from oracles import MODE_OF_CODE, EnbMode, consumed_power_w
+from oracles import EnbMode, PicoControlState, consumed_power_w, engine_state
 
 # one row with the default power models, MACRO_POWER and PICO_POWER
 RESPONSE = Response([parse_scenario({"topology": "udc"})])
@@ -19,8 +19,8 @@ def draw(params, mode, n_served=0):
     that of the one pico of a row."""
     if params is MACRO_POWER:
         return float(RESPONSE.macro_power(np.array([[n_served]]))[0, 0])
-    return float(RESPONSE.pico_power(np.array([[[MODE_OF_CODE.index(mode)]]]),
-                                     np.array([[n_served]]))[0, 0])
+    state = engine_state(PicoControlState(mode, int(mode is EnbMode.BOOT)))
+    return float(RESPONSE.pico_power(np.array([[[state]]]), np.array([[n_served]]))[0, 0])
 
 
 @pytest.mark.parametrize(

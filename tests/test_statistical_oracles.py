@@ -13,8 +13,10 @@ import math
 import numpy as np
 import pytest
 
+from hetnetsim import kernels
 from hetnetsim.config import parse_scenario
-from hetnetsim.engine import run_scenarios
+from hetnetsim.control import SLEEP
+from hetnetsim.engine import SlotColumns, World, run_scenarios
 
 THRESHOLDS = (0, 1, 2, 3, 4, 5, 6, 8, 10)
 # with 500 of the 1000 users in hotspots a pico's mean count is about 16
@@ -72,3 +74,95 @@ def test_snapshot_counts_are_exactly_binomial(topology, hotspot, thresholds):
         assert_mean_matches(metrics.n_active_picos, m * awake, f"n_active_picos T={t}")
         assert_mean_matches(metrics.pico_active_users, m * served,
                             f"pico_active_users T={t}")
+
+
+def binomial_cdf(n: int, a: float, c: float) -> float:
+    """P(C <= c) of C ~ Bin(n, a)."""
+    return sum(math.comb(n, k) * a**k * (1 - a) ** (n - k) for k in range(min(math.floor(c), n) + 1))
+
+
+def transition_chain(p: float, q: float, boot: int):
+    """One pico's control as a Markov chain of B + 2 states, B = boot:
+    0 is Sleep, 1 .. B the boot slots counted down, B + 1 Active.  Sleep
+    wakes with probability p, Boot counts down whatever the count, Active
+    sleeps with probability q.  Returns the chain's transitions (i, j),
+    those with P[i, j] > 0, and the transition matrix of the chain of
+    successive transitions, which is Markov too: (i, j) -> (j, l) with
+    probability P[j, l]."""
+    P = np.zeros((boot + 2, boot + 2))
+    P[0, 0], P[0, 1] = 1 - p, p
+    for i in range(1, boot + 1):
+        P[i, i + 1] = 1.0
+    P[-1, -1], P[-1, 0] = 1 - q, q
+    edges = [(i, j) for i in range(boot + 2) for j in range(boot + 2) if P[i, j] > 0]
+    Q = np.array([[P[j, l] if j == k else 0.0 for k, l in edges] for _, j in edges])
+    return P, edges, Q
+
+
+def additive_moments(Q: np.ndarray, start: np.ndarray, f: np.ndarray, T: int):
+    """Mean and asymptotic variance of sum_{t=1}^T f(Y_t) for an
+    irreducible chain Q whose Y_1 has law start.  With the stationary law
+    pi, Pi = 1 pi and the fundamental matrix Z = (I - Q + Pi)^-1 (Kemeny
+    & Snell): the mean is start ((I - (Q - Pi)^T) Z + (T - 1) Pi) f, exact
+    at any T, and the variance T sum_i pi_i g_i (2 (Z g)_i - g_i) with g =
+    f - pi f."""
+    E = len(f)
+    pi = np.linalg.solve((np.eye(E) - Q + 1.0).T, np.ones(E))
+    Pi = np.tile(pi, (E, 1))
+    Z = np.linalg.inv(np.eye(E) - Q + Pi)
+    mean = start @ ((np.eye(E) - np.linalg.matrix_power(Q - Pi, T)) @ Z + (T - 1) * Pi) @ f
+    g = f - pi @ f
+    return float(mean), T * float(pi @ (g * (2 * Z @ g - g)))
+
+
+def test_time_series_control_is_the_markov_chain_of_its_state_table():
+    """Static uniform users (no speed, no hotspot users): pico j holds
+    the same N_j users in every slot, each active with probability a, so
+    its count is i.i.d. Bin(N_j, a) from slot to slot, and its control
+    state is the Markov chain of transition_chain with p = P(C >=
+    t_activate) and q = P(C <= t_sleep).  Picos hold disjoint users, so
+    they are independent.  Each row's Active pico-slots (the sum of its
+    n_active_picos column) and its wakes (Sleep left for Boot or Active)
+    over 2,000 slots lie within 4 standard errors of the chain's; a pico
+    whose users cannot reach t_activate never wakes.  One group of 12
+    rows: wake at 3, 5 or 7, one threshold or sleep at 1, boot 0 or 3."""
+    slots, a = 2000, 0.4
+    rows = [(t, t_off, boot) for t in (3, 5, 7) for t_off in (None, 1) for boot in (0, 3)]
+    scenarios = [parse_scenario({
+        "topology": "udc", "seed": 1, "slots": slots, "boot_slots": boot,
+        "layout": {"n_picos": 10, "pico_radius_m": 80.0},
+        "users": {"total": 400, "hotspot": 0, "activity_uniform": a,
+                  "speed_min": 0.0, "speed_max": 0.0},
+        "policy": {"t_activate": t, "t_deactivate": t_off},
+    }) for t, t_off, boot in rows]
+    w = World(scenarios)
+    start_x = w.pop.px.copy()
+    containing = kernels.containing_disc(w.pop.px, w.pop.py, w.discs)
+    users_in = np.bincount(containing[containing >= 0], minlength=w.topo.cx.size).tolist()
+    out = SlotColumns.empty(len(scenarios), slots, pico_capacity=False)
+    before = w.state
+    wakes = np.zeros(w.state.shape, dtype=np.int64)
+    for slot in range(slots):
+        w.run_slot(slot, out)
+        wakes += (before == SLEEP) & (w.state != SLEEP)
+        before = w.state
+    assert (w.pop.px == start_x).all()  # the users never moved
+    active_slots = out.n_active_picos.sum(axis=1)
+
+    for k, s in enumerate(scenarios):
+        want = np.zeros((2, 2))  # (mean, variance) of Active slots, then wakes
+        for pico, n in enumerate(users_in):
+            p = 1.0 - binomial_cdf(n, a, math.ceil(s.policy.t_activate) - 1)
+            if p == 0.0:
+                assert wakes[k, 0, pico] == 0, (k, pico)
+                continue
+            P, edges, Q = transition_chain(p, binomial_cdf(n, a, s.policy.t_sleep),
+                                           s.boot_slots)
+            first = np.array([P[0, j] if i == 0 else 0.0 for i, j in edges])
+            awake = np.array([float(j == s.boot_slots + 1) for _, j in edges])
+            woken = np.array([float(i == 0 and j != 0) for i, j in edges])
+            want += [additive_moments(Q, first, f, slots) for f in (awake, woken)]
+        for label, got, (mean, var) in zip(("Active pico-slots", "wakes"),
+                                           (active_slots[k], wakes[k].sum()), want):
+            z = (got - mean) / math.sqrt(var)
+            assert abs(z) <= 4.0, f"{label} of row {rows[k]}: {got} vs {mean:.1f}, z = {z:.2f}"
