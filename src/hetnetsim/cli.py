@@ -12,7 +12,9 @@ cannot be built included), 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from .config import (
     set_path,
 )
 from .engine import (
+    TraceSinks,
     build_geometry,
     run_scenario,
     write_histogram_csv,
@@ -50,15 +53,48 @@ def _document_from_args(args) -> dict:
     return apply_overrides(read_scenario_document(args.scenario), args.set or [])
 
 
+def _trace_sink(path: Path, write, opened: list):
+    """A sink that appends each batch of a trace to path with write(fh,
+    *batch).  The file opens at the first batch, once the run has built
+    its layout, and joins opened."""
+    fh = None
+
+    def sink(*batch):
+        nonlocal fh
+        if fh is None:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fh = open(path, "w", encoding="utf-8", newline="\n")
+            opened.append(fh)
+        write(fh, *batch)
+
+    return sink
+
+
 def _cmd_run(args) -> int:
     scenario = parse_scenario(_document_from_args(args))
-    outputs = {"per_user"}
-    if args.trace_users:
-        outputs.add("user_trace")
-    if args.trace_picos:
-        outputs.add("pico_trace")
-    result = run_scenario(scenario, outputs)
     out = Path(args.out)
+    # what a run that fails leaves as it found: its trace files, then the
+    # directories it made for them, deepest first
+    missing = [d for d in (out, *out.parents) if not d.exists()]
+    opened: list = []
+    trace = TraceSinks(
+        users=_trace_sink(out / "user_trace.csv", write_user_trace_csv, opened)
+        if args.trace_users else None,
+        picos=_trace_sink(out / "pico_trace.csv", write_pico_trace_csv, opened)
+        if args.trace_picos else None,
+    )
+    try:
+        result = run_scenario(scenario, {"per_user"}, trace)
+    except BaseException:
+        for fh in opened:
+            fh.close()
+            os.remove(fh.name)
+        for d in missing:
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
+    for fh in opened:
+        fh.close()
     out.mkdir(parents=True, exist_ok=True)
     write_slot_csv(result, out / "slots.csv")
     write_users_csv(result, out / "users.csv")
@@ -66,10 +102,6 @@ def _cmd_run(args) -> int:
     (out / "topology.json").write_text(
         result.topology.to_json() + "\n", encoding="utf-8", newline="\n"
     )
-    if args.trace_users:
-        write_user_trace_csv(result, out / "user_trace.csv")
-    if args.trace_picos:
-        write_pico_trace_csv(result, out / "pico_trace.csv")
     print(
         f"ee_mean={result.ee_mean!r} capacity_mean={result.capacity_mean!r} "
         f"power_mean={result.power_mean!r}"

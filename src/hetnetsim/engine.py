@@ -31,15 +31,22 @@ run_scenarios makes that the code path: scenarios with the same
 process_key form a group whose user process (positions, containment,
 activity, fading and both tiers' link capacities) is simulated once, and
 each scenario is one row of the group's (K, B, m) pico control and power.
+
+Traces are not kept: as each batch finishes, run_scenarios hands its
+user and pico trace columns to the scenario's TraceSinks, so a traced run
+holds one batch of trace, O(n + m), whatever its length.
+write_user_trace_csv and write_pico_trace_csv are such sinks, bound to an
+open file.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -61,8 +68,8 @@ HIST_BINS = int(HIST_MAX / HIST_BIN_WIDTH)
 # what run_scenarios can build beyond the slot columns and their means:
 # per_user is what run and the time-series presets write besides the slot
 # CSV (per-user totals, the rate histogram and the pico-layer capacity of
-# the pico view); the others are the user and pico traces
-OUTPUTS = frozenset({"per_user", "user_trace", "pico_trace"})
+# the pico view); traces are not kept but handed to TraceSinks
+OUTPUTS = frozenset({"per_user"})
 
 
 class EngineError(Exception):
@@ -347,15 +354,21 @@ class World:
         return active, containing, served, cap
 
 
-@dataclass
-class UserTrace:
-    """Every user in every slot of a traced run, as (slots, n) columns;
-    row t is slot t, or realization t of a snapshot."""
+@dataclass(frozen=True)
+class TraceSinks:
+    """Where one scenario's traces go, a batch at a time, as its group
+    steps: rows first .. first + B - 1 of the run (slots, or snapshot
+    realizations), then the next batch's.
 
-    x: np.ndarray
-    y: np.ndarray
-    active: np.ndarray
-    serving: np.ndarray  # -2 idle, -1 macro, j pico
+    ``users(topology, first, x, y, active, serving)`` gets the group's
+    layout and the batch's (B, n) positions, activity flags and serving
+    codes (-2 idle, -1 macro, j pico); ``picos(first, states)`` gets the
+    row's (B, m) pico control states.  The arrays are the world's own
+    and change as it steps: a sink that keeps them copies them.
+    """
+
+    users: Optional[Callable] = None
+    picos: Optional[Callable] = None
 
 
 @dataclass
@@ -373,8 +386,6 @@ class RunResult:
     mean_rate_bps: Optional[np.ndarray] = None       # over its active slots
     frac_slots_on_pico: Optional[np.ndarray] = None
     hist_counts: Optional[np.ndarray] = None
-    user_trace: Optional[UserTrace] = None
-    pico_trace: Optional[np.ndarray] = None  # (slots, m) control states
 
 
 def hist_counts(rates: np.ndarray) -> np.ndarray:
@@ -391,36 +402,44 @@ def hist_counts(rates: np.ndarray) -> np.ndarray:
 def run_scenarios(
     scenarios: Sequence[Scenario],
     outputs: Collection[str] = (),
+    traces: Sequence[Optional[TraceSinks]] = (),
 ) -> list[RunResult]:
     """Run every scenario; results come back in input order.
 
     Every result holds its slot columns and their means; ``outputs`` names
-    what else to build, from OUTPUTS.  Scenarios with the same process_key
-    are one group: their user process is simulated once and each scenario
-    is a row of the group's response.
+    what else to build, from OUTPUTS.  ``traces[i]``, if given and not
+    None, receives scenario i's traces as the run goes.  Scenarios with
+    the same process_key are one group: their user process is simulated
+    once and each scenario is a row of the group's response.
     """
     outputs = frozenset(outputs)
     if outputs - OUTPUTS:
         raise ValueError(f"unknown outputs {sorted(outputs - OUTPUTS)}; "
                          f"expected some of {sorted(OUTPUTS)}")
+    traces = list(traces) or [None] * len(scenarios)
+    if len(traces) != len(scenarios):
+        raise ValueError(f"{len(traces)} traces for {len(scenarios)} scenarios")
     groups: dict[tuple, list[int]] = {}
     for i, s in enumerate(scenarios):
         groups.setdefault(process_key(s), []).append(i)
     results: list[Optional[RunResult]] = [None] * len(scenarios)
     for members in groups.values():
-        rows = _run_group([scenarios[i] for i in members], outputs)
+        rows = _run_group([scenarios[i] for i in members], outputs,
+                          [traces[i] for i in members])
         for i, result in zip(members, rows):
             results[i] = result
     return results
 
 
-def run_scenario(scenario: Scenario, outputs: Collection[str] = ()) -> RunResult:
-    return run_scenarios([scenario], outputs)[0]
+def run_scenario(scenario: Scenario, outputs: Collection[str] = (),
+                 trace: Optional[TraceSinks] = None) -> RunResult:
+    return run_scenarios([scenario], outputs, [trace])[0]
 
 
-def _run_group(scenarios: list[Scenario], outputs: frozenset) -> list[RunResult]:
+def _run_group(scenarios: list[Scenario], outputs: frozenset,
+               traces: list[Optional[TraceSinks]]) -> list[RunResult]:
     world = World(scenarios)
-    K, n, m = len(scenarios), world.s.users.total, world.topo.cx.size
+    K, n = len(scenarios), world.s.users.total
     rows = world.s.realizations if world.snapshot else world.s.slots
     per_user = "per_user" in outputs
     columns = SlotColumns.empty(K, rows, pico_capacity=per_user)
@@ -431,19 +450,14 @@ def _run_group(scenarios: list[Scenario], outputs: frozenset) -> list[RunResult]
         active_slots = np.zeros(n, dtype=np.int64)
         pico_slots = np.zeros((K, n), dtype=np.int64)
         hist = np.zeros((K, HIST_BINS), dtype=np.int64)
-    trace_users = "user_trace" in outputs
-    if trace_users:
-        xs, ys = np.empty((rows, n)), np.empty((rows, n))
-        actives = np.empty((rows, n), dtype=bool)
-        serving = np.empty((K, rows, n), dtype=np.int64)
-    states = np.empty((K, rows, m), dtype=np.int64) if "pico_trace" in outputs else None
+    user_sinks = [(k, t.users) for k, t in enumerate(traces) if t and t.users]
+    pico_sinks = [(k, t.picos) for k, t in enumerate(traces) if t and t.picos]
 
     # a snapshot's slot column r is its realization r; each run_slot steps
     # a batch of B drops, one in a time series
     for slot in range(0, rows, world.batch):
         active, containing, served, cap = world.run_slot(slot, columns)
         B = world.state.shape[1]
-        span = slice(slot, slot + B)
         if per_user:
             # realization by realization, so the float sums add in order
             for b, drop_active in enumerate(active.reshape(B, n)):
@@ -452,13 +466,14 @@ def _run_group(scenarios: list[Scenario], outputs: frozenset) -> list[RunResult]
                 pico_slots += served[:, b * n:(b + 1) * n]
             if world.snapshot:
                 hist += hist_counts(cap[:, active])
-        if trace_users:
-            xs[span], ys[span], actives[span] = (a.reshape(B, n) for a in
-                                                 (world.pop.px, world.pop.py, active))
-            serving[:, span] = np.where(served, containing,
-                                        np.where(active, -1, -2)).reshape(K, B, n)
-        if states is not None:
-            states[:, span] = world.state
+        if user_sinks:
+            x, y, flags = (a.reshape(B, n) for a in (world.pop.px, world.pop.py, active))
+            unserved = np.where(active, -1, -2)
+            for k, sink in user_sinks:
+                sink(world.topo, slot, x, y, flags,
+                     np.where(served[k], containing, unserved).reshape(B, n))
+        for k, sink in pico_sinks:
+            sink(slot, world.state[k])
         # free this batch's (K, B * n) arrays before the next batch builds its own
         del served, cap
     columns.ee_bits_per_joule = compute_ee(columns.capacity_bps, columns.power_w)
@@ -476,8 +491,6 @@ def _run_group(scenarios: list[Scenario], outputs: frozenset) -> list[RunResult]
             capacity_mean=float(metrics.capacity_bps.mean()),
             power_mean=float(metrics.power_w.mean()),
             active_picos_mean=float(metrics.n_active_picos.mean()),
-            user_trace=UserTrace(xs, ys, actives, serving[k]) if trace_users else None,
-            pico_trace=None if states is None else states[k],
         ))
     if not per_user:
         return results
@@ -585,47 +598,59 @@ def write_sweep_csv(points: Iterable[tuple[float, RunResult]],
     )
 
 
-def _write_slot_lines(path: Path, header: list[str], slots: int, ids: int,
-                      fields) -> None:
-    """One chunk of lines per slot, joined from parallel string streams:
-    the slot number, formatted once, then ",{i}," for id i, then the
-    streams fields(slot) returns, one string per line from each."""
-    id_text = [f",{i}," for i in range(ids)]
-    _write_lines(path, header, (
-        "".join(chain.from_iterable(zip(repeat(str(slot)), id_text, *fields(slot))))
-        for slot in range(slots)
+@lru_cache(maxsize=2)
+def _id_fields(ids: int) -> tuple[str, ...]:
+    """",{i}," for ids 0 .. ids - 1, built once for the batches of a run's
+    two traces (n users, m picos) and shared by them."""
+    return tuple(f",{i}," for i in range(ids))
+
+
+@lru_cache(maxsize=1)
+def _serving_tails(m: int) -> tuple[str, ...]:
+    """The 2 (m + 2) user-trace line tails ",{active},{serving_cell}\n" of
+    a layout of m picos: serving code c of a user with flag a ends in
+    tail c + 2 + (m + 2) a."""
+    labels = ["none", "macro", *(f"pico:{j}" for j in range(m))]
+    return tuple(f",{a},{label}\n" for a in (0, 1) for label in labels)
+
+
+# the pico-trace line tail of each control.MODES index
+_MODE_TAILS = tuple(f"{mode}\n" for mode in MODES)
+
+
+def _write_trace_rows(fh, header: str, first: int, ids: int, rows: Iterable) -> None:
+    """Append trace rows first, first + 1, ... to fh, the header first at
+    row 0: one chunk of lines per row, joined from parallel string
+    streams: the row number, formatted once, then ",{i}," for each of ids
+    ids, then the streams rows gives for the row, one string per line
+    from each."""
+    if first == 0:
+        fh.write(header)
+    id_text = _id_fields(ids)
+    fh.writelines(
+        "".join(chain.from_iterable(zip(repeat(str(row)), id_text, *streams)))
+        for row, streams in enumerate(rows, first)
+    )
+
+
+def write_user_trace_csv(fh, topology: Topology, first: int, x, y, active,
+                         serving) -> None:
+    """A TraceSinks.users sink's batch of user_trace.csv, appended to fh.
+    Only x and y are formatted per line (repr of the .tolist() floats);
+    the active flag and serving label come from a table of line tails."""
+    tails = _serving_tails(topology.cx.size)
+    width = topology.cx.size + 2
+    _write_trace_rows(fh, "slot,user_id,x,y,active,serving_cell\n", first, x.shape[1], (
+        (map(repr, xb.tolist()), repeat(","), map(repr, yb.tolist()),
+         map(tails.__getitem__, (codes + 2 + width * flags).tolist()))
+        for xb, yb, flags, codes in zip(x, y, active, serving)
     ))
 
 
-def write_user_trace_csv(result: RunResult, path: str | Path) -> None:
-    """Only x and y are formatted per line (repr of the .tolist() floats);
-    the active flag and serving label come from a table of line tails."""
-    trace = result.user_trace
-    if trace is None:
-        raise EngineError("run was executed without the user_trace output")
-    # serving code c of a user with flag a ends in tails[c + 2 + width * a]
-    labels = ["none", "macro", *(f"pico:{j}" for j in range(result.topology.cx.size))]
-    width = len(labels)
-    tails = [f",{a},{label}\n" for a in (0, 1) for label in labels]
-
-    def fields(slot):
-        codes = trace.serving[slot] + 2 + width * trace.active[slot]
-        return (map(repr, trace.x[slot].tolist()), repeat(","),
-                map(repr, trace.y[slot].tolist()),
-                map(tails.__getitem__, codes.tolist()))
-
-    slots, n = trace.x.shape
-    _write_slot_lines(Path(path), ["slot", "user_id", "x", "y", "active", "serving_cell"],
-                      slots, n, fields)
-
-
-def write_pico_trace_csv(result: RunResult, path: str | Path) -> None:
-    """One chunk of lines per slot, as write_user_trace_csv writes; each
-    state's mode label comes from a table of line tails."""
-    if result.pico_trace is None:
-        raise EngineError("run was executed without the pico_trace output")
-    codes = mode_index(result.pico_trace)
-    tails = [f"{mode}\n" for mode in MODES]
-    slots, m = codes.shape
-    _write_slot_lines(Path(path), ["slot", "pico_id", "mode"], slots, m,
-                      lambda slot: (map(tails.__getitem__, codes[slot].tolist()),))
+def write_pico_trace_csv(fh, first: int, states) -> None:
+    """A TraceSinks.picos sink's batch of pico_trace.csv, appended to fh,
+    as write_user_trace_csv writes; each state's mode label comes from a
+    table of line tails."""
+    _write_trace_rows(fh, "slot,pico_id,mode\n", first, states.shape[1], (
+        (map(_MODE_TAILS.__getitem__, codes.tolist()),) for codes in mode_index(states)
+    ))

@@ -76,20 +76,21 @@ def _unit_disc(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray
     return ox, oy
 
 
-def _set_velocity(pop: UserPopulation, mask: np.ndarray) -> None:
+def _set_velocity(pop: UserPopulation, idx) -> None:
+    """Velocity of the users idx selects (an index array, or a slice)."""
     # project speed onto the pos->dest direction; zero-length gap => rest
-    gx = pop.dest_x[mask] - pop.px[mask]
-    gy = pop.dest_y[mask] - pop.py[mask]
+    gx = pop.dest_x[idx] - pop.px[idx]
+    gy = pop.dest_y[idx] - pop.py[idx]
     dist = np.hypot(gx, gy)
     safe = np.where(dist > 0.0, dist, 1.0)
-    scale = np.where(dist > 0.0, pop.speed[mask] / safe, 0.0)
-    pop.vx[mask] = gx * scale
-    pop.vy[mask] = gy * scale
+    scale = np.where(dist > 0.0, pop.speed[idx] / safe, 0.0)
+    pop.vx[idx] = gx * scale
+    pop.vy[idx] = gy * scale
 
 
 def _retarget(
     pop: UserPopulation,
-    mask: np.ndarray,
+    idx: np.ndarray,
     center_x,
     center_y,
     radius: float,
@@ -98,14 +99,13 @@ def _retarget(
     rng: np.random.Generator,
 ) -> None:
     """New uniform destination, in the disc of the given radius around
-    each masked user's centre (arrays or one scalar), plus a fresh speed;
-    mask selects at least one user."""
-    k = int(mask.sum())
-    ox, oy = _unit_disc(rng, k)
-    pop.dest_x[mask] = center_x + ox * radius
-    pop.dest_y[mask] = center_y + oy * radius
-    pop.speed[mask] = rng.uniform(speed_lo, speed_hi, k)
-    _set_velocity(pop, mask)
+    the centre of each user of idx (arrays or one scalar), plus a fresh
+    speed; idx holds at least one user index, in increasing order."""
+    ox, oy = _unit_disc(rng, idx.size)
+    pop.dest_x[idx] = center_x + ox * radius
+    pop.dest_y[idx] = center_y + oy * radius
+    pop.speed[idx] = rng.uniform(speed_lo, speed_hi, idx.size)
+    _set_velocity(pop, idx)
 
 
 def init_population(
@@ -158,7 +158,7 @@ def init_population(
     pop = UserPopulation(px, py, dest_x, dest_y, speed, np.zeros(hot.size),
                          np.zeros(hot.size), my_pico, work_start)
     if not static_hotspot_in_cell:
-        _set_velocity(pop, np.ones(hot.size, dtype=bool))
+        _set_velocity(pop, slice(None))
     return pop
 
 
@@ -171,31 +171,36 @@ def step_population(
     rng: np.random.Generator,
 ) -> None:
     """Advance every user of a one-drop population by one slot (events,
-    move, arrival retargets)."""
+    move, arrival retargets).  Each event's users are one index array,
+    built once."""
     hot, R, r = pop.my_pico >= 0, topo.macro_radius, topo.pico_radius
     # work-start event: head for the assigned pico at travel speed
-    ws = hot & (pop.work_start == slot)
-    if ws.any():
+    ws = np.flatnonzero(hot & (pop.work_start == slot))
+    if ws.size:
         mine = pop.my_pico[ws]
         _retarget(pop, ws, topo.cx[mine], topo.cy[mine], r,
                   users.speed_min, users.speed_max, rng)
-    # work-end event: head back into the macro disc
-    we = hot & (pop.work_start + schedule.duration == slot)
-    if we.any():
+    # work-end event: head back into the macro disc; a uniform user's
+    # work_start of -1 would match at slot duration - 1 without the guard
+    we = np.flatnonzero(hot & (pop.work_start == slot - schedule.duration))
+    if we.size:
         _retarget(pop, we, R, R, R, users.speed_min, users.speed_max, rng)
 
-    arrived = kernels.advance_positions(
+    arrived = np.flatnonzero(kernels.advance_positions(
         pop.px, pop.py, pop.dest_x, pop.dest_y, pop.vx, pop.vy, pop.speed
-    )
+    ))
 
-    in_work = hot & (pop.work_start <= slot) & (slot < pop.work_start + schedule.duration)
-    wander = arrived & in_work
-    if wander.any():
+    # arrived hotspot users within their work interval wander in their pico
+    start = pop.work_start[arrived]
+    in_work = (pop.my_pico[arrived] >= 0) & (start <= slot) & \
+        (slot < start + schedule.duration)
+    wander = arrived[in_work]
+    if wander.size:
         mine = pop.my_pico[wander]
         _retarget(pop, wander, topo.cx[mine], topo.cy[mine], r,
                   users.work_speed_min, users.work_speed_max, rng)
-    roam = arrived & ~in_work
-    if roam.any():
+    roam = arrived[~in_work]
+    if roam.size:
         _retarget(pop, roam, R, R, R, users.speed_min, users.speed_max, rng)
 
 

@@ -17,6 +17,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hetnetsim import engine
 from hetnetsim.cli import main
 from hetnetsim.config import (
     BOUNDS,
@@ -402,6 +403,57 @@ def test_run_traces(scenario_file, tmp_path):
     assert pt[0] == ["slot", "pico_id", "mode"]
     assert len(pt) == 1 + 3 * 28
     assert {r[2] for r in pt[1:]} <= {"sleep", "boot", "active"}
+
+
+TRACE_FLAGS = ["--trace-users", "--trace-picos"]
+
+
+@pytest.mark.parametrize("sets, code", [
+    (["users.total=0"], 1),
+    (["layout.n_picos=200", "layout.max_place_attempts=5"], 1),
+])
+def test_a_traced_run_opens_its_files_after_the_layout(tmp_path, sets, code):
+    """A traced run that fails validation or its layout creates no output
+    directory: the trace files open only once the layout is built."""
+    doc = tmp_path / "dyn.yaml"
+    doc.write_text("topology: udc\nslots: 3\nusers: {total: 40}\n")
+    out = tmp_path / "out"
+    args = ["run", "--scenario", str(doc), "--out", str(out), *TRACE_FLAGS]
+    for item in sets:
+        args += ["--set", item]
+    assert main(args) == code
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fail_at", [0, 3])
+@pytest.mark.parametrize("existing", [False, True])
+def test_a_failed_traced_run_leaves_no_trace_file(tmp_path, monkeypatch, capsys,
+                                                  fail_at, existing):
+    """A run whose mobility step raises at slot k, after its trace files
+    were opened and slots 0 .. k - 1 written, exits 2 and removes both
+    trace files, then the directories it made for them; a directory that
+    was there before stays, with what else it holds."""
+    doc = tmp_path / "dyn.yaml"
+    doc.write_text("topology: coe\nslots: 6\nusers: {total: 40, hotspot: 10}\n")
+    out = tmp_path / "made" / "traced"
+    if existing:
+        out.mkdir(parents=True)
+        (out / "keep.txt").write_text("kept")
+    step = engine.step_population
+
+    def failing_step(pop, slot, *args):
+        if slot == fail_at:
+            assert (out / "user_trace.csv").exists() == (slot > 0)
+            raise RuntimeError(f"failed at slot {slot}")
+        step(pop, slot, *args)
+
+    monkeypatch.setattr(engine, "step_population", failing_step)
+    assert main(["run", "--scenario", str(doc), "--out", str(out), *TRACE_FLAGS]) == 2
+    assert capsys.readouterr().err == f"runtime error: failed at slot {fail_at}\n"
+    if existing:
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+    else:
+        assert not (tmp_path / "made").exists()
 
 
 def test_run_without_power_writes_zero_efficiency(tmp_path, capsys):

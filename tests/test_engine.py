@@ -4,6 +4,7 @@ and grouped runs that share one user process."""
 import dataclasses
 import tempfile
 import tracemalloc
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -21,9 +22,11 @@ from hetnetsim.engine import (
     OUTPUTS,
     EngineError,
     Response,
+    RunResult,
     SlotColumns,
-    UserTrace,
+    TraceSinks,
     World,
+    build_geometry,
     compute_ee,
     hist_counts,
     run_scenario,
@@ -59,6 +62,42 @@ def slot_counts(w, active, containing):
 
 def macro_power(n_served):
     return 3 * (260.0 + 4.75 * 40.0 * min(n_served, 1000) / 1000)
+
+
+@dataclasses.dataclass
+class Trace:
+    """One scenario's traces, gathered from its sinks into whole-run
+    arrays: (rows, n) x, y, active and serving, (rows, m) states."""
+
+    x: np.ndarray
+    y: np.ndarray
+    active: np.ndarray
+    serving: np.ndarray
+    states: np.ndarray
+
+
+def collecting_sinks(users: list, picos: list) -> TraceSinks:
+    """Sinks that copy every batch into users and picos, checking that
+    batches come in row order with none skipped."""
+    def take_users(topology, first, *columns):
+        assert first == sum(batch[0].shape[0] for batch in users)
+        users.append([c.copy() for c in columns])
+
+    def take_picos(first, states):
+        assert first == sum(batch.shape[0] for batch in picos)
+        picos.append(states.copy())
+
+    return TraceSinks(users=take_users, picos=take_picos)
+
+
+def run_traced(scenarios, outputs=()):
+    """run_scenarios with every scenario traced into memory; returns the
+    results and one Trace per scenario."""
+    batches = [([], []) for _ in scenarios]
+    results = run_scenarios(scenarios, outputs, [collecting_sinks(*b) for b in batches])
+    traces = [Trace(*(np.concatenate(c) for c in zip(*users)), np.concatenate(picos))
+              for users, picos in batches]
+    return results, traces
 
 
 def test_compute_ee_reference_value():
@@ -216,8 +255,6 @@ def test_unknown_output_names_are_rejected():
     (write_users_csv, "per_user"),
     (write_histogram_csv, "per_user"),
     (write_pico_view_csv, "per_user"),
-    (write_user_trace_csv, "user_trace"),
-    (write_pico_trace_csv, "pico_trace"),
 ])
 def test_writers_need_their_output(tmp_path, writer, output):
     """A writer whose output was not requested raises EngineError and
@@ -227,6 +264,25 @@ def test_writers_need_their_output(tmp_path, writer, output):
     with pytest.raises(EngineError, match=f"without the {output} output"):
         writer(result, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("output", ["user_trace", "pico_trace"])
+def test_traces_leave_a_run_only_through_its_sinks(output):
+    """No result holds a trace, and a trace is no output to ask for; in a
+    group, only the scenarios given sinks are traced, one batch a slot,
+    and a list of sinks must match the scenarios one to one."""
+    assert output not in {f.name for f in dataclasses.fields(RunResult)}
+    s = scenario(slots=3, users={"total": 20})
+    with pytest.raises(ValueError, match=output):
+        run_scenario(s, {output})
+    calls = []
+    sink = TraceSinks(users=lambda topology, first, *_: calls.append(("users", first)),
+                      picos=lambda first, _: calls.append(("picos", first)))
+    twin = dataclasses.replace(s, boot_slots=0)
+    run_scenarios([s, twin], (), [None, sink])
+    assert calls == [(name, t) for t in range(3) for name in ("users", "picos")]
+    with pytest.raises(ValueError, match="1 traces for 2 scenarios"):
+        run_scenarios([s, twin], (), [sink])
 
 
 def test_slot_metrics_are_internally_consistent():
@@ -274,13 +330,16 @@ def test_snapshot_results_do_not_depend_on_boot_slots():
                  users={"total": 300, "hotspot": 150},
                  policy={"t_activate": 3, "t_deactivate": None}) for b in (0, 3)]
     scenarios = [scenario(**d) for d in docs]
-    grouped = run_scenarios(scenarios, OUTPUTS)
-    alone = [run_scenario(s, OUTPUTS) for s in scenarios]
+    grouped, traces = run_traced(scenarios, OUTPUTS)
+    for s in scenarios:
+        results, trace = run_traced([s], OUTPUTS)
+        grouped += results
+        traces += trace
     assert grouped[0].slot_metrics.n_active_picos.min() > 0
-    for r in (*grouped, *alone):
+    for r, trace in zip(grouped, traces):
         assert_same_columns(r.slot_metrics, grouped[0].slot_metrics)
-        np.testing.assert_array_equal(r.pico_trace, grouped[0].pico_trace)
-        assert (r.pico_trace <= ACTIVE).all()  # no pico boots
+        np.testing.assert_array_equal(trace.states, traces[0].states)
+        assert (trace.states <= ACTIVE).all()  # no pico boots
 
 
 def test_engine_reruns_bit_identically():
@@ -294,18 +353,20 @@ def test_engine_reruns_bit_identically():
 
 @pytest.fixture(scope="module")
 def traced():
+    """A traced time series: its result and its Trace."""
     s = parse_scenario({
         "topology": "udc", "seed": 3, "slots": 60,
         "users": {"total": 250, "hotspot": 100},
         "policy": {"t_activate": 3, "t_deactivate": 1},
     })
-    return run_scenario(s, {"user_trace", "pico_trace"})
+    (result,), (trace,) = run_traced([s])
+    return result, trace
 
 
 class TestServingInvariants:
     def test_active_users_are_partitioned_between_tiers(self, traced):
-        trace = traced.user_trace
-        m = traced.slot_metrics
+        result, trace = traced
+        m = result.slot_metrics
         assert (trace.serving[~trace.active] == -2).all()
         for slot in range(trace.x.shape[0]):
             serving = trace.serving[slot][trace.active[slot]]
@@ -313,12 +374,12 @@ class TestServingInvariants:
             assert (serving != -1).sum() == m.pico_active_users[slot]
 
     def test_only_awake_picos_serve(self, traced):
-        trace = traced.user_trace
+        _, trace = traced
         slot, user = np.nonzero(trace.active & (trace.serving >= 0))
-        assert (traced.pico_trace[slot, trace.serving[slot, user]] == ACTIVE).all()
+        assert (trace.states[slot, trace.serving[slot, user]] == ACTIVE).all()
 
     def test_boot_appears_in_the_mode_trace(self, traced):
-        states = traced.pico_trace
+        states = traced[1].states
         assert (states > 0).any() and (states == ACTIVE).any() and (states == SLEEP).any()
 
 
@@ -337,35 +398,40 @@ COORDINATES = st.sampled_from([-0.0, 0.0, 1e-05, 5e-324, 1e16, 3.0, 1000.0]) | \
     st.floats(-2000.0, 2000.0) | st.floats(allow_nan=False, allow_infinity=False)
 
 
-@pytest.fixture(scope="module")
-def traced_monet():
-    """A traced run without picos: the pico trace has no rows."""
-    s = parse_scenario({"topology": "monet", "seed": 3, "slots": 2,
-                        "users": {"total": 5}})
-    return run_scenario(s, {"user_trace", "pico_trace"})
+def write_traces(tmp, topology, trace, splits):
+    """Feed the two trace writers trace's rows in the batches that the
+    row indices splits start, as a run's sinks would; returns the bytes
+    of both files."""
+    paths = (Path(tmp) / "user_trace.csv", Path(tmp) / "pico_trace.csv")
+    bounds = [0, *splits, trace.x.shape[0]]
+    with open(paths[0], "w") as users, open(paths[1], "w") as picos:
+        for a, b in zip(bounds, bounds[1:]):
+            write_user_trace_csv(users, topology, a, trace.x[a:b], trace.y[a:b],
+                                 trace.active[a:b], trace.serving[a:b])
+            write_pico_trace_csv(picos, a, trace.states[a:b])
+    return tuple(path.read_bytes() for path in paths)
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), slots=st.integers(1, 12), n=st.integers(0, 12),
        pico_less=st.booleans())
-def test_trace_writers_match_a_row_by_row_reference(traced, traced_monet, data,
-                                                    slots, n, pico_less):
-    """The per-slot chunked writers give the bytes of formatting every
-    trace row value by value, for any coordinates and every serving and
-    mode code, with one- and two-digit slot, user and pico ids, and with
-    no picos at all; a pico's state is Sleep, Active or 1 to 3 boot
-    slots left."""
-    base = traced_monet if pico_less else traced
-    m = base.topology.cx.size
-    trace = UserTrace(
+def test_trace_writers_match_a_row_by_row_reference(data, slots, n, pico_less):
+    """The per-slot chunked writers, fed the rows in any split of batches,
+    give the bytes of formatting every trace row value by value, for any
+    coordinates and every serving and mode code, with one- and two-digit
+    slot, user and pico ids, and with no picos at all; a pico's state is
+    Sleep, Active or 1 to 3 boot slots left."""
+    topology = build_geometry(scenario(topology="monet" if pico_less else "udc"))
+    m = topology.cx.size
+    trace = Trace(
         x=data.draw(hnp.arrays(np.float64, (slots, n), elements=COORDINATES)),
         y=data.draw(hnp.arrays(np.float64, (slots, n), elements=COORDINATES)),
         active=data.draw(hnp.arrays(bool, (slots, n))),
         serving=data.draw(hnp.arrays(np.int64, (slots, n),
                                      elements=st.integers(-2, m - 1))),
+        states=data.draw(hnp.arrays(np.int64, (slots, m), elements=st.integers(-1, 3))),
     )
-    states = data.draw(hnp.arrays(np.int64, (slots, m), elements=st.integers(-1, 3)))
-    result = dataclasses.replace(base, user_trace=trace, pico_trace=states)
+    splits = sorted(data.draw(st.sets(st.integers(1, slots - 1))) if slots > 1 else ())
 
     def label(code):
         return {-2: "none", -1: "macro"}.get(code, f"pico:{code}")
@@ -375,15 +441,12 @@ def test_trace_writers_match_a_row_by_row_reference(traced, traced_monet, data,
          label(int(trace.serving[t, i])))
         for t in range(slots) for i in range(n)
     ]
-    picos = [(t, j, oracle_state(int(states[t, j])).mode.value)
+    picos = [(t, j, oracle_state(int(trace.states[t, j])).mode.value)
              for t in range(slots) for j in range(m)]
     with tempfile.TemporaryDirectory() as tmp:
-        write_user_trace_csv(result, Path(tmp) / "user_trace.csv")
-        write_pico_trace_csv(result, Path(tmp) / "pico_trace.csv")
-        assert (Path(tmp) / "user_trace.csv").read_bytes() == reference_csv(
-            ["slot", "user_id", "x", "y", "active", "serving_cell"], users)
-        assert (Path(tmp) / "pico_trace.csv").read_bytes() == reference_csv(
-            ["slot", "pico_id", "mode"], picos)
+        assert write_traces(tmp, topology, trace, splits) == (
+            reference_csv(["slot", "user_id", "x", "y", "active", "serving_cell"], users),
+            reference_csv(["slot", "pico_id", "mode"], picos))
 
 
 @settings(max_examples=60, deadline=None)
@@ -406,7 +469,7 @@ def test_column_writers_match_a_row_by_row_reference(traced, data, rows):
     )
     n = data.draw(st.integers(0, 12))
     result = dataclasses.replace(
-        traced, slot_metrics=metrics,
+        traced[0], slot_metrics=metrics,
         is_hotspot=data.draw(hnp.arrays(bool, n)),
         mean_rate_bps=floats(n), frac_slots_on_pico=floats(n),
         hist_counts=counts(HIST_BINS),
@@ -446,44 +509,74 @@ def test_column_writers_match_a_row_by_row_reference(traced, data, rows):
             assert (Path(tmp) / name).read_bytes() == reference, name
 
 
-def test_user_trace_writer_holds_a_few_slots_at_a_time():
-    """Writing a 200-slot x 1000-user trace allocates a few slot chunks
-    (~52 KiB of text each) beyond the trace itself; the serving codes of
-    all slots at once, as one (slots, n) int64 array, would take 1.5 MiB."""
+def test_user_trace_writer_holds_a_few_slots_at_a_time(tmp_path):
+    """Handed a 200-slot x 1000-user batch, the user-trace writer
+    allocates a few slot chunks (~52 KiB of text each) beyond the batch
+    itself; the serving codes of all slots at once, as one (slots, n)
+    int64 array, would take 1.5 MiB."""
     rng = np.random.default_rng(5)
     slots, n = 200, 1000
     active = rng.random((slots, n)) < 0.5
-    trace = UserTrace(
-        x=rng.uniform(-500.0, 500.0, (slots, n)),
-        y=rng.uniform(-500.0, 500.0, (slots, n)),
-        active=active,
-        serving=np.where(active, rng.integers(-1, 28, (slots, n)), -2),
-    )
-    result = dataclasses.replace(
-        run_scenario(scenario(slots=2, users={"total": 5})), user_trace=trace)
-    with tempfile.TemporaryDirectory() as tmp:
+    x = rng.uniform(-500.0, 500.0, (slots, n))
+    y = rng.uniform(-500.0, 500.0, (slots, n))
+    serving = np.where(active, rng.integers(-1, 28, (slots, n)), -2)
+    topology = build_geometry(scenario())
+    with open(tmp_path / "user_trace.csv", "w") as fh:
         tracemalloc.start()
         try:
-            write_user_trace_csv(result, Path(tmp) / "user_trace.csv")
+            write_user_trace_csv(fh, topology, 0, x, y, active, serving)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
     assert peak < 2**20
 
 
-def test_user_trace_memory_is_compact():
-    """A traced run keeps its traces as (slots, n) columns, about 25 B per
-    user-slot; one Python tuple per user-slot took about 37 MiB for this
-    run."""
-    s = scenario(slots=200, users={"total": 1000, "hotspot": 500},
-                 policy={"t_activate": 12, "t_deactivate": 8})
-    tracemalloc.start()
-    try:
-        run_scenario(s, {"user_trace", "pico_trace"})
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 12 * 2**20
+def test_traced_run_memory_does_not_grow_with_slots(tmp_path):
+    """A 1000-user run streaming both traces to their writers peaks under
+    2 MiB of Python allocations, and at 400 slots within 0.5 MiB of its
+    peak at 50: the run holds a slot of trace at a time.  Keeping every
+    slot's columns until the run ended peaked at 9.9 MiB at 400 slots."""
+    def peak(slots):
+        s = scenario(slots=slots, users={"total": 1000, "hotspot": 500},
+                     policy={"t_activate": 12, "t_deactivate": 8})
+        with open(tmp_path / "user_trace.csv", "w") as users, \
+                open(tmp_path / "pico_trace.csv", "w") as picos:
+            trace = TraceSinks(users=partial(write_user_trace_csv, users),
+                               picos=partial(write_pico_trace_csv, picos))
+            tracemalloc.start()
+            try:
+                run_scenario(s, (), trace)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    peak(2)  # numpy's first-call allocations
+    short, long = peak(50), peak(400)
+    assert long < 2 * 2**20
+    assert long - short < 2**19
+
+
+def test_snapshot_trace_numbers_realizations_across_chunks(tmp_path):
+    """A traced snapshot stepped in chunks of 3 drops writes realizations
+    0 .. 6 in order, each with every user and pico, and hands each sink
+    one batch per chunk, starting at realizations 0, 3 and 6."""
+    s = scenario(realizations=7, users={"total": 40, "hotspot": 10})
+    firsts = []
+    paths = (tmp_path / "user_trace.csv", tmp_path / "pico_trace.csv")
+    with mock.patch.object(engine, "CHUNK_ROW_USERS", 3 * 40), \
+            open(paths[0], "w") as users, open(paths[1], "w") as picos:
+        def take_users(topology, first, *columns):
+            firsts.append(first)
+            write_user_trace_csv(users, topology, first, *columns)
+
+        run_scenario(s, (), TraceSinks(users=take_users,
+                                       picos=partial(write_pico_trace_csv, picos)))
+    assert firsts == [0, 3, 6]
+    for path, per_row in zip(paths, (40, 28)):
+        lines = path.read_text().splitlines()[1:]
+        assert [line.split(",", 1)[0] for line in lines] == \
+            [str(r) for r in range(7) for _ in range(per_row)]
+        assert [int(line.split(",")[1]) for line in lines] == list(range(per_row)) * 7
 
 
 @settings(max_examples=25, deadline=None)
@@ -498,16 +591,15 @@ def test_pico_service_follows_containment_and_mode(geometry, seed, shape, t_on,
     r^2, and pico j is active in that slot; every other active user is
     served by the macro."""
     t_off = None if gap is None or gap > t_on else float(t_on - gap)
-    result = run_scenario(parse_scenario({
+    (result,), (trace,) = run_traced([parse_scenario({
         "topology": geometry, "seed": seed, **shape, "boot_slots": boot_slots,
         "layout": {"n_picos": 6, "pico_radius_m": 120.0},
         "users": {"total": 60, "hotspot": 30},
         "work": {"start_slots": [0, 3], "duration": 8},
         "policy": {"t_activate": float(t_on), "t_deactivate": t_off},
-    }), {"user_trace", "pico_trace"})
+    })])
     cx, cy, r = result.topology.cx, result.topology.cy, result.topology.pico_radius
-    awake = result.pico_trace == ACTIVE
-    trace = result.user_trace
+    awake = trace.states == ACTIVE
     slots, users = np.nonzero(trace.active)
     dx = trace.x[slots, users][:, None] - cx
     dy = trace.y[slots, users][:, None] - cy
@@ -593,17 +685,17 @@ class TestRateHistogram:
         assert r.hist_counts.sum() == 3 * 200
 
     def test_timeseries_histogram_counts_ever_active_users(self):
-        r = run_scenario(scenario(slots=25, users={"total": 150, "hotspot": 40}),
-                         {"per_user", "user_trace"})
-        assert r.hist_counts.sum() == int(r.user_trace.active.any(axis=0).sum())
+        (r,), (trace,) = run_traced(
+            [scenario(slots=25, users={"total": 150, "hotspot": 40})], {"per_user"})
+        assert r.hist_counts.sum() == int(trace.active.any(axis=0).sum())
 
 
 def test_user_rate_summaries_are_consistent():
-    r = run_scenario(scenario(
+    (r,), (trace,) = run_traced([scenario(
         slots=150, users={"total": 200, "hotspot": 80},
-        policy={"t_activate": 1, "t_deactivate": 0}), {"per_user", "user_trace"})
-    active_slots = r.user_trace.active.sum(axis=0)
-    pico_slots = (r.user_trace.serving >= 0).sum(axis=0)
+        policy={"t_activate": 1, "t_deactivate": 0})], {"per_user"})
+    active_slots = trace.active.sum(axis=0)
+    pico_slots = (trace.serving >= 0).sum(axis=0)
     on = active_slots > 0
     assert (r.mean_rate_bps[~on] == 0.0).all()
     assert (r.mean_rate_bps[on] > 0.0).all()
@@ -709,11 +801,11 @@ def test_user_process_does_not_depend_on_the_policy_row(docs):
     same in every row of a group, whatever each row's policy, boot time or
     power, and each row run alone sees it too."""
     scenarios = [parse_scenario(d) for d in docs]
-    grouped = run_scenarios(scenarios, {"user_trace"})
-    first = grouped[0].user_trace
-    for s, result in zip(scenarios, grouped):
-        solo = run_scenarios([s], {"user_trace"})[0].user_trace
-        for trace in (result.user_trace, solo):
+    _, grouped = run_traced(scenarios)
+    first = grouped[0]
+    for s, in_group in zip(scenarios, grouped):
+        _, (solo,) = run_traced([s])
+        for trace in (in_group, solo):
             for column in ("x", "y", "active"):
                 np.testing.assert_array_equal(getattr(trace, column),
                                               getattr(first, column), err_msg=column)
@@ -777,22 +869,21 @@ def test_slot_columns_equal_the_per_row_reference(docs):
         for name in SUMMARY_FIELDS:
             assert getattr(plain, name) == getattr(result, name), name
         assert plain.slot_metrics.pico_capacity_bps is None
-        for name in (*PER_USER_FIELDS, "user_trace", "pico_trace"):
+        for name in PER_USER_FIELDS:
             assert getattr(plain, name) is None, name
 
 
 def assert_same_traces(a, b):
-    for column in ("x", "y", "active", "serving"):
-        np.testing.assert_array_equal(getattr(a.user_trace, column),
-                                      getattr(b.user_trace, column), err_msg=column)
-    np.testing.assert_array_equal(a.pico_trace, b.pico_trace)
+    for f in dataclasses.fields(a):
+        np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name),
+                                      err_msg=f.name)
 
 
 def one_drop_at_a_time(scenarios):
-    """run_scenarios with every output, its snapshots stepped in batches of
+    """run_traced with every output, its snapshots stepped in batches of
     one drop (a chunk bound of 0)."""
     with mock.patch.object(engine, "CHUNK_ROW_USERS", 0):
-        return run_scenarios(scenarios, OUTPUTS)
+        return run_traced(scenarios, OUTPUTS)
 
 
 @settings(max_examples=30, deadline=None)
@@ -806,10 +897,10 @@ def test_chunked_drops_equal_drops_stepped_one_at_a_time(docs, realizations, bat
     bound = batch * len(scenarios) * scenarios[0].users.total
     with mock.patch.object(engine, "CHUNK_ROW_USERS", bound):
         assert World(scenarios).batch == min(batch, realizations)
-        chunked = run_scenarios(scenarios, OUTPUTS)
-    for a, b in zip(chunked, one_drop_at_a_time(scenarios)):
+        chunked, traces = run_traced(scenarios, OUTPUTS)
+    for a, b, trace_a, trace_b in zip(chunked, *one_drop_at_a_time(scenarios), traces):
         assert_same_run(a, b)
-        assert_same_traces(a, b)
+        assert_same_traces(trace_a, trace_b)
 
 
 @pytest.mark.parametrize("batch, realizations", [(3, 7), (1, 3)])
@@ -825,11 +916,11 @@ def test_snapshot_chunks_follow_the_bound(batch, realizations):
                           policy={"t_activate": t, "t_deactivate": None})
                  for topology, t in (("udc", 4.0), ("udc", 40.0), ("monet_udc_users", 4.0))]
     assert World(scenarios).batch == batch
-    chunked = run_scenarios(scenarios, OUTPUTS)
-    for a, b, want in zip(chunked, one_drop_at_a_time(scenarios),
-                          reference_slot_columns(scenarios)):
+    chunked, traces = run_traced(scenarios, OUTPUTS)
+    for a, b, trace_a, trace_b, want in zip(chunked, *one_drop_at_a_time(scenarios), traces,
+                                            reference_slot_columns(scenarios)):
         assert_same_run(a, b)
-        assert_same_traces(a, b)
+        assert_same_traces(trace_a, trace_b)
         for i, name in enumerate(COLUMNS):
             np.testing.assert_array_equal(getattr(a.slot_metrics, name), want[:, i],
                                           err_msg=name)
@@ -943,13 +1034,12 @@ def test_macro_only_twin_shares_its_donors_user_process(shape):
     each slot's active users are split exactly between the two tiers."""
     doc = {"seed": 9, **shape, "users": {"total": 150, "hotspot": 60},
            "policy": {"t_activate": 2.0, "t_deactivate": None}}
-    donor = run_scenario(parse_scenario({**doc, "topology": "udc"}), {"user_trace"})
-    twin = run_scenario(parse_scenario({**doc, "topology": "monet_udc_users"}),
-                        {"user_trace"})
+    (donor,), (donor_trace,) = run_traced([parse_scenario({**doc, "topology": "udc"})])
+    (twin,), (twin_trace,) = run_traced([parse_scenario({**doc, "topology": "monet_udc_users"})])
     for column in ("x", "y", "active"):
-        np.testing.assert_array_equal(getattr(donor.user_trace, column),
-                                      getattr(twin.user_trace, column))
-    active = donor.user_trace.active.sum(axis=1)
+        np.testing.assert_array_equal(getattr(donor_trace, column),
+                                      getattr(twin_trace, column))
+    active = donor_trace.active.sum(axis=1)
     for result in (donor, twin):
         m = result.slot_metrics
         np.testing.assert_array_equal(m.macro_active_users + m.pico_active_users, active)

@@ -183,6 +183,22 @@ def test_single_user_api_matches_population_semantics():
     assert (pop.px[0], pop.py[0]) != before
 
 
+def test_uniform_users_have_no_work_end():
+    """Uniform users carry work_start = -1, so work_start + duration ==
+    slot alone would retarget them at slot duration - 1; with the hotspot
+    guard, static uniform users (none ever arrives) draw nothing there
+    and keep their waypoints."""
+    topo = build_udc(np.random.default_rng(9))
+    users = UsersConfig(total=50, hotspot=0, speed_min=0.0, speed_max=0.0)
+    rng = np.random.default_rng(1)
+    pop = init_population(topo, SCHEDULE, users, [rng])
+    state, dest = rng.bit_generator.state, (pop.dest_x.copy(), pop.dest_y.copy())
+    step_population(pop, SCHEDULE.duration - 1, topo, SCHEDULE, users, rng)
+    assert rng.bit_generator.state == state
+    np.testing.assert_array_equal(pop.dest_x, dest[0])
+    np.testing.assert_array_equal(pop.dest_y, dest[1])
+
+
 class TestActivityDraws:
     def test_degenerate_probabilities_isolate_the_boost_rule(self):
         topo = build_udc(np.random.default_rng(9))
