@@ -84,7 +84,7 @@ def _cmd_run(args) -> int:
         if args.trace_picos else None,
     )
     try:
-        result = run_scenario(scenario, {"per_user"}, trace)
+        result = run_scenario(scenario, True, trace)
     except BaseException:
         for fh in opened:
             fh.close()
@@ -176,7 +176,9 @@ def _cmd_dump_topology(args) -> int:
     if args.out == "-":
         print(doc)
     else:
-        Path(args.out).write_text(doc + "\n", encoding="utf-8", newline="\n")
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(doc + "\n", encoding="utf-8", newline="\n")
         print(f"wrote {args.out}")
     return 0
 

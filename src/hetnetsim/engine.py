@@ -32,11 +32,13 @@ process_key form a group whose user process (positions, containment,
 activity, fading and both tiers' link capacities) is simulated once, and
 each scenario is one row of the group's (K, B, m) pico control and power.
 
-Traces are not kept: as each batch finishes, run_scenarios hands its
-user and pico trace columns to the scenario's TraceSinks, so a traced run
-holds one batch of trace, O(n + m), whatever its length.
-write_user_trace_csv and write_pico_trace_csv are such sinks, bound to an
-open file.
+With per_user, run_scenarios also builds what run and the time-series
+presets write besides the slot CSV: per-user totals, the rate histogram
+and the pico-layer capacity of the pico view.  Traces are not kept: as
+each batch finishes, run_scenarios hands its user and pico trace columns
+to the scenario's TraceSinks, so a traced run holds one batch of trace,
+O(n + m), whatever its length.  write_user_trace_csv and
+write_pico_trace_csv are such sinks, bound to an open file.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -64,17 +66,6 @@ BOLTZMANN = 1.380649e-23  # J/K
 HIST_BIN_WIDTH = 1e4
 HIST_MAX = 1e6
 HIST_BINS = int(HIST_MAX / HIST_BIN_WIDTH)
-
-# what run_scenarios can build beyond the slot columns and their means:
-# per_user is what run and the time-series presets write besides the slot
-# CSV (per-user totals, the rate histogram and the pico-layer capacity of
-# the pico view); traces are not kept but handed to TraceSinks
-OUTPUTS = frozenset({"per_user"})
-
-
-class EngineError(Exception):
-    pass
-
 
 def noise_power_dbm(bandwidth_hz: float, temperature_k: float) -> float:
     """Thermal noise kTW expressed in dBm."""
@@ -110,17 +101,17 @@ class SlotColumns:
     power_w: np.ndarray
     ee_bits_per_joule: np.ndarray
     # pico-only slice of the same slots, for the small-cell-view outputs;
-    # the capacity only with the per_user output
+    # the capacity only with per_user, which _run_group fills
     pico_power_w: np.ndarray
     pico_capacity_bps: Optional[np.ndarray] = None
 
     @classmethod
-    def empty(cls, K: int, slots: int, pico_capacity: bool) -> "SlotColumns":
-        """Unfilled (K, slots) columns: int64 counts, float64 the rest;
-        pico_capacity_bps only if pico_capacity."""
+    def empty(cls, K: int, slots: int) -> "SlotColumns":
+        """Unfilled (K, slots) columns but pico_capacity_bps: int64 counts,
+        float64 the rest."""
         counts = (np.empty((K, slots), dtype=np.int64) for _ in range(3))
         floats = (np.empty((K, slots)) for _ in range(4))
-        return cls(*counts, *floats, np.empty((K, slots)) if pico_capacity else None)
+        return cls(*counts, *floats)
 
     def row(self, k: int) -> "SlotColumns":
         """Row k's (slots,) columns, as views."""
@@ -292,9 +283,10 @@ class World:
     def run_slot(self, slot: int, out: SlotColumns):
         """Advance the world by one slot and write the batch's metrics into
         columns slot .. slot + B - 1 of out's (K, slots) columns, drop b
-        into column slot + b; ee_bits_per_joule is left to the caller.  A
-        time series moves its users (``slot`` drives the work schedule); a
-        snapshot's slot r0 > 0 drops the chunk of realizations from r0.
+        into column slot + b; ee_bits_per_joule and pico_capacity_bps are
+        left to the caller.  A time series moves its users (``slot`` drives
+        the work schedule); a snapshot's slot r0 > 0 drops the chunk of
+        realizations from r0.
 
         Each drop draws from its own generator, in the draw schedule's
         order; then containment, activity, control, links and power are
@@ -344,13 +336,6 @@ class World:
         out.capacity_bps[:, cols] = cap.reshape(K, B, -1).sum(axis=2)
         out.power_w[:, cols] = response.macro_power(n_macro) + pico_power
         out.pico_power_w[:, cols] = pico_power
-        if out.pico_capacity_bps is not None:
-            # a compacted sum: zeros in place of the macro-served users
-            # would change numpy's pairwise order
-            n = s.users.total
-            out.pico_capacity_bps[:, cols] = np.reshape(
-                [row[sv].sum() for row, sv in zip(cap.reshape(-1, n), served.reshape(-1, n))],
-                (K, B))
         return active, containing, served, cap
 
 
@@ -381,7 +366,7 @@ class RunResult:
     capacity_mean: float
     power_mean: float
     active_picos_mean: float
-    # with the per_user output: per-user values, then the rate histogram
+    # with per_user: per-user values, then the rate histogram
     is_hotspot: Optional[np.ndarray] = None
     mean_rate_bps: Optional[np.ndarray] = None       # over its active slots
     frac_slots_on_pico: Optional[np.ndarray] = None
@@ -401,21 +386,18 @@ def hist_counts(rates: np.ndarray) -> np.ndarray:
 
 def run_scenarios(
     scenarios: Sequence[Scenario],
-    outputs: Collection[str] = (),
+    per_user: bool = False,
     traces: Sequence[Optional[TraceSinks]] = (),
 ) -> list[RunResult]:
     """Run every scenario; results come back in input order.
 
-    Every result holds its slot columns and their means; ``outputs`` names
-    what else to build, from OUTPUTS.  ``traces[i]``, if given and not
-    None, receives scenario i's traces as the run goes.  Scenarios with
-    the same process_key are one group: their user process is simulated
-    once and each scenario is a row of the group's response.
+    Every result holds its slot columns and their means; with per_user
+    also its per-user values, rate histogram and pico_capacity_bps.
+    ``traces[i]``, if given and not None, receives scenario i's traces as
+    the run goes.  Scenarios with the same process_key are one group:
+    their user process is simulated once and each scenario is a row of
+    the group's response.
     """
-    outputs = frozenset(outputs)
-    if outputs - OUTPUTS:
-        raise ValueError(f"unknown outputs {sorted(outputs - OUTPUTS)}; "
-                         f"expected some of {sorted(OUTPUTS)}")
     traces = list(traces) or [None] * len(scenarios)
     if len(traces) != len(scenarios):
         raise ValueError(f"{len(traces)} traces for {len(scenarios)} scenarios")
@@ -424,32 +406,34 @@ def run_scenarios(
         groups.setdefault(process_key(s), []).append(i)
     results: list[Optional[RunResult]] = [None] * len(scenarios)
     for members in groups.values():
-        rows = _run_group([scenarios[i] for i in members], outputs,
+        rows = _run_group([scenarios[i] for i in members], per_user,
                           [traces[i] for i in members])
         for i, result in zip(members, rows):
             results[i] = result
     return results
 
 
-def run_scenario(scenario: Scenario, outputs: Collection[str] = (),
+def run_scenario(scenario: Scenario, per_user: bool = False,
                  trace: Optional[TraceSinks] = None) -> RunResult:
-    return run_scenarios([scenario], outputs, [trace])[0]
+    return run_scenarios([scenario], per_user, [trace])[0]
 
 
-def _run_group(scenarios: list[Scenario], outputs: frozenset,
+def _run_group(scenarios: list[Scenario], per_user: bool,
                traces: list[Optional[TraceSinks]]) -> list[RunResult]:
     world = World(scenarios)
     K, n = len(scenarios), world.s.users.total
     rows = world.s.realizations if world.snapshot else world.s.slots
-    per_user = "per_user" in outputs
-    columns = SlotColumns.empty(K, rows, pico_capacity=per_user)
+    columns = SlotColumns.empty(K, rows)
     if per_user:
-        # per-user sums over every slot and realization; snapshots bin
-        # every active user-realization as they come
+        # per-user sums over every slot and realization, and the pico view's
+        # capacity
         cap_sum = np.zeros((K, n))
         active_slots = np.zeros(n, dtype=np.int64)
         pico_slots = np.zeros((K, n), dtype=np.int64)
-        hist = np.zeros((K, HIST_BINS), dtype=np.int64)
+        columns.pico_capacity_bps = np.empty((K, rows))
+        if world.snapshot:
+            # snapshots bin every active user-realization as they come
+            hist = np.zeros((K, HIST_BINS), dtype=np.int64)
     user_sinks = [(k, t.users) for k, t in enumerate(traces) if t and t.users]
     pico_sinks = [(k, t.picos) for k, t in enumerate(traces) if t and t.picos]
 
@@ -461,9 +445,14 @@ def _run_group(scenarios: list[Scenario], outputs: frozenset,
         if per_user:
             # realization by realization, so the float sums add in order
             for b, drop_active in enumerate(active.reshape(B, n)):
-                cap_sum += cap[:, b * n:(b + 1) * n]
+                drop = slice(b * n, (b + 1) * n)
+                cap_sum += cap[:, drop]
                 active_slots += drop_active
-                pico_slots += served[:, b * n:(b + 1) * n]
+                pico_slots += served[:, drop]
+                # a compacted sum per row: zeros in place of the macro-served
+                # users would change numpy's pairwise order
+                columns.pico_capacity_bps[:, slot + b] = [
+                    row[sv].sum() for row, sv in zip(cap[:, drop], served[:, drop])]
             if world.snapshot:
                 hist += hist_counts(cap[:, active])
         if user_sinks:
@@ -557,13 +546,13 @@ def write_pico_view_csv(result: RunResult, path: str | Path) -> None:
     capacity/power/EE of the small cells alone."""
     m = result.slot_metrics
     if m.pico_capacity_bps is None:
-        raise EngineError("run was executed without the per_user output")
+        raise ValueError("run was executed without per_user")
     _write_slots(path, m, m.pico_capacity_bps, m.pico_power_w)
 
 
 def write_users_csv(result: RunResult, path: str | Path) -> None:
     if result.mean_rate_bps is None:
-        raise EngineError("run was executed without the per_user output")
+        raise ValueError("run was executed without per_user")
     _write_columns(
         Path(path), ["user_id", "kind", "mean_rate_bps", "frac_slots_on_pico"],
         "%d,%s,%r,%r\n",
@@ -575,7 +564,7 @@ def write_users_csv(result: RunResult, path: str | Path) -> None:
 
 def write_histogram_csv(result: RunResult, path: str | Path) -> None:
     if result.hist_counts is None:
-        raise EngineError("run was executed without the per_user output")
+        raise ValueError("run was executed without per_user")
     edges = HIST_BIN_WIDTH * np.arange(HIST_BINS + 1)
     _write_columns(
         Path(path), ["bin_left_bps", "bin_right_bps", "count"], "%r,%r,%d\n",

@@ -82,7 +82,7 @@ def _run_timeseries(outdir: Path, seed: int,
     each run whose picos serve.  Returns the file names."""
     docs = [_document(topo, seed, policy, p, {"hotspot": HOTSPOT}, SLOTS)
             for topo, policy, p in runs.values()]
-    results = run_scenarios([parse_scenario(doc) for doc in docs], {"per_user"})
+    results = run_scenarios([parse_scenario(doc) for doc in docs], True)
     files = []
     for stem, res in zip(runs, results):
         writers = {"": write_slot_csv, "_users": write_users_csv,
@@ -95,19 +95,15 @@ def _run_timeseries(outdir: Path, seed: int,
     return files
 
 
-def _full_activity(outdir: Path, seed: int, thresholds: list[int],
-                   threshold_major: bool):
+def _full_activity(outdir: Path, seed: int, thresholds: list[int]):
     """sweep.csv of every FULL_ACTIVITY_LAYOUTS x thresholds snapshot with
-    every user active and free sleep, rows threshold- or layout-major;
-    returns the manifest grid and the (threshold, result) pairs."""
+    every user active and free sleep, rows layout-major; returns the
+    manifest grid and the (threshold, result) pairs."""
     activity, p_sleep = 1.0, 0.0
     users = {"activity_uniform": activity, "activity_hotspot": activity}
-    points = ([(t, topo) for t in thresholds for topo in FULL_ACTIVITY_LAYOUTS]
-              if threshold_major else
-              [(t, topo) for topo in FULL_ACTIVITY_LAYOUTS for t in thresholds])
     pairs = run_sweeps(outdir, {"sweep.csv": [
         (t, _document(topo, seed, _one_threshold(t), p_sleep, users))
-        for t, topo in points
+        for topo in FULL_ACTIVITY_LAYOUTS for t in thresholds
     ]})
     grid = {"thresholds": thresholds, "topologies": FULL_ACTIVITY_LAYOUTS,
             "realizations": REALIZATIONS, "activity": activity, "p_sleep_w": p_sleep}
@@ -115,12 +111,12 @@ def _full_activity(outdir: Path, seed: int, thresholds: list[int],
 
 
 def _capacity_table(outdir: Path, seed: int):
-    grid, _ = _full_activity(outdir, seed, [0, 8, 13], threshold_major=True)
+    grid, _ = _full_activity(outdir, seed, [0, 8, 13])
     return grid, ["sweep.csv"]
 
 
 def _threshold_sweep(outdir: Path, seed: int):
-    grid, pairs = _full_activity(outdir, seed, THRESHOLDS, threshold_major=False)
+    grid, pairs = _full_activity(outdir, seed, THRESHOLDS)
     with open(outdir / "pico_count.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("threshold,topology,active_picos_mean\n")
         for t, res in pairs:
@@ -230,7 +226,6 @@ def run_preset(name: str, outdir: str | Path, seed: int = DEFAULT_SEED) -> Path:
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         )
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     _, runner = PRESETS[name]
     grid, files = runner(outdir, seed)
     manifest = {

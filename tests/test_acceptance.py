@@ -59,7 +59,7 @@ def hotspot_runs():
     macro-only twins, wake threshold 5."""
     t0 = time.perf_counter()
     runs = {
-        topo: run_scenario(parse_scenario(timeseries_doc(topo)), {"per_user"})
+        topo: run_scenario(parse_scenario(timeseries_doc(topo)), per_user=True)
         for topo in ("udc", "coe", "monet_udc_users", "monet_coe_users")
     }
     return runs, time.perf_counter() - t0

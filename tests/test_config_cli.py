@@ -542,6 +542,41 @@ def test_preset_list_and_unknown_name(tmp_path, capsys):
     assert main(["preset", "no_such_family", "--out", str(tmp_path)]) == 1
 
 
+def test_capacity_table_is_the_threshold_sweep_at_its_thresholds(tmp_path, capsys):
+    """The paper's capacity table is threshold_sweep's rows at T = 0, 8
+    and 13, line for line and in the same order."""
+    for name in ("capacity_table", "threshold_sweep"):
+        assert main(["preset", name, "--seed", "1", "--out", str(tmp_path / name)]) == 0
+    table = (tmp_path / "capacity_table" / "sweep.csv").read_text().splitlines()
+    sweep = (tmp_path / "threshold_sweep" / "sweep.csv").read_text().splitlines()
+    assert len(table) == 1 + 3 * 3
+    assert table == sweep[:1] + [line for line in sweep[1:]
+                                 if line.split(",")[0] in ("0", "8", "13")]
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--set", "seed=-1"],
+    ["sweep", "--set", "seed=-1", "--from", "0", "--to", "1"],
+    ["preset", "capacity_table", "--seed", "-1"],
+    ["preset", "capacity_table", "--seed", "18446744073709551616"],
+    ["dump-topology", "--set", "seed=-1"],
+], ids=["run", "sweep", "preset-negative", "preset-2**64", "dump-topology"])
+def test_rejected_values_leave_no_output(scenario_file, tmp_path, capsys, args):
+    """A command given a value it rejects exits 1 and makes neither its
+    --out path nor a missing parent of it."""
+    if args[0] != "preset":
+        args = [*args, "--scenario", str(scenario_file)]
+    assert main([*args, "--out", str(tmp_path / "new" / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "new").exists()
+
+
+def test_dump_topology_makes_the_parent_of_its_file(scenario_file, tmp_path, capsys):
+    out = tmp_path / "a" / "b.json"
+    assert main(["dump-topology", "--scenario", str(scenario_file), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["kind"] == "udc"
+
+
 def test_dump_topology_to_stdout(scenario_file, capsys):
     assert main(["dump-topology", "--scenario", str(scenario_file)]) == 0
     doc = json.loads(capsys.readouterr().out)

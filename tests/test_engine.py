@@ -19,8 +19,6 @@ from hetnetsim.config import parse_scenario
 from hetnetsim.control import ACTIVE, SLEEP
 from hetnetsim.engine import (
     HIST_BINS,
-    OUTPUTS,
-    EngineError,
     Response,
     RunResult,
     SlotColumns,
@@ -90,11 +88,11 @@ def collecting_sinks(users: list, picos: list) -> TraceSinks:
     return TraceSinks(users=take_users, picos=take_picos)
 
 
-def run_traced(scenarios, outputs=()):
+def run_traced(scenarios, per_user=False):
     """run_scenarios with every scenario traced into memory; returns the
     results and one Trace per scenario."""
     batches = [([], []) for _ in scenarios]
-    results = run_scenarios(scenarios, outputs, [collecting_sinks(*b) for b in batches])
+    results = run_scenarios(scenarios, per_user, [collecting_sinks(*b) for b in batches])
     traces = [Trace(*(np.concatenate(c) for c in zip(*users)), np.concatenate(picos))
               for users, picos in batches]
     return results, traces
@@ -122,7 +120,7 @@ def test_single_active_pico_power_decomposition():
                         policy={"t_activate": float("inf"),
                                 "t_deactivate": float("-inf")})])
     w.state[0, 0, 0] = ACTIVE
-    out = SlotColumns.empty(1, 1, pico_capacity=False)
+    out = SlotColumns.empty(1, 1)
     active, containing, _, _ = w.run_slot(0, out)
     m = out.row(0)
     assert active.all()
@@ -149,7 +147,7 @@ def test_engine_mode_trail_follows_the_state_table(boot_slots):
         policy={"t_activate": 12, "t_deactivate": 8},
     )
     w = World([s])
-    out = SlotColumns.empty(1, s.slots, pico_capacity=False)
+    out = SlotColumns.empty(1, s.slots)
     counts, states = [], []
     for slot in range(s.slots):
         active, containing, _, _ = w.run_slot(slot, out)
@@ -172,7 +170,7 @@ def test_bandwidth_is_split_over_all_configured_users(p_active):
     s = scenario(users={"total": 400, "activity_uniform": p_active},
                  channel={"bandwidth_hz": 1e7})
     w = World([s])
-    active, *_ = w.run_slot(0, SlotColumns.empty(1, 1, pico_capacity=False))
+    active, *_ = w.run_slot(0, SlotColumns.empty(1, 1))
     assert abs(int(active.sum()) - 400 * p_active) < 60
     assert w.w_user == 1e7 / 400
 
@@ -243,51 +241,43 @@ def test_timeseries_covers_every_slot():
     m = r.slot_metrics
     assert all(getattr(m, f.name).shape == (7,)
                for f in dataclasses.fields(m) if f.name != "pico_capacity_bps")
-    assert m.pico_capacity_bps is None  # built only with the per_user output
+    assert m.pico_capacity_bps is None  # built only with per_user
 
 
-def test_unknown_output_names_are_rejected():
-    with pytest.raises(ValueError, match="histogram"):
-        run_scenario(scenario(users={"total": 10}), {"per_user", "histogram"})
-
-
-@pytest.mark.parametrize("writer, output", [
+@pytest.mark.parametrize("writer, needs", [
     (write_users_csv, "per_user"),
     (write_histogram_csv, "per_user"),
     (write_pico_view_csv, "per_user"),
 ])
-def test_writers_need_their_output(tmp_path, writer, output):
-    """A writer whose output was not requested raises EngineError and
-    writes nothing, whatever else was requested."""
-    result = run_scenario(scenario(slots=3, users={"total": 20}), OUTPUTS - {output})
+def test_writers_need_their_output(tmp_path, writer, needs):
+    """A writer of a run made without per_user raises ValueError and
+    writes nothing."""
+    result = run_scenario(scenario(slots=3, users={"total": 20}), per_user=False)
     path = tmp_path / "out.csv"
-    with pytest.raises(EngineError, match=f"without the {output} output"):
+    with pytest.raises(ValueError, match=f"without {needs}"):
         writer(result, path)
     assert not path.exists()
 
 
 @pytest.mark.parametrize("output", ["user_trace", "pico_trace"])
 def test_traces_leave_a_run_only_through_its_sinks(output):
-    """No result holds a trace, and a trace is no output to ask for; in a
-    group, only the scenarios given sinks are traced, one batch a slot,
-    and a list of sinks must match the scenarios one to one."""
+    """No result holds a trace; in a group, only the scenarios given
+    sinks are traced, one batch a slot, and a list of sinks must match the
+    scenarios one to one."""
     assert output not in {f.name for f in dataclasses.fields(RunResult)}
     s = scenario(slots=3, users={"total": 20})
-    with pytest.raises(ValueError, match=output):
-        run_scenario(s, {output})
     calls = []
     sink = TraceSinks(users=lambda topology, first, *_: calls.append(("users", first)),
                       picos=lambda first, _: calls.append(("picos", first)))
     twin = dataclasses.replace(s, boot_slots=0)
-    run_scenarios([s, twin], (), [None, sink])
+    run_scenarios([s, twin], traces=[None, sink])
     assert calls == [(name, t) for t in range(3) for name in ("users", "picos")]
     with pytest.raises(ValueError, match="1 traces for 2 scenarios"):
-        run_scenarios([s, twin], (), [sink])
+        run_scenarios([s, twin], traces=[sink])
 
 
 def test_slot_metrics_are_internally_consistent():
-    r = run_scenario(scenario(slots=40, users={"total": 300, "hotspot": 120}),
-                     {"per_user"})
+    r = run_scenario(scenario(slots=40, users={"total": 300, "hotspot": 120}), per_user=True)
     m = r.slot_metrics
     on = m.capacity_bps > 0
     np.testing.assert_allclose(m.ee_bits_per_joule[on],
@@ -330,9 +320,9 @@ def test_snapshot_results_do_not_depend_on_boot_slots():
                  users={"total": 300, "hotspot": 150},
                  policy={"t_activate": 3, "t_deactivate": None}) for b in (0, 3)]
     scenarios = [scenario(**d) for d in docs]
-    grouped, traces = run_traced(scenarios, OUTPUTS)
+    grouped, traces = run_traced(scenarios, per_user=True)
     for s in scenarios:
-        results, trace = run_traced([s], OUTPUTS)
+        results, trace = run_traced([s], per_user=True)
         grouped += results
         traces += trace
     assert grouped[0].slot_metrics.n_active_picos.min() > 0
@@ -344,8 +334,8 @@ def test_snapshot_results_do_not_depend_on_boot_slots():
 
 def test_engine_reruns_bit_identically():
     s = scenario(slots=30, users={"total": 150, "hotspot": 50})
-    a = run_scenario(s, OUTPUTS)
-    b = run_scenario(s, OUTPUTS)
+    a = run_scenario(s, per_user=True)
+    b = run_scenario(s, per_user=True)
     assert_same_columns(a.slot_metrics, b.slot_metrics)
     np.testing.assert_array_equal(a.mean_rate_bps, b.mean_rate_bps)
     np.testing.assert_array_equal(a.hist_counts, b.hist_counts)
@@ -634,7 +624,7 @@ def test_sleepy_pico_layout_degenerates_to_its_macro_twin():
                             "policy": {"t_activate": float("inf"),
                                        "t_deactivate": 4.0}})
     twin = parse_scenario({**base, "topology": "monet_udc_users"})
-    ra, rb = run_scenario(never, OUTPUTS), run_scenario(twin, OUTPUTS)
+    ra, rb = run_scenario(never, per_user=True), run_scenario(twin, per_user=True)
     for name in ("capacity_bps", "power_w", "ee_bits_per_joule", "macro_active_users"):
         np.testing.assert_array_equal(getattr(ra.slot_metrics, name),
                                       getattr(rb.slot_metrics, name), err_msg=name)
@@ -681,19 +671,19 @@ class TestRateHistogram:
 
     def test_snapshot_histogram_counts_user_realizations(self):
         r = run_scenario(scenario(
-            realizations=3, users={"total": 200, "activity_uniform": 1.0}), {"per_user"})
+            realizations=3, users={"total": 200, "activity_uniform": 1.0}), per_user=True)
         assert r.hist_counts.sum() == 3 * 200
 
     def test_timeseries_histogram_counts_ever_active_users(self):
         (r,), (trace,) = run_traced(
-            [scenario(slots=25, users={"total": 150, "hotspot": 40})], {"per_user"})
+            [scenario(slots=25, users={"total": 150, "hotspot": 40})], per_user=True)
         assert r.hist_counts.sum() == int(trace.active.any(axis=0).sum())
 
 
 def test_user_rate_summaries_are_consistent():
     (r,), (trace,) = run_traced([scenario(
         slots=150, users={"total": 200, "hotspot": 80},
-        policy={"t_activate": 1, "t_deactivate": 0})], {"per_user"})
+        policy={"t_activate": 1, "t_deactivate": 0})], per_user=True)
     active_slots = trace.active.sum(axis=0)
     pico_slots = (trace.serving >= 0).sum(axis=0)
     on = active_slots > 0
@@ -788,10 +778,10 @@ def test_grouped_runs_equal_solo_runs(docs, data):
     )
     with mock.patch.object(engine, "build_geometry",
                            wraps=engine.build_geometry) as layouts:
-        grouped = run_scenarios(scenarios, OUTPUTS)
+        grouped = run_scenarios(scenarios, per_user=True)
     assert layouts.call_count == 1 + len(outsiders)  # one layout per group
     for s, result in zip(scenarios, grouped):
-        assert_same_run(result, run_scenarios([s], OUTPUTS)[0])
+        assert_same_run(result, run_scenarios([s], per_user=True)[0])
 
 
 @settings(max_examples=30, deadline=None)
@@ -822,7 +812,7 @@ def reference_slot_columns(scenarios):
         w = World(scenarios)
     assert w.batch == 1
     slots = max(w.s.slots, w.s.realizations)  # one of the two is 1
-    out = SlotColumns.empty(len(scenarios), slots, pico_capacity=True)
+    out = SlotColumns.empty(len(scenarios), slots)
     rows = [[] for _ in scenarios]
     for slot in range(slots):
         active, containing, served_rows, cap_rows = w.run_slot(slot, out)
@@ -857,15 +847,19 @@ COLUMNS = ("n_active_picos", "macro_active_users", "pico_active_users",
 @given(docs=process_groups())
 def test_slot_columns_equal_the_per_row_reference(docs):
     """Every slot column of a grouped run equals, bit for bit, the per-row
-    scalar loop; a request with no outputs gets the same means as one for
-    every output, and builds none of them."""
+    scalar loop; a run without per_user gets the same slot columns, bit
+    for bit, and the same means, and builds no pico capacity or per-user
+    value."""
     scenarios = [parse_scenario(d) for d in docs]
-    full = run_scenarios(scenarios, OUTPUTS)
+    full = run_scenarios(scenarios, per_user=True)
     bare = run_scenarios(scenarios)
     for result, want, plain in zip(full, reference_slot_columns(scenarios), bare):
         for i, name in enumerate(COLUMNS):
             np.testing.assert_array_equal(getattr(result.slot_metrics, name),
                                           want[:, i], err_msg=name)
+            if name != "pico_capacity_bps":
+                np.testing.assert_array_equal(getattr(plain.slot_metrics, name),
+                                              want[:, i], err_msg=name)
         for name in SUMMARY_FIELDS:
             assert getattr(plain, name) == getattr(result, name), name
         assert plain.slot_metrics.pico_capacity_bps is None
@@ -880,10 +874,10 @@ def assert_same_traces(a, b):
 
 
 def one_drop_at_a_time(scenarios):
-    """run_traced with every output, its snapshots stepped in batches of
+    """run_traced with per_user, its snapshots stepped in batches of
     one drop (a chunk bound of 0)."""
     with mock.patch.object(engine, "CHUNK_ROW_USERS", 0):
-        return run_traced(scenarios, OUTPUTS)
+        return run_traced(scenarios, per_user=True)
 
 
 @settings(max_examples=30, deadline=None)
@@ -897,7 +891,7 @@ def test_chunked_drops_equal_drops_stepped_one_at_a_time(docs, realizations, bat
     bound = batch * len(scenarios) * scenarios[0].users.total
     with mock.patch.object(engine, "CHUNK_ROW_USERS", bound):
         assert World(scenarios).batch == min(batch, realizations)
-        chunked, traces = run_traced(scenarios, OUTPUTS)
+        chunked, traces = run_traced(scenarios, per_user=True)
     for a, b, trace_a, trace_b in zip(chunked, *one_drop_at_a_time(scenarios), traces):
         assert_same_run(a, b)
         assert_same_traces(trace_a, trace_b)
@@ -916,7 +910,7 @@ def test_snapshot_chunks_follow_the_bound(batch, realizations):
                           policy={"t_activate": t, "t_deactivate": None})
                  for topology, t in (("udc", 4.0), ("udc", 40.0), ("monet_udc_users", 4.0))]
     assert World(scenarios).batch == batch
-    chunked, traces = run_traced(scenarios, OUTPUTS)
+    chunked, traces = run_traced(scenarios, per_user=True)
     for a, b, trace_a, trace_b, want in zip(chunked, *one_drop_at_a_time(scenarios), traces,
                                             reference_slot_columns(scenarios)):
         assert_same_run(a, b)

@@ -138,7 +138,7 @@ GOLDEN = {
     },
     "preset_capacity_table": {
         "sweep.csv":
-            "6e1b14d78b666d4b170d267ba9e4ce880ba0323a59db45f84cbd3bb6dafd9291",
+            "e7e0fb93e58d1ebd9d8953513a43dc2dfccb055f113bcede5151d10a67e794cf",
     },
     "preset_ee_timeseries": {
         "coe_psleep0p0.csv":

@@ -139,7 +139,7 @@ def test_time_series_control_is_the_markov_chain_of_its_state_table():
     start_x = w.pop.px.copy()
     containing = kernels.containing_disc(w.pop.px, w.pop.py, w.discs)
     users_in = np.bincount(containing[containing >= 0], minlength=w.topo.cx.size).tolist()
-    out = SlotColumns.empty(len(scenarios), slots, pico_capacity=False)
+    out = SlotColumns.empty(len(scenarios), slots)
     before = w.state
     wakes = np.zeros(w.state.shape, dtype=np.int64)
     for slot in range(slots):
