@@ -14,8 +14,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
-import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from .config import (
@@ -29,6 +29,7 @@ from .engine import (
     TraceSinks,
     build_geometry,
     run_scenario,
+    write_file,
     write_histogram_csv,
     write_pico_trace_csv,
     write_slot_csv,
@@ -53,55 +54,41 @@ def _document_from_args(args) -> dict:
     return apply_overrides(read_scenario_document(args.scenario), args.set or [])
 
 
-def _trace_sink(path: Path, write, opened: list):
-    """A sink that appends each batch of a trace to path with write(fh,
-    *batch).  The file opens at the first batch, once the run has built
-    its layout, and joins opened."""
-    fh = None
-
-    def sink(*batch):
-        nonlocal fh
-        if fh is None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fh = open(path, "w", encoding="utf-8", newline="\n")
-            opened.append(fh)
-        write(fh, *batch)
-
-    return sink
+def _stamp(path: Path):
+    """path's modification time and size, None when there is no file."""
+    with contextlib.suppress(FileNotFoundError):
+        st = path.stat()
+        return st.st_mtime_ns, st.st_size
 
 
 def _cmd_run(args) -> int:
     scenario = parse_scenario(_document_from_args(args))
     out = Path(args.out)
-    # what a run that fails leaves as it found: its trace files, then the
-    # directories it made for them, deepest first
+    # a run that fails leaves things as it found them: it removes the trace
+    # files it wrote (one whose time and size did not change is an earlier
+    # run's and stays), then the directories it made, deepest first
     missing = [d for d in (out, *out.parents) if not d.exists()]
-    opened: list = []
+    users, picos = out / "user_trace.csv", out / "pico_trace.csv"
+    found = {p: _stamp(p) for p, on in ((users, args.trace_users),
+                                        (picos, args.trace_picos)) if on}
     trace = TraceSinks(
-        users=_trace_sink(out / "user_trace.csv", write_user_trace_csv, opened)
-        if args.trace_users else None,
-        picos=_trace_sink(out / "pico_trace.csv", write_pico_trace_csv, opened)
-        if args.trace_picos else None,
+        users=partial(write_user_trace_csv, users) if args.trace_users else None,
+        picos=partial(write_pico_trace_csv, picos) if args.trace_picos else None,
     )
     try:
         result = run_scenario(scenario, True, trace)
     except BaseException:
-        for fh in opened:
-            fh.close()
-            os.remove(fh.name)
+        for p, stamp in found.items():
+            if _stamp(p) != stamp:
+                p.unlink()
         for d in missing:
             with contextlib.suppress(OSError):
                 d.rmdir()
         raise
-    for fh in opened:
-        fh.close()
-    out.mkdir(parents=True, exist_ok=True)
     write_slot_csv(result, out / "slots.csv")
     write_users_csv(result, out / "users.csv")
     write_histogram_csv(result, out / "histogram.csv")
-    (out / "topology.json").write_text(
-        result.topology.to_json() + "\n", encoding="utf-8", newline="\n"
-    )
+    write_file(out / "topology.json", [result.topology.to_json() + "\n"])
     print(
         f"ee_mean={result.ee_mean!r} capacity_mean={result.capacity_mean!r} "
         f"power_mean={result.power_mean!r}"
@@ -164,8 +151,7 @@ def _cmd_preset(args) -> int:
             desc, _ = PRESETS[name]
             print(f"{name}: {desc}")
         return 0 if args.list else 1
-    seed = DEFAULT_SEED if args.seed is None else args.seed
-    manifest = run_preset(args.name, args.out, seed=seed)
+    manifest = run_preset(args.name, args.out, args.seed)
     print(f"wrote {manifest}")
     return 0
 
@@ -176,9 +162,7 @@ def _cmd_dump_topology(args) -> int:
     if args.out == "-":
         print(doc)
     else:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(doc + "\n", encoding="utf-8", newline="\n")
+        write_file(args.out, [doc + "\n"])
         print(f"wrote {args.out}")
     return 0
 
@@ -216,7 +200,7 @@ def _build_parser() -> _Parser:
     p_preset.add_argument("name", nargs="?", help="preset name")
     p_preset.add_argument("--list", action="store_true", help="list presets")
     p_preset.add_argument("--out", default="out", help="output directory")
-    p_preset.add_argument("--seed", type=int, default=None)
+    p_preset.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_preset.set_defaults(fn=_cmd_preset)
 
     p_dump = sub.add_parser("dump-topology", help="emit the layout as JSON")

@@ -38,7 +38,8 @@ and the pico-layer capacity of the pico view.  Traces are not kept: as
 each batch finishes, run_scenarios hands its user and pico trace columns
 to the scenario's TraceSinks, so a traced run holds one batch of trace,
 O(n + m), whatever its length.  write_user_trace_csv and
-write_pico_trace_csv are such sinks, bound to an open file.
+write_pico_trace_csv, with their path bound, are such sinks; they and the
+other writers put every result file through write_file.
 """
 
 from __future__ import annotations
@@ -350,6 +351,8 @@ class TraceSinks:
     codes (-2 idle, -1 macro, j pico); ``picos(first, states)`` gets the
     row's (B, m) pico control states.  The arrays are the world's own
     and change as it steps: a sink that keeps them copies them.
+    ``partial(write_user_trace_csv, path)`` and its pico twin write the
+    two trace CSVs.
     """
 
     users: Optional[Callable] = None
@@ -505,29 +508,33 @@ def _run_group(scenarios: list[Scenario], per_user: bool,
 CHUNK_ROWS = 4096
 
 
-def _write_lines(path: Path, header: list[str], chunks) -> None:
+def write_file(path: str | Path, chunks: Iterable[str], append: bool = False) -> None:
+    """Write the strings of chunks to path, UTF-8 with \\n line ends, after
+    making its parent directories; with append, add them to its end.  Every
+    result file is written here."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "a" if append else "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(chunks)
 
 
-def _write_columns(path: Path, header: list[str], line: str, *columns) -> None:
-    """One line ``line % row`` per row of equal-length 1-D arrays, formatted
-    a chunk of rows at a time from .tolist(): %r of a Python float is its
-    repr, and %d or %s of a Python int its str."""
+def _write_columns(path: str | Path, header: str, line: str, *columns) -> None:
+    """The header line, then one line ``line % row`` per row of
+    equal-length 1-D arrays, formatted a chunk of rows at a time from
+    .tolist(): %r of a Python float is its repr, and %d or %s of a Python
+    int its str."""
     rows = columns[0].shape[0]
-    _write_lines(path, header, (
+    write_file(path, chain([header], (
         "".join(map(line.__mod__, zip(*(c[i:i + CHUNK_ROWS].tolist() for c in columns))))
         for i in range(0, rows, CHUNK_ROWS)
-    ))
+    )))
 
 
 def _write_slots(path: str | Path, m: SlotColumns, capacity, power) -> None:
     _write_columns(
-        Path(path),
-        ["slot", "n_active_picos", "macro_active_users", "pico_active_users",
-         "capacity_bps", "power_w", "ee_bits_per_joule"],
+        path,
+        "slot,n_active_picos,macro_active_users,pico_active_users,"
+        "capacity_bps,power_w,ee_bits_per_joule\n",
         "%d,%d,%d,%d,%r,%r,%r\n",
         np.arange(power.shape[0]), m.n_active_picos, m.macro_active_users,
         m.pico_active_users, capacity, power, compute_ee(capacity, power),
@@ -554,8 +561,7 @@ def write_users_csv(result: RunResult, path: str | Path) -> None:
     if result.mean_rate_bps is None:
         raise ValueError("run was executed without per_user")
     _write_columns(
-        Path(path), ["user_id", "kind", "mean_rate_bps", "frac_slots_on_pico"],
-        "%d,%s,%r,%r\n",
+        path, "user_id,kind,mean_rate_bps,frac_slots_on_pico\n", "%d,%s,%r,%r\n",
         np.arange(result.mean_rate_bps.shape[0]),
         np.where(result.is_hotspot, "hotspot", "uniform"),
         result.mean_rate_bps, result.frac_slots_on_pico,
@@ -567,7 +573,7 @@ def write_histogram_csv(result: RunResult, path: str | Path) -> None:
         raise ValueError("run was executed without per_user")
     edges = HIST_BIN_WIDTH * np.arange(HIST_BINS + 1)
     _write_columns(
-        Path(path), ["bin_left_bps", "bin_right_bps", "count"], "%r,%r,%d\n",
+        path, "bin_left_bps,bin_right_bps,count\n", "%r,%r,%d\n",
         edges[:-1], edges[1:], result.hist_counts,
     )
 
@@ -576,15 +582,12 @@ def write_sweep_csv(points: Iterable[tuple[float, RunResult]],
                     path: str | Path) -> None:
     """One line per (threshold, result) pair; %s of the threshold writes an
     int or a float as str does."""
-    _write_lines(
-        Path(path),
-        ["threshold", "topology", "ee_mean", "ee_std", "capacity_mean", "power_mean"],
-        (
-            "%s,%s,%r,%r,%r,%r\n" % (t, r.scenario.topology, r.ee_mean, r.ee_std,
-                                      r.capacity_mean, r.power_mean)
-            for t, r in points
-        ),
-    )
+    write_file(path, chain(
+        ["threshold,topology,ee_mean,ee_std,capacity_mean,power_mean\n"],
+        ("%s,%s,%r,%r,%r,%r\n" % (t, r.scenario.topology, r.ee_mean, r.ee_std,
+                                   r.capacity_mean, r.power_mean)
+         for t, r in points),
+    ))
 
 
 @lru_cache(maxsize=2)
@@ -607,39 +610,39 @@ def _serving_tails(m: int) -> tuple[str, ...]:
 _MODE_TAILS = tuple(f"{mode}\n" for mode in MODES)
 
 
-def _write_trace_rows(fh, header: str, first: int, ids: int, rows: Iterable) -> None:
-    """Append trace rows first, first + 1, ... to fh, the header first at
-    row 0: one chunk of lines per row, joined from parallel string
-    streams: the row number, formatted once, then ",{i}," for each of ids
-    ids, then the streams rows gives for the row, one string per line
-    from each."""
-    if first == 0:
-        fh.write(header)
+def _write_trace_rows(path: str | Path, header: str, first: int, ids: int,
+                      rows: Iterable) -> None:
+    """Write trace rows first, first + 1, ... to path: the batch at row 0
+    creates the file with its header, and later batches append.  One chunk
+    of lines per row, joined from parallel string streams: the row number,
+    formatted once, then ",{i}," for each of ids ids, then the streams rows
+    gives for the row, one string per line from each."""
     id_text = _id_fields(ids)
-    fh.writelines(
+    write_file(path, chain([header] if first == 0 else [], (
         "".join(chain.from_iterable(zip(repeat(str(row)), id_text, *streams)))
         for row, streams in enumerate(rows, first)
-    )
+    )), append=first > 0)
 
 
-def write_user_trace_csv(fh, topology: Topology, first: int, x, y, active,
-                         serving) -> None:
-    """A TraceSinks.users sink's batch of user_trace.csv, appended to fh.
-    Only x and y are formatted per line (repr of the .tolist() floats);
-    the active flag and serving label come from a table of line tails."""
+def write_user_trace_csv(path: str | Path, topology: Topology, first: int, x, y,
+                         active, serving) -> None:
+    """A batch of user_trace.csv, as a TraceSinks.users sink with path
+    bound.  Only x and y are formatted per line (repr of the .tolist()
+    floats); the active flag and serving label come from a table of line
+    tails."""
     tails = _serving_tails(topology.cx.size)
     width = topology.cx.size + 2
-    _write_trace_rows(fh, "slot,user_id,x,y,active,serving_cell\n", first, x.shape[1], (
+    _write_trace_rows(path, "slot,user_id,x,y,active,serving_cell\n", first, x.shape[1], (
         (map(repr, xb.tolist()), repeat(","), map(repr, yb.tolist()),
          map(tails.__getitem__, (codes + 2 + width * flags).tolist()))
         for xb, yb, flags, codes in zip(x, y, active, serving)
     ))
 
 
-def write_pico_trace_csv(fh, first: int, states) -> None:
-    """A TraceSinks.picos sink's batch of pico_trace.csv, appended to fh,
-    as write_user_trace_csv writes; each state's mode label comes from a
-    table of line tails."""
-    _write_trace_rows(fh, "slot,pico_id,mode\n", first, states.shape[1], (
+def write_pico_trace_csv(path: str | Path, first: int, states) -> None:
+    """A batch of pico_trace.csv, as a TraceSinks.picos sink with path
+    bound, written as write_user_trace_csv writes; each state's mode label
+    comes from a table of line tails."""
+    _write_trace_rows(path, "slot,pico_id,mode\n", first, states.shape[1], (
         (map(_MODE_TAILS.__getitem__, codes.tolist()),) for codes in mode_index(states)
     ))

@@ -11,7 +11,7 @@ byte-for-byte: preset name, seed, grid and package version.
 from __future__ import annotations
 
 import json
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable
 
@@ -20,6 +20,7 @@ from .config import ConfigError, parse_scenario
 from .engine import (
     RunResult,
     run_scenarios,
+    write_file,
     write_histogram_csv,
     write_pico_view_csv,
     write_slot_csv,
@@ -117,10 +118,10 @@ def _capacity_table(outdir: Path, seed: int):
 
 def _threshold_sweep(outdir: Path, seed: int):
     grid, pairs = _full_activity(outdir, seed, THRESHOLDS)
-    with open(outdir / "pico_count.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("threshold,topology,active_picos_mean\n")
-        for t, res in pairs:
-            fh.write(f"{t},{res.scenario.topology},{res.active_picos_mean!r}\n")
+    write_file(outdir / "pico_count.csv", chain(
+        ["threshold,topology,active_picos_mean\n"],
+        (f"{t},{res.scenario.topology},{res.active_picos_mean!r}\n" for t, res in pairs),
+    ))
     return grid, ["sweep.csv", "pico_count.csv"]
 
 
@@ -219,7 +220,7 @@ PRESETS: dict[str, tuple[str, Callable]] = {
 }
 
 
-def run_preset(name: str, outdir: str | Path, seed: int = DEFAULT_SEED) -> Path:
+def run_preset(name: str, outdir: str | Path, seed: int) -> Path:
     """Run a named preset into outdir; returns the manifest path."""
     if name not in PRESETS:
         raise ConfigError(
@@ -236,7 +237,5 @@ def run_preset(name: str, outdir: str | Path, seed: int = DEFAULT_SEED) -> Path:
         "files": sorted(files),
     }
     manifest_path = outdir / "manifest.json"
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_file(manifest_path, [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
     return manifest_path

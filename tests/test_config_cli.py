@@ -456,6 +456,41 @@ def test_a_failed_traced_run_leaves_no_trace_file(tmp_path, monkeypatch, capsys,
         assert not (tmp_path / "made").exists()
 
 
+@pytest.mark.parametrize("failure", ["layout", "slot 3"])
+def test_a_failed_traced_run_leaves_earlier_files_as_found(tmp_path, monkeypatch,
+                                                           capsys, failure):
+    """In an --out that holds an earlier traced run's files, a traced run
+    that fails its layout exits 1 and leaves them byte for byte; one that
+    fails at slot 3, after writing slots 0 .. 2 of its traces, exits 2 and
+    removes both trace files, and the earlier slots.csv stays."""
+    doc = tmp_path / "dyn.yaml"
+    doc.write_text("topology: udc\nslots: 6\nusers: {total: 40, hotspot: 10}\n")
+    out = tmp_path / "out"
+    args = ["run", "--scenario", str(doc), "--out", str(out), *TRACE_FLAGS]
+    assert main(args) == 0
+    names = ["user_trace.csv", "pico_trace.csv", "slots.csv"]
+    earlier = {name: (out / name).read_bytes() for name in names}
+    if failure == "layout":
+        assert main([*args, "--set", "layout.n_picos=60",
+                     "--set", "layout.max_place_attempts=5"]) == 1
+        assert capsys.readouterr().err.startswith("error: layout: ")
+        assert {name: (out / name).read_bytes() for name in names} == earlier
+        return
+    step = engine.step_population
+
+    def failing_step(pop, slot, *args):
+        if slot == 3:
+            assert (out / "user_trace.csv").read_bytes() != earlier["user_trace.csv"]
+            raise RuntimeError("failed at slot 3")
+        step(pop, slot, *args)
+
+    monkeypatch.setattr(engine, "step_population", failing_step)
+    assert main(args) == 2
+    assert not (out / "user_trace.csv").exists()
+    assert not (out / "pico_trace.csv").exists()
+    assert (out / "slots.csv").read_bytes() == earlier["slots.csv"]
+
+
 def test_run_without_power_writes_zero_efficiency(tmp_path, capsys):
     """No draw at all (a macro with no fixed part and no users, picos that
     sleep for free) is a valid run: EE is 0 b/J, not an error."""

@@ -394,11 +394,10 @@ def write_traces(tmp, topology, trace, splits):
     of both files."""
     paths = (Path(tmp) / "user_trace.csv", Path(tmp) / "pico_trace.csv")
     bounds = [0, *splits, trace.x.shape[0]]
-    with open(paths[0], "w") as users, open(paths[1], "w") as picos:
-        for a, b in zip(bounds, bounds[1:]):
-            write_user_trace_csv(users, topology, a, trace.x[a:b], trace.y[a:b],
-                                 trace.active[a:b], trace.serving[a:b])
-            write_pico_trace_csv(picos, a, trace.states[a:b])
+    for a, b in zip(bounds, bounds[1:]):
+        write_user_trace_csv(paths[0], topology, a, trace.x[a:b], trace.y[a:b],
+                             trace.active[a:b], trace.serving[a:b])
+        write_pico_trace_csv(paths[1], a, trace.states[a:b])
     return tuple(path.read_bytes() for path in paths)
 
 
@@ -511,13 +510,13 @@ def test_user_trace_writer_holds_a_few_slots_at_a_time(tmp_path):
     y = rng.uniform(-500.0, 500.0, (slots, n))
     serving = np.where(active, rng.integers(-1, 28, (slots, n)), -2)
     topology = build_geometry(scenario())
-    with open(tmp_path / "user_trace.csv", "w") as fh:
-        tracemalloc.start()
-        try:
-            write_user_trace_csv(fh, topology, 0, x, y, active, serving)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        write_user_trace_csv(tmp_path / "user_trace.csv", topology, 0, x, y, active,
+                             serving)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert peak < 2**20
 
 
@@ -529,16 +528,15 @@ def test_traced_run_memory_does_not_grow_with_slots(tmp_path):
     def peak(slots):
         s = scenario(slots=slots, users={"total": 1000, "hotspot": 500},
                      policy={"t_activate": 12, "t_deactivate": 8})
-        with open(tmp_path / "user_trace.csv", "w") as users, \
-                open(tmp_path / "pico_trace.csv", "w") as picos:
-            trace = TraceSinks(users=partial(write_user_trace_csv, users),
-                               picos=partial(write_pico_trace_csv, picos))
-            tracemalloc.start()
-            try:
-                run_scenario(s, (), trace)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        trace = TraceSinks(
+            users=partial(write_user_trace_csv, tmp_path / "user_trace.csv"),
+            picos=partial(write_pico_trace_csv, tmp_path / "pico_trace.csv"))
+        tracemalloc.start()
+        try:
+            run_scenario(s, trace=trace)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     peak(2)  # numpy's first-call allocations
     short, long = peak(50), peak(400)
@@ -553,14 +551,14 @@ def test_snapshot_trace_numbers_realizations_across_chunks(tmp_path):
     s = scenario(realizations=7, users={"total": 40, "hotspot": 10})
     firsts = []
     paths = (tmp_path / "user_trace.csv", tmp_path / "pico_trace.csv")
-    with mock.patch.object(engine, "CHUNK_ROW_USERS", 3 * 40), \
-            open(paths[0], "w") as users, open(paths[1], "w") as picos:
-        def take_users(topology, first, *columns):
-            firsts.append(first)
-            write_user_trace_csv(users, topology, first, *columns)
 
-        run_scenario(s, (), TraceSinks(users=take_users,
-                                       picos=partial(write_pico_trace_csv, picos)))
+    def take_users(topology, first, *columns):
+        firsts.append(first)
+        write_user_trace_csv(paths[0], topology, first, *columns)
+
+    with mock.patch.object(engine, "CHUNK_ROW_USERS", 3 * 40):
+        run_scenario(s, trace=TraceSinks(users=take_users,
+                                         picos=partial(write_pico_trace_csv, paths[1])))
     assert firsts == [0, 3, 6]
     for path, per_row in zip(paths, (40, 28)):
         lines = path.read_text().splitlines()[1:]

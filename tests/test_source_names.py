@@ -8,6 +8,9 @@ or an attribute of a package module (``kernels.containing_disc``).
 Likewise every name a module imports is read in that module, save the
 package's re-exports in __init__.py and ``from __future__ import``.
 
+Every result file is written by engine.write_file: no other code in the
+package opens a file or makes a directory.
+
 The layering checks keep config, the scenario schema, below every other
 module: it imports nothing from the package, so no module needs a
 ``TYPE_CHECKING`` import to break a cycle.
@@ -118,3 +121,21 @@ def test_no_module_uses_type_checking():
                  or getattr(node, "name", None)
                  for node in ast.walk(ast.parse(path.read_text()))}
         assert "TYPE_CHECKING" not in names, path.name
+
+
+# calls that open a file for writing or make a directory, as bare names
+# (open) or attributes (Path.open, Path.write_text, os.makedirs, ...)
+WRITE_CALLS = {"open", "write_text", "write_bytes", "mkdir", "makedirs"}
+
+
+def test_only_the_one_writer_opens_files_or_makes_directories():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if (path.stem, getattr(top, "name", None)) == ("engine", "write_file"):
+                continue
+            found += [f"{path.name}:{node.lineno}: {ast.unparse(node.func)}"
+                      for node in ast.walk(top) if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", getattr(node.func, "attr", None))
+                      in WRITE_CALLS]
+    assert not found, f"files opened or directories made outside engine.write_file: {found}"
