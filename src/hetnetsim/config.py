@@ -69,7 +69,7 @@ MAX_PICOS = 10_000
 # users would ask for terabytes before the first slot
 MAX_USERS = 1_000_000
 
-# the largest slots and realizations: the engine preallocates a slot column
+# the largest slots x realizations: the engine preallocates a slot column
 # entry for each, and at ~0.6 s per 1000 paper-scale slots 10^6 take ~10 min
 MAX_SLOTS = 1_000_000
 
@@ -378,9 +378,9 @@ def validate_scenario(s: Scenario) -> None:
 
     if s.topology not in TOPOLOGY_KINDS:
         raise ValidationError("topology", f"must be one of {TOPOLOGY_KINDS}, got {s.topology!r}")
-    if s.slots > 1 and s.realizations > 1:
-        raise ValidationError("realizations", "multi-slot runs use a single realization "
-                              "(slots > 1 requires realizations = 1)")
+    if s.slots * s.realizations > MAX_SLOTS:
+        raise ValidationError("realizations", f"slots x realizations must be at most "
+                              f"{MAX_SLOTS}, got {s.slots} x {s.realizations}")
 
     L, U = s.layout, s.users
     if L.pico_radius_m >= L.macro_radius_m:

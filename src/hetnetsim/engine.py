@@ -6,24 +6,24 @@ accounting, metric aggregation.  An active user is served by the pico
 whose disc contains it when that pico is Active, otherwise by the macro;
 Boot and Sleep picos serve nobody, idle users are served by nobody.
 
-Two run shapes share this machinery, and one World per group runs both
-through one slot path over a batch of B user populations:
-
-* slots = 1, realizations = R: R independent snapshot drops, stepped in
-  chunks of up to B fresh drops.  Each drop places realization r's users
-  statically (hotspot users inside their assigned pico) and takes one
-  control step from all-Sleep with no boot, so picos are Active wherever
-  the activation threshold is met — the stationary view of the control
-  loop, with no boot transient.
-* slots = S > 1: a batch of one, realization 0, carried from slot to slot
-  through S slots with the full Sleep / Boot / Active machinery.
+Every scenario is R realizations x S slots, and one loop runs them all:
+it drops a chunk of B realizations (a batch of B user populations, every
+pico asleep), steps the chunk through its S slots, then drops the next.
+Drop b of the chunk at r0 is realization r0 + b, and its slot t is entry
+(r0 + b) * S + t of every slot column.  A snapshot (slots = 1) differs
+from a time series in its model alone: each drop places its hotspot
+users statically inside their assigned pico, never moves them, and takes
+its one control step from all-Sleep with no boot, so picos are Active
+wherever the activation threshold is met — the stationary view of the
+control loop, with no boot transient.  A time series moves its users
+through the work schedule with the full Sleep / Boot / Active machinery.
 
 Randomness: a scenario owns one seed.  Layout generation uses the stream
-(seed, 0); realization r uses (seed, 1, r).  Within a realization every
-slot draws, in a fixed order, the mobility draws (or, in a snapshot, the
-drop), one activity uniform per user, and one shadowing normal per user —
-so runs that share a seed share users, trajectories, and fading regardless
-of topology kind, policy, sleep parameters or how drops are chunked.  That
+(seed, 0); realization r uses (seed, 1, r), for its drop and then, every
+slot and in a fixed order, its mobility draws (none in a snapshot), one
+activity uniform per user and one shadowing normal per user — so runs
+that share a seed share users, trajectories, and fading regardless of
+topology kind, policy, sleep parameters or how drops are chunked.  That
 makes paired comparisons (e.g. pico-serving topology vs. its macro-only
 twin) common-random-number experiments.
 
@@ -90,10 +90,10 @@ def compute_ee(capacity_bps: np.ndarray, power_w: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SlotColumns:
-    """Per-slot metrics as columns: (K, slots) over a group's rows, as
-    World.run_slot fills them a batch of slot columns at a time, or the
-    (slots,) view of one row, as RunResult.slot_metrics holds them; entry
-    t is slot t, or realization t of a snapshot."""
+    """Per-slot metrics as columns: (K, R * S) over a group's rows, as
+    World.run_slot fills them a batch of entries at a time, or the
+    (R * S,) view of one row, as RunResult.slot_metrics holds them; entry
+    r * S + t is realization r's slot t."""
 
     n_active_picos: np.ndarray
     macro_active_users: np.ndarray
@@ -192,7 +192,7 @@ class Response:
         return active_draw(self.macro, n_served)
 
 
-# the most (row, user) pairs a snapshot chunk steps at once: a chunk of B
+# the most (row, user) pairs a chunk steps at once: a chunk of B
 # drops of n users holds (K, B * n) served masks and capacities, so B is
 # the most drops with K * B * n within this bound, and 1 past it
 CHUNK_ROW_USERS = 49_152
@@ -203,17 +203,16 @@ class World:
     the pico control of every scenario (row) of the group.
 
     The constructor builds what the group shares: layout ``topo``, its
-    kernels.disc_index ``discs``, the Response and the link constants;
-    then it drops the first batch.  A batch is B drops, and ``pop`` is
-    their users as one mobility.UserPopulation of (B * n) users, stacked
-    drop by drop: ``drop(r0)`` starts realizations r0 .. r0 + B - 1, each
-    with its own generator and users, and every pico asleep.  A time
-    series is a batch of one, realization 0, whose ``pop`` moves in place
-    through its slots; a snapshot steps its realizations in chunks of
-    ``batch`` fresh drops (the last chunk may be smaller), and run_slot(r0)
-    drops chunk r0 .. r0 + B - 1 and steps it once.  ``state[k, b]`` holds
-    row k's (m,) pico control states in drop b (control.SLEEP, ACTIVE, or
-    the boot slots left).
+    kernels.disc_index ``discs``, the Response and the link constants.
+    ``drop(r0)`` then starts a chunk of B drops, realizations r0 .. r0 +
+    B - 1 (B is ``batch``, or what is left of the run), each with its own
+    generator and users and every pico asleep; ``pop`` is their users as
+    one mobility.UserPopulation of (B * n) users, stacked drop by drop,
+    and run_slot steps them all one slot.  ``snapshot`` selects what
+    differs in a one-slot scenario: static hotspot placement, no
+    movement and no boot.  ``state[k, b]`` holds row k's (m,) pico
+    control states in drop b (control.SLEEP, ACTIVE, or the boot slots
+    left).
     """
 
     def __init__(self, scenarios: Sequence[Scenario]):
@@ -230,10 +229,8 @@ class World:
         self.eirp_pico = C.pico_tx_dbm + C.pico_antenna_gain_dbi + C.ue_antenna_gain_dbi
         # a snapshot drops hotspot users in their picos, never moves or boots
         self.snapshot = s.slots == 1
-        # a time series has one realization, so its batch is one drop
         self.batch = min(s.realizations,
                          max(1, CHUNK_ROW_USERS // (len(scenarios) * s.users.total)))
-        self.drop(0)
 
     def drop(self, r0: int) -> None:
         """Start realizations r0 .. r0 + B - 1, B = batch or what is left:
@@ -281,13 +278,11 @@ class World:
                               C.pico_shadow_sigma_db, True)
         return cap_macro, cap_pico
 
-    def run_slot(self, slot: int, out: SlotColumns):
-        """Advance the world by one slot and write the batch's metrics into
-        columns slot .. slot + B - 1 of out's (K, slots) columns, drop b
-        into column slot + b; ee_bits_per_joule and pico_capacity_bps are
-        left to the caller.  A time series moves its users (``slot`` drives
-        the work schedule); a snapshot's slot r0 > 0 drops the chunk of
-        realizations from r0.
+    def run_slot(self, slot: int, rows: range, out: SlotColumns):
+        """Advance the chunk by one slot and write its metrics into entries
+        rows of out's (K, R * S) columns, drop b into entry rows[b];
+        ee_bits_per_joule and pico_capacity_bps are left to the caller.  A
+        time series moves its users (``slot`` drives the work schedule).
 
         Each drop draws from its own generator, in the draw schedule's
         order; then containment, activity, control, links and power are
@@ -298,9 +293,7 @@ class World:
         """
         s, response = self.s, self.response
         if not self.snapshot:
-            step_population(self.pop, slot, self.topo, s.work, s.users, self.rngs[0])
-        elif slot:
-            self.drop(slot)
+            step_population(self.pop, slot, self.topo, s.work, s.users, self.rngs)
         for rng, uniforms, normals in zip(self.rngs, self.uniforms, self.normals):
             rng.random(out=uniforms)
             rng.standard_normal(out=normals)
@@ -328,7 +321,7 @@ class World:
         n_pico = served.reshape(K, B, -1).sum(axis=2)
         n_macro = active.reshape(B, -1).sum(axis=1) - n_pico
         pico_power = response.pico_power(self.state, counts)
-        cols = slice(slot, slot + B)
+        cols = slice(rows.start, rows.stop, rows.step)  # a range would index slower
         out.n_active_picos[:, cols] = awake.sum(axis=2)
         out.macro_active_users[:, cols] = n_macro
         out.pico_active_users[:, cols] = n_pico
@@ -343,12 +336,13 @@ class World:
 @dataclass(frozen=True)
 class TraceSinks:
     """Where one scenario's traces go, a batch at a time, as its group
-    steps: rows first .. first + B - 1 of the run (slots, or snapshot
-    realizations), then the next batch's.
+    steps: one slot of a chunk of B drops, whose rows of the run (entries
+    r * S + t of the slot columns) are a range, then the chunk's next
+    slot, then the next chunk's.
 
-    ``users(topology, first, x, y, active, serving)`` gets the group's
+    ``users(topology, rows, x, y, active, serving)`` gets the group's
     layout and the batch's (B, n) positions, activity flags and serving
-    codes (-2 idle, -1 macro, j pico); ``picos(first, states)`` gets the
+    codes (-2 idle, -1 macro, j pico); ``picos(rows, states)`` gets the
     row's (B, m) pico control states.  The arrays are the world's own
     and change as it steps: a sink that keeps them copies them.
     ``partial(write_user_trace_csv, path)`` and its pico twin write the
@@ -425,49 +419,62 @@ def _run_group(scenarios: list[Scenario], per_user: bool,
                traces: list[Optional[TraceSinks]]) -> list[RunResult]:
     world = World(scenarios)
     K, n = len(scenarios), world.s.users.total
-    rows = world.s.realizations if world.snapshot else world.s.slots
-    columns = SlotColumns.empty(K, rows)
+    R, S = world.s.realizations, world.s.slots
+    columns = SlotColumns.empty(K, R * S)
     if per_user:
-        # per-user sums over every slot and realization, and the pico view's
-        # capacity
+        # per-user sums over every slot and realization, the rate histogram
+        # and the pico view's capacity
         cap_sum = np.zeros((K, n))
         active_slots = np.zeros(n, dtype=np.int64)
         pico_slots = np.zeros((K, n), dtype=np.int64)
-        columns.pico_capacity_bps = np.empty((K, rows))
-        if world.snapshot:
-            # snapshots bin every active user-realization as they come
-            hist = np.zeros((K, HIST_BINS), dtype=np.int64)
+        hist = np.zeros((K, HIST_BINS), dtype=np.int64)
+        columns.pico_capacity_bps = np.empty((K, R * S))
     user_sinks = [(k, t.users) for k, t in enumerate(traces) if t and t.users]
     pico_sinks = [(k, t.picos) for k, t in enumerate(traces) if t and t.picos]
 
-    # a snapshot's slot column r is its realization r; each run_slot steps
-    # a batch of B drops, one in a time series
-    for slot in range(0, rows, world.batch):
-        active, containing, served, cap = world.run_slot(slot, columns)
+    for r0 in range(0, R, world.batch):
+        world.drop(r0)
         B = world.state.shape[1]
-        if per_user:
-            # realization by realization, so the float sums add in order
-            for b, drop_active in enumerate(active.reshape(B, n)):
-                drop = slice(b * n, (b + 1) * n)
-                cap_sum += cap[:, drop]
-                active_slots += drop_active
-                pico_slots += served[:, drop]
+        # this chunk's per-user sums, each drop's users apart: 0 plus the
+        # first slot's arrays makes (K, B * n) float and int64 arrays
+        chunk_cap = chunk_active = chunk_pico = 0
+        for slot in range(S):
+            # drop b's slot is entry (r0 + b) * S + slot
+            rows = range(r0 * S + slot, (r0 + B) * S, S)
+            active, containing, served, cap = world.run_slot(slot, rows, columns)
+            if per_user:
+                chunk_cap += cap
+                chunk_active += active
+                chunk_pico += served
                 # a compacted sum per row: zeros in place of the macro-served
                 # users would change numpy's pairwise order
-                columns.pico_capacity_bps[:, slot + b] = [
-                    row[sv].sum() for row, sv in zip(cap[:, drop], served[:, drop])]
-            if world.snapshot:
-                hist += hist_counts(cap[:, active])
-        if user_sinks:
-            x, y, flags = (a.reshape(B, n) for a in (world.pop.px, world.pop.py, active))
-            unserved = np.where(active, -1, -2)
-            for k, sink in user_sinks:
-                sink(world.topo, slot, x, y, flags,
-                     np.where(served[k], containing, unserved).reshape(B, n))
-        for k, sink in pico_sinks:
-            sink(slot, world.state[k])
-        # free this batch's (K, B * n) arrays before the next batch builds its own
-        del served, cap
+                for b, row in enumerate(rows):
+                    drop = slice(b * n, (b + 1) * n)
+                    columns.pico_capacity_bps[:, row] = [
+                        c[sv].sum() for c, sv in zip(cap[:, drop], served[:, drop])]
+            if user_sinks:
+                x, y, flags = (a.reshape(B, n) for a in (world.pop.px, world.pop.py, active))
+                unserved = np.where(active, -1, -2)
+                for k, sink in user_sinks:
+                    sink(world.topo, rows, x, y, flags,
+                         np.where(served[k], containing, unserved).reshape(B, n))
+            for k, sink in pico_sinks:
+                sink(rows, world.state[k])
+            # free this batch's (K, B * n) arrays before the next builds its own
+            del served, cap
+        if per_user:
+            # bin each realization's ever-active users at their mean rate
+            # over its slots, then add its sums to the run's, realization by
+            # realization, so the float sums add in one order at any B
+            ever_active = chunk_active > 0
+            mean_rate = np.divide(chunk_cap, chunk_active, out=np.zeros_like(chunk_cap),
+                                  where=ever_active)
+            hist += hist_counts(mean_rate[:, ever_active])
+            for b in range(B):
+                drop = slice(b * n, (b + 1) * n)
+                cap_sum += chunk_cap[:, drop]
+                active_slots += chunk_active[drop]
+                pico_slots += chunk_pico[:, drop]
     columns.ee_bits_per_joule = compute_ee(columns.capacity_bps, columns.power_w)
 
     results = []
@@ -479,7 +486,7 @@ def _run_group(scenarios: list[Scenario], per_user: bool,
             topology=world.topo,
             slot_metrics=metrics,
             ee_mean=float(ees.mean()),
-            ee_std=float(ees.std(ddof=1)) if rows > 1 else 0.0,
+            ee_std=float(ees.std(ddof=1)) if R * S > 1 else 0.0,
             capacity_mean=float(metrics.capacity_bps.mean()),
             power_mean=float(metrics.power_w.mean()),
             active_picos_mean=float(metrics.n_active_picos.mean()),
@@ -487,12 +494,9 @@ def _run_group(scenarios: list[Scenario], per_user: bool,
     if not per_user:
         return results
 
-    ever_active = active_slots > 0
-    mean_rate = np.divide(cap_sum, active_slots, out=np.zeros((K, n)), where=ever_active)
-    frac_on_pico = pico_slots / rows
-    if not world.snapshot:
-        # time series bin each ever-active user's mean rate
-        hist = hist_counts(mean_rate[:, ever_active])
+    mean_rate = np.divide(cap_sum, active_slots, out=np.zeros((K, n)),
+                          where=active_slots > 0)
+    frac_on_pico = pico_slots / (R * S)
     for k, result in enumerate(results):
         result.is_hotspot = world.pop.my_pico[:n] >= 0  # the same in every drop
         result.mean_rate_bps = mean_rate[k]
@@ -542,8 +546,8 @@ def _write_slots(path: str | Path, m: SlotColumns, capacity, power) -> None:
 
 
 def write_slot_csv(result: RunResult, path: str | Path) -> None:
-    """Per-slot metrics; for snapshot ensembles the slot column carries the
-    realization index."""
+    """Per-slot metrics; the slot column carries the entry r * S + t of
+    realization r's slot t, so a snapshot's is the realization index."""
     m = result.slot_metrics
     _write_slots(path, m, m.capacity_bps, m.power_w)
 
@@ -610,21 +614,21 @@ def _serving_tails(m: int) -> tuple[str, ...]:
 _MODE_TAILS = tuple(f"{mode}\n" for mode in MODES)
 
 
-def _write_trace_rows(path: str | Path, header: str, first: int, ids: int,
-                      rows: Iterable) -> None:
-    """Write trace rows first, first + 1, ... to path: the batch at row 0
-    creates the file with its header, and later batches append.  One chunk
-    of lines per row, joined from parallel string streams: the row number,
-    formatted once, then ",{i}," for each of ids ids, then the streams rows
-    gives for the row, one string per line from each."""
+def _write_trace_rows(path: str | Path, header: str, rows: range, ids: int,
+                      lines: Iterable) -> None:
+    """Write the trace rows numbered rows to path: the batch whose first
+    row is 0 creates the file with its header, and later batches append.
+    One chunk of lines per row, joined from parallel string streams: the
+    row number, formatted once, then ",{i}," for each of ids ids, then the
+    streams lines gives for the row, one string per line from each."""
     id_text = _id_fields(ids)
-    write_file(path, chain([header] if first == 0 else [], (
+    write_file(path, chain([header] if rows[0] == 0 else [], (
         "".join(chain.from_iterable(zip(repeat(str(row)), id_text, *streams)))
-        for row, streams in enumerate(rows, first)
-    )), append=first > 0)
+        for row, streams in zip(rows, lines)
+    )), append=rows[0] > 0)
 
 
-def write_user_trace_csv(path: str | Path, topology: Topology, first: int, x, y,
+def write_user_trace_csv(path: str | Path, topology: Topology, rows: range, x, y,
                          active, serving) -> None:
     """A batch of user_trace.csv, as a TraceSinks.users sink with path
     bound.  Only x and y are formatted per line (repr of the .tolist()
@@ -632,17 +636,17 @@ def write_user_trace_csv(path: str | Path, topology: Topology, first: int, x, y,
     tails."""
     tails = _serving_tails(topology.cx.size)
     width = topology.cx.size + 2
-    _write_trace_rows(path, "slot,user_id,x,y,active,serving_cell\n", first, x.shape[1], (
+    _write_trace_rows(path, "slot,user_id,x,y,active,serving_cell\n", rows, x.shape[1], (
         (map(repr, xb.tolist()), repeat(","), map(repr, yb.tolist()),
          map(tails.__getitem__, (codes + 2 + width * flags).tolist()))
         for xb, yb, flags, codes in zip(x, y, active, serving)
     ))
 
 
-def write_pico_trace_csv(path: str | Path, first: int, states) -> None:
+def write_pico_trace_csv(path: str | Path, rows: range, states) -> None:
     """A batch of pico_trace.csv, as a TraceSinks.picos sink with path
     bound, written as write_user_trace_csv writes; each state's mode label
     comes from a table of line tails."""
-    _write_trace_rows(path, "slot,pico_id,mode\n", first, states.shape[1], (
+    _write_trace_rows(path, "slot,pico_id,mode\n", rows, states.shape[1], (
         (map(_MODE_TAILS.__getitem__, codes.tolist()),) for codes in mode_index(states)
     ))

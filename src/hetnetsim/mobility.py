@@ -14,10 +14,10 @@ The whole population advances through vectorized phases.  Draw schedule
            work starts, position offsets (one rejection-sampled
            unit-disc batch for all its users), then for moving
            populations destination offsets and speeds.
-  step t:  work-start retargets (dest offsets, speeds), work-end retargets
-           (dest offsets, speeds), movement, arrival retargets in-work
-           (dest offsets, speeds), arrival retargets out-of-work (dest
-           offsets, speeds).  Masked groups draw in user-index order.
+  step t:  per drop, from its own generator, dest offsets then speeds of
+           each retarget group: work starts, work ends, (movement), then
+           arrivals in-work and arrivals out-of-work.  Masked groups draw
+           in user-index order; an empty one draws nothing.
 
 Rejection sampling happens in *offset* space (unit disc, scaled per user),
 so the number of draws consumed never depends on cell positions.
@@ -96,15 +96,21 @@ def _retarget(
     radius: float,
     speed_lo: float,
     speed_hi: float,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
 ) -> None:
     """New uniform destination, in the disc of the given radius around
     the centre of each user of idx (arrays or one scalar), plus a fresh
-    speed; idx holds at least one user index, in increasing order."""
-    ox, oy = _unit_disc(rng, idx.size)
+    speed; idx is in increasing order, and drop b's users, b * n ..
+    (b + 1) * n - 1, draw their offsets, then their speeds, from
+    rngs[b]."""
+    ox, oy, speed = np.empty((3, idx.size))
+    ends = np.searchsorted(idx, pop.px.size // len(rngs) * np.arange(len(rngs) + 1))
+    for rng, lo, hi in zip(rngs, ends, ends[1:]):
+        ox[lo:hi], oy[lo:hi] = _unit_disc(rng, hi - lo)
+        speed[lo:hi] = rng.uniform(speed_lo, speed_hi, hi - lo)
     pop.dest_x[idx] = center_x + ox * radius
     pop.dest_y[idx] = center_y + oy * radius
-    pop.speed[idx] = rng.uniform(speed_lo, speed_hi, idx.size)
+    pop.speed[idx] = speed
     _set_velocity(pop, idx)
 
 
@@ -168,23 +174,21 @@ def step_population(
     topo: Topology,
     schedule: WorkSchedule,
     users: UsersConfig,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
 ) -> None:
-    """Advance every user of a one-drop population by one slot (events,
-    move, arrival retargets).  Each event's users are one index array,
-    built once."""
+    """Advance every user of the B = len(rngs) drops of pop by one slot
+    (events, move, arrival retargets), drop b drawing from rngs[b].  Each
+    event's users are one index array, built once."""
     hot, R, r = pop.my_pico >= 0, topo.macro_radius, topo.pico_radius
     # work-start event: head for the assigned pico at travel speed
     ws = np.flatnonzero(hot & (pop.work_start == slot))
-    if ws.size:
-        mine = pop.my_pico[ws]
-        _retarget(pop, ws, topo.cx[mine], topo.cy[mine], r,
-                  users.speed_min, users.speed_max, rng)
+    mine = pop.my_pico[ws]
+    _retarget(pop, ws, topo.cx[mine], topo.cy[mine], r,
+              users.speed_min, users.speed_max, rngs)
     # work-end event: head back into the macro disc; a uniform user's
     # work_start of -1 would match at slot duration - 1 without the guard
     we = np.flatnonzero(hot & (pop.work_start == slot - schedule.duration))
-    if we.size:
-        _retarget(pop, we, R, R, R, users.speed_min, users.speed_max, rng)
+    _retarget(pop, we, R, R, R, users.speed_min, users.speed_max, rngs)
 
     arrived = np.flatnonzero(kernels.advance_positions(
         pop.px, pop.py, pop.dest_x, pop.dest_y, pop.vx, pop.vy, pop.speed
@@ -195,13 +199,11 @@ def step_population(
     in_work = (pop.my_pico[arrived] >= 0) & (start <= slot) & \
         (slot < start + schedule.duration)
     wander = arrived[in_work]
-    if wander.size:
-        mine = pop.my_pico[wander]
-        _retarget(pop, wander, topo.cx[mine], topo.cy[mine], r,
-                  users.work_speed_min, users.work_speed_max, rng)
+    mine = pop.my_pico[wander]
+    _retarget(pop, wander, topo.cx[mine], topo.cy[mine], r,
+              users.work_speed_min, users.work_speed_max, rngs)
     roam = arrived[~in_work]
-    if roam.size:
-        _retarget(pop, roam, R, R, R, users.speed_min, users.speed_max, rng)
+    _retarget(pop, roam, R, R, R, users.speed_min, users.speed_max, rngs)
 
 
 def draw_activity_flags(

@@ -21,6 +21,7 @@ from hetnetsim import engine
 from hetnetsim.cli import main
 from hetnetsim.config import (
     BOUNDS,
+    MAX_SLOTS,
     PICO_POWER,
     ConfigError,
     LayoutConfig,
@@ -223,11 +224,14 @@ class TestCrossFieldValidation:
         with pytest.raises(ValidationError):
             parse_scenario({"topology": "monet", "users": {"hotspot": 5}})
 
-    def test_ensemble_and_timeseries_are_exclusive(self):
-        with pytest.raises(ValidationError, match="realizations"):
-            parse_scenario({"topology": "udc", "slots": 10, "realizations": 2})
-        parse_scenario({"topology": "udc", "slots": 10, "realizations": 1})
-        parse_scenario({"topology": "udc", "slots": 1, "realizations": 10})
+    def test_timeseries_of_several_realizations_parses_and_runs(self):
+        """slots > 1 with realizations > 1 is R time series of S slots: a
+        slot column entry for each of the R x S realization-slots."""
+        s = parse_scenario({"topology": "udc", "slots": 10, "realizations": 2,
+                            "users": {"total": 50, "hotspot": 20}})
+        result = run_scenario(s, per_user=True)
+        assert result.slot_metrics.power_w.shape == (20,)
+        assert result.mean_rate_bps.shape == (50,)
 
     def test_probability_bounds(self):
         with pytest.raises(ValidationError):
@@ -603,6 +607,19 @@ def test_rejected_values_leave_no_output(scenario_file, tmp_path, capsys, args):
         args = [*args, "--scenario", str(scenario_file)]
     assert main([*args, "--out", str(tmp_path / "new" / "out")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "new").exists()
+
+
+def test_slots_times_realizations_is_bounded(scenario_file, tmp_path, capsys):
+    """slots x realizations past MAX_SLOTS, each within its own bound,
+    exits 1 with the path realizations, before the engine would ask for
+    10^12 entries of every slot column, and makes no output directory."""
+    out = tmp_path / "new" / "out"
+    assert main(["run", "--scenario", str(scenario_file), "--out", str(out),
+                 "--set", f"slots={MAX_SLOTS}", "--set", f"realizations={MAX_SLOTS}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: realizations: slots x realizations must be at most ")
+    assert "Traceback" not in err
     assert not (tmp_path / "new").exists()
 
 

@@ -2,6 +2,7 @@
 and grouped runs that share one user process."""
 
 import dataclasses
+import itertools
 import tempfile
 import tracemalloc
 from functools import partial
@@ -65,7 +66,8 @@ def macro_power(n_served):
 @dataclasses.dataclass
 class Trace:
     """One scenario's traces, gathered from its sinks into whole-run
-    arrays: (rows, n) x, y, active and serving, (rows, m) states."""
+    arrays indexed by row (entry r * S + t of the slot columns): (rows, n)
+    x, y, active and serving, (rows, m) states."""
 
     x: np.ndarray
     y: np.ndarray
@@ -75,17 +77,26 @@ class Trace:
 
 
 def collecting_sinks(users: list, picos: list) -> TraceSinks:
-    """Sinks that copy every batch into users and picos, checking that
-    batches come in row order with none skipped."""
-    def take_users(topology, first, *columns):
-        assert first == sum(batch[0].shape[0] for batch in users)
-        users.append([c.copy() for c in columns])
+    """Sinks that copy every batch, with its range of rows, one row per
+    drop, into users and picos."""
+    def take_users(topology, rows, *columns):
+        assert isinstance(rows, range) and len(rows) == columns[0].shape[0]
+        users.append((rows, [c.copy() for c in columns]))
 
-    def take_picos(first, states):
-        assert first == sum(batch.shape[0] for batch in picos)
-        picos.append(states.copy())
+    def take_picos(rows, states):
+        assert isinstance(rows, range) and len(rows) == states.shape[0]
+        picos.append((rows, states.copy()))
 
     return TraceSinks(users=take_users, picos=take_picos)
+
+
+def in_row_order(ranges, batches):
+    """The batches, stacked and put in row order, checking that their
+    ranges give every row of the run exactly once."""
+    rows = np.concatenate([np.array(r) for r in ranges])
+    order = np.argsort(rows)
+    np.testing.assert_array_equal(rows[order], np.arange(rows.size))
+    return np.concatenate(batches)[order]
 
 
 def run_traced(scenarios, per_user=False):
@@ -93,8 +104,11 @@ def run_traced(scenarios, per_user=False):
     results and one Trace per scenario."""
     batches = [([], []) for _ in scenarios]
     results = run_scenarios(scenarios, per_user, [collecting_sinks(*b) for b in batches])
-    traces = [Trace(*(np.concatenate(c) for c in zip(*users)), np.concatenate(picos))
-              for users, picos in batches]
+    traces = []
+    for users, picos in batches:
+        ranges, columns = zip(*users)
+        traces.append(Trace(*(in_row_order(ranges, c) for c in zip(*columns)),
+                            in_row_order(*zip(*picos))))
     return results, traces
 
 
@@ -119,9 +133,10 @@ def test_single_active_pico_power_decomposition():
     w = World([scenario(users={"total": 1000, "activity_uniform": 1.0},
                         policy={"t_activate": float("inf"),
                                 "t_deactivate": float("-inf")})])
+    w.drop(0)
     w.state[0, 0, 0] = ACTIVE
     out = SlotColumns.empty(1, 1)
-    active, containing, _, _ = w.run_slot(0, out)
+    active, containing, _, _ = w.run_slot(0, range(1), out)
     m = out.row(0)
     assert active.all()
     n0 = int((containing == 0).sum())
@@ -147,10 +162,11 @@ def test_engine_mode_trail_follows_the_state_table(boot_slots):
         policy={"t_activate": 12, "t_deactivate": 8},
     )
     w = World([s])
+    w.drop(0)
     out = SlotColumns.empty(1, s.slots)
     counts, states = [], []
     for slot in range(s.slots):
-        active, containing, _, _ = w.run_slot(slot, out)
+        active, containing, _, _ = w.run_slot(slot, range(slot, slot + 1), out)
         counts.append(slot_counts(w, active, containing))
         states.append(w.state[0, 0].copy())
     states = np.array(states)
@@ -170,7 +186,8 @@ def test_bandwidth_is_split_over_all_configured_users(p_active):
     s = scenario(users={"total": 400, "activity_uniform": p_active},
                  channel={"bandwidth_hz": 1e7})
     w = World([s])
-    active, *_ = w.run_slot(0, SlotColumns.empty(1, 1))
+    w.drop(0)
+    active, *_ = w.run_slot(0, range(1), SlotColumns.empty(1, 1))
     assert abs(int(active.sum()) - 400 * p_active) < 60
     assert w.w_user == 1e7 / 400
 
@@ -267,11 +284,11 @@ def test_traces_leave_a_run_only_through_its_sinks(output):
     assert output not in {f.name for f in dataclasses.fields(RunResult)}
     s = scenario(slots=3, users={"total": 20})
     calls = []
-    sink = TraceSinks(users=lambda topology, first, *_: calls.append(("users", first)),
-                      picos=lambda first, _: calls.append(("picos", first)))
+    sink = TraceSinks(users=lambda topology, rows, *_: calls.append(("users", rows)),
+                      picos=lambda rows, _: calls.append(("picos", rows)))
     twin = dataclasses.replace(s, boot_slots=0)
     run_scenarios([s, twin], traces=[None, sink])
-    assert calls == [(name, t) for t in range(3) for name in ("users", "picos")]
+    assert calls == [(name, range(t, t + 1)) for t in range(3) for name in ("users", "picos")]
     with pytest.raises(ValueError, match="1 traces for 2 scenarios"):
         run_scenarios([s, twin], traces=[sink])
 
@@ -395,9 +412,9 @@ def write_traces(tmp, topology, trace, splits):
     paths = (Path(tmp) / "user_trace.csv", Path(tmp) / "pico_trace.csv")
     bounds = [0, *splits, trace.x.shape[0]]
     for a, b in zip(bounds, bounds[1:]):
-        write_user_trace_csv(paths[0], topology, a, trace.x[a:b], trace.y[a:b],
+        write_user_trace_csv(paths[0], topology, range(a, b), trace.x[a:b], trace.y[a:b],
                              trace.active[a:b], trace.serving[a:b])
-        write_pico_trace_csv(paths[1], a, trace.states[a:b])
+        write_pico_trace_csv(paths[1], range(a, b), trace.states[a:b])
     return tuple(path.read_bytes() for path in paths)
 
 
@@ -512,8 +529,8 @@ def test_user_trace_writer_holds_a_few_slots_at_a_time(tmp_path):
     topology = build_geometry(scenario())
     tracemalloc.start()
     try:
-        write_user_trace_csv(tmp_path / "user_trace.csv", topology, 0, x, y, active,
-                             serving)
+        write_user_trace_csv(tmp_path / "user_trace.csv", topology, range(slots), x, y,
+                             active, serving)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -547,19 +564,19 @@ def test_traced_run_memory_does_not_grow_with_slots(tmp_path):
 def test_snapshot_trace_numbers_realizations_across_chunks(tmp_path):
     """A traced snapshot stepped in chunks of 3 drops writes realizations
     0 .. 6 in order, each with every user and pico, and hands each sink
-    one batch per chunk, starting at realizations 0, 3 and 6."""
+    one batch per chunk, of realizations 0 .. 2, 3 .. 5 and 6."""
     s = scenario(realizations=7, users={"total": 40, "hotspot": 10})
-    firsts = []
+    batches = []
     paths = (tmp_path / "user_trace.csv", tmp_path / "pico_trace.csv")
 
-    def take_users(topology, first, *columns):
-        firsts.append(first)
-        write_user_trace_csv(paths[0], topology, first, *columns)
+    def take_users(topology, rows, *columns):
+        batches.append(rows)
+        write_user_trace_csv(paths[0], topology, rows, *columns)
 
     with mock.patch.object(engine, "CHUNK_ROW_USERS", 3 * 40):
         run_scenario(s, trace=TraceSinks(users=take_users,
                                          picos=partial(write_pico_trace_csv, paths[1])))
-    assert firsts == [0, 3, 6]
+    assert batches == [range(0, 3), range(3, 6), range(6, 7)]
     for path, per_row in zip(paths, (40, 28)):
         lines = path.read_text().splitlines()[1:]
         assert [line.split(",", 1)[0] for line in lines] == \
@@ -804,16 +821,20 @@ def reference_slot_columns(scenarios):
     power from the oracle's consumed_power_w, pico by pico in index
     order; capacity as the row's sum and pico capacity as a sum over the
     pico-served users alone.  The group's World is stepped one drop at a
-    time (a chunk bound of 0 gives batches of one), and each slot's users,
-    links and modes are read off it."""
+    time (a chunk bound of 0 gives batches of one), realization by
+    realization and slot by slot, and each slot's users, links and modes
+    are read off it."""
     with mock.patch.object(engine, "CHUNK_ROW_USERS", 0):
         w = World(scenarios)
     assert w.batch == 1
-    slots = max(w.s.slots, w.s.realizations)  # one of the two is 1
-    out = SlotColumns.empty(len(scenarios), slots)
+    R, S = w.s.realizations, w.s.slots
+    out = SlotColumns.empty(len(scenarios), R * S)
     rows = [[] for _ in scenarios]
-    for slot in range(slots):
-        active, containing, served_rows, cap_rows = w.run_slot(slot, out)
+    for r, slot in itertools.product(range(R), range(S)):
+        if slot == 0:
+            w.drop(r)
+        row = r * S + slot
+        active, containing, served_rows, cap_rows = w.run_slot(slot, range(row, row + 1), out)
         counts = slot_counts(w, active, containing)
         for k, s in enumerate(scenarios):
             served, cap = served_rows[k], cap_rows[k]
@@ -918,16 +939,19 @@ def test_snapshot_chunks_follow_the_bound(batch, realizations):
                                           err_msg=name)
 
 
-def test_snapshot_memory_does_not_grow_with_realizations():
-    """A K = 16, n = 1000 snapshot group, sweep_udc's shape, peaks at 400
-    realizations within 16 KiB of its peak at 100, beside the (K, R)
-    slot columns of the added realizations: a chunk bounds what one step
-    holds.  Stepping every drop at once held (K, R * n) arrays, 92 MiB
-    more."""
+@pytest.mark.parametrize("slots, realizations", [(1, 100), (5, 20)],
+                         ids=["snapshot", "timeseries"])
+def test_memory_does_not_grow_with_realizations(slots, realizations):
+    """A K = 16, n = 1000 group, sweep_udc's shape, peaks at 4 R
+    realizations of S slots within 16 KiB of its peak at R, beside the
+    (K, R * S) slot columns of the added realization-slots: a chunk bounds
+    what one step holds, snapshot or time series.  Stepping every
+    snapshot drop at once held (K, R * n) arrays, 92 MiB more at R =
+    400."""
     def peak(realizations):
         scenarios = [parse_scenario({
-            "topology": "udc", "seed": 1, "realizations": realizations,
-            "users": {"total": 1000, "activity_uniform": 1.0},
+            "topology": "udc", "seed": 1, "slots": slots, "realizations": realizations,
+            "users": {"total": 1000, "hotspot": 200, "activity_uniform": 1.0},
             "policy": {"t_activate": float(t), "t_deactivate": None},
         }) for t in range(16)]
         tracemalloc.start()
@@ -938,8 +962,77 @@ def test_snapshot_memory_does_not_grow_with_realizations():
             tracemalloc.stop()
 
     peak(2)  # numpy's first-call allocations
-    added_columns = 7 * 16 * 300 * 8  # seven float64 or int64 (K, R) columns
-    assert peak(400) - peak(100) < added_columns + 2**14
+    # seven float64 or int64 (K, R * S) columns
+    added_columns = 7 * 16 * 3 * realizations * slots * 8
+    assert peak(4 * realizations) - peak(realizations) < added_columns + 2**14
+
+
+def traced_to_files(tmp, scenarios, bound):
+    """run_scenarios with per_user under a chunk bound, every scenario's
+    two traces written to files in tmp by the trace writers; returns the
+    results and each scenario's user and pico trace lines."""
+    paths = [(Path(tmp) / f"users{k}.csv", Path(tmp) / f"picos{k}.csv")
+             for k in range(len(scenarios))]
+    sinks = [TraceSinks(users=partial(write_user_trace_csv, users),
+                        picos=partial(write_pico_trace_csv, picos)) for users, picos in paths]
+    with mock.patch.object(engine, "CHUNK_ROW_USERS", bound):
+        results = run_scenarios(scenarios, per_user=True, traces=sinks)
+    return results, [[path.read_text().splitlines() for path in pair] for pair in paths]
+
+
+@settings(max_examples=30, deadline=None)
+@given(docs=process_groups(), slots=st.integers(2, 12), realizations=st.integers(2, 6),
+       batch=st.integers(2, 4))
+def test_chunked_time_series_equal_drops_stepped_one_at_a_time(docs, slots, realizations,
+                                                              batch):
+    """A group of R time series stepped in chunks of up to `batch` drops
+    gives bit for bit every slot column, per-user value and histogram of
+    the group stepped one drop at a time, and the same trace lines once
+    sorted: a chunk writes its lines slot by slot, each slot's drops in
+    turn, and one drop at a time writes them realization by
+    realization."""
+    scenarios = [parse_scenario({**d, "slots": slots, "realizations": realizations})
+                 for d in docs]
+    bound = batch * len(scenarios) * scenarios[0].users.total
+    with mock.patch.object(engine, "CHUNK_ROW_USERS", bound):
+        assert World(scenarios).batch == min(batch, realizations)
+    with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
+        chunked, chunked_lines = traced_to_files(a, scenarios, bound)
+        alone, alone_lines = traced_to_files(b, scenarios, 0)
+    for x, y in zip(chunked, alone):
+        assert_same_run(x, y)
+    for x, y in zip(chunked_lines, alone_lines):
+        for lines_x, lines_y in zip(x, y):
+            assert lines_x[0] == lines_y[0]  # the header, once, first
+            assert sorted(lines_x) == sorted(lines_y)
+            assert len(lines_x) > 1
+    # stepping order: chunk by chunk, slot by slot, then drop by drop
+    B, S, n = min(batch, realizations), slots, scenarios[0].users.total
+    order = [row for r0 in range(0, realizations, B) for t in range(S)
+             for row in range(r0 * S + t, min(r0 + B, realizations) * S, S)]
+    for user_lines, _ in chunked_lines:
+        assert [int(line.split(",", 1)[0]) for line in user_lines[1:]] == \
+            [row for row in order for _ in range(n)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(docs=process_groups(), realizations=st.integers(2, 5))
+def test_first_realization_is_the_one_realization_run(docs, realizations):
+    """Realization 0 of an R-realization group, snapshot or time series,
+    is bit for bit the group's run of one realization: slot column
+    entries 0 .. S - 1 and trace rows 0 .. S - 1, in every row."""
+    one = [parse_scenario({**d, "realizations": 1}) for d in docs]
+    many = [parse_scenario({**d, "realizations": realizations}) for d in docs]
+    S = one[0].slots
+    for (a, trace_a), (b, trace_b) in zip(zip(*run_traced(one, per_user=True)),
+                                          zip(*run_traced(many, per_user=True))):
+        assert b.slot_metrics.power_w.shape == (realizations * S,)
+        for f in dataclasses.fields(SlotColumns):
+            np.testing.assert_array_equal(getattr(a.slot_metrics, f.name),
+                                          getattr(b.slot_metrics, f.name)[:S], err_msg=f.name)
+        for f in dataclasses.fields(Trace):
+            np.testing.assert_array_equal(getattr(trace_a, f.name),
+                                          getattr(trace_b, f.name)[:S], err_msg=f.name)
 
 
 @settings(max_examples=30, deadline=None)

@@ -64,7 +64,7 @@ def test_same_seed_same_trajectory():
         rng = np.random.default_rng(5)
         pop = init_population(topo, SCHEDULE, UsersConfig(total=100, hotspot=40), [rng])
         for slot in range(40):
-            step_population(pop, slot, topo, SCHEDULE, PARAMS, rng)
+            step_population(pop, slot, topo, SCHEDULE, PARAMS, [rng])
         pops.append(pop)
     np.testing.assert_array_equal(pops[0].px, pops[1].px)
     np.testing.assert_array_equal(pops[0].py, pops[1].py)
@@ -74,7 +74,7 @@ def test_same_seed_same_trajectory():
 def test_users_never_leave_the_macro_disc():
     topo, rng, pop = make_world()
     for slot in range(120):
-        step_population(pop, slot, topo, SCHEDULE, PARAMS, rng)
+        step_population(pop, slot, topo, SCHEDULE, PARAMS, [rng])
         d = np.hypot(pop.px - 500.0, pop.py - 500.0)
         assert d.max() <= 500.0 + 1e-9
 
@@ -99,14 +99,14 @@ def test_workers_reach_their_pico_and_wander_slowly():
     sched = WorkSchedule(start_slots=(0,), duration=375)
     pop = init_population(topo, sched, UsersConfig(total=300, hotspot=120), [rng])
     for slot in range(130):
-        step_population(pop, slot, topo, sched, PARAMS, rng)
+        step_population(pop, slot, topo, sched, PARAMS, [rng])
     hot = pop.my_pico >= 0
     d = dist_to_own_pico(pop, topo)
     assert (d[hot] < 50.0).all()
     assert (pop.speed[hot] <= 2.0).all()  # wander pace, not travel pace
     # and they stay in through further slots
     for slot in range(130, 170):
-        step_population(pop, slot, topo, sched, PARAMS, rng)
+        step_population(pop, slot, topo, sched, PARAMS, [rng])
     assert (dist_to_own_pico(pop, topo)[hot] < 50.0).all()
 
 
@@ -116,12 +116,12 @@ def test_work_end_sends_workers_back_out():
     sched = WorkSchedule(start_slots=(0,), duration=60)
     pop = init_population(topo, sched, UsersConfig(total=200, hotspot=80), [rng])
     for slot in range(62):
-        step_population(pop, slot, topo, sched, PARAMS, rng)
+        step_population(pop, slot, topo, sched, PARAMS, [rng])
     hot = pop.my_pico >= 0
     assert (pop.speed[hot] >= 10.0).all()  # back to travel pace
     # eventually the cohort disperses: far fewer than all of them in-cell
     for slot in range(62, 240):
-        step_population(pop, slot, topo, sched, PARAMS, rng)
+        step_population(pop, slot, topo, sched, PARAMS, [rng])
     frac_in = (dist_to_own_pico(pop, topo)[hot] < 50.0).mean()
     assert frac_in < 0.3
 
@@ -149,6 +149,34 @@ def test_drops_stack_end_to_end(static, hot):
         assert a.random() == b.random()
 
 
+@pytest.mark.parametrize("hot", [0, 7])
+def test_drops_step_together_as_each_alone(hot):
+    """Three drops stepped together through 120 slots, past work starts,
+    arrivals and work ends, are field by field the three drops stepped
+    alone, end to end, and leave each generator where stepping its own
+    drop alone leaves it."""
+    topo = build_udc(np.random.default_rng(9))
+    users = UsersConfig(total=20, hotspot=hot)
+    sched = WorkSchedule(start_slots=(0, 5), duration=30)
+
+    def rngs():
+        return [np.random.default_rng(seed) for seed in (4, 5, 6)]
+
+    stacked_rngs, alone_rngs = rngs(), rngs()
+    stacked = init_population(topo, sched, users, stacked_rngs)
+    alone = [init_population(topo, sched, users, [rng]) for rng in alone_rngs]
+    for slot in range(120):
+        step_population(stacked, slot, topo, sched, PARAMS, stacked_rngs)
+        for pop, rng in zip(alone, alone_rngs):
+            step_population(pop, slot, topo, sched, PARAMS, [rng])
+    for field in dataclasses.fields(UserPopulation):
+        np.testing.assert_array_equal(
+            getattr(stacked, field.name),
+            np.concatenate([getattr(pop, field.name) for pop in alone]), err_msg=field.name)
+    for a, b in zip(stacked_rngs, alone_rngs):
+        assert a.random() == b.random()
+
+
 def one_user(x, y, dest_x, dest_y, speed, vx, vy):
     """A 1-user uniform population in the given motion state."""
     def arr(v):
@@ -165,7 +193,7 @@ def test_arrival_snaps_exactly_onto_the_waypoint():
     rng = np.random.default_rng(0)
     pop = one_user(x=500.0, y=500.0, dest_x=501.0, dest_y=500.0,
                    speed=5.0, vx=5.0, vy=0.0)
-    step_population(pop, 0, topo, SCHEDULE, PARAMS, rng)
+    step_population(pop, 0, topo, SCHEDULE, PARAMS, [rng])
     assert (pop.px[0], pop.py[0]) == (501.0, 500.0)
     assert 10.0 <= pop.speed[0] <= 20.0  # fresh leg drawn on arrival
     assert np.hypot(pop.dest_x[0] - 500.0, pop.dest_y[0] - 500.0) <= 500.0 + 1e-9
@@ -179,7 +207,7 @@ def test_single_user_api_matches_population_semantics():
     assert 0 <= pop.my_pico[0] < 28
     before = (pop.px[0], pop.py[0])
     step_population(pop, 1_000_000, topo, SCHEDULE, PARAMS,
-                    np.random.default_rng(4))
+                    [np.random.default_rng(4)])
     assert (pop.px[0], pop.py[0]) != before
 
 
@@ -193,7 +221,7 @@ def test_uniform_users_have_no_work_end():
     rng = np.random.default_rng(1)
     pop = init_population(topo, SCHEDULE, users, [rng])
     state, dest = rng.bit_generator.state, (pop.dest_x.copy(), pop.dest_y.copy())
-    step_population(pop, SCHEDULE.duration - 1, topo, SCHEDULE, users, rng)
+    step_population(pop, SCHEDULE.duration - 1, topo, SCHEDULE, users, [rng])
     assert rng.bit_generator.state == state
     np.testing.assert_array_equal(pop.dest_x, dest[0])
     np.testing.assert_array_equal(pop.dest_y, dest[1])

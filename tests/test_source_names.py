@@ -32,7 +32,7 @@ ALLOWED = {
     ("cli", "main"),                        # the console entry point
     ("kernels", "USING_NUMBA"),             # read by perfbench/sample.py
     # called only by the round-trip tests of test_config_cli.py; the run
-    # and sweep manifests that ROADMAP item 10 plans would write it
+    # and sweep manifests that ROADMAP item 12 plans would write it
     ("config", "serialize_scenario"),
 }
 

@@ -136,6 +136,7 @@ def test_time_series_control_is_the_markov_chain_of_its_state_table():
         "policy": {"t_activate": t, "t_deactivate": t_off},
     }) for t, t_off, boot in rows]
     w = World(scenarios)
+    w.drop(0)
     start_x = w.pop.px.copy()
     containing = kernels.containing_disc(w.pop.px, w.pop.py, w.discs)
     users_in = np.bincount(containing[containing >= 0], minlength=w.topo.cx.size).tolist()
@@ -143,7 +144,7 @@ def test_time_series_control_is_the_markov_chain_of_its_state_table():
     before = w.state
     wakes = np.zeros(w.state.shape, dtype=np.int64)
     for slot in range(slots):
-        w.run_slot(slot, out)
+        w.run_slot(slot, range(slot, slot + 1), out)
         wakes += (before == SLEEP) & (w.state != SLEEP)
         before = w.state
     assert (w.pop.px == start_x).all()  # the users never moved
