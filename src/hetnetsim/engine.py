@@ -34,12 +34,14 @@ each scenario is one row of the group's (K, B, m) pico control and power.
 
 With per_user, run_scenarios also builds what run and the time-series
 presets write besides the slot CSV: per-user totals, the rate histogram
-and the pico-layer capacity of the pico view.  Traces are not kept: as
-each batch finishes, run_scenarios hands its user and pico trace columns
-to the scenario's TraceSinks, so a traced run holds one batch of trace,
-O(n + m), whatever its length.  write_user_trace_csv and
-write_pico_trace_csv, with their path bound, are such sinks; they and the
-other writers put every result file through write_file.
+and the pico-layer capacity of the pico view.  Traces are not kept: a
+traced chunk copies each slot's user and pico trace columns into a block
+of up to TRACE_BLOCK_ROW_USERS user lines and hands the block to the
+scenario's TraceSinks when it is full and at the chunk's last slot, so a
+traced run holds one block of trace, bounded by that constant, whatever
+its length.  write_user_trace_csv and write_pico_trace_csv, with their
+path bound, are such sinks; they and the other writers put every result
+file through write_file.
 """
 
 from __future__ import annotations
@@ -196,6 +198,10 @@ class Response:
 # drops of n users holds (K, B * n) served masks and capacities, so B is
 # the most drops with K * B * n within this bound, and 1 past it
 CHUNK_ROW_USERS = 49_152
+# the most user lines a traced chunk holds before it hands them to its
+# sinks: a block of L slots of B drops of n users, L the most slots with
+# L * B * n within this bound, and 1 past it
+TRACE_BLOCK_ROW_USERS = 16_384
 
 
 class World:
@@ -335,16 +341,20 @@ class World:
 
 @dataclass(frozen=True)
 class TraceSinks:
-    """Where one scenario's traces go, a batch at a time, as its group
-    steps: one slot of a chunk of B drops, whose rows of the run (entries
-    r * S + t of the slot columns) are a range, then the chunk's next
-    slot, then the next chunk's.
+    """Where one scenario's traces go, a block at a time, as its group
+    steps: L slots of a chunk of B drops (L * B * n within
+    TRACE_BLOCK_ROW_USERS, or one slot past it, and fewer at the chunk's
+    end), then the chunk's next L slots, then the next chunk's.  A
+    block's lines go slot by slot, each slot's drops in turn, and rows
+    holds each line's row of the run (entry r * S + t of the slot
+    columns): a range for a chunk of one drop.
 
     ``users(topology, rows, x, y, active, serving)`` gets the group's
-    layout and the batch's (B, n) positions, activity flags and serving
-    codes (-2 idle, -1 macro, j pico); ``picos(rows, states)`` gets the
-    row's (B, m) pico control states.  The arrays are the world's own
-    and change as it steps: a sink that keeps them copies them.
+    layout and the block's (L * B, n) positions, activity flags and
+    serving codes (-2 idle, -1 macro, j pico); ``picos(rows, states)``
+    gets the row's (L * B, m) pico control states.  The arrays are the
+    engine's own and change as it steps: a sink that keeps them copies
+    them.
     ``partial(write_user_trace_csv, path)`` and its pico twin write the
     two trace CSVs.
     """
@@ -359,6 +369,8 @@ class RunResult:
     topology: Topology
     slot_metrics: SlotColumns
     ee_mean: float
+    # the spread (ddof 1) of all R * S slot entries' EE, not a replicate
+    # interval over the realizations' means (ROADMAP item 3)
     ee_std: float
     capacity_mean: float
     power_mean: float
@@ -415,6 +427,14 @@ def run_scenario(scenario: Scenario, per_user: bool = False,
     return run_scenarios([scenario], per_user, [trace])[0]
 
 
+def _block_rows(S: int, r0: int, B: int, t0: int, t1: int) -> Sequence[int]:
+    """The rows of slots t0 .. t1 - 1 of the chunk of B drops at r0, slot
+    by slot, each slot's drops in turn; a range for one drop."""
+    if B == 1:
+        return range(r0 * S + t0, r0 * S + t1)
+    return [r * S + t for t in range(t0, t1) for r in range(r0, r0 + B)]
+
+
 def _run_group(scenarios: list[Scenario], per_user: bool,
                traces: list[Optional[TraceSinks]]) -> list[RunResult]:
     world = World(scenarios)
@@ -429,15 +449,23 @@ def _run_group(scenarios: list[Scenario], per_user: bool,
         pico_slots = np.zeros((K, n), dtype=np.int64)
         hist = np.zeros((K, HIST_BINS), dtype=np.int64)
         columns.pico_capacity_bps = np.empty((K, R * S))
-    user_sinks = [(k, t.users) for k, t in enumerate(traces) if t and t.users]
-    pico_sinks = [(k, t.picos) for k, t in enumerate(traces) if t and t.picos]
+    # the rows whose user or pico trace goes to a sink
+    traced_users = [k for k, t in enumerate(traces) if t and t.users]
+    traced_picos = [k for k, t in enumerate(traces) if t and t.picos]
 
     for r0 in range(0, R, world.batch):
         world.drop(r0)
-        B = world.state.shape[1]
+        B, m = world.state.shape[1:]
         # this chunk's per-user sums, each drop's users apart: 0 plus the
         # first slot's arrays makes (K, B * n) float and int64 arrays
         chunk_cap = chunk_active = chunk_pico = 0
+        if traced_users or traced_picos:
+            # a block of L slots of trace, line (t % L) * B + b drop b's slot t
+            L = max(1, min(S, TRACE_BLOCK_ROW_USERS // (B * n)))
+            x, y = np.empty((2, L * B, n))
+            flags = np.empty((L * B, n), dtype=bool)
+            serving = np.empty((len(traced_users), L * B, n), dtype=np.int64)
+            states = np.empty((len(traced_picos), L * B, m), dtype=np.int64)
         for slot in range(S):
             # drop b's slot is entry (r0 + b) * S + slot
             rows = range(r0 * S + slot, (r0 + B) * S, S)
@@ -452,14 +480,21 @@ def _run_group(scenarios: list[Scenario], per_user: bool,
                     drop = slice(b * n, (b + 1) * n)
                     columns.pico_capacity_bps[:, row] = [
                         c[sv].sum() for c, sv in zip(cap[:, drop], served[:, drop])]
-            if user_sinks:
-                x, y, flags = (a.reshape(B, n) for a in (world.pop.px, world.pop.py, active))
-                unserved = np.where(active, -1, -2)
-                for k, sink in user_sinks:
-                    sink(world.topo, rows, x, y, flags,
-                         np.where(served[k], containing, unserved).reshape(B, n))
-            for k, sink in pico_sinks:
-                sink(rows, world.state[k])
+            if traced_users or traced_picos:
+                lines = slice(slot % L * B, (slot % L + 1) * B)
+                if traced_users:
+                    x[lines], y[lines], flags[lines] = (
+                        a.reshape(B, n) for a in (world.pop.px, world.pop.py, active))
+                    serving[:, lines] = np.where(served[traced_users], containing,
+                                                 np.where(active, -1, -2)).reshape(-1, B, n)
+                states[:, lines] = world.state[traced_picos]
+                if slot % L == L - 1 or slot == S - 1:
+                    block, end = _block_rows(S, r0, B, slot - slot % L, slot + 1), lines.stop
+                    for k, codes in zip(traced_users, serving):
+                        traces[k].users(world.topo, block, x[:end], y[:end], flags[:end],
+                                        codes[:end])
+                    for k, modes in zip(traced_picos, states):
+                        traces[k].picos(block, modes[:end])
             # free this batch's (K, B * n) arrays before the next builds its own
             del served, cap
         if per_user:
@@ -562,14 +597,26 @@ def write_pico_view_csv(result: RunResult, path: str | Path) -> None:
 
 
 def write_users_csv(result: RunResult, path: str | Path) -> None:
+    """One line per user, joined from parallel string streams: "{id}," from
+    a table, its kind, repr of its mean rate, and ",{frac}\\n", formatted
+    once per distinct frac_slots_on_pico (told apart by their bits, so
+    -0.0 is not 0.0)."""
     if result.mean_rate_bps is None:
         raise ValueError("run was executed without per_user")
-    _write_columns(
-        path, "user_id,kind,mean_rate_bps,frac_slots_on_pico\n", "%d,%s,%r,%r\n",
-        np.arange(result.mean_rate_bps.shape[0]),
-        np.where(result.is_hotspot, "hotspot", "uniform"),
-        result.mean_rate_bps, result.frac_slots_on_pico,
-    )
+    rates, frac = result.mean_rate_bps, result.frac_slots_on_pico
+    bits = frac.view(np.int64)
+    # one float per distinct bit pattern, by a dict, not np.unique: its
+    # first call maps about 0.6 MiB more of numpy into memory
+    fracs = {b: f",{v!r}\n" for b, v in dict(zip(bits.tolist(), frac.tolist())).items()}
+    ids = _id_fields(rates.shape[0], "{},")
+    write_file(path, chain(["user_id,kind,mean_rate_bps,frac_slots_on_pico\n"], (
+        "".join(chain.from_iterable(zip(
+            ids[i:i + CHUNK_ROWS],
+            map(_KINDS.__getitem__, result.is_hotspot[i:i + CHUNK_ROWS].tolist()),
+            map(repr, rates[i:i + CHUNK_ROWS].tolist()),
+            map(fracs.__getitem__, bits[i:i + CHUNK_ROWS].tolist()))))
+        for i in range(0, rates.shape[0], CHUNK_ROWS)
+    )))
 
 
 def write_histogram_csv(result: RunResult, path: str | Path) -> None:
@@ -594,11 +641,16 @@ def write_sweep_csv(points: Iterable[tuple[float, RunResult]],
     ))
 
 
-@lru_cache(maxsize=2)
-def _id_fields(ids: int) -> tuple[str, ...]:
-    """",{i}," for ids 0 .. ids - 1, built once for the batches of a run's
-    two traces (n users, m picos) and shared by them."""
-    return tuple(f",{i}," for i in range(ids))
+# the users.csv kind field of a user whose is_hotspot is False, True
+_KINDS = ("uniform,", "hotspot,")
+
+
+@lru_cache(maxsize=3)
+def _id_fields(ids: int, form: str = ",{},") -> tuple[str, ...]:
+    """form.format(i) for ids 0 .. ids - 1, built once for all the blocks
+    of a run's two traces (",{i}," for n users and m picos) and for its
+    users.csv ("{i},")."""
+    return tuple(map(form.format, range(ids)))
 
 
 @lru_cache(maxsize=1)
@@ -614,37 +666,46 @@ def _serving_tails(m: int) -> tuple[str, ...]:
 _MODE_TAILS = tuple(f"{mode}\n" for mode in MODES)
 
 
-def _write_trace_rows(path: str | Path, header: str, rows: range, ids: int,
+def _write_trace_rows(path: str | Path, header: str, rows: Sequence[int], ids: int,
                       lines: Iterable) -> None:
-    """Write the trace rows numbered rows to path: the batch whose first
-    row is 0 creates the file with its header, and later batches append.
+    """Write the trace rows numbered rows to path: the block whose first
+    row is 0 creates the file with its header, and later blocks append.
     One chunk of lines per row, joined from parallel string streams: the
     row number, formatted once, then ",{i}," for each of ids ids, then the
-    streams lines gives for the row, one string per line from each."""
+    streams lines gives for the row, ids strings from each."""
     id_text = _id_fields(ids)
-    write_file(path, chain([header] if rows[0] == 0 else [], (
-        "".join(chain.from_iterable(zip(repeat(str(row)), id_text, *streams)))
-        for row, streams in zip(rows, lines)
-    )), append=rows[0] > 0)
+
+    def text(row: int, streams: tuple) -> str:
+        # each line's fields in turn, placed by slice assignment: zipping
+        # the streams line by line costs about 0.1 µs more per line
+        width = 2 + len(streams)
+        fields = [str(row)] * (width * ids)
+        fields[1::width] = id_text
+        for k, stream in enumerate(streams, 2):
+            fields[k::width] = stream
+        return "".join(fields)
+
+    write_file(path, chain([header] if rows[0] == 0 else [], map(text, rows, lines)),
+               append=rows[0] > 0)
 
 
-def write_user_trace_csv(path: str | Path, topology: Topology, rows: range, x, y,
+def write_user_trace_csv(path: str | Path, topology: Topology, rows: Sequence[int], x, y,
                          active, serving) -> None:
-    """A batch of user_trace.csv, as a TraceSinks.users sink with path
+    """A block of user_trace.csv, as a TraceSinks.users sink with path
     bound.  Only x and y are formatted per line (repr of the .tolist()
     floats); the active flag and serving label come from a table of line
     tails."""
     tails = _serving_tails(topology.cx.size)
     width = topology.cx.size + 2
     _write_trace_rows(path, "slot,user_id,x,y,active,serving_cell\n", rows, x.shape[1], (
-        (map(repr, xb.tolist()), repeat(","), map(repr, yb.tolist()),
+        (map(repr, xb.tolist()), repeat(",", x.shape[1]), map(repr, yb.tolist()),
          map(tails.__getitem__, (codes + 2 + width * flags).tolist()))
         for xb, yb, flags, codes in zip(x, y, active, serving)
     ))
 
 
-def write_pico_trace_csv(path: str | Path, rows: range, states) -> None:
-    """A batch of pico_trace.csv, as a TraceSinks.picos sink with path
+def write_pico_trace_csv(path: str | Path, rows: Sequence[int], states) -> None:
+    """A block of pico_trace.csv, as a TraceSinks.picos sink with path
     bound, written as write_user_trace_csv writes; each state's mode label
     comes from a table of line tails."""
     _write_trace_rows(path, "slot,pico_id,mode\n", rows, states.shape[1], (

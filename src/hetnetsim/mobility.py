@@ -178,17 +178,20 @@ def step_population(
 ) -> None:
     """Advance every user of the B = len(rngs) drops of pop by one slot
     (events, move, arrival retargets), drop b drawing from rngs[b].  Each
-    event's users are one index array, built once."""
+    event's users are one index array, built once; an empty one is
+    skipped, as it would draw nothing."""
     hot, R, r = pop.my_pico >= 0, topo.macro_radius, topo.pico_radius
     # work-start event: head for the assigned pico at travel speed
     ws = np.flatnonzero(hot & (pop.work_start == slot))
-    mine = pop.my_pico[ws]
-    _retarget(pop, ws, topo.cx[mine], topo.cy[mine], r,
-              users.speed_min, users.speed_max, rngs)
+    if ws.size:
+        mine = pop.my_pico[ws]
+        _retarget(pop, ws, topo.cx[mine], topo.cy[mine], r,
+                  users.speed_min, users.speed_max, rngs)
     # work-end event: head back into the macro disc; a uniform user's
     # work_start of -1 would match at slot duration - 1 without the guard
     we = np.flatnonzero(hot & (pop.work_start == slot - schedule.duration))
-    _retarget(pop, we, R, R, R, users.speed_min, users.speed_max, rngs)
+    if we.size:
+        _retarget(pop, we, R, R, R, users.speed_min, users.speed_max, rngs)
 
     arrived = np.flatnonzero(kernels.advance_positions(
         pop.px, pop.py, pop.dest_x, pop.dest_y, pop.vx, pop.vy, pop.speed
@@ -199,11 +202,13 @@ def step_population(
     in_work = (pop.my_pico[arrived] >= 0) & (start <= slot) & \
         (slot < start + schedule.duration)
     wander = arrived[in_work]
-    mine = pop.my_pico[wander]
-    _retarget(pop, wander, topo.cx[mine], topo.cy[mine], r,
-              users.work_speed_min, users.work_speed_max, rngs)
+    if wander.size:
+        mine = pop.my_pico[wander]
+        _retarget(pop, wander, topo.cx[mine], topo.cy[mine], r,
+                  users.work_speed_min, users.work_speed_max, rngs)
     roam = arrived[~in_work]
-    _retarget(pop, roam, R, R, R, users.speed_min, users.speed_max, rngs)
+    if roam.size:
+        _retarget(pop, roam, R, R, R, users.speed_min, users.speed_max, rngs)
 
 
 def draw_activity_flags(

@@ -434,9 +434,10 @@ def test_a_traced_run_opens_its_files_after_the_layout(tmp_path, sets, code):
 def test_a_failed_traced_run_leaves_no_trace_file(tmp_path, monkeypatch, capsys,
                                                   fail_at, existing):
     """A run whose mobility step raises at slot k, after its trace files
-    were opened and slots 0 .. k - 1 written, exits 2 and removes both
-    trace files, then the directories it made for them; a directory that
-    was there before stays, with what else it holds."""
+    were opened and slots 0 .. k - 1 written (in blocks of one slot of its
+    40 users), exits 2 and removes both trace files, then the directories
+    it made for them; a directory that was there before stays, with what
+    else it holds."""
     doc = tmp_path / "dyn.yaml"
     doc.write_text("topology: coe\nslots: 6\nusers: {total: 40, hotspot: 10}\n")
     out = tmp_path / "made" / "traced"
@@ -452,6 +453,7 @@ def test_a_failed_traced_run_leaves_no_trace_file(tmp_path, monkeypatch, capsys,
         step(pop, slot, *args)
 
     monkeypatch.setattr(engine, "step_population", failing_step)
+    monkeypatch.setattr(engine, "TRACE_BLOCK_ROW_USERS", 40)
     assert main(["run", "--scenario", str(doc), "--out", str(out), *TRACE_FLAGS]) == 2
     assert capsys.readouterr().err == f"runtime error: failed at slot {fail_at}\n"
     if existing:
@@ -465,8 +467,9 @@ def test_a_failed_traced_run_leaves_earlier_files_as_found(tmp_path, monkeypatch
                                                            capsys, failure):
     """In an --out that holds an earlier traced run's files, a traced run
     that fails its layout exits 1 and leaves them byte for byte; one that
-    fails at slot 3, after writing slots 0 .. 2 of its traces, exits 2 and
-    removes both trace files, and the earlier slots.csv stays."""
+    fails at slot 3, after writing slots 0 .. 2 of its traces (in blocks
+    of one slot of its 40 users), exits 2 and removes both trace files,
+    and the earlier slots.csv stays."""
     doc = tmp_path / "dyn.yaml"
     doc.write_text("topology: udc\nslots: 6\nusers: {total: 40, hotspot: 10}\n")
     out = tmp_path / "out"
@@ -489,6 +492,7 @@ def test_a_failed_traced_run_leaves_earlier_files_as_found(tmp_path, monkeypatch
         step(pop, slot, *args)
 
     monkeypatch.setattr(engine, "step_population", failing_step)
+    monkeypatch.setattr(engine, "TRACE_BLOCK_ROW_USERS", 40)
     assert main(args) == 2
     assert not (out / "user_trace.csv").exists()
     assert not (out / "pico_trace.csv").exists()

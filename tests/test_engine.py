@@ -77,14 +77,14 @@ class Trace:
 
 
 def collecting_sinks(users: list, picos: list) -> TraceSinks:
-    """Sinks that copy every batch, with its range of rows, one row per
-    drop, into users and picos."""
+    """Sinks that copy every block, with its sequence of rows, one row per
+    line of its columns, into users and picos."""
     def take_users(topology, rows, *columns):
-        assert isinstance(rows, range) and len(rows) == columns[0].shape[0]
+        assert len(rows) == columns[0].shape[0]
         users.append((rows, [c.copy() for c in columns]))
 
     def take_picos(rows, states):
-        assert isinstance(rows, range) and len(rows) == states.shape[0]
+        assert len(rows) == states.shape[0]
         picos.append((rows, states.copy()))
 
     return TraceSinks(users=take_users, picos=take_picos)
@@ -92,7 +92,7 @@ def collecting_sinks(users: list, picos: list) -> TraceSinks:
 
 def in_row_order(ranges, batches):
     """The batches, stacked and put in row order, checking that their
-    ranges give every row of the run exactly once."""
+    row sequences give every row of the run exactly once."""
     rows = np.concatenate([np.array(r) for r in ranges])
     order = np.argsort(rows)
     np.testing.assert_array_equal(rows[order], np.arange(rows.size))
@@ -279,8 +279,8 @@ def test_writers_need_their_output(tmp_path, writer, needs):
 @pytest.mark.parametrize("output", ["user_trace", "pico_trace"])
 def test_traces_leave_a_run_only_through_its_sinks(output):
     """No result holds a trace; in a group, only the scenarios given
-    sinks are traced, one batch a slot, and a list of sinks must match the
-    scenarios one to one."""
+    sinks are traced, one call per block of slots (here all 3 in one),
+    and a list of sinks must match the scenarios one to one."""
     assert output not in {f.name for f in dataclasses.fields(RunResult)}
     s = scenario(slots=3, users={"total": 20})
     calls = []
@@ -288,7 +288,7 @@ def test_traces_leave_a_run_only_through_its_sinks(output):
                       picos=lambda rows, _: calls.append(("picos", rows)))
     twin = dataclasses.replace(s, boot_slots=0)
     run_scenarios([s, twin], traces=[None, sink])
-    assert calls == [(name, range(t, t + 1)) for t in range(3) for name in ("users", "picos")]
+    assert calls == [("users", range(0, 3)), ("picos", range(0, 3))]
     with pytest.raises(ValueError, match="1 traces for 2 scenarios"):
         run_scenarios([s, twin], traces=[sink])
 
@@ -540,8 +540,10 @@ def test_user_trace_writer_holds_a_few_slots_at_a_time(tmp_path):
 def test_traced_run_memory_does_not_grow_with_slots(tmp_path):
     """A 1000-user run streaming both traces to their writers peaks under
     2 MiB of Python allocations, and at 400 slots within 0.5 MiB of its
-    peak at 50: the run holds a slot of trace at a time.  Keeping every
-    slot's columns until the run ended peaked at 9.9 MiB at 400 slots."""
+    peak at 50: the run holds one block of trace at a time, 16 slots
+    under TRACE_BLOCK_ROW_USERS (about 0.85 MiB at either length).
+    Keeping every slot's columns until the run ended peaked at 9.9 MiB at
+    400 slots."""
     def peak(slots):
         s = scenario(slots=slots, users={"total": 1000, "hotspot": 500},
                      policy={"t_activate": 12, "t_deactivate": 8})
@@ -564,7 +566,7 @@ def test_traced_run_memory_does_not_grow_with_slots(tmp_path):
 def test_snapshot_trace_numbers_realizations_across_chunks(tmp_path):
     """A traced snapshot stepped in chunks of 3 drops writes realizations
     0 .. 6 in order, each with every user and pico, and hands each sink
-    one batch per chunk, of realizations 0 .. 2, 3 .. 5 and 6."""
+    one block per chunk, of realizations 0 .. 2, 3 .. 5 and 6."""
     s = scenario(realizations=7, users={"total": 40, "hotspot": 10})
     batches = []
     paths = (tmp_path / "user_trace.csv", tmp_path / "pico_trace.csv")
@@ -576,7 +578,7 @@ def test_snapshot_trace_numbers_realizations_across_chunks(tmp_path):
     with mock.patch.object(engine, "CHUNK_ROW_USERS", 3 * 40):
         run_scenario(s, trace=TraceSinks(users=take_users,
                                          picos=partial(write_pico_trace_csv, paths[1])))
-    assert batches == [range(0, 3), range(3, 6), range(6, 7)]
+    assert batches == [[0, 1, 2], [3, 4, 5], range(6, 7)]
     for path, per_row in zip(paths, (40, 28)):
         lines = path.read_text().splitlines()[1:]
         assert [line.split(",", 1)[0] for line in lines] == \
@@ -967,17 +969,66 @@ def test_memory_does_not_grow_with_realizations(slots, realizations):
     assert peak(4 * realizations) - peak(realizations) < added_columns + 2**14
 
 
-def traced_to_files(tmp, scenarios, bound):
-    """run_scenarios with per_user under a chunk bound, every scenario's
-    two traces written to files in tmp by the trace writers; returns the
-    results and each scenario's user and pico trace lines."""
+def traced_to_files(tmp, scenarios, bound, block=engine.TRACE_BLOCK_ROW_USERS):
+    """run_scenarios with per_user under a chunk bound and a trace block
+    bound, every scenario's two traces written to files in tmp by the
+    trace writers; returns the results and each scenario's user and pico
+    trace lines."""
     paths = [(Path(tmp) / f"users{k}.csv", Path(tmp) / f"picos{k}.csv")
              for k in range(len(scenarios))]
     sinks = [TraceSinks(users=partial(write_user_trace_csv, users),
                         picos=partial(write_pico_trace_csv, picos)) for users, picos in paths]
-    with mock.patch.object(engine, "CHUNK_ROW_USERS", bound):
+    with mock.patch.object(engine, "CHUNK_ROW_USERS", bound), \
+            mock.patch.object(engine, "TRACE_BLOCK_ROW_USERS", block):
         results = run_scenarios(scenarios, per_user=True, traces=sinks)
     return results, [[path.read_text().splitlines() for path in pair] for pair in paths]
+
+
+def file_bytes(tmp):
+    return {path.name: path.read_bytes() for path in Path(tmp).iterdir()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(docs=process_groups(), realizations=st.integers(1, 5), batch=st.integers(1, 4),
+       block=st.integers(2, 4))
+def test_trace_blocks_write_the_bytes_of_one_slot_at_a_time(docs, realizations, batch,
+                                                            block):
+    """A group's traces, handed to the writers in blocks of up to `block`
+    slots of a chunk or in blocks under the module's bound, are byte for
+    byte the traces handed over one slot of a chunk at a time (a block
+    bound of 0): time series of one or several realizations, and
+    snapshots of chunks of several drops."""
+    scenarios = [parse_scenario({**d, "realizations": realizations}) for d in docs]
+    n = scenarios[0].users.total
+    bound = batch * len(scenarios) * n
+    B = min(batch, realizations)
+    with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b, \
+            tempfile.TemporaryDirectory() as c:
+        traced_to_files(a, scenarios, bound, 0)
+        traced_to_files(b, scenarios, bound, block * B * n)
+        traced_to_files(c, scenarios, bound)
+        one_slot = file_bytes(a)
+        assert len(one_slot) == 2 * len(scenarios)
+        assert file_bytes(b) == one_slot
+        assert file_bytes(c) == one_slot
+
+
+def test_a_traced_run_writes_each_trace_file_once_a_block(tmp_path):
+    """A 125-slot, 1000-user traced run, ts_traced's shape, writes each
+    trace file in at most ceil(S / L) write_file calls, L =
+    TRACE_BLOCK_ROW_USERS // n slots a block (8 calls), where a call a
+    slot reopened each file 125 times."""
+    s = scenario(slots=125, users={"total": 1000, "hotspot": 500},
+                 policy={"t_activate": 12, "t_deactivate": 8})
+    paths = (tmp_path / "user_trace.csv", tmp_path / "pico_trace.csv")
+    trace = TraceSinks(users=partial(write_user_trace_csv, paths[0]),
+                       picos=partial(write_pico_trace_csv, paths[1]))
+    with mock.patch.object(engine, "write_file", wraps=engine.write_file) as write:
+        run_scenario(s, trace=trace)
+    L = max(1, engine.TRACE_BLOCK_ROW_USERS // 1000)
+    for path in paths:
+        assert 1 <= [c.args[0] for c in write.call_args_list].count(path) <= -(-125 // L)
+    assert len(paths[0].read_text().splitlines()) == 1 + 125 * 1000
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,10 +1,12 @@
 """Waypoint mobility: drops, commuting, wander, activity draws."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from hetnetsim import mobility
 from hetnetsim.config import UsersConfig, WorkSchedule
 from hetnetsim.mobility import (
     UserPopulation,
@@ -175,6 +177,23 @@ def test_drops_step_together_as_each_alone(hot):
             np.concatenate([getattr(pop, field.name) for pop in alone]), err_msg=field.name)
     for a, b in zip(stacked_rngs, alone_rngs):
         assert a.random() == b.random()
+
+
+def test_empty_event_groups_are_not_retargeted():
+    """Over 1000 slots of 1000 users, half of them commuting, every
+    retarget gets at least one user: an empty event group is skipped, not
+    handed to _retarget, which costs tens of microseconds even when it
+    draws nothing.  Most slots have some empty group."""
+    topo = build_udc(np.random.default_rng(9))
+    rng = np.random.default_rng(5)
+    users = UsersConfig(total=1000, hotspot=500)
+    pop = init_population(topo, SCHEDULE, users, [rng])
+    with mock.patch.object(mobility, "_retarget", wraps=mobility._retarget) as retarget:
+        for slot in range(1000):
+            step_population(pop, slot, topo, SCHEDULE, PARAMS, [rng])
+    sizes = [c.args[1].size for c in retarget.call_args_list]
+    assert 1000 < len(sizes) < 4 * 1000
+    assert min(sizes) > 0
 
 
 def one_user(x, y, dest_x, dest_y, speed, vx, vy):
