@@ -54,37 +54,31 @@ def _document_from_args(args) -> dict:
     return apply_overrides(read_scenario_document(args.scenario), args.set or [])
 
 
-def _stamp(path: Path):
-    """path's modification time and size, None when there is no file."""
-    with contextlib.suppress(FileNotFoundError):
-        st = path.stat()
-        return st.st_mtime_ns, st.st_size
-
-
 def _cmd_run(args) -> int:
+    """Run one scenario and write its files into --out.  The requested
+    traces stream to user_trace.csv.part and pico_trace.csv.part, which
+    take their final names only once the run has finished: a run that
+    fails removes them, then the directories it made, deepest first, and
+    leaves every earlier file as it was."""
     scenario = parse_scenario(_document_from_args(args))
     out = Path(args.out)
-    # a run that fails leaves things as it found them: it removes the trace
-    # files it wrote (one whose time and size did not change is an earlier
-    # run's and stays), then the directories it made, deepest first
     missing = [d for d in (out, *out.parents) if not d.exists()]
-    users, picos = out / "user_trace.csv", out / "pico_trace.csv"
-    found = {p: _stamp(p) for p, on in ((users, args.trace_users),
-                                        (picos, args.trace_picos)) if on}
-    trace = TraceSinks(
-        users=partial(write_user_trace_csv, users) if args.trace_users else None,
-        picos=partial(write_pico_trace_csv, picos) if args.trace_picos else None,
-    )
+    users = out / "user_trace.csv.part" if args.trace_users else None
+    picos = out / "pico_trace.csv.part" if args.trace_picos else None
+    parts = [p for p in (users, picos) if p]
+    trace = TraceSinks(users=users and partial(write_user_trace_csv, users),
+                       picos=picos and partial(write_pico_trace_csv, picos))
     try:
         result = run_scenario(scenario, True, trace)
     except BaseException:
-        for p, stamp in found.items():
-            if _stamp(p) != stamp:
-                p.unlink()
+        for p in parts:
+            p.unlink(missing_ok=True)
         for d in missing:
             with contextlib.suppress(OSError):
                 d.rmdir()
         raise
+    for p in parts:
+        p.replace(p.with_suffix(""))
     write_slot_csv(result, out / "slots.csv")
     write_users_csv(result, out / "users.csv")
     write_histogram_csv(result, out / "histogram.csv")

@@ -35,13 +35,14 @@ each scenario is one row of the group's (K, B, m) pico control and power.
 With per_user, run_scenarios also builds what run and the time-series
 presets write besides the slot CSV: per-user totals, the rate histogram
 and the pico-layer capacity of the pico view.  Traces are not kept: a
-traced chunk copies each slot's user and pico trace columns into a block
-of up to TRACE_BLOCK_ROW_USERS user lines and hands the block to the
-scenario's TraceSinks when it is full and at the chunk's last slot, so a
-traced run holds one block of trace, bounded by that constant, whatever
-its length.  write_user_trace_csv and write_pico_trace_csv, with their
-path bound, are such sinks; they and the other writers put every result
-file through write_file.
+traced chunk copies each slot's user positions and serving codes (-2
+exactly for an idle user) and pico states into a block of up to
+TRACE_BLOCK_ROW_USERS user lines and hands the block to the scenario's
+TraceSinks when it is full and at the chunk's last slot, so a traced run
+holds one block of trace, bounded by that constant, whatever its length.
+write_user_trace_csv and write_pico_trace_csv, with their path bound, are
+such sinks; they and the other writers put every result file through
+write_file.
 """
 
 from __future__ import annotations
@@ -345,16 +346,15 @@ class TraceSinks:
     steps: L slots of a chunk of B drops (L * B * n within
     TRACE_BLOCK_ROW_USERS, or one slot past it, and fewer at the chunk's
     end), then the chunk's next L slots, then the next chunk's.  A
-    block's lines go slot by slot, each slot's drops in turn, and rows
-    holds each line's row of the run (entry r * S + t of the slot
-    columns): a range for a chunk of one drop.
+    block's lines go slot by slot, each slot's drops in turn, and the
+    list rows holds each line's row of the run (entry r * S + t of the
+    slot columns).
 
-    ``users(topology, rows, x, y, active, serving)`` gets the group's
-    layout and the block's (L * B, n) positions, activity flags and
-    serving codes (-2 idle, -1 macro, j pico); ``picos(rows, states)``
-    gets the row's (L * B, m) pico control states.  The arrays are the
-    engine's own and change as it steps: a sink that keeps them copies
-    them.
+    ``users(topology, rows, x, y, serving)`` gets the group's layout and
+    the block's (L * B, n) positions and serving codes (-2 idle, -1
+    macro, j pico); ``picos(rows, states)`` gets the row's (L * B, m)
+    pico control states.  The arrays are the engine's own and change as
+    it steps: a sink that keeps them copies them.
     ``partial(write_user_trace_csv, path)`` and its pico twin write the
     two trace CSVs.
     """
@@ -427,11 +427,9 @@ def run_scenario(scenario: Scenario, per_user: bool = False,
     return run_scenarios([scenario], per_user, [trace])[0]
 
 
-def _block_rows(S: int, r0: int, B: int, t0: int, t1: int) -> Sequence[int]:
+def _block_rows(S: int, r0: int, B: int, t0: int, t1: int) -> list[int]:
     """The rows of slots t0 .. t1 - 1 of the chunk of B drops at r0, slot
-    by slot, each slot's drops in turn; a range for one drop."""
-    if B == 1:
-        return range(r0 * S + t0, r0 * S + t1)
+    by slot, each slot's drops in turn."""
     return [r * S + t for t in range(t0, t1) for r in range(r0, r0 + B)]
 
 
@@ -463,7 +461,6 @@ def _run_group(scenarios: list[Scenario], per_user: bool,
             # a block of L slots of trace, line (t % L) * B + b drop b's slot t
             L = max(1, min(S, TRACE_BLOCK_ROW_USERS // (B * n)))
             x, y = np.empty((2, L * B, n))
-            flags = np.empty((L * B, n), dtype=bool)
             serving = np.empty((len(traced_users), L * B, n), dtype=np.int64)
             states = np.empty((len(traced_picos), L * B, m), dtype=np.int64)
         for slot in range(S):
@@ -483,16 +480,14 @@ def _run_group(scenarios: list[Scenario], per_user: bool,
             if traced_users or traced_picos:
                 lines = slice(slot % L * B, (slot % L + 1) * B)
                 if traced_users:
-                    x[lines], y[lines], flags[lines] = (
-                        a.reshape(B, n) for a in (world.pop.px, world.pop.py, active))
+                    x[lines], y[lines] = world.pop.px.reshape(B, n), world.pop.py.reshape(B, n)
                     serving[:, lines] = np.where(served[traced_users], containing,
                                                  np.where(active, -1, -2)).reshape(-1, B, n)
                 states[:, lines] = world.state[traced_picos]
                 if slot % L == L - 1 or slot == S - 1:
                     block, end = _block_rows(S, r0, B, slot - slot % L, slot + 1), lines.stop
                     for k, codes in zip(traced_users, serving):
-                        traces[k].users(world.topo, block, x[:end], y[:end], flags[:end],
-                                        codes[:end])
+                        traces[k].users(world.topo, block, x[:end], y[:end], codes[:end])
                     for k, modes in zip(traced_picos, states):
                         traces[k].picos(block, modes[:end])
             # free this batch's (K, B * n) arrays before the next builds its own
@@ -629,14 +624,16 @@ def write_histogram_csv(result: RunResult, path: str | Path) -> None:
     )
 
 
-def write_sweep_csv(points: Iterable[tuple[float, RunResult]],
-                    path: str | Path) -> None:
-    """One line per (threshold, result) pair; %s of the threshold writes an
-    int or a float as str does."""
+def write_sweep_csv(points: Iterable[tuple[float, RunResult]], path: str | Path,
+                    means: Sequence[str] = ("ee_mean", "ee_std", "capacity_mean",
+                                            "power_mean")) -> None:
+    """One line per (threshold, result) pair: the threshold, the topology
+    and repr of each RunResult field named in means; %s of the threshold
+    writes an int or a float as str does."""
+    line = "%s,%s" + ",%r" * len(means) + "\n"
     write_file(path, chain(
-        ["threshold,topology,ee_mean,ee_std,capacity_mean,power_mean\n"],
-        ("%s,%s,%r,%r,%r,%r\n" % (t, r.scenario.topology, r.ee_mean, r.ee_std,
-                                   r.capacity_mean, r.power_mean)
+        [",".join(["threshold", "topology", *means]) + "\n"],
+        (line % (t, r.scenario.topology, *(getattr(r, f) for f in means))
          for t, r in points),
     ))
 
@@ -655,11 +652,10 @@ def _id_fields(ids: int, form: str = ",{},") -> tuple[str, ...]:
 
 @lru_cache(maxsize=1)
 def _serving_tails(m: int) -> tuple[str, ...]:
-    """The 2 (m + 2) user-trace line tails ",{active},{serving_cell}\n" of
-    a layout of m picos: serving code c of a user with flag a ends in
-    tail c + 2 + (m + 2) a."""
-    labels = ["none", "macro", *(f"pico:{j}" for j in range(m))]
-    return tuple(f",{a},{label}\n" for a in (0, 1) for label in labels)
+    """The m + 2 user-trace line tails ",{active},{serving_cell}\n" of a
+    layout of m picos, serving code c's at c + 2: only an idle user (-2)
+    is served by nobody."""
+    return (",0,none\n", ",1,macro\n", *(f",1,pico:{j}\n" for j in range(m)))
 
 
 # the pico-trace line tail of each control.MODES index
@@ -690,17 +686,16 @@ def _write_trace_rows(path: str | Path, header: str, rows: Sequence[int], ids: i
 
 
 def write_user_trace_csv(path: str | Path, topology: Topology, rows: Sequence[int], x, y,
-                         active, serving) -> None:
+                         serving) -> None:
     """A block of user_trace.csv, as a TraceSinks.users sink with path
     bound.  Only x and y are formatted per line (repr of the .tolist()
-    floats); the active flag and serving label come from a table of line
-    tails."""
+    floats); the active flag and serving label both follow from the
+    serving code, by a table of line tails."""
     tails = _serving_tails(topology.cx.size)
-    width = topology.cx.size + 2
     _write_trace_rows(path, "slot,user_id,x,y,active,serving_cell\n", rows, x.shape[1], (
         (map(repr, xb.tolist()), repeat(",", x.shape[1]), map(repr, yb.tolist()),
-         map(tails.__getitem__, (codes + 2 + width * flags).tolist()))
-        for xb, yb, flags, codes in zip(x, y, active, serving)
+         map(tails.__getitem__, (codes + 2).tolist()))
+        for xb, yb, codes in zip(x, y, serving)
     ))
 
 

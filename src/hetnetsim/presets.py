@@ -11,7 +11,7 @@ byte-for-byte: preset name, seed, grid and package version.
 from __future__ import annotations
 
 import json
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from typing import Callable
 
@@ -118,10 +118,7 @@ def _capacity_table(outdir: Path, seed: int):
 
 def _threshold_sweep(outdir: Path, seed: int):
     grid, pairs = _full_activity(outdir, seed, THRESHOLDS)
-    write_file(outdir / "pico_count.csv", chain(
-        ["threshold,topology,active_picos_mean\n"],
-        (f"{t},{res.scenario.topology},{res.active_picos_mean!r}\n" for t, res in pairs),
-    ))
+    write_sweep_csv(pairs, outdir / "pico_count.csv", ("active_picos_mean",))
     return grid, ["sweep.csv", "pico_count.csv"]
 
 

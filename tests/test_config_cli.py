@@ -214,6 +214,18 @@ class TestParsing:
                       for row in rows]
         assert sorted(documented) == sorted(PRESETS)
 
+    def test_readme_output_files_name_every_file_of_a_traced_run(self, tmp_path):
+        """Every file a traced run leaves in its --out is named by a bullet
+        of the README's Output files section."""
+        section = re.search(r"\n## Output files\n(.*?)\n## ", README.read_text(), re.S).group(1)
+        documented = set(re.findall(r"^\* `([^`]+)`", section, re.M))
+        doc = tmp_path / "dyn.yaml"
+        doc.write_text("topology: coe\nslots: 3\nusers: {total: 40, hotspot: 10}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(doc), "--out", str(out), *TRACE_FLAGS]) == 0
+        left = {p.name for p in out.iterdir()}
+        assert "user_trace.csv" in left and left <= documented, left - documented
+
 
 class TestCrossFieldValidation:
     def test_hotspot_cannot_exceed_population(self):
@@ -407,6 +419,7 @@ def test_run_traces(scenario_file, tmp_path):
     assert pt[0] == ["slot", "pico_id", "mode"]
     assert len(pt) == 1 + 3 * 28
     assert {r[2] for r in pt[1:]} <= {"sleep", "boot", "active"}
+    assert not list(out.glob("*.part"))  # renamed into place
 
 
 TRACE_FLAGS = ["--trace-users", "--trace-picos"]
@@ -433,11 +446,11 @@ def test_a_traced_run_opens_its_files_after_the_layout(tmp_path, sets, code):
 @pytest.mark.parametrize("existing", [False, True])
 def test_a_failed_traced_run_leaves_no_trace_file(tmp_path, monkeypatch, capsys,
                                                   fail_at, existing):
-    """A run whose mobility step raises at slot k, after its trace files
-    were opened and slots 0 .. k - 1 written (in blocks of one slot of its
-    40 users), exits 2 and removes both trace files, then the directories
-    it made for them; a directory that was there before stays, with what
-    else it holds."""
+    """A run whose mobility step raises at slot k, after its trace side
+    files were opened and slots 0 .. k - 1 written (in blocks of one slot
+    of its 40 users), exits 2 and removes both side files, then the
+    directories it made for them; a directory that was there before
+    stays, with what else it holds."""
     doc = tmp_path / "dyn.yaml"
     doc.write_text("topology: coe\nslots: 6\nusers: {total: 40, hotspot: 10}\n")
     out = tmp_path / "made" / "traced"
@@ -448,7 +461,8 @@ def test_a_failed_traced_run_leaves_no_trace_file(tmp_path, monkeypatch, capsys,
 
     def failing_step(pop, slot, *args):
         if slot == fail_at:
-            assert (out / "user_trace.csv").exists() == (slot > 0)
+            assert (out / "user_trace.csv.part").exists() == (slot > 0)
+            assert not (out / "user_trace.csv").exists()
             raise RuntimeError(f"failed at slot {slot}")
         step(pop, slot, *args)
 
@@ -466,10 +480,10 @@ def test_a_failed_traced_run_leaves_no_trace_file(tmp_path, monkeypatch, capsys,
 def test_a_failed_traced_run_leaves_earlier_files_as_found(tmp_path, monkeypatch,
                                                            capsys, failure):
     """In an --out that holds an earlier traced run's files, a traced run
-    that fails its layout exits 1 and leaves them byte for byte; one that
-    fails at slot 3, after writing slots 0 .. 2 of its traces (in blocks
-    of one slot of its 40 users), exits 2 and removes both trace files,
-    and the earlier slots.csv stays."""
+    that fails its layout exits 1 and leaves them byte for byte; so does
+    one that fails at slot 3, after writing slots 0 .. 2 of its traces to
+    their side files (in blocks of one slot of its 40 users), which exits
+    2 and leaves no side file."""
     doc = tmp_path / "dyn.yaml"
     doc.write_text("topology: udc\nslots: 6\nusers: {total: 40, hotspot: 10}\n")
     out = tmp_path / "out"
@@ -487,16 +501,44 @@ def test_a_failed_traced_run_leaves_earlier_files_as_found(tmp_path, monkeypatch
 
     def failing_step(pop, slot, *args):
         if slot == 3:
-            assert (out / "user_trace.csv").read_bytes() != earlier["user_trace.csv"]
+            assert len((out / "user_trace.csv.part").read_text().splitlines()) == 1 + 3 * 40
             raise RuntimeError("failed at slot 3")
         step(pop, slot, *args)
 
     monkeypatch.setattr(engine, "step_population", failing_step)
     monkeypatch.setattr(engine, "TRACE_BLOCK_ROW_USERS", 40)
     assert main(args) == 2
-    assert not (out / "user_trace.csv").exists()
+    assert capsys.readouterr().err == "runtime error: failed at slot 3\n"
+    assert {name: (out / name).read_bytes() for name in names} == earlier
+    assert not list(out.glob("*.part"))
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_a_run_touches_only_the_side_files_of_its_own_traces(tmp_path, monkeypatch, fail):
+    """With --trace-users alone, a stale pico_trace.csv.part in --out is
+    neither renamed nor removed, whether the run succeeds (and renames its
+    own side file into place) or fails at slot 3."""
+    doc = tmp_path / "dyn.yaml"
+    doc.write_text("topology: udc\nslots: 6\nusers: {total: 40, hotspot: 10}\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    stale = out / "pico_trace.csv.part"
+    stale.write_text("stale\n")
+    step = engine.step_population
+
+    def failing_step(pop, slot, *args):
+        if slot == 3:
+            raise RuntimeError("failed at slot 3")
+        step(pop, slot, *args)
+
+    if fail:
+        monkeypatch.setattr(engine, "step_population", failing_step)
+    code = main(["run", "--scenario", str(doc), "--out", str(out), "--trace-users"])
+    assert code == (2 if fail else 0)
+    assert stale.read_text() == "stale\n"
     assert not (out / "pico_trace.csv").exists()
-    assert (out / "slots.csv").read_bytes() == earlier["slots.csv"]
+    assert not (out / "user_trace.csv.part").exists()
+    assert (out / "user_trace.csv").exists() != fail
 
 
 def test_run_without_power_writes_zero_efficiency(tmp_path, capsys):

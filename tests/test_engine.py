@@ -67,13 +67,17 @@ def macro_power(n_served):
 class Trace:
     """One scenario's traces, gathered from its sinks into whole-run
     arrays indexed by row (entry r * S + t of the slot columns): (rows, n)
-    x, y, active and serving, (rows, m) states."""
+    x, y and serving, (rows, m) states; a user is active where its serving
+    code is not -2."""
 
     x: np.ndarray
     y: np.ndarray
-    active: np.ndarray
     serving: np.ndarray
     states: np.ndarray
+
+    @property
+    def active(self) -> np.ndarray:
+        return self.serving != -2
 
 
 def collecting_sinks(users: list, picos: list) -> TraceSinks:
@@ -288,7 +292,7 @@ def test_traces_leave_a_run_only_through_its_sinks(output):
                       picos=lambda rows, _: calls.append(("picos", rows)))
     twin = dataclasses.replace(s, boot_slots=0)
     run_scenarios([s, twin], traces=[None, sink])
-    assert calls == [("users", range(0, 3)), ("picos", range(0, 3))]
+    assert calls == [("users", [0, 1, 2]), ("picos", [0, 1, 2])]
     with pytest.raises(ValueError, match="1 traces for 2 scenarios"):
         run_scenarios([s, twin], traces=[sink])
 
@@ -374,7 +378,6 @@ class TestServingInvariants:
     def test_active_users_are_partitioned_between_tiers(self, traced):
         result, trace = traced
         m = result.slot_metrics
-        assert (trace.serving[~trace.active] == -2).all()
         for slot in range(trace.x.shape[0]):
             serving = trace.serving[slot][trace.active[slot]]
             assert (serving == -1).sum() == m.macro_active_users[slot]
@@ -388,6 +391,36 @@ class TestServingInvariants:
     def test_boot_appears_in_the_mode_trace(self, traced):
         states = traced[1].states
         assert (states > 0).any() and (states == ACTIVE).any() and (states == SLEEP).any()
+
+    @pytest.mark.parametrize("shape", [{"slots": 40}, {"realizations": 5}])
+    def test_run_slot_serves_no_idle_user_and_only_from_active_discs(self, shape):
+        """Checked on run_slot's own outputs, since a trace's activity
+        follows from its serving code: in every row, slot and drop no idle
+        user is pico-served, and a pico-served user lies strictly inside
+        the disc of a pico that is Active in that row and drop."""
+        scenarios = [scenario(**shape, boot_slots=1,
+                              layout={"n_picos": 8, "pico_radius_m": 100.0},
+                              users={"total": 120, "hotspot": 60, "activity_uniform": 0.5},
+                              policy={"t_activate": t, "t_deactivate": None})
+                     for t in (1.0, 4.0)]
+        w = World(scenarios)
+        R, S, n = w.s.realizations, w.s.slots, w.s.users.total
+        cx, cy, r = w.topo.cx, w.topo.cy, w.topo.pico_radius
+        out = SlotColumns.empty(len(scenarios), R * S)
+        n_served = 0
+        for r0 in range(0, R, w.batch):
+            w.drop(r0)
+            B = w.state.shape[1]
+            for slot in range(S):
+                active, _, served, _ = w.run_slot(slot, range(r0 * S + slot, (r0 + B) * S, S),
+                                                  out)
+                assert not (served & ~active).any()
+                dx, dy = w.pop.px[:, None] - cx, w.pop.py[:, None] - cy
+                inside = dx * dx + dy * dy < r * r
+                awake = np.repeat(w.state == ACTIVE, n, axis=1)
+                assert (inside & awake).any(axis=2)[served].all()
+                n_served += int(served.sum())
+        assert n_served > 0
 
 
 def reference_csv(header, rows) -> bytes:
@@ -412,9 +445,10 @@ def write_traces(tmp, topology, trace, splits):
     paths = (Path(tmp) / "user_trace.csv", Path(tmp) / "pico_trace.csv")
     bounds = [0, *splits, trace.x.shape[0]]
     for a, b in zip(bounds, bounds[1:]):
-        write_user_trace_csv(paths[0], topology, range(a, b), trace.x[a:b], trace.y[a:b],
-                             trace.active[a:b], trace.serving[a:b])
-        write_pico_trace_csv(paths[1], range(a, b), trace.states[a:b])
+        rows = list(range(a, b))
+        write_user_trace_csv(paths[0], topology, rows, trace.x[a:b], trace.y[a:b],
+                             trace.serving[a:b])
+        write_pico_trace_csv(paths[1], rows, trace.states[a:b])
     return tuple(path.read_bytes() for path in paths)
 
 
@@ -424,15 +458,15 @@ def write_traces(tmp, topology, trace, splits):
 def test_trace_writers_match_a_row_by_row_reference(data, slots, n, pico_less):
     """The per-slot chunked writers, fed the rows in any split of batches,
     give the bytes of formatting every trace row value by value, for any
-    coordinates and every serving and mode code, with one- and two-digit
-    slot, user and pico ids, and with no picos at all; a pico's state is
-    Sleep, Active or 1 to 3 boot slots left."""
+    coordinates and every serving and mode code (active exactly where the
+    serving code is not -2), with one- and two-digit slot, user and pico
+    ids, and with no picos at all; a pico's state is Sleep, Active or 1 to
+    3 boot slots left."""
     topology = build_geometry(scenario(topology="monet" if pico_less else "udc"))
     m = topology.cx.size
     trace = Trace(
         x=data.draw(hnp.arrays(np.float64, (slots, n), elements=COORDINATES)),
         y=data.draw(hnp.arrays(np.float64, (slots, n), elements=COORDINATES)),
-        active=data.draw(hnp.arrays(bool, (slots, n))),
         serving=data.draw(hnp.arrays(np.int64, (slots, n),
                                      elements=st.integers(-2, m - 1))),
         states=data.draw(hnp.arrays(np.int64, (slots, m), elements=st.integers(-1, 3))),
@@ -529,8 +563,8 @@ def test_user_trace_writer_holds_a_few_slots_at_a_time(tmp_path):
     topology = build_geometry(scenario())
     tracemalloc.start()
     try:
-        write_user_trace_csv(tmp_path / "user_trace.csv", topology, range(slots), x, y,
-                             active, serving)
+        write_user_trace_csv(tmp_path / "user_trace.csv", topology, list(range(slots)), x, y,
+                             serving)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -578,7 +612,7 @@ def test_snapshot_trace_numbers_realizations_across_chunks(tmp_path):
     with mock.patch.object(engine, "CHUNK_ROW_USERS", 3 * 40):
         run_scenario(s, trace=TraceSinks(users=take_users,
                                          picos=partial(write_pico_trace_csv, paths[1])))
-    assert batches == [[0, 1, 2], [3, 4, 5], range(6, 7)]
+    assert batches == [[0, 1, 2], [3, 4, 5], [6]]
     for path, per_row in zip(paths, (40, 28)):
         lines = path.read_text().splitlines()[1:]
         assert [line.split(",", 1)[0] for line in lines] == \
