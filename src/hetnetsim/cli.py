@@ -55,21 +55,27 @@ def _document_from_args(args) -> dict:
 
 
 def _cmd_run(args) -> int:
-    """Run one scenario and write its files into --out.  The requested
-    traces stream to user_trace.csv.part and pico_trace.csv.part, which
-    take their final names only once the run has finished: a run that
-    fails removes them, then the directories it made, deepest first, and
-    leaves every earlier file as it was."""
+    """Run one scenario and write its files into --out.  Every file is
+    written as name.part, the requested traces as the run goes, and all
+    take their final names only once the last is written: a run that
+    fails removes its own side files, then the directories it made,
+    deepest first, and leaves every earlier file as it was."""
     scenario = parse_scenario(_document_from_args(args))
     out = Path(args.out)
     missing = [d for d in (out, *out.parents) if not d.exists()]
     users = out / "user_trace.csv.part" if args.trace_users else None
     picos = out / "pico_trace.csv.part" if args.trace_picos else None
-    parts = [p for p in (users, picos) if p]
+    slots, per_user, hist, topology = (out / f"{name}.part" for name in (
+        "slots.csv", "users.csv", "histogram.csv", "topology.json"))
+    parts = [p for p in (users, picos, slots, per_user, hist, topology) if p]
     trace = TraceSinks(users=users and partial(write_user_trace_csv, users),
                        picos=picos and partial(write_pico_trace_csv, picos))
     try:
         result = run_scenario(scenario, True, trace)
+        write_slot_csv(result, slots)
+        write_users_csv(result, per_user)
+        write_histogram_csv(result, hist)
+        write_file(topology, [result.topology.to_json() + "\n"])
     except BaseException:
         for p in parts:
             p.unlink(missing_ok=True)
@@ -79,10 +85,6 @@ def _cmd_run(args) -> int:
         raise
     for p in parts:
         p.replace(p.with_suffix(""))
-    write_slot_csv(result, out / "slots.csv")
-    write_users_csv(result, out / "users.csv")
-    write_histogram_csv(result, out / "histogram.csv")
-    write_file(out / "topology.json", [result.topology.to_json() + "\n"])
     print(
         f"ee_mean={result.ee_mean!r} capacity_mean={result.capacity_mean!r} "
         f"power_mean={result.power_mean!r}"
@@ -142,8 +144,7 @@ def _cmd_preset(args) -> int:
         if args.name is None and not args.list:
             print("available presets:", file=sys.stderr)
         for name in sorted(PRESETS):
-            desc, _ = PRESETS[name]
-            print(f"{name}: {desc}")
+            print(f"{name}: {PRESETS[name][0]}")
         return 0 if args.list else 1
     manifest = run_preset(args.name, args.out, args.seed)
     print(f"wrote {manifest}")

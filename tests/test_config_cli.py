@@ -17,7 +17,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetnetsim import engine
+from hetnetsim import cli, engine
 from hetnetsim.cli import main
 from hetnetsim.config import (
     BOUNDS,
@@ -403,6 +403,7 @@ def test_run_writes_the_artifact_set(scenario_file, tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "ee_mean=" in stdout
     assert float(rows[1][4]) > 0  # capacity column is parseable and nonzero
+    assert not list(out.glob("*.part"))  # renamed into place
 
 
 def test_run_traces(scenario_file, tmp_path):
@@ -476,40 +477,53 @@ def test_a_failed_traced_run_leaves_no_trace_file(tmp_path, monkeypatch, capsys,
         assert not (tmp_path / "made").exists()
 
 
-@pytest.mark.parametrize("failure", ["layout", "slot 3"])
+@pytest.mark.parametrize("failure", ["layout", "slot 3", "users.csv"])
 def test_a_failed_traced_run_leaves_earlier_files_as_found(tmp_path, monkeypatch,
                                                            capsys, failure):
     """In an --out that holds an earlier traced run's files, a traced run
     that fails its layout exits 1 and leaves them byte for byte; so does
     one that fails at slot 3, after writing slots 0 .. 2 of its traces to
-    their side files (in blocks of one slot of its 40 users), which exits
-    2 and leaves no side file."""
+    their side files (in blocks of one slot of its 40 users), and one at
+    another seed that fails writing users.csv, after its traces and
+    slots.csv are written: both exit 2 and leave no side file."""
     doc = tmp_path / "dyn.yaml"
     doc.write_text("topology: udc\nslots: 6\nusers: {total: 40, hotspot: 10}\n")
     out = tmp_path / "out"
     args = ["run", "--scenario", str(doc), "--out", str(out), *TRACE_FLAGS]
     assert main(args) == 0
-    names = ["user_trace.csv", "pico_trace.csv", "slots.csv"]
-    earlier = {name: (out / name).read_bytes() for name in names}
+
+    def files():
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    earlier = files()
+    assert len(earlier) == 6
     if failure == "layout":
         assert main([*args, "--set", "layout.n_picos=60",
                      "--set", "layout.max_place_attempts=5"]) == 1
         assert capsys.readouterr().err.startswith("error: layout: ")
-        assert {name: (out / name).read_bytes() for name in names} == earlier
+        assert files() == earlier
         return
-    step = engine.step_population
+    message = f"failed at {failure}"
+    if failure == "users.csv":
+        def failing_write(result, path):
+            raise OSError(message)
 
-    def failing_step(pop, slot, *args):
-        if slot == 3:
-            assert len((out / "user_trace.csv.part").read_text().splitlines()) == 1 + 3 * 40
-            raise RuntimeError("failed at slot 3")
-        step(pop, slot, *args)
+        monkeypatch.setattr(cli, "write_users_csv", failing_write)
+        args += ["--set", "seed=2"]
+    else:
+        step = engine.step_population
 
-    monkeypatch.setattr(engine, "step_population", failing_step)
-    monkeypatch.setattr(engine, "TRACE_BLOCK_ROW_USERS", 40)
+        def failing_step(pop, slot, *args):
+            if slot == 3:
+                assert len((out / "user_trace.csv.part").read_text().splitlines()) == 1 + 3 * 40
+                raise RuntimeError(message)
+            step(pop, slot, *args)
+
+        monkeypatch.setattr(engine, "step_population", failing_step)
+        monkeypatch.setattr(engine, "TRACE_BLOCK_ROW_USERS", 40)
     assert main(args) == 2
-    assert capsys.readouterr().err == "runtime error: failed at slot 3\n"
-    assert {name: (out / name).read_bytes() for name in names} == earlier
+    assert capsys.readouterr().err == f"runtime error: {message}\n"
+    assert files() == earlier
     assert not list(out.glob("*.part"))
 
 
@@ -627,11 +641,23 @@ def test_preset_list_and_unknown_name(tmp_path, capsys):
     assert main(["preset", "no_such_family", "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_a_preset_grid_survives_json(name):
+    """A preset's driver reads every scenario document and file name off
+    its grid, and manifest.json records that grid: JSON holds it exactly
+    (no tuple, no non-string key, no NaN), so the manifest is what ran."""
+    grid = PRESETS[name][2]
+    assert json.loads(json.dumps(grid)) == grid
+
+
 def test_capacity_table_is_the_threshold_sweep_at_its_thresholds(tmp_path, capsys):
     """The paper's capacity table is threshold_sweep's rows at T = 0, 8
-    and 13, line for line and in the same order."""
+    and 13, line for line and in the same order; each manifest records
+    its preset's grid."""
     for name in ("capacity_table", "threshold_sweep"):
         assert main(["preset", name, "--seed", "1", "--out", str(tmp_path / name)]) == 0
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["grid"] == PRESETS[name][2]
     table = (tmp_path / "capacity_table" / "sweep.csv").read_text().splitlines()
     sweep = (tmp_path / "threshold_sweep" / "sweep.csv").read_text().splitlines()
     assert len(table) == 1 + 3 * 3

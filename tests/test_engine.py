@@ -852,6 +852,23 @@ def test_user_process_does_not_depend_on_the_policy_row(docs):
                                               getattr(first, column), err_msg=column)
 
 
+def test_hysteresis_one_below_the_threshold_is_the_one_threshold_rule():
+    """Policy {t_activate: 5} keeps the default t_deactivate 4, and for
+    integer counts that 5/4 hysteresis is the one-threshold rule at 5: both
+    sleep a pico at count <= 4.  ee_timeseries relies on this, so a udc
+    time series whose picos wake and sleep has the same slot columns,
+    per-user values and pico trace under either policy."""
+    policies = [{"t_activate": 5}, {"t_activate": 5.0, "t_deactivate": None}]
+    (a, b), (ta, tb) = run_traced(
+        [scenario(slots=80, users={"hotspot": 500}, policy=p) for p in policies], True)
+    assert a.scenario.policy.t_deactivate == 4.0 and b.scenario.policy.t_deactivate is None
+    assert (ta.states[1:] != ta.states[:-1]).any()  # picos change state
+    assert_same_columns(a.slot_metrics, b.slot_metrics)
+    for name in PER_USER_FIELDS:
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+    np.testing.assert_array_equal(ta.states, tb.states)
+
+
 def reference_slot_columns(scenarios):
     """Per row, the (slots, 8) slot metrics of the per-row scalar loop:
     power from the oracle's consumed_power_w, pico by pico in index
