@@ -12,7 +12,6 @@ cannot be built included), 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import sys
 from functools import partial
@@ -29,6 +28,7 @@ from .engine import (
     TraceSinks,
     build_geometry,
     run_scenario,
+    staged,
     write_file,
     write_histogram_csv,
     write_pico_trace_csv,
@@ -55,41 +55,25 @@ def _document_from_args(args) -> dict:
 
 
 def _cmd_run(args) -> int:
-    """Run one scenario and write its files into --out.  Every file is
-    written as name.part, the requested traces as the run goes, and all
-    take their final names only once the last is written: a run that
-    fails removes its own side files, then the directories it made,
-    deepest first, and leaves every earlier file as it was."""
+    """Run one scenario and write its files, the requested traces as the
+    run goes, into --out through engine.staged."""
     scenario = parse_scenario(_document_from_args(args))
-    out = Path(args.out)
-    missing = [d for d in (out, *out.parents) if not d.exists()]
-    users = out / "user_trace.csv.part" if args.trace_users else None
-    picos = out / "pico_trace.csv.part" if args.trace_picos else None
-    slots, per_user, hist, topology = (out / f"{name}.part" for name in (
-        "slots.csv", "users.csv", "histogram.csv", "topology.json"))
-    parts = [p for p in (users, picos, slots, per_user, hist, topology) if p]
-    trace = TraceSinks(users=users and partial(write_user_trace_csv, users),
-                       picos=picos and partial(write_pico_trace_csv, picos))
-    try:
+    with staged(args.out) as part:
+        trace = TraceSinks(
+            users=(partial(write_user_trace_csv, part("user_trace.csv"))
+                   if args.trace_users else None),
+            picos=(partial(write_pico_trace_csv, part("pico_trace.csv"))
+                   if args.trace_picos else None))
         result = run_scenario(scenario, True, trace)
-        write_slot_csv(result, slots)
-        write_users_csv(result, per_user)
-        write_histogram_csv(result, hist)
-        write_file(topology, [result.topology.to_json() + "\n"])
-    except BaseException:
-        for p in parts:
-            p.unlink(missing_ok=True)
-        for d in missing:
-            with contextlib.suppress(OSError):
-                d.rmdir()
-        raise
-    for p in parts:
-        p.replace(p.with_suffix(""))
+        write_slot_csv(result, part("slots.csv"))
+        write_users_csv(result, part("users.csv"))
+        write_histogram_csv(result, part("histogram.csv"))
+        write_file(part("topology.json"), [result.topology.to_json() + "\n"])
     print(
         f"ee_mean={result.ee_mean!r} capacity_mean={result.capacity_mean!r} "
         f"power_mean={result.power_mean!r}"
     )
-    print(f"wrote {out}")
+    print(f"wrote {Path(args.out)}")
     return 0
 
 
@@ -131,10 +115,9 @@ def _cmd_sweep(args) -> int:
     # each point's number is set as a number, not parsed back from text;
     # integral points go in as ints, so integer fields can be swept too;
     # a float field reads 3 as 3.0, and sweep.csv still writes the floats
-    run_sweeps(args.out, {"sweep.csv": [
-        (v, set_path(base, args.param, int(v) if v.is_integer() else v))
-        for v in values
-    ]})
+    with staged(args.out) as part:
+        run_sweeps(part, {"sweep.csv": [
+            (v, set_path(base, args.param, int(v) if v.is_integer() else v)) for v in values]})
     print(f"wrote {Path(args.out) / 'sweep.csv'} ({len(values)} points)")
     return 0
 
@@ -157,7 +140,9 @@ def _cmd_dump_topology(args) -> int:
     if args.out == "-":
         print(doc)
     else:
-        write_file(args.out, [doc + "\n"])
+        out = Path(args.out)
+        with staged(out.parent) as part:
+            write_file(part(out.name), [doc + "\n"])
         print(f"wrote {args.out}")
     return 0
 

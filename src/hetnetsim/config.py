@@ -416,6 +416,8 @@ def set_path(data: dict, key: str, value: Any) -> dict:
     value; the mappings on the key's path are copied, so data is not
     changed.  Validation happens afterwards, in parse_scenario."""
     parts = key.split(".")
+    if not all(parts):
+        raise ValidationError(repr(key), "dotted key has an empty part")
     out = node = dict(data)
     for part in parts[:-1]:
         nxt = node.get(part)
@@ -443,8 +445,6 @@ def apply_overrides(data: dict, assignments: list[str]) -> dict:
             raise ValidationError(item, "override must look like key.path=value")
         key, _, raw = item.partition("=")
         key = key.strip()
-        if not all(key.split(".")):
-            raise ValidationError(item, "override key has an empty part")
         try:
             value = yaml.safe_load(raw) if raw.strip() else None
         # ValueError: an int past Python's limit on digits in a string

@@ -42,17 +42,18 @@ TraceSinks when it is full and at the chunk's last slot, so a traced run
 holds one block of trace, bounded by that constant, whatever its length.
 write_user_trace_csv and write_pico_trace_csv, with their path bound, are
 such sinks; they and the other writers put every result file through
-write_file.
+write_file, each command's as the side files of one staged block.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -550,6 +551,34 @@ def write_file(path: str | Path, chunks: Iterable[str], append: bool = False) ->
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "a" if append else "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(chunks)
+
+
+@contextlib.contextmanager
+def staged(out: str | Path) -> Iterator[Callable[[str], Path]]:
+    """Stage one command's files in the directory out: part(name) records
+    name in part.names and gives out/name.part.  When the block ends, each
+    side file takes its final name; if it raises anything, an exit too,
+    the side files go, then the directories of out that the stage made,
+    deepest first, and the exception goes on.  No other file is touched."""
+    out = Path(out)
+    made = [d for d in (out, *out.parents) if not d.exists()]
+
+    def part(name: str) -> Path:
+        part.names.append(name)
+        return out / f"{name}.part"
+
+    part.names = []
+    try:
+        yield part
+        for name in part.names:
+            (out / f"{name}.part").replace(out / name)
+    except BaseException:
+        for name in part.names:
+            (out / f"{name}.part").unlink(missing_ok=True)
+        for d in made:
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
 
 
 def _write_columns(path: str | Path, header: str, line: str, *columns) -> None:

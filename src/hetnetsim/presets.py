@@ -1,9 +1,11 @@
 """Canned experiment families.
 
 A preset is one PRESETS entry: description, driver and grid.  The driver
-reads every scenario document and file name off the grid, and
-manifest.json records that very grid beside the preset name, seed and
-package version: all it takes to rebuild the outputs byte-for-byte.
+reads every scenario document and file name off the grid and writes each
+file to part(name), part being the engine.staged stage of run_preset.
+manifest.json records that very grid beside the preset name, seed,
+package version and the files the stage recorded: all it takes to
+rebuild the outputs byte-for-byte.
 Each driver runs all its points in one engine.run_scenarios call (points
 that share a user process simulate it once): _sweep writes one sweep CSV
 per sleep power x hotspot count through run_sweeps (shared with
@@ -25,6 +27,7 @@ from .config import ConfigError, parse_scenario
 from .engine import (
     RunResult,
     run_scenarios,
+    staged,
     write_file,
     write_histogram_csv,
     write_pico_view_csv,
@@ -36,17 +39,17 @@ from .engine import (
 DEFAULT_SEED = 1
 
 
-def run_sweeps(outdir: str | Path, sweeps: dict[str, list[tuple[float, dict]]]
+def run_sweeps(part: Callable[[str], Path], sweeps: dict[str, list[tuple[float, dict]]]
                ) -> list[tuple[float, RunResult]]:
     """Parse every (threshold label, scenario document) point of sweeps,
-    run them all in one call and write one sweep CSV per file name;
-    returns the (label, result) pairs in order."""
+    run them all in one call and write one sweep CSV per file name to
+    part(name); returns the (label, result) pairs in order."""
     points = [point for file_points in sweeps.values() for point in file_points]
     results = run_scenarios([parse_scenario(doc) for _, doc in points])
     pairs = [(label, res) for (label, _), res in zip(points, results)]
     rows = iter(pairs)
     for name, file_points in sweeps.items():
-        write_sweep_csv(islice(rows, len(file_points)), Path(outdir) / name)
+        write_sweep_csv(islice(rows, len(file_points)), part(name))
     return pairs
 
 
@@ -60,13 +63,15 @@ def _axis(grid: dict, key: str, tag: str) -> list[tuple[str, object]]:
     return [(f"_{tag}{v}".replace(".", "p"), v) for v in values]
 
 
-def _sweep_points(seed: int, grid: dict) -> dict[str, list[tuple[int, dict]]]:
-    """The sweep CSVs of a snapshot grid, one per sleep power x hotspot
-    count, each of (threshold, one-threshold snapshot document) points,
-    topology-major; the users section takes the grid's hotspot count and
-    activity, where it has them."""
+def _sweep(part: Callable[[str], Path], seed: int, grid: dict
+           ) -> list[tuple[int, RunResult]]:
+    """The sweep driver: runs the sweep CSVs of a snapshot grid through
+    run_sweeps, one per sleep power x hotspot count, each of (threshold,
+    one-threshold snapshot document) points, topology-major; the users
+    section takes the grid's hotspot count and activity, where it has
+    them.  Returns run_sweeps' (threshold, result) pairs."""
     a = grid.get("activity")
-    return {
+    return run_sweeps(part, {
         f"sweep{ptag}{htag}.csv": [
             (t, {"topology": topo, "seed": seed, "realizations": grid["realizations"],
                  "users": {key: v for key, v in (("hotspot", h), ("activity_uniform", a),
@@ -76,33 +81,23 @@ def _sweep_points(seed: int, grid: dict) -> dict[str, list[tuple[int, dict]]]:
             for topo in grid["topologies"] for t in grid["thresholds"]]
         for ptag, p in _axis(grid, "p_sleep_w", "psleep")
         for htag, h in _axis(grid, "hotspot", "hotspot")
-    }
+    })
 
 
-def _sweep(outdir: Path, seed: int, grid: dict) -> list[str]:
-    """The sweep driver: runs and writes the sweep CSVs of grid."""
-    sweeps = _sweep_points(seed, grid)
-    run_sweeps(outdir, sweeps)
-    return list(sweeps)
-
-
-def _threshold_sweep(outdir: Path, seed: int, grid: dict) -> list[str]:
+def _threshold_sweep(part: Callable[[str], Path], seed: int, grid: dict) -> None:
     """The sweep driver, plus every point's mean active-pico count in
     pico_count.csv."""
-    sweeps = _sweep_points(seed, grid)
-    write_sweep_csv(run_sweeps(outdir, sweeps), outdir / "pico_count.csv",
-                    ("active_picos_mean",))
-    return [*sweeps, "pico_count.csv"]
+    write_sweep_csv(_sweep(part, seed, grid), part("pico_count.csv"), ("active_picos_mean",))
 
 
-def _timeseries(outdir: Path, seed: int, grid: dict,
-                pico_views: bool = False) -> list[str]:
+def _timeseries(part: Callable[[str], Path], seed: int, grid: dict,
+                pico_views: bool = False) -> None:
     """The time-series driver: one run of grid["slots"] slots with
     grid["hotspot"] hotspot users per topology x policy x sleep power, in
     one call; the policy axis is one "policy", or named "policies" that
     tag the file names.  Writes each run's slot, user and histogram CSVs,
     and with pico_views the pico-layer view of each run whose picos
-    serve.  Returns the file names."""
+    serve."""
     policies = ([(f"_{name}", policy) for name, policy in grid["policies"].items()]
                 if "policies" in grid else [("", grid["policy"])])
     runs = {
@@ -114,16 +109,12 @@ def _timeseries(outdir: Path, seed: int, grid: dict,
         for topo in grid["topologies"]
     }
     results = run_scenarios([parse_scenario(doc) for doc in runs.values()], True)
-    files = []
     for stem, res in zip(runs, results):
-        writers = {"": write_slot_csv, "_users": write_users_csv,
-                   "_hist": write_histogram_csv}
+        writers = {"": write_slot_csv, "_users": write_users_csv, "_hist": write_histogram_csv}
         if pico_views and res.scenario.serves_from_picos():
             writers["_pico"] = write_pico_view_csv
         for suffix, write in writers.items():
-            files.append(f"{stem}{suffix}.csv")
-            write(res, outdir / files[-1])
-    return files
+            write(res, part(f"{stem}{suffix}.csv"))
 
 
 # grid values that several presets share
@@ -140,8 +131,8 @@ POPULATIONS = {**SNAPSHOTS, "hotspot": HOTSPOT,
 TIMESERIES = {"topologies": ["udc", "coe", "monet_udc_users", "monet_coe_users"],
               "p_sleep_w": P_SLEEPS, "hotspot": HOTSPOT, "slots": 1000}
 
-# name -> (description, driver, grid); run_preset calls driver(outdir,
-# seed, grid) and writes grid to manifest.json
+# name -> (description, driver, grid); run_preset calls driver(part,
+# seed, grid) inside engine.staged and writes grid to manifest.json
 PRESETS: dict[str, tuple[str, Callable, dict]] = {
     "capacity_table": (
         "EE/capacity/power at thresholds {0,8,13}, 3 layouts, full activity",
@@ -181,16 +172,11 @@ def run_preset(name: str, outdir: str | Path, seed: int) -> Path:
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         )
-    outdir = Path(outdir)
     _, driver, grid = PRESETS[name]
-    files = driver(outdir, seed, grid)
-    manifest = {
-        "preset": name,
-        "seed": seed,
-        "version": __version__,
-        "grid": grid,
-        "files": sorted(files),
-    }
-    manifest_path = outdir / "manifest.json"
-    write_file(manifest_path, [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
-    return manifest_path
+    with staged(outdir) as part:
+        driver(part, seed, grid)
+        manifest = {"preset": name, "seed": seed, "version": __version__, "grid": grid,
+                    "files": sorted(part.names)}
+        write_file(part("manifest.json"),
+                   [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
+    return Path(outdir) / "manifest.json"

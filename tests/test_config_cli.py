@@ -17,7 +17,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetnetsim import cli, engine
+from hetnetsim import cli, engine, presets
 from hetnetsim.cli import main
 from hetnetsim.config import (
     BOUNDS,
@@ -350,7 +350,8 @@ class TestOverrides:
             parse_scenario(data)
 
     def test_bad_keys_and_values_name_the_override(self):
-        with pytest.raises(ValidationError, match=r"^users\.\.total=1: "):
+        with pytest.raises(ValidationError,
+                           match=r"^'users\.\.total': dotted key has an empty part$"):
             apply_overrides({}, ["users..total=1"])
         with pytest.raises(ValidationError, match=r"^users\.total: bad override value"):
             apply_overrides({}, ["users.total=[unclosed"])
@@ -555,6 +556,64 @@ def test_a_run_touches_only_the_side_files_of_its_own_traces(tmp_path, monkeypat
     assert (out / "user_trace.csv").exists() != fail
 
 
+# a time-series preset on a shrunken grid: two layouts x two sleep powers
+# of 4 slots, with pico views
+TINY_TIMESERIES = (
+    "4-slot traces", functools.partial(presets._timeseries, pico_views=True),
+    {"topologies": ["udc", "monet_udc_users"], "p_sleep_w": [0.0, 8.6], "hotspot": 20,
+     "slots": 4, "policy": {"t_activate": 5}})
+
+
+@pytest.mark.parametrize("case, writer, fail_at", [
+    ("sleep_power_sweep", "write_sweep_csv", 3),
+    ("tiny_timeseries", "write_users_csv", 2),
+    ("sweep", "write_sweep_csv", 1),
+])
+def test_a_failed_preset_or_sweep_leaves_earlier_files_as_found(
+        scenario_file, tmp_path, monkeypatch, capsys, case, writer, fail_at):
+    """In an --out that holds a seed-1 run's files, the same command at
+    seed 2 whose writer raises OSError exits 2 and leaves every file byte
+    for byte, with no side file: sleep_power_sweep failing at its third
+    sweep CSV, a time-series preset whose second users.csv is written in
+    full before its writer raises, and a sweep whose sweep.csv is.  Into
+    a fresh nested --out, the failure leaves no directory behind.  The
+    seed-1 manifest lists every file beside it."""
+    monkeypatch.setitem(presets.PRESETS, "tiny_timeseries", TINY_TIMESERIES)
+
+    def args(seed, out):
+        if case == "sweep":
+            return ["sweep", "--scenario", str(scenario_file), "--set", f"seed={seed}",
+                    "--set", "policy.t_deactivate=null", "--from", "0", "--to", "2",
+                    "--out", str(out)]
+        return ["preset", case, "--seed", str(seed), "--out", str(out)]
+
+    out = tmp_path / "out"
+    assert main(args(1, out)) == 0
+    earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+    if case != "sweep":
+        manifest = json.loads(earlier["manifest.json"])
+        assert manifest["seed"] == 1
+        assert manifest["files"] == sorted(set(earlier) - {"manifest.json"})
+    write = getattr(presets, writer)
+    calls = []
+
+    def failing_write(*args):
+        calls.append(args)
+        if len(calls) < fail_at or case != "sleep_power_sweep":
+            write(*args)
+        if len(calls) == fail_at:
+            raise OSError(f"failed at call {fail_at}")
+
+    monkeypatch.setattr(presets, writer, failing_write)
+    for target in (out, tmp_path / "new" / "out"):
+        calls.clear()
+        assert main(args(2, target)) == 2
+        assert capsys.readouterr().err == f"runtime error: failed at call {fail_at}\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+    assert not list(out.glob("*.part"))
+    assert not (tmp_path / "new").exists()
+
+
 def test_run_without_power_writes_zero_efficiency(tmp_path, capsys):
     """No draw at all (a macro with no fixed part and no users, picos that
     sleep for free) is a valid run: EE is 0 b/J, not an error."""
@@ -658,6 +717,8 @@ def test_capacity_table_is_the_threshold_sweep_at_its_thresholds(tmp_path, capsy
         assert main(["preset", name, "--seed", "1", "--out", str(tmp_path / name)]) == 0
         manifest = json.loads((tmp_path / name / "manifest.json").read_text())
         assert manifest["grid"] == PRESETS[name][2]
+        assert manifest["files"] == sorted(p.name for p in (tmp_path / name).iterdir()
+                                           if p.name != "manifest.json")
     table = (tmp_path / "capacity_table" / "sweep.csv").read_text().splitlines()
     sweep = (tmp_path / "threshold_sweep" / "sweep.csv").read_text().splitlines()
     assert len(table) == 1 + 3 * 3
@@ -682,6 +743,20 @@ def test_rejected_values_leave_no_output(scenario_file, tmp_path, capsys, args):
     assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize("key", ["", ".seed", "policy..t_activate", "policy."])
+@pytest.mark.parametrize("flag", ["--set", "--param"])
+def test_a_key_with_an_empty_part_is_named(scenario_file, tmp_path, capsys, flag, key):
+    """--set and --param share set_path's check of a dotted key: a key
+    with an empty part exits 1 with one line that quotes the key, and
+    writes nothing."""
+    out = tmp_path / "new" / "out"
+    assert main(["sweep", "--scenario", str(scenario_file), flag,
+                 f"{key}=1" if flag == "--set" else key,
+                 "--from", "0", "--to", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {key!r}: dotted key has an empty part\n"
+    assert not (tmp_path / "new").exists()
+
+
 def test_slots_times_realizations_is_bounded(scenario_file, tmp_path, capsys):
     """slots x realizations past MAX_SLOTS, each within its own bound,
     exits 1 with the path realizations, before the engine would ask for
@@ -699,6 +774,7 @@ def test_dump_topology_makes_the_parent_of_its_file(scenario_file, tmp_path, cap
     out = tmp_path / "a" / "b.json"
     assert main(["dump-topology", "--scenario", str(scenario_file), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["kind"] == "udc"
+    assert [p.name for p in out.parent.iterdir()] == ["b.json"]  # renamed into place
 
 
 def test_dump_topology_to_stdout(scenario_file, capsys):

@@ -9,7 +9,8 @@ Likewise every name a module imports is read in that module, save the
 package's re-exports in __init__.py and ``from __future__ import``.
 
 Every result file is written by engine.write_file: no other code in the
-package opens a file or makes a directory.
+package opens a file or makes a directory.  And every command stages its
+files through engine.staged: no other code renames or removes a file.
 
 The layering checks keep config, the scenario schema, below every other
 module: it imports nothing from the package, so no module needs a
@@ -126,16 +127,37 @@ def test_no_module_uses_type_checking():
 # calls that open a file for writing or make a directory, as bare names
 # (open) or attributes (Path.open, Path.write_text, os.makedirs, ...)
 WRITE_CALLS = {"open", "write_text", "write_bytes", "mkdir", "makedirs"}
+# calls that rename or remove a file or directory (Path.replace,
+# os.rename, Path.unlink, Path.rmdir, os.remove, ...)
+MOVE_CALLS = {"replace", "rename", "unlink", "rmdir", "remove"}
 
 
-def test_only_the_one_writer_opens_files_or_makes_directories():
+def calls_outside(owner: tuple[str, str], names: set[str]) -> list[str]:
+    """"file:line: call" of each call in the package, outside the
+    top-level def owner (module, name), whose bare or attribute name is in
+    names; a method of a string literal or f-string (str.replace) is no
+    file operation."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
-            if (path.stem, getattr(top, "name", None)) == ("engine", "write_file"):
+            if (path.stem, getattr(top, "name", None)) == owner:
                 continue
             found += [f"{path.name}:{node.lineno}: {ast.unparse(node.func)}"
                       for node in ast.walk(top) if isinstance(node, ast.Call)
-                      and getattr(node.func, "id", getattr(node.func, "attr", None))
-                      in WRITE_CALLS]
+                      and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
+                      and not isinstance(getattr(node.func, "value", None),
+                                         (ast.Constant, ast.JoinedStr))]
+    return found
+
+
+def test_only_the_one_writer_opens_files_or_makes_directories():
+    found = calls_outside(("engine", "write_file"), WRITE_CALLS)
     assert not found, f"files opened or directories made outside engine.write_file: {found}"
+
+
+def test_only_the_stage_renames_or_removes_files():
+    """Every command stages its files through engine.staged, which alone
+    gives side files their final names and removes what a failed command
+    wrote."""
+    found = calls_outside(("engine", "staged"), MOVE_CALLS)
+    assert not found, f"files renamed or removed outside engine.staged: {found}"
