@@ -252,7 +252,7 @@ class World:
         # each slot's activity uniforms and shadowing normals, a row per drop
         self.uniforms, self.normals = np.empty((2, B, n))
         # drop b's pico j is column 1 + j of its block of m + 1 columns, whose
-        # column 0 stands for "outside every disc": column = containing + offset
+        # column 0 takes every user that is not active in a disc
         self.offset = np.repeat(1 + (m + 1) * np.arange(B), n)
         self.state = np.full((self.response.serving.size, B, m), SLEEP, dtype=np.int64)
 
@@ -313,20 +313,19 @@ class World:
         )
         # only an active user inside a disc counts, and can be pico-served
         in_disc = active & (containing >= 0)
-        column = containing + self.offset
-        counts = np.bincount(column[in_disc], minlength=B * (m + 1)).reshape(B, m + 1)[:, 1:]
+        column = np.where(in_disc, containing, -1) + self.offset
+        counts = np.bincount(column, minlength=B * (m + 1)).reshape(B, m + 1)[:, 1:]
         self.state = step_modes(self.state, counts, response.t_activate, response.t_sleep,
                                 0 if self.snapshot else response.boot_slots)
         cap_macro, cap_pico = self._tier_capacities(active, in_disc, containing)
         awake = self.state == ACTIVE
-        # column 0 of each drop's block, outside every disc, is asleep; take()
+        # column 0 of each drop's block, no user's pico, is asleep; take()
         # keeps the (K, B * n) arrays C-ordered (fancy indexing would not): a
         # row sum over another layout adds in another order
         asleep = np.zeros((K, B, 1), dtype=bool)
         served = np.concatenate((asleep, awake), axis=2).reshape(K, -1).take(column, axis=1)
-        served &= active
         cap = np.where(served, cap_pico, cap_macro)
-        n_pico = served.reshape(K, B, -1).sum(axis=2)
+        n_pico = (awake * counts).sum(axis=2)
         n_macro = active.reshape(B, -1).sum(axis=1) - n_pico
         pico_power = response.pico_power(self.state, counts)
         cols = slice(rows.start, rows.stop, rows.step)  # a range would index slower
@@ -370,8 +369,6 @@ class RunResult:
     topology: Topology
     slot_metrics: SlotColumns
     ee_mean: float
-    # the spread (ddof 1) of all R * S slot entries' EE, not a replicate
-    # interval over the realizations' means (ROADMAP item 3)
     ee_std: float
     capacity_mean: float
     power_mean: float
@@ -506,34 +503,24 @@ def _run_group(scenarios: list[Scenario], per_user: bool,
                 cap_sum += chunk_cap[:, drop]
                 active_slots += chunk_active[drop]
                 pico_slots += chunk_pico[:, drop]
-    columns.ee_bits_per_joule = compute_ee(columns.capacity_bps, columns.power_w)
-
-    results = []
-    for k, s in enumerate(scenarios):
-        metrics = columns.row(k)
-        ees = metrics.ee_bits_per_joule
-        results.append(RunResult(
-            scenario=s,
-            topology=world.topo,
-            slot_metrics=metrics,
-            ee_mean=float(ees.mean()),
-            ee_std=float(ees.std(ddof=1)) if R * S > 1 else 0.0,
-            capacity_mean=float(metrics.capacity_bps.mean()),
-            power_mean=float(metrics.power_w.mean()),
-            active_picos_mean=float(metrics.n_active_picos.mean()),
-        ))
-    if not per_user:
-        return results
-
-    mean_rate = np.divide(cap_sum, active_slots, out=np.zeros((K, n)),
-                          where=active_slots > 0)
-    frac_on_pico = pico_slots / (R * S)
-    for k, result in enumerate(results):
-        result.is_hotspot = world.pop.my_pico[:n] >= 0  # the same in every drop
-        result.mean_rate_bps = mean_rate[k]
-        result.frac_slots_on_pico = frac_on_pico[k]
-        result.hist_counts = hist[k]
-    return results
+    columns.ee_bits_per_joule = ees = compute_ee(columns.capacity_bps, columns.power_w)
+    # every row's means in RunResult's field order, each one reduction along
+    # the entries: a C-ordered row adds in the pairwise order it adds in
+    # alone.  ee_std is the spread (ddof 1) of all R * S entries' EE, not a
+    # replicate interval over the realizations' means (ROADMAP item 3)
+    means = zip(ees.mean(axis=1).tolist(),
+                ees.std(axis=1, ddof=1).tolist() if R * S > 1 else [0.0] * K,
+                columns.capacity_bps.mean(axis=1).tolist(),
+                columns.power_w.mean(axis=1).tolist(),
+                columns.n_active_picos.mean(axis=1).tolist())
+    users = repeat(())
+    if per_user:
+        mean_rate = np.divide(cap_sum, active_slots, out=np.zeros((K, n)),
+                              where=active_slots > 0)
+        # the same is_hotspot in every drop
+        users = zip(repeat(world.pop.my_pico[:n] >= 0), mean_rate, pico_slots / (R * S), hist)
+    return [RunResult(s, world.topo, columns.row(k), *row_means, *row_users)
+            for k, (s, row_means, row_users) in enumerate(zip(scenarios, means, users))]
 
 
 # --- CSV emission ----------------------------------------------------------

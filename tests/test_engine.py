@@ -939,6 +939,33 @@ def test_slot_columns_equal_the_per_row_reference(docs):
             assert getattr(plain, name) is None, name
 
 
+# slot entries R * S on each side of numpy's pairwise-sum blocks (8, 128)
+ENTRIES = (1, 2, 7, 8, 9, 127, 128, 129, 300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(docs=process_groups(), entries=st.sampled_from(ENTRIES), data=st.data())
+def test_group_means_equal_each_rows_column_alone(docs, entries, data):
+    """Each result's five means equal, bit for bit, those of its own 1-D
+    slot column reduced alone: the group reduces all its rows in one call
+    along the entry axis, and a solo run reduces its one row along that
+    axis too, so grouped-equals-solo cannot tell the two apart.  ee_std
+    is the column's ddof-1 spread, and 0.0 at one entry."""
+    realizations = data.draw(st.sampled_from(
+        [r for r in range(1, entries + 1) if entries % r == 0]))
+    scenarios = [parse_scenario({**d, "realizations": realizations,
+                                 "slots": entries // realizations}) for d in docs[:4]]
+    for result in run_scenarios(scenarios):
+        m = result.slot_metrics
+        ees = m.ee_bits_per_joule.copy()
+        assert ees.shape == (entries,)
+        assert result.ee_mean == float(ees.mean())
+        assert result.ee_std == (float(ees.std(ddof=1)) if entries > 1 else 0.0)
+        assert result.capacity_mean == float(m.capacity_bps.copy().mean())
+        assert result.power_mean == float(m.power_w.copy().mean())
+        assert result.active_picos_mean == float(m.n_active_picos.copy().mean())
+
+
 def assert_same_traces(a, b):
     for f in dataclasses.fields(a):
         np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name),

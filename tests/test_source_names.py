@@ -11,6 +11,7 @@ package's re-exports in __init__.py and ``from __future__ import``.
 Every result file is written by engine.write_file: no other code in the
 package opens a file or makes a directory.  And every command stages its
 files through engine.staged: no other code renames or removes a file.
+engine._run_group alone builds a RunResult, and none changes after.
 
 The layering checks keep config, the scenario schema, below every other
 module: it imports nothing from the package, so no module needs a
@@ -161,3 +162,27 @@ def test_only_the_stage_renames_or_removes_files():
     wrote."""
     found = calls_outside(("engine", "staged"), MOVE_CALLS)
     assert not found, f"files renamed or removed outside engine.staged: {found}"
+
+
+def run_result_fields() -> set[str]:
+    """The field names of engine.RunResult, read off its class body."""
+    tree = ast.parse((PACKAGE / "engine.py").read_text())
+    (cls,) = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "RunResult"]
+    return {node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)}
+
+
+def test_every_run_result_is_built_once_in_one_place():
+    """engine._run_group alone builds RunResults, each whole: no other code
+    calls RunResult, and no code sets an attribute named after one of its
+    fields, so no result changes after it is built."""
+    found = calls_outside(("engine", "_run_group"), {"RunResult"})
+    assert not found, f"RunResult built outside engine._run_group: {found}"
+    fields = run_result_fields()
+    assert {"ee_mean", "hist_counts"} <= fields
+    stores = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and node.attr in fields]
+    assert not stores, f"RunResult fields assigned after the build: {stores}"

@@ -167,3 +167,47 @@ def test_time_series_control_is_the_markov_chain_of_its_state_table():
                                            (active_slots[k], wakes[k].sum()), want):
             z = (got - mean) / math.sqrt(var)
             assert abs(z) <= 4.0, f"{label} of row {rows[k]}: {got} vs {mean:.1f}, z = {z:.2f}"
+
+
+BOLTZMANN = 1.380649e-23  # J/K
+
+
+def test_macro_link_capacity_is_the_readme_link_budget_by_quadrature():
+    """README, Model notes, Channel: a macro-served user at distance d from
+    the macro centre, clamped below at min_distance_m, has path loss
+    140.7 + 36.7 log10(d_km) dB, SNR_dB = EIRP_macro - PL + sigma_macro Z
+    - N with Z standard normal and N = 10 log10(k T W 1000) dBm over its
+    share W = bandwidth_hz / users.total, and capacity W log2(1 + SNR).
+    In a monet snapshot whose every user is active, all n users are
+    macro-served and uniform in the disc (density 2d/R^2), so a
+    realization's capacity has mean n E[W log2(1 + SNR)]: Gauss-Hermite
+    over Z, Gauss-Legendre over d in [d_min, R], plus the clamped mass
+    (d_min/R)^2 at d_min.  This makes the README's path-loss assignment
+    (ROADMAP item 3) a tested statement."""
+    n, realizations = 1000, 200
+    s = parse_scenario({"topology": "monet", "seed": 5, "realizations": realizations,
+                        "users": {"total": n, "activity_uniform": 1.0}})
+    (result,) = run_scenarios([s])
+    m = result.slot_metrics
+    assert (m.macro_active_users == n).all() and (m.pico_active_users == 0).all()
+
+    C, R = s.channel, s.layout.macro_radius_m
+    w = C.bandwidth_hz / n
+    noise_dbm = 10.0 * math.log10(BOLTZMANN * C.temperature_k * w * 1000.0)
+    eirp_dbm = C.macro_tx_dbm + C.macro_antenna_gain_dbi + C.ue_antenna_gain_dbi
+    z, z_weights = np.polynomial.hermite_e.hermegauss(40)
+    z_weights /= math.sqrt(2.0 * math.pi)  # E over a standard normal
+    x, x_weights = np.polynomial.legendre.leggauss(100)
+    d_min = C.min_distance_m
+    d = d_min + (R - d_min) * (x + 1.0) / 2.0
+    d_weights = x_weights * (R - d_min) / 2.0 * 2.0 * d / R**2
+    d, d_weights = np.append(d, d_min), np.append(d_weights, (d_min / R) ** 2)
+    assert d_weights.sum() == pytest.approx(1.0, abs=1e-12)
+    path_loss_db = 140.7 + 36.7 * np.log10(d / 1000.0)
+    snr_db = eirp_dbm - path_loss_db[:, None] + C.macro_shadow_sigma_db * z - noise_dbm
+    expected = n * d_weights @ (w * np.log2(1.0 + 10.0 ** (snr_db / 10.0))) @ z_weights
+
+    se = m.capacity_bps.std(ddof=1) / math.sqrt(realizations)
+    z_score = (result.capacity_mean - expected) / se
+    assert abs(z_score) <= 4.0, \
+        f"capacity_mean {result.capacity_mean} vs {expected}, z = {z_score:.2f}"
