@@ -2,6 +2,7 @@
 
     hetnetsim run --scenario F [--set k=v]... [--out DIR] [--trace-users] [--trace-picos]
     hetnetsim sweep --scenario F [--param policy.t_activate] --from A --to B [--step S]
+                    [--set k=v]... [--out DIR]
     hetnetsim preset NAME [--out DIR] [--seed N]   /   preset --list
     hetnetsim dump-topology --scenario F [--set k=v]... [--out FILE]
 

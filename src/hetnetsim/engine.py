@@ -35,11 +35,13 @@ each scenario is one row of the group's (K, B, m) pico control and power.
 With per_user, run_scenarios also builds what run and the time-series
 presets write besides the slot CSV: per-user totals, the rate histogram
 and the pico-layer capacity of the pico view.  Traces are not kept: a
-traced chunk copies each slot's user positions and serving codes (-2
-exactly for an idle user) and pico states into a block of up to
-TRACE_BLOCK_ROW_USERS user lines and hands the block to the scenario's
-TraceSinks when it is full and at the chunk's last slot, so a traced run
-holds one block of trace, bounded by that constant, whatever its length.
+group with a traced row steps one drop at a time, copies each entry's
+user positions and serving codes (-2 exactly for an idle user) and pico
+states into a block of consecutive entries, up to TRACE_BLOCK_ROW_USERS
+user lines, and hands the block to the scenario's TraceSinks when it is
+full and at the run's last entry, so a traced run holds one block of
+trace, bounded by that constant, whatever its length, and its trace
+does not depend on the chunk bound or on the group's other rows.
 write_user_trace_csv and write_pico_trace_csv, with their path bound, are
 such sinks; they and the other writers put every result file through
 write_file, each command's as the side files of one staged block.
@@ -200,9 +202,9 @@ class Response:
 # drops of n users holds (K, B * n) served masks and capacities, so B is
 # the most drops with K * B * n within this bound, and 1 past it
 CHUNK_ROW_USERS = 49_152
-# the most user lines a traced chunk holds before it hands them to its
-# sinks: a block of L slots of B drops of n users, L the most slots with
-# L * B * n within this bound, and 1 past it
+# the most user lines a traced group holds before it hands them to its
+# sinks: a block of L consecutive entries of n users, L the most entries
+# with L * n within this bound, and 1 past it
 TRACE_BLOCK_ROW_USERS = 16_384
 
 
@@ -343,17 +345,16 @@ class World:
 @dataclass(frozen=True)
 class TraceSinks:
     """Where one scenario's traces go, a block at a time, as its group
-    steps: L slots of a chunk of B drops (L * B * n within
-    TRACE_BLOCK_ROW_USERS, or one slot past it, and fewer at the chunk's
-    end), then the chunk's next L slots, then the next chunk's.  A
-    block's lines go slot by slot, each slot's drops in turn, and the
-    list rows holds each line's row of the run (entry r * S + t of the
-    slot columns).
+    steps one drop at a time: L consecutive entries e .. e + L - 1 (entry
+    r * S + t of the slot columns, L * n within TRACE_BLOCK_ROW_USERS, or
+    one entry past it, and fewer in the last block), which may span
+    realizations.  ``rows`` is that range, line i of the block being
+    entry rows[i].
 
     ``users(topology, rows, x, y, serving)`` gets the group's layout and
-    the block's (L * B, n) positions and serving codes (-2 idle, -1
-    macro, j pico); ``picos(rows, states)`` gets the row's (L * B, m)
-    pico control states.  The arrays are the engine's own and change as
+    the block's (L, n) positions and serving codes (-2 idle, -1 macro, j
+    pico); ``picos(rows, states)`` gets the row's (L, m) pico control
+    states.  The arrays are the engine's own and change as
     it steps: a sink that keeps them copies them.
     ``partial(write_user_trace_csv, path)`` and its pico twin write the
     two trace CSVs.
@@ -425,12 +426,6 @@ def run_scenario(scenario: Scenario, per_user: bool = False,
     return run_scenarios([scenario], per_user, [trace])[0]
 
 
-def _block_rows(S: int, r0: int, B: int, t0: int, t1: int) -> list[int]:
-    """The rows of slots t0 .. t1 - 1 of the chunk of B drops at r0, slot
-    by slot, each slot's drops in turn."""
-    return [r * S + t for t in range(t0, t1) for r in range(r0, r0 + B)]
-
-
 def _run_group(scenarios: list[Scenario], per_user: bool,
                traces: list[Optional[TraceSinks]]) -> list[RunResult]:
     world = World(scenarios)
@@ -448,19 +443,22 @@ def _run_group(scenarios: list[Scenario], per_user: bool,
     # the rows whose user or pico trace goes to a sink
     traced_users = [k for k, t in enumerate(traces) if t and t.users]
     traced_picos = [k for k, t in enumerate(traces) if t and t.picos]
+    traced = traced_users or traced_picos
+    if traced:
+        # a traced group steps one drop at a time, so its entries come in
+        # order: a block holds L consecutive entries, line e % L entry e
+        world.batch = 1
+        L = min(R * S, max(1, TRACE_BLOCK_ROW_USERS // n))
+        x, y = np.empty((2, L, n))
+        serving = np.empty((len(traced_users), L, n), dtype=np.int64)
+        states = np.empty((len(traced_picos), L, world.topo.cx.size), dtype=np.int64)
 
     for r0 in range(0, R, world.batch):
         world.drop(r0)
-        B, m = world.state.shape[1:]
+        B = world.state.shape[1]
         # this chunk's per-user sums, each drop's users apart: 0 plus the
         # first slot's arrays makes (K, B * n) float and int64 arrays
         chunk_cap = chunk_active = chunk_pico = 0
-        if traced_users or traced_picos:
-            # a block of L slots of trace, line (t % L) * B + b drop b's slot t
-            L = max(1, min(S, TRACE_BLOCK_ROW_USERS // (B * n)))
-            x, y = np.empty((2, L * B, n))
-            serving = np.empty((len(traced_users), L * B, n), dtype=np.int64)
-            states = np.empty((len(traced_picos), L * B, m), dtype=np.int64)
         for slot in range(S):
             # drop b's slot is entry (r0 + b) * S + slot
             rows = range(r0 * S + slot, (r0 + B) * S, S)
@@ -475,15 +473,16 @@ def _run_group(scenarios: list[Scenario], per_user: bool,
                     drop = slice(b * n, (b + 1) * n)
                     columns.pico_capacity_bps[:, row] = [
                         c[sv].sum() for c, sv in zip(cap[:, drop], served[:, drop])]
-            if traced_users or traced_picos:
-                lines = slice(slot % L * B, (slot % L + 1) * B)
+            if traced:
+                entry = rows.start
+                line = entry % L
                 if traced_users:
-                    x[lines], y[lines] = world.pop.px.reshape(B, n), world.pop.py.reshape(B, n)
-                    serving[:, lines] = np.where(served[traced_users], containing,
-                                                 np.where(active, -1, -2)).reshape(-1, B, n)
-                states[:, lines] = world.state[traced_picos]
-                if slot % L == L - 1 or slot == S - 1:
-                    block, end = _block_rows(S, r0, B, slot - slot % L, slot + 1), lines.stop
+                    x[line], y[line] = world.pop.px, world.pop.py
+                    serving[:, line] = np.where(served[traced_users], containing,
+                                                np.where(active, -1, -2))
+                states[:, line] = world.state[traced_picos, 0]
+                if line == L - 1 or entry == R * S - 1:
+                    block, end = range(entry - line, entry + 1), line + 1
                     for k, codes in zip(traced_users, serving):
                         traces[k].users(world.topo, block, x[:end], y[:end], codes[:end])
                     for k, modes in zip(traced_picos, states):
@@ -666,7 +665,6 @@ def _id_fields(ids: int, form: str = ",{},") -> tuple[str, ...]:
     return tuple(map(form.format, range(ids)))
 
 
-@lru_cache(maxsize=1)
 def _serving_tails(m: int) -> tuple[str, ...]:
     """The m + 2 user-trace line tails ",{active},{serving_cell}\n" of a
     layout of m picos, serving code c's at c + 2: only an idle user (-2)

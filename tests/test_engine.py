@@ -283,13 +283,13 @@ def test_writers_need_their_output(tmp_path, writer, needs):
 @pytest.mark.parametrize("output", ["user_trace", "pico_trace"])
 def test_traces_leave_a_run_only_through_its_sinks(output):
     """No result holds a trace; in a group, only the scenarios given
-    sinks are traced, one call per block of slots (here all 3 in one),
+    sinks are traced, one call per block of entries (here all 3 in one),
     and a list of sinks must match the scenarios one to one."""
     assert output not in {f.name for f in dataclasses.fields(RunResult)}
     s = scenario(slots=3, users={"total": 20})
     calls = []
-    sink = TraceSinks(users=lambda topology, rows, *_: calls.append(("users", rows)),
-                      picos=lambda rows, _: calls.append(("picos", rows)))
+    sink = TraceSinks(users=lambda topology, rows, *_: calls.append(("users", list(rows))),
+                      picos=lambda rows, _: calls.append(("picos", list(rows))))
     twin = dataclasses.replace(s, boot_slots=0)
     run_scenarios([s, twin], traces=[None, sink])
     assert calls == [("users", [0, 1, 2]), ("picos", [0, 1, 2])]
@@ -598,18 +598,20 @@ def test_traced_run_memory_does_not_grow_with_slots(tmp_path):
 
 
 def test_snapshot_trace_numbers_realizations_across_chunks(tmp_path):
-    """A traced snapshot stepped in chunks of 3 drops writes realizations
+    """A traced snapshot with blocks of L = 3 entries writes realizations
     0 .. 6 in order, each with every user and pico, and hands each sink
-    one block per chunk, of realizations 0 .. 2, 3 .. 5 and 6."""
+    the blocks of realizations 0 .. 2, 3 .. 5 and 6, whatever the chunk
+    bound (here chunks of 2 drops untraced)."""
     s = scenario(realizations=7, users={"total": 40, "hotspot": 10})
     batches = []
     paths = (tmp_path / "user_trace.csv", tmp_path / "pico_trace.csv")
 
     def take_users(topology, rows, *columns):
-        batches.append(rows)
+        batches.append(list(rows))
         write_user_trace_csv(paths[0], topology, rows, *columns)
 
-    with mock.patch.object(engine, "CHUNK_ROW_USERS", 3 * 40):
+    with mock.patch.object(engine, "CHUNK_ROW_USERS", 2 * 40), \
+            mock.patch.object(engine, "TRACE_BLOCK_ROW_USERS", 3 * 40):
         run_scenario(s, trace=TraceSinks(users=take_users,
                                          picos=partial(write_pico_trace_csv, paths[1])))
     assert batches == [[0, 1, 2], [3, 4, 5], [6]]
@@ -984,13 +986,16 @@ def one_drop_at_a_time(scenarios):
 def test_chunked_drops_equal_drops_stepped_one_at_a_time(docs, realizations, batch):
     """A snapshot group stepped in chunks of up to `batch` drops, R a
     multiple of it or not, gives bit for bit every slot column, per-user
-    value, histogram and trace of the group stepped one drop at a time."""
+    value and histogram of the group stepped one drop at a time; traced,
+    it steps one drop at a time under that bound too, and gives the same
+    traces."""
     scenarios = [parse_scenario({**d, "slots": 1, "realizations": realizations})
                  for d in docs]
     bound = batch * len(scenarios) * scenarios[0].users.total
     with mock.patch.object(engine, "CHUNK_ROW_USERS", bound):
         assert World(scenarios).batch == min(batch, realizations)
-        chunked, traces = run_traced(scenarios, per_user=True)
+        chunked = run_scenarios(scenarios, per_user=True)
+        _, traces = run_traced(scenarios)
     for a, b, trace_a, trace_b in zip(chunked, *one_drop_at_a_time(scenarios), traces):
         assert_same_run(a, b)
         assert_same_traces(trace_a, trace_b)
@@ -1001,7 +1006,8 @@ def test_snapshot_chunks_follow_the_bound(batch, realizations):
     """Under the module's own bound, a group of K rows and n users steps
     CHUNK_ROW_USERS // (K * n) drops at a time, and one drop when K * n
     exceeds the bound; either way it gives the results of one drop at a
-    time, and the slot columns of the per-row reference."""
+    time, and the slot columns of the per-row reference; traced, the
+    group steps one drop at a time and gives the same traces."""
     K = 3
     n = engine.CHUNK_ROW_USERS // (K * batch) + (batch == 1)
     scenarios = [scenario(realizations=realizations, topology=topology,
@@ -1009,7 +1015,8 @@ def test_snapshot_chunks_follow_the_bound(batch, realizations):
                           policy={"t_activate": t, "t_deactivate": None})
                  for topology, t in (("udc", 4.0), ("udc", 40.0), ("monet_udc_users", 4.0))]
     assert World(scenarios).batch == batch
-    chunked, traces = run_traced(scenarios, per_user=True)
+    chunked = run_scenarios(scenarios, per_user=True)
+    _, traces = run_traced(scenarios)
     for a, b, trace_a, trace_b, want in zip(chunked, *one_drop_at_a_time(scenarios), traces,
                                             reference_slot_columns(scenarios)):
         assert_same_run(a, b)
@@ -1072,18 +1079,17 @@ def file_bytes(tmp):
 def test_trace_blocks_write_the_bytes_of_one_slot_at_a_time(docs, realizations, batch,
                                                             block):
     """A group's traces, handed to the writers in blocks of up to `block`
-    slots of a chunk or in blocks under the module's bound, are byte for
-    byte the traces handed over one slot of a chunk at a time (a block
-    bound of 0): time series of one or several realizations, and
-    snapshots of chunks of several drops."""
+    entries or in blocks under the module's bound, are byte for byte the
+    traces handed over one entry at a time (a block bound of 0), under a
+    chunk bound of `batch` drops: time series of one or several
+    realizations, and snapshots of several drops."""
     scenarios = [parse_scenario({**d, "realizations": realizations}) for d in docs]
     n = scenarios[0].users.total
     bound = batch * len(scenarios) * n
-    B = min(batch, realizations)
     with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b, \
             tempfile.TemporaryDirectory() as c:
         traced_to_files(a, scenarios, bound, 0)
-        traced_to_files(b, scenarios, bound, block * B * n)
+        traced_to_files(b, scenarios, bound, block * n)
         traced_to_files(c, scenarios, bound)
         one_slot = file_bytes(a)
         assert len(one_slot) == 2 * len(scenarios)
@@ -1116,32 +1122,27 @@ def test_chunked_time_series_equal_drops_stepped_one_at_a_time(docs, slots, real
                                                               batch):
     """A group of R time series stepped in chunks of up to `batch` drops
     gives bit for bit every slot column, per-user value and histogram of
-    the group stepped one drop at a time, and the same trace lines once
-    sorted: a chunk writes its lines slot by slot, each slot's drops in
-    turn, and one drop at a time writes them realization by
-    realization."""
+    the group stepped one drop at a time.  Traced, it steps one drop at a
+    time under either bound, with the same results, and writes the same
+    trace lines, in entry order."""
     scenarios = [parse_scenario({**d, "slots": slots, "realizations": realizations})
                  for d in docs]
     bound = batch * len(scenarios) * scenarios[0].users.total
     with mock.patch.object(engine, "CHUNK_ROW_USERS", bound):
         assert World(scenarios).batch == min(batch, realizations)
+        chunked = run_scenarios(scenarios, per_user=True)
     with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
-        chunked, chunked_lines = traced_to_files(a, scenarios, bound)
+        traced, traced_lines = traced_to_files(a, scenarios, bound)
         alone, alone_lines = traced_to_files(b, scenarios, 0)
-    for x, y in zip(chunked, alone):
-        assert_same_run(x, y)
-    for x, y in zip(chunked_lines, alone_lines):
-        for lines_x, lines_y in zip(x, y):
-            assert lines_x[0] == lines_y[0]  # the header, once, first
-            assert sorted(lines_x) == sorted(lines_y)
-            assert len(lines_x) > 1
-    # stepping order: chunk by chunk, slot by slot, then drop by drop
-    B, S, n = min(batch, realizations), slots, scenarios[0].users.total
-    order = [row for r0 in range(0, realizations, B) for t in range(S)
-             for row in range(r0 * S + t, min(r0 + B, realizations) * S, S)]
-    for user_lines, _ in chunked_lines:
+    for x, y, z in zip(chunked, traced, alone):
+        assert_same_run(x, z)
+        assert_same_run(y, z)
+    assert traced_lines == alone_lines
+    n, entries = scenarios[0].users.total, realizations * slots
+    for user_lines, _ in alone_lines:
+        assert user_lines[0] == "slot,user_id,x,y,active,serving_cell"
         assert [int(line.split(",", 1)[0]) for line in user_lines[1:]] == \
-            [row for row in order for _ in range(n)]
+            [row for row in range(entries) for _ in range(n)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -1162,6 +1163,45 @@ def test_first_realization_is_the_one_realization_run(docs, realizations):
         for f in dataclasses.fields(Trace):
             np.testing.assert_array_equal(getattr(trace_a, f.name),
                                           getattr(trace_b, f.name)[:S], err_msg=f.name)
+
+
+# a traced udc row of 60 users: 3 slots of 4 realizations, or 6 drops
+TRACED = {"topology": "udc", "seed": 1, "users": {"total": 60, "hotspot": 20}}
+TRACED_SHAPES = {"timeseries": {"slots": 3, "realizations": 4},
+                 "snapshot": {"slots": 1, "realizations": 6}}
+
+
+@pytest.mark.parametrize("shape", TRACED_SHAPES.values(), ids=TRACED_SHAPES)
+def test_a_trace_does_not_depend_on_the_chunk_bound_or_its_group(tmp_path, shape):
+    """A traced row writes byte-identical user and pico traces run alone
+    and with its macro-only twin in its group, under a chunk bound of 4
+    drops of it alone (2 with the twin) and under a bound of 0: a traced
+    group steps one drop at a time, so its lines come in entry order, as
+    in slots.csv."""
+    s = parse_scenario({**TRACED, **shape})
+    twin = dataclasses.replace(s, topology="monet_udc_users")
+    n, entries = s.users.total, s.realizations * s.slots
+    runs = [traced_to_files(tmp_path / str(i), group, bound)[1][0] for i, (group, bound)
+            in enumerate(itertools.product([[s], [s, twin]], [4 * n, 0]))]
+    assert all(lines == runs[0] for lines in runs[1:])
+    user_lines, pico_lines = runs[0]
+    assert [int(line.split(",", 1)[0]) for line in user_lines[1:]] == \
+        [e for e in range(entries) for _ in range(n)]
+    assert len(pico_lines) == 1 + entries * s.layout.n_picos
+
+
+@pytest.mark.parametrize("slots", [3, 1], ids=["timeseries", "snapshot"])
+def test_the_traces_of_r_realizations_begin_the_traces_of_more(tmp_path, slots):
+    """The user and pico traces of a 2-realization run are, line for line,
+    the first lines of the 5-realization run's, those of its first 2 * S
+    entries: realization r's trace does not depend on R."""
+    few, more = (traced_to_files(tmp_path / str(R), [parse_scenario(
+        {**TRACED, "slots": slots, "realizations": R})], engine.CHUNK_ROW_USERS)[1][0]
+                 for R in (2, 5))
+    assert len(few[0]) == 1 + 2 * slots * TRACED["users"]["total"]
+    for a, b in zip(few, more):
+        assert b[:len(a)] == a
+        assert 2 * (len(b) - 1) == 5 * (len(a) - 1)
 
 
 @settings(max_examples=30, deadline=None)

@@ -49,6 +49,15 @@ CASES = {
          "users": {"total": 200, "hotspot": 80},
          "policy": {"t_activate": 2.0, "t_deactivate": None}},
     ),
+    # a traced time series of several realizations: its trace lines come
+    # in entry order, realization by realization, as in slots.csv
+    "timeseries_traced": (
+        ["run", "--trace-users", "--trace-picos"],
+        {"topology": "udc", "seed": 16, "slots": 20, "realizations": 3,
+         "users": {"total": 300, "hotspot": 150},
+         "work": {"start_slots": [0, 4], "duration": 12},
+         "policy": {"t_activate": 3.0, "t_deactivate": 1.0}},
+    ),
     "monet_udc_users": (
         ["run", "--trace-picos"],
         {"topology": "monet_udc_users", "seed": 3, "slots": 40,
@@ -525,6 +534,20 @@ GOLDEN = {
     "sweep_timeseries": {
         "sweep.csv":
             "1a9befcd7c087df55a6318f2b7283183d5757115cd71d5c5d99a105f35031926",
+    },
+    "timeseries_traced": {
+        "histogram.csv":
+            "ad545b7289a3304dd31c9b762c635a28b969fbf51ad33fb7ccc5eb3b5392c01f",
+        "pico_trace.csv":
+            "ac4d019ba1f5172bb25552c73d18b6133e20ce3699207d39f4bb4df2aecbcd85",
+        "slots.csv":
+            "666c771ce4955156fac942bec5d19c4e7cbfa39676827ec97cd4be48b77a07cc",
+        "topology.json":
+            "1d23dde204ad004506ed959036003f27c7f67311b471adbc158f5ce45eefa19d",
+        "user_trace.csv":
+            "e12798e4018fc7a8153c925e2be7a27c665d42f8a584a4caf4933a2c89ca7b95",
+        "users.csv":
+            "17a0aa14bbc27c5d64495ce13a6e861564b2a539929b20d65156373c69f5346a",
     },
 }
 
