@@ -608,7 +608,8 @@ def write_pico_view_csv(result: RunResult, path: str | Path) -> None:
 
 def write_users_csv(result: RunResult, path: str | Path) -> None:
     """One line per user, joined from parallel string streams: "{id}," from
-    a table, its kind, repr of its mean rate, and ",{frac}\\n", formatted
+    a table, its kind, repr of its mean rate (kernels.float_reprs, one call
+    per CHUNK_ROWS users), and ",{frac}\\n", formatted
     once per distinct frac_slots_on_pico (told apart by their bits, so
     -0.0 is not 0.0)."""
     if result.mean_rate_bps is None:
@@ -623,7 +624,7 @@ def write_users_csv(result: RunResult, path: str | Path) -> None:
         "".join(chain.from_iterable(zip(
             ids[i:i + CHUNK_ROWS],
             map(_KINDS.__getitem__, result.is_hotspot[i:i + CHUNK_ROWS].tolist()),
-            map(repr, rates[i:i + CHUNK_ROWS].tolist()),
+            kernels.float_reprs(rates[i:i + CHUNK_ROWS]),
             map(fracs.__getitem__, bits[i:i + CHUNK_ROWS].tolist()))))
         for i in range(0, rates.shape[0], CHUNK_ROWS)
     )))
@@ -699,18 +700,39 @@ def _write_trace_rows(path: str | Path, header: str, rows: Sequence[int], ids: i
                append=rows[0] > 0)
 
 
+# the most coordinates one kernels.float_reprs call of the user trace
+# formats, bar a single row's 2n.  A call costs about 0.07 ms fixed: on a
+# 2-vCPU host it took 0.09 ms for 125 values where repr took 0.06, and
+# 0.20 ms for 1,000 where repr took 0.49.  Larger calls cost memory: in
+# ts_traced (n = 1000) a call per row peaked at 38.8 MiB, one per four
+# rows at 41.2 and one per 16,384-line block at 47.6
+TRACE_FORMAT_VALUES = 1000
+
+
 def write_user_trace_csv(path: str | Path, topology: Topology, rows: Sequence[int], x, y,
                          serving) -> None:
     """A block of user_trace.csv, as a TraceSinks.users sink with path
-    bound.  Only x and y are formatted per line (repr of the .tolist()
-    floats); the active flag and serving label both follow from the
-    serving code, by a table of line tails."""
+    bound.  Only x and y are formatted per line: kernels.float_reprs, the
+    repr of each, takes one call per row, or per group of rows of about
+    TRACE_FORMAT_VALUES coordinates where n is small; the active flag and
+    serving label both follow from the serving code, by a table of line
+    tails."""
     tails = _serving_tails(topology.cx.size)
-    _write_trace_rows(path, "slot,user_id,x,y,active,serving_cell\n", rows, x.shape[1], (
-        (map(repr, xb.tolist()), repeat(",", x.shape[1]), map(repr, yb.tolist()),
-         map(tails.__getitem__, (codes + 2).tolist()))
-        for xb, yb, codes in zip(x, y, serving)
-    ))
+    n = x.shape[1]
+    per_call = max(1, TRACE_FORMAT_VALUES // max(1, 2 * n))
+
+    def lines():
+        for i in range(0, x.shape[0], per_call):
+            # a call's x texts, then its y texts, n per row
+            texts = kernels.float_reprs(
+                np.concatenate((x[i:i + per_call], y[i:i + per_call]), axis=None))
+            ys = len(texts) // 2
+            for j, codes in enumerate(serving[i:i + per_call]):
+                yield (texts[j * n:(j + 1) * n], repeat(",", n),
+                       texts[ys + j * n:ys + (j + 1) * n],
+                       map(tails.__getitem__, (codes + 2).tolist()))
+
+    _write_trace_rows(path, "slot,user_id,x,y,active,serving_cell\n", rows, n, lines())
 
 
 def write_pico_trace_csv(path: str | Path, rows: Sequence[int], states) -> None:

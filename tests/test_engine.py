@@ -489,6 +489,37 @@ def test_trace_writers_match_a_row_by_row_reference(data, slots, n, pico_less):
             reference_csv(["slot", "pico_id", "mode"], picos))
 
 
+@pytest.mark.parametrize("slots, n", [(600, 1), (150, 7), (3, 1500)])
+def test_user_trace_writer_matches_repr_line_by_line(tmp_path, slots, n):
+    """The user-trace writer formats its coordinates by kernels.float_reprs,
+    several rows a call where n is small and one row a call where 2n
+    passes TRACE_FORMAT_VALUES; either way each line holds repr of its x
+    and y.  The coordinates mix values repr writes in exponent form, 0,
+    powers of two and the edges of the fast path's [1, 1e14) among random
+    positions and magnitudes."""
+    rng = np.random.default_rng(n)
+    special = [0.0, -0.0, 1e-05, 0.5, 1.0, 1e14, np.nextafter(1e14, 0.0),
+               *(2.0 ** np.arange(-3, 50, 4))]
+
+    def coordinates():
+        values = np.where(rng.random((slots, n)) < 0.5, rng.uniform(0.0, 1000.0, (slots, n)),
+                          10.0 ** rng.uniform(-6.0, 17.0, (slots, n)))
+        values.flat[rng.integers(0, values.size, len(special))] = special
+        return values
+
+    x, y = coordinates(), coordinates()
+    serving = rng.integers(-2, 28, (slots, n))
+    topology = build_geometry(scenario())
+    write_user_trace_csv(tmp_path / "user_trace.csv", topology, list(range(slots)), x, y,
+                         serving)
+    label = {-2: "0,none", -1: "1,macro"}
+    lines = [(t, i, float(x[t, i]), float(y[t, i]),
+              label.get(int(serving[t, i]), f"1,pico:{serving[t, i]}"))
+             for t in range(slots) for i in range(n)]
+    assert (tmp_path / "user_trace.csv").read_bytes() == reference_csv(
+        ["slot", "user_id", "x", "y", "active,serving_cell"], lines)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), rows=st.integers(1, 12))
 def test_column_writers_match_a_row_by_row_reference(traced, data, rows):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hetnetsim import kernels
 from hetnetsim.config import parse_scenario
@@ -250,3 +251,80 @@ def test_advance_positions_matches_numpy_bitwise():
         assert arrived[i] == hit
         assert (px1[i], py1[i]) == (x, y)
     assert arrived.any() and not arrived.all()
+
+
+def reprs(values):
+    return [repr(v) for v in values.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=hnp.arrays(np.float64, st.integers(0, 60),
+                         elements=st.floats(width=64) | st.floats(1.0, 1e14)))
+def test_float_reprs_equal_repr_on_any_floats(values):
+    """nan, both infinities, both zeros, subnormals and every magnitude,
+    with values in the fast path's [1, 1e14) drawn as often as the rest."""
+    assert kernels.float_reprs(values) == reprs(values)
+
+
+def test_float_reprs_of_no_values_and_of_one():
+    assert kernels.float_reprs(np.empty(0)) == []
+    assert kernels.float_reprs(np.array([123.456])) == ["123.456"]
+    assert kernels.float_reprs(np.array([0.1 + 0.2])) == ["0.30000000000000004"]
+
+
+def bulk_families(rng):
+    """About 1.1e6 floats in families that test each decision of
+    float_reprs, by name."""
+    def neighbours(a):
+        return np.concatenate([a, np.nextafter(a, 0.0), np.nextafter(a, np.inf),
+                               np.nextafter(np.nextafter(a, np.inf), np.inf)])
+
+    # random significands under exponents of [1, 2 ** 47), so in [1, 1.4e14)
+    in_range = (rng.integers(1023, 1070, 200_000, dtype=np.uint64) << np.uint64(52)
+                | rng.integers(0, 2 ** 52, 200_000, dtype=np.uint64)).view(np.float64)
+    # the doubles nearest 11- and 12-place decimals in [1, 1000), whose
+    # shortest repr is short, and their neighbours, whose repr is long
+    places = np.concatenate([rng.integers(10 ** 11, 10 ** 14, 40_000) / 1e11,
+                             rng.integers(10 ** 12, 10 ** 15, 40_000) / 1e12])
+    powers = np.concatenate([2.0 ** np.arange(-1074, 1024), 10.0 ** np.arange(-20, 21)])
+    positions = rng.uniform(0.0, 1000.0, 200_000)
+    return {
+        "positions": positions,
+        "rates": rng.lognormal(16.0, 2.0, 100_000),
+        "bit patterns": rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64).view(np.float64),
+        "in-range bit patterns": in_range,
+        "decimals and neighbours": neighbours(places),
+        "powers of 2 and 10 and neighbours": neighbours(powers),
+        "negatives": -positions[:100_000],
+        "carries and specials": np.array([
+            999.9999999999999, 9.999999999999998, 99999999999999.98, 0.9999999999999999,
+            99.99999999999999, 1e14, np.nextafter(1e14, 0.0), 1.0, 0.5, 1e-5,
+            np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, np.finfo(np.float64).max]),
+    }
+
+
+def test_float_reprs_equal_repr_on_a_million_seeded_values():
+    """Every family of bulk_families, in calls of 16,384 values; and the
+    fast path, not repr, formats almost every position."""
+    families = bulk_families(np.random.default_rng(33))
+    assert sum(a.size for a in families.values()) >= 10 ** 6
+    for name, values in families.items():
+        for i in range(0, values.size, 16_384):
+            chunk = values[i:i + 16_384]
+            assert kernels.float_reprs(chunk) == reprs(chunk), name
+    positions = families["positions"][:16_384]
+    _, _, unsure = kernels._shortest_decimal(positions[positions >= 1.0])
+    assert unsure.mean() < 0.02
+
+
+def test_float_reprs_leave_every_tie_to_repr():
+    """v = m / 2 ** (17 - e) with m odd and 10 ** e <= v < 10 ** (e + 1)
+    makes v * 10 ** (16 - e) end in exactly .5: the 17-digit rounding of
+    v is a tie, which the fast path leaves to repr, at every e."""
+    rng = np.random.default_rng(17)
+    ties = np.concatenate([
+        (2 * rng.integers(10 ** e * 2 ** (16 - e), 10 ** (e + 1) * 2 ** (16 - e), 500) + 1)
+        / 2.0 ** (17 - e) for e in range(14)])
+    _, _, unsure = kernels._shortest_decimal(ties)
+    assert unsure.all()
+    assert kernels.float_reprs(ties) == reprs(ties)
