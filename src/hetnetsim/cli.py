@@ -205,7 +205,8 @@ def main(argv=None) -> int:
         print(f"error: layout: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - runtime failures exit 2
-        print(f"runtime error: {exc}", file=sys.stderr)
+        # an exception without a message, as MemoryError() has, is named
+        print(f"runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

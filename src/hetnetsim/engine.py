@@ -8,9 +8,13 @@ Boot and Sleep picos serve nobody, idle users are served by nobody.
 
 Every scenario is R realizations x S slots, and one loop runs them all:
 it drops a chunk of B realizations (a batch of B user populations, every
-pico asleep), steps the chunk through its S slots, then drops the next.
-Drop b of the chunk at r0 is realization r0 + b, and its slot t is entry
-(r0 + b) * S + t of every slot column.  A snapshot (slots = 1) differs
+pico asleep), steps the chunk through its S slots in blocks of L
+consecutive slots, then drops the next.  Drop b of the chunk at r0 is
+realization r0 + b, and its slot t is entry (r0 + b) * S + t of every
+slot column.  In a block only the sequential parts go slot by slot: each
+drop's mobility and draws, and the control step on that slot's counts;
+containment, activity, links and power run once over the block's
+L * B * n users.  A snapshot (slots = 1) differs
 from a time series in its model alone: each drop places its hotspot
 users statically inside their assigned pico, never moves them, and takes
 its one control step from all-Sleep with no boot, so picos are Active
@@ -33,15 +37,18 @@ activity, fading and both tiers' link capacities) is simulated once, and
 each scenario is one row of the group's (K, B, m) pico control and power.
 
 With per_user, run_scenarios also builds what run and the time-series
-presets write besides the slot CSV: per-user totals, the rate histogram
-and the pico-layer capacity of the pico view.  Traces are not kept: a
-group with a traced row steps one drop at a time, copies each entry's
-user positions and serving codes (-2 exactly for an idle user) and pico
-states into a block of consecutive entries, up to TRACE_BLOCK_ROW_USERS
-user lines, and hands the block to the scenario's TraceSinks when it is
-full and at the run's last entry, so a traced run holds one block of
+presets write besides the slot CSV: per-user totals (added slot by slot,
+whatever L), the rate histogram and the pico-layer capacity of the pico
+view.  Traces are not kept: a group with a traced row steps one drop at
+a time, and its block buffers hold a trace block of consecutive entries,
+up to TRACE_BLOCK_ROW_USERS user lines: each block of slots writes its
+user positions and pico states there, the serving codes (-2 exactly for
+an idle user) go beside them, and a block of slots ends where a trace
+block does.  The trace block goes to the scenario's TraceSinks when it
+is full and at the run's last entry, so a traced run holds one block of
 trace, bounded by that constant, whatever its length, and its trace
-does not depend on the chunk bound or on the group's other rows.
+does not depend on the chunk or block bounds or on the group's other
+rows.
 write_user_trace_csv and write_pico_trace_csv, with their path bound, are
 such sinks; they and the other writers put every result file through
 write_file, each command's as the side files of one staged block.
@@ -97,7 +104,7 @@ def compute_ee(capacity_bps: np.ndarray, power_w: np.ndarray) -> np.ndarray:
 @dataclass
 class SlotColumns:
     """Per-slot metrics as columns: (K, R * S) over a group's rows, as
-    World.run_slot fills them a batch of entries at a time, or the
+    World.run_block fills them a block of entries at a time, or the
     (R * S,) view of one row, as RunResult.slot_metrics holds them; entry
     r * S + t is realization r's slot t."""
 
@@ -180,28 +187,34 @@ class Response:
                                  for f in fields(params[0])))
 
     def pico_power(self, state: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """(K, B) summed draw of each row's picos in each of B drops, from
-        their (K, B, m) control states and (B, m) counts: load-dependent
-        when Active, the sleep floor in Sleep and Boot; 0 W in a row whose
-        layout does not serve."""
+        """(L, K, B) summed draw of each row's picos in each of B drops in
+        each of L slots, from their (L, K, B, m) control states and counts
+        that broadcast against them: load-dependent when Active, the sleep
+        floor in Sleep and Boot; 0 W in a row whose layout does not
+        serve."""
         draw = np.where(state == ACTIVE, active_draw(self.pico, counts),
                         self.pico.sectors * self.pico.p_sleep_w)
         # added in pico order after a 0.0 column, which is the sum without
         # picos: np.sum's pairwise order would change the bytes, and the
         # draws are >= 0, so starting from 0.0 is exact
-        draw = np.concatenate((np.zeros(state.shape[:2] + (1,)), draw), axis=2)
-        return np.where(self.serving[:, None], np.add.accumulate(draw, axis=2)[..., -1], 0.0)
+        draw = np.concatenate((np.zeros(state.shape[:-1] + (1,)), draw), axis=-1)
+        return np.where(self.serving[:, None], np.add.accumulate(draw, axis=-1)[..., -1], 0.0)
 
     def macro_power(self, n_served: np.ndarray) -> np.ndarray:
-        """(K, B) draw of each row's macro, which never sleeps, serving
-        n_served[k, b] users in drop b."""
+        """(L, K, B) draw of each row's macro, which never sleeps, serving
+        n_served[l, k, b] users in drop b at slot l."""
         return active_draw(self.macro, n_served)
 
 
-# the most (row, user) pairs a chunk steps at once: a chunk of B
-# drops of n users holds (K, B * n) served masks and capacities, so B is
-# the most drops with K * B * n within this bound, and 1 past it
+# the most (row, user) pairs a chunk of drops holds: a chunk of B drops
+# of n users steps them in (K, B * n) served masks and capacities, so B
+# is the most drops with K * B * n within this bound, and 1 past it
 CHUNK_ROW_USERS = 49_152
+# the most (row, user) pairs a block of slots holds: a chunk steps L
+# slots at a time in (K, L * B * n) arrays, L the most slots with K * L *
+# B * n within this bound, and 1 past it (so a snapshot, or a chunk of
+# many drops, steps one slot a block)
+BLOCK_ROW_USERS = 8_192
 # the most user lines a traced group holds before it hands them to its
 # sinks: a block of L consecutive entries of n users, L the most entries
 # with L * n within this bound, and 1 past it
@@ -213,19 +226,26 @@ class World:
     the pico control of every scenario (row) of the group.
 
     The constructor builds what the group shares: layout ``topo``, its
-    kernels.disc_index ``discs``, the Response and the link constants.
-    ``drop(r0)`` then starts a chunk of B drops, realizations r0 .. r0 +
-    B - 1 (B is ``batch``, or what is left of the run), each with its own
-    generator and users and every pico asleep; ``pop`` is their users as
-    one mobility.UserPopulation of (B * n) users, stacked drop by drop,
-    and run_slot steps them all one slot.  ``snapshot`` selects what
-    differs in a one-slot scenario: static hotspot placement, no
-    movement and no boot.  ``state[k, b]`` holds row k's (m,) pico
-    control states in drop b (control.SLEEP, ACTIVE, or the boot slots
-    left).
+    kernels.disc_index ``discs``, the Response, the link constants and the
+    block buffers.  ``drop(r0)`` then starts a chunk of B drops,
+    realizations r0 .. r0 + B - 1 (B is ``batch``, or what is left of the
+    run; 1 in a traced group, so that its entries come in order), each
+    with its own generator and users and every pico asleep; ``pop`` is
+    their users as one mobility.UserPopulation of (B * n) users, stacked
+    drop by drop, and run_block steps them a block of up to ``block``
+    slots at a time.  ``snapshot`` selects what differs in a one-slot
+    scenario: static hotspot placement, no movement and no boot.
+    ``state[k, b]`` holds row k's (m,) pico control states in drop b
+    (control.SLEEP, ACTIVE, or the boot slots left).
+
+    The block buffers hold ``lines`` slots: ``x``, ``y`` the (lines, B *
+    n) user positions and ``states`` the (lines, K, B, m) pico states.
+    A block writes its slots to consecutive lines; in a traced group a
+    line is an entry's place in its trace block, whose lines the buffers
+    keep across blocks and drops.
     """
 
-    def __init__(self, scenarios: Sequence[Scenario]):
+    def __init__(self, scenarios: Sequence[Scenario], traced: bool = False):
         s = scenarios[0]  # the user process is the group's
         self.s = s
         self.topo = build_geometry(s)  # first: set-up is timed up to here
@@ -239,107 +259,140 @@ class World:
         self.eirp_pico = C.pico_tx_dbm + C.pico_antenna_gain_dbi + C.ue_antenna_gain_dbi
         # a snapshot drops hotspot users in their picos, never moves or boots
         self.snapshot = s.slots == 1
-        self.batch = min(s.realizations,
-                         max(1, CHUNK_ROW_USERS // (len(scenarios) * s.users.total)))
+        K, n, m = len(scenarios), s.users.total, self.topo.cx.size
+        self.batch = 1 if traced else min(s.realizations, max(1, CHUNK_ROW_USERS // (K * n)))
+        self.block = min(s.slots, max(1, BLOCK_ROW_USERS // (K * self.batch * n)))
+        self.lines = (min(s.realizations * s.slots, max(1, TRACE_BLOCK_ROW_USERS // n))
+                      if traced else self.block)
+        # flat, so that a smaller last chunk views a prefix of them
+        self._x, self._y = np.empty((2, self.lines * self.batch * n))
+        self._states = np.empty(self.lines * K * self.batch * m, dtype=np.int64)
 
     def drop(self, r0: int) -> None:
         """Start realizations r0 .. r0 + B - 1, B = batch or what is left:
         per drop its generator and users, then every pico asleep."""
         s, n, m = self.s, self.s.users.total, self.topo.cx.size
-        B = min(self.batch, s.realizations - r0)
+        K, B = self.response.serving.size, min(self.batch, s.realizations - r0)
+        self.r0 = r0
         self.rngs = [np.random.default_rng(np.random.SeedSequence([s.seed, TAG_WORLD, r]))
                      for r in range(r0, r0 + B)]
         self.pop = init_population(self.topo, s.work, s.users, self.rngs,
                                    static_hotspot_in_cell=self.snapshot)
-        # each slot's activity uniforms and shadowing normals, a row per drop
-        self.uniforms, self.normals = np.empty((2, B, n))
-        # drop b's pico j is column 1 + j of its block of m + 1 columns, whose
-        # column 0 takes every user that is not active in a disc
-        self.offset = np.repeat(1 + (m + 1) * np.arange(B), n)
-        self.state = np.full((self.response.serving.size, B, m), SLEEP, dtype=np.int64)
+        self.x, self.y = (a[:self.lines * B * n].reshape(self.lines, B * n)
+                          for a in (self._x, self._y))
+        self.states = self._states[:self.lines * K * B * m].reshape(self.lines, K, B, m)
+        self.state = np.full((K, B, m), SLEEP, dtype=np.int64)
 
-    def _tier_capacities(self, active: np.ndarray, in_disc: np.ndarray,
-                         containing: np.ndarray):
-        """Both tiers' link capacities for this slot's fading draw: cap_macro
-        for the active users and cap_pico for the users in_disc marks, the
-        macro value standing in elsewhere.  An idle user's capacity is 0 in
-        both: no link is evaluated for it, though it still draws its fading
-        normal."""
+    def _tier_capacities(self, active: np.ndarray, near: np.ndarray, j: np.ndarray,
+                         x: np.ndarray, y: np.ndarray, z: np.ndarray):
+        """Both tiers' link capacities of users at x, y with fading
+        normals z: cap_macro for the active users and cap_pico for the
+        users near, each to its pico j, the macro value standing in
+        elsewhere.  An idle user's capacity is 0 in both: no link is
+        evaluated for it, though it still draws its fading normal."""
         C = self.s.channel
-        discs, R, pop = self.discs, self.topo.macro_radius, self.pop
-        z = self.normals.reshape(-1)
+        discs, R = self.discs, self.topo.macro_radius
 
-        def link(users, dx, dy, sigma_db, pico_link):
-            return kernels.link_capacity(
-                np.hypot(dx, dy), z.take(users) * sigma_db, pico_link, self.w_user,
-                self.eirp_macro, self.eirp_pico, self.noise_dbm, C.min_distance_m,
-            )
+        def link(users, cx, cy, sigma_db, pico_link):
+            # in place, as users may be a block of many slots
+            dist, dy = x.take(users), y.take(users)
+            dist -= cx
+            dy -= cy
+            np.hypot(dist, dy, out=dist)
+            del dy
+            shadow = z.take(users)
+            shadow *= sigma_db
+            return kernels.link_capacity(dist, shadow, pico_link, self.w_user, self.eirp_macro,
+                                         self.eirp_pico, self.noise_dbm, C.min_distance_m)
 
         # index gathers: a boolean mask gathers several times slower
         on = np.flatnonzero(active)
         cap_macro = np.zeros(active.size)
-        cap_macro[on] = link(on, pop.px.take(on) - R, pop.py.take(on) - R,
-                             C.macro_shadow_sigma_db, False)
-        near = np.flatnonzero(in_disc)
-        j = containing.take(near)
+        cap_macro[on] = link(on, R, R, C.macro_shadow_sigma_db, False)
         cap_pico = cap_macro.copy()
-        cap_pico[near] = link(near, pop.px.take(near) - discs.cx.take(j),
-                              pop.py.take(near) - discs.cy.take(j),
+        cap_pico[near] = link(near, discs.cx.take(j), discs.cy.take(j),
                               C.pico_shadow_sigma_db, True)
         return cap_macro, cap_pico
 
-    def run_slot(self, slot: int, rows: range, out: SlotColumns):
-        """Advance the chunk by one slot and write its metrics into entries
-        rows of out's (K, R * S) columns, drop b into entry rows[b];
-        ee_bits_per_joule and pico_capacity_bps are left to the caller.  A
-        time series moves its users (``slot`` drives the work schedule).
+    def run_block(self, slots: range, out: SlotColumns, at: int = 0):
+        """Advance the chunk through the consecutive slots (L of them),
+        writing slot slots[l]'s positions and pico states to line at + l
+        of the block buffers and its metrics into out's (K, R * S)
+        columns, drop b's into entry (r0 + b) * S + slots[l];
+        ee_bits_per_joule and pico_capacity_bps are left to the caller.
+        A time series moves its users (the slot drives the work
+        schedule).
 
-        Each drop draws from its own generator, in the draw schedule's
-        order; then containment, activity, control, links and power are
-        evaluated once over the stacked (B * n) users.  Returns them, drop
-        by drop: (B * n,) ``active`` flags and ``containing`` pico ids (-1
-        outside every disc), and the (K, B * n) ``served`` mask of the
+        Only what is sequential goes slot by slot: each drop's mobility
+        and draws from its own generator, in the draw schedule's order,
+        and the control step on that slot's counts.  Containment,
+        activity, links and power are evaluated once over the block's (L
+        * B * n) users.  Returns them, slot by slot and drop by drop: (L *
+        B * n,) ``active`` flags and ``containing`` pico ids (-1 outside
+        every disc), and the (K, L * B * n) ``served`` mask of the
         pico-served users and ``cap`` capacities of each row.
         """
         s, response = self.s, self.response
-        if not self.snapshot:
-            step_population(self.pop, slot, self.topo, s.work, s.users, self.rngs)
-        for rng, uniforms, normals in zip(self.rngs, self.uniforms, self.normals):
-            rng.random(out=uniforms)
-            rng.standard_normal(out=normals)
         K, B, m = self.state.shape
-        containing = kernels.containing_disc(self.pop.px, self.pop.py, self.discs)
+        L, n = len(slots), s.users.total
+        x, y, states = self.x[at:at + L], self.y[at:at + L], self.states[at:at + L]
+        # each slot's activity uniforms and shadowing normals, a row per drop,
+        # in two arrays, so that the uniforms are freed once they are used
+        uniforms, normals = np.empty((L, B, n)), np.empty((L, B, n))
+        for l, slot in enumerate(slots):
+            if not self.snapshot:
+                step_population(self.pop, slot, self.topo, s.work, s.users, self.rngs)
+            for rng, u, z in zip(self.rngs, uniforms[l], normals[l]):
+                rng.random(out=u)
+                rng.standard_normal(out=z)
+            x[l], y[l] = self.pop.px, self.pop.py
+        x, y = x.reshape(-1), y.reshape(-1)
+        containing = kernels.containing_disc(x, y, self.discs)
         active = draw_activity_flags(
-            self.uniforms.reshape(-1), containing, self.pop.my_pico,
+            uniforms.reshape(L, -1), containing.reshape(L, -1), self.pop.my_pico,
             s.users.activity_uniform, s.users.activity_hotspot,
-        )
-        # only an active user inside a disc counts, and can be pico-served
-        in_disc = active & (containing >= 0)
-        column = np.where(in_disc, containing, -1) + self.offset
-        counts = np.bincount(column, minlength=B * (m + 1)).reshape(B, m + 1)[:, 1:]
-        self.state = step_modes(self.state, counts, response.t_activate, response.t_sleep,
-                                0 if self.snapshot else response.boot_slots)
-        cap_macro, cap_pico = self._tier_capacities(active, in_disc, containing)
-        awake = self.state == ACTIVE
-        # column 0 of each drop's block, no user's pico, is asleep; take()
-        # keeps the (K, B * n) arrays C-ordered (fancy indexing would not): a
-        # row sum over another layout adds in another order
-        asleep = np.zeros((K, B, 1), dtype=bool)
-        served = np.concatenate((asleep, awake), axis=2).reshape(K, -1).take(column, axis=1)
+        ).reshape(-1)
+        del uniforms
+        # only an active user inside a disc counts, and can be pico-served;
+        # slot l's drop b's pico j is column (l * B + b) * m + j
+        near = np.flatnonzero(active & (containing >= 0))
+        j = containing.take(near)
+        column = near // n * m + j
+        counts = np.bincount(column, minlength=L * B * m).reshape(L, B, m)
+        state, boot = self.state, 0 if self.snapshot else response.boot_slots
+        for l in range(L):
+            state = states[l] = step_modes(state, counts[l], response.t_activate,
+                                           response.t_sleep, boot)
+        self.state = state
+        awake = states == ACTIVE
+        # the (K, L * B * n) arrays are C-ordered, as a row sum over another
+        # layout adds in another order
+        served = np.zeros((K, L * B * n), dtype=bool)
+        served[:, near] = awake.transpose(1, 0, 2, 3).reshape(K, -1).take(column, axis=1)
+        del column
+        cap_macro, cap_pico = self._tier_capacities(active, near, j, x, y, normals.reshape(-1))
+        del normals
         cap = np.where(served, cap_pico, cap_macro)
-        n_pico = (awake * counts).sum(axis=2)
-        n_macro = active.reshape(B, -1).sum(axis=1) - n_pico
-        pico_power = response.pico_power(self.state, counts)
-        cols = slice(rows.start, rows.stop, rows.step)  # a range would index slower
-        out.n_active_picos[:, cols] = awake.sum(axis=2)
-        out.macro_active_users[:, cols] = n_macro
-        out.pico_active_users[:, cols] = n_pico
-        # each (row, drop) sums its own contiguous n users, as numpy sums a
-        # row alone
-        out.capacity_bps[:, cols] = cap.reshape(K, B, -1).sum(axis=2)
-        out.power_w[:, cols] = response.macro_power(n_macro) + pico_power
-        out.pico_power_w[:, cols] = pico_power
+        n_pico = (awake * counts[:, None]).sum(axis=3)
+        n_macro = active.reshape(L, 1, B, n).sum(axis=3) - n_pico
+        pico_power = response.pico_power(states, counts[:, None])
+        self.put(out.n_active_picos, slots, awake.sum(axis=3))
+        self.put(out.macro_active_users, slots, n_macro)
+        self.put(out.pico_active_users, slots, n_pico)
+        # each (row, slot, drop) sums its own contiguous n users, as numpy
+        # sums a row alone
+        self.put(out.capacity_bps, slots, cap.reshape(K, L, B, n).sum(axis=3).swapaxes(0, 1))
+        self.put(out.power_w, slots, response.macro_power(n_macro) + pico_power)
+        self.put(out.pico_power_w, slots, pico_power)
         return active, containing, served, cap
+
+    def put(self, column: np.ndarray, slots: range, values: np.ndarray) -> None:
+        """Write (L, K, B) values, row k's in drop b at slots[l], into the
+        chunk's entries of a C-ordered (K, R * S) column."""
+        K, B, S = column.shape[0], self.state.shape[1], self.s.slots
+        # a view, as the column is C-ordered
+        entries = column.reshape(K, -1, S)[:, self.r0:self.r0 + B, slots.start:slots.stop]
+        entries[...] = values.transpose(1, 2, 0)
 
 
 @dataclass(frozen=True)
@@ -354,8 +407,8 @@ class TraceSinks:
     ``users(topology, rows, x, y, serving)`` gets the group's layout and
     the block's (L, n) positions and serving codes (-2 idle, -1 macro, j
     pico); ``picos(rows, states)`` gets the row's (L, m) pico control
-    states.  The arrays are the engine's own and change as
-    it steps: a sink that keeps them copies them.
+    states.  The arrays are views of the engine's block buffers and
+    change as it steps: a sink that keeps them copies them.
     ``partial(write_user_trace_csv, path)`` and its pico twin write the
     two trace CSVs.
     """
@@ -428,7 +481,11 @@ def run_scenario(scenario: Scenario, per_user: bool = False,
 
 def _run_group(scenarios: list[Scenario], per_user: bool,
                traces: list[Optional[TraceSinks]]) -> list[RunResult]:
-    world = World(scenarios)
+    # the rows whose user or pico trace goes to a sink
+    traced_users = [k for k, t in enumerate(traces) if t and t.users]
+    traced_picos = [k for k, t in enumerate(traces) if t and t.picos]
+    traced = bool(traced_users or traced_picos)
+    world = World(scenarios, traced)
     K, n = len(scenarios), world.s.users.total
     R, S = world.s.realizations, world.s.slots
     columns = SlotColumns.empty(K, R * S)
@@ -440,18 +497,10 @@ def _run_group(scenarios: list[Scenario], per_user: bool,
         pico_slots = np.zeros((K, n), dtype=np.int64)
         hist = np.zeros((K, HIST_BINS), dtype=np.int64)
         columns.pico_capacity_bps = np.empty((K, R * S))
-    # the rows whose user or pico trace goes to a sink
-    traced_users = [k for k, t in enumerate(traces) if t and t.users]
-    traced_picos = [k for k, t in enumerate(traces) if t and t.picos]
-    traced = traced_users or traced_picos
-    if traced:
-        # a traced group steps one drop at a time, so its entries come in
-        # order: a block holds L consecutive entries, line e % L entry e
-        world.batch = 1
-        L = min(R * S, max(1, TRACE_BLOCK_ROW_USERS // n))
-        x, y = np.empty((2, L, n))
-        serving = np.empty((len(traced_users), L, n), dtype=np.int64)
-        states = np.empty((len(traced_picos), L, world.topo.cx.size), dtype=np.int64)
+    # a traced group's block buffers hold its trace block, world.lines
+    # consecutive entries, entry e on line e % world.lines; serving holds
+    # the user-traced rows' serving codes on the same lines
+    serving = np.empty((len(traced_users), world.lines, n), dtype=np.int64)
 
     for r0 in range(0, R, world.batch):
         world.drop(r0)
@@ -459,36 +508,42 @@ def _run_group(scenarios: list[Scenario], per_user: bool,
         # this chunk's per-user sums, each drop's users apart: 0 plus the
         # first slot's arrays makes (K, B * n) float and int64 arrays
         chunk_cap = chunk_active = chunk_pico = 0
-        for slot in range(S):
-            # drop b's slot is entry (r0 + b) * S + slot
-            rows = range(r0 * S + slot, (r0 + B) * S, S)
-            active, containing, served, cap = world.run_slot(slot, rows, columns)
+        t0 = 0
+        while t0 < S:
+            # a block fills the buffers from line at, up to a trace block's
+            # end; entry is its first slot's entry in the chunk's first drop
+            entry = r0 * S + t0
+            at = entry % world.lines if traced else 0
+            slots = range(t0, min(S, t0 + world.block, t0 + world.lines - at))
+            L = len(slots)
+            active, containing, served, cap = world.run_block(slots, columns, at)
             if per_user:
-                chunk_cap += cap
-                chunk_active += active
-                chunk_pico += served
-                # a compacted sum per row: zeros in place of the macro-served
-                # users would change numpy's pairwise order
-                for b, row in enumerate(rows):
-                    drop = slice(b * n, (b + 1) * n)
-                    columns.pico_capacity_bps[:, row] = [
-                        c[sv].sum() for c, sv in zip(cap[:, drop], served[:, drop])]
-            if traced:
-                entry = rows.start
-                line = entry % L
-                if traced_users:
-                    x[line], y[line] = world.pop.px, world.pop.py
-                    serving[:, line] = np.where(served[traced_users], containing,
-                                                np.where(active, -1, -2))
-                states[:, line] = world.state[traced_picos, 0]
-                if line == L - 1 or entry == R * S - 1:
-                    block, end = range(entry - line, entry + 1), line + 1
-                    for k, codes in zip(traced_users, serving):
-                        traces[k].users(world.topo, block, x[:end], y[:end], codes[:end])
-                    for k, modes in zip(traced_picos, states):
-                        traces[k].picos(block, modes[:end])
-            # free this batch's (K, B * n) arrays before the next builds its own
-            del served, cap
+                # slot by slot, so the float sums add in one order at any L
+                for slot_cap in cap.reshape(K, L, -1).swapaxes(0, 1):
+                    chunk_cap += slot_cap
+                chunk_active += active.reshape(L, -1).sum(axis=0)
+                chunk_pico += served.reshape(K, L, -1).sum(axis=1)
+                # a compacted sum per row and entry: zeros in place of the
+                # macro-served users would change numpy's pairwise order
+                world.put(columns.pico_capacity_bps, slots, np.reshape(
+                    [c[sv].sum() for c, sv in zip(cap.reshape(-1, n), served.reshape(-1, n))],
+                    (K, L, B)).swapaxes(0, 1))
+            if traced_users:
+                serving[:, at:at + L] = np.where(
+                    served[traced_users], containing,
+                    np.where(active, -1, -2)).reshape(-1, L, n)
+            # free this block's arrays before the sinks format theirs and the
+            # next block builds its own
+            del active, containing, served, cap
+            end, last = at + L, entry + L - 1
+            if traced and (end == world.lines or last == R * S - 1):
+                block = range(last + 1 - end, last + 1)
+                for k, codes in zip(traced_users, serving):
+                    traces[k].users(world.topo, block, world.x[:end], world.y[:end],
+                                    codes[:end])
+                for k in traced_picos:
+                    traces[k].picos(block, world.states[:end, k, 0])
+            t0 += L
         if per_user:
             # bin each realization's ever-active users at their mean rate
             # over its slots, then add its sums to the run's, realization by

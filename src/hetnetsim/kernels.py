@@ -96,23 +96,27 @@ def containing_disc(px, py, index: DiscIndex):
     point one candidate, and a running minimum keeps the lowest hit, so
     memory is O(n + cells * depth).
     """
-    # off the grid, a point lies past every box: its edge cell lists no hit
-    ix = np.clip(_cell(px, index.x0, index.w), 0, index.gx - 1)
-    iy = np.clip(_cell(py, index.y0, index.w), 0, index.gy - 1)
-    cell = iy * index.gx + ix
+    # off the grid, a point lies past every box: its edge cell lists no hit;
+    # in place where it can be, as the points may be a block of many slots
+    cell = np.clip(_cell(py, index.y0, index.w), 0, index.gy - 1)
+    cell *= index.gx
+    cell += np.clip(_cell(px, index.x0, index.w), 0, index.gx - 1)
     r2 = index.radius * index.radius
 
     def hits(column):
         # one candidate per point; empty slots point at the centre at infinity
         cand = column.take(cell)
-        dx = px - index.cx.take(cand)
-        dy = py - index.cy.take(cand)
+        dx, dy = index.cx.take(cand), index.cy.take(cand)
+        np.subtract(px, dx, out=dx)
+        np.subtract(py, dy, out=dy)
         dx *= dx
         dx += np.square(dy, out=dy)
-        return np.where(dx < r2, cand, index.m)
+        np.copyto(cand, index.m, where=~(dx < r2))
+        return cand
 
-    first_hit = reduce(np.minimum, map(hits, index.table.T))
-    return np.where(first_hit < index.m, first_hit, -1).astype(np.int64, copy=False)
+    first_hit = reduce(lambda a, b: np.minimum(a, b, out=a), map(hits, index.table.T))
+    np.copyto(first_hit, -1, where=first_hit == index.m)
+    return first_hit.astype(np.int64, copy=False)
 
 
 def link_capacity(
@@ -131,15 +135,26 @@ def link_capacity(
     eirp_* = tx power + antenna gains in dBm; shadow_db is already scaled
     by the serving tier's sigma.
     """
-    d = np.maximum(dist_m, min_distance_m) / 1000.0
-    log_d = np.log10(d)
+    # one array, worked in place: each step is the ufunc of the formula,
+    # with a + b and a * b taken as b + a and b * a, which IEEE makes equal
+    v = np.maximum(dist_m, min_distance_m)
+    v /= 1000.0
+    np.log10(v, out=v)
     if pico_link:
-        pl, eirp = 128.1 + 37.6 * log_d, eirp_pico_dbm
+        a, b, eirp = 128.1, 37.6, eirp_pico_dbm
     else:
-        pl, eirp = 140.7 + 36.7 * log_d, eirp_macro_dbm
-    snr_db = eirp - pl + shadow_db - noise_dbm
-    snr = 10.0 ** (snr_db / 10.0)
-    return bandwidth_hz * np.log2(1.0 + snr)
+        a, b, eirp = 140.7, 36.7, eirp_macro_dbm
+    v *= b
+    v += a  # the path loss
+    np.subtract(eirp, v, out=v)
+    v += shadow_db
+    v -= noise_dbm
+    v /= 10.0
+    np.power(10.0, v, out=v)  # the SNR
+    v += 1.0
+    np.log2(v, out=v)
+    v *= bandwidth_hz
+    return v
 
 
 def advance_positions(px, py, dx, dy, vx, vy, speed):

@@ -614,6 +614,25 @@ def test_a_failed_preset_or_sweep_leaves_earlier_files_as_found(
     assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize("exc, message", [(MemoryError(), "MemoryError"),
+                                          (RuntimeError(""), "RuntimeError"),
+                                          (OSError("disk full"), "disk full")])
+def test_a_runtime_error_without_a_message_is_named(tmp_path, monkeypatch, capsys, exc,
+                                                    message):
+    """A run that fails with an exception that has no message exits 2 and
+    names the exception's type; a message, when there is one, is printed
+    as it is."""
+    doc = tmp_path / "s.yaml"
+    doc.write_text("topology: udc\nusers: {total: 20}\n")
+
+    def failing_run(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_scenario", failing_run)
+    assert main(["run", "--scenario", str(doc), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"runtime error: {message}\n"
+
+
 def test_run_without_power_writes_zero_efficiency(tmp_path, capsys):
     """No draw at all (a macro with no fixed part and no users, picos that
     sleep for free) is a valid run: EE is 0 b/J, not an error."""

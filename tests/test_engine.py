@@ -140,7 +140,7 @@ def test_single_active_pico_power_decomposition():
     w.drop(0)
     w.state[0, 0, 0] = ACTIVE
     out = SlotColumns.empty(1, 1)
-    active, containing, _, _ = w.run_slot(0, range(1), out)
+    active, containing, _, _ = w.run_block(range(1), out)
     m = out.row(0)
     assert active.all()
     n0 = int((containing == 0).sum())
@@ -170,7 +170,7 @@ def test_engine_mode_trail_follows_the_state_table(boot_slots):
     out = SlotColumns.empty(1, s.slots)
     counts, states = [], []
     for slot in range(s.slots):
-        active, containing, _, _ = w.run_slot(slot, range(slot, slot + 1), out)
+        active, containing, _, _ = w.run_block(range(slot, slot + 1), out)
         counts.append(slot_counts(w, active, containing))
         states.append(w.state[0, 0].copy())
     states = np.array(states)
@@ -191,7 +191,7 @@ def test_bandwidth_is_split_over_all_configured_users(p_active):
                  channel={"bandwidth_hz": 1e7})
     w = World([s])
     w.drop(0)
-    active, *_ = w.run_slot(0, range(1), SlotColumns.empty(1, 1))
+    active, *_ = w.run_block(range(1), SlotColumns.empty(1, 1))
     assert abs(int(active.sum()) - 400 * p_active) < 60
     assert w.w_user == 1e7 / 400
 
@@ -394,31 +394,34 @@ class TestServingInvariants:
 
     @pytest.mark.parametrize("shape", [{"slots": 40}, {"realizations": 5}])
     def test_run_slot_serves_no_idle_user_and_only_from_active_discs(self, shape):
-        """Checked on run_slot's own outputs, since a trace's activity
-        follows from its serving code: in every row, slot and drop no idle
-        user is pico-served, and a pico-served user lies strictly inside
-        the disc of a pico that is Active in that row and drop."""
+        """Checked on the outputs of World.run_block (the one slot path),
+        since a trace's activity follows from its serving code: in every
+        row, slot and drop of a block, here 34 slots of the time series at
+        once, no idle user is pico-served, and a pico-served user lies
+        strictly inside the disc of a pico that is Active in that row, slot
+        and drop."""
         scenarios = [scenario(**shape, boot_slots=1,
                               layout={"n_picos": 8, "pico_radius_m": 100.0},
                               users={"total": 120, "hotspot": 60, "activity_uniform": 0.5},
                               policy={"t_activate": t, "t_deactivate": None})
                      for t in (1.0, 4.0)]
         w = World(scenarios)
-        R, S, n = w.s.realizations, w.s.slots, w.s.users.total
+        K, R, S, n = len(scenarios), w.s.realizations, w.s.slots, w.s.users.total
+        assert w.block == min(S, engine.BLOCK_ROW_USERS // (K * w.batch * n))
         cx, cy, r = w.topo.cx, w.topo.cy, w.topo.pico_radius
-        out = SlotColumns.empty(len(scenarios), R * S)
+        out = SlotColumns.empty(K, R * S)
         n_served = 0
         for r0 in range(0, R, w.batch):
             w.drop(r0)
             B = w.state.shape[1]
-            for slot in range(S):
-                active, _, served, _ = w.run_slot(slot, range(r0 * S + slot, (r0 + B) * S, S),
-                                                  out)
+            for t0 in range(0, S, w.block):
+                L = min(w.block, S - t0)
+                active, _, served, _ = w.run_block(range(t0, t0 + L), out)
                 assert not (served & ~active).any()
-                dx, dy = w.pop.px[:, None] - cx, w.pop.py[:, None] - cy
+                dx, dy = w.x[:L].reshape(-1, 1) - cx, w.y[:L].reshape(-1, 1) - cy
                 inside = dx * dx + dy * dy < r * r
-                awake = np.repeat(w.state == ACTIVE, n, axis=1)
-                assert (inside & awake).any(axis=2)[served].all()
+                awake = (w.states[:L] == ACTIVE).swapaxes(0, 1).reshape(K, L * B, -1)
+                assert (inside & np.repeat(awake, n, axis=1)).any(axis=2)[served].all()
                 n_served += int(served.sum())
         assert n_served > 0
 
@@ -920,7 +923,7 @@ def reference_slot_columns(scenarios):
         if slot == 0:
             w.drop(r)
         row = r * S + slot
-        active, containing, served_rows, cap_rows = w.run_slot(slot, range(row, row + 1), out)
+        active, containing, served_rows, cap_rows = w.run_block(range(slot, slot + 1), out)
         counts = slot_counts(w, active, containing)
         for k, s in enumerate(scenarios):
             served, cap = served_rows[k], cap_rows[k]
@@ -1176,6 +1179,90 @@ def test_chunked_time_series_equal_drops_stepped_one_at_a_time(docs, slots, real
             [row for row in range(entries) for _ in range(n)]
 
 
+def run_in_blocks(tmp, scenarios, L, traced, trace_lines):
+    """run_scenarios with per_user, each chunk stepped in blocks of L
+    slots; traced, with trace blocks of trace_lines entries, every
+    scenario's traces go to the trace writers, in files in tmp.  Returns
+    the results, the trace files' bytes and each sink call's scenario,
+    kind and entries, in call order."""
+    K, n = len(scenarios), scenarios[0].users.total
+    calls, sinks = [], []
+    for k in range(K):
+        def take_users(topology, rows, *columns, k=k):
+            calls.append((k, "users", list(rows)))
+            write_user_trace_csv(Path(tmp) / f"users{k}.csv", topology, rows, *columns)
+
+        def take_picos(rows, states, k=k):
+            calls.append((k, "picos", list(rows)))
+            write_pico_trace_csv(Path(tmp) / f"picos{k}.csv", rows, states)
+
+        sinks.append(TraceSinks(users=take_users, picos=take_picos))
+    B = World(scenarios, traced).batch
+    with mock.patch.object(engine, "BLOCK_ROW_USERS", L * K * B * n), \
+            mock.patch.object(engine, "TRACE_BLOCK_ROW_USERS", trace_lines * n):
+        assert World(scenarios, traced).block == L
+        results = run_scenarios(scenarios, per_user=True, traces=sinks if traced else ())
+    return results, file_bytes(tmp), calls
+
+
+@settings(max_examples=30, deadline=None)
+@given(docs=process_groups(), slots=st.integers(2, 9), realizations=st.sampled_from([1, 3]),
+       traced=st.booleans(), trace_lines=st.integers(1, 5))
+def test_blocks_of_slots_equal_one_slot_at_a_time(docs, slots, realizations, traced,
+                                                  trace_lines):
+    """A group of R time series stepped in blocks of 2, 3 or all S slots
+    gives bit for bit every slot column, mean, per-user value and
+    histogram of the group stepped one slot a block; traced, it writes
+    byte for byte the same trace files and hands its sinks the same
+    blocks of entries, as a block of slots ends where a trace block
+    does."""
+    scenarios = [parse_scenario({**d, "slots": slots, "realizations": realizations})
+                 for d in docs]
+    runs = []
+    for L in (1, 2, 3, slots):
+        with tempfile.TemporaryDirectory() as tmp:
+            runs.append(run_in_blocks(tmp, scenarios, min(L, slots), traced, trace_lines))
+    (one, files, calls), *others = runs
+    assert len(files) == (2 * len(scenarios) if traced else 0)
+    entries = realizations * slots
+    assert [rows for k, kind, rows in calls if (k, kind) == (0, "users")] == \
+        [list(range(e, min(e + trace_lines, entries))) for e in range(0, entries, trace_lines)
+         ] * traced
+    for results, other_files, other_calls in others:
+        for a, b in zip(results, one):
+            assert_same_run(a, b)
+        assert other_files == files
+        assert other_calls == calls
+
+
+def test_block_memory_does_not_grow_with_slots():
+    """A two-row, 1000-user time series with per_user, untraced, peaks at
+    4 S slots within 16 KiB of its peak at S, beside the (K, R * S) slot
+    columns of the added slots: it steps blocks of L = BLOCK_ROW_USERS //
+    (K * n) = 4 slots, whose buffers hold one block however long the
+    run.  Its users have no work schedule, whose retargets of many
+    hotspot users at once would add their own peak."""
+    def peak(slots):
+        scenarios = [parse_scenario({
+            "topology": "udc", "seed": 1, "slots": slots,
+            "users": {"total": 1000, "hotspot": 0},
+            "policy": {"t_activate": t, "t_deactivate": None},
+        }) for t in (4.0, 12.0)]
+        assert World(scenarios).block == min(slots, 4)
+        tracemalloc.start()
+        try:
+            run_scenarios(scenarios, per_user=True)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # numpy's first-call allocations
+    S = 40
+    # eight float64 or int64 (K, R * S) columns, with pico_capacity_bps
+    added_columns = 8 * 2 * 3 * S * 8
+    assert peak(4 * S) - peak(S) < added_columns + 2**14
+
+
 @settings(max_examples=30, deadline=None)
 @given(docs=process_groups(), realizations=st.integers(2, 5))
 def test_first_realization_is_the_one_realization_run(docs, realizations):
@@ -1259,10 +1346,12 @@ def test_a_group_builds_its_disc_index_once(shape, slots):
     one population per chunk of drops (here chunks of 3, so 3 + 1 for 4
     realizations), so one for a whole time series, with each realization's
     generator, in order, given to one of them exactly once; one
-    containment query per slot, or per chunk."""
+    containment query per block of slots (here blocks of 5, so 5 + 5 + 2
+    for 12 slots), so one per chunk of a snapshot."""
     s = scenario(**shape, users={"total": 100})
     calls = mock.Mock()
     with mock.patch.object(engine, "CHUNK_ROW_USERS", 3 * 2 * 100), \
+            mock.patch.object(engine, "BLOCK_ROW_USERS", 5 * 2 * 100), \
             mock.patch.object(engine, "build_geometry", wraps=engine.build_geometry) as layouts, \
             mock.patch.object(engine, "Response", wraps=engine.Response) as responses, \
             mock.patch.object(kernels, "disc_index", wraps=kernels.disc_index) as build, \
@@ -1276,7 +1365,7 @@ def test_a_group_builds_its_disc_index_once(shape, slots):
     assert [c[0] for c in calls.mock_calls] == ["build_geometry", "Response"]
     assert build.call_count == 1
     chunks = 2 if "realizations" in shape else 1
-    assert query.call_count == (chunks if "realizations" in shape else slots)
+    assert query.call_count == (chunks if "realizations" in shape else -(-slots // 5))
     assert drops.call_count == chunks
     rngs = [rng for call in drops.call_args_list for rng in call.args[3]]
     assert [rng.bit_generator.seed_seq.entropy for rng in rngs] == \

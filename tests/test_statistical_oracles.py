@@ -144,7 +144,7 @@ def test_time_series_control_is_the_markov_chain_of_its_state_table():
     before = w.state
     wakes = np.zeros(w.state.shape, dtype=np.int64)
     for slot in range(slots):
-        w.run_slot(slot, range(slot, slot + 1), out)
+        w.run_block(range(slot, slot + 1), out)
         wakes += (before == SLEEP) & (w.state != SLEEP)
         before = w.state
     assert (w.pop.px == start_x).all()  # the users never moved
