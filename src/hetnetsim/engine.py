@@ -51,7 +51,11 @@ does not depend on the chunk or block bounds or on the group's other
 rows.
 write_user_trace_csv and write_pico_trace_csv, with their path bound, are
 such sinks; they and the other writers put every result file through
-write_file, each command's as the side files of one staged block.
+write_file, each command's as the side files of one staged block.  The
+two trace writers and write_users_csv build their lines as bytes in
+numpy: each field an array of ASCII rows from a table or from
+kernels.int_text and kernels.float_text, joined by _join, with no Python
+string made per value.
 """
 
 from __future__ import annotations
@@ -59,7 +63,6 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -662,26 +665,31 @@ def write_pico_view_csv(result: RunResult, path: str | Path) -> None:
 
 
 def write_users_csv(result: RunResult, path: str | Path) -> None:
-    """One line per user, joined from parallel string streams: "{id}," from
-    a table, its kind, repr of its mean rate (kernels.float_reprs, one call
-    per CHUNK_ROWS users), and ",{frac}\\n", formatted
-    once per distinct frac_slots_on_pico (told apart by their bits, so
-    -0.0 is not 0.0)."""
+    """One line per user, joined by _join from its fields, FORMAT_LINES
+    users a call: the id's digits and ",", its kind from a table, repr of
+    its mean rate (kernels.float_text) and ",{frac}\\n", from a table of
+    each distinct frac_slots_on_pico (told apart by their bits, so -0.0
+    is not 0.0)."""
     if result.mean_rate_bps is None:
         raise ValueError("run was executed without per_user")
     rates, frac = result.mean_rate_bps, result.frac_slots_on_pico
+    # each user's index among the distinct bit patterns, by a stable
+    # argsort, not np.unique: its first call maps about 0.6 MiB more of
+    # numpy into memory
     bits = frac.view(np.int64)
-    # one float per distinct bit pattern, by a dict, not np.unique: its
-    # first call maps about 0.6 MiB more of numpy into memory
-    fracs = {b: f",{v!r}\n" for b, v in dict(zip(bits.tolist(), frac.tolist())).items()}
-    ids = _id_fields(rates.shape[0], "{},")
+    order = np.argsort(bits, kind="stable")
+    first = np.ones(bits.shape, bool)
+    np.not_equal(bits[order[1:]], bits[order[:-1]], out=first[1:])
+    distinct = np.empty(bits.shape, np.intp)
+    distinct[order] = np.cumsum(first) - 1
+    fracs = kernels.float_text(frac[order[first]])
+    ids = np.arange(rates.shape[0])
     write_file(path, chain(["user_id,kind,mean_rate_bps,frac_slots_on_pico\n"], (
-        "".join(chain.from_iterable(zip(
-            ids[i:i + CHUNK_ROWS],
-            map(_KINDS.__getitem__, result.is_hotspot[i:i + CHUNK_ROWS].tolist()),
-            kernels.float_reprs(rates[i:i + CHUNK_ROWS]),
-            map(fracs.__getitem__, bits[i:i + CHUNK_ROWS].tolist()))))
-        for i in range(0, rates.shape[0], CHUNK_ROWS)
+        _join(kernels.int_text(ids[i:i + FORMAT_LINES]), _COMMA,
+              _KINDS[result.is_hotspot[i:i + FORMAT_LINES].astype(np.intp)],
+              kernels.float_text(rates[i:i + FORMAT_LINES]), _COMMA,
+              fracs[distinct[i:i + FORMAT_LINES]], _NEWLINE)
+        for i in range(0, rates.shape[0], FORMAT_LINES)
     )))
 
 
@@ -709,91 +717,82 @@ def write_sweep_csv(points: Iterable[tuple[float, RunResult]], path: str | Path,
     ))
 
 
+def _ascii(texts: Sequence[str]) -> np.ndarray:
+    """A table of ASCII texts: row i is texts[i]'s bytes, NUL-padded."""
+    table = np.array(texts, dtype="S")
+    return table.view(np.uint8).reshape(len(texts), table.itemsize)
+
+
+_COMMA, _NEWLINE = _ascii([","]), _ascii(["\n"])
 # the users.csv kind field of a user whose is_hotspot is False, True
-_KINDS = ("uniform,", "hotspot,")
-
-
-@lru_cache(maxsize=3)
-def _id_fields(ids: int, form: str = ",{},") -> tuple[str, ...]:
-    """form.format(i) for ids 0 .. ids - 1, built once for all the blocks
-    of a run's two traces (",{i}," for n users and m picos) and for its
-    users.csv ("{i},")."""
-    return tuple(map(form.format, range(ids)))
-
-
-def _serving_tails(m: int) -> tuple[str, ...]:
-    """The m + 2 user-trace line tails ",{active},{serving_cell}\n" of a
-    layout of m picos, serving code c's at c + 2: only an idle user (-2)
-    is served by nobody."""
-    return (",0,none\n", ",1,macro\n", *(f",1,pico:{j}\n" for j in range(m)))
-
-
+_KINDS = _ascii(["uniform,", "hotspot,"])
 # the pico-trace line tail of each control.MODES index
-_MODE_TAILS = tuple(f"{mode}\n" for mode in MODES)
+_MODE_TAILS = _ascii([f"{mode}\n" for mode in MODES])
+
+# the most lines one _join call assembles, bar a single trace row's.  A
+# call costs some 60 numpy operations fixed, and its peak memory grows with
+# its lines: the ts_traced user trace (n = 1000) took 22.8, 21.5 and 20.3
+# ms to write on a 2-vCPU host at 2,048, 3,072 and 4,096 lines a call,
+# while writing a 200-row block of it peaked at 0.53, 0.78 and 1.02 MiB of
+# allocations
+FORMAT_LINES = 3072
 
 
-def _write_trace_rows(path: str | Path, header: str, rows: Sequence[int], ids: int,
-                      lines: Iterable) -> None:
+def _join(*fields) -> str:
+    """The text of lines given as fields, left to right: each an array
+    (..., w) of ASCII bytes, NUL where its text is shorter than w, the
+    fields' leading axes broadcast to the lines'.  They are copied side by
+    side into one buffer, which they fill, then its bytes are read with
+    the NULs dropped; as no text holds a NUL character, that joins the
+    fields and the lines exactly."""
+    widths = [f.shape[-1] for f in fields]
+    buf = np.empty((*np.broadcast_shapes(*(f.shape[:-1] for f in fields)), sum(widths)),
+                   np.uint8)
+    at = 0
+    for f, w in zip(fields, widths):
+        buf[..., at:at + w] = f
+        at += w
+    buf = buf[buf != 0]
+    return str(buf, "ascii")
+
+
+def _write_trace(path: str | Path, header: str, rows: Sequence[int], ids: int,
+                 fields: Callable[[int, int], tuple]) -> None:
     """Write the trace rows numbered rows to path: the block whose first
     row is 0 creates the file with its header, and later blocks append.
-    One chunk of lines per row, joined from parallel string streams: the
-    row number, formatted once, then ",{i}," for each of ids ids, then the
-    streams lines gives for the row, ids strings from each."""
-    id_text = _id_fields(ids)
-
-    def text(row: int, streams: tuple) -> str:
-        # each line's fields in turn, placed by slice assignment: zipping
-        # the streams line by line costs about 0.1 µs more per line
-        width = 2 + len(streams)
-        fields = [str(row)] * (width * ids)
-        fields[1::width] = id_text
-        for k, stream in enumerate(streams, 2):
-            fields[k::width] = stream
-        return "".join(fields)
-
-    write_file(path, chain([header] if rows[0] == 0 else [], map(text, rows, lines)),
-               append=rows[0] > 0)
-
-
-# the most coordinates one kernels.float_reprs call of the user trace
-# formats, bar a single row's 2n.  A call costs about 0.07 ms fixed: on a
-# 2-vCPU host it took 0.09 ms for 125 values where repr took 0.06, and
-# 0.20 ms for 1,000 where repr took 0.49.  Larger calls cost memory: in
-# ts_traced (n = 1000) a call per row peaked at 38.8 MiB, one per four
-# rows at 41.2 and one per 16,384-line block at 47.6
-TRACE_FORMAT_VALUES = 1000
+    Each line of rows a .. b - 1 is the row number, ",{i}," for each of
+    ids ids, then the fields that fields(a, b) gives as (b - a, ids, w)
+    arrays; a _join call takes the rows of FORMAT_LINES lines, or one."""
+    per_call = max(1, FORMAT_LINES // max(1, ids))
+    id_text = kernels.int_text(np.arange(ids))
+    write_file(path, chain([header] if rows[0] == 0 else [], (
+        _join(kernels.int_text(np.asarray(rows[a:a + per_call]))[:, None], _COMMA, id_text,
+              _COMMA, *fields(a, a + per_call))
+        for a in range(0, len(rows), per_call)
+    )), append=rows[0] > 0)
 
 
 def write_user_trace_csv(path: str | Path, topology: Topology, rows: Sequence[int], x, y,
                          serving) -> None:
     """A block of user_trace.csv, as a TraceSinks.users sink with path
-    bound.  Only x and y are formatted per line: kernels.float_reprs, the
-    repr of each, takes one call per row, or per group of rows of about
-    TRACE_FORMAT_VALUES coordinates where n is small; the active flag and
-    serving label both follow from the serving code, by a table of line
-    tails."""
-    tails = _serving_tails(topology.cx.size)
-    n = x.shape[1]
-    per_call = max(1, TRACE_FORMAT_VALUES // max(1, 2 * n))
+    bound, written by _write_trace: x and y by kernels.float_text, both in
+    one call; the active flag and serving label both follow from the
+    serving code, by a table of line tails ",0,none\\n", ",1,macro\\n"
+    and ",1,pico:{j}\\n", serving code c's at c + 2."""
+    tails = _ascii([",0,none\n", ",1,macro\n",
+                    *(f",1,pico:{j}\n" for j in range(topology.cx.size))])
 
-    def lines():
-        for i in range(0, x.shape[0], per_call):
-            # a call's x texts, then its y texts, n per row
-            texts = kernels.float_reprs(
-                np.concatenate((x[i:i + per_call], y[i:i + per_call]), axis=None))
-            ys = len(texts) // 2
-            for j, codes in enumerate(serving[i:i + per_call]):
-                yield (texts[j * n:(j + 1) * n], repeat(",", n),
-                       texts[ys + j * n:ys + (j + 1) * n],
-                       map(tails.__getitem__, (codes + 2).tolist()))
+    def fields(a, b):
+        texts = kernels.float_text(np.concatenate((x[a:b], y[a:b]), axis=None))
+        xy = texts.reshape(2, *x[a:b].shape, texts.shape[1])
+        return xy[0], _COMMA, xy[1], tails[serving[a:b] + 2]
 
-    _write_trace_rows(path, "slot,user_id,x,y,active,serving_cell\n", rows, n, lines())
+    _write_trace(path, "slot,user_id,x,y,active,serving_cell\n", rows, x.shape[1], fields)
 
 
 def write_pico_trace_csv(path: str | Path, rows: Sequence[int], states) -> None:
     """A block of pico_trace.csv, as a TraceSinks.picos sink with path
-    bound, written as write_user_trace_csv writes; each state's mode label
-    comes from a table of line tails."""
-    _write_trace_rows(path, "slot,pico_id,mode\n", rows, states.shape[1], (
-        (map(_MODE_TAILS.__getitem__, codes.tolist()),) for codes in mode_index(states)
-    ))
+    bound, written by _write_trace; each state's mode label comes from a
+    table of line tails."""
+    _write_trace(path, "slot,pico_id,mode\n", rows, states.shape[1],
+                 lambda a, b: (_MODE_TAILS[mode_index(states[a:b])],))

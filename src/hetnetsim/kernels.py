@@ -1,7 +1,8 @@
 """Vectorized inner loops of the slot pipeline, in plain numpy, and the
-output layer's float formatter, float_reprs: repr's exact text for a
-whole array, worked in float64 and int64 steps where they can certify it
-and left to repr where they cannot.
+output layer's number formatters, as rows of NUL-padded ASCII bytes:
+int_text, str's digits of non-negative ints, and float_text, repr's
+exact text for a whole array, worked in float64 and int64 steps where
+they can certify it and left to repr where they cannot.
 
 Callers look these up as ``kernels.NAME`` at call time, so an
 instrumented run can wrap them here.  ``USING_NUMBA`` stays False: there
@@ -173,9 +174,9 @@ def advance_positions(px, py, dx, dy, vx, vy, speed):
 # 10 ** k for k = 0 .. 16, exact as int64 and as float64
 _POW10_INT = 10 ** np.arange(17, dtype=np.int64)
 _POW10 = _POW10_INT.astype(np.float64)
-# the code points of the two digits of each pair 0 .. 99, as one uint64
+# the two ASCII digits of each pair 0 .. 99, as one uint16
 _PAIR_CHARS = np.array([[48 + i // 10, 48 + i % 10] for i in range(100)],
-                       dtype=np.uint32).view(np.uint64)[:, 0]
+                       dtype=np.uint8).view(np.uint16)[:, 0]
 # a decision this close to its boundary, in units of the 17th digit, is
 # left to repr; the float steps that reach it err by less than 1e-12
 _MARGIN = 1e-6
@@ -193,7 +194,7 @@ _POW10_HI, _POW10_LO = _split(_POW10)
 
 
 def _shortest_decimal(w):
-    """For w in [1, 1e14): D = w * 10 ** (16 - e) rounded as float_reprs
+    """For w in [1, 1e14): D = w * 10 ** (16 - e) rounded as float_text
     says, as int64, e, and whether to leave w to repr."""
     # 10 ** e <= w < 10 ** (e + 1), found among the exact powers
     e = _POW10[:15].searchsorted(w, side="right") - 1
@@ -208,6 +209,8 @@ def _shortest_decimal(w):
     H = hi.astype(np.int64)
     base = H // 1000 * 1000
     R = (H - base).astype(np.float64) + lo
+    # free what the loop does not read: a call's peak memory bounds its size
+    del p, s1, s2, w1, w2, hi, lo, H
     # half an ulp of w, scaled as D is: exact
     half_ulp = np.ldexp(scale, np.frexp(w)[1] - 54)
     unsure = np.zeros(w.shape, dtype=bool)
@@ -227,7 +230,7 @@ def _shortest_decimal(w):
 
 
 def _decimal_text(D, e):
-    """(n, 18) code points: the digits of D with a point after the first
+    """(n, 18) ASCII bytes: the digits of D with a point after the first
     e + 1 and trailing 0s dropped, NUL-padded."""
     # X: D with a 0 digit put in after its first e + 1, 18 digits
     s = _POW10_INT[16 - e]
@@ -239,12 +242,12 @@ def _decimal_text(D, e):
         np.floor_divide(pairs[i + 1], 100, out=pairs[i])
     for i in range(8, 0, -1):
         pairs[i] -= 100 * pairs[i - 1]
-    # taken from a contiguous index, then turned: 288 KiB at 2,000 values
-    # where taking through pairs.T copies the index too and holds 432 KiB
+    # taken from a contiguous index, then turned: taking through pairs.T
+    # copies the index too
     chars = _PAIR_CHARS.take(pairs)
     del pairs
-    text = np.ascontiguousarray(chars.T).view(np.uint32)
-    text[np.arange(X.size), e + 1] = 46  # "."
+    text = np.ascontiguousarray(chars.T).view(np.uint8)
+    text.reshape(-1)[np.arange(1, 18 * X.size, 18) + e] = 46  # "."
     # D ends in at most two 0s: had it three, its 14-digit decimal would
     # read back, and _shortest_decimal leaves such a value to repr
     text[text[:, 17] == 48, 17] = 0
@@ -252,8 +255,9 @@ def _decimal_text(D, e):
     return text
 
 
-def float_reprs(values) -> list[str]:
-    """[repr(v) for v in values.tolist()] for a 1-D float64 array.
+def float_text(values) -> np.ndarray:
+    """(n, w) ASCII bytes of a 1-D float64 array: row i is repr(values[i]),
+    NUL-padded on the right; w is 18, or the longest repr if longer.
 
     repr writes the shortest decimal that reads back as v, the nearest of
     its length.  For v in [1, 1e14), with 10 ** e <= v < 10 ** (e + 1),
@@ -273,8 +277,24 @@ def float_reprs(values) -> list[str]:
     """
     # outside [1, 1e14) a value is worked as 1.0, whose 14 digits read back
     D, e, unsure = _shortest_decimal(np.where((values >= 1.0) & (values < 1e14), values, 1.0))
-    texts = _decimal_text(D, e).view("U18")[:, 0].tolist()
+    text = _decimal_text(D, e)
     fallback = np.flatnonzero(unsure)
-    for i, v in zip(fallback.tolist(), values[fallback].tolist()):
-        texts[i] = repr(v)
-    return texts
+    # ASCII, NUL-padded to the longest: -1.2345678901234567e-300 has 24
+    reprs = np.array([repr(v) for v in values[fallback].tolist()], dtype="S")
+    w = reprs.itemsize
+    if w > text.shape[1]:
+        text = np.pad(text, ((0, 0), (0, w - text.shape[1])))
+    text[fallback, w:] = 0
+    text[fallback, :w] = reprs.view(np.uint8).reshape(-1, w)
+    return text
+
+
+def int_text(values) -> np.ndarray:
+    """(n, w) ASCII bytes of a 1-D array of ints in [0, 10 ** 17): row i
+    is str(values[i]), NUL in place of its leading 0s; w is the widest's
+    digit count."""
+    w = max(1, int(_POW10_INT.searchsorted(values.max(initial=0), side="right")))
+    powers = _POW10_INT[w - 1::-1]
+    text = (values[:, None] // powers % 10 + 48).astype(np.uint8)
+    text[:, :-1][values[:, None] < powers[:-1]] = 0
+    return text

@@ -436,8 +436,10 @@ def reference_csv(header, rows) -> bytes:
 
 
 # floats whose shortest repr takes each of its forms: signed zero,
-# exponent notation at both ends, subnormal, and integral values
-COORDINATES = st.sampled_from([-0.0, 0.0, 1e-05, 5e-324, 1e16, 3.0, 1000.0]) | \
+# exponent notation at both ends, subnormal, and integral values; and
+# reprs longer than the fast path's 18 characters, up to 24
+LONG_REPRS = [1.2345678901234567e-05, -1.2345678901234567e-300, 5e-324, 1e16, -0.0]
+COORDINATES = st.sampled_from([-0.0, 0.0, 1e-05, 5e-324, 1e16, 3.0, 1000.0, *LONG_REPRS]) | \
     st.floats(-2000.0, 2000.0) | st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -494,12 +496,12 @@ def test_trace_writers_match_a_row_by_row_reference(data, slots, n, pico_less):
 
 @pytest.mark.parametrize("slots, n", [(600, 1), (150, 7), (3, 1500)])
 def test_user_trace_writer_matches_repr_line_by_line(tmp_path, slots, n):
-    """The user-trace writer formats its coordinates by kernels.float_reprs,
-    several rows a call where n is small and one row a call where 2n
-    passes TRACE_FORMAT_VALUES; either way each line holds repr of its x
-    and y.  The coordinates mix values repr writes in exponent form, 0,
-    powers of two and the edges of the fast path's [1, 1e14) among random
-    positions and magnitudes."""
+    """The user-trace writer formats its coordinates by kernels.float_text,
+    a call per FORMAT_LINES lines: many rows a call at n = 1 and 7, two at
+    n = 1500; either way each line holds repr of its x and y.  The
+    coordinates mix values repr writes in exponent form, 0, powers of two
+    and the edges of the fast path's [1, 1e14) among random positions and
+    magnitudes."""
     rng = np.random.default_rng(n)
     special = [0.0, -0.0, 1e-05, 0.5, 1.0, 1e14, np.nextafter(1e14, 0.0),
                *(2.0 ** np.arange(-3, 50, 4))]
@@ -521,6 +523,57 @@ def test_user_trace_writer_matches_repr_line_by_line(tmp_path, slots, n):
              for t in range(slots) for i in range(n)]
     assert (tmp_path / "user_trace.csv").read_bytes() == reference_csv(
         ["slot", "user_id", "x", "y", "active,serving_cell"], lines)
+
+
+@pytest.mark.parametrize("first", [5, 95, 999_995])
+def test_trace_writers_cross_digit_widths_in_one_block(tmp_path, first):
+    """One block of ten trace rows from first, so its row numbers cross
+    9 -> 10, 99 -> 100 or 999,999 -> 1,000,000 within one line assembly
+    (three rows a call here); 1003 users, so user ids cross
+    10, 100 and 1000, served by picos of ids 0 to 27.  A block that does
+    not start at row 0 is appended without a header."""
+    rng = np.random.default_rng(first)
+    topology = build_geometry(scenario())
+    slots, n, m = 10, 1003, topology.cx.size
+    x = rng.uniform(0.0, 1000.0, (slots, n))
+    y = np.where(rng.random((slots, n)) < 0.1, rng.choice(LONG_REPRS, (slots, n)),
+                 rng.uniform(0.0, 1000.0, (slots, n)))
+    serving = rng.integers(-2, m, (slots, n))
+    states = rng.integers(-1, 4, (slots, m))
+    rows = range(first, first + slots)
+    write_user_trace_csv(tmp_path / "user_trace.csv", topology, rows, x, y, serving)
+    write_pico_trace_csv(tmp_path / "pico_trace.csv", rows, states)
+    label = {-2: "0,none", -1: "1,macro"}
+    users = [(r, i, float(x[t, i]), float(y[t, i]),
+              label.get(int(serving[t, i]), f"1,pico:{serving[t, i]}"))
+             for t, r in enumerate(rows) for i in range(n)]
+    picos = [(r, j, oracle_state(int(states[t, j])).mode.value)
+             for t, r in enumerate(rows) for j in range(m)]
+    for name, header, lines in (("user_trace.csv", ["slot", "user_id", "x", "y",
+                                                    "active,serving_cell"], users),
+                                ("pico_trace.csv", ["slot", "pico_id", "mode"], picos)):
+        expected = reference_csv(header, lines).split(b"\n", 1)[1]
+        assert (tmp_path / name).read_bytes() == expected, name
+
+
+def test_users_csv_crosses_digit_widths_and_keeps_signed_zeros(traced, tmp_path):
+    """users.csv of more users than two line assemblies take, so ids
+    cross 10, 100 and 1000 and the assemblies' bounds: rates among them
+    whose repr is longer than 18 characters, and fracs among a few
+    distinct values, -0.0 written apart from 0.0."""
+    rng = np.random.default_rng(7)
+    n = 2 * engine.FORMAT_LINES + 3
+    rates = np.where(rng.random(n) < 0.1, rng.choice(LONG_REPRS, n),
+                     rng.lognormal(16.0, 2.0, n))
+    frac = rng.choice([0.0, -0.0, 0.05, 0.5, 1.0, 1 / 3], n)
+    result = dataclasses.replace(traced[0], is_hotspot=rng.random(n) < 0.5,
+                                 mean_rate_bps=rates, frac_slots_on_pico=frac)
+    write_users_csv(result, tmp_path / "users.csv")
+    users = [(i, "hotspot" if result.is_hotspot[i] else "uniform", float(rates[i]),
+              float(frac[i])) for i in range(n)]
+    assert (tmp_path / "users.csv").read_bytes() == reference_csv(
+        ["user_id", "kind", "mean_rate_bps", "frac_slots_on_pico"], users)
+    assert b",-0.0\n" in (tmp_path / "users.csv").read_bytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -585,9 +638,10 @@ def test_column_writers_match_a_row_by_row_reference(traced, data, rows):
 
 def test_user_trace_writer_holds_a_few_slots_at_a_time(tmp_path):
     """Handed a 200-slot x 1000-user batch, the user-trace writer
-    allocates a few slot chunks (~52 KiB of text each) beyond the batch
-    itself; the serving codes of all slots at once, as one (slots, n)
-    int64 array, would take 1.5 MiB."""
+    allocates the bytes of FORMAT_LINES lines at a time (three slots,
+    about 0.78 MiB with their float digits) beyond the batch itself; the
+    serving codes of all slots at once, as one (slots, n) int64 array,
+    would take 1.5 MiB."""
     rng = np.random.default_rng(5)
     slots, n = 200, 1000
     active = rng.random((slots, n)) < 0.5

@@ -257,24 +257,53 @@ def reprs(values):
     return [repr(v) for v in values.tolist()]
 
 
+def texts(rows):
+    """Each ASCII row of kernels.float_text, its NUL padding on the right
+    dropped: a NUL anywhere else stays and fails the comparison."""
+    assert rows.dtype == np.uint8 and rows.shape[1] >= 18
+    return [t.decode("ascii") for t in rows.view(f"S{rows.shape[1]}")[:, 0].tolist()]
+
+
 @settings(max_examples=300, deadline=None)
 @given(values=hnp.arrays(np.float64, st.integers(0, 60),
                          elements=st.floats(width=64) | st.floats(1.0, 1e14)))
 def test_float_reprs_equal_repr_on_any_floats(values):
     """nan, both infinities, both zeros, subnormals and every magnitude,
     with values in the fast path's [1, 1e14) drawn as often as the rest."""
-    assert kernels.float_reprs(values) == reprs(values)
+    assert texts(kernels.float_text(values)) == reprs(values)
 
 
 def test_float_reprs_of_no_values_and_of_one():
-    assert kernels.float_reprs(np.empty(0)) == []
-    assert kernels.float_reprs(np.array([123.456])) == ["123.456"]
-    assert kernels.float_reprs(np.array([0.1 + 0.2])) == ["0.30000000000000004"]
+    assert kernels.float_text(np.empty(0)).shape == (0, 18)
+    assert texts(kernels.float_text(np.array([123.456]))) == ["123.456"]
+    assert texts(kernels.float_text(np.array([0.1 + 0.2]))) == ["0.30000000000000004"]
+
+
+def test_float_text_widens_to_the_longest_repr():
+    """A repr longer than the fast path's 18 characters widens every row
+    to its length, the others padded with NUL."""
+    values = np.array([123.456, -1.2345678901234567e-300, 1.2345678901234567e-05, 5e-324])
+    rows = kernels.float_text(values)
+    assert rows.shape == (4, 24)
+    assert texts(rows) == reprs(values)
+
+
+@pytest.mark.parametrize("values", [
+    [], [0], [7], [9, 10], [99, 100, 5], [999_999, 1_000_000],
+    list(range(0, 2000, 37)), [10 ** 16 - 1, 10 ** 16, 10 ** 17 - 1, 0],
+])
+def test_int_text_equals_str_at_every_digit_width(values):
+    """Each row, its NULs dropped, is str of its int; the width is the
+    widest's digit count, and 0 has one digit."""
+    rows = kernels.int_text(np.array(values, dtype=np.int64))
+    assert rows.dtype == np.uint8
+    assert rows.shape == (len(values), max([1, *map(len, map(str, values))]))
+    assert [bytes(r).replace(b"\0", b"").decode("ascii") for r in rows] == list(map(str, values))
 
 
 def bulk_families(rng):
     """About 1.1e6 floats in families that test each decision of
-    float_reprs, by name."""
+    float_text, by name."""
     def neighbours(a):
         return np.concatenate([a, np.nextafter(a, 0.0), np.nextafter(a, np.inf),
                                np.nextafter(np.nextafter(a, np.inf), np.inf)])
@@ -311,7 +340,7 @@ def test_float_reprs_equal_repr_on_a_million_seeded_values():
     for name, values in families.items():
         for i in range(0, values.size, 16_384):
             chunk = values[i:i + 16_384]
-            assert kernels.float_reprs(chunk) == reprs(chunk), name
+            assert texts(kernels.float_text(chunk)) == reprs(chunk), name
     positions = families["positions"][:16_384]
     _, _, unsure = kernels._shortest_decimal(positions[positions >= 1.0])
     assert unsure.mean() < 0.02
@@ -327,4 +356,4 @@ def test_float_reprs_leave_every_tie_to_repr():
         / 2.0 ** (17 - e) for e in range(14)])
     _, _, unsure = kernels._shortest_decimal(ties)
     assert unsure.all()
-    assert kernels.float_reprs(ties) == reprs(ties)
+    assert texts(kernels.float_text(ties)) == reprs(ties)
