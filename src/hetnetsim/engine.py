@@ -286,13 +286,13 @@ class World:
         self.states = self._states[:self.lines * K * B * m].reshape(self.lines, K, B, m)
         self.state = np.full((K, B, m), SLEEP, dtype=np.int64)
 
-    def _tier_capacities(self, active: np.ndarray, near: np.ndarray, j: np.ndarray,
+    def _tier_capacities(self, on: np.ndarray, near: np.ndarray, j: np.ndarray,
                          x: np.ndarray, y: np.ndarray, z: np.ndarray):
         """Both tiers' link capacities of users at x, y with fading
-        normals z: cap_macro for the active users and cap_pico for the
-        users near, each to its pico j, the macro value standing in
-        elsewhere.  An idle user's capacity is 0 in both: no link is
-        evaluated for it, though it still draws its fading normal."""
+        normals z: cap_macro for the users on and cap_pico for the users
+        near, each to its pico j, the macro value standing in elsewhere.
+        Where neither is evaluated, as for an idle user, though it still
+        draws its fading normal, the capacity is 0 in both."""
         C = self.s.channel
         discs, R = self.discs, self.topo.macro_radius
 
@@ -308,9 +308,7 @@ class World:
             return kernels.link_capacity(dist, shadow, pico_link, self.w_user, self.eirp_macro,
                                          self.eirp_pico, self.noise_dbm, C.min_distance_m)
 
-        # index gathers: a boolean mask gathers several times slower
-        on = np.flatnonzero(active)
-        cap_macro = np.zeros(active.size)
+        cap_macro = np.zeros(x.size)
         cap_macro[on] = link(on, R, R, C.macro_shadow_sigma_db, False)
         cap_pico = cap_macro.copy()
         cap_pico[near] = link(near, discs.cx.take(j), discs.cy.take(j),
@@ -370,10 +368,18 @@ class World:
         awake = states == ACTIVE
         # the (K, L * B * n) arrays are C-ordered, as a row sum over another
         # layout adds in another order
-        served = np.zeros((K, L * B * n), dtype=bool)
-        served[:, near] = awake.transpose(1, 0, 2, 3).reshape(K, -1).take(column, axis=1)
+        near_served = awake.transpose(1, 0, 2, 3).reshape(K, -1).take(column, axis=1)
         del column
-        cap_macro, cap_pico = self._tier_capacities(active, near, j, x, y, normals.reshape(-1))
+        served = np.zeros((K, L * B * n), dtype=bool)
+        served[:, near] = near_served
+        # links only where cap reads them: the macro link of an active user
+        # that some row does not pico-serve, the pico link of one that some
+        # row does; by index, as a boolean mask gathers several times slower
+        macro = active.copy()
+        macro[near[near_served.all(axis=0)]] = False
+        pico = near_served.any(axis=0)
+        cap_macro, cap_pico = self._tier_capacities(np.flatnonzero(macro), near[pico], j[pico],
+                                                    x, y, normals.reshape(-1))
         del normals
         cap = np.where(served, cap_pico, cap_macro)
         n_pico = (awake * counts[:, None]).sum(axis=3)

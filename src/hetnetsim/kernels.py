@@ -1,5 +1,7 @@
-"""Vectorized inner loops of the slot pipeline, in plain numpy, and the
-output layer's number formatters, as rows of NUL-padded ASCII bytes:
+"""Vectorized inner loops of the slot pipeline, in plain numpy: disc
+containment from a raster certified against float rounding, so that
+most points need one gather and no distance, link budgets and movement;
+and the output layer's number formatters, as rows of NUL-padded ASCII bytes:
 int_text, str's digits of non-negative ints, and float_text, repr's
 exact text for a whole array, worked in float64 and int64 steps where
 they can certify it and left to repr where they cannot.
@@ -20,12 +22,21 @@ import numpy as np
 USING_NUMBA = False
 
 
+# the raster's cell side, as a share of the disc radius, and its most
+# cells per disc: where discs lie sparse, the cap sets the side
+CELL_RATIO = 0.25
+CELLS_PER_DISC = 256
+# a cell is widened by SLACK * w, and a disc holds (misses) it only within
+# r^2 (1 - SLACK) (beyond r^2 (1 + SLACK)): far more than _cell and
+# dx*dx + dy*dy round
+SLACK = 1e-6
+
+
 @dataclass(frozen=True)
 class DiscIndex:
-    """Per grid cell, the discs whose box, padded to radius * (1 + 1e-9),
-    reaches it; one empty cell if there are no discs.  containing_disc
-    reads the table one depth column at a time, so a query of n points
-    takes O(n + cells * depth) memory."""
+    """A raster of the discs: per grid cell, the answer of every point in
+    it, or a row of the discs that may hold some of them.  The grid
+    reaches 2 radius past every centre; one cell, of no disc, if m = 0."""
 
     cx: np.ndarray       # (m + 1,) centres, then one at infinity
     cy: np.ndarray
@@ -35,7 +46,8 @@ class DiscIndex:
     w: float
     gx: int              # cells per row and column
     gy: int
-    table: np.ndarray    # (gx * gy, depth); m marks an empty slot
+    table: np.ndarray    # (gx * gy,) int32: the sure disc, -1 for none, or -2 - row
+    rows: np.ndarray     # (edge cells, depth) discs, ascending; m pads a row
 
     @property
     def m(self) -> int:
@@ -48,42 +60,71 @@ def _cell(q, origin, w):
 
 
 def disc_index(cx, cy, radius) -> DiscIndex:
-    """List each of m discs of ``radius > 0`` in every grid cell that its
-    bounding box, padded to ``pad = radius * (1 + 1e-9)``, reaches.
+    """Label the cells of a grid of side about CELL_RATIO * radius, with
+    at most about CELLS_PER_DISC cells a disc, for m discs of radius > 0.
 
     A point the strict test puts in a disc has |px - cx| < radius: exactly,
     or, where px - cx rounds (both within 2 radius of 0), up to a rounding
-    the padding covers.  So px lies between the rounded padded bounds,
-    and _cell, being monotone, puts it between their cells: its cell lists
-    every disc that can contain it.  The origin sits 2 radius below the
-    lowest centre, so no bound falls below cell 0.  The cell side w >=
-    radius grows with the centres' spread, keeping the grid near 4m cells;
-    depth, the most discs one cell lists, is a handful in the coe and udc
-    layouts, whose picos are 2 radius or more apart.
+    that ``pad = radius * (1 + 1e-9)`` covers; so, _cell being monotone,
+    only the cells of its box padded to pad hold points of the disc.  A
+    point whose _cell is (i, k) lies in that cell's square widened by
+    SLACK * w, as _cell rounds by about 1e-16 of the grid's size, and the
+    square's offsets from a centre, worked from x0 - cx, round as little.
+    A disc holds the cell if the widened square's farthest point is within
+    r^2 (1 - SLACK) of its centre, and may hold some of its points unless
+    the nearest is beyond r^2 (1 + SLACK).  A cell's sure answer is the
+    lowest disc that may, if it holds them all, or -1 if none may; else
+    its row lists every disc that may.  Points off the grid lie past every
+    disc, as do the border cells, never sure of one.  The build takes
+    O(m * (radius / w)^2) memory.
     """
     m = cx.shape[0]
     if m == 0:
         inf = np.array([np.inf])
-        return DiscIndex(inf, inf, radius, 0.0, 0.0, 1.0, 1, 1, np.zeros((1, 1), np.intp))
+        return DiscIndex(inf, inf, radius, 0.0, 0.0, 1.0, 1, 1,
+                         np.full(1, -1, np.int32), np.zeros((0, 1), np.intp))
     pad = radius * (1.0 + 1e-9)
     x0, y0 = cx.min() - 2.0 * radius, cy.min() - 2.0 * radius
-    w = max(radius, max(cx.max() - x0, cy.max() - y0) / math.ceil(math.sqrt(4 * m)))
+    x1, y1 = cx.max() + 2.0 * radius, cy.max() + 2.0 * radius
+    w = max(CELL_RATIO * radius,
+            max(x1 - x0, y1 - y0) / math.floor(math.sqrt(CELLS_PER_DISC * m)))
+    gx, gy = int(_cell(x1, x0, w)) + 1, int(_cell(y1, y0, w)) + 1
     lo_x, hi_x = _cell(cx - pad, x0, w), _cell(cx + pad, x0, w)
     lo_y, hi_y = _cell(cy - pad, y0, w), _cell(cy + pad, y0, w)
-    gx, gy = int(hi_x.max()) + 1, int(hi_y.max()) + 1
     # (m, k, k) cells of each box, masked past its extent
     k = np.arange(max((hi_x - lo_x).max(), (hi_y - lo_y).max()) + 1)
     ix, iy = lo_x[:, None, None] + k, lo_y[:, None, None] + k[:, None]
-    in_box = (ix <= hi_x[:, None, None]) & (iy <= hi_y[:, None, None])
-    disc = np.nonzero(in_box)[0]
-    cell = (iy * gx + ix)[in_box]
+
+    def near_far(i, offset):
+        # per axis, the widened cell's nearest and farthest offset from the
+        # centre, squared
+        lo = offset[:, None, None] + i * w - SLACK * w
+        hi = offset[:, None, None] + (i + 1) * w + SLACK * w
+        near = np.maximum(lo, 0.0) + np.minimum(hi, 0.0)
+        return near * near, np.maximum(lo * lo, hi * hi)
+
+    (near_x, far_x), (near_y, far_y) = near_far(ix, x0 - cx), near_far(iy, y0 - cy)
+    r2 = radius * radius
+    may = (ix <= hi_x[:, None, None]) & (iy <= hi_y[:, None, None])
+    may &= near_x + near_y <= r2 * (1.0 + SLACK)
+    holds = (far_x + far_y < r2 * (1.0 - SLACK))[may]
+    disc = np.nonzero(may)[0]
+    cell = (iy * gx + ix)[may]
+    # each cell's discs, ascending: the boxes are in disc order
     order = np.argsort(cell, kind="stable")
+    cell, disc, holds = cell[order], disc[order], holds[order]
     per_cell = np.bincount(cell, minlength=gx * gy)
-    first = (np.cumsum(per_cell) - per_cell)[cell[order]]
-    table = np.full((gx * gy, per_cell.max()), m, dtype=np.intp)
-    table[cell[order], np.arange(cell.size) - first] = disc[order]
+    first = np.cumsum(per_cell) - per_cell
+    table = np.full(gx * gy, -1, dtype=np.int32)
+    lowest = first[per_cell > 0]
+    table[cell[lowest]] = disc[lowest]
+    edge = cell[lowest[~holds[lowest]]]
+    table[edge] = -2 - np.arange(edge.size)
+    in_edge = table[cell] < -1
+    rows = np.full((edge.size, per_cell[edge].max(initial=1)), m, dtype=np.intp)
+    rows[-2 - table[cell[in_edge]], (np.arange(cell.size) - first[cell])[in_edge]] = disc[in_edge]
     return DiscIndex(np.append(cx, np.inf), np.append(cy, np.inf), radius,
-                     x0, y0, w, gx, gy, table)
+                     x0, y0, w, gx, gy, table, rows)
 
 
 def containing_disc(px, py, index: DiscIndex):
@@ -91,33 +132,40 @@ def containing_disc(px, py, index: DiscIndex):
     (``dx*dx + dy*dy < radius*radius``, ``dx = px - cx``), -1 if none.
     Where discs overlap, the lowest index wins.
 
-    Each point tests only the discs its own cell lists; as the floor of a
-    padded bound is monotone, any that contains it is there (disc_index).
-    The table is read one depth column at a time: each column gives every
-    point one candidate, and a running minimum keeps the lowest hit, so
-    memory is O(n + cells * depth).
+    One gather gives each point its cell's label (disc_index): a sure
+    answer, or for a point in an edge cell a row of the discs that may
+    hold it, which only those points test.  The rows are read one depth
+    column at a time: each column gives every such point one candidate,
+    and a running minimum keeps the lowest hit, so memory is O(n + cells
+    * depth).
     """
-    # off the grid, a point lies past every box: its edge cell lists no hit;
+    # off the grid, a point lies past every disc, as its border cell does;
     # in place where it can be, as the points may be a block of many slots
-    cell = np.clip(_cell(py, index.y0, index.w), 0, index.gy - 1)
-    cell *= index.gx
-    cell += np.clip(_cell(px, index.x0, index.w), 0, index.gx - 1)
+    label = np.clip(_cell(py, index.y0, index.w), 0, index.gy - 1)
+    label *= index.gx
+    label += np.clip(_cell(px, index.x0, index.w), 0, index.gx - 1)
+    label = index.table.take(label)
+    edge = np.flatnonzero(label < -1)
+    row = -2 - label.take(edge)
+    ex, ey = px.take(edge), py.take(edge)
     r2 = index.radius * index.radius
 
     def hits(column):
-        # one candidate per point; empty slots point at the centre at infinity
-        cand = column.take(cell)
+        # one candidate per point; padding points at the centre at infinity
+        cand = column.take(row)
         dx, dy = index.cx.take(cand), index.cy.take(cand)
-        np.subtract(px, dx, out=dx)
-        np.subtract(py, dy, out=dy)
+        np.subtract(ex, dx, out=dx)
+        np.subtract(ey, dy, out=dy)
         dx *= dx
         dx += np.square(dy, out=dy)
         np.copyto(cand, index.m, where=~(dx < r2))
         return cand
 
-    first_hit = reduce(lambda a, b: np.minimum(a, b, out=a), map(hits, index.table.T))
+    first_hit = reduce(lambda a, b: np.minimum(a, b, out=a), map(hits, index.rows.T))
     np.copyto(first_hit, -1, where=first_hit == index.m)
-    return first_hit.astype(np.int64, copy=False)
+    label = label.astype(np.int64)
+    label[edge] = first_hit
+    return label
 
 
 def link_capacity(

@@ -1426,6 +1426,52 @@ def test_a_group_builds_its_disc_index_once(shape, slots):
         [[s.seed, engine.TAG_WORLD, r] for r in range(s.realizations)]
 
 
+
+LINK_ROWS = {
+    "never wakes": {"topology": "monet_udc_users"},
+    "always on": {"policy": {"t_activate": 0.0, "t_deactivate": -np.inf}},
+    "12/8": {"policy": {"t_activate": 12.0, "t_deactivate": 8.0}},
+}
+
+
+@pytest.mark.parametrize("rows", [list(LINK_ROWS), ["always on", "12/8"]],
+                         ids=["three rows", "two rows"])
+def test_links_are_evaluated_only_where_a_row_reads_them(tmp_path, rows):
+    """A group evaluates the macro link of each active user that some row
+    does not pico-serve and the pico link of each user that some row
+    does, no other; and every row's columns, pico_capacity_bps and
+    users.csv equal those of the row run alone.  With the macro-only
+    twin in the group no user is pico-served in every row; without it,
+    many are."""
+    base = {"topology": "udc", "seed": 3, "slots": 30, "boot_slots": 2,
+            "users": {"total": 1000, "hotspot": 800}}
+    scenarios = [parse_scenario({**base, **LINK_ROWS[row]}) for row in rows]
+    blocks = []
+
+    def record(world, *args, **kw):
+        blocks.append(run_block(world, *args, **kw))
+        return blocks[-1]
+
+    run_block = World.run_block
+    with mock.patch.object(World, "run_block", autospec=True, side_effect=record), \
+            mock.patch.object(kernels, "link_capacity", wraps=kernels.link_capacity) as links:
+        grouped = run_scenarios(scenarios, per_user=True)
+    evaluated = sum(call.args[0].size for call in links.call_args_list)
+    macro = sum(int((active & ~served.all(axis=0)).sum()) for active, _, served, _ in blocks)
+    pico = sum(int(served.any(axis=0).sum()) for _, _, served, _ in blocks)
+    assert evaluated == macro + pico
+    every = sum(int(served.all(axis=0).sum()) for _, _, served, _ in blocks)
+    assert (every > 0) == ("never wakes" not in rows)
+    # every row but the twin pico-serves some users
+    for k, row in enumerate(rows):
+        assert any(served[k].any() for _, _, served, _ in blocks) == (row != "never wakes")
+    for k, (s, result) in enumerate(zip(scenarios, grouped)):
+        (solo,) = run_scenarios([s], per_user=True)
+        assert_same_run(result, solo)
+        write_users_csv(result, tmp_path / f"group{k}.csv")
+        write_users_csv(solo, tmp_path / f"solo{k}.csv")
+        assert (tmp_path / f"group{k}.csv").read_bytes() == (tmp_path / f"solo{k}.csv").read_bytes()
+
 def test_means_only_sweep_holds_no_per_user_arrays():
     """A hotspot_sweep-shaped group (124 rows, 1000 users, 20
     realizations) run for its means keeps no (n,) array in its results

@@ -150,6 +150,112 @@ def test_containing_disc_equals_the_scan_on_any_disc_set(data):
     np.testing.assert_array_equal(got, brute_force_containing(px, py, cx, cy, r))
 
 
+def ulp_neighbours(px, py):
+    """Each point, first, and its 8 neighbours one ulp away on either axis."""
+    steps = [(v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)) for v in (px, py)]
+    return (np.concatenate([x for x in steps[0] for _ in range(3)]),
+            np.concatenate([y for _ in range(3) for y in steps[1]]))
+
+
+def sure_cell_outlines(index):
+    """The corners and edge midpoints of every cell with a sure label."""
+    cells = np.flatnonzero(index.table > -2)
+    i, k = cells % index.gx, cells // index.gx
+    f = np.array([0.0, 0.5, 1.0])
+    px = index.x0 + (i[:, None, None] + f[:, None]) * index.w
+    py = index.y0 + (k[:, None, None] + f) * index.w
+    return np.broadcast_to(px, (cells.size, 3, 3)).ravel(), \
+        np.broadcast_to(py, (cells.size, 3, 3)).ravel()
+
+
+def assert_scan_answers(cx, cy, r, px, py):
+    """The raster answers each point, its ulp neighbours and the outlines
+    of the sure cells as the scan does; the index, and the answers of the
+    points."""
+    index = kernels.disc_index(cx, cy, r)
+    n = px.size
+    px, py = ulp_neighbours(px, py)
+    ox, oy = ulp_neighbours(*sure_cell_outlines(index))
+    px, py = np.concatenate([px, ox]), np.concatenate([py, oy])
+    got = kernels.containing_disc(px, py, index)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, brute_force_containing(px, py, cx, cy, r))
+    return index, got[:n]
+
+
+@pytest.mark.parametrize("gap", [1.0, 1.0 - 1e-10])
+@pytest.mark.parametrize("flip", [False, True])
+def test_containment_where_two_discs_touch(gap, flip):
+    """Centres exactly 2r apart, tangent at one point, or 2r (1 - 1e-10)
+    apart, sharing a lens 4e-9 m wide: points in and about it, either
+    disc listed first."""
+    r = 20.0
+    cx, cy = np.array([100.0, 100.0 + 2 * r * gap]), np.array([100.0, 100.0])
+    if flip:
+        cx = cx[::-1].copy()
+    mid = (cx[0] + cx[1]) / 2
+    dy = np.array([0.0, 1e-12, 1e-6, 1e-4, 2.8e-4, 1e-3])
+    px = np.concatenate([np.full(12, mid), mid + np.array([-2e-9, 2e-9, -1e-8, 1e-8])])
+    py = np.concatenate([100.0 + dy, 100.0 - dy, np.full(4, 100.0 + 1e-4)])
+    _, got = assert_scan_answers(cx, cy, r, px, py)
+    if gap < 1.0:
+        # both hold the lens, 2.8e-4 m high: the first wins
+        lens = (px == mid) & (np.abs(py - 100.0) < 3e-4)
+        assert lens.sum() == 10 and (got[lens] == 0).all()
+
+
+def test_containment_where_a_disc_edge_crosses_a_cell_corner():
+    """Disc 1's circle passes through the corner x0 + 7w, y0 + 6w, which
+    lies inside disc 0: a 3-4-5 triangle, exact in binary."""
+    cx, cy, r = np.array([0.0, 1.75]), np.array([0.0, 1.5]), 5.0
+    index = kernels.disc_index(cx, cy, r)
+    assert (index.x0, index.y0, index.w) == (-10.0, -10.0, 1.25)
+    corner_x, corner_y = index.x0 + 7 * index.w, index.y0 + 6 * index.w
+    assert (corner_x - cx[1]) ** 2 + (corner_y - cy[1]) ** 2 == r * r
+    # either disc first: with the crossing one first, the corner's answer
+    # rests on its strict test
+    for order in ([0, 1], [1, 0]):
+        assert_scan_answers(cx[order], cy[order], r, np.array([corner_x]), np.array([corner_y]))
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_containment_of_no_disc_and_of_one(m):
+    cx, cy, r = np.array([300.0])[:m], np.array([200.0])[:m], 40.0
+    px = np.concatenate([RNG.uniform(200, 400, 500), 300.0 + np.array([40.0, -40.0, 0, 0])])
+    py = np.concatenate([RNG.uniform(100, 300, 500), 200.0 + np.array([0, 0, 40.0, -40.0])])
+    index, got = assert_scan_answers(cx, cy, r, px, py)
+    assert (got >= 0).any() == bool(m)
+    if m:
+        # a sure cell labels every point in it
+        assert (index.table >= 0).any()
+
+
+def test_containment_of_points_far_off_the_grid():
+    cx, cy, r = random_discs()
+    big = np.array([-1e15, -1e9, -1e3, 1e3, 1e9, 1e15])
+    px = np.concatenate([big, np.zeros(6), big, cx])
+    py = np.concatenate([np.zeros(6), big, big[::-1], np.full(cx.size, 1e12)])
+    _, got = assert_scan_answers(cx, cy, r, px, py)
+    assert (got == -1).all()
+
+
+def test_containment_where_the_cell_cap_sets_the_side():
+    """Three discs of 1 cm a kilometre apart: the cap of CELLS_PER_DISC
+    cells a disc makes a cell many radii wide, so no cell is sure of a
+    disc, and every point near one tests it."""
+    cx, cy, r = np.array([0.0, 1000.0, 500.0]), np.array([0.0, 0.0, 1000.0]), 0.01
+    index = kernels.disc_index(cx, cy, r)
+    c = math.floor(math.sqrt(kernels.CELLS_PER_DISC * 3))
+    assert index.w > 1000.0 / c > r
+    assert index.gx * index.gy <= (c + 1) ** 2
+    assert not (index.table >= 0).any()
+    a = RNG.uniform(0, 2 * math.pi, 300)
+    d = r * np.concatenate([RNG.uniform(0, 1.5, 200), np.ones(100)])
+    j = RNG.integers(0, 3, 300)
+    _, got = assert_scan_answers(cx, cy, r, cx[j] + d * np.cos(a), cy[j] + d * np.sin(a))
+    assert (got >= 0).any() and (got == -1).any()
+
+
 # the layouts the presets and the run workloads build at their default seed
 # 1, and at a second seed: coe and udc at 28 picos of 50 m (presets,
 # ts_paper), udc at 200 picos of 20 m (ts_stress)
@@ -163,33 +269,47 @@ LAYOUTS = [
 
 @pytest.mark.parametrize("doc", LAYOUTS)
 def test_disc_index_size_is_linear_in_picos(doc):
-    """The table has O(m) cells of a small depth, for m picos of radius r.
+    """The raster has O(m) cells, O(m) edge rows of a small depth, and
+    sure cells in every disc, for m picos of radius r.
 
-    Cells: the grid covers the padded boxes, x0 up to max(cx) + pad, with
-    side w >= span / c, c = ceil(sqrt(4m)), span being the larger extent
-    of the centres above the origin, and w >= r.  So there are at most
-    span/w + pad/w + 1 <= c + 2 cells a row and a column, (c + 2)^2 in all.
+    Cells: the grid spans x0 = min(cx) - 2r to x1 = max(cx) + 2r with side
+    w >= span / c, c = floor(sqrt(CELLS_PER_DISC * m)), span the larger of
+    x1 - x0 and y1 - y0.  So there are at most c + 1 cells a row and a
+    column, (c + 1)^2 in all.
 
-    Depth: a cell lists only the discs whose centre lies within pad of it
-    on both axes, in a square of side w + 2 pad.  Picos of coe and udc are
-    2r or more apart, so their discs are disjoint and lie inside that
-    square grown by r: depth * pi r^2 <= (w + 4 pad)^2.
+    Edge rows: a cell whose lowest disc may hold some of its points but
+    not all has its widened square, of diagonal a = sqrt(2) w (1 + 2
+    SLACK), both within and beyond about r of that disc's centre.  So
+    the cell lies in the annulus from r - a to r + a about it, of area 4
+    pi r a, and the cells of one disc's annulus number at most that over
+    w^2.
+
+    Depth: a row lists only discs whose centre lies within about r of the
+    cell, a square of side w.  Picos of coe and udc are 2r or more apart,
+    so their discs are disjoint and lie inside that square grown by 2r:
+    depth * pi r^2 <= (w + 4r)^2.  Sure cells of one disc lie inside it,
+    so there are at most pi r^2 / w^2 of them, and at least one, as w <=
+    r / 2 puts the cell of its centre inside it.
     """
     topo = build_geometry(parse_scenario(doc))
     r = topo.pico_radius
     index = kernels.disc_index(topo.cx, topo.cy, r)
-    m = index.m
-    cells, depth = index.table.shape
-    c = math.ceil(math.sqrt(4 * m))
-    assert cells == index.gx * index.gy
-    assert max(index.gx, index.gy) <= c + 2
-    assert depth <= (index.w + 4 * r * (1 + 1e-9)) ** 2 / (math.pi * r * r)
-    # what these layouts reach: the bound above is 10 or 11 here
-    assert 2 <= depth <= 4
-    # each disc is listed once per cell its box reaches: 3 x 3 at most
-    # here, where w > pad makes the box side 2 pad shorter than 2w
-    assert index.w > r * (1 + 1e-9)
-    assert m <= (index.table < m).sum() <= 9 * m
+    m, w = index.m, index.w
+    edges, depth = index.rows.shape
+    c = math.floor(math.sqrt(kernels.CELLS_PER_DISC * m))
+    assert index.table.shape == (index.gx * index.gy,)
+    assert max(index.gx, index.gy) <= c + 1
+    assert edges <= index.table.size
+    a = math.sqrt(2) * w * (1 + 2 * kernels.SLACK)
+    assert edges <= m * 4 * math.pi * r * a * (1 + 1e-5) / (w * w)
+    assert np.array_equal(np.sort(index.table[index.table < -1]), -1 - np.arange(edges, 0, -1))
+    assert depth <= (w + 4 * r * (1 + 1e-5)) ** 2 / (math.pi * r * r)
+    # what these layouts reach: the depth bound above is 5 here
+    assert depth == 2
+    sure = np.bincount(index.table[index.table >= 0], minlength=m)
+    assert 1 <= sure.min() and sure.max() <= math.pi * r * r / (w * w)
+    # the cell side is r / 4, or a little more where the cap sets it
+    assert kernels.CELL_RATIO * r <= w <= r / 3.5
 
 
 @pytest.mark.parametrize("m", [20, 200])
